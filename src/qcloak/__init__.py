@@ -12,7 +12,7 @@ from .circuit import Circuit, Gate, GateKind, cx, gate_counts, rx, rz, sx, x
 from .dag import CircuitDag, cx_depth, to_dag
 from .distributions import Distribution
 from .kak import KakTerms, kak_decompose, kak_reconstruct
-from .netlsd import HeatSignature, netlsd_divergence, netlsd_signature
+from .netlsd import HeatSignature, circuit_signature, netlsd_divergence, netlsd_signature
 from .obfuscate import (
     ObfuscationKey,
     RxPair,
@@ -59,6 +59,7 @@ __all__ = [
     "RxPair",
     "SynthConfig",
     "SynthesisEquivalenceError",
+    "circuit_signature",
     "compare",
     "cx",
     "cx_depth",

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from .circuit import Circuit, gate_counts
 from .dag import cx_depth
 from .distributions import Distribution
-from .netlsd import default_grid, netlsd_divergence
+from .netlsd import circuit_signature, default_grid, netlsd_divergence
 from .obfuscate import decode
 from .partition import form_blocks, reassemble
 from .pipeline import PipelineConfig, encode
@@ -135,8 +135,9 @@ def compare(
 
     x_only = make_baseline(enc.x_injected, SynthConfig(k=1, shortlist=1, tol=cfg.tol))
     grid = default_grid(cfg.grid_min, cfg.grid_max, cfg.grid_points)
-    netlsd_full = netlsd_divergence(enc.circuit, baseline, grid)
-    netlsd_x = netlsd_divergence(x_only, baseline, grid)
+    baseline_sig = circuit_signature(baseline, grid)
+    netlsd_full = netlsd_divergence(enc.circuit, baseline_sig, grid)
+    netlsd_x = netlsd_divergence(x_only, baseline_sig, grid)
 
     tvd_unc = tvd_cor = pct_unc = pct_cor = None
     note = None

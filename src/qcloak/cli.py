@@ -2,7 +2,8 @@
 
 Logs go to stderr; stdout carries a single JSON summary per invocation.
 Exit codes: 0 success, 1 parse/validation error, 2 failed internal
-equivalence check during encoding, 3 I/O error.
+equivalence check during encoding (whole circuit or one block candidate),
+3 I/O error.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ from .obfuscate import decode, key_from_json, key_to_json
 from .pipeline import PipelineConfig, SynthesisEquivalenceError, encode
 from .qasm import parse_qasm, serialize_qasm
 from .simulator import sample
+from .synthesis import SynthesisError
 
 log = logging.getLogger("qcloak")
 
@@ -243,7 +245,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except SynthesisEquivalenceError as exc:
+    except (SynthesisEquivalenceError, SynthesisError) as exc:
         log.error("equivalence check failed: %s", exc)
         return 2
     except ValueError as exc:

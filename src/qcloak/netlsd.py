@@ -177,9 +177,22 @@ def netlsd_signature(
     return HeatSignature(np.asarray(grid, dtype=float), traces)
 
 
-def netlsd_divergence(a: Circuit, b: Circuit, grid: np.ndarray | None = None) -> float:
-    sig_a = netlsd_signature(to_dag(a), grid)
-    sig_b = netlsd_signature(to_dag(b), grid)
+def circuit_signature(c: Circuit, grid: np.ndarray | None = None) -> HeatSignature:
+    return netlsd_signature(to_dag(c), grid)
+
+
+def netlsd_divergence(
+    a: Circuit | HeatSignature,
+    b: Circuit | HeatSignature,
+    grid: np.ndarray | None = None,
+) -> float:
+    """Distance between heat-trace signatures. Either side may be a signature
+    precomputed by circuit_signature, so a side that is compared several
+    times is estimated once; both sides must share one timescale grid."""
+    sig_a = a if isinstance(a, HeatSignature) else circuit_signature(a, grid)
+    sig_b = b if isinstance(b, HeatSignature) else circuit_signature(b, grid)
+    if not np.array_equal(sig_a.timescales, sig_b.timescales):
+        raise ValueError("signatures were taken on different timescale grids")
     return float(np.linalg.norm(sig_a.traces - sig_b.traces))
 
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .circuit import Circuit, Gate
-from .linalg import circuit_unitary, gate_unitary
+from .linalg import apply_gate
 
 
 @dataclass(frozen=True)
@@ -90,25 +90,27 @@ def form_blocks(c: Circuit) -> BlockPartition:
     return BlockPartition(c.num_qubits, blocks, tuple(provenance), c.measured_qubits)
 
 
-def block_unitary(b: Block) -> np.ndarray:
-    """Unitary of the block over its local wires (2x2 or 4x4, little-endian)."""
-    if len(b.qubits) == 1:
-        u = np.eye(2, dtype=complex)
-        for g in b.gates:
-            u = gate_unitary(g) @ u
-        return u
-    local_gates = [
-        Gate(g.kind, tuple(b.local(q) for q in g.qubits), g.angle) for g in b.gates
-    ]
-    return circuit_unitary(Circuit(2, tuple(local_gates)))
-
-
 def to_local_circuit(b: Block) -> Circuit:
     """The block's gates remapped onto local wires."""
     local_gates = [
         Gate(g.kind, tuple(b.local(q) for q in g.qubits), g.angle) for g in b.gates
     ]
     return Circuit(len(b.qubits), tuple(local_gates))
+
+
+def block_unitary(b: Block) -> np.ndarray:
+    """Unitary of the block over its local wires (2x2 or 4x4, little-endian).
+
+    Gates are applied one at a time in circuit order, not fused into per-wire
+    runs as in circuit_unitary. These bits are KAK's input and so fix the
+    emitted angles: fusing would move them by rounding and change the
+    encoded QASM for a fixed seed."""
+    local = to_local_circuit(b)
+    n = local.num_qubits
+    u = np.eye(2**n, dtype=complex)
+    for g in local.gates:
+        u = apply_gate(u, g, n)
+    return u
 
 
 def reassemble(p: BlockPartition, replacements: dict[int, Circuit]) -> Circuit:

@@ -23,7 +23,7 @@ from .linalg import (
     ry_matrix,
     rz_matrix,
 )
-from .netlsd import netlsd_divergence
+from .netlsd import circuit_signature, netlsd_divergence
 from .partition import Block, block_unitary, to_local_circuit
 
 RZ_TRIVIAL_TOL = 1e-12
@@ -282,7 +282,7 @@ def select_candidate(
     shortlist = ranked[: cfg.shortlist]
     if len(shortlist) == 1:
         return cands[shortlist[0]]
-    reference = to_local_circuit(original_block)
+    reference = circuit_signature(to_local_circuit(original_block))
     best = max(shortlist, key=lambda i: netlsd_divergence(cands[i], reference))
     return cands[best]
 

@@ -4,7 +4,7 @@ import numpy as np
 from hypothesis import strategies as st
 from scipy.stats import unitary_group
 
-from qcloak.circuit import Circuit, cx, rx, rz, sx, x
+from qcloak.circuit import Circuit, Gate, cx, rx, rz, sx, x
 
 ANGLES = st.floats(min_value=-6.3, max_value=6.3, allow_nan=False)
 
@@ -38,6 +38,22 @@ def circuits(draw, min_qubits=1, max_qubits=4, max_gates=14, measure_all=True):
 
 
 @st.composite
+def one_qubit_runs(draw, max_qubits=6, min_gates=40):
+    """Circuits made of one-qubit runs (RX included) of up to 12 gates on a
+    random wire, with a CX after some runs."""
+    n = draw(st.integers(1, max_qubits))
+    gates = []
+    while len(gates) < min_gates:
+        q = draw(st.integers(0, n - 1))
+        run = draw(st.lists(gates_on(1), min_size=1, max_size=12))
+        gates.extend(Gate(g.kind, (q,), g.angle) for g in run)
+        if n >= 2 and draw(st.booleans()):
+            t = draw(st.integers(0, n - 2))
+            gates.append(cx(q, t + 1 if t >= q else t))
+    return Circuit(n, tuple(gates))
+
+
+@st.composite
 def unitaries(draw, dim=4):
     seed = draw(st.integers(0, 2**31 - 1))
     return unitary_group.rvs(dim, random_state=np.random.default_rng(seed))
@@ -51,3 +67,32 @@ def slow_circuit_unitary(c: Circuit) -> np.ndarray:
     for g in c.gates:
         u = embed_unitary(gate_unitary(g), g.qubits, c.num_qubits) @ u
     return u
+
+
+def tensordot_circuit_unitary(c: Circuit) -> np.ndarray:
+    """Gate-by-gate product by per-gate tensordot contraction (2x2 matmuls on
+    one wire). block_unitary must equal it bit for bit: its bits are KAK's
+    input and so fix the encoded QASM."""
+    from qcloak.circuit import GateKind
+    from qcloak.linalg import gate_unitary
+
+    n = c.num_qubits
+    dim = 2**n
+    if n == 1:
+        u = np.eye(2, dtype=complex)
+        for g in c.gates:
+            u = gate_unitary(g) @ u
+        return u
+    u = np.eye(dim, dtype=complex).reshape((2,) * n + (dim,))
+    for g in c.gates:
+        if g.kind is GateKind.CX:
+            control_axis = n - 1 - g.qubits[0]
+            target_axis = n - 1 - g.qubits[1]
+            idx: list = [slice(None)] * (n + 1)
+            idx[control_axis] = 1
+            flip_axis = target_axis - 1 if target_axis > control_axis else target_axis
+            u[tuple(idx)] = np.flip(u[tuple(idx)], axis=flip_axis)
+        else:
+            axis = n - 1 - g.qubits[0]
+            u = np.moveaxis(np.tensordot(gate_unitary(g), u, axes=([1], [axis])), 0, axis)
+    return u.reshape(dim, dim)

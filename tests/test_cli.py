@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+import qcloak.synthesis
 from qcloak import distributions
 from qcloak.analysis import CSV_COLUMNS, make_baseline, tvd
 from qcloak.bench import gen_ghz
@@ -108,6 +109,17 @@ def test_qaoa_demo_smoke(tmp_path, capsys):
         assert (outdir / f"final_{mode}.json").exists()
     header = (outdir / "loss_baseline.csv").read_text().split("\n")[0]
     assert header == "iteration,loss,mode"
+
+
+def test_exit_code_failed_candidate_check(tmp_path, ghz3_path, capsys, monkeypatch):
+    monkeypatch.setattr(
+        qcloak.synthesis, "equal_up_to_global_phase", lambda *args, **kwargs: False
+    )
+    out, key = tmp_path / "enc.qasm", tmp_path / "key.json"
+    rc = main(["encode", str(ghz3_path), str(out), str(key)])
+    capsys.readouterr()
+    assert rc == 2
+    assert not out.exists() and not key.exists()
 
 
 def test_exit_code_parse_error(tmp_path, capsys):

@@ -18,7 +18,7 @@ from qcloak.linalg import (
     rx_matrix,
     rz_matrix,
 )
-from strategies import ANGLES, circuits, slow_circuit_unitary
+from strategies import ANGLES, circuits, one_qubit_runs, slow_circuit_unitary
 
 
 def test_rotation_matrices_match_exponentials():
@@ -72,6 +72,12 @@ def test_circuit_unitary_matches_kron_reference(c):
     fast = circuit_unitary(c)
     assert np.max(np.abs(fast - slow_circuit_unitary(c))) < 1e-12
     assert is_unitary(fast)
+
+
+@given(one_qubit_runs(max_qubits=6, min_gates=40))
+@settings(max_examples=40, deadline=None)
+def test_fused_runs_match_kron_reference(c):
+    assert np.max(np.abs(circuit_unitary(c) - slow_circuit_unitary(c))) < 1e-12
 
 
 @given(ANGLES)

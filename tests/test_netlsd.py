@@ -1,9 +1,11 @@
 import numpy as np
+import pytest
 
 from qcloak.bench import gen_qft
 from qcloak.circuit import Circuit, cx, rz, sx
 from qcloak.dag import to_dag
 from qcloak.netlsd import (
+    circuit_signature,
     default_grid,
     netlsd_divergence,
     netlsd_signature,
@@ -80,6 +82,19 @@ def test_divergence_zero_on_self_and_symmetric():
     assert netlsd_divergence(a, a) == 0.0
     assert np.isclose(netlsd_divergence(a, b), netlsd_divergence(b, a))
     assert netlsd_divergence(a, b) > 0
+
+
+def test_divergence_accepts_precomputed_signatures():
+    a = gen_qft(3)
+    b = Circuit(3, (cx(0, 1), cx(1, 2), sx(0)))
+    grid = default_grid(points=40)
+    want = netlsd_divergence(a, b, grid)
+    sig_a, sig_b = circuit_signature(a, grid), circuit_signature(b, grid)
+    assert netlsd_divergence(a, sig_b, grid) == want
+    assert netlsd_divergence(sig_a, b, grid) == want
+    assert netlsd_divergence(sig_a, sig_b) == want
+    with pytest.raises(ValueError):
+        netlsd_divergence(a, sig_b)
 
 
 def test_signature_csv_format():

@@ -2,8 +2,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
+from qcloak.bench import gen_adder, gen_qft
 from qcloak.circuit import Circuit, cx, rx, rz, sx, x
 from qcloak.linalg import circuit_unitary, equal_up_to_global_phase
+from qcloak.obfuscate import inject_rx_pairs, inject_x_end
 from qcloak.partition import (
     Block,
     block_unitary,
@@ -11,7 +13,7 @@ from qcloak.partition import (
     reassemble,
     to_local_circuit,
 )
-from strategies import circuits
+from strategies import circuits, tensordot_circuit_unitary
 
 
 def test_block_validation():
@@ -75,6 +77,25 @@ def test_block_unitary_matches_local_circuit():
     # local wire 0 = qubit 1, local wire 1 = qubit 2
     assert to_local_circuit(b) == Circuit(2, (cx(1, 0), rx(0.7, 0), sx(1)))
     assert np.allclose(block_unitary(b), circuit_unitary(to_local_circuit(b)))
+
+
+def _assert_block_bits_pinned(p):
+    for b in p.blocks:
+        want = tensordot_circuit_unitary(to_local_circuit(b))
+        assert np.array_equal(block_unitary(b), want)
+
+
+@given(circuits(max_qubits=4, max_gates=30))
+def test_block_unitary_bits_match_tensordot_product(c):
+    # block_unitary feeds KAK, so its bits fix the emitted QASM angles
+    _assert_block_bits_pinned(form_blocks(c))
+
+
+@pytest.mark.parametrize("c", [gen_qft(5), gen_adder(5)], ids=["qft5", "add5"])
+def test_block_unitary_bits_pinned_on_rx_injected_blocks(c):
+    x_circ, _key = inject_x_end(c, 4)
+    _rx_circ, _record, p = inject_rx_pairs(x_circ, form_blocks(x_circ), 5, 1.0)
+    _assert_block_bits_pinned(p)
 
 
 def test_reassemble_identity_reproduces_original():

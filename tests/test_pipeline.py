@@ -1,11 +1,17 @@
 import pytest
 from hypothesis import given, settings
 
+import qcloak.pipeline
 from qcloak.analysis import make_baseline, tvd
-from qcloak.bench import gen_ghz, gen_wstate
-from qcloak.circuit import GateKind, gate_counts
+from qcloak.bench import gen_ghz, gen_random_blocks, gen_wstate
+from qcloak.circuit import Circuit, GateKind, gate_counts, rz
 from qcloak.obfuscate import decode
-from qcloak.pipeline import EncodeResult, PipelineConfig, encode
+from qcloak.pipeline import (
+    EncodeResult,
+    PipelineConfig,
+    SynthesisEquivalenceError,
+    encode,
+)
 from qcloak.simulator import ideal_distribution
 from strategies import circuits
 
@@ -76,3 +82,26 @@ def test_decode_recovers_on_random_circuits(c):
 def test_encoded_cx_count_matches_baseline(c):
     enc = encode(c, PipelineConfig(seed=7))
     assert gate_counts(enc.circuit).cx == gate_counts(make_baseline(c)).cx
+
+
+def _shift_first_rz(c: Circuit) -> Circuit:
+    gates = list(c.gates)
+    i = next(i for i, g in enumerate(gates) if g.kind is GateKind.RZ)
+    gates[i] = rz(gates[i].angle + 1e-6, gates[i].qubits[0])
+    return Circuit(c.num_qubits, tuple(gates), c.measured_qubits)
+
+
+def _drop_first_cx(c: Circuit) -> Circuit:
+    gates = list(c.gates)
+    del gates[next(i for i, g in enumerate(gates) if g.kind is GateKind.CX)]
+    return Circuit(c.num_qubits, tuple(gates), c.measured_qubits)
+
+
+@pytest.mark.parametrize("mutate", [_shift_first_rz, _drop_first_cx])
+def test_whole_circuit_check_rejects_mutated_output(monkeypatch, mutate):
+    real = qcloak.pipeline.reassemble
+    monkeypatch.setattr(
+        qcloak.pipeline, "reassemble", lambda p, frags: mutate(real(p, frags))
+    )
+    with pytest.raises(SynthesisEquivalenceError):
+        encode(gen_random_blocks(8, 24, 5), PipelineConfig(seed=2))

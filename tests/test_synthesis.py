@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import qcloak.netlsd
 from qcloak.circuit import Circuit, GateKind, cx, gate_counts, rz, sx, x
 from qcloak.kak import kak_decompose
 from qcloak.linalg import (
@@ -152,6 +153,22 @@ def test_select_candidate_shortlist_bound():
     chosen = select_candidate(cands, b, cfg)
     sxx = sorted(gate_counts(c).sx_plus_x for c in cands)
     assert gate_counts(chosen).sx_plus_x <= sxx[cfg.shortlist - 1]
+
+
+def test_select_candidate_signs_reference_block_once(monkeypatch):
+    calls = []
+    real = qcloak.netlsd.netlsd_signature
+
+    def counting(d, *args, **kwargs):
+        calls.append(d)
+        return real(d, *args, **kwargs)
+
+    monkeypatch.setattr(qcloak.netlsd, "netlsd_signature", counting)
+    b = Block((0, 1), (sx(0), cx(0, 1), rz(0.8, 1), cx(1, 0)), 3)
+    cfg = SynthConfig(k=3, shortlist=3, seed=12)
+    select_candidate(generate_candidates(b, cfg), b, cfg)
+    # one reference signature plus one per shortlisted candidate
+    assert len(calls) == 1 + cfg.shortlist
 
 
 def test_synthesize_block_end_to_end():
