@@ -103,7 +103,7 @@ def cmd_encode(args) -> int:
 def cmd_decode(args) -> int:
     dist = distributions.from_json(_read(args.distribution))
     key = key_from_json(_read(args.key))
-    out = decode(dist, key)
+    out = decode(dist, key.measured())
     _write_atomic(args.output, distributions.to_json(out))
     log.info("decoded %s with %s -> %s", args.distribution, args.key, args.output)
     _emit({"num_bits": out.num_bits, "outcomes": len(out.outcomes), "top": out.top()})

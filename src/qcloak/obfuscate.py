@@ -1,7 +1,8 @@
 """Output and structure obfuscation: terminal X-gate keys and RX-pair injection.
 
 The key is an n-bit flip mask (qubit i = 1 means an X gate was appended to
-wire i); decoding XORs measured outcome strings with the mask. RX pairs are
+wire i) plus the qubits the circuit measures; decoding XORs measured outcome
+strings with the mask restricted to those qubits. RX pairs are
 angle-cancelling rotations placed across block boundaries so that later
 block-by-block resynthesis absorbs each half into a different block.
 """
@@ -36,10 +37,14 @@ class ObfuscationKey:
     flip_mask: str  # qubit 0 = rightmost character
     seed: int
     rx_record: tuple[RxPair, ...] = ()
+    measured_qubits: tuple[int, ...] = ()  # ascending; () = every qubit, as in Circuit
 
     def __post_init__(self):
         if set(self.flip_mask) - {"0", "1"}:
             raise ValueError(f"flip_mask {self.flip_mask!r} is not a bitstring")
+        m = self.measured_qubits
+        if list(m) != sorted(set(m)) or (m and not 0 <= m[0] <= m[-1] < self.num_qubits):
+            raise ValueError(f"measured_qubits {m!r} are not ascending qubits of the key")
 
     @property
     def num_qubits(self) -> int:
@@ -55,6 +60,11 @@ class ObfuscationKey:
         )
         return ObfuscationKey(mask, self.seed, self.rx_record)
 
+    def measured(self) -> "ObfuscationKey":
+        """Key over the measured qubits: the one that decodes the circuit's
+        measured distribution."""
+        return self.restricted(self.measured_qubits or tuple(range(self.num_qubits)))
+
 
 def inject_x_end(c: Circuit, seed: int) -> tuple[Circuit, ObfuscationKey]:
     """Append an X gate to each qubit independently with probability 1/2."""
@@ -65,7 +75,12 @@ def inject_x_end(c: Circuit, seed: int) -> tuple[Circuit, ObfuscationKey]:
     for q in range(c.num_qubits):
         if draws[q]:
             gates.append(Gate(GateKind.X, (q,)))
-    key = ObfuscationKey(mask, seed)
+    # only a strict subset is recorded, so a fully measured circuit's key is
+    # the same version 1 key as before measured_qubits existed
+    measured = tuple(sorted(c.measured_qubits))
+    if len(measured) == c.num_qubits:
+        measured = ()
+    key = ObfuscationKey(mask, seed, measured_qubits=measured)
     return Circuit(c.num_qubits, tuple(gates), c.measured_qubits), key
 
 
@@ -173,8 +188,10 @@ def decode(d: Distribution, k: ObfuscationKey) -> Distribution:
 
 
 def key_to_json(k: ObfuscationKey) -> str:
+    """Version 2 adds "measured_qubits" for a circuit that measures a strict
+    subset of its qubits; any other key is written as version 1."""
     payload = {
-        "version": 1,
+        "version": 2 if k.measured_qubits else 1,
         "num_qubits": k.num_qubits,
         "flip_mask": k.flip_mask,
         "seed": k.seed,
@@ -183,19 +200,27 @@ def key_to_json(k: ObfuscationKey) -> str:
             for p in k.rx_record
         ],
     }
+    if k.measured_qubits:
+        payload["measured_qubits"] = list(k.measured_qubits)
     return json.dumps(payload, indent=2)
 
 
 def key_from_json(text: str) -> ObfuscationKey:
+    """Read a version 1 or 2 key. The flip mask stays full width; use
+    `measured()` to decode a measured distribution."""
     payload = json.loads(text)
     try:
-        if payload["version"] != 1:
-            raise ValueError(f"unsupported key version {payload['version']!r}")
+        version = payload["version"]
+        if version not in (1, 2):
+            raise ValueError(f"unsupported key version {version!r}")
         pairs = tuple(
             RxPair(int(p["wire"]), int(p["boundary"]), float(p["theta"]))
             for p in payload["rx_pairs"]
         )
-        key = ObfuscationKey(str(payload["flip_mask"]), int(payload["seed"]), pairs)
+        measured = tuple(int(q) for q in payload["measured_qubits"]) if version == 2 else ()
+        key = ObfuscationKey(
+            str(payload["flip_mask"]), int(payload["seed"]), pairs, measured
+        )
         if key.num_qubits != int(payload["num_qubits"]):
             raise ValueError("flip_mask length does not match num_qubits")
     except KeyError as exc:

@@ -96,3 +96,57 @@ def tensordot_circuit_unitary(c: Circuit) -> np.ndarray:
             axis = n - 1 - g.qubits[0]
             u = np.moveaxis(np.tensordot(gate_unitary(g), u, axes=([1], [axis])), 0, axis)
     return u.reshape(dim, dim)
+
+
+def reorthogonalized_heat_traces(
+    n: int, edges: set, grid: np.ndarray, probes: int, steps: int, seed: int
+) -> np.ndarray:
+    """Reference heat-trace estimator: one probe at a time, Lanczos with full
+    reorthogonalization against the probe's whole basis. Same Rademacher
+    draws, deflation, breakdown rule and scaling as the blocked estimator."""
+    from qcloak.netlsd import _normalized_laplacian_sparse, _zero_mode_basis
+
+    lap, deg = _normalized_laplacian_sparse(n, edges)
+    basis = _zero_mode_basis(n, edges, deg)
+    n_zero = basis.shape[1]
+    rng = np.random.default_rng(seed)
+    m = min(steps, n - 1)
+    acc = np.zeros(len(grid))
+    for _ in range(probes):
+        v = rng.integers(0, 2, size=n) * 2.0 - 1.0
+        v -= basis @ (basis.T @ v)
+        nrm = np.linalg.norm(v)
+        if nrm < 1e-12:
+            continue
+        v /= nrm
+        vs = np.zeros((m + 1, n))
+        alphas, betas = [], []
+        vs[0] = v
+        w = lap @ v
+        for j in range(m):
+            alpha = float(vs[j] @ w)
+            alphas.append(alpha)
+            w = w - alpha * vs[j] - (betas[-1] * vs[j - 1] if betas else 0.0)
+            w -= vs[: j + 1].T @ (vs[: j + 1] @ w)
+            w -= basis @ (basis.T @ w)
+            beta = float(np.linalg.norm(w))
+            if beta < 1e-10:
+                break
+            betas.append(beta)
+            vs[j + 1] = w / beta
+            w = lap @ vs[j + 1]
+        tri = np.diag(alphas)
+        for j, beta in enumerate(betas[: len(alphas) - 1]):
+            tri[j, j + 1] = beta
+            tri[j + 1, j] = beta
+        theta, u = np.linalg.eigh(tri)
+        weights = u[0, :] ** 2
+        acc += nrm * nrm * (weights * np.exp(-np.outer(grid, theta))).sum(axis=1)
+    return n_zero + acc / probes
+
+
+def signature_to_csv(sig) -> str:
+    lines = ["t,h"]
+    for t, h in zip(sig.timescales, sig.traces):
+        lines.append(f"{t:.12g},{h:.12g}")
+    return "\n".join(lines) + "\n"

@@ -110,6 +110,7 @@ def test_report_json_and_csv():
     payload = json.loads(report_to_json(r))
     assert payload["name"] == "g"
     assert set(payload) >= {"tvd_corrected", "netlsd", "cx_delta", "wall_times"}
+    assert payload["wall_times"]["netlsd_seconds"] > 0
     csv_text = reports_to_csv([r])
     lines = csv_text.strip().split("\n")
     assert lines[0] == ",".join(CSV_COLUMNS)

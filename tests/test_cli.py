@@ -1,11 +1,12 @@
 import json
+from dataclasses import replace
 
 import pytest
 
 import qcloak.synthesis
 from qcloak import distributions
 from qcloak.analysis import CSV_COLUMNS, make_baseline, tvd
-from qcloak.bench import gen_ghz
+from qcloak.bench import adder_layout, gen_adder, gen_ghz
 from qcloak.cli import main
 from qcloak.qasm import serialize_qasm
 from qcloak.simulator import ideal_distribution
@@ -43,6 +44,26 @@ def test_encode_decode_round_trip(tmp_path, ghz3_path, capsys):
     want = ideal_distribution(make_baseline(gen_ghz(3)))
     assert tvd(got, want) < 0.1
     assert got.top() in {"000", "111"}
+
+
+def test_decode_partial_measurement(tmp_path, capsys):
+    # add9 measuring only its 4-bit sum register (1 + 15 mod 16 = 0000)
+    _m, _a, sum_wires, _cout = adder_layout(9)
+    circuit = replace(gen_adder(9), measured_qubits=tuple(sum_wires))
+    src = tmp_path / "add9_sum.qasm"
+    src.write_text(serialize_qasm(circuit))
+    out, key = tmp_path / "enc.qasm", tmp_path / "key.json"
+    assert main(["encode", str(src), str(out), str(key), "--seed", "0"]) == 0
+    assert json.loads(key.read_text())["measured_qubits"] == sum_wires
+    counts = tmp_path / "counts.json"
+    assert main(["simulate", str(out), str(counts), "--shots", "256", "--seed", "1"]) == 0
+    assert distributions.from_json(counts.read_text()).top() != "0000"  # the key flips it
+    decoded = tmp_path / "decoded.json"
+    assert main(["decode", str(counts), str(key), str(decoded)]) == 0
+    capsys.readouterr()
+    got = distributions.from_json(decoded.read_text())
+    assert got.num_bits == 4
+    assert got.outcomes == {"0000": 256}
 
 
 def test_encode_byte_deterministic(tmp_path, ghz3_path, capsys):

@@ -1,16 +1,18 @@
 import numpy as np
 import pytest
 
-from qcloak.bench import gen_qft
-from qcloak.circuit import Circuit, cx, rz, sx
+from qcloak.bench import gen_qft, gen_random_blocks
+from qcloak.circuit import Circuit, Gate, cx, rz, sx
 from qcloak.dag import to_dag
 from qcloak.netlsd import (
+    PROBE_BLOCK,
+    _undirected_edges,
     circuit_signature,
     default_grid,
     netlsd_divergence,
     netlsd_signature,
-    signature_to_csv,
 )
+from strategies import reorthogonalized_heat_traces, signature_to_csv
 
 
 def test_default_grid_shape():
@@ -74,6 +76,40 @@ def test_estimation_deterministic():
     a = netlsd_signature(dag, force_estimate=True)
     b = netlsd_signature(dag, force_estimate=True)
     assert np.array_equal(a.traces, b.traces)
+
+
+def _bridged_halves() -> Circuit:
+    """Two random 16-qubit halves joined by a single CX."""
+    a = gen_random_blocks(16, 30, seed=1)
+    b = gen_random_blocks(16, 30, seed=2)
+    shifted = tuple(Gate(g.kind, tuple(q + 16 for q in g.qubits), g.angle) for g in b.gates)
+    return Circuit(32, a.gates + shifted + (cx(15, 16),))
+
+
+ORACLE_PROBES = 37  # not a multiple of the block width: the last block is short
+
+
+@pytest.mark.parametrize(
+    "circuit",
+    [
+        # 2 nodes, one Lanczos step: 17 of the 37 probes deflate to zero
+        pytest.param(Circuit(1), id="circuit1"),
+        # three 2-node components: every kept probe breaks down after one step
+        pytest.param(Circuit(3), id="circuit3"),
+        pytest.param(gen_qft(3), id="qft3"),
+        pytest.param(gen_qft(4), id="qft4"),
+        pytest.param(_bridged_halves(), id="bridged_random16"),
+    ],
+)
+def test_estimated_matches_reorthogonalized_oracle(circuit):
+    assert ORACLE_PROBES % PROBE_BLOCK
+    dag = to_dag(circuit)
+    grid = default_grid()
+    est = netlsd_signature(dag, grid, probes=ORACLE_PROBES, force_estimate=True)
+    want = reorthogonalized_heat_traces(
+        dag.num_nodes, _undirected_edges(dag), grid, ORACLE_PROBES, 60, 11
+    )
+    np.testing.assert_allclose(est.traces, want, rtol=1e-9, atol=0)
 
 
 def test_divergence_zero_on_self_and_symmetric():

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -133,6 +135,30 @@ def test_key_json_round_trip():
     key = ObfuscationKey(key.flip_mask, key.seed, record)
     back = key_from_json(key_to_json(key))
     assert back == key
+
+
+def test_key_json_v2_records_measured_subset():
+    c = Circuit(3, (cx(0, 1), cx(1, 2)), measured_qubits=(2, 0))
+    _, key = inject_x_end(c, seed=2)
+    assert key.measured_qubits == (0, 2)
+    text = key_to_json(key)
+    assert json.loads(text)["version"] == 2
+    back = key_from_json(text)
+    assert back == key and back.flip_mask == key.flip_mask
+    assert back.measured() == key.restricted((0, 2))
+    # a fully measured circuit keeps the version 1 key
+    _, full = inject_x_end(Circuit(3, c.gates, (0, 1, 2)), seed=2)
+    assert json.loads(key_to_json(full))["version"] == 1
+    assert full.measured() == full.restricted((0, 1, 2))
+
+
+@pytest.mark.parametrize("measured", [[2, 0], [0, 0], [0, 3]])
+def test_key_json_v2_rejects_bad_measured_qubits(measured):
+    _, key = inject_x_end(Circuit(3, (), (0, 2)), seed=2)
+    payload = json.loads(key_to_json(key))
+    payload["measured_qubits"] = measured
+    with pytest.raises(ValueError):
+        key_from_json(json.dumps(payload))
 
 
 def test_key_json_version_checked():
