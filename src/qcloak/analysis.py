@@ -56,12 +56,11 @@ def dominant_percentile(reference: Distribution, candidate: Distribution) -> flo
     return 100.0 * below / (support - 1)
 
 
-def make_baseline(c: Circuit, cfg: SynthConfig | None = None) -> Circuit:
+def make_baseline(c: Circuit, tol: float = 1e-9) -> Circuit:
     """Resynthesize every block at minimal CX with plain (index-0) candidate
-    selection; no injections of any kind."""
-    if cfg is None:
-        cfg = SynthConfig(k=1, shortlist=1)
-    base_cfg = SynthConfig(k=1, shortlist=1, seed=cfg.seed, tol=cfg.tol)
+    selection; no injections of any kind. tol is the per-block equivalence
+    check's tolerance."""
+    base_cfg = SynthConfig(k=1, shortlist=1, tol=tol)
     p = form_blocks(c)
     frags = {b.order_index: select_candidate(
         generate_candidates(b, base_cfg), b, base_cfg
@@ -117,7 +116,7 @@ def compare(
     analytically when shots is None and skipped entirely in structural-only
     mode (or when the circuit exceeds the simulation cap)."""
     t0 = time.perf_counter()
-    baseline = make_baseline(original, SynthConfig(k=1, shortlist=1, tol=cfg.tol))
+    baseline = make_baseline(original, cfg.tol)
     t_base = time.perf_counter() - t0
 
     t0 = time.perf_counter()
@@ -133,7 +132,7 @@ def compare(
     rz_delta_pct = 100.0 * (counts_enc.rz - counts_base.rz) / max(counts_base.rz, 1)
     depth_delta = cx_depth(enc.circuit) - cx_depth(baseline)
 
-    x_only = make_baseline(enc.x_injected, SynthConfig(k=1, shortlist=1, tol=cfg.tol))
+    x_only = make_baseline(enc.x_injected, cfg.tol)
     grid = default_grid(cfg.grid_min, cfg.grid_max, cfg.grid_points)
     t0 = time.perf_counter()
     baseline_sig = circuit_signature(baseline, grid)

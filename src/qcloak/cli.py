@@ -75,7 +75,7 @@ def cmd_encode(args) -> int:
     t0 = time.perf_counter()
     enc = encode(circuit, cfg)
     wall = time.perf_counter() - t0
-    baseline = make_baseline(circuit)
+    baseline = make_baseline(circuit, cfg.tol)
     _write_atomic(args.output, serialize_qasm(enc.circuit))
     _write_atomic(args.key, key_to_json(enc.key))
     counts_enc = gate_counts(enc.circuit)

@@ -48,29 +48,6 @@ def gate_unitary(g: Gate) -> np.ndarray:
     return CX_MATRIX.copy()
 
 
-def _embedding_permutation(qubits: tuple[int, ...], num_qubits: int) -> np.ndarray:
-    """Map global basis index -> index in the kron(I_rest, gate) ordering.
-
-    In the kron ordering, gate operand j occupies bit j and the remaining
-    qubits occupy bits len(qubits).. in ascending global order.
-    """
-    rest = [q for q in range(num_qubits) if q not in qubits]
-    layout = list(qubits) + rest
-    idx = np.arange(2**num_qubits)
-    out = np.zeros_like(idx)
-    for pos, q in enumerate(layout):
-        out |= ((idx >> q) & 1) << pos
-    return out
-
-
-def embed_unitary(mat: np.ndarray, qubits: tuple[int, ...], num_qubits: int) -> np.ndarray:
-    """Embed a k-qubit unitary on the given qubits into the n-qubit space."""
-    k = len(qubits)
-    full = np.kron(np.eye(2 ** (num_qubits - k), dtype=complex), mat)
-    sigma = _embedding_permutation(tuple(qubits), num_qubits)
-    return full[np.ix_(sigma, sigma)]
-
-
 def _apply_1q(u: np.ndarray, mat: np.ndarray, q: int, n: int) -> np.ndarray:
     """mat applied to qubit q of the row index of a C-contiguous u with 2^n rows.
 

@@ -8,6 +8,8 @@ Signatures are compared by unnormalized Euclidean distance.
 
 from __future__ import annotations
 
+import os
+from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor, wait
 from dataclasses import dataclass
 
 import numpy as np
@@ -108,6 +110,66 @@ def _column_norms(a: np.ndarray) -> np.ndarray:
     return np.sqrt(np.einsum("ij,ij->j", a, a))
 
 
+def _usable_cpus() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _draw_probe_block(rng: np.random.Generator, width: int, n: int) -> np.ndarray:
+    """The next width Rademacher probes as the columns of a C-contiguous (n, width)
+    matrix. One (width, n) draw is the same stream as width draws of size n."""
+    return np.ascontiguousarray((rng.integers(0, 2, size=(width, n)) * 2.0 - 1.0).T)
+
+
+def _probe_block_traces(
+    lap, basis: np.ndarray, grid: np.ndarray, m: int, v: np.ndarray
+) -> np.ndarray:
+    """Heat-trace rows, one per kept probe, of the probe block v (n, width),
+    which is overwritten: m-step three-term Lanczos on all columns at once,
+    with the zero eigenspace (the columns of basis) deflated exactly at
+    every step."""
+    v -= basis @ (basis.T @ v)
+    nrm = _column_norms(v)
+    kept = nrm >= 1e-12
+    nrm = nrm[kept]
+    v = v[:, kept] / nrm
+    alphas = np.zeros((m, v.shape[1]))
+    betas = np.zeros((m, v.shape[1]))
+    lengths = np.full(v.shape[1], m)
+    live = np.arange(v.shape[1])  # block column of each column still running
+    v_prev = np.zeros_like(v)
+    tmp = np.empty_like(v)
+    for j in range(m):
+        w = lap @ v
+        alpha = np.einsum("ij,ij->j", v, w)
+        alphas[j, live] = alpha
+        if j == m - 1:
+            break
+        w -= np.multiply(v, alpha, out=tmp)
+        if j:
+            w -= np.multiply(v_prev, betas[j - 1, live], out=tmp)
+        w -= np.matmul(basis, basis.T @ w, out=tmp)
+        beta = _column_norms(w)
+        going = beta >= 1e-10
+        if not going.all():
+            # a breakdown ends that column's tridiagonal after j + 1 steps
+            lengths[live[~going]] = j + 1
+            live, beta = live[going], beta[going]
+            w, v, tmp = w[:, going], v[:, going], tmp[:, going]
+            if not live.size:
+                break
+        betas[j, live] = beta
+        w /= beta
+        v_prev, v = v, w
+    rows = np.empty((len(lengths), len(grid)))
+    for col, k in enumerate(lengths):
+        theta, u = eigh_tridiagonal(alphas[:k, col], betas[: k - 1, col])
+        # nrm^2 scales the probe back to its unnormalized trace contribution
+        rows[col] = nrm[col] ** 2 * (u[0] ** 2 * np.exp(-np.outer(grid, theta))).sum(axis=1)
+    return rows
+
+
 def _heat_traces_estimated(
     n: int,
     edges: set[tuple[int, int]],
@@ -124,55 +186,32 @@ def _heat_traces_estimated(
     reorthogonalization to about 1e-13 relative at a fraction of the cost.
     Relative error is roughly 1/sqrt(probes * n) at small t and degrades
     toward large t, where the deflated exact component count dominates h(t).
+
+    Blocks run on a thread pool with one worker per usable CPU (the heavy
+    steps release the GIL). Blocks are drawn in order from one generator, a
+    block only when a worker is free, and their rows are summed in draw
+    order, so the result is bit-identical for any worker count.
     """
     lap, deg = _normalized_laplacian_sparse(n, edges)
     basis = _zero_mode_basis(n, edges, deg)
-    n_zero = basis.shape[1]
     rng = np.random.default_rng(seed)
     m = min(steps, n - 1)
+    starts = range(0, probes, PROBE_BLOCK)
+    workers = max(1, min(_usable_cpus(), len(starts)))
+    blocks = []
+    running = set()
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        for start in starts:
+            if len(running) == workers:
+                _, running = wait(running, return_when=FIRST_COMPLETED)
+            v = _draw_probe_block(rng, min(PROBE_BLOCK, probes - start), n)
+            blocks.append(pool.submit(_probe_block_traces, lap, basis, grid, m, v))
+            running.add(blocks[-1])
     acc = np.zeros(len(grid))
-    for start in range(0, probes, PROBE_BLOCK):
-        width = min(PROBE_BLOCK, probes - start)
-        # one (width, n) draw is the same stream as width draws of size n
-        v = np.ascontiguousarray((rng.integers(0, 2, size=(width, n)) * 2.0 - 1.0).T)
-        v -= basis @ (basis.T @ v)
-        nrm = _column_norms(v)
-        kept = nrm >= 1e-12
-        nrm = nrm[kept]
-        v = v[:, kept] / nrm
-        alphas = np.zeros((m, v.shape[1]))
-        betas = np.zeros((m, v.shape[1]))
-        lengths = np.full(v.shape[1], m)
-        live = np.arange(v.shape[1])  # block column of each column still running
-        v_prev = np.zeros_like(v)
-        tmp = np.empty_like(v)
-        for j in range(m):
-            w = lap @ v
-            alpha = np.einsum("ij,ij->j", v, w)
-            alphas[j, live] = alpha
-            if j == m - 1:
-                break
-            w -= np.multiply(v, alpha, out=tmp)
-            if j:
-                w -= np.multiply(v_prev, betas[j - 1, live], out=tmp)
-            w -= np.matmul(basis, basis.T @ w, out=tmp)
-            beta = _column_norms(w)
-            going = beta >= 1e-10
-            if not going.all():
-                # a breakdown ends that column's tridiagonal after j + 1 steps
-                lengths[live[~going]] = j + 1
-                live, beta = live[going], beta[going]
-                w, v, tmp = w[:, going], v[:, going], tmp[:, going]
-                if not live.size:
-                    break
-            betas[j, live] = beta
-            w /= beta
-            v_prev, v = v, w
-        for col, k in enumerate(lengths):
-            theta, u = eigh_tridiagonal(alphas[:k, col], betas[: k - 1, col])
-            # nrm^2 scales the probe back to its unnormalized trace contribution
-            acc += nrm[col] ** 2 * (u[0] ** 2 * np.exp(-np.outer(grid, theta))).sum(axis=1)
-    return n_zero + acc / probes
+    for block in blocks:
+        for row in block.result():
+            acc += row
+    return basis.shape[1] + acc / probes
 
 
 def netlsd_signature(

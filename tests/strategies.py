@@ -59,9 +59,32 @@ def unitaries(draw, dim=4):
     return unitary_group.rvs(dim, random_state=np.random.default_rng(seed))
 
 
+def _embedding_permutation(qubits: tuple[int, ...], num_qubits: int) -> np.ndarray:
+    """Map global basis index -> index in the kron(I_rest, gate) ordering.
+
+    In the kron ordering, gate operand j occupies bit j and the remaining
+    qubits occupy bits len(qubits).. in ascending global order.
+    """
+    rest = [q for q in range(num_qubits) if q not in qubits]
+    layout = list(qubits) + rest
+    idx = np.arange(2**num_qubits)
+    out = np.zeros_like(idx)
+    for pos, q in enumerate(layout):
+        out |= ((idx >> q) & 1) << pos
+    return out
+
+
+def embed_unitary(mat: np.ndarray, qubits: tuple[int, ...], num_qubits: int) -> np.ndarray:
+    """Embed a k-qubit unitary on the given qubits into the n-qubit space."""
+    k = len(qubits)
+    full = np.kron(np.eye(2 ** (num_qubits - k), dtype=complex), mat)
+    sigma = _embedding_permutation(tuple(qubits), num_qubits)
+    return full[np.ix_(sigma, sigma)]
+
+
 def slow_circuit_unitary(c: Circuit) -> np.ndarray:
     """Independent reference: explicit kron embedding, no shared code path."""
-    from qcloak.linalg import embed_unitary, gate_unitary
+    from qcloak.linalg import gate_unitary
 
     u = np.eye(2**c.num_qubits, dtype=complex)
     for g in c.gates:

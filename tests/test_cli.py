@@ -159,16 +159,20 @@ def test_exit_code_validation_error(tmp_path, ghz3_path, capsys):
     assert rc == 1
 
 
-def test_exit_code_decode_mismatch(tmp_path, capsys):
+def test_exit_code_decode_mismatch(tmp_path, capsys, caplog):
     dist = tmp_path / "d.json"
     dist.write_text(distributions.to_json(
         distributions.Distribution(2, {"00": 0.5, "11": 0.5})
     ))
     key = tmp_path / "k.json"
-    key.write_text(json.dumps({"version": 1, "flip_mask": "101", "seed": 0, "rx_record": []}))
+    key.write_text(json.dumps(
+        {"version": 1, "num_qubits": 3, "flip_mask": "101", "seed": 0, "rx_pairs": []}
+    ))
     rc = main(["decode", str(dist), str(key), str(tmp_path / "o.json")])
     capsys.readouterr()
     assert rc == 1
+    errors = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
+    assert errors == ["outcome length 2 does not match key length 3"]
 
 
 def test_exit_code_missing_input(tmp_path, capsys):

@@ -11,14 +11,13 @@ from qcloak.linalg import (
     SX_MATRIX,
     UNITARY_QUBIT_CAP,
     circuit_unitary,
-    embed_unitary,
     equal_up_to_global_phase,
     gate_unitary,
     is_unitary,
     rx_matrix,
     rz_matrix,
 )
-from strategies import ANGLES, circuits, one_qubit_runs, slow_circuit_unitary
+from strategies import ANGLES, circuits, embed_unitary, one_qubit_runs, slow_circuit_unitary
 
 
 def test_rotation_matrices_match_exponentials():

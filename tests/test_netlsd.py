@@ -1,3 +1,6 @@
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -6,7 +9,12 @@ from qcloak.circuit import Circuit, Gate, cx, rz, sx
 from qcloak.dag import to_dag
 from qcloak.netlsd import (
     PROBE_BLOCK,
+    _draw_probe_block,
+    _heat_traces_estimated,
+    _normalized_laplacian_sparse,
+    _probe_block_traces,
     _undirected_edges,
+    _zero_mode_basis,
     circuit_signature,
     default_grid,
     netlsd_divergence,
@@ -110,6 +118,59 @@ def test_estimated_matches_reorthogonalized_oracle(circuit):
         dag.num_nodes, _undirected_edges(dag), grid, ORACLE_PROBES, 60, 11
     )
     np.testing.assert_allclose(est.traces, want, rtol=1e-9, atol=0)
+
+
+@pytest.mark.parametrize(
+    "circuit",
+    [
+        pytest.param(_bridged_halves(), id="bridged_random16"),
+        # deflated probes, then breakdowns, inside the pool
+        pytest.param(Circuit(1), id="circuit1"),
+        pytest.param(Circuit(3), id="circuit3"),
+    ],
+)
+def test_pool_matches_sequential_block_loop(circuit):
+    # the pool must sum each block's rows in draw order, then column order
+    dag = to_dag(circuit)
+    n, edges, grid = dag.num_nodes, _undirected_edges(dag), default_grid()
+    lap, deg = _normalized_laplacian_sparse(n, edges)
+    basis = _zero_mode_basis(n, edges, deg)
+    m = min(60, n - 1)
+    rng = np.random.default_rng(11)
+    acc = np.zeros(len(grid))
+    for start in range(0, ORACLE_PROBES, PROBE_BLOCK):
+        v = _draw_probe_block(rng, min(PROBE_BLOCK, ORACLE_PROBES - start), n)
+        for row in _probe_block_traces(lap, basis, grid, m, v):
+            acc += row
+    want = basis.shape[1] + acc / ORACLE_PROBES
+    got = _heat_traces_estimated(n, edges, grid, ORACLE_PROBES, 60, 11)
+    assert np.array_equal(got, want)
+
+
+def test_pooled_estimate_repeatable():
+    dag = to_dag(_bridged_halves())
+    probes = 5 * PROBE_BLOCK
+    first = netlsd_signature(dag, probes=probes, force_estimate=True)
+    for _ in range(2):
+        again = netlsd_signature(dag, probes=probes, force_estimate=True)
+        assert np.array_equal(again.traces, first.traces)
+
+
+def test_estimate_leaves_no_threads():
+    # a fresh interpreter, so a pool kept from an earlier call cannot hide
+    code = """
+import threading
+from qcloak.bench import gen_random_blocks
+from qcloak.dag import to_dag
+from qcloak.netlsd import PROBE_BLOCK, netlsd_signature
+dag = to_dag(gen_random_blocks(8, 40, seed=1))
+before = threading.active_count()
+netlsd_signature(dag, probes=4 * PROBE_BLOCK, force_estimate=True)
+print(before, threading.active_count())
+"""
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    before, after = map(int, out.stdout.split())
+    assert after == before
 
 
 def test_divergence_zero_on_self_and_symmetric():
