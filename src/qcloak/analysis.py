@@ -10,12 +10,12 @@ import csv
 import io
 import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 from .circuit import Circuit, gate_counts
 from .dag import cx_depth
 from .distributions import Distribution
-from .netlsd import circuit_signature, default_grid, netlsd_divergence
+from .netlsd import circuit_signature, netlsd_divergence
 from .obfuscate import decode
 from .partition import form_blocks, reassemble
 from .pipeline import PipelineConfig, encode
@@ -86,23 +86,8 @@ class ComparisonReport:
     wall_times: dict[str, float] = field(default_factory=dict)
 
 
-CSV_COLUMNS = [
-    "name",
-    "num_qubits",
-    "tvd_uncorrected",
-    "tvd_corrected",
-    "dominant_percentile_uncorrected",
-    "dominant_percentile_corrected",
-    "dominant_note",
-    "cx_delta",
-    "sx_x_delta_pct",
-    "rz_delta_pct",
-    "depth_delta",
-    "netlsd",
-    "netlsd_x_only",
-    "encode_seconds",
-    "baseline_seconds",
-]
+CSV_COLUMNS = [f.name for f in fields(ComparisonReport) if f.name != "wall_times"]
+CSV_COLUMNS += ["encode_seconds", "baseline_seconds"]
 
 
 def compare(
@@ -133,11 +118,10 @@ def compare(
     depth_delta = cx_depth(enc.circuit) - cx_depth(baseline)
 
     x_only = make_baseline(enc.x_injected, cfg.tol)
-    grid = default_grid(cfg.grid_min, cfg.grid_max, cfg.grid_points)
     t0 = time.perf_counter()
-    baseline_sig = circuit_signature(baseline, grid)
-    netlsd_full = netlsd_divergence(enc.circuit, baseline_sig, grid)
-    netlsd_x = netlsd_divergence(x_only, baseline_sig, grid)
+    baseline_sig = circuit_signature(baseline)
+    netlsd_full = netlsd_divergence(enc.circuit, baseline_sig)
+    netlsd_x = netlsd_divergence(x_only, baseline_sig)
     t_netlsd = time.perf_counter() - t0
 
     tvd_unc = tvd_cor = pct_unc = pct_cor = None
@@ -181,50 +165,20 @@ def compare(
 
 
 def report_to_json(r: ComparisonReport) -> str:
-    payload = {
-        "name": r.name,
-        "num_qubits": r.num_qubits,
-        "tvd_uncorrected": r.tvd_uncorrected,
-        "tvd_corrected": r.tvd_corrected,
-        "dominant_percentile_uncorrected": r.dominant_percentile_uncorrected,
-        "dominant_percentile_corrected": r.dominant_percentile_corrected,
-        "dominant_note": r.dominant_note,
-        "cx_delta": r.cx_delta,
-        "sx_x_delta_pct": r.sx_x_delta_pct,
-        "rz_delta_pct": r.rz_delta_pct,
-        "depth_delta": r.depth_delta,
-        "netlsd": r.netlsd,
-        "netlsd_x_only": r.netlsd_x_only,
-        "wall_times": r.wall_times,
-    }
-    return json.dumps(payload, indent=2)
+    return json.dumps(asdict(r), indent=2)
 
 
 def reports_to_csv(reports: list[ComparisonReport]) -> str:
     buf = io.StringIO()
-    writer = csv.DictWriter(buf, fieldnames=CSV_COLUMNS, lineterminator="\n")
-    writer.writeheader()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(CSV_COLUMNS)
     for r in reports:
-        row = {
-            "name": r.name,
-            "num_qubits": r.num_qubits,
-            "tvd_uncorrected": _fmt(r.tvd_uncorrected),
-            "tvd_corrected": _fmt(r.tvd_corrected),
-            "dominant_percentile_uncorrected": _fmt(r.dominant_percentile_uncorrected),
-            "dominant_percentile_corrected": _fmt(r.dominant_percentile_corrected),
-            "dominant_note": r.dominant_note or "",
-            "cx_delta": r.cx_delta,
-            "sx_x_delta_pct": _fmt(r.sx_x_delta_pct),
-            "rz_delta_pct": _fmt(r.rz_delta_pct),
-            "depth_delta": r.depth_delta,
-            "netlsd": _fmt(r.netlsd),
-            "netlsd_x_only": _fmt(r.netlsd_x_only),
-            "encode_seconds": _fmt(r.wall_times.get("encode_seconds")),
-            "baseline_seconds": _fmt(r.wall_times.get("baseline_seconds")),
-        }
-        writer.writerow(row)
+        values = {**asdict(r), **r.wall_times}
+        writer.writerow([_cell(values.get(c)) for c in CSV_COLUMNS])
     return buf.getvalue()
 
 
-def _fmt(v: float | None) -> str:
-    return "" if v is None else f"{v:.6g}"
+def _cell(v: object) -> object:
+    if v is None:
+        return ""
+    return f"{v:.6g}" if isinstance(v, float) else v

@@ -26,7 +26,7 @@ from .bench import (
     run_qaoa_case_study,
 )
 from .circuit import gate_counts
-from .netlsd import default_grid, netlsd_divergence
+from .netlsd import netlsd_divergence
 from .obfuscate import decode, key_from_json, key_to_json
 from .pipeline import PipelineConfig, SynthesisEquivalenceError, encode
 from .qasm import parse_qasm, serialize_qasm
@@ -58,14 +58,13 @@ def _emit(payload: dict) -> None:
     print(json.dumps(payload, indent=2))
 
 
-def _config_from_args(args) -> PipelineConfig:
+def _config_from_args(args, **extra) -> PipelineConfig:
     return PipelineConfig(
         seed=args.seed,
         k=args.k,
         shortlist=args.shortlist,
         rx_density=args.rx_density,
-        shots=args.shots,
-        sim_cap=args.sim_cap,
+        **extra,
     )
 
 
@@ -80,7 +79,6 @@ def cmd_encode(args) -> int:
     _write_atomic(args.key, key_to_json(enc.key))
     counts_enc = gate_counts(enc.circuit)
     counts_base = gate_counts(baseline)
-    grid = default_grid(cfg.grid_min, cfg.grid_max, cfg.grid_points)
     log.info("encoded %s -> %s (key %s)", args.input, args.output, args.key)
     _emit(
         {
@@ -93,7 +91,7 @@ def cmd_encode(args) -> int:
                 "sx_x_encoded": counts_enc.sx_plus_x,
                 "sx_x_baseline": counts_base.sx_plus_x,
             },
-            "netlsd_vs_baseline": netlsd_divergence(enc.circuit, baseline, grid),
+            "netlsd_vs_baseline": netlsd_divergence(enc.circuit, baseline),
             "encode_seconds": wall,
         }
     )
@@ -124,8 +122,10 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_compare(args) -> int:
+    if args.shots < 1:
+        raise ValueError("shots must be at least 1")
     circuit = parse_qasm(_read(args.input))
-    cfg = _config_from_args(args)
+    cfg = _config_from_args(args, sim_cap=args.sim_cap)
     shots = None if args.analytic else args.shots
     report = compare(
         circuit,
@@ -164,9 +164,13 @@ def cmd_qaoa_demo(args) -> int:
         summary[mode] = {
             "final_loss": result.final_loss,
             "evaluations": len(result.losses),
+            "parameters": list(result.parameters),
             "top2": [s for s, _ in ranked[:2]],
         }
         log.info("qaoa %s: final loss %.4f", mode, result.final_loss)
+    _write_atomic(
+        os.path.join(args.outdir, "summary.json"), json.dumps(summary, indent=2) + "\n"
+    )
     _emit(summary)
     return 0
 
@@ -176,6 +180,9 @@ def _add_pipeline_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--k", type=int, default=3, help="candidates per block")
     p.add_argument("--shortlist", type=int, default=2, help="gate-count shortlist size")
     p.add_argument("--rx-density", type=float, default=1.0, dest="rx_density")
+
+
+def _add_sampling_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--shots", type=int, default=100000)
     p.add_argument("--sim-cap", type=int, default=20, dest="sim_cap")
 
@@ -205,9 +212,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="sample a circuit's output distribution")
     p.add_argument("input", help="input QASM file")
     p.add_argument("output", help="counts JSON file")
-    p.add_argument("--shots", type=int, default=100000)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--sim-cap", type=int, default=20, dest="sim_cap")
+    _add_sampling_flags(p)
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("compare", help="encode and report metrics vs baseline")
@@ -223,6 +229,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="skip simulation metrics",
     )
     _add_pipeline_flags(p)
+    _add_sampling_flags(p)
     p.set_defaults(func=cmd_compare)
 
     p = sub.add_parser("qaoa-demo", help="ring-4 MaxCut case study, all three modes")

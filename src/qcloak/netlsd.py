@@ -227,6 +227,8 @@ def netlsd_signature(
     n = d.num_nodes
     if n < 1:
         raise ValueError("graph must have at least one node")
+    if probes < 1 or steps < 1:
+        raise ValueError(f"need probes >= 1 and steps >= 1, got {probes} and {steps}")
     edges = _undirected_edges(d)
     if n <= DENSE_NODE_LIMIT and not force_estimate:
         traces = _heat_traces_dense(n, edges, grid)

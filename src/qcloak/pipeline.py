@@ -8,11 +8,13 @@ check (exact simulation-scale circuits only).
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from typing import ClassVar
 
 import numpy as np
 
 from .circuit import Circuit
 from .linalg import UNITARY_QUBIT_CAP, circuit_unitary, equal_up_to_global_phase
+from .netlsd import DEFAULT_POINTS, DEFAULT_T_MAX, DEFAULT_T_MIN
 from .obfuscate import ObfuscationKey, inject_rx_pairs, inject_x_end
 from .partition import BlockPartition, form_blocks, reassemble
 from .synthesis import SynthConfig, synthesize_block
@@ -30,22 +32,21 @@ class PipelineConfig:
     k: int = 3
     shortlist: int = 2
     rx_density: float = 1.0
-    shots: int = 100000
     sim_cap: int = 20
-    grid_min: float = 1e-2
-    grid_max: float = 1e2
-    grid_points: int = 250
     tol: float = 1e-9
+    # The NetLSD timescale grid is fixed (netlsd.default_grid), not a setting:
+    # these read-only names give its bounds to code that builds it from a config.
+    grid_min: ClassVar[float] = DEFAULT_T_MIN
+    grid_max: ClassVar[float] = DEFAULT_T_MAX
+    grid_points: ClassVar[int] = DEFAULT_POINTS
 
     def __post_init__(self):
         if self.k < 1 or not 1 <= self.shortlist <= self.k:
             raise ValueError("need k >= 1 and 1 <= shortlist <= k")
         if not 0.0 <= self.rx_density <= 1.0:
             raise ValueError("rx_density must lie in [0, 1]")
-        if self.shots < 1 or self.sim_cap < 1:
-            raise ValueError("shots and sim_cap must be positive")
-        if not 0 < self.grid_min < self.grid_max or self.grid_points < 2:
-            raise ValueError("need 0 < grid_min < grid_max and >= 2 grid points")
+        if self.sim_cap < 1:
+            raise ValueError("sim_cap must be positive")
 
 
 @dataclass(frozen=True)

@@ -173,3 +173,29 @@ def signature_to_csv(sig) -> str:
     for t, h in zip(sig.timescales, sig.traces):
         lines.append(f"{t:.12g},{h:.12g}")
     return "\n".join(lines) + "\n"
+
+
+# The comparison report's schema as pinned literals: a field dropped from or
+# reordered in the dataclass-derived JSON or CSV breaks these.
+REPORT_JSON_KEYS = [
+    "name",
+    "num_qubits",
+    "tvd_uncorrected",
+    "tvd_corrected",
+    "dominant_percentile_uncorrected",
+    "dominant_percentile_corrected",
+    "dominant_note",
+    "cx_delta",
+    "sx_x_delta_pct",
+    "rz_delta_pct",
+    "depth_delta",
+    "netlsd",
+    "netlsd_x_only",
+    "wall_times",
+]
+REPORT_CSV_HEADER = (
+    "name,num_qubits,tvd_uncorrected,tvd_corrected,"
+    "dominant_percentile_uncorrected,dominant_percentile_corrected,dominant_note,"
+    "cx_delta,sx_x_delta_pct,rz_delta_pct,depth_delta,netlsd,netlsd_x_only,"
+    "encode_seconds,baseline_seconds"
+)

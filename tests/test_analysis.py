@@ -1,11 +1,13 @@
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 
 from qcloak.analysis import (
-    CSV_COLUMNS,
     compare,
     dominant_percentile,
     make_baseline,
@@ -21,7 +23,9 @@ from qcloak.linalg import circuit_unitary, equal_up_to_global_phase
 from qcloak.partition import block_unitary, form_blocks
 from qcloak.pipeline import PipelineConfig
 from qcloak.synthesis import minimal_cx_count
-from strategies import circuits
+from strategies import REPORT_CSV_HEADER, REPORT_JSON_KEYS, circuits
+
+REPO = Path(__file__).resolve().parent.parent
 
 
 def test_tvd_hand_values():
@@ -109,11 +113,11 @@ def test_report_json_and_csv():
     r = compare(gen_ghz(3), PipelineConfig(seed=5), shots=None, name="g")
     payload = json.loads(report_to_json(r))
     assert payload["name"] == "g"
-    assert set(payload) >= {"tvd_corrected", "netlsd", "cx_delta", "wall_times"}
+    assert list(payload) == REPORT_JSON_KEYS
     assert payload["wall_times"]["netlsd_seconds"] > 0
     csv_text = reports_to_csv([r])
     lines = csv_text.strip().split("\n")
-    assert lines[0] == ",".join(CSV_COLUMNS)
+    assert lines[0] == REPORT_CSV_HEADER
     assert len(lines) == 2 and lines[1].startswith("g,3,")
 
 
@@ -121,3 +125,17 @@ def test_csv_blank_for_structural_none():
     r = compare(gen_ghz(3), PipelineConfig(seed=5), structural_only=True, name="s")
     row = reports_to_csv([r]).strip().split("\n")[1]
     assert row.split(",")[2] == ""  # tvd_uncorrected blank
+
+
+def test_run_benchmarks_script_smoke(tmp_path):
+    proc = subprocess.run(
+        [sys.executable, str(REPO / "scripts" / "run_benchmarks.py"),
+         "--skip-structural", "--out", str(tmp_path)],
+        capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    lines = (tmp_path / "benchmarks.csv").read_text().split("\n")
+    assert lines[0] == REPORT_CSV_HEADER and len(lines) == 12 and lines[-1] == ""
+    reports = json.loads((tmp_path / "benchmarks.json").read_text())
+    assert len(reports) == 10
+    assert all(list(r) == REPORT_JSON_KEYS for r in reports)

@@ -5,11 +5,12 @@ import pytest
 
 import qcloak.synthesis
 from qcloak import distributions
-from qcloak.analysis import CSV_COLUMNS, make_baseline, tvd
+from qcloak.analysis import make_baseline, tvd
 from qcloak.bench import adder_layout, gen_adder, gen_ghz
 from qcloak.cli import main
 from qcloak.qasm import serialize_qasm
 from qcloak.simulator import ideal_distribution
+from strategies import REPORT_CSV_HEADER, REPORT_JSON_KEYS
 
 
 @pytest.fixture
@@ -98,10 +99,20 @@ def test_compare_writes_reports(tmp_path, ghz3_path, capsys):
     stdout_report = json.loads(capsys.readouterr().out)
     assert stdout_report["name"] == "ghz3"
     saved = json.loads(rj.read_text())
+    assert list(saved) == REPORT_JSON_KEYS
     assert saved["tvd_corrected"] < 1e-9
     assert saved["cx_delta"] == 0
     lines = rc_csv.read_text().strip().split("\n")
-    assert lines[0] == ",".join(CSV_COLUMNS) and len(lines) == 2
+    assert lines[0] == REPORT_CSV_HEADER and len(lines) == 2
+
+
+@pytest.mark.parametrize("extra", [[], ["--analytic"], ["--structural-only"]])
+def test_compare_rejects_zero_shots(tmp_path, ghz3_path, capsys, extra):
+    rj = tmp_path / "report.json"
+    rc = main(["compare", str(ghz3_path), "--json", str(rj), "--shots", "0", *extra])
+    capsys.readouterr()
+    assert rc == 1
+    assert not rj.exists()
 
 
 def test_compare_structural_only(tmp_path, ghz3_path, capsys):
@@ -121,10 +132,14 @@ def test_qaoa_demo_smoke(tmp_path, capsys):
         "--seed", "1",
     ])
     assert rc == 0
-    summary = json.loads(capsys.readouterr().out)
+    stdout = capsys.readouterr().out
+    assert (outdir / "summary.json").read_text() == stdout
+    summary = json.loads(stdout)
     assert set(summary) == {"baseline", "corrected", "uncorrected"}
     for mode, entry in summary.items():
         assert len(entry["top2"]) == 2
+        assert len(entry["parameters"]) == 2
+        assert all(isinstance(v, float) for v in entry["parameters"])
         assert entry["evaluations"] >= 3
         assert (outdir / f"loss_{mode}.csv").exists()
         assert (outdir / f"final_{mode}.json").exists()
@@ -179,6 +194,16 @@ def test_exit_code_missing_input(tmp_path, capsys):
     rc = main(["simulate", str(tmp_path / "nope.qasm"), str(tmp_path / "c.json")])
     capsys.readouterr()
     assert rc == 3
+
+
+@pytest.mark.parametrize("flag", ["--shots", "--sim-cap"])
+def test_encode_rejects_sampling_flags(tmp_path, ghz3_path, capsys, flag):
+    out, key = tmp_path / "enc.qasm", tmp_path / "key.json"
+    with pytest.raises(SystemExit) as exc:
+        main(["encode", str(ghz3_path), str(out), str(key), flag, "10"])
+    capsys.readouterr()
+    assert exc.value.code == 1
+    assert not out.exists()
 
 
 def test_exit_code_bad_usage(capsys):

@@ -55,6 +55,12 @@ def test_gate_chain_matches_path_eigenvalues():
     assert np.allclose(sig.traces, want, atol=1e-10)
 
 
+@pytest.mark.parametrize("kwargs", [{"probes": 0}, {"probes": -3}, {"steps": 0}])
+def test_estimator_rejects_nonpositive_probes_or_steps(kwargs):
+    with pytest.raises(ValueError, match="probes >= 1 and steps >= 1"):
+        netlsd_signature(to_dag(gen_qft(3)), force_estimate=True, **kwargs)
+
+
 def test_traces_decrease_to_component_count():
     c = Circuit(2, (cx(0, 1), sx(0)))
     sig = netlsd_signature(to_dag(c))

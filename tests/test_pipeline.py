@@ -25,14 +25,6 @@ def test_config_validation():
         PipelineConfig(k=2, shortlist=3)
     with pytest.raises(ValueError):
         PipelineConfig(rx_density=1.5)
-    with pytest.raises(ValueError):
-        PipelineConfig(shots=0)
-    with pytest.raises(ValueError):
-        PipelineConfig(grid_min=0.0)
-    with pytest.raises(ValueError):
-        PipelineConfig(grid_min=10.0, grid_max=1.0)
-    with pytest.raises(ValueError):
-        PipelineConfig(grid_points=1)
 
 
 def test_encode_result_structure():
