@@ -31,7 +31,7 @@ def tvd(p1: Distribution, p2: Distribution) -> float:
         )
     a = p1.normalized().outcomes
     b = p2.normalized().outcomes
-    keys = set(a) | set(b)
+    keys = sorted(set(a) | set(b))  # a fixed summation order, whatever the hash seed
     return 0.5 * sum(abs(a.get(s, 0.0) - b.get(s, 0.0)) for s in keys)
 
 

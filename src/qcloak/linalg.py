@@ -8,7 +8,6 @@ import numpy as np
 
 from .circuit import Circuit, Gate, GateKind
 
-I2 = np.eye(2, dtype=complex)
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
@@ -76,21 +75,17 @@ def apply_gate(u: np.ndarray, g: Gate, n: int) -> np.ndarray:
     return _apply_1q(u, gate_unitary(g), g.qubits[0], n)
 
 
-def circuit_unitary(c: Circuit) -> np.ndarray:
-    """Product of embedded gate unitaries, later gates on the left.
+def apply_circuit(u: np.ndarray, c: Circuit) -> np.ndarray:
+    """c applied to the rows of a C-contiguous u with 2^n rows; u may be
+    updated in place, and the result is returned.
 
     Each wire's run of one-qubit gates is first multiplied into one 2x2
-    matrix, which is applied to the 2^n x 2^n product only when a CX touches
-    the wire or at the end. The result differs from the gate-by-gate product
-    by rounding only, so it serves pass/fail equivalence checks; bits that
-    feed later computation come from gate-by-gate products (see
+    matrix, which is applied to u only when a CX touches the wire or at the
+    end. The result differs from the gate-by-gate product by rounding only,
+    so it serves simulation and pass/fail equivalence checks; bits that feed
+    later computation come from gate-by-gate products (see
     partition.block_unitary)."""
-    if c.num_qubits > UNITARY_QUBIT_CAP:
-        raise ValueError(
-            f"circuit_unitary capped at {UNITARY_QUBIT_CAP} qubits, got {c.num_qubits}"
-        )
     n = c.num_qubits
-    u = np.eye(2**n, dtype=complex)
     pending: dict[int, np.ndarray] = {}  # wire -> product of its open 1q run
     for g in c.gates:
         if g.kind is GateKind.CX:
@@ -105,6 +100,16 @@ def circuit_unitary(c: Circuit) -> np.ndarray:
     for q, mat in pending.items():
         u = _apply_1q(u, mat, q, n)
     return u
+
+
+def circuit_unitary(c: Circuit) -> np.ndarray:
+    """Product of embedded gate unitaries, later gates on the left: c
+    applied to the identity by apply_circuit."""
+    if c.num_qubits > UNITARY_QUBIT_CAP:
+        raise ValueError(
+            f"circuit_unitary capped at {UNITARY_QUBIT_CAP} qubits, got {c.num_qubits}"
+        )
+    return apply_circuit(np.eye(2**c.num_qubits, dtype=complex), c)
 
 
 def is_unitary(u: np.ndarray, tol: float = 1e-10) -> bool:

@@ -1,8 +1,10 @@
-"""Exact statevector simulation with per-gate kernels, sampling, and
-expectation values.
+"""Exact statevector simulation, sampling, and expectation values.
 
-Little-endian throughout: qubit q is bit q of the basis index, which is axis
-n-1-q of the amplitude tensor; outcome strings put qubit 0 rightmost.
+A statevector is a one-column block run through linalg.apply_circuit, the
+same fused-run kernel that builds dense unitaries for the equivalence checks.
+
+Little-endian throughout: qubit q is bit q of the basis index; outcome
+strings put qubit 0 rightmost.
 """
 
 from __future__ import annotations
@@ -11,9 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circuit import Circuit, Gate, GateKind
+from .circuit import Circuit
 from .distributions import Distribution
-from .linalg import gate_unitary
+from .linalg import apply_circuit
 
 SIM_QUBIT_CAP = 24
 NORM_TOL = 1e-9
@@ -29,34 +31,14 @@ class Statevector:
         return np.abs(self.amplitudes) ** 2
 
 
-def _apply_1q(psi: np.ndarray, mat: np.ndarray, axis: int) -> np.ndarray:
-    out = np.tensordot(mat, psi, axes=([1], [axis]))
-    return np.moveaxis(out, 0, axis)
-
-
-def _apply_cx(psi: np.ndarray, control_axis: int, target_axis: int) -> None:
-    idx: list = [slice(None)] * psi.ndim
-    idx[control_axis] = 1
-    view_target = target_axis - 1 if target_axis > control_axis else target_axis
-    psi[tuple(idx)] = np.flip(psi[tuple(idx)], axis=view_target)
-
-
 def run_statevector(c: Circuit) -> Statevector:
-    """Apply gates in order to |0...0> without forming any 2^n x 2^n matrix."""
+    """c applied to |0...0> without forming any 2^n x 2^n matrix."""
     n = c.num_qubits
     if n > SIM_QUBIT_CAP:
         raise ValueError(f"{n} qubits exceeds the simulation cap of {SIM_QUBIT_CAP}")
-    if n == 0:
-        raise ValueError("cannot simulate a circuit with no qubits")
-    psi = np.zeros((2,) * n, dtype=complex)
-    psi[(0,) * n] = 1.0
-    for g in c.gates:
-        if g.kind is GateKind.CX:
-            control, target = g.qubits
-            _apply_cx(psi, n - 1 - control, n - 1 - target)
-        else:
-            psi = _apply_1q(psi, gate_unitary(g), n - 1 - g.qubits[0])
-    flat = psi.reshape(-1)
+    psi = np.zeros((2**n, 1), dtype=complex)
+    psi[0, 0] = 1.0
+    flat = apply_circuit(psi, c).reshape(-1)
     norm = float(np.sum(np.abs(flat) ** 2))
     if abs(norm - 1.0) > NORM_TOL:
         raise ArithmeticError(f"statevector norm drifted to {norm!r}")

@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -46,6 +47,34 @@ def test_tvd_normalizes_counts():
 def test_tvd_length_mismatch():
     with pytest.raises(ValueError):
         tvd(Distribution(1, {"0": 1.0}), Distribution(2, {"00": 1.0}))
+
+
+_TVD_BITS_SCRIPT = """
+import numpy as np
+from qcloak.analysis import tvd
+from qcloak.distributions import Distribution
+
+rng = np.random.default_rng(5)
+def dist():
+    keys = rng.choice(2**12, size=300, replace=False)
+    weights = rng.random(300)
+    return Distribution(12, {format(int(k), "012b"): float(v)
+                             for k, v in zip(keys, weights / weights.sum())})
+print(repr(tvd(dist(), dist())))
+"""
+
+
+def test_tvd_bits_do_not_depend_on_hash_seed():
+    # string hashing, and so set order, changes with PYTHONHASHSEED; the
+    # report's TVD bits must not
+    out = []
+    for seed in ("0", "1"):
+        env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": str(REPO / "src")}
+        proc = subprocess.run([sys.executable, "-c", _TVD_BITS_SCRIPT], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        out.append(proc.stdout)
+    assert out[0] == out[1]
 
 
 def test_dominant_percentile_cases():

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qcloak.bench import gen_adder, gen_ghz, gen_wstate
 from qcloak.circuit import Circuit, cx, rz, sx, x
@@ -11,7 +12,7 @@ from qcloak.simulator import (
     run_statevector,
     sample,
 )
-from strategies import circuits, slow_circuit_unitary
+from strategies import circuits, one_qubit_runs, slow_circuit_unitary
 
 
 def test_x_is_little_endian():
@@ -88,11 +89,14 @@ def test_qubit_cap():
         run_statevector(Circuit(SIM_QUBIT_CAP + 1))
 
 
-@given(circuits(max_qubits=4, max_gates=14))
-@settings(max_examples=60)
+@given(st.one_of(circuits(max_qubits=4, max_gates=14),
+                 one_qubit_runs(max_qubits=6, min_gates=40)))
+@settings(max_examples=60, deadline=None)
 def test_distribution_matches_unitary_column(c):
-    # |<s|U|0>|^2 from an independent dense-unitary path
+    # <s|U|0> from an independent dense-unitary path; the second source runs
+    # long fused one-qubit runs on the single column
     u = slow_circuit_unitary(c)
+    assert np.max(np.abs(run_statevector(c).amplitudes - u[:, 0])) < 1e-12
     probs = np.abs(u[:, 0]) ** 2
     d = ideal_distribution(Circuit(c.num_qubits, c.gates, tuple(range(c.num_qubits))))
     for idx, p in enumerate(probs):
