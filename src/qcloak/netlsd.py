@@ -3,7 +3,9 @@
 The circuit DAG is symmetrized to an undirected graph; the signature is
 h(t) = trace(exp(-t L)) over a log-spaced grid of timescales, where L is the
 symmetric normalized Laplacian (isolated nodes contribute eigenvalue 0).
-Signatures are compared by unnormalized Euclidean distance.
+Above DENSE_NODE_LIMIT nodes, h(t) is estimated from stochastic Chebyshev
+moments (Han, Malioutov, Avron & Shin, SISC 2017). Signatures are compared
+by unnormalized Euclidean distance.
 """
 
 from __future__ import annotations
@@ -14,13 +16,14 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.linalg import eigh_tridiagonal
+from scipy.special import ive
 
 from .circuit import Circuit
 from .dag import CircuitDag, to_dag
 
 DENSE_NODE_LIMIT = 3000
-PROBE_BLOCK = 16  # probes per Lanczos block: columns of one sparse-dense product
+PROBE_BLOCK = 16  # probes per block: columns of one sparse-dense product
+TRUNCATION_BOUND = 1e-13  # absolute, on the estimated h(t)
 DEFAULT_POINTS = 250
 DEFAULT_T_MIN = 1e-2
 DEFAULT_T_MAX = 1e2
@@ -106,10 +109,6 @@ def _zero_mode_basis(n: int, edges: set[tuple[int, int]], deg: np.ndarray) -> np
     return basis
 
 
-def _column_norms(a: np.ndarray) -> np.ndarray:
-    return np.sqrt(np.einsum("ij,ij->j", a, a))
-
-
 def _usable_cpus() -> int:
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
@@ -122,52 +121,54 @@ def _draw_probe_block(rng: np.random.Generator, width: int, n: int) -> np.ndarra
     return np.ascontiguousarray((rng.integers(0, 2, size=(width, n)) * 2.0 - 1.0).T)
 
 
-def _probe_block_traces(
-    lap, basis: np.ndarray, grid: np.ndarray, m: int, v: np.ndarray
-) -> np.ndarray:
-    """Heat-trace rows, one per kept probe, of the probe block v (n, width),
-    which is overwritten: m-step three-term Lanczos on all columns at once,
-    with the zero eigenspace (the columns of basis) deflated exactly at
-    every step."""
-    v -= basis @ (basis.T @ v)
-    nrm = _column_norms(v)
-    kept = nrm >= 1e-12
-    nrm = nrm[kept]
-    v = v[:, kept] / nrm
-    alphas = np.zeros((m, v.shape[1]))
-    betas = np.zeros((m, v.shape[1]))
-    lengths = np.full(v.shape[1], m)
-    live = np.arange(v.shape[1])  # block column of each column still running
-    v_prev = np.zeros_like(v)
-    tmp = np.empty_like(v)
-    for j in range(m):
-        w = lap @ v
-        alpha = np.einsum("ij,ij->j", v, w)
-        alphas[j, live] = alpha
-        if j == m - 1:
+def _heat_coefficients(n: int, grid: np.ndarray) -> np.ndarray:
+    """Chebyshev coefficients c_0 = ive(0, t), c_k = 2 (-1)^k ive(k, t), k <= 2K,
+    of exp(-t (x + 1)) on [-1, 1], one row per t. K is the smallest with
+    n * sum_{k > 2K} |c_k(t)| <= TRUNCATION_BOUND at every t; a deflated probe
+    has norm^2 <= n, so that bounds the truncation error of h(t). Past the last
+    computed term c_m, I_{k+1}(t) / I_k(t) <= r = t / (m + 1/2 + sqrt(t^2 +
+    (m + 1/2)^2)) (Amos 1974), so the rest sums to less than |c_m| r / (1 - r)."""
+    c = 2 * ive(np.arange(17), grid[:, None])
+    while True:
+        m = c.shape[1] - 1
+        r = grid / (m + 0.5 + np.hypot(grid, m + 0.5))
+        # column j: the terms k > j up to m, plus the bound on those past m
+        tails = np.cumsum(c[:, :0:-1], axis=1)[:, ::-1] + (c[:, -1] * r / (1 - r))[:, None]
+        ok = (n * tails <= TRUNCATION_BOUND).all(axis=0)
+        if ok.any():
             break
-        w -= np.multiply(v, alpha, out=tmp)
-        if j:
-            w -= np.multiply(v_prev, betas[j - 1, live], out=tmp)
-        w -= np.matmul(basis, basis.T @ w, out=tmp)
-        beta = _column_norms(w)
-        going = beta >= 1e-10
-        if not going.all():
-            # a breakdown ends that column's tridiagonal after j + 1 steps
-            lengths[live[~going]] = j + 1
-            live, beta = live[going], beta[going]
-            w, v, tmp = w[:, going], v[:, going], tmp[:, going]
-            if not live.size:
-                break
-        betas[j, live] = beta
-        w /= beta
-        v_prev, v = v, w
-    rows = np.empty((len(lengths), len(grid)))
-    for col, k in enumerate(lengths):
-        theta, u = eigh_tridiagonal(alphas[:k, col], betas[: k - 1, col])
-        # nrm^2 scales the probe back to its unnormalized trace contribution
-        rows[col] = nrm[col] ** 2 * (u[0] ** 2 * np.exp(-np.outer(grid, theta))).sum(axis=1)
-    return rows
+        c = np.hstack((c, 2 * ive(np.arange(m + 1, 2 * m + 1), grid[:, None])))
+    k_max = (int(np.argmax(ok)) + 1) // 2  # the first ok cut j, rounded up to even 2K
+    c = c[:, : 2 * k_max + 1]
+    c[:, 0] /= 2
+    c[:, 1::2] *= -1
+    return c
+
+
+def _probe_block_moments(lap, basis: np.ndarray, k_max: int, v: np.ndarray) -> np.ndarray:
+    """Chebyshev moments mu_k = sum over the columns z of z^T T_k(L - I) z,
+    k = 0 .. 2 k_max, of the probe block v (n, width), which is overwritten by
+    its deflation against the zero eigenspace (the columns of basis). Zero
+    modes sit at x = -1, where |T_k| = 1, so one deflation suffices. Each step
+    of T_{k+1} z = 2 (L - I) T_k z - T_{k-1} z is one sparse-dense product and
+    gives two moments: mu_{2k} = 2 |T_k z|^2 - mu_0 and mu_{2k+1} =
+    2 <T_{k+1} z, T_k z> - mu_1. The dots are einsum, not BLAS, so their bits
+    do not depend on the BLAS thread count."""
+    v -= basis @ (basis.T @ v)
+    mu = np.empty(2 * k_max + 1)
+    mu[0] = np.einsum("ij,ij->", v, v)
+    if not k_max:
+        return mu
+    prev, cur = v, lap @ v - v
+    mu[1] = np.einsum("ij,ij->", cur, v)
+    for k in range(1, k_max + 1):
+        mu[2 * k] = 2 * np.einsum("ij,ij->", cur, cur) - mu[0]
+        if k == k_max:
+            break
+        nxt = 2 * (lap @ cur - cur) - prev
+        mu[2 * k + 1] = 2 * np.einsum("ij,ij->", nxt, cur) - mu[1]
+        prev, cur = cur, nxt
+    return mu
 
 
 def _heat_traces_estimated(
@@ -175,27 +176,24 @@ def _heat_traces_estimated(
     edges: set[tuple[int, int]],
     grid: np.ndarray,
     probes: int,
-    steps: int,
     seed: int,
 ) -> np.ndarray:
-    """Stochastic Lanczos quadrature with the exact zero-eigenspace deflated.
+    """Stochastic Chebyshev moments with the exact zero-eigenspace deflated,
+    summed through the series of _heat_coefficients. Relative error is roughly
+    1/sqrt(probes * n) at small t and degrades toward large t, where the
+    deflated exact component count dominates h(t).
 
-    Probes run PROBE_BLOCK at a time as the columns of one matrix, so each
-    Lanczos step is one sparse-dense product. The recurrence is the plain
-    three-term one: on circuit DAGs it matches per-probe full
-    reorthogonalization to about 1e-13 relative at a fraction of the cost.
-    Relative error is roughly 1/sqrt(probes * n) at small t and degrades
-    toward large t, where the deflated exact component count dominates h(t).
-
-    Blocks run on a thread pool with one worker per usable CPU (the heavy
-    steps release the GIL). Blocks are drawn in order from one generator, a
-    block only when a worker is free, and their rows are summed in draw
-    order, so the result is bit-identical for any worker count.
+    Probes run PROBE_BLOCK at a time as the columns of one matrix, on a thread
+    pool with one worker per usable CPU (the sparse products release the
+    GIL). Blocks are drawn in order from one generator, a block only when a
+    worker is free, and their moments are summed in draw order, so the result
+    is bit-identical for any worker count.
     """
     lap, deg = _normalized_laplacian_sparse(n, edges)
     basis = _zero_mode_basis(n, edges, deg)
+    coef = _heat_coefficients(n, grid)
+    k_max = coef.shape[1] // 2
     rng = np.random.default_rng(seed)
-    m = min(steps, n - 1)
     starts = range(0, probes, PROBE_BLOCK)
     workers = max(1, min(_usable_cpus(), len(starts)))
     blocks = []
@@ -205,36 +203,35 @@ def _heat_traces_estimated(
             if len(running) == workers:
                 _, running = wait(running, return_when=FIRST_COMPLETED)
             v = _draw_probe_block(rng, min(PROBE_BLOCK, probes - start), n)
-            blocks.append(pool.submit(_probe_block_traces, lap, basis, grid, m, v))
+            blocks.append(pool.submit(_probe_block_moments, lap, basis, k_max, v))
             running.add(blocks[-1])
-    acc = np.zeros(len(grid))
+    mu = np.zeros(coef.shape[1])
     for block in blocks:
-        for row in block.result():
-            acc += row
-    return basis.shape[1] + acc / probes
+        mu += block.result()
+    return basis.shape[1] + coef @ mu / probes
 
 
 def netlsd_signature(
     d: CircuitDag,
     grid: np.ndarray | None = None,
     probes: int = 512,
-    steps: int = 60,
     seed: int = 11,
     force_estimate: bool = False,
 ) -> HeatSignature:
-    if grid is None:
-        grid = default_grid()
+    grid = default_grid() if grid is None else np.asarray(grid, dtype=float)
+    if grid.ndim != 1 or not grid.size or not np.isfinite(grid).all() or (grid < 0).any():
+        raise ValueError("the timescale grid must be a non-empty 1-D array of finite t >= 0")
     n = d.num_nodes
     if n < 1:
         raise ValueError("graph must have at least one node")
-    if probes < 1 or steps < 1:
-        raise ValueError(f"need probes >= 1 and steps >= 1, got {probes} and {steps}")
+    if probes < 1:
+        raise ValueError(f"need probes >= 1, got {probes}")
     edges = _undirected_edges(d)
     if n <= DENSE_NODE_LIMIT and not force_estimate:
         traces = _heat_traces_dense(n, edges, grid)
     else:
-        traces = _heat_traces_estimated(n, edges, grid, probes, steps, seed)
-    return HeatSignature(np.asarray(grid, dtype=float), traces)
+        traces = _heat_traces_estimated(n, edges, grid, probes, seed)
+    return HeatSignature(grid, traces)
 
 
 def circuit_signature(c: Circuit, grid: np.ndarray | None = None) -> HeatSignature:

@@ -9,10 +9,12 @@ from qcloak.circuit import Circuit, Gate, cx, rz, sx
 from qcloak.dag import to_dag
 from qcloak.netlsd import (
     PROBE_BLOCK,
+    TRUNCATION_BOUND,
     _draw_probe_block,
+    _heat_coefficients,
     _heat_traces_estimated,
     _normalized_laplacian_sparse,
-    _probe_block_traces,
+    _probe_block_moments,
     _undirected_edges,
     _zero_mode_basis,
     circuit_signature,
@@ -55,10 +57,25 @@ def test_gate_chain_matches_path_eigenvalues():
     assert np.allclose(sig.traces, want, atol=1e-10)
 
 
-@pytest.mark.parametrize("kwargs", [{"probes": 0}, {"probes": -3}, {"steps": 0}])
+@pytest.mark.parametrize("kwargs", [{"probes": 0}, {"probes": -3}])
 def test_estimator_rejects_nonpositive_probes_or_steps(kwargs):
-    with pytest.raises(ValueError, match="probes >= 1 and steps >= 1"):
+    with pytest.raises(ValueError, match="probes >= 1"):
         netlsd_signature(to_dag(gen_qft(3)), force_estimate=True, **kwargs)
+
+
+@pytest.mark.parametrize("force_estimate", [False, True], ids=["dense", "estimated"])
+@pytest.mark.parametrize(
+    "grid",
+    [
+        pytest.param(np.array([np.nan, 1.0]), id="nan"),
+        pytest.param(np.array([-5.0, 1.0]), id="negative"),
+        pytest.param(np.array([]), id="empty"),
+        pytest.param(np.ones((2, 3)), id="2d"),
+    ],
+)
+def test_signature_rejects_bad_grid(grid, force_estimate):
+    with pytest.raises(ValueError, match="timescale grid"):
+        netlsd_signature(to_dag(gen_qft(3)), grid, force_estimate=force_estimate)
 
 
 def test_traces_decrease_to_component_count():
@@ -106,9 +123,9 @@ ORACLE_PROBES = 37  # not a multiple of the block width: the last block is short
 @pytest.mark.parametrize(
     "circuit",
     [
-        # 2 nodes, one Lanczos step: 17 of the 37 probes deflate to zero
+        # 2 nodes: 17 of the 37 probes deflate to zero
         pytest.param(Circuit(1), id="circuit1"),
-        # three 2-node components: every kept probe breaks down after one step
+        # three 2-node components, each with eigenvalues {0, 2}
         pytest.param(Circuit(3), id="circuit3"),
         pytest.param(gen_qft(3), id="qft3"),
         pytest.param(gen_qft(4), id="qft4"),
@@ -130,27 +147,50 @@ def test_estimated_matches_reorthogonalized_oracle(circuit):
     "circuit",
     [
         pytest.param(_bridged_halves(), id="bridged_random16"),
-        # deflated probes, then breakdowns, inside the pool
+        # 17 of the 37 probes deflate to zero inside the pool
         pytest.param(Circuit(1), id="circuit1"),
+        # three 2-node components: a kept probe sees only the eigenvalue 2
         pytest.param(Circuit(3), id="circuit3"),
     ],
 )
 def test_pool_matches_sequential_block_loop(circuit):
-    # the pool must sum each block's rows in draw order, then column order
+    # the pool must sum the blocks' moment vectors in draw order
     dag = to_dag(circuit)
     n, edges, grid = dag.num_nodes, _undirected_edges(dag), default_grid()
     lap, deg = _normalized_laplacian_sparse(n, edges)
     basis = _zero_mode_basis(n, edges, deg)
-    m = min(60, n - 1)
+    coef = _heat_coefficients(n, grid)
     rng = np.random.default_rng(11)
-    acc = np.zeros(len(grid))
+    mu = np.zeros(coef.shape[1])
     for start in range(0, ORACLE_PROBES, PROBE_BLOCK):
         v = _draw_probe_block(rng, min(PROBE_BLOCK, ORACLE_PROBES - start), n)
-        for row in _probe_block_traces(lap, basis, grid, m, v):
-            acc += row
-    want = basis.shape[1] + acc / ORACLE_PROBES
-    got = _heat_traces_estimated(n, edges, grid, ORACLE_PROBES, 60, 11)
+        mu += _probe_block_moments(lap, basis, coef.shape[1] // 2, v)
+    want = basis.shape[1] + coef @ mu / ORACLE_PROBES
+    got = _heat_traces_estimated(n, edges, grid, ORACLE_PROBES, 11)
     assert np.array_equal(got, want)
+
+
+def test_chebyshev_degree_meets_truncation_bound_on_path():
+    # the 402-node path DAG, eigenvalues 1 - cos(pi j / (n - 1)); the identity
+    # as the probe block makes the moments exact traces, with no probe noise
+    dag = to_dag(Circuit(1, tuple(rz(0.1, 0) for _ in range(400))))
+    n, edges, grid = dag.num_nodes, _undirected_edges(dag), default_grid()
+    lap, deg = _normalized_laplacian_sparse(n, edges)
+    basis = _zero_mode_basis(n, edges, deg)
+    lam = 1 - np.cos(np.pi * np.arange(n) / (n - 1))
+    exact = np.exp(-np.outer(grid, lam)).sum(axis=1)
+    coef = _heat_coefficients(n, grid)
+
+    def error(k_max: int) -> float:
+        mu = _probe_block_moments(lap, basis, k_max, np.eye(n))
+        return np.abs(basis.shape[1] + coef[:, : 2 * k_max + 1] @ mu - exact).max()
+
+    k_max = coef.shape[1] // 2
+    # rounding: h(t) and each moment sum n terms of size at most 1
+    assert error(k_max) <= TRUNCATION_BOUND + 64 * np.finfo(float).eps * n
+    assert error(k_max // 2) > 1e-7
+    # no fixed cap: a longer grid takes more terms
+    assert _heat_coefficients(n, default_grid(t_max=1e3)).shape[1] > coef.shape[1]
 
 
 def test_pooled_estimate_repeatable():
