@@ -32,7 +32,6 @@ from .pipeline import (
 from .qasm import QasmError, parse_qasm, serialize_qasm
 from .simulator import ideal_distribution, run_statevector, sample
 from .synthesis import (
-    SynthConfig,
     generate_candidates,
     minimal_cx_count,
     select_candidate,
@@ -57,7 +56,6 @@ __all__ = [
     "PipelineConfig",
     "QasmError",
     "RxPair",
-    "SynthConfig",
     "SynthesisEquivalenceError",
     "circuit_signature",
     "compare",

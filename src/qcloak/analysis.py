@@ -20,7 +20,7 @@ from .obfuscate import decode
 from .partition import form_blocks, reassemble
 from .pipeline import PipelineConfig, encode
 from .simulator import ideal_distribution, sample
-from .synthesis import SynthConfig, generate_candidates, select_candidate
+from .synthesis import generate_candidates, select_candidate
 
 
 def tvd(p1: Distribution, p2: Distribution) -> float:
@@ -56,15 +56,14 @@ def dominant_percentile(reference: Distribution, candidate: Distribution) -> flo
     return 100.0 * below / (support - 1)
 
 
-def make_baseline(c: Circuit, tol: float = 1e-9) -> Circuit:
+def make_baseline(c: Circuit) -> Circuit:
     """Resynthesize every block at minimal CX with plain (index-0) candidate
-    selection; no injections of any kind. tol is the per-block equivalence
-    check's tolerance."""
-    base_cfg = SynthConfig(k=1, shortlist=1, tol=tol)
+    selection; no injections of any kind."""
     p = form_blocks(c)
-    frags = {b.order_index: select_candidate(
-        generate_candidates(b, base_cfg), b, base_cfg
-    ) for b in p.blocks}
+    frags = {
+        b.order_index: select_candidate(generate_candidates(b, 1, 0), b, 1)
+        for b in p.blocks
+    }
     return reassemble(p, frags)
 
 
@@ -96,12 +95,15 @@ def compare(
     shots: int | None = None,
     structural_only: bool = False,
     name: str = "",
+    sim_cap: int = 20,
 ) -> ComparisonReport:
     """Full encode-vs-baseline comparison. Simulation metrics are computed
     analytically when shots is None and skipped entirely in structural-only
-    mode (or when the circuit exceeds the simulation cap)."""
+    mode (or when the circuit has more than sim_cap qubits)."""
+    if sim_cap < 1:
+        raise ValueError("sim_cap must be positive")
     t0 = time.perf_counter()
-    baseline = make_baseline(original, cfg.tol)
+    baseline = make_baseline(original)
     t_base = time.perf_counter() - t0
 
     t0 = time.perf_counter()
@@ -117,7 +119,7 @@ def compare(
     rz_delta_pct = 100.0 * (counts_enc.rz - counts_base.rz) / max(counts_base.rz, 1)
     depth_delta = cx_depth(enc.circuit) - cx_depth(baseline)
 
-    x_only = make_baseline(enc.x_injected, cfg.tol)
+    x_only = make_baseline(enc.x_injected)
     t0 = time.perf_counter()
     baseline_sig = circuit_signature(baseline)
     netlsd_full = netlsd_divergence(enc.circuit, baseline_sig)
@@ -126,7 +128,7 @@ def compare(
 
     tvd_unc = tvd_cor = pct_unc = pct_cor = None
     note = None
-    if not structural_only and original.num_qubits <= cfg.sim_cap:
+    if not structural_only and original.num_qubits <= sim_cap:
         if shots is None:
             base_dist = ideal_distribution(baseline)
             enc_dist = ideal_distribution(enc.circuit)

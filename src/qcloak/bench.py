@@ -273,7 +273,7 @@ def run_qaoa_case_study(
         enc_seed, samp_seed = (int(v) for v in child.generate_state(2))
         circ = build_qaoa_circuit(replace(prob, parameters=tuple(float(v) for v in params)))
         if mode == "baseline":
-            dist = sample(make_baseline(circ, pipeline.tol), shots, samp_seed)
+            dist = sample(make_baseline(circ), shots, samp_seed)
         else:
             enc = encode(circ, replace(pipeline, seed=enc_seed))
             dist = sample(enc.circuit, shots, samp_seed)

@@ -58,13 +58,12 @@ def _emit(payload: dict) -> None:
     print(json.dumps(payload, indent=2))
 
 
-def _config_from_args(args, **extra) -> PipelineConfig:
+def _config_from_args(args) -> PipelineConfig:
     return PipelineConfig(
         seed=args.seed,
         k=args.k,
         shortlist=args.shortlist,
         rx_density=args.rx_density,
-        **extra,
     )
 
 
@@ -74,7 +73,7 @@ def cmd_encode(args) -> int:
     t0 = time.perf_counter()
     enc = encode(circuit, cfg)
     wall = time.perf_counter() - t0
-    baseline = make_baseline(circuit, cfg.tol)
+    baseline = make_baseline(circuit)
     _write_atomic(args.output, serialize_qasm(enc.circuit))
     _write_atomic(args.key, key_to_json(enc.key))
     counts_enc = gate_counts(enc.circuit)
@@ -125,7 +124,7 @@ def cmd_compare(args) -> int:
     if args.shots < 1:
         raise ValueError("shots must be at least 1")
     circuit = parse_qasm(_read(args.input))
-    cfg = _config_from_args(args, sim_cap=args.sim_cap)
+    cfg = _config_from_args(args)
     shots = None if args.analytic else args.shots
     report = compare(
         circuit,
@@ -133,6 +132,7 @@ def cmd_compare(args) -> int:
         shots=shots,
         structural_only=args.structural_only,
         name=args.name or os.path.basename(args.input),
+        sim_cap=args.sim_cap,
     )
     _write_atomic(args.json, report_to_json(report))
     if args.csv:

@@ -78,3 +78,5 @@ def from_json(text: str) -> Distribution:
         )
     except KeyError as exc:
         raise ValueError(f"distribution JSON missing field {exc.args[0]!r}") from exc
+    except (TypeError, AttributeError) as exc:
+        raise ValueError(f"distribution JSON has the wrong shape: {exc}") from exc

@@ -4,8 +4,9 @@ The circuit DAG is symmetrized to an undirected graph; the signature is
 h(t) = trace(exp(-t L)) over a log-spaced grid of timescales, where L is the
 symmetric normalized Laplacian (isolated nodes contribute eigenvalue 0).
 Above DENSE_NODE_LIMIT nodes, h(t) is estimated from stochastic Chebyshev
-moments (Han, Malioutov, Avron & Shin, SISC 2017). Signatures are compared
-by unnormalized Euclidean distance.
+moments (Han, Malioutov, Avron & Shin, SISC 2017) of PROBES = 512
+Rademacher probes drawn from seed PROBE_SEED = 11; both are constants, not
+settings. Signatures are compared by unnormalized Euclidean distance.
 """
 
 from __future__ import annotations
@@ -16,12 +17,15 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.sparse.csgraph import connected_components
 from scipy.special import ive
 
 from .circuit import Circuit
 from .dag import CircuitDag, to_dag
 
 DENSE_NODE_LIMIT = 3000
+PROBES = 512
+PROBE_SEED = 11
 PROBE_BLOCK = 16  # probes per block: columns of one sparse-dense product
 TRUNCATION_BOUND = 1e-13  # absolute, on the estimated h(t)
 DEFAULT_POINTS = 250
@@ -85,25 +89,13 @@ def _heat_traces_dense(n: int, edges: set[tuple[int, int]], grid: np.ndarray) ->
     return np.exp(-np.outer(grid, lam)).sum(axis=1)
 
 
-def _zero_mode_basis(n: int, edges: set[tuple[int, int]], deg: np.ndarray) -> np.ndarray:
-    """Orthonormal basis of the 0-eigenspace: D^{1/2} indicators per component."""
-    parent = list(range(n))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for a, b in edges:
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[ra] = rb
-    comps: dict[int, list[int]] = {}
-    for x in range(n):
-        comps.setdefault(find(x), []).append(x)
-    basis = np.zeros((n, len(comps)))
-    for j, nodes in enumerate(comps.values()):
+def _zero_mode_basis(lap, deg: np.ndarray) -> np.ndarray:
+    """Orthonormal basis of the 0-eigenspace: D^{1/2} indicators per component,
+    one column per component in order of its smallest node."""
+    count, labels = connected_components(lap, directed=False)
+    members = np.split(np.argsort(labels, kind="stable"), np.cumsum(np.bincount(labels))[:-1])
+    basis = np.zeros((lap.shape[0], count))
+    for j, nodes in enumerate(members):
         w = np.sqrt(np.maximum(deg[nodes], 1.0))
         basis[nodes, j] = w / np.linalg.norm(w)
     return basis
@@ -190,7 +182,7 @@ def _heat_traces_estimated(
     is bit-identical for any worker count.
     """
     lap, deg = _normalized_laplacian_sparse(n, edges)
-    basis = _zero_mode_basis(n, edges, deg)
+    basis = _zero_mode_basis(lap, deg)
     coef = _heat_coefficients(n, grid)
     k_max = coef.shape[1] // 2
     rng = np.random.default_rng(seed)
@@ -211,26 +203,18 @@ def _heat_traces_estimated(
     return basis.shape[1] + coef @ mu / probes
 
 
-def netlsd_signature(
-    d: CircuitDag,
-    grid: np.ndarray | None = None,
-    probes: int = 512,
-    seed: int = 11,
-    force_estimate: bool = False,
-) -> HeatSignature:
+def netlsd_signature(d: CircuitDag, grid: np.ndarray | None = None) -> HeatSignature:
     grid = default_grid() if grid is None else np.asarray(grid, dtype=float)
     if grid.ndim != 1 or not grid.size or not np.isfinite(grid).all() or (grid < 0).any():
         raise ValueError("the timescale grid must be a non-empty 1-D array of finite t >= 0")
     n = d.num_nodes
     if n < 1:
         raise ValueError("graph must have at least one node")
-    if probes < 1:
-        raise ValueError(f"need probes >= 1, got {probes}")
     edges = _undirected_edges(d)
-    if n <= DENSE_NODE_LIMIT and not force_estimate:
+    if n <= DENSE_NODE_LIMIT:
         traces = _heat_traces_dense(n, edges, grid)
     else:
-        traces = _heat_traces_estimated(n, edges, grid, probes, seed)
+        traces = _heat_traces_estimated(n, edges, grid, PROBES, PROBE_SEED)
     return HeatSignature(grid, traces)
 
 

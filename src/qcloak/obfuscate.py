@@ -16,7 +16,7 @@ import numpy as np
 
 from .circuit import Circuit, Gate, GateKind
 from .distributions import Distribution
-from .partition import Block, BlockPartition
+from .partition import Block, BlockPartition, reassemble
 
 THETA_MARGIN = 0.1
 
@@ -110,7 +110,8 @@ def inject_rx_pairs(
     `density`, RX(theta) is appended to the earlier block and RX(-theta) is
     prepended to the later block, theta ~ Uniform[0.1, 2*pi - 0.1]. Returns
     the new circuit, the injection record, and the partition with the pairs
-    folded into their blocks. The partition is returned rather than recomputed
+    folded into their blocks; the circuit is that partition reassembled with
+    no replacements. The partition is returned rather than recomputed
     because re-partitioning the new circuit would put both halves of a pair in
     the earlier block (still open when the second half is scanned), where they
     cancel instead of straddling the boundary.
@@ -129,34 +130,6 @@ def inject_rx_pairs(
         append.setdefault(earlier, []).append(Gate(GateKind.RX, (wire,), theta))
         prepend.setdefault(later, []).append(Gate(GateKind.RX, (wire,), -theta))
 
-    by_order = {b.order_index: b for b in p.blocks}
-    sizes = {b.order_index: len(b.gates) for b in p.blocks}
-
-    # Emit the flat circuit in original gate order, inserting each block's
-    # prepends just before its first gate and its appends just after its
-    # last. On any wire the two halves of a pair end up adjacent, so the
-    # circuit unitary is unchanged exactly.
-    gates: list[Gate] = []
-    provenance: list[tuple[int, int]] = []
-    emitted_count: dict[int, int] = {o: 0 for o in by_order}
-
-    def emit(order: int, g: Gate):
-        provenance.append((order, emitted_count[order]))
-        emitted_count[order] += 1
-        gates.append(g)
-
-    for order, _pos in p.provenance:
-        blk = by_order[order]
-        k = emitted_count[order]
-        if k == 0:
-            for g in prepend.get(order, ()):
-                emit(order, g)
-            k = emitted_count[order]
-        emit(order, blk.gates[k - len(prepend.get(order, ()))])
-        if emitted_count[order] - len(prepend.get(order, ())) == sizes[order]:
-            for g in append.get(order, ()):
-                emit(order, g)
-
     new_blocks = tuple(
         Block(
             b.qubits,
@@ -167,11 +140,22 @@ def inject_rx_pairs(
         )
         for b in p.blocks
     )
-    new_circuit = Circuit(c.num_qubits, tuple(gates), c.measured_qubits)
+    # Old slot pos of a block becomes the new positions [start, stop): its
+    # first slot also takes the block's prepends and its last slot the
+    # appends. On any wire the two halves of a pair end up adjacent, so the
+    # circuit unitary is unchanged exactly.
+    last = {b.order_index: len(b.gates) - 1 for b in p.blocks}
+    size = {b.order_index: len(b.gates) for b in new_blocks}
+    provenance: list[tuple[int, int]] = []
+    for order, pos in p.provenance:
+        shift = len(prepend.get(order, ()))
+        start = 0 if pos == 0 else shift + pos
+        stop = size[order] if pos == last[order] else shift + pos + 1
+        provenance.extend((order, j) for j in range(start, stop))
     new_partition = BlockPartition(
         c.num_qubits, new_blocks, tuple(provenance), c.measured_qubits
     )
-    return new_circuit, tuple(record), new_partition
+    return reassemble(new_partition, {}), tuple(record), new_partition
 
 
 def decode(d: Distribution, k: ObfuscationKey) -> Distribution:
@@ -225,4 +209,6 @@ def key_from_json(text: str) -> ObfuscationKey:
             raise ValueError("flip_mask length does not match num_qubits")
     except KeyError as exc:
         raise ValueError(f"key JSON missing field {exc.args[0]!r}") from exc
+    except TypeError as exc:
+        raise ValueError(f"key JSON has the wrong shape: {exc}") from exc
     return key

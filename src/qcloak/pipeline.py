@@ -16,8 +16,8 @@ from .circuit import Circuit
 from .linalg import UNITARY_QUBIT_CAP, circuit_unitary, equal_up_to_global_phase
 from .netlsd import DEFAULT_POINTS, DEFAULT_T_MAX, DEFAULT_T_MIN
 from .obfuscate import ObfuscationKey, inject_rx_pairs, inject_x_end
-from .partition import BlockPartition, form_blocks, reassemble
-from .synthesis import SynthConfig, synthesize_block
+from .partition import form_blocks, reassemble
+from .synthesis import synthesize_block
 
 EQUIV_CHECK_MAX_QUBITS = 10
 
@@ -32,8 +32,6 @@ class PipelineConfig:
     k: int = 3
     shortlist: int = 2
     rx_density: float = 1.0
-    sim_cap: int = 20
-    tol: float = 1e-9
     # The NetLSD timescale grid is fixed (netlsd.default_grid), not a setting:
     # these read-only names give its bounds to code that builds it from a config.
     grid_min: ClassVar[float] = DEFAULT_T_MIN
@@ -45,15 +43,12 @@ class PipelineConfig:
             raise ValueError("need k >= 1 and 1 <= shortlist <= k")
         if not 0.0 <= self.rx_density <= 1.0:
             raise ValueError("rx_density must lie in [0, 1]")
-        if self.sim_cap < 1:
-            raise ValueError("sim_cap must be positive")
 
 
 @dataclass(frozen=True)
 class EncodeResult:
     circuit: Circuit
     key: ObfuscationKey
-    partition: BlockPartition
     x_injected: Circuit  # after step 1 only, for structural ablations
 
 
@@ -69,9 +64,9 @@ def encode(c: Circuit, cfg: PipelineConfig) -> EncodeResult:
     )
     key = replace(key, rx_record=rx_record)
 
-    synth_cfg = SynthConfig(k=cfg.k, shortlist=cfg.shortlist, seed=int(seeds[2]), tol=cfg.tol)
     fragments = {
-        b.order_index: synthesize_block(b, synth_cfg) for b in partition.blocks
+        b.order_index: synthesize_block(b, cfg.k, cfg.shortlist, int(seeds[2]))
+        for b in partition.blocks
     }
     out = reassemble(partition, fragments)
 
@@ -82,4 +77,4 @@ def encode(c: Circuit, cfg: PipelineConfig) -> EncodeResult:
             raise SynthesisEquivalenceError(
                 "synthesized circuit deviates from the injected circuit"
             )
-    return EncodeResult(circuit=out, key=key, partition=partition, x_injected=x_circ)
+    return EncodeResult(circuit=out, key=key, x_injected=x_circ)

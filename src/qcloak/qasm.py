@@ -30,18 +30,19 @@ class QasmError(ValueError):
 def _parse_angle(text: str, line: int) -> float:
     text = text.strip()
     if _FLOAT_RE.match(text):
-        return float(text)
-    m = _PI_RE.match(text)
-    if m is None:
-        raise QasmError(line, f"bad angle expression '{text}'")
-    sign, mult, div = m.groups()
-    value = math.pi
-    if mult is not None:
-        value *= float(mult)
-    if div is not None:
-        value /= float(div)
-    if sign == "-":
-        value = -value
+        value = float(text)
+    else:
+        m = _PI_RE.match(text)
+        if m is None:
+            raise QasmError(line, f"bad angle expression '{text}'")
+        sign, mult, div = m.groups()
+        if div is not None and float(div) == 0:
+            raise QasmError(line, f"division by zero in angle '{text}'")
+        value = math.pi * float(mult or 1) / float(div or 1)
+        if sign == "-":
+            value = -value
+    if not math.isfinite(value):
+        raise QasmError(line, f"angle '{text}' is not finite")
     return value
 
 

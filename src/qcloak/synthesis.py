@@ -7,8 +7,6 @@ the block unitary up to global phase before it can be returned.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .circuit import Circuit, Gate, GateKind, gate_counts
@@ -29,20 +27,7 @@ from .partition import Block, block_unitary, to_local_circuit
 RZ_TRIVIAL_TOL = 1e-12
 CLASS_TOL = 1e-10
 DRESS_MARGIN = 0.1
-
-
-@dataclass(frozen=True)
-class SynthConfig:
-    k: int = 3
-    shortlist: int = 2
-    seed: int = 0
-    tol: float = 1e-9
-
-    def __post_init__(self):
-        if self.k < 1:
-            raise ValueError("k must be at least 1")
-        if not 1 <= self.shortlist <= self.k:
-            raise ValueError("shortlist must lie in [1, k]")
+CANDIDATE_TOL = 1e-9  # each candidate's unitary check, up to global phase
 
 
 class SynthesisError(RuntimeError):
@@ -245,7 +230,7 @@ def _candidate_2q(u: np.ndarray, rng: np.random.Generator | None) -> Circuit:
     return _emit(_dress_cx(segments, cxs, rng), cxs)
 
 
-def generate_candidates(b: Block, cfg: SynthConfig) -> list[Circuit]:
+def generate_candidates(b: Block, k: int, seed: int) -> list[Circuit]:
     """k fragments equivalent to the block, all at the block's minimal CX
     count. Candidate 0 is the deterministic plain synthesis; later candidates
     draw decomposition branches and canceling-rotation dressings from a
@@ -255,12 +240,12 @@ def generate_candidates(b: Block, cfg: SynthConfig) -> list[Circuit]:
     u = block_unitary(b)
     build = _candidate_1q if len(b.qubits) == 1 else _candidate_2q
     out: list[Circuit] = []
-    for i in range(cfg.k):
+    for i in range(k):
         rng = None
         if i > 0:
-            rng = np.random.default_rng([cfg.seed, b.order_index, i])
+            rng = np.random.default_rng([seed, b.order_index, i])
         frag = build(u, rng)
-        if not equal_up_to_global_phase(circuit_unitary(frag), u, tol=cfg.tol):
+        if not equal_up_to_global_phase(circuit_unitary(frag), u, tol=CANDIDATE_TOL):
             raise SynthesisError(
                 f"candidate {i} for block {b.order_index} failed equivalence"
             )
@@ -268,9 +253,7 @@ def generate_candidates(b: Block, cfg: SynthConfig) -> list[Circuit]:
     return out
 
 
-def select_candidate(
-    cands: list[Circuit], original_block: Block, cfg: SynthConfig
-) -> Circuit:
+def select_candidate(cands: list[Circuit], original_block: Block, shortlist: int) -> Circuit:
     """Shortlist by fewest SX+X (ties: fewer RZ, then lower index), then pick
     the shortlisted fragment most structurally distant from the source block."""
     if not cands:
@@ -279,13 +262,13 @@ def select_candidate(
     ranked = sorted(
         range(len(cands)), key=lambda i: (counts[i].sx_plus_x, counts[i].rz, i)
     )
-    shortlist = ranked[: cfg.shortlist]
-    if len(shortlist) == 1:
-        return cands[shortlist[0]]
+    kept = ranked[:shortlist]
+    if len(kept) == 1:
+        return cands[kept[0]]
     reference = circuit_signature(to_local_circuit(original_block))
-    best = max(shortlist, key=lambda i: netlsd_divergence(cands[i], reference))
+    best = max(kept, key=lambda i: netlsd_divergence(cands[i], reference))
     return cands[best]
 
 
-def synthesize_block(b: Block, cfg: SynthConfig) -> Circuit:
-    return select_candidate(generate_candidates(b, cfg), b, cfg)
+def synthesize_block(b: Block, k: int, shortlist: int, seed: int) -> Circuit:
+    return select_candidate(generate_candidates(b, k, seed), b, shortlist)

@@ -121,6 +121,31 @@ def tensordot_circuit_unitary(c: Circuit) -> np.ndarray:
     return u.reshape(dim, dim)
 
 
+def union_find_zero_mode_basis(n: int, edges: set, deg: np.ndarray) -> np.ndarray:
+    """Reference zero-eigenspace basis: components from a union-find over the
+    edge list, one D^{1/2} indicator column each, in order of smallest node."""
+    parent = list(range(n))
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for a, b in edges:
+        ra, rb = find(a), find(b)
+        if ra != rb:
+            parent[ra] = rb
+    comps: dict[int, list[int]] = {}
+    for x in range(n):
+        comps.setdefault(find(x), []).append(x)
+    basis = np.zeros((n, len(comps)))
+    for j, nodes in enumerate(comps.values()):
+        w = np.sqrt(np.maximum(deg[nodes], 1.0))
+        basis[nodes, j] = w / np.linalg.norm(w)
+    return basis
+
+
 def reorthogonalized_heat_traces(
     n: int, edges: set, grid: np.ndarray, probes: int, steps: int, seed: int
 ) -> np.ndarray:
@@ -130,7 +155,7 @@ def reorthogonalized_heat_traces(
     from qcloak.netlsd import _normalized_laplacian_sparse, _zero_mode_basis
 
     lap, deg = _normalized_laplacian_sparse(n, edges)
-    basis = _zero_mode_basis(n, edges, deg)
+    basis = _zero_mode_basis(lap, deg)
     n_zero = basis.shape[1]
     rng = np.random.default_rng(seed)
     m = min(steps, n - 1)

@@ -8,6 +8,7 @@ from qcloak import distributions
 from qcloak.analysis import make_baseline, tvd
 from qcloak.bench import adder_layout, gen_adder, gen_ghz
 from qcloak.cli import main
+from qcloak.obfuscate import key_from_json
 from qcloak.qasm import serialize_qasm
 from qcloak.simulator import ideal_distribution
 from strategies import REPORT_CSV_HEADER, REPORT_JSON_KEYS
@@ -188,6 +189,54 @@ def test_exit_code_decode_mismatch(tmp_path, capsys, caplog):
     assert rc == 1
     errors = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
     assert errors == ["outcome length 2 does not match key length 3"]
+
+
+def test_exit_code_bad_qasm_angle(tmp_path, capsys, caplog):
+    bad = tmp_path / "bad.qasm"
+    bad.write_text("qreg q[1];\nrz(pi/0) q[0];\n")
+    out, key = tmp_path / "enc.qasm", tmp_path / "key.json"
+    rc = main(["encode", str(bad), str(out), str(key)])
+    capsys.readouterr()
+    assert rc == 1
+    errors = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
+    assert errors == ["line 2: division by zero in angle 'pi/0'"]
+    assert not out.exists() and not key.exists()
+
+
+GOOD_KEY = {"version": 1, "num_qubits": 2, "flip_mask": "01", "seed": 0, "rx_pairs": []}
+GOOD_DIST = {"kind": "counts", "num_bits": 2, "outcomes": {"01": 3}}
+
+
+@pytest.mark.parametrize(
+    "which, payload",
+    [
+        pytest.param("dist", [1, 2], id="dist-list"),
+        pytest.param("dist", {**GOOD_DIST, "outcomes": [1]}, id="outcomes-list"),
+        pytest.param("key", [], id="key-list"),
+        pytest.param("key", {**GOOD_KEY, "rx_pairs": [3]}, id="rx-pair-int"),
+        pytest.param("key", {**GOOD_KEY, "rx_pairs": None}, id="rx-pairs-null"),
+    ],
+)
+def test_wrong_json_shape_is_a_validation_error(tmp_path, capsys, which, payload):
+    load = {"dist": distributions.from_json, "key": key_from_json}[which]
+    with pytest.raises(ValueError):
+        load(json.dumps(payload))
+    files = {"dist": GOOD_DIST, "key": GOOD_KEY, which: payload}
+    for name, value in files.items():
+        (tmp_path / f"{name}.json").write_text(json.dumps(value))
+    out = tmp_path / "out.json"
+    rc = main(["decode", str(tmp_path / "dist.json"), str(tmp_path / "key.json"), str(out)])
+    capsys.readouterr()
+    assert rc == 1
+    assert not out.exists()
+
+
+def test_compare_rejects_zero_sim_cap(tmp_path, ghz3_path, capsys):
+    rj = tmp_path / "report.json"
+    rc = main(["compare", str(ghz3_path), "--json", str(rj), "--sim-cap", "0"])
+    capsys.readouterr()
+    assert rc == 1
+    assert not rj.exists()
 
 
 def test_exit_code_missing_input(tmp_path, capsys):

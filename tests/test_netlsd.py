@@ -4,11 +4,14 @@ import sys
 import numpy as np
 import pytest
 
+import qcloak.netlsd
 from qcloak.bench import gen_qft, gen_random_blocks
 from qcloak.circuit import Circuit, Gate, cx, rz, sx
 from qcloak.dag import to_dag
 from qcloak.netlsd import (
+    DENSE_NODE_LIMIT,
     PROBE_BLOCK,
+    PROBE_SEED,
     TRUNCATION_BOUND,
     _draw_probe_block,
     _heat_coefficients,
@@ -22,7 +25,17 @@ from qcloak.netlsd import (
     netlsd_divergence,
     netlsd_signature,
 )
-from strategies import reorthogonalized_heat_traces, signature_to_csv
+from strategies import (
+    reorthogonalized_heat_traces,
+    signature_to_csv,
+    union_find_zero_mode_basis,
+)
+
+
+@pytest.fixture
+def estimate_all(monkeypatch):
+    """Route every netlsd_signature call to the estimator."""
+    monkeypatch.setattr(qcloak.netlsd, "DENSE_NODE_LIMIT", 0)
 
 
 def test_default_grid_shape():
@@ -57,13 +70,7 @@ def test_gate_chain_matches_path_eigenvalues():
     assert np.allclose(sig.traces, want, atol=1e-10)
 
 
-@pytest.mark.parametrize("kwargs", [{"probes": 0}, {"probes": -3}])
-def test_estimator_rejects_nonpositive_probes_or_steps(kwargs):
-    with pytest.raises(ValueError, match="probes >= 1"):
-        netlsd_signature(to_dag(gen_qft(3)), force_estimate=True, **kwargs)
-
-
-@pytest.mark.parametrize("force_estimate", [False, True], ids=["dense", "estimated"])
+@pytest.mark.parametrize("limit", [DENSE_NODE_LIMIT, 0], ids=["dense", "estimated"])
 @pytest.mark.parametrize(
     "grid",
     [
@@ -73,9 +80,10 @@ def test_estimator_rejects_nonpositive_probes_or_steps(kwargs):
         pytest.param(np.ones((2, 3)), id="2d"),
     ],
 )
-def test_signature_rejects_bad_grid(grid, force_estimate):
+def test_signature_rejects_bad_grid(grid, limit, monkeypatch):
+    monkeypatch.setattr(qcloak.netlsd, "DENSE_NODE_LIMIT", limit)
     with pytest.raises(ValueError, match="timescale grid"):
-        netlsd_signature(to_dag(gen_qft(3)), grid, force_estimate=force_estimate)
+        netlsd_signature(to_dag(gen_qft(3)), grid)
 
 
 def test_traces_decrease_to_component_count():
@@ -87,25 +95,26 @@ def test_traces_decrease_to_component_count():
     assert abs(sig.traces[-1] - 1) < 0.2
 
 
-def test_estimated_matches_dense():
+def test_estimated_matches_dense(monkeypatch):
     dag = to_dag(gen_qft(4))
     dense = netlsd_signature(dag)
-    est = netlsd_signature(dag, force_estimate=True)
+    monkeypatch.setattr(qcloak.netlsd, "DENSE_NODE_LIMIT", 0)
+    est = netlsd_signature(dag)
     rel = np.abs(est.traces - dense.traces) / dense.traces
     assert rel.max() < 0.05
     assert np.linalg.norm(est.traces - dense.traces) < 0.01 * np.linalg.norm(dense.traces)
 
 
-def test_estimated_component_count_exact_at_large_t():
+def test_estimated_component_count_exact_at_large_t(estimate_all):
     # three disconnected wires; the zero eigenspace is deflated exactly
-    est = netlsd_signature(to_dag(Circuit(3)), force_estimate=True)
+    est = netlsd_signature(to_dag(Circuit(3)))
     assert abs(est.traces[-1] - 3) < 1e-3
 
 
-def test_estimation_deterministic():
+def test_estimation_deterministic(estimate_all):
     dag = to_dag(gen_qft(3))
-    a = netlsd_signature(dag, force_estimate=True)
-    b = netlsd_signature(dag, force_estimate=True)
+    a = netlsd_signature(dag)
+    b = netlsd_signature(dag)
     assert np.array_equal(a.traces, b.traces)
 
 
@@ -136,11 +145,10 @@ def test_estimated_matches_reorthogonalized_oracle(circuit):
     assert ORACLE_PROBES % PROBE_BLOCK
     dag = to_dag(circuit)
     grid = default_grid()
-    est = netlsd_signature(dag, grid, probes=ORACLE_PROBES, force_estimate=True)
-    want = reorthogonalized_heat_traces(
-        dag.num_nodes, _undirected_edges(dag), grid, ORACLE_PROBES, 60, 11
-    )
-    np.testing.assert_allclose(est.traces, want, rtol=1e-9, atol=0)
+    n, edges = dag.num_nodes, _undirected_edges(dag)
+    est = _heat_traces_estimated(n, edges, grid, ORACLE_PROBES, PROBE_SEED)
+    want = reorthogonalized_heat_traces(n, edges, grid, ORACLE_PROBES, 60, PROBE_SEED)
+    np.testing.assert_allclose(est, want, rtol=1e-9, atol=0)
 
 
 @pytest.mark.parametrize(
@@ -158,15 +166,15 @@ def test_pool_matches_sequential_block_loop(circuit):
     dag = to_dag(circuit)
     n, edges, grid = dag.num_nodes, _undirected_edges(dag), default_grid()
     lap, deg = _normalized_laplacian_sparse(n, edges)
-    basis = _zero_mode_basis(n, edges, deg)
+    basis = _zero_mode_basis(lap, deg)
     coef = _heat_coefficients(n, grid)
-    rng = np.random.default_rng(11)
+    rng = np.random.default_rng(PROBE_SEED)
     mu = np.zeros(coef.shape[1])
     for start in range(0, ORACLE_PROBES, PROBE_BLOCK):
         v = _draw_probe_block(rng, min(PROBE_BLOCK, ORACLE_PROBES - start), n)
         mu += _probe_block_moments(lap, basis, coef.shape[1] // 2, v)
     want = basis.shape[1] + coef @ mu / ORACLE_PROBES
-    got = _heat_traces_estimated(n, edges, grid, ORACLE_PROBES, 11)
+    got = _heat_traces_estimated(n, edges, grid, ORACLE_PROBES, PROBE_SEED)
     assert np.array_equal(got, want)
 
 
@@ -176,7 +184,7 @@ def test_chebyshev_degree_meets_truncation_bound_on_path():
     dag = to_dag(Circuit(1, tuple(rz(0.1, 0) for _ in range(400))))
     n, edges, grid = dag.num_nodes, _undirected_edges(dag), default_grid()
     lap, deg = _normalized_laplacian_sparse(n, edges)
-    basis = _zero_mode_basis(n, edges, deg)
+    basis = _zero_mode_basis(lap, deg)
     lam = 1 - np.cos(np.pi * np.arange(n) / (n - 1))
     exact = np.exp(-np.outer(grid, lam)).sum(axis=1)
     coef = _heat_coefficients(n, grid)
@@ -195,11 +203,11 @@ def test_chebyshev_degree_meets_truncation_bound_on_path():
 
 def test_pooled_estimate_repeatable():
     dag = to_dag(_bridged_halves())
-    probes = 5 * PROBE_BLOCK
-    first = netlsd_signature(dag, probes=probes, force_estimate=True)
+    n, edges, grid = dag.num_nodes, _undirected_edges(dag), default_grid()
+    first = _heat_traces_estimated(n, edges, grid, 5 * PROBE_BLOCK, PROBE_SEED)
     for _ in range(2):
-        again = netlsd_signature(dag, probes=probes, force_estimate=True)
-        assert np.array_equal(again.traces, first.traces)
+        again = _heat_traces_estimated(n, edges, grid, 5 * PROBE_BLOCK, PROBE_SEED)
+        assert np.array_equal(again, first)
 
 
 def test_estimate_leaves_no_threads():
@@ -208,15 +216,31 @@ def test_estimate_leaves_no_threads():
 import threading
 from qcloak.bench import gen_random_blocks
 from qcloak.dag import to_dag
-from qcloak.netlsd import PROBE_BLOCK, netlsd_signature
+from qcloak.netlsd import PROBE_BLOCK, _heat_traces_estimated, _undirected_edges, default_grid
 dag = to_dag(gen_random_blocks(8, 40, seed=1))
 before = threading.active_count()
-netlsd_signature(dag, probes=4 * PROBE_BLOCK, force_estimate=True)
+_heat_traces_estimated(dag.num_nodes, _undirected_edges(dag), default_grid(), 4 * PROBE_BLOCK, 11)
 print(before, threading.active_count())
 """
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
     before, after = map(int, out.stdout.split())
     assert after == before
+
+
+def test_zero_mode_basis_one_column_per_component_in_node_order():
+    # wires 0-1 and 3-4 joined by a CX, wires 2 and 5 on their own: four components
+    dag = to_dag(Circuit(6, (cx(3, 4), sx(5), cx(0, 1))))
+    n, edges = dag.num_nodes, _undirected_edges(dag)
+    lap, deg = _normalized_laplacian_sparse(n, edges)
+    basis = _zero_mode_basis(lap, deg)
+    assert np.array_equal(basis, union_find_zero_mode_basis(n, edges, deg))
+    assert basis.shape == (n, 4)
+    np.testing.assert_allclose(basis.T @ basis, np.eye(4), atol=1e-15)
+    np.testing.assert_allclose(lap @ basis, 0, atol=1e-15)
+    support = basis != 0
+    assert (support.sum(axis=1) == 1).all()
+    firsts = support.argmax(axis=0)
+    assert list(firsts) == sorted(firsts)
 
 
 def test_divergence_zero_on_self_and_symmetric():

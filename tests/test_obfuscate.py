@@ -68,6 +68,17 @@ def test_decode_length_mismatch():
         decode(Distribution(3, {"010": 1.0}), ObfuscationKey("01", seed=0))
 
 
+def _assert_pairs_adjacent(out: Circuit, record) -> None:
+    """On its wire, each pair's RX(theta) is immediately followed by RX(-theta)."""
+    for r in record:
+        on_wire = [g for g in out.gates if r.wire in g.qubits]
+        assert any(
+            a.kind is GateKind.RX and a.angle == r.theta
+            and b.kind is GateKind.RX and b.angle == -r.theta
+            for a, b in zip(on_wire, on_wire[1:])
+        ), r
+
+
 def test_rx_pairs_structure():
     c = Circuit(3, (sx(0), cx(0, 1), cx(1, 2), cx(0, 1)))
     p = form_blocks(c)
@@ -95,6 +106,7 @@ def test_rx_pairs_fold_into_blocks():
     # identity reassembly of the folded partition reproduces the new circuit
     reps = {b.order_index: to_local_circuit(b) for b in p2.blocks}
     assert reassemble(p2, reps) == out
+    _assert_pairs_adjacent(out, record)
 
 
 def test_rx_density_zero_injects_nothing():
@@ -117,6 +129,7 @@ def test_rx_pairs_preserve_unitary_exactly(c):
     assert sum(len(b.gates) for b in p2.blocks) == out.num_gates
     reps = {b.order_index: to_local_circuit(b) for b in p2.blocks}
     assert reassemble(p2, reps) == out
+    _assert_pairs_adjacent(out, record)
 
 
 @given(circuits(max_qubits=5, max_gates=12))

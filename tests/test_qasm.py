@@ -63,6 +63,10 @@ def test_parse_errors():
         parse_qasm("qreg q[2];\nx q[5];\n")
     with pytest.raises(QasmError, match="bad angle"):
         parse_qasm("qreg q[1];\nrz(pi*pi) q[0];\n")
+    with pytest.raises(QasmError, match="line 2: division by zero in angle 'pi/0'"):
+        parse_qasm("qreg q[1];\nrz(pi/0) q[0];\n")
+    with pytest.raises(QasmError, match="line 2: angle '1e999' is not finite"):
+        parse_qasm("qreg q[1];\nrz(1e999) q[0];\n")
     with pytest.raises(QasmError, match="missing ';'"):
         parse_qasm("qreg q[1];\nx q[0]\n")
     with pytest.raises(QasmError, match="unsupported OPENQASM"):

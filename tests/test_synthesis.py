@@ -1,5 +1,4 @@
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -15,7 +14,6 @@ from qcloak.linalg import (
 )
 from qcloak.partition import Block, block_unitary
 from qcloak.synthesis import (
-    SynthConfig,
     euler_1q,
     generate_candidates,
     minimal_cx_count,
@@ -29,14 +27,6 @@ from strategies import unitaries
 
 def _u1(c: Circuit) -> np.ndarray:
     return circuit_unitary(c)
-
-
-def test_synth_config_validation():
-    with pytest.raises(ValueError):
-        SynthConfig(k=0)
-    with pytest.raises(ValueError):
-        SynthConfig(k=2, shortlist=3)
-    SynthConfig(k=3, shortlist=2)
 
 
 def test_peephole_pinned_rules():
@@ -110,8 +100,7 @@ def test_cx_block_synthesizes_to_one_cx():
 
 def test_generate_candidates_all_equivalent_and_minimal():
     b = Block((0, 1), (sx(0), cx(0, 1), rz(0.8, 1), cx(1, 0)), 3)
-    cfg = SynthConfig(k=4, shortlist=2, seed=12)
-    cands = generate_candidates(b, cfg)
+    cands = generate_candidates(b, 4, 12)
     assert len(cands) == 4
     u = block_unitary(b)
     want = minimal_cx_count(kak_decompose(u).weyl)
@@ -124,14 +113,13 @@ def test_generate_candidates_all_equivalent_and_minimal():
 
 def test_generate_candidates_deterministic():
     b = Block((0, 1), (cx(0, 1), rz(0.8, 1)), 1)
-    cfg = SynthConfig(k=3, shortlist=2, seed=5)
-    a = generate_candidates(b, cfg)
-    assert a == generate_candidates(b, cfg)
+    a = generate_candidates(b, 3, 5)
+    assert a == generate_candidates(b, 3, 5)
 
 
 def test_generate_candidates_one_qubit_block():
     b = Block((2,), (sx(2), rz(0.4, 2), sx(2)), 7)
-    cands = generate_candidates(b, SynthConfig(k=3, shortlist=1, seed=0))
+    cands = generate_candidates(b, 3, 0)
     u = block_unitary(b)
     for c in cands:
         assert c.num_qubits == 1
@@ -142,17 +130,16 @@ def test_select_candidate_prefers_fewest_sx():
     b = Block((0, 1), (cx(0, 1),), 0)
     short = Circuit(2, (cx(0, 1),))
     long_ = Circuit(2, (sx(0), sx(0), sx(0), sx(0), cx(0, 1)))
-    cfg = SynthConfig(k=2, shortlist=1, seed=0)
-    assert select_candidate([long_, short], b, cfg) == short
+    assert select_candidate([long_, short], b, 1) == short
 
 
 def test_select_candidate_shortlist_bound():
     b = Block((0, 1), (sx(0), cx(0, 1), rz(0.8, 1), cx(1, 0)), 3)
-    cfg = SynthConfig(k=4, shortlist=2, seed=12)
-    cands = generate_candidates(b, cfg)
-    chosen = select_candidate(cands, b, cfg)
+    shortlist = 2
+    cands = generate_candidates(b, 4, 12)
+    chosen = select_candidate(cands, b, shortlist)
     sxx = sorted(gate_counts(c).sx_plus_x for c in cands)
-    assert gate_counts(chosen).sx_plus_x <= sxx[cfg.shortlist - 1]
+    assert gate_counts(chosen).sx_plus_x <= sxx[shortlist - 1]
 
 
 def test_select_candidate_signs_reference_block_once(monkeypatch):
@@ -165,14 +152,14 @@ def test_select_candidate_signs_reference_block_once(monkeypatch):
 
     monkeypatch.setattr(qcloak.netlsd, "netlsd_signature", counting)
     b = Block((0, 1), (sx(0), cx(0, 1), rz(0.8, 1), cx(1, 0)), 3)
-    cfg = SynthConfig(k=3, shortlist=3, seed=12)
-    select_candidate(generate_candidates(b, cfg), b, cfg)
+    shortlist = 3
+    select_candidate(generate_candidates(b, 3, 12), b, shortlist)
     # one reference signature plus one per shortlisted candidate
-    assert len(calls) == 1 + cfg.shortlist
+    assert len(calls) == 1 + shortlist
 
 
 def test_synthesize_block_end_to_end():
     b = Block((1, 3), (cx(1, 3), rz(1.1, 1), sx(3), cx(3, 1)), 2)
-    frag = synthesize_block(b, SynthConfig(k=3, shortlist=2, seed=8))
+    frag = synthesize_block(b, 3, 2, 8)
     assert frag.num_qubits == 2
     assert equal_up_to_global_phase(circuit_unitary(frag), block_unitary(b), 1e-9)
