@@ -119,7 +119,10 @@ def compare(
     rz_delta_pct = 100.0 * (counts_enc.rz - counts_base.rz) / max(counts_base.rz, 1)
     depth_delta = cx_depth(enc.circuit) - cx_depth(baseline)
 
+    t0 = time.perf_counter()
     x_only = make_baseline(enc.x_injected)
+    t_x_only = time.perf_counter() - t0
+
     t0 = time.perf_counter()
     baseline_sig = circuit_signature(baseline)
     netlsd_full = netlsd_divergence(enc.circuit, baseline_sig)
@@ -161,6 +164,7 @@ def compare(
         wall_times={
             "encode_seconds": t_enc,
             "baseline_seconds": t_base,
+            "x_only_baseline_seconds": t_x_only,
             "netlsd_seconds": t_netlsd,
         },
     )

@@ -21,6 +21,12 @@ class GateKind(Enum):
         return self in (GateKind.RZ, GateKind.RX)
 
 
+# Gate.__post_init__ runs for every emitted gate; module names are cheaper
+# to read than GateKind members, each of which is a class-attribute lookup.
+_CX = GateKind.CX
+_ANGLED = (GateKind.RZ, GateKind.RX)
+
+
 @dataclass(frozen=True)
 class Gate:
     """One gate instance. Angles are stored as given, never reduced mod 2*pi."""
@@ -30,16 +36,22 @@ class Gate:
     angle: float | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "qubits", tuple(self.qubits))
-        if len(self.qubits) != self.kind.arity:
-            raise ValueError(f"{self.kind.value} takes {self.kind.arity} qubit(s), got {self.qubits}")
-        if len(set(self.qubits)) != len(self.qubits):
-            raise ValueError(f"duplicate qubit operands in {self.kind.value}{self.qubits}")
-        if self.kind.has_angle:
+        qubits = self.qubits
+        if type(qubits) is not tuple:
+            qubits = tuple(qubits)
+            object.__setattr__(self, "qubits", qubits)
+        kind = self.kind
+        if type(kind) is not GateKind:
+            raise TypeError(f"gate kind must be a GateKind, got {kind!r}")
+        if len(qubits) != (2 if kind is _CX else 1):
+            raise ValueError(f"{kind.value} takes {kind.arity} qubit(s), got {qubits}")
+        if kind is _CX and qubits[0] == qubits[1]:
+            raise ValueError(f"duplicate qubit operands in {kind.value}{qubits}")
+        if kind in _ANGLED:
             if self.angle is None or not math.isfinite(self.angle):
-                raise ValueError(f"{self.kind.value} needs a finite angle, got {self.angle}")
+                raise ValueError(f"{kind.value} needs a finite angle, got {self.angle}")
         elif self.angle is not None:
-            raise ValueError(f"{self.kind.value} takes no angle")
+            raise ValueError(f"{kind.value} takes no angle")
 
 
 def x(q: int) -> Gate:

@@ -17,6 +17,7 @@ from .linalg import PAULI_X, PAULI_Y, PAULI_Z, is_unitary, rx_matrix, ry_matrix,
 MAGIC = np.array(
     [[1, 0, 0, 1j], [0, 1j, 1, 0], [0, 1j, -1, 0], [1, 0, 0, -1j]]
 ) / np.sqrt(2)
+MAGIC_H = MAGIC.conj().T
 
 # theta = eigenphases of the magic-basis Gram matrix; GAMMA @ theta gives
 # (global phase, c1, c2, c3)
@@ -50,7 +51,7 @@ def canonical_matrix(c: np.ndarray) -> np.ndarray:
     """exp(i(c1 XX + c2 YY + c3 ZZ)) without a matrix exponential: the
     generator is diagonal in the magic basis, so diagonalize by construction."""
     theta = np.linalg.solve(GAMMA, np.array([0.0, c[0], c[1], c[2]]))
-    return MAGIC @ np.diag(np.exp(1j * theta)) @ MAGIC.conj().T
+    return MAGIC @ np.diag(np.exp(1j * theta)) @ MAGIC_H
 
 
 def kak_reconstruct(t: KakTerms) -> np.ndarray:
@@ -64,19 +65,24 @@ def kak_reconstruct(t: KakTerms) -> np.ndarray:
     )
 
 
-def _factor_kron_2x2(g: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
-    """g = e^{i phase} kron(g1, g0) with det g1 = det g0 = 1 (g must be a
-    tensor product; the SVD of the rearranged matrix has rank 1)."""
-    m = g.reshape(2, 2, 2, 2).transpose(0, 2, 1, 3).reshape(4, 4)
+def _factor_kron_2x2(g: np.ndarray) -> list[tuple[np.ndarray, np.ndarray, float]]:
+    """Each g[i] = e^{i phase_i} kron(g1_i, g0_i) with det g1_i = det g0_i = 1,
+    for a (m, 4, 4) stack of tensor products (the SVD of each rearranged
+    matrix has rank 1). One stacked SVD and one stacked det serve the whole
+    stack; each matrix's bits equal those of its own per-matrix call."""
+    m = g.reshape(-1, 2, 2, 2, 2).transpose(0, 1, 3, 2, 4).reshape(-1, 4, 4)
     u, s, vh = np.linalg.svd(m)
-    g1 = u[:, 0].reshape(2, 2) * np.sqrt(s[0])
-    g0 = vh[0, :].reshape(2, 2) * np.sqrt(s[0])
-    g1 = g1 / np.sqrt(np.linalg.det(g1))
-    g0 = g0 / np.sqrt(np.linalg.det(g0))
-    frame = np.kron(g1, g0)
-    idx = np.unravel_index(np.argmax(np.abs(frame)), frame.shape)
-    phase = float(np.angle(g[idx] / frame[idx]))
-    return g1, g0, phase
+    root = np.sqrt(s[:, 0])[:, None, None]
+    factors = np.concatenate(
+        (u[:, :, 0].reshape(-1, 2, 2) * root, vh[:, 0, :].reshape(-1, 2, 2) * root)
+    )
+    factors = factors / np.sqrt(np.linalg.det(factors))[:, None, None]
+    out = []
+    for gi, g1, g0 in zip(g, factors[: len(g)], factors[len(g) :]):
+        frame = np.kron(g1, g0)
+        idx = np.unravel_index(np.argmax(np.abs(frame)), frame.shape)
+        out.append((g1, g0, float(np.angle(gi[idx] / frame[idx]))))
+    return out
 
 
 def _raw_decompose(u: np.ndarray, rng: np.random.Generator):
@@ -85,7 +91,7 @@ def _raw_decompose(u: np.ndarray, rng: np.random.Generator):
     up = u * np.exp(-1j * delta)
     phase = delta
 
-    v = MAGIC.conj().T @ up @ MAGIC
+    v = MAGIC_H @ up @ MAGIC
     m2 = v.T @ v
     # m2 is complex symmetric unitary; a real orthogonal diagonalizer always
     # exists and almost any real mix of Re/Im parts exposes it
@@ -118,8 +124,7 @@ def _raw_decompose(u: np.ndarray, rng: np.random.Generator):
 
     w, c1, c2, c3 = GAMMA @ theta
     phase += w
-    l1, l0, pl = _factor_kron_2x2(MAGIC @ o1 @ MAGIC.conj().T)
-    r1, r0, pr = _factor_kron_2x2(MAGIC @ o2 @ MAGIC.conj().T)
+    (l1, l0, pl), (r1, r0, pr) = _factor_kron_2x2(MAGIC @ np.stack((o1, o2)) @ MAGIC_H)
     phase += pl + pr
     return phase, l1, l0, np.array([c1, c2, c3]), r1, r0
 

@@ -2,8 +2,9 @@
 
 Supported statements: optional `OPENQASM 2.0;` header, optional
 `include "qelib1.inc";`, one `qreg name[n];`, optional `creg name[n];`,
-gates `x`, `sx`, `rz(expr)`, `rx(expr)`, `cx`, `measure` (whole register or
-single qubit), and `barrier` (parsed, discarded).
+gates `x`, `sx`, `rz(expr)`, `rx(expr)`, `cx`, `measure` (a whole register
+onto an equal-size creg, or qubit i onto bit i: outcome bit i is always
+qubit i), and `barrier` (parsed, discarded). Registers have at least one bit.
 Angle expressions are decimal literals or pi multiples such as `pi/2`,
 `2*pi`, `-pi/4`. Comments run from `//` to end of line.
 """
@@ -114,6 +115,8 @@ class _Parser:
             if m is None:
                 raise QasmError(line, f"bad register declaration '{stmt}'")
             _, name, size = m.groups()
+            if int(size) < 1:
+                raise QasmError(line, f"register {name}[{size}] must have at least one bit")
             if head == "qreg":
                 if self.qreg_name is not None:
                     raise QasmError(line, "duplicate register declaration")
@@ -173,6 +176,12 @@ class _Parser:
         if (ms.group(2) is None) != (md.group(2) is None):
             raise QasmError(line, "measure must map register to register or bit to bit")
         if ms.group(2) is None:
+            if self.creg_size != self.qreg_size:
+                raise QasmError(
+                    line,
+                    f"measure {ms.group(1)} -> {md.group(1)}: register sizes differ "
+                    f"({self.qreg_size} vs {self.creg_size})",
+                )
             for q in range(self.qreg_size):
                 if q not in self.measured:
                     self.measured.append(q)
@@ -183,6 +192,10 @@ class _Parser:
             raise QasmError(line, f"qubit index {q} out of range")
         if b >= self.creg_size:
             raise QasmError(line, f"bit index {b} out of range")
+        if b != q:
+            raise QasmError(
+                line, f"measure {ms.group(1)}[{q}] -> {md.group(1)}[{b}]: bit i must measure qubit i"
+            )
         if q not in self.measured:
             self.measured.append(q)
 

@@ -7,8 +7,11 @@ the block unitary up to global phase before it can be returned.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
+from . import netlsd
 from .circuit import Circuit, Gate, GateKind, gate_counts
 from .kak import KakTerms, kak_decompose
 from .linalg import (
@@ -21,13 +24,16 @@ from .linalg import (
     ry_matrix,
     rz_matrix,
 )
-from .netlsd import circuit_signature, netlsd_divergence
+from .netlsd import HeatSignature, netlsd_divergence
 from .partition import Block, block_unitary, to_local_circuit
 
 RZ_TRIVIAL_TOL = 1e-12
 CLASS_TOL = 1e-10
 DRESS_MARGIN = 0.1
 CANDIDATE_TOL = 1e-9  # each candidate's unitary check, up to global phase
+SIGNATURE_MEMO_ENTRIES = 1024  # about 2 kB of traces each; the grid is shared
+_GRID = netlsd.default_grid()
+_GRID.setflags(write=False)
 
 
 class SynthesisError(RuntimeError):
@@ -86,13 +92,23 @@ def euler_1q(u: np.ndarray, wire: int = 0) -> list[Gate]:
     Uses U ~ RZ(phi) RY(theta) RZ(lam) and RY(theta) ~ RZ(pi) SX RZ(theta+pi)
     SX after phase juggling; at most 2 SX gates survive.
     """
+    gates = _euler_gates(u, wire)
+    # with all three RZ non-trivial, no RZ is dropped or merged and each SX
+    # stands alone, so the peephole pass would return the five gates as they are
+    if len(gates) == 5 and not any(_rz_is_trivial(g.angle) for g in gates[::2]):
+        return gates
+    return peephole_1q(gates)
+
+
+def _euler_gates(u: np.ndarray, wire: int) -> list[Gate]:
+    """euler_1q before its peephole pass: one RZ for a diagonal u, else
+    RZ(lam) SX RZ(theta + pi) SX RZ(phi + pi)."""
     u = np.asarray(u, dtype=complex)
     det = np.linalg.det(u)
     up = u / np.sqrt(det)
     a, b = up[0, 0], up[1, 0]
     if abs(b) < 1e-13:
-        gates = [Gate(GateKind.RZ, (wire,), -2 * float(np.angle(a)))]
-        return peephole_1q(gates)
+        return [Gate(GateKind.RZ, (wire,), -2 * float(np.angle(a)))]
     theta = 2 * float(np.arctan2(abs(b), abs(a)))
     if abs(a) < 1e-13:
         phi, lam = 2 * float(np.angle(b)), 0.0
@@ -101,14 +117,13 @@ def euler_1q(u: np.ndarray, wire: int = 0) -> list[Gate]:
         diff = 2 * float(np.angle(b))
         phi = (total + diff) / 2
         lam = (total - diff) / 2
-    gates = [
+    return [
         Gate(GateKind.RZ, (wire,), lam),
         Gate(GateKind.SX, (wire,)),
         Gate(GateKind.RZ, (wire,), theta + np.pi),
         Gate(GateKind.SX, (wire,)),
         Gate(GateKind.RZ, (wire,), phi + np.pi),
     ]
-    return peephole_1q(gates)
 
 
 def minimal_cx_count(c: np.ndarray) -> int:
@@ -265,9 +280,35 @@ def select_candidate(cands: list[Circuit], original_block: Block, shortlist: int
     kept = ranked[:shortlist]
     if len(kept) == 1:
         return cands[kept[0]]
-    reference = circuit_signature(to_local_circuit(original_block))
-    best = max(kept, key=lambda i: netlsd_divergence(cands[i], reference))
+    reference = fragment_signature(to_local_circuit(original_block))
+    best = max(
+        kept, key=lambda i: netlsd_divergence(fragment_signature(cands[i]), reference)
+    )
     return cands[best]
+
+
+def fragment_signature(c: Circuit) -> HeatSignature:
+    """Heat signature of c on the default grid, memoized by wire structure.
+
+    to_dag's edges, and so the signature, depend only on the wire count and
+    on which wires each gate touches, never on gate kinds or angles, and an
+    encode meets few distinct structures, so most lookups hit. The returned
+    arrays are read-only and shared."""
+    return _wire_signature(c.num_qubits, tuple(g.qubits for g in c.gates))
+
+
+@functools.lru_cache(maxsize=SIGNATURE_MEMO_ENTRIES)
+def _wire_signature(num_qubits: int, wires: tuple[tuple[int, ...], ...]) -> HeatSignature:
+    # X and CX stand in for the gates: any gates on the same wires give the
+    # same DAG edges. Looked up in netlsd at call time, so tracing and tests
+    # see each miss.
+    stand_in = Circuit(
+        num_qubits,
+        tuple(Gate(GateKind.CX if len(w) == 2 else GateKind.X, w) for w in wires),
+    )
+    sig = netlsd.circuit_signature(stand_in, _GRID)
+    sig.traces.setflags(write=False)
+    return sig
 
 
 def synthesize_block(b: Block, k: int, shortlist: int, seed: int) -> Circuit:

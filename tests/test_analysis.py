@@ -124,6 +124,7 @@ def test_compare_populates_fields():
     assert r.cx_delta == 0 and r.depth_delta <= 0
     assert r.netlsd > r.netlsd_x_only > 0
     assert r.wall_times["encode_seconds"] > 0
+    assert r.wall_times["x_only_baseline_seconds"] > 0
 
 
 def test_compare_structural_only_skips_simulation():

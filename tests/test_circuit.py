@@ -1,3 +1,6 @@
+import math
+import re
+
 import pytest
 from hypothesis import given
 
@@ -32,6 +35,39 @@ def test_gate_angle_rules():
         Gate(GateKind.RZ, (0,), float("nan"))
     with pytest.raises(ValueError):
         Gate(GateKind.X, (0,), 1.0)
+
+
+@pytest.mark.parametrize(
+    "kind,qubits,angle,message",
+    [
+        (GateKind.X, (0, 1), None, "x takes 1 qubit(s), got (0, 1)"),
+        (GateKind.SX, (), None, "sx takes 1 qubit(s), got ()"),
+        (GateKind.RZ, (0, 1), 0.5, "rz takes 1 qubit(s), got (0, 1)"),
+        (GateKind.CX, (0,), None, "cx takes 2 qubit(s), got (0,)"),
+        (GateKind.CX, (0, 1, 2), None, "cx takes 2 qubit(s), got (0, 1, 2)"),
+        (GateKind.CX, (1, 1), None, "duplicate qubit operands in cx(1, 1)"),
+        (GateKind.RZ, (0,), None, "rz needs a finite angle, got None"),
+        (GateKind.RZ, (0,), math.nan, "rz needs a finite angle, got nan"),
+        (GateKind.RZ, (0,), math.inf, "rz needs a finite angle, got inf"),
+        (GateKind.RX, (0,), None, "rx needs a finite angle, got None"),
+        (GateKind.RX, (0,), math.nan, "rx needs a finite angle, got nan"),
+        (GateKind.RX, (0,), -math.inf, "rx needs a finite angle, got -inf"),
+        (GateKind.X, (0,), 1.0, "x takes no angle"),
+        (GateKind.SX, (0,), 0.0, "sx takes no angle"),
+        (GateKind.CX, (0, 1), 0.5, "cx takes no angle"),
+    ],
+)
+def test_gate_rule_table(kind, qubits, angle, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        Gate(kind, qubits, angle)
+
+
+def test_gate_operands_normalised_and_kind_checked():
+    g = Gate(GateKind.CX, [0, 1])
+    assert type(g.qubits) is tuple and g == cx(0, 1)
+    assert Gate(GateKind.RX, [2], 0.5).qubits == (2,)
+    with pytest.raises(TypeError, match="GateKind"):
+        Gate("x", (0,))
 
 
 def test_angles_stored_verbatim():

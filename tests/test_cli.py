@@ -203,6 +203,18 @@ def test_exit_code_bad_qasm_angle(tmp_path, capsys, caplog):
     assert not out.exists() and not key.exists()
 
 
+def test_exit_code_empty_qreg(tmp_path, capsys, caplog):
+    bad = tmp_path / "zero.qasm"
+    bad.write_text("OPENQASM 2.0;\nqreg q[0];\n")
+    out, key = tmp_path / "enc.qasm", tmp_path / "key.json"
+    rc = main(["encode", str(bad), str(out), str(key)])
+    capsys.readouterr()
+    assert rc == 1
+    errors = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
+    assert errors == ["line 2: register q[0] must have at least one bit"]
+    assert not out.exists() and not key.exists()
+
+
 GOOD_KEY = {"version": 1, "num_qubits": 2, "flip_mask": "01", "seed": 0, "rx_pairs": []}
 GOOD_DIST = {"kind": "counts", "num_bits": 2, "outcomes": {"01": 3}}
 

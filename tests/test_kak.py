@@ -3,7 +3,15 @@ import pytest
 from hypothesis import given, settings
 from scipy.linalg import expm
 
-from qcloak.kak import KakTerms, canonical_matrix, kak_decompose, kak_reconstruct
+from qcloak.kak import (
+    MAGIC,
+    MAGIC_H,
+    KakTerms,
+    _factor_kron_2x2,
+    canonical_matrix,
+    kak_decompose,
+    kak_reconstruct,
+)
 from qcloak.linalg import CX_MATRIX, PAULI_X, PAULI_Y, PAULI_Z, is_unitary
 from strategies import unitaries
 
@@ -95,3 +103,42 @@ def test_decompose_reconstruct_property(u):
     for m in (*t.left_locals, *t.right_locals):
         assert is_unitary(m, 1e-9)
     assert -np.pi - 1e-12 < t.global_phase <= np.pi + 1e-12
+
+
+def _factor_one(g):
+    """Per-matrix reference for _factor_kron_2x2 on one tensor product."""
+    m = g.reshape(2, 2, 2, 2).transpose(0, 2, 1, 3).reshape(4, 4)
+    u, s, vh = np.linalg.svd(m)
+    g1 = u[:, 0].reshape(2, 2) * np.sqrt(s[0])
+    g0 = vh[0, :].reshape(2, 2) * np.sqrt(s[0])
+    g1 = g1 / np.sqrt(np.linalg.det(g1))
+    g0 = g0 / np.sqrt(np.linalg.det(g0))
+    frame = np.kron(g1, g0)
+    idx = np.unravel_index(np.argmax(np.abs(frame)), frame.shape)
+    return g1, g0, float(np.angle(g[idx] / frame[idx]))
+
+
+def _special_orthogonal(rng):
+    q = np.linalg.qr(rng.normal(size=(4, 4)))[0]
+    if np.linalg.det(q) < 0:
+        q[:, 0] = -q[:, 0]
+    return q
+
+
+def test_stacked_frame_factorization_is_bit_identical_to_per_matrix():
+    # the emitted angles derive from these bits, so stacking both frames into
+    # one matmul, SVD and det must not move any of them
+    rng = np.random.default_rng(5)
+    for _ in range(50):
+        # o1 is the real part of a complex array and o2 a transpose, as in
+        # _raw_decompose
+        o1 = (_special_orthogonal(rng) + 0j).real
+        o2 = _special_orthogonal(rng).T
+        frames = MAGIC @ np.stack((o1, o2)) @ MAGIC_H
+        for o, frame in zip((o1, o2), frames):
+            assert np.array_equal(frame, MAGIC @ o @ MAGIC.conj().T)
+        for got, frame in zip(_factor_kron_2x2(frames), frames):
+            want = _factor_one(frame)
+            assert np.array_equal(got[0], want[0])
+            assert np.array_equal(got[1], want[1])
+            assert got[2] == want[2]

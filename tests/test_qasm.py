@@ -73,6 +73,14 @@ def test_parse_errors():
         parse_qasm("OPENQASM 3.0;\nqreg q[1];\n")
     with pytest.raises(QasmError, match="unknown register"):
         parse_qasm("qreg q[1];\nx r[0];\n")
+    with pytest.raises(QasmError, match=r"^line 1: register q\[0\] must have at least one bit$"):
+        parse_qasm("qreg q[0];\n")
+    with pytest.raises(QasmError, match=r"^line 2: register c\[0\] must have at least one bit$"):
+        parse_qasm("qreg q[2];\ncreg c[0];\n")
+    with pytest.raises(QasmError, match=r"^line 3: measure q -> c: register sizes differ \(2 vs 3\)$"):
+        parse_qasm("qreg q[2];\ncreg c[3];\nmeasure q -> c;\n")
+    with pytest.raises(QasmError, match=r"^line 3: measure q\[1\] -> c\[0\]: bit i must measure qubit i$"):
+        parse_qasm("qreg q[2];\ncreg c[2];\nmeasure q[1] -> c[0];\n")
 
 
 def test_serialize_golden():

@@ -1,8 +1,11 @@
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qcloak.netlsd
+import qcloak.synthesis
+from qcloak.bench import gen_random_blocks
 from qcloak.circuit import Circuit, GateKind, cx, gate_counts, rz, sx, x
 from qcloak.kak import kak_decompose
 from qcloak.linalg import (
@@ -10,11 +13,15 @@ from qcloak.linalg import (
     circuit_unitary,
     equal_up_to_global_phase,
     rx_matrix,
+    ry_matrix,
     rz_matrix,
 )
-from qcloak.partition import Block, block_unitary
+from qcloak.netlsd import circuit_signature
+from qcloak.partition import Block, block_unitary, form_blocks, to_local_circuit
 from qcloak.synthesis import (
+    _euler_gates,
     euler_1q,
+    fragment_signature,
     generate_candidates,
     minimal_cx_count,
     peephole_1q,
@@ -64,6 +71,25 @@ def test_euler_basis_is_rz_sx_x():
     gates = euler_1q(rx_matrix(0.9))
     assert set(g.kind for g in gates) <= {GateKind.RZ, GateKind.SX, GateKind.X}
     assert len(gates) <= 5
+
+
+@given(unitaries(dim=2))
+@settings(max_examples=150, deadline=None)
+def test_euler_skips_peephole_only_where_it_is_the_identity(u):
+    assert euler_1q(u) == peephole_1q(_euler_gates(u, 0))
+
+
+@pytest.mark.parametrize("eps", [0.0, 1e-13, -1e-13, 1e-11])
+@pytest.mark.parametrize(
+    "phi,theta,lam",
+    [(0.7, np.pi, 0.4), (0.7, 1.1, 0.0), (-np.pi, 1.1, 0.4), (-np.pi, np.pi, 0.0)],
+    ids=["theta_pi", "lam_0", "phi_minus_pi", "all_three"],
+)
+def test_euler_fast_path_at_trivial_rz_edges(phi, theta, lam, eps):
+    u = rz_matrix(phi + eps) @ ry_matrix(theta + eps) @ rz_matrix(lam + eps)
+    gates = euler_1q(u)
+    assert gates == peephole_1q(_euler_gates(u, 0))
+    assert equal_up_to_global_phase(_u1(Circuit(1, tuple(gates))), u, 1e-9)
 
 
 @given(unitaries(dim=2))
@@ -151,11 +177,36 @@ def test_select_candidate_signs_reference_block_once(monkeypatch):
         return real(d, *args, **kwargs)
 
     monkeypatch.setattr(qcloak.netlsd, "netlsd_signature", counting)
+    qcloak.synthesis._wire_signature.cache_clear()
     b = Block((0, 1), (sx(0), cx(0, 1), rz(0.8, 1), cx(1, 0)), 3)
     shortlist = 3
-    select_candidate(generate_candidates(b, 3, 12), b, shortlist)
-    # one reference signature plus one per shortlisted candidate
-    assert len(calls) == 1 + shortlist
+    cands = generate_candidates(b, 3, 12)
+    first = select_candidate(cands, b, shortlist)
+    # at most one reference signature plus one per shortlisted candidate
+    assert 1 <= len(calls) <= 1 + shortlist
+    calls.clear()
+    assert select_candidate(cands, b, shortlist) == first
+    assert calls == []
+
+
+def test_fragment_signature_memo_matches_fresh_signature():
+    qcloak.synthesis._wire_signature.cache_clear()
+    c = gen_random_blocks(16, 30, seed=1)
+    frags = []
+    for b in form_blocks(c).blocks:
+        frags.append(to_local_circuit(b))
+        frags.extend(generate_candidates(b, 3, 4))
+    for frag in frags:
+        memo = fragment_signature(frag)
+        fresh = circuit_signature(frag)
+        assert np.array_equal(memo.timescales, fresh.timescales)
+        assert np.array_equal(memo.traces, fresh.traces)
+    assert qcloak.synthesis._wire_signature.cache_info().hits > 0
+    memo = fragment_signature(frags[0])
+    with pytest.raises(ValueError, match="read-only"):
+        memo.traces[0] = 0.0
+    with pytest.raises(ValueError, match="read-only"):
+        memo.timescales[0] = 0.0
 
 
 def test_synthesize_block_end_to_end():
