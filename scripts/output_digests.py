@@ -5,7 +5,11 @@ Two source trees that write identical files give byte-identical encoded
 circuits, keys, baselines, compare reports and heat-trace signatures on these
 inputs, so a change that must not move an output bit is checked with `cmp`:
 
-    PYTHONHASHSEED=0 OPENBLAS_NUM_THREADS=1 python3 scripts/output_digests.py out.json
+    PYTHONHASHSEED=0 python3 scripts/output_digests.py out.json
+
+BLAS thread counts move the last bits of dense products, so the script pins
+OPENBLAS_NUM_THREADS, OMP_NUM_THREADS and MKL_NUM_THREADS to 1 unless they
+are already set.
 
 Digested outputs:
 - encoded QASM and key JSON of every desk circuit, add9_sum (add9 measuring
@@ -23,6 +27,10 @@ import json
 import os
 import sys
 from dataclasses import replace
+
+# Before numpy loads, as perfbench pins its own.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 

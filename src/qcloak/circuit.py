@@ -92,8 +92,8 @@ class Circuit:
         if self.num_qubits < 1:
             raise ValueError("num_qubits must be positive")
         for g in self.gates:
-            if max(g.qubits) >= self.num_qubits:
-                raise ValueError(f"gate {g} exceeds num_qubits={self.num_qubits}")
+            if min(g.qubits) < 0 or max(g.qubits) >= self.num_qubits:
+                raise ValueError(f"gate {g} acts outside qubits 0..{self.num_qubits - 1}")
         if len(set(self.measured_qubits)) != len(self.measured_qubits):
             raise ValueError("duplicate measured qubit")
         for q in self.measured_qubits:

@@ -17,17 +17,10 @@ class CircuitDag:
     num_qubits: int
     num_gates: int
     edges: tuple[tuple[int, int], ...]
-    cx_nodes: frozenset[int]
 
     @property
     def num_nodes(self) -> int:
         return self.num_gates + 2 * self.num_qubits
-
-    def source(self, wire: int) -> int:
-        return self.num_gates + wire
-
-    def sink(self, wire: int) -> int:
-        return self.num_gates + self.num_qubits + wire
 
 
 def to_dag(c: Circuit) -> CircuitDag:
@@ -35,16 +28,13 @@ def to_dag(c: Circuit) -> CircuitDag:
     n = c.num_qubits
     front = [g + w for w in range(n)]
     edges = []
-    cx_nodes = set()
     for i, gate in enumerate(c.gates):
-        if gate.kind is GateKind.CX:
-            cx_nodes.add(i)
         for w in gate.qubits:
             edges.append((front[w], i))
             front[w] = i
     for w in range(n):
         edges.append((front[w], g + n + w))
-    return CircuitDag(n, g, tuple(edges), frozenset(cx_nodes))
+    return CircuitDag(n, g, tuple(edges))
 
 
 def cx_depth(c: Circuit) -> int:

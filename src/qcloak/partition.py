@@ -119,14 +119,15 @@ def reassemble(p: BlockPartition, replacements: dict[int, Circuit]) -> Circuit:
     replacements maps a block's order_index to a fragment over that block's
     local wires. A block's fragment is spread over the block's original gate
     slots, so identity replacements reproduce the original circuit exactly
-    and per-wire gate order across blocks is always preserved.
+    and per-wire gate order across blocks is always preserved. Every block
+    owns at least one slot, as every block form_blocks or inject_rx_pairs
+    makes does.
     """
     slots: dict[int, list[int]] = {}
     for gate_idx, (order, _pos) in enumerate(p.provenance):
         slots.setdefault(order, []).append(gate_idx)
 
     emitted: list[list[Gate]] = [[] for _ in range(len(p.provenance))]
-    appended: list[Gate] = []
     for b in p.blocks:
         frag = replacements.get(b.order_index)
         if frag is None:
@@ -140,10 +141,7 @@ def reassemble(p: BlockPartition, replacements: dict[int, Circuit]) -> Circuit:
                 Gate(g.kind, tuple(b.qubits[w] for w in g.qubits), g.angle)
                 for g in frag.gates
             ]
-        block_slots = slots.get(b.order_index, [])
-        if not block_slots:
-            appended.extend(gates)
-            continue
+        block_slots = slots[b.order_index]
         m, ell = len(gates), len(block_slots)
         for k, slot in enumerate(block_slots):
             emitted[slot] = gates[(k * m) // ell : ((k + 1) * m) // ell]
@@ -151,5 +149,4 @@ def reassemble(p: BlockPartition, replacements: dict[int, Circuit]) -> Circuit:
     out: list[Gate] = []
     for chunk in emitted:
         out.extend(chunk)
-    out.extend(appended)
     return Circuit(p.num_qubits, tuple(out), p.measured_qubits)

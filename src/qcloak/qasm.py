@@ -18,6 +18,7 @@ _FLOAT_RE = re.compile(r"^[+-]?(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?$")
 _PI_RE = re.compile(r"^([+-])?(?:(\d+\.?\d*|\.\d+)\s*\*\s*)?pi(?:\s*/\s*(\d+\.?\d*|\.\d+))?$")
 _REG_RE = re.compile(r"^(qreg|creg)\s+([A-Za-z_][A-Za-z0-9_]*)\s*\[\s*(\d+)\s*\]$")
 _OPERAND_RE = re.compile(r"^([A-Za-z_][A-Za-z0-9_]*)\s*(?:\[\s*(\d+)\s*\])?$")
+_COMMENT_RE = re.compile(r"//[^\n]*")
 
 
 class QasmError(ValueError):
@@ -48,36 +49,21 @@ def _parse_angle(text: str, line: int) -> float:
 
 
 def _statements(text: str):
-    """Yield (line_number, statement) pairs, stripping comments."""
-    buf = []
-    stmt_line = None
+    """Yield (line_number, statement) pairs, stripping comments.
+
+    A statement's line is that of its first non-blank character; newlines
+    inside a statement read as spaces."""
+    parts = _COMMENT_RE.sub("", text).split(";")
     line = 1
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch == "/" and text[i : i + 2] == "//":
-            while i < len(text) and text[i] != "\n":
-                i += 1
+    for k, part in enumerate(parts):
+        stmt = part.strip().replace("\n", " ")
+        start = line + part[: len(part) - len(part.lstrip())].count("\n")
+        line += part.count("\n")
+        if not stmt:
             continue
-        if ch == "\n":
-            line += 1
-            i += 1
-            buf.append(" ")
-            continue
-        if ch == ";":
-            stmt = "".join(buf).strip()
-            if stmt:
-                yield stmt_line if stmt_line is not None else line, stmt
-            buf = []
-            stmt_line = None
-            i += 1
-            continue
-        if stmt_line is None and not ch.isspace():
-            stmt_line = line
-        buf.append(ch)
-        i += 1
-    if "".join(buf).strip():
-        raise QasmError(stmt_line, f"statement missing ';': '{''.join(buf).strip()}'")
+        if k == len(parts) - 1:
+            raise QasmError(start, f"statement missing ';': '{stmt}'")
+        yield start, stmt
 
 
 class _Parser:

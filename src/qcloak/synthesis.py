@@ -1,8 +1,11 @@
 """Block resynthesis: Euler one-qubit decomposition, minimal-CX two-qubit
 templates driven by Weyl coordinates, candidate generation, and selection.
 
-Emitted fragments use only {RZ, SX, X, CX}. Every candidate is checked against
-the block unitary up to global phase before it can be returned.
+Emitted fragments use only {RZ, SX, X, CX}. A one-qubit segment is emitted
+in final form in one pass: RZ SX RZ SX RZ without its trivial RZ (a multiple
+of 2*pi within RZ_TRIVIAL_TOL), one X for SX RZ SX around a trivial middle
+RZ, one RZ or nothing for a diagonal segment. Every candidate is checked
+against the block unitary up to global phase before it can be returned.
 """
 
 from __future__ import annotations
@@ -45,70 +48,25 @@ def _rz_is_trivial(theta: float) -> bool:
     return min(r, 2 * np.pi - r) < RZ_TRIVIAL_TOL
 
 
-def peephole_1q(gates: list[Gate]) -> list[Gate]:
-    """Fixpoint of: drop trivial RZ, merge adjacent RZ, collapse four SX in a
-    row, rewrite an SX pair as X. All gates must share one wire."""
-    gs = list(gates)
-    changed = True
-    while changed:
-        changed = False
-        out: list[Gate] = []
-        for g in gs:
-            if g.kind is GateKind.RZ and _rz_is_trivial(g.angle):
-                changed = True
-                continue
-            if g.kind is GateKind.RZ and out and out[-1].kind is GateKind.RZ:
-                out[-1] = Gate(GateKind.RZ, g.qubits, out[-1].angle + g.angle)
-                changed = True
-                continue
-            out.append(g)
-        gs = out
-        out = []
-        i = 0
-        while i < len(gs):
-            run = 0
-            while i + run < len(gs) and gs[i + run].kind is GateKind.SX:
-                run += 1
-            if run >= 4:
-                out.extend(gs[i : i + run - 4])
-                changed = True
-                i += run
-                continue
-            if run >= 2:
-                out.append(Gate(GateKind.X, gs[i].qubits))
-                out.extend(gs[i + 2 : i + run])
-                changed = True
-                i += run
-                continue
-            out.append(gs[i])
-            i += 1
-        gs = out
-    return gs
+def _rz_unless_trivial(theta: float, wire: int) -> list[Gate]:
+    return [] if _rz_is_trivial(theta) else [Gate(GateKind.RZ, (wire,), theta)]
 
 
 def euler_1q(u: np.ndarray, wire: int = 0) -> list[Gate]:
-    """ZXZXZ decomposition of a 2x2 unitary (up to global phase), peepholed.
+    """ZXZXZ decomposition of a 2x2 unitary, up to global phase.
 
     Uses U ~ RZ(phi) RY(theta) RZ(lam) and RY(theta) ~ RZ(pi) SX RZ(theta+pi)
-    SX after phase juggling; at most 2 SX gates survive.
+    SX after phase juggling, and emits RZ(lam) SX RZ(theta + pi) SX
+    RZ(phi + pi) with each trivial outer RZ left out and, when the middle RZ
+    is trivial, one X in place of SX RZ SX. A diagonal u gives one RZ, or no
+    gate if that RZ is trivial.
     """
-    gates = _euler_gates(u, wire)
-    # with all three RZ non-trivial, no RZ is dropped or merged and each SX
-    # stands alone, so the peephole pass would return the five gates as they are
-    if len(gates) == 5 and not any(_rz_is_trivial(g.angle) for g in gates[::2]):
-        return gates
-    return peephole_1q(gates)
-
-
-def _euler_gates(u: np.ndarray, wire: int) -> list[Gate]:
-    """euler_1q before its peephole pass: one RZ for a diagonal u, else
-    RZ(lam) SX RZ(theta + pi) SX RZ(phi + pi)."""
     u = np.asarray(u, dtype=complex)
     det = np.linalg.det(u)
     up = u / np.sqrt(det)
     a, b = up[0, 0], up[1, 0]
     if abs(b) < 1e-13:
-        return [Gate(GateKind.RZ, (wire,), -2 * float(np.angle(a)))]
+        return _rz_unless_trivial(-2 * float(np.angle(a)), wire)
     theta = 2 * float(np.arctan2(abs(b), abs(a)))
     if abs(a) < 1e-13:
         phi, lam = 2 * float(np.angle(b)), 0.0
@@ -117,13 +75,13 @@ def _euler_gates(u: np.ndarray, wire: int) -> list[Gate]:
         diff = 2 * float(np.angle(b))
         phi = (total + diff) / 2
         lam = (total - diff) / 2
-    return [
-        Gate(GateKind.RZ, (wire,), lam),
-        Gate(GateKind.SX, (wire,)),
-        Gate(GateKind.RZ, (wire,), theta + np.pi),
-        Gate(GateKind.SX, (wire,)),
-        Gate(GateKind.RZ, (wire,), phi + np.pi),
-    ]
+    middle = theta + np.pi
+    if _rz_is_trivial(middle):
+        core = [Gate(GateKind.X, (wire,))]
+    else:
+        sx = Gate(GateKind.SX, (wire,))
+        core = [sx, Gate(GateKind.RZ, (wire,), middle), sx]
+    return _rz_unless_trivial(lam, wire) + core + _rz_unless_trivial(phi + np.pi, wire)
 
 
 def minimal_cx_count(c: np.ndarray) -> int:
@@ -232,9 +190,13 @@ def _candidate_1q(u: np.ndarray, rng: np.random.Generator | None) -> Circuit:
     if rng is None:
         return Circuit(1, tuple(euler_1q(u, 0)))
     psi = rng.uniform(DRESS_MARGIN, 2 * np.pi - DRESS_MARGIN)
-    gates = [Gate(GateKind.RZ, (0,), psi)]
-    gates.extend(euler_1q(u @ rz_matrix(-psi), 0))
-    return Circuit(1, tuple(peephole_1q(gates)))
+    gates = euler_1q(u @ rz_matrix(-psi), 0)
+    # the dressing RZ(psi) runs first, so it folds into a leading RZ
+    if gates and gates[0].kind is GateKind.RZ:
+        gates[:1] = _rz_unless_trivial(psi + gates[0].angle, 0)
+    else:
+        gates.insert(0, Gate(GateKind.RZ, (0,), psi))
+    return Circuit(1, tuple(gates))
 
 
 def _candidate_2q(u: np.ndarray, rng: np.random.Generator | None) -> Circuit:

@@ -4,7 +4,10 @@ import numpy as np
 from hypothesis import strategies as st
 from scipy.stats import unitary_group
 
-from qcloak.circuit import Circuit, Gate, cx, rx, rz, sx, x
+from qcloak.circuit import Circuit, Gate, GateKind, cx, rx, rz, sx, x
+from qcloak.linalg import rz_matrix
+from qcloak.qasm import QasmError
+from qcloak.synthesis import DRESS_MARGIN, _rz_is_trivial
 
 ANGLES = st.floats(min_value=-6.3, max_value=6.3, allow_nan=False)
 
@@ -57,6 +60,124 @@ def one_qubit_runs(draw, max_qubits=6, min_gates=40):
 def unitaries(draw, dim=4):
     seed = draw(st.integers(0, 2**31 - 1))
     return unitary_group.rvs(dim, random_state=np.random.default_rng(seed))
+
+
+def peephole_1q(gates: list[Gate]) -> list[Gate]:
+    """Reference one-qubit rewriter: fixpoint of drop trivial RZ, merge
+    adjacent RZ, collapse four SX in a row, rewrite an SX pair as X. All
+    gates must share one wire."""
+    gs = list(gates)
+    changed = True
+    while changed:
+        changed = False
+        out: list[Gate] = []
+        for g in gs:
+            if g.kind is GateKind.RZ and _rz_is_trivial(g.angle):
+                changed = True
+                continue
+            if g.kind is GateKind.RZ and out and out[-1].kind is GateKind.RZ:
+                out[-1] = Gate(GateKind.RZ, g.qubits, out[-1].angle + g.angle)
+                changed = True
+                continue
+            out.append(g)
+        gs = out
+        out = []
+        i = 0
+        while i < len(gs):
+            run = 0
+            while i + run < len(gs) and gs[i + run].kind is GateKind.SX:
+                run += 1
+            if run >= 4:
+                out.extend(gs[i : i + run - 4])
+                changed = True
+                i += run
+                continue
+            if run >= 2:
+                out.append(Gate(GateKind.X, gs[i].qubits))
+                out.extend(gs[i + 2 : i + run])
+                changed = True
+                i += run
+                continue
+            out.append(gs[i])
+            i += 1
+        gs = out
+    return gs
+
+
+def raw_euler_gates(u: np.ndarray, wire: int = 0) -> list[Gate]:
+    """Euler angles of u emitted without any rewrite: one RZ for a diagonal
+    u, else RZ(lam) SX RZ(theta + pi) SX RZ(phi + pi)."""
+    u = np.asarray(u, dtype=complex)
+    det = np.linalg.det(u)
+    up = u / np.sqrt(det)
+    a, b = up[0, 0], up[1, 0]
+    if abs(b) < 1e-13:
+        return [Gate(GateKind.RZ, (wire,), -2 * float(np.angle(a)))]
+    theta = 2 * float(np.arctan2(abs(b), abs(a)))
+    if abs(a) < 1e-13:
+        phi, lam = 2 * float(np.angle(b)), 0.0
+    else:
+        total = -2 * float(np.angle(a))
+        diff = 2 * float(np.angle(b))
+        phi = (total + diff) / 2
+        lam = (total - diff) / 2
+    return [
+        Gate(GateKind.RZ, (wire,), lam),
+        Gate(GateKind.SX, (wire,)),
+        Gate(GateKind.RZ, (wire,), theta + np.pi),
+        Gate(GateKind.SX, (wire,)),
+        Gate(GateKind.RZ, (wire,), phi + np.pi),
+    ]
+
+
+def rewritten_euler_1q(u: np.ndarray, wire: int = 0) -> list[Gate]:
+    """Reference for synthesis.euler_1q: the raw Euler run, rewritten."""
+    return peephole_1q(raw_euler_gates(u, wire))
+
+
+def rewritten_candidate_1q(u: np.ndarray, rng: np.random.Generator | None) -> Circuit:
+    """Reference for synthesis._candidate_1q: RZ(psi) prepended to the
+    reference Euler run of u RZ(-psi), rewritten, with the same RNG draw."""
+    if rng is None:
+        return Circuit(1, tuple(rewritten_euler_1q(u, 0)))
+    psi = rng.uniform(DRESS_MARGIN, 2 * np.pi - DRESS_MARGIN)
+    gates = [Gate(GateKind.RZ, (0,), psi)]
+    gates.extend(rewritten_euler_1q(u @ rz_matrix(-psi), 0))
+    return Circuit(1, tuple(peephole_1q(gates)))
+
+
+def loop_statements(text: str):
+    """Reference QASM tokenizer, one character at a time: yields
+    (line_number, statement) pairs like qasm._statements."""
+    buf = []
+    stmt_line = None
+    line = 1
+    i = 0
+    while i < len(text):
+        ch = text[i]
+        if ch == "/" and text[i : i + 2] == "//":
+            while i < len(text) and text[i] != "\n":
+                i += 1
+            continue
+        if ch == "\n":
+            line += 1
+            i += 1
+            buf.append(" ")
+            continue
+        if ch == ";":
+            stmt = "".join(buf).strip()
+            if stmt:
+                yield stmt_line if stmt_line is not None else line, stmt
+            buf = []
+            stmt_line = None
+            i += 1
+            continue
+        if stmt_line is None and not ch.isspace():
+            stmt_line = line
+        buf.append(ch)
+        i += 1
+    if "".join(buf).strip():
+        raise QasmError(stmt_line, f"statement missing ';': '{''.join(buf).strip()}'")
 
 
 def _embedding_permutation(qubits: tuple[int, ...], num_qubits: int) -> np.ndarray:

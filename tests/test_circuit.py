@@ -78,12 +78,18 @@ def test_angles_stored_verbatim():
 def test_circuit_validation():
     with pytest.raises(ValueError):
         Circuit(0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"outside qubits 0\.\.1"):
         Circuit(2, (cx(0, 2),))
     with pytest.raises(ValueError):
         Circuit(2, (), (0, 0))
     with pytest.raises(ValueError):
         Circuit(2, (), (2,))
+
+
+@pytest.mark.parametrize("gate", [x(-1), cx(0, -1), cx(-2, 1)], ids=["x", "cx_target", "cx_control"])
+def test_circuit_rejects_negative_qubits(gate):
+    with pytest.raises(ValueError, match=r"outside qubits 0\.\.1"):
+        Circuit(2, (gate,))
 
 
 def test_gate_counts_groups_sx_and_x():

@@ -10,27 +10,26 @@ def test_single_gate_structure():
     # node 0 = gate, 1 = source, 2 = sink
     assert d.num_nodes == 3
     assert set(d.edges) == {(1, 0), (0, 2)}
-    assert d.cx_nodes == frozenset()
 
 
 def test_cx_structure_by_hand():
     # gates: x(0)=node0, cx(0,1)=node1, sx(1)=node2; sources 3,4; sinks 5,6
     d = to_dag(Circuit(2, (x(0), cx(0, 1), sx(1))))
     assert d.num_nodes == 7
-    assert d.source(0) == 3 and d.sink(1) == 6
     assert set(d.edges) == {(3, 0), (0, 1), (4, 1), (1, 2), (1, 5), (2, 6)}
-    assert d.cx_nodes == frozenset({1})
 
 
 def test_empty_circuit_is_wire_pairs():
     d = to_dag(Circuit(3))
     assert d.num_nodes == 6
-    assert set(d.edges) == {(d.source(w), d.sink(w)) for w in range(3)}
+    # sources 0..2, sinks 3..5
+    assert set(d.edges) == {(w, 3 + w) for w in range(3)}
 
 
 @given(circuits(max_qubits=5, max_gates=25))
 def test_gate_degree_equals_arity(c):
     d = to_dag(c)
+    ng, n = c.num_gates, c.num_qubits
     indeg = {v: 0 for v in range(d.num_nodes)}
     outdeg = {v: 0 for v in range(d.num_nodes)}
     for a, b in d.edges:
@@ -38,14 +37,16 @@ def test_gate_degree_equals_arity(c):
         indeg[b] += 1
     for i, g in enumerate(c.gates):
         assert indeg[i] == outdeg[i] == len(g.qubits)
-    for w in range(c.num_qubits):
-        assert indeg[d.source(w)] == 0 and outdeg[d.source(w)] == 1
-        assert indeg[d.sink(w)] == 1 and outdeg[d.sink(w)] == 0
+    for w in range(n):
+        # source of wire w is node ng + w, its sink ng + n + w
+        assert indeg[ng + w] == 0 and outdeg[ng + w] == 1
+        assert indeg[ng + n + w] == 1 and outdeg[ng + n + w] == 0
 
 
 def _cx_depth_reference(c: Circuit) -> int:
     """Longest path in the dag counting only CX nodes, by DP over topo order."""
     d = to_dag(c)
+    cx_nodes = {i for i, g in enumerate(c.gates) if g.kind is GateKind.CX}
     succ = {v: [] for v in range(d.num_nodes)}
     indeg = {v: 0 for v in range(d.num_nodes)}
     for a, b in d.edges:
@@ -58,7 +59,7 @@ def _cx_depth_reference(c: Circuit) -> int:
         v = order.pop()
         out.append(v)
         for w in succ[v]:
-            score[w] = max(score[w], score[v] + (1 if w in d.cx_nodes else 0))
+            score[w] = max(score[w], score[v] + (1 if w in cx_nodes else 0))
             indeg[w] -= 1
             if indeg[w] == 0:
                 order.append(w)

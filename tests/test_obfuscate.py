@@ -103,6 +103,11 @@ def test_rx_pairs_fold_into_blocks():
         assert earlier.gates[-1].kind is GateKind.RX or any(
             g.kind is GateKind.RX and g.angle == r.theta for g in earlier.gates
         )
+    # every block owns at least one slot, so reassemble places every fragment
+    for part in (p, p2):
+        assert {order for order, _pos in part.provenance} == {
+            b.order_index for b in part.blocks
+        }
     # identity reassembly of the folded partition reproduces the new circuit
     reps = {b.order_index: to_local_circuit(b) for b in p2.blocks}
     assert reassemble(p2, reps) == out
@@ -127,6 +132,7 @@ def test_rx_pairs_preserve_unitary_exactly(c):
     out, record, p2 = inject_rx_pairs(c, form_blocks(c), seed=5)
     assert np.allclose(circuit_unitary(out), circuit_unitary(c), atol=1e-12)
     assert sum(len(b.gates) for b in p2.blocks) == out.num_gates
+    assert {order for order, _pos in p2.provenance} == {b.order_index for b in p2.blocks}
     reps = {b.order_index: to_local_circuit(b) for b in p2.blocks}
     assert reassemble(p2, reps) == out
     _assert_pairs_adjacent(out, record)

@@ -1,11 +1,12 @@
 import math
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qcloak.circuit import Circuit, cx, rx, rz, sx, x
-from qcloak.qasm import QasmError, parse_qasm, serialize_qasm
-from strategies import circuits
+from qcloak.qasm import QasmError, _statements, parse_qasm, serialize_qasm
+from strategies import circuits, loop_statements
 
 
 def test_parse_minimal():
@@ -106,3 +107,18 @@ def test_angle_precision_survives_round_trip():
 @given(circuits(max_qubits=5, max_gates=20, measure_all=False))
 def test_round_trip_exact(c):
     assert parse_qasm(serialize_qasm(c)) == c
+
+
+def _tokenized(tokenize, text: str):
+    try:
+        return list(tokenize(text))
+    except QasmError as e:
+        return ("error", e.line, str(e))
+
+
+@given(st.lists(st.sampled_from([";", "/", "//", "\n", "\r\n", "\t", " ", "x", "q[0]"]), max_size=40))
+@settings(max_examples=500)
+def test_statements_match_character_loop(tokens):
+    text = "".join(tokens)
+    assert _tokenized(_statements, text) == _tokenized(loop_statements, text)
+

@@ -19,17 +19,22 @@ from qcloak.linalg import (
 from qcloak.netlsd import circuit_signature
 from qcloak.partition import Block, block_unitary, form_blocks, to_local_circuit
 from qcloak.synthesis import (
-    _euler_gates,
+    DRESS_MARGIN,
+    _candidate_1q,
     euler_1q,
     fragment_signature,
     generate_candidates,
     minimal_cx_count,
-    peephole_1q,
     select_candidate,
     synthesize_block,
     weyl_to_circuit,
 )
-from strategies import unitaries
+from strategies import (
+    peephole_1q,
+    rewritten_candidate_1q,
+    rewritten_euler_1q,
+    unitaries,
+)
 
 
 def _u1(c: Circuit) -> np.ndarray:
@@ -73,23 +78,64 @@ def test_euler_basis_is_rz_sx_x():
     assert len(gates) <= 5
 
 
-@given(unitaries(dim=2))
-@settings(max_examples=150, deadline=None)
-def test_euler_skips_peephole_only_where_it_is_the_identity(u):
-    assert euler_1q(u) == peephole_1q(_euler_gates(u, 0))
+# One-qubit edges where the reference rewriter drops or merges gates: theta
+# near pi (trivial middle RZ, one X), lam near 0 and phi near -pi (trivial
+# outer RZ), a diagonal u (one RZ, or none) and |a| < 1e-13 (antidiagonal u).
+EDGE_UNITARIES = {
+    "theta_pi": lambda e: rz_matrix(0.7 + e) @ ry_matrix(np.pi + e) @ rz_matrix(0.4 + e),
+    "lam_0": lambda e: rz_matrix(0.7 + e) @ ry_matrix(1.1 + e) @ rz_matrix(e),
+    "phi_minus_pi": lambda e: rz_matrix(-np.pi + e) @ ry_matrix(1.1 + e) @ rz_matrix(0.4 + e),
+    "all_three": lambda e: rz_matrix(-np.pi + e) @ ry_matrix(np.pi + e) @ rz_matrix(e),
+    "diagonal": lambda e: rz_matrix(1.3 + e),
+    "diagonal_trivial": lambda e: rz_matrix(e),
+    "a_zero": lambda e: np.array([[e, -1.0], [1.0, e]]) / np.sqrt(1 + e * e),
+}
+EDGE_EPS = [0.0, 1e-13, -1e-13, 1e-11]
 
 
-@pytest.mark.parametrize("eps", [0.0, 1e-13, -1e-13, 1e-11])
-@pytest.mark.parametrize(
-    "phi,theta,lam",
-    [(0.7, np.pi, 0.4), (0.7, 1.1, 0.0), (-np.pi, 1.1, 0.4), (-np.pi, np.pi, 0.0)],
-    ids=["theta_pi", "lam_0", "phi_minus_pi", "all_three"],
+def _dressing_angle(seed: int) -> float:
+    # _candidate_1q's first draw from the same per-seed RNG
+    return np.random.default_rng(seed).uniform(DRESS_MARGIN, 2 * np.pi - DRESS_MARGIN)
+
+
+def _assert_matches_rewriter(u: np.ndarray, seed: int):
+    assert euler_1q(u) == rewritten_euler_1q(u)
+    assert euler_1q(u, 3) == rewritten_euler_1q(u, 3)
+    assert _candidate_1q(u, None) == rewritten_candidate_1q(u, None)
+    # From u RZ(psi) the dressed candidate re-derives u itself: for lam near 0
+    # that run has no leading RZ and RZ(psi) is prepended, while from u the
+    # run starts with RZ(-psi) and the folded RZ is trivial.
+    for v in (u, u @ rz_matrix(_dressing_angle(seed))):
+        got = _candidate_1q(v, np.random.default_rng(seed))
+        assert got == rewritten_candidate_1q(v, np.random.default_rng(seed))
+        assert equal_up_to_global_phase(_u1(got), v, 1e-9)
+
+
+@given(
+    st.one_of(
+        unitaries(dim=2),
+        st.builds(
+            lambda case, e: EDGE_UNITARIES[case](e),
+            st.sampled_from(sorted(EDGE_UNITARIES)),
+            st.sampled_from(EDGE_EPS),
+        ),
+    ),
+    st.integers(0, 2**32 - 1),
 )
-def test_euler_fast_path_at_trivial_rz_edges(phi, theta, lam, eps):
-    u = rz_matrix(phi + eps) @ ry_matrix(theta + eps) @ rz_matrix(lam + eps)
+@settings(max_examples=300, deadline=None)
+def test_one_qubit_emission_matches_rewriter_reference(u, seed):
+    _assert_matches_rewriter(u, seed)
+
+
+@pytest.mark.parametrize("eps", EDGE_EPS)
+@pytest.mark.parametrize("case", sorted(EDGE_UNITARIES))
+def test_euler_fast_path_at_trivial_rz_edges(case, eps):
+    """Every edge at every eps, gate for gate against the reference rewriter."""
+    u = EDGE_UNITARIES[case](eps)
     gates = euler_1q(u)
-    assert gates == peephole_1q(_euler_gates(u, 0))
     assert equal_up_to_global_phase(_u1(Circuit(1, tuple(gates))), u, 1e-9)
+    for seed in range(4):
+        _assert_matches_rewriter(u, seed)
 
 
 @given(unitaries(dim=2))
