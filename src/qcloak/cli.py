@@ -9,6 +9,7 @@ equivalence check during encoding (whole circuit or one block candidate),
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import logging
 import os
@@ -192,7 +193,10 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process. Subcommand functions are
+    not stored in it: main looks each one up by name at call time."""
     parser = _Parser(prog="qcloak", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -201,20 +205,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("output", help="obfuscated QASM file")
     p.add_argument("key", help="key JSON file")
     _add_pipeline_flags(p)
-    p.set_defaults(func=cmd_encode)
 
     p = sub.add_parser("decode", help="apply a key to a measured distribution")
     p.add_argument("distribution", help="distribution JSON file")
     p.add_argument("key", help="key JSON file")
     p.add_argument("output", help="decoded distribution JSON file")
-    p.set_defaults(func=cmd_decode)
 
     p = sub.add_parser("simulate", help="sample a circuit's output distribution")
     p.add_argument("input", help="input QASM file")
     p.add_argument("output", help="counts JSON file")
     p.add_argument("--seed", type=int, default=0)
     _add_sampling_flags(p)
-    p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("compare", help="encode and report metrics vs baseline")
     p.add_argument("input", help="input QASM file")
@@ -230,7 +231,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_pipeline_flags(p)
     _add_sampling_flags(p)
-    p.set_defaults(func=cmd_compare)
 
     p = sub.add_parser("qaoa-demo", help="ring-4 MaxCut case study, all three modes")
     p.add_argument("outdir", help="directory for loss CSVs and final distributions")
@@ -239,7 +239,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--gamma", type=float, default=QAOA_CASE_STUDY_START[0])
     p.add_argument("--beta", type=float, default=QAOA_CASE_STUDY_START[1])
-    p.set_defaults(func=cmd_qaoa_demo)
 
     return parser
 
@@ -248,10 +247,10 @@ def main(argv=None) -> int:
     logging.basicConfig(
         stream=sys.stderr, level=logging.INFO, format="%(levelname)s %(message)s"
     )
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    command = globals()["cmd_" + args.command.replace("-", "_")]
     try:
-        return args.func(args)
+        return command(args)
     except (SynthesisEquivalenceError, SynthesisError) as exc:
         log.error("equivalence check failed: %s", exc)
         return 2

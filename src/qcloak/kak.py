@@ -4,6 +4,16 @@ Any U in U(4) factors as e^{i phi} (l1 x l0) exp(i(c1 XX + c2 YY + c3 ZZ))
 (r1 x r0) with the Weyl coordinates canonicalized into the chamber
 pi/4 >= c1 >= c2 >= |c3|, c2 >= 0. Index convention: locals[w] acts on local
 wire w, and wire 0 is the low-order bit, so kron(l1, l0) is the frame matrix.
+
+kak_decompose_many decomposes one u once per rng, as synthesis does for a
+block's candidates. The unitarity test, det, magic-basis transform and Gram
+matrix are computed once; each rng's first diagonalizer try, the sign fix,
+the eigenphases, the left factor and the frame factorization run as one
+stack, and only a failed try repeats, from its own rng. Stacked eigh, det,
+svd, 4x4 matmul, angle and complex division give each matrix the bits of
+its own call, so every result equals kak_decompose(u, rng). np.abs of a
+complex array does not round as the scalar abs() does, so a magnitude that
+replaces a scalar abs() is computed as np.hypot(z.real, z.imag).
 """
 
 from __future__ import annotations
@@ -35,6 +45,8 @@ _SWAP_CONJ = {
 
 DIAG_TOL = 1e-11
 UNITARY_TOL = 1e-8
+_DIAGONAL = np.arange(4)
+_OFF_DIAGONAL = ~np.eye(4, dtype=bool)
 
 
 @dataclass(frozen=True)
@@ -65,10 +77,11 @@ def kak_reconstruct(t: KakTerms) -> np.ndarray:
     )
 
 
-def _factor_kron_2x2(g: np.ndarray) -> list[tuple[np.ndarray, np.ndarray, float]]:
+def _factor_kron_2x2(g: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Each g[i] = e^{i phase_i} kron(g1_i, g0_i) with det g1_i = det g0_i = 1,
     for a (m, 4, 4) stack of tensor products (the SVD of each rearranged
-    matrix has rank 1). One stacked SVD and one stacked det serve the whole
+    matrix has rank 1). Returns the (m, 2, 2) stacks g1 and g0 and the (m,)
+    phases. One SVD, det, kron product, argmax and angle serve the whole
     stack; each matrix's bits equal those of its own per-matrix call."""
     m = g.reshape(-1, 2, 2, 2, 2).transpose(0, 1, 3, 2, 4).reshape(-1, 4, 4)
     u, s, vh = np.linalg.svd(m)
@@ -77,56 +90,70 @@ def _factor_kron_2x2(g: np.ndarray) -> list[tuple[np.ndarray, np.ndarray, float]
         (u[:, :, 0].reshape(-1, 2, 2) * root, vh[:, 0, :].reshape(-1, 2, 2) * root)
     )
     factors = factors / np.sqrt(np.linalg.det(factors))[:, None, None]
-    out = []
-    for gi, g1, g0 in zip(g, factors[: len(g)], factors[len(g) :]):
-        frame = np.kron(g1, g0)
-        idx = np.unravel_index(np.argmax(np.abs(frame)), frame.shape)
-        out.append((g1, g0, float(np.angle(gi[idx] / frame[idx]))))
-    return out
+    g1, g0 = factors[: len(g)], factors[len(g) :]
+    # np.kron's own multiply, one broadcast over the stack
+    frames = (g1[:, :, None, :, None] * g0[:, None, :, None, :]).reshape(-1, 16)
+    idx = np.argmax(np.abs(frames), axis=1)
+    rows = np.arange(len(g))
+    return g1, g0, np.angle(g.reshape(-1, 16)[rows, idx] / frames[rows, idx])
 
 
-def _raw_decompose(u: np.ndarray, rng: np.random.Generator):
+def _diagonalize(m2: np.ndarray, ab: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvectors of a * Re(m2) + b * Im(m2) for each row (a, b) of ab, and
+    whether each one diagonalizes m2 itself."""
+    a, b = ab[:, 0, None, None], ab[:, 1, None, None]
+    _, cand = np.linalg.eigh(a * m2.real + b * m2.imag)
+    d = np.swapaxes(cand, 1, 2) @ m2 @ cand
+    return cand, np.max(np.abs(d[:, _OFF_DIAGONAL]), axis=1) < DIAG_TOL
+
+
+def _raw_decompose_many(u: np.ndarray, rngs: list[np.random.Generator]):
+    """Uncanonicalized KAK terms of u, one per rng: each rng draws the (a, b)
+    mixes of its own diagonalizer search, so no rng's draws depend on the
+    others'."""
     det = np.linalg.det(u)
     delta = np.angle(det) / 4
     up = u * np.exp(-1j * delta)
-    phase = delta
 
     v = MAGIC_H @ up @ MAGIC
     m2 = v.T @ v
     # m2 is complex symmetric unitary; a real orthogonal diagonalizer always
-    # exists and almost any real mix of Re/Im parts exposes it
-    p = None
-    for _ in range(100):
-        a, b = rng.uniform(-1, 1, 2)
-        _, cand = np.linalg.eigh(a * m2.real + b * m2.imag)
-        d = cand.T @ m2 @ cand
-        if np.max(np.abs(d - np.diag(np.diag(d)))) < DIAG_TOL:
-            p = cand
-            break
-    if p is None:
-        raise ArithmeticError("no real-orthogonal diagonalizer found")
-    if np.linalg.det(p) < 0:
-        p = p.copy()
-        p[:, 0] = -p[:, 0]
-    theta = 0.5 * np.angle(np.diag(p.T @ m2 @ p))
-    # force sum(theta) = 0 so both orthogonal factors land in SO(4)
-    if round(np.sum(theta) / np.pi) % 2 != 0:
-        theta[0] += np.pi
-    if round(np.sum(theta) / (2 * np.pi)) != 0:
-        theta[0] -= np.pi
-        theta[1] -= np.pi
+    # exists and almost any real mix of Re/Im parts exposes it. First tries
+    # run as one stack; only a failed one retries, from its own rng.
+    p, ok = _diagonalize(m2, np.array([rng.uniform(-1, 1, 2) for rng in rngs]))
+    for i in np.flatnonzero(~ok):
+        for _ in range(99):
+            cand, found = _diagonalize(m2, rngs[i].uniform(-1, 1, 2)[None])
+            if found[0]:
+                p[i] = cand[0]
+                break
+        else:
+            raise ArithmeticError("no real-orthogonal diagonalizer found")
+    p[np.linalg.det(p) < 0, :, 0] *= -1
+    theta = 0.5 * np.angle(np.diagonal(np.swapaxes(p, 1, 2) @ m2 @ p, axis1=1, axis2=2))
+    for t in theta:
+        # force sum(t) = 0 so both orthogonal factors land in SO(4)
+        if round(np.sum(t) / np.pi) % 2 != 0:
+            t[0] += np.pi
+        if round(np.sum(t) / (2 * np.pi)) != 0:
+            t[0] -= np.pi
+            t[1] -= np.pi
 
-    o2 = p.T
-    o1 = v @ p @ np.diag(np.exp(-1j * theta))
+    o2 = np.swapaxes(p, 1, 2)
+    phases = np.zeros((len(rngs), 4, 4), dtype=complex)
+    phases[:, _DIAGONAL, _DIAGONAL] = np.exp(-1j * theta)
+    o1 = v @ p @ phases
     if np.max(np.abs(o1.imag)) > 1e-9:
         raise ArithmeticError("left orthogonal factor is not real")
-    o1 = o1.real
 
-    w, c1, c2, c3 = GAMMA @ theta
-    phase += w
-    (l1, l0, pl), (r1, r0, pr) = _factor_kron_2x2(MAGIC @ np.stack((o1, o2)) @ MAGIC_H)
-    phase += pl + pr
-    return phase, l1, l0, np.array([c1, c2, c3]), r1, r0
+    g1, g0, pk = _factor_kron_2x2(MAGIC @ np.concatenate((o1.real, o2)) @ MAGIC_H)
+    out = []
+    for i, t in enumerate(theta):
+        w, c1, c2, c3 = GAMMA @ t
+        j = len(rngs) + i
+        phase = (delta + w) + (pk[i] + pk[j])
+        out.append((phase, g1[i], g0[i], np.array([c1, c2, c3]), g1[j], g0[j]))
+    return out
 
 
 def _canonicalize(phase, l1, l0, c, r1, r0):
@@ -185,19 +212,31 @@ def _canonicalize(phase, l1, l0, c, r1, r0):
     return phase, l1, l0, c, r1, r0
 
 
-def kak_decompose(u: np.ndarray, rng: np.random.Generator | None = None) -> KakTerms:
-    """Canonicalized Cartan decomposition of a 4x4 unitary.
+def kak_decompose_many(
+    u: np.ndarray, rngs: list[np.random.Generator | None]
+) -> list[KakTerms]:
+    """Canonicalized Cartan decompositions of one 4x4 unitary, one per rng.
 
-    The optional rng only varies internal branch choices (eigenvector order
-    and signs); every branch yields a valid decomposition of the same u.
+    An rng only varies internal branch choices (eigenvector order and
+    signs); every branch yields a valid decomposition of the same u. None
+    stands for default_rng(2023), the plain decomposition. Each result
+    equals kak_decompose(u, rng) bit for bit.
     """
     u = np.asarray(u, dtype=complex)
     if u.shape != (4, 4):
         raise ValueError(f"expected a 4x4 matrix, got {u.shape}")
     if not is_unitary(u, tol=UNITARY_TOL):
         raise ValueError("input matrix is not unitary")
-    if rng is None:
-        rng = np.random.default_rng(2023)
-    phase, l1, l0, c, r1, r0 = _canonicalize(*_raw_decompose(u, rng))
-    phase = float((phase + np.pi) % (2 * np.pi) - np.pi)
-    return KakTerms((l0, l1), (r0, r1), c, phase)
+    rngs = [np.random.default_rng(2023) if rng is None else rng for rng in rngs]
+    out = []
+    for raw in _raw_decompose_many(u, rngs):
+        phase, l1, l0, c, r1, r0 = _canonicalize(*raw)
+        phase = float((phase + np.pi) % (2 * np.pi) - np.pi)
+        out.append(KakTerms((l0, l1), (r0, r1), c, phase))
+    return out
+
+
+def kak_decompose(u: np.ndarray, rng: np.random.Generator | None = None) -> KakTerms:
+    """Canonicalized Cartan decomposition of a 4x4 unitary: the one-rng case
+    of kak_decompose_many."""
+    return kak_decompose_many(u, [rng])[0]

@@ -54,7 +54,15 @@ class ObfuscationKey:
         return self.flip_mask[-1 - qubit] == "1"
 
     def restricted(self, qubits: tuple[int, ...]) -> "ObfuscationKey":
-        """Key over a subset of qubits, for decoding partial measurements."""
+        """Key over a subset of qubits, for decoding partial measurements.
+        The qubits must be distinct qubits of the key."""
+        if len(set(qubits)) != len(qubits) or not all(
+            0 <= q < self.num_qubits for q in qubits
+        ):
+            raise ValueError(
+                f"qubits {tuple(qubits)!r} are not distinct qubits of a "
+                f"{self.num_qubits}-qubit key"
+            )
         mask = "".join(
             "1" if self.flips(q) else "0" for q in sorted(qubits, reverse=True)
         )

@@ -6,22 +6,32 @@ in final form in one pass: RZ SX RZ SX RZ without its trivial RZ (a multiple
 of 2*pi within RZ_TRIVIAL_TOL), one X for SX RZ SX around a trivial middle
 RZ, one RZ or nothing for a diagonal segment. Every candidate is checked
 against the block unitary up to global phase before it can be returned.
+
+generate_candidates builds a block's k candidates in one pass: one
+kak.kak_decompose_many call, the Euler angles of all their one-qubit
+segments from one (m, 2, 2) stack (one det, sqrt, angle and arctan2), and
+a check of each candidate's unitary from fragment_unitary, a complex-scalar
+2x2/4x4 kernel. Each candidate's gates and angle bits equal those of
+building it alone. The magnitudes |a|, |b| come from np.hypot(z.real,
+z.imag), which rounds as the scalar abs() does; np.abs of a complex array
+does not, and would move emitted angles.
 """
 
 from __future__ import annotations
 
+import cmath
 import functools
+import math
 
 import numpy as np
 
 from . import netlsd
 from .circuit import Circuit, Gate, GateKind, gate_counts
-from .kak import KakTerms, kak_decompose
+from .kak import KakTerms, kak_decompose_many
 from .linalg import (
     PAULI_X,
     PAULI_Y,
     PAULI_Z,
-    circuit_unitary,
     equal_up_to_global_phase,
     rx_matrix,
     ry_matrix,
@@ -29,6 +39,10 @@ from .linalg import (
 )
 from .netlsd import HeatSignature, netlsd_divergence
 from .partition import Block, block_unitary, to_local_circuit
+
+# imported for perfbench/tracing.py, which wraps these names; not called here
+from .kak import kak_decompose  # noqa: F401
+from .linalg import circuit_unitary  # noqa: F401
 
 RZ_TRIVIAL_TOL = 1e-12
 CLASS_TOL = 1e-10
@@ -52,36 +66,48 @@ def _rz_unless_trivial(theta: float, wire: int) -> list[Gate]:
     return [] if _rz_is_trivial(theta) else [Gate(GateKind.RZ, (wire,), theta)]
 
 
-def euler_1q(u: np.ndarray, wire: int = 0) -> list[Gate]:
-    """ZXZXZ decomposition of a 2x2 unitary, up to global phase.
+def _euler_runs(mats: np.ndarray, wires: list[int]) -> list[list[Gate]]:
+    """ZXZXZ decomposition of each 2x2 unitary of a (m, 2, 2) stack, up to
+    global phase, as gates on the matching wire.
 
     Uses U ~ RZ(phi) RY(theta) RZ(lam) and RY(theta) ~ RZ(pi) SX RZ(theta+pi)
     SX after phase juggling, and emits RZ(lam) SX RZ(theta + pi) SX
     RZ(phi + pi) with each trivial outer RZ left out and, when the middle RZ
     is trivial, one X in place of SX RZ SX. A diagonal u gives one RZ, or no
-    gate if that RZ is trivial.
+    gate if that RZ is trivial. One det, sqrt, angle and arctan2 serve the
+    whole stack.
     """
-    u = np.asarray(u, dtype=complex)
-    det = np.linalg.det(u)
-    up = u / np.sqrt(det)
-    a, b = up[0, 0], up[1, 0]
-    if abs(b) < 1e-13:
-        return _rz_unless_trivial(-2 * float(np.angle(a)), wire)
-    theta = 2 * float(np.arctan2(abs(b), abs(a)))
-    if abs(a) < 1e-13:
-        phi, lam = 2 * float(np.angle(b)), 0.0
-    else:
-        total = -2 * float(np.angle(a))
-        diff = 2 * float(np.angle(b))
-        phi = (total + diff) / 2
-        lam = (total - diff) / 2
-    middle = theta + np.pi
-    if _rz_is_trivial(middle):
-        core = [Gate(GateKind.X, (wire,))]
-    else:
-        sx = Gate(GateKind.SX, (wire,))
-        core = [sx, Gate(GateKind.RZ, (wire,), middle), sx]
-    return _rz_unless_trivial(lam, wire) + core + _rz_unless_trivial(phi + np.pi, wire)
+    dets = np.linalg.det(mats)
+    col = mats[:, :, 0] / np.sqrt(dets)[:, None]
+    # hypot, not np.abs: it rounds |z| as the scalar abs() does
+    mag = np.hypot(col.real, col.imag)
+    ang = np.angle(col)
+    half = np.arctan2(mag[:, 1], mag[:, 0])
+    runs = []
+    for (abs_a, abs_b), (ang_a, ang_b), h, wire in zip(
+        mag.tolist(), ang.tolist(), half.tolist(), wires
+    ):
+        if abs_b < 1e-13:
+            runs.append(_rz_unless_trivial(-2 * ang_a, wire))
+            continue
+        theta = 2 * h
+        if abs_a < 1e-13:
+            phi, lam = 2 * ang_b, 0.0
+        else:
+            total = -2 * ang_a
+            diff = 2 * ang_b
+            phi = (total + diff) / 2
+            lam = (total - diff) / 2
+        middle = theta + np.pi
+        if _rz_is_trivial(middle):
+            core = [Gate(GateKind.X, (wire,))]
+        else:
+            sx = Gate(GateKind.SX, (wire,))
+            core = [sx, Gate(GateKind.RZ, (wire,), middle), sx]
+        runs.append(
+            _rz_unless_trivial(lam, wire) + core + _rz_unless_trivial(phi + np.pi, wire)
+        )
+    return runs
 
 
 def minimal_cx_count(c: np.ndarray) -> int:
@@ -157,21 +183,26 @@ def _dress_cx(segments, cxs, rng: np.random.Generator):
     return segments
 
 
-def _emit(segments, cxs) -> Circuit:
-    gates: list[Gate] = []
-    for i, seg in enumerate(segments):
-        if i > 0:
-            control, target = cxs[i - 1]
-            gates.append(Gate(GateKind.CX, (control, target)))
-        gates.extend(euler_1q(seg[0], 0))
-        gates.extend(euler_1q(seg[1], 1))
-    return Circuit(2, tuple(gates))
+def _emit_many(templates) -> list[Circuit]:
+    """Two-wire fragments for a list of (segments, cxs) templates, with the
+    Euler runs of all their segments computed as one stack."""
+    mats = np.array([m for segments, _ in templates for seg in segments for m in seg])
+    runs = iter(_euler_runs(mats, [0, 1] * (len(mats) // 2)))
+    out = []
+    for segments, cxs in templates:
+        gates: list[Gate] = []
+        for i in range(len(segments)):
+            if i > 0:
+                gates.append(Gate(GateKind.CX, cxs[i - 1]))
+            gates.extend(next(runs))
+            gates.extend(next(runs))
+        out.append(Circuit(2, tuple(gates)))
+    return out
 
 
 def weyl_to_circuit(t: KakTerms) -> Circuit:
     """Two-wire fragment realizing the KakTerms value at its minimal CX count."""
-    segments, cxs = _segments(t)
-    return _emit(segments, cxs)
+    return _emit_many([_segments(t)])[0]
 
 
 def _pauli_dress(t: KakTerms, rng: np.random.Generator) -> KakTerms:
@@ -186,25 +217,105 @@ def _pauli_dress(t: KakTerms, rng: np.random.Generator) -> KakTerms:
     return KakTerms((l0 @ p, l1 @ p), (p @ r0, p @ r1), t.weyl, t.global_phase)
 
 
-def _candidate_1q(u: np.ndarray, rng: np.random.Generator | None) -> Circuit:
-    if rng is None:
-        return Circuit(1, tuple(euler_1q(u, 0)))
-    psi = rng.uniform(DRESS_MARGIN, 2 * np.pi - DRESS_MARGIN)
-    gates = euler_1q(u @ rz_matrix(-psi), 0)
-    # the dressing RZ(psi) runs first, so it folds into a leading RZ
-    if gates and gates[0].kind is GateKind.RZ:
-        gates[:1] = _rz_unless_trivial(psi + gates[0].angle, 0)
-    else:
-        gates.insert(0, Gate(GateKind.RZ, (0,), psi))
-    return Circuit(1, tuple(gates))
+def _candidates_1q(u: np.ndarray, rngs: list[np.random.Generator | None]) -> list[Circuit]:
+    """One-wire fragments of u: the plain Euler run for a None rng, else the
+    run of u RZ(-psi) after a dressing RZ(psi) drawn from the rng."""
+    psis = [
+        None if rng is None else rng.uniform(DRESS_MARGIN, 2 * np.pi - DRESS_MARGIN)
+        for rng in rngs
+    ]
+    mats = np.array([u if psi is None else u @ rz_matrix(-psi) for psi in psis])
+    out = []
+    for psi, gates in zip(psis, _euler_runs(mats, [0] * len(psis))):
+        if psi is not None:
+            # the dressing RZ(psi) runs first, so it folds into a leading RZ
+            if gates and gates[0].kind is GateKind.RZ:
+                gates[:1] = _rz_unless_trivial(psi + gates[0].angle, 0)
+            else:
+                gates.insert(0, Gate(GateKind.RZ, (0,), psi))
+        out.append(Circuit(1, tuple(gates)))
+    return out
 
 
-def _candidate_2q(u: np.ndarray, rng: np.random.Generator | None) -> Circuit:
-    if rng is None:
-        return weyl_to_circuit(kak_decompose(u))
-    terms = _pauli_dress(kak_decompose(u, rng=rng), rng)
-    segments, cxs = _segments(terms)
-    return _emit(_dress_cx(segments, cxs, rng), cxs)
+def _candidates_2q(u: np.ndarray, rngs: list[np.random.Generator | None]) -> list[Circuit]:
+    """Two-wire fragments of u: the plain KAK template for a None rng, else a
+    KAK branch, a Pauli dressing and canceling CX dressings drawn from the rng."""
+    templates = []
+    for rng, t in zip(rngs, kak_decompose_many(u, rngs)):
+        if rng is None:
+            templates.append(_segments(t))
+        else:
+            segments, cxs = _segments(_pauli_dress(t, rng))
+            templates.append((_dress_cx(segments, cxs, rng), cxs))
+    return _emit_many(templates)
+
+
+_CX_ROWS = {(0, 1): (0, 3, 2, 1), (1, 0): (0, 1, 3, 2)}
+_WIRE_ROW_PAIRS = (((0, 1), (2, 3)), ((0, 2), (1, 3)))
+# GateKind members read as module names: each member lookup on the enum
+# class costs about as much as the complex arithmetic of a gate
+_CX, _RZ, _SX, _X = GateKind.CX, GateKind.RZ, GateKind.SX, GateKind.X
+
+
+def _run_matrix(gates) -> tuple[complex, complex, complex, complex]:
+    """Row-major 2x2 product of a one-wire run, later gates on the left."""
+    a, b, c, d = 1 + 0j, 0j, 0j, 1 + 0j
+    for g in gates:
+        kind = g.kind
+        if kind is _RZ:
+            lo = cmath.exp(-0.5j * g.angle)
+            hi = lo.conjugate()
+            a, b, c, d = lo * a, lo * b, hi * c, hi * d
+        elif kind is _X:
+            a, b, c, d = c, d, a, b
+        else:
+            if kind is _SX:
+                p, q = 0.5 + 0.5j, 0.5 - 0.5j
+            else:
+                p, q = complex(math.cos(g.angle / 2)), -1j * math.sin(g.angle / 2)
+            a, b, c, d = p * a + q * c, p * b + q * d, q * a + p * c, q * b + p * d
+    return a, b, c, d
+
+
+def fragment_unitary(c: Circuit) -> np.ndarray:
+    """Unitary of a one- or two-wire fragment, for a pass/fail check only.
+
+    Each wire's run between CX gates is one 2x2 product in complex scalars.
+    The first runs form the kron product kron(run1, run0); each CX permutes
+    its rows, and each later run multiplies the row pairs of its wire.
+    Rounding differs from linalg.circuit_unitary's, which stays the one
+    kernel whose bits reach an output."""
+    if c.num_qubits == 1:
+        a, b, cc, d = _run_matrix(c.gates)
+        return np.array([[a, b], [cc, d]])
+    m = None
+    runs: tuple[list[Gate], list[Gate]] = ([], [])
+    for g in (*c.gates, None):
+        if g is not None and g.kind is not _CX:
+            runs[g.qubits[0]].append(g)
+            continue
+        if m is None:
+            a0, b0, c0, d0 = _run_matrix(runs[0])
+            a1, b1, c1, d1 = _run_matrix(runs[1])
+            m = [
+                [a1 * a0, a1 * b0, b1 * a0, b1 * b0],
+                [a1 * c0, a1 * d0, b1 * c0, b1 * d0],
+                [c1 * a0, c1 * b0, d1 * a0, d1 * b0],
+                [c1 * c0, c1 * d0, d1 * c0, d1 * d0],
+            ]
+        else:
+            for run, pairs in zip(runs, _WIRE_ROW_PAIRS):
+                if not run:
+                    continue
+                a, b, cc, d = _run_matrix(run)
+                for p, q in pairs:
+                    rp, rq = m[p], m[q]
+                    m[p] = [a * x + b * y for x, y in zip(rp, rq)]
+                    m[q] = [cc * x + d * y for x, y in zip(rp, rq)]
+        if g is not None:
+            m = [m[r] for r in _CX_ROWS[g.qubits]]
+            runs = ([], [])
+    return np.array(m)
 
 
 def generate_candidates(b: Block, k: int, seed: int) -> list[Circuit]:
@@ -215,18 +326,14 @@ def generate_candidates(b: Block, k: int, seed: int) -> list[Circuit]:
     if not b.gates:
         raise ValueError("cannot synthesize an empty block")
     u = block_unitary(b)
-    build = _candidate_1q if len(b.qubits) == 1 else _candidate_2q
-    out: list[Circuit] = []
-    for i in range(k):
-        rng = None
-        if i > 0:
-            rng = np.random.default_rng([seed, b.order_index, i])
-        frag = build(u, rng)
-        if not equal_up_to_global_phase(circuit_unitary(frag), u, tol=CANDIDATE_TOL):
+    rngs = [None] + [np.random.default_rng([seed, b.order_index, i]) for i in range(1, k)]
+    build = _candidates_1q if len(b.qubits) == 1 else _candidates_2q
+    out = build(u, rngs)
+    for i, frag in enumerate(out):
+        if not equal_up_to_global_phase(fragment_unitary(frag), u, tol=CANDIDATE_TOL):
             raise SynthesisError(
                 f"candidate {i} for block {b.order_index} failed equivalence"
             )
-        out.append(frag)
     return out
 
 

@@ -5,9 +5,29 @@ from hypothesis import strategies as st
 from scipy.stats import unitary_group
 
 from qcloak.circuit import Circuit, Gate, GateKind, cx, rx, rz, sx, x
-from qcloak.linalg import rz_matrix
+from qcloak.kak import (
+    DIAG_TOL,
+    GAMMA,
+    MAGIC,
+    MAGIC_H,
+    UNITARY_TOL,
+    KakTerms,
+    _canonicalize,
+    canonical_matrix,
+)
+from qcloak.linalg import circuit_unitary, equal_up_to_global_phase, is_unitary, rz_matrix
+from qcloak.partition import Block, block_unitary
 from qcloak.qasm import QasmError
-from qcloak.synthesis import DRESS_MARGIN, _rz_is_trivial
+from qcloak.synthesis import (
+    CANDIDATE_TOL,
+    DRESS_MARGIN,
+    SynthesisError,
+    _dress_cx,
+    _pauli_dress,
+    _rz_is_trivial,
+    _rz_unless_trivial,
+    _segments,
+)
 
 ANGLES = st.floats(min_value=-6.3, max_value=6.3, allow_nan=False)
 
@@ -144,6 +164,185 @@ def rewritten_candidate_1q(u: np.ndarray, rng: np.random.Generator | None) -> Ci
     gates = [Gate(GateKind.RZ, (0,), psi)]
     gates.extend(rewritten_euler_1q(u @ rz_matrix(-psi), 0))
     return Circuit(1, tuple(peephole_1q(gates)))
+
+
+# Per-candidate synthesis oracle: each candidate decomposed, emitted and
+# checked on its own, one matrix at a time. The stacked code in kak and
+# synthesis must match it bit for bit.
+
+
+def per_matrix_factor_kron(g: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
+    """g = e^{i phase} kron(g1, g0) with det g1 = det g0 = 1, for one 4x4."""
+    m = g.reshape(2, 2, 2, 2).transpose(0, 2, 1, 3).reshape(4, 4)
+    u, s, vh = np.linalg.svd(m)
+    g1 = u[:, 0].reshape(2, 2) * np.sqrt(s[0])
+    g0 = vh[0, :].reshape(2, 2) * np.sqrt(s[0])
+    g1 = g1 / np.sqrt(np.linalg.det(g1))
+    g0 = g0 / np.sqrt(np.linalg.det(g0))
+    frame = np.kron(g1, g0)
+    idx = np.unravel_index(np.argmax(np.abs(frame)), frame.shape)
+    return g1, g0, float(np.angle(g[idx] / frame[idx]))
+
+
+def per_candidate_raw_decompose(u: np.ndarray, rng: np.random.Generator):
+    det = np.linalg.det(u)
+    delta = np.angle(det) / 4
+    up = u * np.exp(-1j * delta)
+    phase = delta
+
+    v = MAGIC_H @ up @ MAGIC
+    m2 = v.T @ v
+    p = None
+    for _ in range(100):
+        a, b = rng.uniform(-1, 1, 2)
+        _, cand = np.linalg.eigh(a * m2.real + b * m2.imag)
+        d = cand.T @ m2 @ cand
+        if np.max(np.abs(d - np.diag(np.diag(d)))) < DIAG_TOL:
+            p = cand
+            break
+    if p is None:
+        raise ArithmeticError("no real-orthogonal diagonalizer found")
+    if np.linalg.det(p) < 0:
+        p = p.copy()
+        p[:, 0] = -p[:, 0]
+    theta = 0.5 * np.angle(np.diag(p.T @ m2 @ p))
+    if round(np.sum(theta) / np.pi) % 2 != 0:
+        theta[0] += np.pi
+    if round(np.sum(theta) / (2 * np.pi)) != 0:
+        theta[0] -= np.pi
+        theta[1] -= np.pi
+
+    o2 = p.T
+    o1 = v @ p @ np.diag(np.exp(-1j * theta))
+    if np.max(np.abs(o1.imag)) > 1e-9:
+        raise ArithmeticError("left orthogonal factor is not real")
+    o1 = o1.real
+
+    w, c1, c2, c3 = GAMMA @ theta
+    phase += w
+    l1, l0, pl = per_matrix_factor_kron(MAGIC @ o1 @ MAGIC_H)
+    r1, r0, pr = per_matrix_factor_kron(MAGIC @ o2 @ MAGIC_H)
+    phase += pl + pr
+    return phase, l1, l0, np.array([c1, c2, c3]), r1, r0
+
+
+def per_candidate_kak(u: np.ndarray, rng: np.random.Generator | None = None) -> KakTerms:
+    u = np.asarray(u, dtype=complex)
+    if u.shape != (4, 4):
+        raise ValueError(f"expected a 4x4 matrix, got {u.shape}")
+    if not is_unitary(u, tol=UNITARY_TOL):
+        raise ValueError("input matrix is not unitary")
+    if rng is None:
+        rng = np.random.default_rng(2023)
+    phase, l1, l0, c, r1, r0 = _canonicalize(*per_candidate_raw_decompose(u, rng))
+    phase = float((phase + np.pi) % (2 * np.pi) - np.pi)
+    return KakTerms((l0, l1), (r0, r1), c, phase)
+
+
+def per_candidate_euler_1q(u: np.ndarray, wire: int = 0) -> list[Gate]:
+    u = np.asarray(u, dtype=complex)
+    det = np.linalg.det(u)
+    up = u / np.sqrt(det)
+    a, b = up[0, 0], up[1, 0]
+    if abs(b) < 1e-13:
+        return _rz_unless_trivial(-2 * float(np.angle(a)), wire)
+    theta = 2 * float(np.arctan2(abs(b), abs(a)))
+    if abs(a) < 1e-13:
+        phi, lam = 2 * float(np.angle(b)), 0.0
+    else:
+        total = -2 * float(np.angle(a))
+        diff = 2 * float(np.angle(b))
+        phi = (total + diff) / 2
+        lam = (total - diff) / 2
+    middle = theta + np.pi
+    if _rz_is_trivial(middle):
+        core = [Gate(GateKind.X, (wire,))]
+    else:
+        sx_gate = Gate(GateKind.SX, (wire,))
+        core = [sx_gate, Gate(GateKind.RZ, (wire,), middle), sx_gate]
+    return _rz_unless_trivial(lam, wire) + core + _rz_unless_trivial(phi + np.pi, wire)
+
+
+def _per_candidate_emit(segments, cxs) -> Circuit:
+    gates: list[Gate] = []
+    for i, seg in enumerate(segments):
+        if i > 0:
+            gates.append(Gate(GateKind.CX, cxs[i - 1]))
+        gates.extend(per_candidate_euler_1q(seg[0], 0))
+        gates.extend(per_candidate_euler_1q(seg[1], 1))
+    return Circuit(2, tuple(gates))
+
+
+def per_candidate_1q(u: np.ndarray, rng: np.random.Generator | None) -> Circuit:
+    if rng is None:
+        return Circuit(1, tuple(per_candidate_euler_1q(u, 0)))
+    psi = rng.uniform(DRESS_MARGIN, 2 * np.pi - DRESS_MARGIN)
+    gates = per_candidate_euler_1q(u @ rz_matrix(-psi), 0)
+    if gates and gates[0].kind is GateKind.RZ:
+        gates[:1] = _rz_unless_trivial(psi + gates[0].angle, 0)
+    else:
+        gates.insert(0, Gate(GateKind.RZ, (0,), psi))
+    return Circuit(1, tuple(gates))
+
+
+def per_candidate_2q(u: np.ndarray, rng: np.random.Generator | None) -> Circuit:
+    if rng is None:
+        return _per_candidate_emit(*_segments(per_candidate_kak(u)))
+    terms = _pauli_dress(per_candidate_kak(u, rng=rng), rng)
+    segments, cxs = _segments(terms)
+    return _per_candidate_emit(_dress_cx(segments, cxs, rng), cxs)
+
+
+def per_candidate_generate(b: Block, k: int, seed: int) -> list[Circuit]:
+    """Reference for synthesis.generate_candidates: each candidate built and
+    checked through circuit_unitary before the next is drawn."""
+    u = block_unitary(b)
+    build = per_candidate_1q if len(b.qubits) == 1 else per_candidate_2q
+    out = []
+    for i in range(k):
+        rng = None if i == 0 else np.random.default_rng([seed, b.order_index, i])
+        frag = build(u, rng)
+        if not equal_up_to_global_phase(circuit_unitary(frag), u, tol=CANDIDATE_TOL):
+            raise SynthesisError(f"candidate {i} for block {b.order_index} failed equivalence")
+        out.append(frag)
+    return out
+
+
+def gate_bits(c: Circuit) -> list[tuple]:
+    """c's gates with each angle's type and exact bits, so -0.0 != 0.0."""
+    return [
+        (g.kind, g.qubits, type(g.angle), None if g.angle is None else float(g.angle).hex())
+        for g in c.gates
+    ]
+
+
+def _random_local(rng):
+    return np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))[0]
+
+
+# KAK class edges as Weyl coordinates, each offset by eps in the tests: the
+# identity, CX, SWAP, iSWAP, an interior c3 = 0 point and c1 = pi/4.
+CLASS_EDGES = {
+    "identity": (0.0, 0.0, 0.0),
+    "cx": (np.pi / 4, 0.0, 0.0),
+    "swap": (np.pi / 4, np.pi / 4, np.pi / 4),
+    "iswap": (np.pi / 4, np.pi / 4, 0.0),
+    "c3_zero": (0.6, 0.3, 0.0),
+    "c1_pi_4": (np.pi / 4, 0.5, 0.2),
+}
+CLASS_EDGE_EPS = (0.0, 1e-11)
+
+
+def class_edge_unitary(case: str, eps: float, seed: int) -> np.ndarray:
+    """The edge's canonical gate, offset by eps on every coordinate, between
+    random local frames (none for seed 0)."""
+    u = canonical_matrix(np.array(CLASS_EDGES[case]) + eps)
+    if seed == 0:
+        return u
+    rng = np.random.default_rng(seed)
+    left = np.kron(_random_local(rng), _random_local(rng))
+    right = np.kron(_random_local(rng), _random_local(rng))
+    return left @ u @ right
 
 
 def loop_statements(text: str):

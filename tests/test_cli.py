@@ -3,6 +3,7 @@ from dataclasses import replace
 
 import pytest
 
+import qcloak.cli
 import qcloak.synthesis
 from qcloak import distributions
 from qcloak.analysis import make_baseline, tvd
@@ -157,6 +158,19 @@ def test_exit_code_failed_candidate_check(tmp_path, ghz3_path, capsys, monkeypat
     capsys.readouterr()
     assert rc == 2
     assert not out.exists() and not key.exists()
+
+
+def test_parser_is_built_once_and_commands_are_looked_up_per_call(
+    tmp_path, ghz3_path, capsys, monkeypatch
+):
+    out, key = tmp_path / "enc.qasm", tmp_path / "key.json"
+    assert main(["encode", str(ghz3_path), str(out), str(key)]) == 0
+    capsys.readouterr()
+    assert qcloak.cli.build_parser() is qcloak.cli.build_parser()
+    seen = []
+    monkeypatch.setattr(qcloak.cli, "cmd_encode", lambda args: seen.append(args.input) or 7)
+    assert main(["encode", str(ghz3_path), str(out), str(key)]) == 7
+    assert seen == [str(ghz3_path)]
 
 
 def test_exit_code_parse_error(tmp_path, capsys):

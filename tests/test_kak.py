@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import expm
 
 from qcloak.kak import (
@@ -10,10 +11,18 @@ from qcloak.kak import (
     _factor_kron_2x2,
     canonical_matrix,
     kak_decompose,
+    kak_decompose_many,
     kak_reconstruct,
 )
 from qcloak.linalg import CX_MATRIX, PAULI_X, PAULI_Y, PAULI_Z, is_unitary
-from strategies import unitaries
+from strategies import (
+    CLASS_EDGE_EPS,
+    CLASS_EDGES,
+    class_edge_unitary,
+    per_candidate_kak,
+    per_matrix_factor_kron,
+    unitaries,
+)
 
 SWAP = np.array([[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]], dtype=complex)
 ISWAP = np.array([[1, 0, 0, 0], [0, 0, 1j, 0], [0, 1j, 0, 0], [0, 0, 0, 1]], dtype=complex)
@@ -105,19 +114,6 @@ def test_decompose_reconstruct_property(u):
     assert -np.pi - 1e-12 < t.global_phase <= np.pi + 1e-12
 
 
-def _factor_one(g):
-    """Per-matrix reference for _factor_kron_2x2 on one tensor product."""
-    m = g.reshape(2, 2, 2, 2).transpose(0, 2, 1, 3).reshape(4, 4)
-    u, s, vh = np.linalg.svd(m)
-    g1 = u[:, 0].reshape(2, 2) * np.sqrt(s[0])
-    g0 = vh[0, :].reshape(2, 2) * np.sqrt(s[0])
-    g1 = g1 / np.sqrt(np.linalg.det(g1))
-    g0 = g0 / np.sqrt(np.linalg.det(g0))
-    frame = np.kron(g1, g0)
-    idx = np.unravel_index(np.argmax(np.abs(frame)), frame.shape)
-    return g1, g0, float(np.angle(g[idx] / frame[idx]))
-
-
 def _special_orthogonal(rng):
     q = np.linalg.qr(rng.normal(size=(4, 4)))[0]
     if np.linalg.det(q) < 0:
@@ -137,8 +133,91 @@ def test_stacked_frame_factorization_is_bit_identical_to_per_matrix():
         frames = MAGIC @ np.stack((o1, o2)) @ MAGIC_H
         for o, frame in zip((o1, o2), frames):
             assert np.array_equal(frame, MAGIC @ o @ MAGIC.conj().T)
-        for got, frame in zip(_factor_kron_2x2(frames), frames):
-            want = _factor_one(frame)
-            assert np.array_equal(got[0], want[0])
-            assert np.array_equal(got[1], want[1])
-            assert got[2] == want[2]
+        g1, g0, phases = _factor_kron_2x2(frames)
+        for i, frame in enumerate(frames):
+            want = per_matrix_factor_kron(frame)
+            assert np.array_equal(g1[i], want[0])
+            assert np.array_equal(g0[i], want[1])
+            assert phases[i] == want[2]
+
+
+def _assert_terms_equal(got: KakTerms, want: KakTerms):
+    got_locals = (*got.left_locals, *got.right_locals)
+    want_locals = (*want.left_locals, *want.right_locals)
+    for a, b in zip(got_locals, want_locals):
+        assert np.array_equal(a, b)
+    assert np.array_equal(got.weyl, want.weyl)
+    assert got.global_phase == want.global_phase
+
+
+def _rngs(k: int, seed: int):
+    return [None] + [np.random.default_rng([seed, i]) for i in range(1, k)]
+
+
+def _assert_many_matches_oracle(u: np.ndarray, k: int, seed: int):
+    got = kak_decompose_many(u, _rngs(k, seed))
+    want = [per_candidate_kak(u, rng) for rng in _rngs(k, seed)]
+    assert len(got) == k
+    for g, w in zip(got, want):
+        _assert_terms_equal(g, w)
+
+
+@given(unitaries(), st.sampled_from([1, 2, 3, 5]), st.integers(0, 2**32 - 1))
+@settings(max_examples=100, deadline=None)
+def test_stacked_kak_matches_per_candidate_oracle(u, k, seed):
+    _assert_many_matches_oracle(u, k, seed)
+
+
+@pytest.mark.parametrize("eps", CLASS_EDGE_EPS)
+@pytest.mark.parametrize("case", sorted(CLASS_EDGES))
+def test_stacked_kak_matches_oracle_at_class_edges(case, eps):
+    for frame_seed in range(3):
+        _assert_many_matches_oracle(class_edge_unitary(case, eps, frame_seed), 5, frame_seed)
+
+
+class ZeroFirstRng:
+    """A Generator whose first uniform draw is (0, 0): a zero mix, whose
+    eigenvectors do not diagonalize a generic m2, so the search retries."""
+
+    def __init__(self, seed):
+        self.inner = np.random.default_rng(seed)
+        self.uniform_calls = 0
+
+    def uniform(self, *args, **kwargs):
+        self.uniform_calls += 1
+        if self.uniform_calls == 1:
+            return np.zeros(2)
+        return self.inner.uniform(*args, **kwargs)
+
+    def integers(self, *args, **kwargs):
+        return self.inner.integers(*args, **kwargs)
+
+
+def test_stacked_kak_retry_matches_oracle():
+    rng = np.random.default_rng(11)
+    for _ in range(5):
+        u = np.linalg.qr(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))[0]
+        # candidates 1 and 3 retry; 0, 2 and 4 take their first draw
+        stacked = [None, ZeroFirstRng(1), np.random.default_rng(2), ZeroFirstRng(3),
+                   np.random.default_rng(4)]
+        oracle = [None, ZeroFirstRng(1), np.random.default_rng(2), ZeroFirstRng(3),
+                  np.random.default_rng(4)]
+        got = kak_decompose_many(u, stacked)
+        for g, r in zip(got, oracle):
+            _assert_terms_equal(g, per_candidate_kak(u, r))
+        assert stacked[1].uniform_calls >= 2 and stacked[3].uniform_calls >= 2
+        assert [stacked[i].uniform_calls for i in (1, 3)] == [
+            oracle[i].uniform_calls for i in (1, 3)
+        ]
+        # each rng's later draws continue from the same state
+        assert stacked[2].uniform() == oracle[2].uniform()
+        assert stacked[1].uniform() == oracle[1].uniform()
+
+
+def test_kak_decompose_is_the_one_rng_case():
+    u = class_edge_unitary("c1_pi_4", 0.0, 4)
+    _assert_terms_equal(kak_decompose(u), kak_decompose_many(u, [None])[0])
+    _assert_terms_equal(
+        kak_decompose(u, np.random.default_rng(9)),
+        kak_decompose_many(u, [np.random.default_rng(9)])[0],
+    )

@@ -42,6 +42,14 @@ def test_key_bit_convention():
     assert key.restricted((1, 3)).flip_mask == "10"
 
 
+@pytest.mark.parametrize("qubits", [(-1,), (0, 0), (3,), (2, 1, 2)])
+def test_restricted_rejects_bad_qubits(qubits):
+    # (-1,) would read qubit 2's flip through negative indexing, (0, 0) a
+    # duplicated mask, and (3,) would raise IndexError
+    with pytest.raises(ValueError, match="not distinct qubits of a 3-qubit key"):
+        ObfuscationKey("100", 0).restricted(qubits)
+
+
 def test_key_validation():
     with pytest.raises(ValueError):
         ObfuscationKey("10x1", seed=0)

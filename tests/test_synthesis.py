@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 import qcloak.netlsd
 import qcloak.synthesis
 from qcloak.bench import gen_random_blocks
-from qcloak.circuit import Circuit, GateKind, cx, gate_counts, rz, sx, x
+from qcloak.circuit import Circuit, Gate, GateKind, cx, gate_counts, rz, sx, x
 from qcloak.kak import kak_decompose
 from qcloak.linalg import (
     SX_MATRIX,
@@ -20,9 +20,11 @@ from qcloak.netlsd import circuit_signature
 from qcloak.partition import Block, block_unitary, form_blocks, to_local_circuit
 from qcloak.synthesis import (
     DRESS_MARGIN,
-    _candidate_1q,
-    euler_1q,
+    SynthesisError,
+    _candidates_1q,
+    _euler_runs,
     fragment_signature,
+    fragment_unitary,
     generate_candidates,
     minimal_cx_count,
     select_candidate,
@@ -30,7 +32,15 @@ from qcloak.synthesis import (
     weyl_to_circuit,
 )
 from strategies import (
+    CLASS_EDGE_EPS,
+    CLASS_EDGES,
+    circuits,
+    class_edge_unitary,
+    gate_bits,
+    gates_on,
     peephole_1q,
+    per_candidate_euler_1q,
+    per_candidate_generate,
     rewritten_candidate_1q,
     rewritten_euler_1q,
     unitaries,
@@ -39,6 +49,11 @@ from strategies import (
 
 def _u1(c: Circuit) -> np.ndarray:
     return circuit_unitary(c)
+
+
+def euler_1q(u: np.ndarray, wire: int = 0):
+    """The one-matrix case of the stacked Euler emission."""
+    return _euler_runs(np.asarray(u, dtype=complex)[None], [wire])[0]
 
 
 def test_peephole_pinned_rules():
@@ -93,13 +108,20 @@ EDGE_UNITARIES = {
 EDGE_EPS = [0.0, 1e-13, -1e-13, 1e-11]
 
 
+def _candidate_1q(u: np.ndarray, rng: np.random.Generator | None) -> Circuit:
+    return _candidates_1q(u, [rng])[0]
+
+
 def _dressing_angle(seed: int) -> float:
-    # _candidate_1q's first draw from the same per-seed RNG
+    # _candidates_1q's first draw from the same per-seed RNG
     return np.random.default_rng(seed).uniform(DRESS_MARGIN, 2 * np.pi - DRESS_MARGIN)
 
 
 def _assert_matches_rewriter(u: np.ndarray, seed: int):
     assert euler_1q(u) == rewritten_euler_1q(u)
+    assert gate_bits(Circuit(1, tuple(euler_1q(u)))) == gate_bits(
+        Circuit(1, tuple(per_candidate_euler_1q(u)))
+    )
     assert euler_1q(u, 3) == rewritten_euler_1q(u, 3)
     assert _candidate_1q(u, None) == rewritten_candidate_1q(u, None)
     # From u RZ(psi) the dressed candidate re-derives u itself: for lam near 0
@@ -260,3 +282,78 @@ def test_synthesize_block_end_to_end():
     frag = synthesize_block(b, 3, 2, 8)
     assert frag.num_qubits == 2
     assert equal_up_to_global_phase(circuit_unitary(frag), block_unitary(b), 1e-9)
+
+
+def _gates_on_wires(gates, wires):
+    """The drawn gates, moved from local wires 0/1 onto the block's wires."""
+    return tuple(Gate(g.kind, tuple(wires[q] for q in g.qubits), g.angle) for g in gates)
+
+
+@st.composite
+def blocks(draw):
+    wires = draw(st.sampled_from([(0,), (2,), (0, 1), (1, 3)]))
+    gates = draw(st.lists(gates_on(len(wires)), min_size=1, max_size=12))
+    return Block(wires, _gates_on_wires(gates, wires), draw(st.integers(0, 500)))
+
+
+def _assert_candidates_match_oracle(b: Block, k: int, seed: int):
+    got = generate_candidates(b, k, seed)
+    want = per_candidate_generate(b, k, seed)
+    assert [gate_bits(c) for c in got] == [gate_bits(c) for c in want]
+    assert [c.num_qubits for c in got] == [c.num_qubits for c in want]
+
+
+@given(blocks(), st.sampled_from([1, 2, 3, 5]), st.integers(0, 2**32 - 1))
+@settings(max_examples=120, deadline=None)
+def test_stacked_candidates_match_per_candidate_oracle(b, k, seed):
+    _assert_candidates_match_oracle(b, k, seed)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 5])
+@pytest.mark.parametrize("eps", CLASS_EDGE_EPS)
+@pytest.mark.parametrize("case", sorted(CLASS_EDGES))
+def test_stacked_candidates_match_oracle_at_class_edges(case, eps, k):
+    # random local frames keep the identity's block non-empty
+    for frame_seed in range(1, 4):
+        u = class_edge_unitary(case, eps, frame_seed)
+        b = Block((0, 1), weyl_to_circuit(kak_decompose(u)).gates, 4 + frame_seed)
+        _assert_candidates_match_oracle(b, k, frame_seed)
+
+
+@given(circuits(min_qubits=1, max_qubits=2, max_gates=30))
+@settings(max_examples=200, deadline=None)
+def test_fragment_unitary_matches_circuit_unitary(c):
+    assert np.max(np.abs(fragment_unitary(c) - circuit_unitary(c))) <= 1e-12
+
+
+def _shift_first_rz(c: Circuit) -> Circuit:
+    i = next(i for i, g in enumerate(c.gates) if g.kind is GateKind.RZ)
+    g = c.gates[i]
+    return Circuit(2, c.gates[:i] + (rz(g.angle + 1e-6, g.qubits[0]),) + c.gates[i + 1 :])
+
+
+def _drop_first_cx(c: Circuit) -> Circuit:
+    i = next(i for i, g in enumerate(c.gates) if g.kind is GateKind.CX)
+    return Circuit(2, c.gates[:i] + c.gates[i + 1 :])
+
+
+def _swap_first_cx(c: Circuit) -> Circuit:
+    i = next(i for i, g in enumerate(c.gates) if g.kind is GateKind.CX)
+    control, target = c.gates[i].qubits
+    return Circuit(2, c.gates[:i] + (cx(target, control),) + c.gates[i + 1 :])
+
+
+@pytest.mark.parametrize("index", [0, 2])
+@pytest.mark.parametrize("mutate", [_shift_first_rz, _drop_first_cx, _swap_first_cx])
+def test_candidate_check_names_the_mutated_candidate(monkeypatch, mutate, index):
+    real = qcloak.synthesis._emit_many
+
+    def mutating(templates):
+        out = real(templates)
+        out[index] = mutate(out[index])
+        return out
+
+    monkeypatch.setattr(qcloak.synthesis, "_emit_many", mutating)
+    b = Block((0, 1), (sx(0), cx(0, 1), rz(0.8, 1), cx(1, 0), rz(0.3, 0)), 6)
+    with pytest.raises(SynthesisError, match=f"^candidate {index} for block 6 failed"):
+        generate_candidates(b, 3, 12)
