@@ -2,7 +2,8 @@
 
 Logs go to stderr; stdout carries a single JSON summary per invocation.
 Exit codes: 0 success, 1 parse/validation error, 2 failed internal
-equivalence check during encoding (whole circuit or one block candidate),
+equivalence check during encoding (one block candidate, the structural
+whole-circuit certificate, or the random-stimuli check up to 10 qubits),
 3 I/O error.
 """
 
@@ -29,7 +30,12 @@ from .bench import (
 from .circuit import gate_counts
 from .netlsd import netlsd_divergence
 from .obfuscate import decode, key_from_json, key_to_json
-from .pipeline import PipelineConfig, SynthesisEquivalenceError, encode
+from .pipeline import (
+    PipelineConfig,
+    SynthesisEquivalenceError,
+    encode,
+    whole_circuit_check,
+)
 from .qasm import parse_qasm, serialize_qasm
 from .simulator import sample
 from .synthesis import SynthesisError
@@ -93,6 +99,7 @@ def cmd_encode(args) -> int:
             },
             "netlsd_vs_baseline": netlsd_divergence(enc.circuit, baseline),
             "encode_seconds": wall,
+            "whole_circuit_check": whole_circuit_check(circuit.num_qubits),
         }
     )
     return 0

@@ -412,6 +412,13 @@ def slow_circuit_unitary(c: Circuit) -> np.ndarray:
     return u
 
 
+def dense_equivalent(a: Circuit, b: Circuit, tol: float = 1e-7) -> bool:
+    """The dense whole-circuit oracle: both 2^n x 2^n unitaries, compared up
+    to global phase in max-abs-entry norm. It was encode's own check up to 10
+    qubits before the structural certificate and the random-stimuli check."""
+    return equal_up_to_global_phase(circuit_unitary(a), circuit_unitary(b), tol=tol)
+
+
 def tensordot_circuit_unitary(c: Circuit) -> np.ndarray:
     """Gate-by-gate product by per-gate tensordot contraction (2x2 matmuls on
     one wire). block_unitary must equal it bit for bit: its bits are KAK's

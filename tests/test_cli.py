@@ -4,10 +4,12 @@ from dataclasses import replace
 import pytest
 
 import qcloak.cli
+import qcloak.pipeline
 import qcloak.synthesis
 from qcloak import distributions
 from qcloak.analysis import make_baseline, tvd
-from qcloak.bench import adder_layout, gen_adder, gen_ghz
+from qcloak.bench import adder_layout, gen_adder, gen_ghz, gen_random_blocks
+from qcloak.circuit import GateKind
 from qcloak.cli import main
 from qcloak.obfuscate import key_from_json
 from qcloak.qasm import serialize_qasm
@@ -31,6 +33,7 @@ def test_encode_decode_round_trip(tmp_path, ghz3_path, capsys):
     assert payload["num_qubits"] == 3
     assert payload["gates"]["cx_encoded"] == payload["gates"]["cx_baseline"]
     assert payload["netlsd_vs_baseline"] > 0
+    assert payload["whole_circuit_check"] == "certificate+stimuli"
 
     counts = tmp_path / "counts.json"
     rc = main(["simulate", str(out), str(counts), "--shots", "4096", "--seed", "5"])
@@ -156,6 +159,29 @@ def test_exit_code_failed_candidate_check(tmp_path, ghz3_path, capsys, monkeypat
     out, key = tmp_path / "enc.qasm", tmp_path / "key.json"
     rc = main(["encode", str(ghz3_path), str(out), str(key)])
     capsys.readouterr()
+    assert rc == 2
+    assert not out.exists() and not key.exists()
+
+
+def test_exit_code_failed_certificate_at_12_qubits(tmp_path, capsys, monkeypatch):
+    src = tmp_path / "random12.qasm"
+    src.write_text(serialize_qasm(gen_random_blocks(12, 24, 5)))
+    out, key = tmp_path / "enc.qasm", tmp_path / "key.json"
+    assert main(["encode", str(src), str(out), str(key)]) == 0
+    assert json.loads(capsys.readouterr().out)["whole_circuit_check"] == "certificate"
+    out.unlink()
+    key.unlink()
+
+    real = qcloak.pipeline.reassemble
+
+    def drop_first_cx(p, frags):
+        c = real(p, frags)
+        i = next(i for i, g in enumerate(c.gates) if g.kind is GateKind.CX)
+        return replace(c, gates=c.gates[:i] + c.gates[i + 1:])
+
+    monkeypatch.setattr(qcloak.pipeline, "reassemble", drop_first_cx)
+    rc = main(["encode", str(src), str(out), str(key)])
+    assert capsys.readouterr().out == ""
     assert rc == 2
     assert not out.exists() and not key.exists()
 
