@@ -36,6 +36,7 @@ from .synthesis import (
     minimal_cx_count,
     select_candidate,
     synthesize_block,
+    synthesize_blocks,
 )
 
 __version__ = "0.1.0"
@@ -87,6 +88,7 @@ __all__ = [
     "select_candidate",
     "serialize_qasm",
     "synthesize_block",
+    "synthesize_blocks",
     "sx",
     "to_dag",
     "tvd",

@@ -68,12 +68,38 @@ def to_json(d: Distribution) -> str:
     return json.dumps(payload, indent=2)
 
 
+def json_int(v: object, what: str) -> int:
+    """v as an int, if JSON gave an integral number; a bool is no number."""
+    if (
+        isinstance(v, bool)
+        or not isinstance(v, (int, float))
+        or (isinstance(v, float) and not v.is_integer())
+    ):
+        raise ValueError(f"{what} must be an integer, got {v!r}")
+    return int(v)
+
+
+def json_float(v: object, what: str) -> float:
+    """v as a float, if JSON gave a number; a bool is no number."""
+    if isinstance(v, bool) or not isinstance(v, (int, float)):
+        raise ValueError(f"{what} must be a number, got {v!r}")
+    return float(v)
+
+
+def json_list(v: object, what: str) -> list:
+    """v itself, if JSON gave a list."""
+    if not isinstance(v, list):
+        raise ValueError(f"{what} must be a list, got {v!r}")
+    return v
+
+
 def from_json(text: str) -> Distribution:
+    """Read a distribution; a field of the wrong JSON type is a ValueError."""
     payload = json.loads(text)
     try:
         return Distribution(
-            int(payload["num_bits"]),
-            {str(s): float(v) for s, v in payload["outcomes"].items()},
+            json_int(payload["num_bits"], "num_bits"),
+            {str(s): json_float(v, f"outcome {s!r}") for s, v in payload["outcomes"].items()},
             str(payload["kind"]),
         )
     except KeyError as exc:

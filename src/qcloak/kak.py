@@ -5,15 +5,18 @@ Any U in U(4) factors as e^{i phi} (l1 x l0) exp(i(c1 XX + c2 YY + c3 ZZ))
 pi/4 >= c1 >= c2 >= |c3|, c2 >= 0. Index convention: locals[w] acts on local
 wire w, and wire 0 is the low-order bit, so kron(l1, l0) is the frame matrix.
 
-kak_decompose_many decomposes one u once per rng, as synthesis does for a
-block's candidates. The unitarity test, det, magic-basis transform and Gram
-matrix are computed once; each rng's first diagonalizer try, the sign fix,
-the eigenphases, the left factor and the frame factorization run as one
-stack, and only a failed try repeats, from its own rng. Stacked eigh, det,
+kak_decompose_stack decomposes a (m, 4, 4) stack of unitaries, one rng per
+matrix, as synthesis does for the candidates of many blocks at once. The
+unitarity test, det, magic-basis transform, Gram matrix, first
+diagonalizer tries, sign fix, eigenphases, left factor and frame
+factorization each run once over the stack; only a failed try repeats, from
+its own rng. kak_decompose_many (one u, many rngs) and kak_decompose (one
+u, one rng) are the repeated-u cases of the same path. Stacked eigh, det,
 svd, 4x4 matmul, angle and complex division give each matrix the bits of
-its own call, so every result equals kak_decompose(u, rng). np.abs of a
-complex array does not round as the scalar abs() does, so a magnitude that
-replaces a scalar abs() is computed as np.hypot(z.real, z.imag).
+its own call, so every result equals the decomposition of its matrix alone.
+np.abs of a complex array does not round as the scalar abs() does, so a
+magnitude that replaces a scalar abs() is computed as np.hypot(z.real,
+z.imag).
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import PAULI_X, PAULI_Y, PAULI_Z, is_unitary, rx_matrix, ry_matrix, rz_matrix
+from .linalg import PAULI_X, PAULI_Y, PAULI_Z, rx_matrix, ry_matrix, rz_matrix
 
 MAGIC = np.array(
     [[1, 0, 0, 1j], [0, 1j, 1, 0], [0, 1j, -1, 0], [1, 0, 0, -1j]]
@@ -47,6 +50,14 @@ DIAG_TOL = 1e-11
 UNITARY_TOL = 1e-8
 _DIAGONAL = np.arange(4)
 _OFF_DIAGONAL = ~np.eye(4, dtype=bool)
+
+
+class DecompositionError(ArithmeticError):
+    """No decomposition found for the matrix at stack position index."""
+
+    def __init__(self, index: int, message: str):
+        super().__init__(f"matrix {index}: {message}")
+        self.index = index
 
 
 @dataclass(frozen=True)
@@ -107,28 +118,28 @@ def _diagonalize(m2: np.ndarray, ab: np.ndarray) -> tuple[np.ndarray, np.ndarray
     return cand, np.max(np.abs(d[:, _OFF_DIAGONAL]), axis=1) < DIAG_TOL
 
 
-def _raw_decompose_many(u: np.ndarray, rngs: list[np.random.Generator]):
-    """Uncanonicalized KAK terms of u, one per rng: each rng draws the (a, b)
-    mixes of its own diagonalizer search, so no rng's draws depend on the
-    others'."""
-    det = np.linalg.det(u)
+def _raw_decompose(us: np.ndarray, rngs: list[np.random.Generator]):
+    """Uncanonicalized KAK terms of each us[i], one per rng: rngs[i] draws the
+    (a, b) mixes of us[i]'s own diagonalizer search, so no rng's draws
+    depend on the others'."""
+    det = np.linalg.det(us)
     delta = np.angle(det) / 4
-    up = u * np.exp(-1j * delta)
+    up = us * np.exp(-1j * delta)[:, None, None]
 
     v = MAGIC_H @ up @ MAGIC
-    m2 = v.T @ v
+    m2 = np.swapaxes(v, 1, 2) @ v
     # m2 is complex symmetric unitary; a real orthogonal diagonalizer always
     # exists and almost any real mix of Re/Im parts exposes it. First tries
     # run as one stack; only a failed one retries, from its own rng.
     p, ok = _diagonalize(m2, np.array([rng.uniform(-1, 1, 2) for rng in rngs]))
     for i in np.flatnonzero(~ok):
         for _ in range(99):
-            cand, found = _diagonalize(m2, rngs[i].uniform(-1, 1, 2)[None])
+            cand, found = _diagonalize(m2[i : i + 1], rngs[i].uniform(-1, 1, 2)[None])
             if found[0]:
                 p[i] = cand[0]
                 break
         else:
-            raise ArithmeticError("no real-orthogonal diagonalizer found")
+            raise DecompositionError(int(i), "no real-orthogonal diagonalizer found")
     p[np.linalg.det(p) < 0, :, 0] *= -1
     theta = 0.5 * np.angle(np.diagonal(np.swapaxes(p, 1, 2) @ m2 @ p, axis1=1, axis2=2))
     for t in theta:
@@ -143,15 +154,16 @@ def _raw_decompose_many(u: np.ndarray, rngs: list[np.random.Generator]):
     phases = np.zeros((len(rngs), 4, 4), dtype=complex)
     phases[:, _DIAGONAL, _DIAGONAL] = np.exp(-1j * theta)
     o1 = v @ p @ phases
-    if np.max(np.abs(o1.imag)) > 1e-9:
-        raise ArithmeticError("left orthogonal factor is not real")
+    not_real = ~(np.max(np.abs(o1.imag), axis=(1, 2)) <= 1e-9)
+    if not_real.any():
+        raise DecompositionError(int(np.argmax(not_real)), "left orthogonal factor is not real")
 
     g1, g0, pk = _factor_kron_2x2(MAGIC @ np.concatenate((o1.real, o2)) @ MAGIC_H)
     out = []
     for i, t in enumerate(theta):
         w, c1, c2, c3 = GAMMA @ t
         j = len(rngs) + i
-        phase = (delta + w) + (pk[i] + pk[j])
+        phase = (delta[i] + w) + (pk[i] + pk[j])
         out.append((phase, g1[i], g0[i], np.array([c1, c2, c3]), g1[j], g0[j]))
     return out
 
@@ -212,28 +224,45 @@ def _canonicalize(phase, l1, l0, c, r1, r0):
     return phase, l1, l0, c, r1, r0
 
 
-def kak_decompose_many(
-    u: np.ndarray, rngs: list[np.random.Generator | None]
+def kak_decompose_stack(
+    us: np.ndarray, rngs: list[np.random.Generator | None]
 ) -> list[KakTerms]:
-    """Canonicalized Cartan decompositions of one 4x4 unitary, one per rng.
+    """Canonicalized Cartan decompositions of a (m, 4, 4) stack of unitaries,
+    us[i] drawing its branch choices from rngs[i].
 
     An rng only varies internal branch choices (eigenvector order and
     signs); every branch yields a valid decomposition of the same u. None
     stands for default_rng(2023), the plain decomposition. Each result
-    equals kak_decompose(u, rng) bit for bit.
+    equals the decomposition of its matrix alone bit for bit. Raises
+    ValueError for a non-unitary matrix and DecompositionError, with the
+    matrix's stack index, when a decomposition step fails.
     """
-    u = np.asarray(u, dtype=complex)
-    if u.shape != (4, 4):
-        raise ValueError(f"expected a 4x4 matrix, got {u.shape}")
-    if not is_unitary(u, tol=UNITARY_TOL):
+    us = np.asarray(us, dtype=complex)
+    if us.ndim != 3 or us.shape[1:] != (4, 4) or len(us) != len(rngs):
+        raise ValueError(f"expected {len(rngs)} 4x4 matrices, got shape {us.shape}")
+    dev = np.max(np.abs(np.swapaxes(us.conj(), 1, 2) @ us - np.eye(4)), axis=(1, 2))
+    if not np.all(dev <= UNITARY_TOL):
         raise ValueError("input matrix is not unitary")
+    if not rngs:
+        return []
     rngs = [np.random.default_rng(2023) if rng is None else rng for rng in rngs]
     out = []
-    for raw in _raw_decompose_many(u, rngs):
+    for raw in _raw_decompose(us, rngs):
         phase, l1, l0, c, r1, r0 = _canonicalize(*raw)
         phase = float((phase + np.pi) % (2 * np.pi) - np.pi)
         out.append(KakTerms((l0, l1), (r0, r1), c, phase))
     return out
+
+
+def kak_decompose_many(
+    u: np.ndarray, rngs: list[np.random.Generator | None]
+) -> list[KakTerms]:
+    """Decompositions of one 4x4 unitary, one per rng: the repeated-u case of
+    kak_decompose_stack."""
+    u = np.asarray(u, dtype=complex)
+    if u.shape != (4, 4):
+        raise ValueError(f"expected a 4x4 matrix, got {u.shape}")
+    return kak_decompose_stack(np.broadcast_to(u, (len(rngs), 4, 4)), rngs)
 
 
 def kak_decompose(u: np.ndarray, rng: np.random.Generator | None = None) -> KakTerms:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .circuit import Circuit, Gate, GateKind
-from .distributions import Distribution
+from .distributions import Distribution, json_float, json_int, json_list
 from .partition import Block, BlockPartition, reassemble
 
 THETA_MARGIN = 0.1
@@ -199,21 +199,33 @@ def key_to_json(k: ObfuscationKey) -> str:
 
 def key_from_json(text: str) -> ObfuscationKey:
     """Read a version 1 or 2 key. The flip mask stays full width; use
-    `measured()` to decode a measured distribution."""
+    `measured()` to decode a measured distribution. A field of the wrong
+    JSON type (a bool or a non-integral number for an integer, a string for
+    a list) is a ValueError."""
     payload = json.loads(text)
     try:
-        version = payload["version"]
+        version = json_int(payload["version"], "version")
         if version not in (1, 2):
             raise ValueError(f"unsupported key version {version!r}")
         pairs = tuple(
-            RxPair(int(p["wire"]), int(p["boundary"]), float(p["theta"]))
-            for p in payload["rx_pairs"]
+            RxPair(
+                json_int(p["wire"], "wire"),
+                json_int(p["boundary"], "boundary"),
+                json_float(p["theta"], "theta"),
+            )
+            for p in json_list(payload["rx_pairs"], "rx_pairs")
         )
-        measured = tuple(int(q) for q in payload["measured_qubits"]) if version == 2 else ()
-        key = ObfuscationKey(
-            str(payload["flip_mask"]), int(payload["seed"]), pairs, measured
-        )
-        if key.num_qubits != int(payload["num_qubits"]):
+        measured = ()
+        if version == 2:
+            measured = tuple(
+                json_int(q, "measured qubit")
+                for q in json_list(payload["measured_qubits"], "measured_qubits")
+            )
+        mask = payload["flip_mask"]
+        if not isinstance(mask, str):
+            raise ValueError(f"flip_mask must be a string, got {mask!r}")
+        key = ObfuscationKey(mask, json_int(payload["seed"], "seed"), pairs, measured)
+        if key.num_qubits != json_int(payload["num_qubits"], "num_qubits"):
             raise ValueError("flip_mask length does not match num_qubits")
     except KeyError as exc:
         raise ValueError(f"key JSON missing field {exc.args[0]!r}") from exc

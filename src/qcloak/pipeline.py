@@ -6,7 +6,7 @@ It refuses to return a circuit that fails either whole-circuit check:
 - certify(), a structural certificate run at every size in O(g). It proves
   the output equals the RX-injected circuit up to a global phase, given
   that each selected fragment equals its block's unitary, which
-  synthesis.generate_candidates has checked.
+  synthesis.synthesize_blocks has checked.
 - A random-stimuli check up to EQUIV_CHECK_MAX_QUBITS qubits: the output and
   the RX-injected circuit are applied to the same few random product states
   and compared up to a global phase (Burgholzer, Kueng & Wille, ASP-DAC
@@ -26,10 +26,11 @@ from .linalg import apply_circuit, equal_up_to_global_phase
 from .netlsd import DEFAULT_POINTS, DEFAULT_T_MAX, DEFAULT_T_MIN
 from .obfuscate import ObfuscationKey, RxPair, inject_rx_pairs, inject_x_end
 from .partition import Block, BlockPartition, form_blocks, reassemble
-from .synthesis import synthesize_block
+from .synthesis import synthesize_blocks
 
-# imported for perfbench/tracing.py, which wraps this name; not called here
+# imported for perfbench/tracing.py, which wraps these names; not called here
 from .linalg import circuit_unitary  # noqa: F401
+from .synthesis import synthesize_block  # noqa: F401
 
 EQUIV_CHECK_MAX_QUBITS = 10  # widest circuit the random-stimuli check runs on
 STIMULI_COUNT = 4  # random product states per stimuli check
@@ -227,10 +228,7 @@ def encode(c: Circuit, cfg: PipelineConfig) -> EncodeResult:
     )
     key = replace(key, rx_record=rx_record)
 
-    fragments = {
-        b.order_index: synthesize_block(b, cfg.k, cfg.shortlist, int(seeds[2]))
-        for b in partition.blocks
-    }
+    fragments = synthesize_blocks(partition.blocks, cfg.k, cfg.shortlist, int(seeds[2]))
     out = reassemble(partition, fragments)
 
     certify(x_circ, x_partition, partition, rx_record, fragments, out)

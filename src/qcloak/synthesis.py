@@ -7,14 +7,18 @@ of 2*pi within RZ_TRIVIAL_TOL), one X for SX RZ SX around a trivial middle
 RZ, one RZ or nothing for a diagonal segment. Every candidate is checked
 against the block unitary up to global phase before it can be returned.
 
-generate_candidates builds a block's k candidates in one pass: one
-kak.kak_decompose_many call, the Euler angles of all their one-qubit
-segments from one (m, 2, 2) stack (one det, sqrt, angle and arctan2), and
-a check of each candidate's unitary from fragment_unitary, a complex-scalar
-2x2/4x4 kernel. Each candidate's gates and angle bits equal those of
-building it alone. The magnitudes |a|, |b| come from np.hypot(z.real,
-z.imag), which rounds as the scalar abs() does; np.abs of a complex array
-does not, and would move emitted angles.
+synthesize_blocks builds the candidates of many blocks as one stack, one
+chunk of SYNTH_CHUNK blocks at a time: one kak.kak_decompose_stack call
+over the k candidates of every two-qubit block, the Euler angles of every
+one-qubit segment of every candidate from one (m, 2, 2) stack (one det,
+sqrt, angle and arctan2), then a check of each candidate's unitary from
+fragment_unitary, a complex-scalar 2x2/4x4 kernel, and the selection of one
+candidate per block; the other candidates are dropped with the chunk.
+generate_candidates and synthesize_block are the one-block case. Each
+candidate's gates and angle bits equal those of building it alone. The
+magnitudes |a|, |b| come from np.hypot(z.real, z.imag), which rounds as
+the scalar abs() does; np.abs of a complex array does not, and would move
+emitted angles.
 """
 
 from __future__ import annotations
@@ -27,7 +31,7 @@ import numpy as np
 
 from . import netlsd
 from .circuit import Circuit, Gate, GateKind, gate_counts
-from .kak import KakTerms, kak_decompose_many
+from .kak import DecompositionError, KakTerms, kak_decompose_stack
 from .linalg import (
     PAULI_X,
     PAULI_Y,
@@ -48,9 +52,13 @@ RZ_TRIVIAL_TOL = 1e-12
 CLASS_TOL = 1e-10
 DRESS_MARGIN = 0.1
 CANDIDATE_TOL = 1e-9  # each candidate's unitary check, up to global phase
+SYNTH_CHUNK = 64  # blocks per candidate stack; bounds the stack's memory
 SIGNATURE_MEMO_ENTRIES = 1024  # about 2 kB of traces each; the grid is shared
 _GRID = netlsd.default_grid()
 _GRID.setflags(write=False)
+# Gates are frozen and compare by value, so fragments share one instance of
+# each angle-free gate
+_CX_ON = {(0, 1): Gate(GateKind.CX, (0, 1)), (1, 0): Gate(GateKind.CX, (1, 0))}
 
 
 class SynthesisError(RuntimeError):
@@ -83,6 +91,8 @@ def _euler_runs(mats: np.ndarray, wires: list[int]) -> list[list[Gate]]:
     mag = np.hypot(col.real, col.imag)
     ang = np.angle(col)
     half = np.arctan2(mag[:, 1], mag[:, 0])
+    sx_on = {w: Gate(GateKind.SX, (w,)) for w in set(wires)}
+    x_on = {w: Gate(GateKind.X, (w,)) for w in set(wires)}
     runs = []
     for (abs_a, abs_b), (ang_a, ang_b), h, wire in zip(
         mag.tolist(), ang.tolist(), half.tolist(), wires
@@ -100,9 +110,9 @@ def _euler_runs(mats: np.ndarray, wires: list[int]) -> list[list[Gate]]:
             lam = (total - diff) / 2
         middle = theta + np.pi
         if _rz_is_trivial(middle):
-            core = [Gate(GateKind.X, (wire,))]
+            core = [x_on[wire]]
         else:
-            sx = Gate(GateKind.SX, (wire,))
+            sx = sx_on[wire]
             core = [sx, Gate(GateKind.RZ, (wire,), middle), sx]
         runs.append(
             _rz_unless_trivial(lam, wire) + core + _rz_unless_trivial(phi + np.pi, wire)
@@ -184,25 +194,37 @@ def _dress_cx(segments, cxs, rng: np.random.Generator):
 
 
 def _emit_many(templates) -> list[Circuit]:
-    """Two-wire fragments for a list of (segments, cxs) templates, with the
-    Euler runs of all their segments computed as one stack."""
-    mats = np.array([m for segments, _ in templates for seg in segments for m in seg])
-    runs = iter(_euler_runs(mats, [0, 1] * (len(mats) // 2)))
+    """Fragments for a list of (segments, cxs, lead) templates, with the Euler
+    runs of all their segments computed as one stack.
+
+    segments[i] holds one 2x2 matrix per wire and applies before cxs[i];
+    a one-wire template has one segment and no CX. lead is None, or the
+    angle of a dressing RZ that runs before a one-wire fragment's run and
+    folds into its leading RZ."""
+    mats = np.array([m for segments, _, _ in templates for seg in segments for m in seg])
+    wires = [w for segments, _, _ in templates for seg in segments for w in range(len(seg))]
+    runs = iter(_euler_runs(mats, wires))
     out = []
-    for segments, cxs in templates:
+    for segments, cxs, lead in templates:
         gates: list[Gate] = []
-        for i in range(len(segments)):
+        for i, seg in enumerate(segments):
             if i > 0:
-                gates.append(Gate(GateKind.CX, cxs[i - 1]))
-            gates.extend(next(runs))
-            gates.extend(next(runs))
-        out.append(Circuit(2, tuple(gates)))
+                gates.append(_CX_ON[cxs[i - 1]])
+            for _ in seg:
+                gates.extend(next(runs))
+        if lead is not None:
+            # the dressing RZ(lead) runs first, so it folds into a leading RZ
+            if gates and gates[0].kind is GateKind.RZ:
+                gates[:1] = _rz_unless_trivial(lead + gates[0].angle, 0)
+            else:
+                gates.insert(0, Gate(GateKind.RZ, (0,), lead))
+        out.append(Circuit(len(segments[0]), tuple(gates)))
     return out
 
 
 def weyl_to_circuit(t: KakTerms) -> Circuit:
     """Two-wire fragment realizing the KakTerms value at its minimal CX count."""
-    return _emit_many([_segments(t)])[0]
+    return _emit_many([(*_segments(t), None)])[0]
 
 
 def _pauli_dress(t: KakTerms, rng: np.random.Generator) -> KakTerms:
@@ -217,37 +239,23 @@ def _pauli_dress(t: KakTerms, rng: np.random.Generator) -> KakTerms:
     return KakTerms((l0 @ p, l1 @ p), (p @ r0, p @ r1), t.weyl, t.global_phase)
 
 
-def _candidates_1q(u: np.ndarray, rngs: list[np.random.Generator | None]) -> list[Circuit]:
-    """One-wire fragments of u: the plain Euler run for a None rng, else the
+def _template_1q(u: np.ndarray, rng: np.random.Generator | None):
+    """One-wire template of u: the plain Euler run for a None rng, else the
     run of u RZ(-psi) after a dressing RZ(psi) drawn from the rng."""
-    psis = [
-        None if rng is None else rng.uniform(DRESS_MARGIN, 2 * np.pi - DRESS_MARGIN)
-        for rng in rngs
-    ]
-    mats = np.array([u if psi is None else u @ rz_matrix(-psi) for psi in psis])
-    out = []
-    for psi, gates in zip(psis, _euler_runs(mats, [0] * len(psis))):
-        if psi is not None:
-            # the dressing RZ(psi) runs first, so it folds into a leading RZ
-            if gates and gates[0].kind is GateKind.RZ:
-                gates[:1] = _rz_unless_trivial(psi + gates[0].angle, 0)
-            else:
-                gates.insert(0, Gate(GateKind.RZ, (0,), psi))
-        out.append(Circuit(1, tuple(gates)))
-    return out
+    if rng is None:
+        return [[u]], [], None
+    psi = rng.uniform(DRESS_MARGIN, 2 * np.pi - DRESS_MARGIN)
+    return [[u @ rz_matrix(-psi)]], [], psi
 
 
-def _candidates_2q(u: np.ndarray, rngs: list[np.random.Generator | None]) -> list[Circuit]:
-    """Two-wire fragments of u: the plain KAK template for a None rng, else a
-    KAK branch, a Pauli dressing and canceling CX dressings drawn from the rng."""
-    templates = []
-    for rng, t in zip(rngs, kak_decompose_many(u, rngs)):
-        if rng is None:
-            templates.append(_segments(t))
-        else:
-            segments, cxs = _segments(_pauli_dress(t, rng))
-            templates.append((_dress_cx(segments, cxs, rng), cxs))
-    return _emit_many(templates)
+def _template_2q(t: KakTerms, rng: np.random.Generator | None):
+    """Two-wire template of a decomposition: the plain KAK template for a None
+    rng, else a Pauli dressing and canceling CX dressings drawn from the rng
+    after the decomposition's own draws."""
+    if rng is None:
+        return (*_segments(t), None)
+    segments, cxs = _segments(_pauli_dress(t, rng))
+    return _dress_cx(segments, cxs, rng), cxs, None
 
 
 _CX_ROWS = {(0, 1): (0, 3, 2, 1), (1, 0): (0, 1, 3, 2)}
@@ -318,23 +326,54 @@ def fragment_unitary(c: Circuit) -> np.ndarray:
     return np.array(m)
 
 
+def _candidate_rngs(seed: int, order_index: int, k: int) -> list[np.random.Generator | None]:
+    """None for the plain candidate 0, then one generator per later candidate."""
+    return [None] + [np.random.default_rng([seed, order_index, i]) for i in range(1, k)]
+
+
+def _candidate_sets(blocks: list[Block], k: int, seed: int) -> list[list[Circuit]]:
+    """k checked candidates per block, built as one stack: one KAK pass over
+    the candidates of all two-qubit blocks, one Euler pass over the segments
+    of every candidate, then each candidate's check against its block."""
+    if any(not b.gates for b in blocks):
+        raise ValueError("cannot synthesize an empty block")
+    us = [block_unitary(b) for b in blocks]
+    rngs = [_candidate_rngs(seed, b.order_index, k) for b in blocks]
+    two = [i for i, b in enumerate(blocks) if len(b.qubits) == 2]
+    stack = np.array([us[i] for i in two for _ in range(k)]).reshape(-1, 4, 4)
+    try:
+        terms = iter(kak_decompose_stack(stack, [rng for i in two for rng in rngs[i]]))
+    except DecompositionError as exc:
+        b = blocks[two[exc.index // k]]
+        raise SynthesisError(
+            f"candidate {exc.index % k} for block {b.order_index} has no KAK decomposition"
+        ) from exc
+    templates = []
+    for b, u, block_rngs in zip(blocks, us, rngs):
+        if len(b.qubits) == 1:
+            templates.extend(_template_1q(u, rng) for rng in block_rngs)
+        else:
+            templates.extend(_template_2q(next(terms), rng) for rng in block_rngs)
+    frags = _emit_many(templates)
+    out = []
+    for j, (b, u) in enumerate(zip(blocks, us)):
+        cands = frags[j * k : (j + 1) * k]
+        for i, frag in enumerate(cands):
+            if not equal_up_to_global_phase(fragment_unitary(frag), u, tol=CANDIDATE_TOL):
+                raise SynthesisError(
+                    f"candidate {i} for block {b.order_index} failed equivalence"
+                )
+        out.append(cands)
+    return out
+
+
 def generate_candidates(b: Block, k: int, seed: int) -> list[Circuit]:
     """k fragments equivalent to the block, all at the block's minimal CX
     count. Candidate 0 is the deterministic plain synthesis; later candidates
     draw decomposition branches and canceling-rotation dressings from a
-    per-(seed, block, index) RNG."""
-    if not b.gates:
-        raise ValueError("cannot synthesize an empty block")
-    u = block_unitary(b)
-    rngs = [None] + [np.random.default_rng([seed, b.order_index, i]) for i in range(1, k)]
-    build = _candidates_1q if len(b.qubits) == 1 else _candidates_2q
-    out = build(u, rngs)
-    for i, frag in enumerate(out):
-        if not equal_up_to_global_phase(fragment_unitary(frag), u, tol=CANDIDATE_TOL):
-            raise SynthesisError(
-                f"candidate {i} for block {b.order_index} failed equivalence"
-            )
-    return out
+    per-(seed, block, index) RNG. The one-block case of synthesize_blocks'
+    candidate stack."""
+    return _candidate_sets([b], k, seed)[0]
 
 
 def select_candidate(cands: list[Circuit], original_block: Block, shortlist: int) -> Circuit:
@@ -381,4 +420,19 @@ def _wire_signature(num_qubits: int, wires: tuple[tuple[int, ...], ...]) -> Heat
 
 
 def synthesize_block(b: Block, k: int, shortlist: int, seed: int) -> Circuit:
+    """The one-block case of synthesize_blocks."""
     return select_candidate(generate_candidates(b, k, seed), b, shortlist)
+
+
+def synthesize_blocks(
+    blocks: list[Block] | tuple[Block, ...], k: int, shortlist: int, seed: int
+) -> dict[int, Circuit]:
+    """Selected fragment of every block, keyed by order_index: each chunk of
+    SYNTH_CHUNK blocks gets one candidate stack, and only each block's
+    selected candidate is kept. Every fragment equals synthesize_block's."""
+    out = {}
+    for start in range(0, len(blocks), SYNTH_CHUNK):
+        chunk = list(blocks[start : start + SYNTH_CHUNK])
+        for b, cands in zip(chunk, _candidate_sets(chunk, k, seed)):
+            out[b.order_index] = select_candidate(cands, b, shortlist)
+    return out

@@ -293,19 +293,39 @@ def per_candidate_2q(u: np.ndarray, rng: np.random.Generator | None) -> Circuit:
     return _per_candidate_emit(_dress_cx(segments, cxs, rng), cxs)
 
 
-def per_candidate_generate(b: Block, k: int, seed: int) -> list[Circuit]:
+def per_candidate_generate(b: Block, k: int, seed: int, rngs=None) -> list[Circuit]:
     """Reference for synthesis.generate_candidates: each candidate built and
-    checked through circuit_unitary before the next is drawn."""
+    checked through circuit_unitary before the next is drawn. rngs replaces
+    the per-(seed, block, index) generators when given."""
     u = block_unitary(b)
     build = per_candidate_1q if len(b.qubits) == 1 else per_candidate_2q
+    if rngs is None:
+        rngs = [None] + [np.random.default_rng([seed, b.order_index, i]) for i in range(1, k)]
     out = []
-    for i in range(k):
-        rng = None if i == 0 else np.random.default_rng([seed, b.order_index, i])
+    for i, rng in enumerate(rngs):
         frag = build(u, rng)
         if not equal_up_to_global_phase(circuit_unitary(frag), u, tol=CANDIDATE_TOL):
             raise SynthesisError(f"candidate {i} for block {b.order_index} failed equivalence")
         out.append(frag)
     return out
+
+
+class ZeroFirstRng:
+    """A Generator whose first uniform draw is (0, 0): a zero mix, whose
+    eigenvectors do not diagonalize a generic m2, so the search retries."""
+
+    def __init__(self, seed):
+        self.inner = np.random.default_rng(seed)
+        self.uniform_calls = 0
+
+    def uniform(self, *args, **kwargs):
+        self.uniform_calls += 1
+        if self.uniform_calls == 1:
+            return np.zeros(2)
+        return self.inner.uniform(*args, **kwargs)
+
+    def integers(self, *args, **kwargs):
+        return self.inner.integers(*args, **kwargs)
 
 
 def gate_bits(c: Circuit) -> list[tuple]:
@@ -343,6 +363,74 @@ def class_edge_unitary(case: str, eps: float, seed: int) -> np.ndarray:
     left = np.kron(_random_local(rng), _random_local(rng))
     right = np.kron(_random_local(rng), _random_local(rng))
     return left @ u @ right
+
+
+def _zz_gates(t: float) -> list[Gate]:
+    # exp(i t ZZ) = CX exp(i t Z_1) CX, and exp(i t Z) = RZ(-2t)
+    return [cx(0, 1), rz(-2 * t, 1), cx(0, 1)]
+
+
+def canonical_gates(c) -> list[Gate]:
+    """Gates on local wires 0 and 1 whose product is exp(i(c1 XX + c2 YY +
+    c3 ZZ)) up to a global phase, for any c: exp(i c1 XX) in the frame of
+    H ~ RZ(pi/2) SX RZ(pi/2) on both wires, exp(i c2 YY) in the frame of
+    RX(pi/2) on both wires, since RX(-pi/2) Z RX(pi/2) = Y."""
+    h = [g for w in (0, 1) for g in (rz(np.pi / 2, w), sx(w), rz(np.pi / 2, w))]
+    to_y = [rx(np.pi / 2, 0), rx(np.pi / 2, 1)]
+    from_y = [rx(-np.pi / 2, 0), rx(-np.pi / 2, 1)]
+    return h + _zz_gates(c[0]) + h + to_y + _zz_gates(c[1]) + from_y + _zz_gates(c[2])
+
+
+def frame_gates(angles, wire: int) -> list[Gate]:
+    """RZ(a) RX(b) RZ(c) on one wire: any one-qubit frame, up to phase."""
+    a, b, c = angles
+    return [rz(a, wire), rx(b, wire), rz(c, wire)]
+
+
+def inverse_frame_gates(angles, wire: int) -> list[Gate]:
+    a, b, c = angles
+    return [rz(-c, wire), rx(-b, wire), rz(-a, wire)]
+
+
+# Weyl coordinates on KAK class boundaries and where magic-basis eigenvalues
+# coincide: the identity (all four), CX, SWAP and c1 = c2 = c3 (three),
+# iSWAP, c1 = c2, c2 = c3 and c2 = -c3 (two), an interior c3 = 0 point and
+# c1 = pi/4.
+BOUNDARY_POINTS = {
+    "identity": (0.0, 0.0, 0.0),
+    "cx": (np.pi / 4, 0.0, 0.0),
+    "swap": (np.pi / 4, np.pi / 4, np.pi / 4),
+    "c_equal": (0.3, 0.3, 0.3),
+    "iswap": (np.pi / 4, np.pi / 4, 0.0),
+    "c1_c2": (0.5, 0.5, 0.1),
+    "c2_c3": (0.6, 0.3, 0.3),
+    "c2_minus_c3": (0.6, 0.3, -0.3),
+    "c3_zero": (0.6, 0.3, 0.0),
+    "c1_pi_4": (np.pi / 4, 0.5, 0.2),
+}
+# offsets around CLASS_TOL = 1e-10, applied per coordinate
+BOUNDARY_OFFSETS = (0.0, 1e-15, -1e-13, 1e-13, 5e-11, -5e-11, 1e-10, -1e-10, 2e-10, 1e-9, -1e-7)
+
+
+@st.composite
+def boundary_blocks(draw, order_index: int):
+    """A two-qubit block whose Weyl coordinates lie on or near a KAK class
+    boundary, between random local frames. With near_identity, the left
+    frames undo the right ones and the coordinates shrink to the offsets, so
+    the block's unitary is within about 1e-7 of the identity."""
+    base = np.array(BOUNDARY_POINTS[draw(st.sampled_from(sorted(BOUNDARY_POINTS)))])
+    offsets = np.array([draw(st.sampled_from(BOUNDARY_OFFSETS)) for _ in range(3)])
+    near_identity = draw(st.booleans())
+    c = offsets if near_identity else base + offsets
+    frame = st.tuples(ANGLES, ANGLES, ANGLES)
+    right = [draw(frame), draw(frame)]
+    left = [draw(frame), draw(frame)]
+    gates = frame_gates(right[0], 0) + frame_gates(right[1], 1) + canonical_gates(c)
+    if near_identity:
+        gates += inverse_frame_gates(right[0], 0) + inverse_frame_gates(right[1], 1)
+    else:
+        gates += frame_gates(left[0], 0) + frame_gates(left[1], 1)
+    return Block((0, 1), tuple(gates), order_index)
 
 
 def loop_statements(text: str):

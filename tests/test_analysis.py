@@ -8,6 +8,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
+import qcloak.analysis
+import qcloak.synthesis
 from qcloak.analysis import (
     compare,
     dominant_percentile,
@@ -16,15 +18,21 @@ from qcloak.analysis import (
     reports_to_csv,
     tvd,
 )
-from qcloak.bench import gen_ghz
-from qcloak.circuit import GateKind, gate_counts
+from qcloak.bench import gen_ghz, gen_qft, gen_random_blocks
+from qcloak.circuit import Circuit, GateKind, cx, gate_counts, rz, sx
 from qcloak.distributions import Distribution
 from qcloak.kak import kak_decompose
 from qcloak.linalg import circuit_unitary, equal_up_to_global_phase
-from qcloak.partition import block_unitary, form_blocks
-from qcloak.pipeline import PipelineConfig
+from qcloak.partition import block_unitary, form_blocks, reassemble
+from qcloak.pipeline import PipelineConfig, encode
 from qcloak.synthesis import minimal_cx_count
-from strategies import REPORT_CSV_HEADER, REPORT_JSON_KEYS, circuits
+from strategies import (
+    REPORT_CSV_HEADER,
+    REPORT_JSON_KEYS,
+    circuits,
+    gate_bits,
+    per_candidate_generate,
+)
 
 REPO = Path(__file__).resolve().parent.parent
 
@@ -114,6 +122,80 @@ def test_make_baseline_preserves_unitary(c):
     base = make_baseline(c)
     assert equal_up_to_global_phase(circuit_unitary(base), circuit_unitary(c), 1e-9)
     assert base.measured_qubits == c.measured_qubits
+
+
+def _per_block_baseline(c: Circuit) -> Circuit:
+    """The baseline with every block synthesized on its own by the
+    per-candidate oracle."""
+    p = form_blocks(c)
+    return reassemble(p, {b.order_index: per_candidate_generate(b, 1, 0)[0] for b in p.blocks})
+
+
+def _counting_synthesis(monkeypatch) -> list[int]:
+    """Block counts of every synthesize_blocks call make_baseline makes."""
+    real = qcloak.analysis.synthesize_blocks
+    counts: list[int] = []
+
+    def counting(blocks, k, shortlist, seed):
+        counts.append(len(blocks))
+        return real(blocks, k, shortlist, seed)
+
+    monkeypatch.setattr(qcloak.analysis, "synthesize_blocks", counting)
+    return counts
+
+
+@pytest.mark.parametrize("name", ["qft6", "random12", "repeated"])
+def test_baseline_synthesizes_each_distinct_block_once(monkeypatch, name):
+    c = {
+        "qft6": gen_qft(6),
+        "random12": gen_random_blocks(12, 40, seed=2),
+        # one block repeated on the same and on other wires
+        "repeated": Circuit(4, (sx(0), cx(0, 1), rz(0.4, 1)) * 3 + (sx(2), cx(2, 3), rz(0.4, 3))),
+    }[name]
+    counts = _counting_synthesis(monkeypatch)
+    table: dict = {}
+    base = make_baseline(c, table)
+    assert gate_bits(base) == gate_bits(_per_block_baseline(c))
+    assert counts == [len(table)]
+    assert len(table) <= len(form_blocks(c).blocks)
+    if name != "random12":
+        assert len(table) < len(form_blocks(c).blocks)
+    # a warm table gives the same bits and synthesizes nothing
+    assert gate_bits(make_baseline(c, table)) == gate_bits(base)
+    assert counts == [len(table), 0]
+
+
+def test_baseline_keeps_zero_angles_of_either_sign_apart(monkeypatch):
+    counts = _counting_synthesis(monkeypatch)
+    table: dict = {}
+    for one in (Circuit(1, (rz(0.0, 0),)), Circuit(1, (rz(-0.0, 0),))):
+        assert gate_bits(make_baseline(one, table)) == gate_bits(_per_block_baseline(one))
+    # the -0.0 block misses the 0.0 block's entry: two keys, two syntheses
+    assert counts == [1, 1] and len(table) == 2
+    c = Circuit(2, (rz(0.0, 0), cx(0, 1), rz(-0.0, 1), rz(-0.0, 0), cx(0, 1), rz(0.0, 1)))
+    assert gate_bits(make_baseline(c, table)) == gate_bits(_per_block_baseline(c))
+
+
+def test_compare_shares_one_baseline_table(monkeypatch):
+    real = qcloak.analysis.make_baseline
+    calls = []
+
+    def recording(c, table=None):
+        out = real(c, table)
+        calls.append((c, table, out))
+        return out
+
+    monkeypatch.setattr(qcloak.analysis, "make_baseline", recording)
+    original, cfg = gen_random_blocks(12, 40, seed=2), PipelineConfig(seed=4)
+    compare(original, cfg, structural_only=True)
+    (c0, table0, base), (c1, table1, x_only) = calls
+    assert c0 == original and table1 is table0 and isinstance(table0, dict)
+    assert gate_bits(base) == gate_bits(real(original))
+    # the X-only baseline, built from the shared table, equals a fresh one
+    x_circ = encode(original, cfg).x_injected
+    assert c1 == x_circ
+    assert gate_bits(x_only) == gate_bits(real(x_circ))
+    assert gate_bits(x_only) == gate_bits(_per_block_baseline(x_circ))
 
 
 def test_compare_populates_fields():

@@ -267,6 +267,32 @@ GOOD_DIST = {"kind": "counts", "num_bits": 2, "outcomes": {"01": 3}}
         pytest.param("key", [], id="key-list"),
         pytest.param("key", {**GOOD_KEY, "rx_pairs": [3]}, id="rx-pair-int"),
         pytest.param("key", {**GOOD_KEY, "rx_pairs": None}, id="rx-pairs-null"),
+        pytest.param(
+            "key", {**GOOD_KEY, "version": 2, "measured_qubits": "01"}, id="measured-string"
+        ),
+        pytest.param("key", {**GOOD_KEY, "version": True}, id="version-bool"),
+        pytest.param("key", {**GOOD_KEY, "seed": 1.7}, id="seed-fraction"),
+        pytest.param("key", {**GOOD_KEY, "num_qubits": 2.5}, id="num-qubits-fraction"),
+        pytest.param(
+            "key", {**GOOD_KEY, "num_qubits": 1, "flip_mask": 1}, id="flip-mask-number"
+        ),
+        pytest.param(
+            "key",
+            {**GOOD_KEY, "rx_pairs": [{"wire": True, "boundary": 0, "theta": 0.5}]},
+            id="wire-bool",
+        ),
+        pytest.param(
+            "key",
+            {**GOOD_KEY, "rx_pairs": [{"wire": 0, "boundary": 0, "theta": "0.5"}]},
+            id="theta-string",
+        ),
+        pytest.param(
+            "dist", {**GOOD_DIST, "num_bits": 3.7, "outcomes": {"011": 3}}, id="num-bits-fraction"
+        ),
+        pytest.param(
+            "dist", {**GOOD_DIST, "num_bits": True, "outcomes": {"1": 3}}, id="num-bits-bool"
+        ),
+        pytest.param("dist", {**GOOD_DIST, "outcomes": {"01": "3"}}, id="weight-string"),
     ],
 )
 def test_wrong_json_shape_is_a_validation_error(tmp_path, capsys, which, payload):

@@ -12,12 +12,14 @@ from qcloak.kak import (
     canonical_matrix,
     kak_decompose,
     kak_decompose_many,
+    kak_decompose_stack,
     kak_reconstruct,
 )
 from qcloak.linalg import CX_MATRIX, PAULI_X, PAULI_Y, PAULI_Z, is_unitary
 from strategies import (
     CLASS_EDGE_EPS,
     CLASS_EDGES,
+    ZeroFirstRng,
     class_edge_unitary,
     per_candidate_kak,
     per_matrix_factor_kron,
@@ -175,24 +177,6 @@ def test_stacked_kak_matches_oracle_at_class_edges(case, eps):
         _assert_many_matches_oracle(class_edge_unitary(case, eps, frame_seed), 5, frame_seed)
 
 
-class ZeroFirstRng:
-    """A Generator whose first uniform draw is (0, 0): a zero mix, whose
-    eigenvectors do not diagonalize a generic m2, so the search retries."""
-
-    def __init__(self, seed):
-        self.inner = np.random.default_rng(seed)
-        self.uniform_calls = 0
-
-    def uniform(self, *args, **kwargs):
-        self.uniform_calls += 1
-        if self.uniform_calls == 1:
-            return np.zeros(2)
-        return self.inner.uniform(*args, **kwargs)
-
-    def integers(self, *args, **kwargs):
-        return self.inner.integers(*args, **kwargs)
-
-
 def test_stacked_kak_retry_matches_oracle():
     rng = np.random.default_rng(11)
     for _ in range(5):
@@ -221,3 +205,37 @@ def test_kak_decompose_is_the_one_rng_case():
         kak_decompose(u, np.random.default_rng(9)),
         kak_decompose_many(u, [np.random.default_rng(9)])[0],
     )
+
+
+@given(
+    st.lists(unitaries(), min_size=1, max_size=7),
+    st.integers(0, 2**32 - 1),
+    st.data(),
+)
+@settings(max_examples=60, deadline=None)
+def test_kak_stack_of_distinct_unitaries_matches_per_candidate_oracle(us, seed, data):
+    # one u per candidate, each with its own rng; one candidate's first
+    # diagonalizer try fails, so it alone retries from its own stub
+    stub = data.draw(st.integers(0, len(us) - 1))
+
+    def rngs():
+        out = [np.random.default_rng([seed, i]) for i in range(len(us))]
+        out[stub] = ZeroFirstRng([seed, stub])
+        out[0] = None if stub != 0 else out[0]
+        return out
+
+    stacked, oracle = rngs(), rngs()
+    got = kak_decompose_stack(np.array(us), stacked)
+    for u, g, rng in zip(us, got, oracle):
+        _assert_terms_equal(g, per_candidate_kak(u, rng))
+    assert stacked[stub].uniform_calls >= 2
+    assert stacked[stub].uniform_calls == oracle[stub].uniform_calls
+
+
+def test_kak_stack_rejects_bad_input():
+    u = class_edge_unitary("cx", 0.0, 1)
+    with pytest.raises(ValueError, match="not unitary"):
+        kak_decompose_stack(np.array([u, 2 * u]), [None, None])
+    with pytest.raises(ValueError, match="expected 2 4x4 matrices"):
+        kak_decompose_stack(np.array([u]), [None, None])
+    assert kak_decompose_stack(np.zeros((0, 4, 4)), []) == []

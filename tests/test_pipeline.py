@@ -215,15 +215,19 @@ def test_only_the_certificate_sees_a_misplaced_rx_half(monkeypatch):
 def test_stimuli_check_rejects_a_wrong_fragment(monkeypatch):
     # a fragment that does not equal its block passes the certificate, which
     # trusts synthesis' own per-candidate check; the stimuli check catches it
-    real = qcloak.pipeline.synthesize_block
+    real = qcloak.pipeline.synthesize_blocks
+    calls = []
 
-    def wrong(b, k, shortlist, seed):
-        frag = real(b, k, shortlist, seed)
-        return _shift_first_rz(frag) if len(b.qubits) == 2 else frag
+    def wrong(blocks, k, shortlist, seed):
+        frags = real(blocks, k, shortlist, seed)
+        calls.append(len(blocks))
+        two = {b.order_index for b in blocks if len(b.qubits) == 2}
+        return {o: _shift_first_rz(f) if o in two else f for o, f in frags.items()}
 
-    monkeypatch.setattr(qcloak.pipeline, "synthesize_block", wrong)
+    monkeypatch.setattr(qcloak.pipeline, "synthesize_blocks", wrong)
     with pytest.raises(SynthesisEquivalenceError, match="random stimuli"):
         encode(gen_random_blocks(8, 24, 5), PipelineConfig(seed=2))
+    assert len(calls) == 1  # encode synthesizes every block in one call
 
 
 @pytest.mark.parametrize("seed", [0, 3, 7])

@@ -1,3 +1,5 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,7 +8,7 @@ from hypothesis import strategies as st
 import qcloak.netlsd
 import qcloak.synthesis
 from qcloak.bench import gen_random_blocks
-from qcloak.circuit import Circuit, Gate, GateKind, cx, gate_counts, rz, sx, x
+from qcloak.circuit import Circuit, Gate, GateKind, cx, gate_counts, rx, rz, sx, x
 from qcloak.kak import kak_decompose
 from qcloak.linalg import (
     SX_MATRIX,
@@ -19,21 +21,28 @@ from qcloak.linalg import (
 from qcloak.netlsd import circuit_signature
 from qcloak.partition import Block, block_unitary, form_blocks, to_local_circuit
 from qcloak.synthesis import (
+    CANDIDATE_TOL,
     DRESS_MARGIN,
+    SYNTH_CHUNK,
     SynthesisError,
-    _candidates_1q,
+    _candidate_sets,
+    _emit_many,
     _euler_runs,
+    _template_1q,
     fragment_signature,
     fragment_unitary,
     generate_candidates,
     minimal_cx_count,
     select_candidate,
     synthesize_block,
+    synthesize_blocks,
     weyl_to_circuit,
 )
 from strategies import (
     CLASS_EDGE_EPS,
     CLASS_EDGES,
+    ZeroFirstRng,
+    boundary_blocks,
     circuits,
     class_edge_unitary,
     gate_bits,
@@ -109,7 +118,7 @@ EDGE_EPS = [0.0, 1e-13, -1e-13, 1e-11]
 
 
 def _candidate_1q(u: np.ndarray, rng: np.random.Generator | None) -> Circuit:
-    return _candidates_1q(u, [rng])[0]
+    return _emit_many([_template_1q(u, rng)])[0]
 
 
 def _dressing_angle(seed: int) -> float:
@@ -357,3 +366,122 @@ def test_candidate_check_names_the_mutated_candidate(monkeypatch, mutate, index)
     b = Block((0, 1), (sx(0), cx(0, 1), rz(0.8, 1), cx(1, 0), rz(0.3, 0)), 6)
     with pytest.raises(SynthesisError, match=f"^candidate {index} for block 6 failed"):
         generate_candidates(b, 3, 12)
+
+
+# A generic two-qubit block: its magic-basis Gram matrix is not diagonal, so
+# a zero diagonalizer mix fails and the search retries.
+RETRY_BLOCK_GATES = (
+    rx(0.3, 0), cx(0, 1), rz(0.7, 1), rx(1.1, 1), cx(1, 0), sx(0), rz(0.2, 0), cx(0, 1)
+)
+
+
+def _with_orders(bs: list[Block], first: int = 0) -> list[Block]:
+    """The blocks with distinct order indices, in list order."""
+    return [Block(b.qubits, b.gates, first + 3 * i) for i, b in enumerate(bs)]
+
+
+def _oracle_rngs(seed: int, order_index: int, k: int, stub_order: int | None):
+    rngs = [None] + [np.random.default_rng([seed, order_index, i]) for i in range(1, k)]
+    if order_index == stub_order and k > 1:
+        rngs[1] = ZeroFirstRng([seed, order_index, 1])
+    return rngs
+
+
+def _assert_stack_matches_per_block_oracle(bs, k, shortlist, seed, chunk, stub_order):
+    """The stacked path with SYNTH_CHUNK = chunk against per-block,
+    per-candidate synthesis; candidate 1 of the block stub_order draws from
+    a stub whose first diagonalizer try fails."""
+    stubs = []
+
+    def stub_rngs(seed_, order_index, k_):
+        rngs = _oracle_rngs(seed_, order_index, k_, stub_order)
+        stubs.extend(r for r in rngs if isinstance(r, ZeroFirstRng))
+        return rngs
+
+    with mock.patch.object(qcloak.synthesis, "SYNTH_CHUNK", chunk), mock.patch.object(
+        qcloak.synthesis, "_candidate_rngs", stub_rngs
+    ):
+        cand_sets = _candidate_sets(bs, k, seed)
+        chosen = synthesize_blocks(bs, k, shortlist, seed)
+    assert sorted(chosen) == sorted(b.order_index for b in bs)
+    for b, cands in zip(bs, cand_sets):
+        want = per_candidate_generate(
+            b, k, seed, _oracle_rngs(seed, b.order_index, k, stub_order)
+        )
+        assert [gate_bits(c) for c in cands] == [gate_bits(c) for c in want]
+        assert [c.num_qubits for c in cands] == [c.num_qubits for c in want]
+        assert gate_bits(chosen[b.order_index]) == gate_bits(select_candidate(want, b, shortlist))
+    if stub_order is not None and k > 1:
+        # _candidate_sets and synthesize_blocks each drew one stub, and each retried
+        assert len(stubs) == 2 and all(r.uniform_calls >= 2 for r in stubs)
+
+
+@given(
+    st.lists(blocks(), min_size=1, max_size=9),
+    st.sampled_from([1, 2, 3, 5]),
+    st.integers(0, 2**32 - 1),
+    st.sampled_from([1, 2, 3, SYNTH_CHUNK]),
+    st.data(),
+)
+@settings(max_examples=60, deadline=None)
+def test_block_stack_matches_per_block_oracle(drawn, k, seed, chunk, data):
+    # mixes of one- and two-qubit blocks; chunks of 1-3 blocks put chunk
+    # boundaries inside the list, and one retrying block joins the stack
+    at = data.draw(st.integers(0, len(drawn)))
+    bs = _with_orders([*drawn[:at], Block((0, 1), RETRY_BLOCK_GATES, 0), *drawn[at:]])
+    shortlist = data.draw(st.integers(1, k))
+    _assert_stack_matches_per_block_oracle(bs, k, shortlist, seed, chunk, bs[at].order_index)
+
+
+@pytest.mark.parametrize("count", [SYNTH_CHUNK - 1, SYNTH_CHUNK, SYNTH_CHUNK + 1])
+def test_block_stack_matches_oracle_across_the_real_chunk_size(count):
+    c = gen_random_blocks(24, 120, seed=3)
+    bs = _with_orders(list(form_blocks(c).blocks)[:count], first=1)
+    assert len(bs) == count and {len(b.qubits) for b in bs} == {1, 2}
+    stub = next(b for b in reversed(bs) if len(b.qubits) == 2)
+    _assert_stack_matches_per_block_oracle(bs, 3, 2, 11, SYNTH_CHUNK, stub.order_index)
+
+
+def test_synthesize_blocks_of_nothing():
+    assert synthesize_blocks([], 3, 2, 0) == {}
+
+
+def test_kak_failure_names_its_block(monkeypatch):
+    # a diagonalizer search that never succeeds fails the block's candidate
+    # as a SynthesisError naming block and candidate, like a failed check
+    class NeverRng(ZeroFirstRng):
+        def uniform(self, *args, **kwargs):
+            return np.zeros(2)  # every diagonalizer try mixes nothing
+
+    real = qcloak.synthesis._candidate_rngs
+
+    def rngs(seed, order_index, k):
+        out = real(seed, order_index, k)
+        if order_index == 9:
+            out[2] = NeverRng(0)
+        return out
+
+    monkeypatch.setattr(qcloak.synthesis, "_candidate_rngs", rngs)
+    bs = [Block((0, 1), RETRY_BLOCK_GATES, 4), Block((0, 1), RETRY_BLOCK_GATES, 9)]
+    with pytest.raises(SynthesisError, match="^candidate 2 for block 9 has no KAK"):
+        synthesize_blocks(bs, 3, 2, 0)
+
+
+@given(st.data(), st.sampled_from([1, 3]), st.integers(0, 2**32 - 1))
+@settings(max_examples=150, deadline=None)
+def test_kak_class_boundaries_through_the_stack(data, k, seed):
+    # Weyl coordinates within CLASS_TOL of 0 and pi/4, degenerate
+    # magic-basis eigenvalues and near-identity blocks, under random local
+    # frames: each candidate either matches its block or the stack raises
+    bs = [data.draw(boundary_blocks(3 * i)) for i in range(data.draw(st.integers(1, 4)))]
+    try:
+        cand_sets = _candidate_sets(bs, k, seed)
+    except SynthesisError:
+        return
+    for b, cands in zip(bs, cand_sets):
+        u = block_unitary(b)
+        for c in cands:
+            assert c.num_qubits == 2
+            assert {g.kind for g in c.gates} <= {GateKind.RZ, GateKind.SX, GateKind.X, GateKind.CX}
+            assert gate_counts(c).cx <= 3
+            assert equal_up_to_global_phase(circuit_unitary(c), u, CANDIDATE_TOL + 1e-12)
