@@ -6,7 +6,9 @@ symmetric normalized Laplacian (isolated nodes contribute eigenvalue 0).
 Above DENSE_NODE_LIMIT nodes, h(t) is estimated from stochastic Chebyshev
 moments (Han, Malioutov, Avron & Shin, SISC 2017) of PROBES = 512
 Rademacher probes drawn from seed PROBE_SEED = 11; both are constants, not
-settings. Signatures are compared by unnormalized Euclidean distance.
+settings. Each step of the Chebyshev recurrence is one sparse product with
+M = 2 (L - I), accumulated in place into the probe block it replaces.
+Signatures are compared by unnormalized Euclidean distance.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.sparse._sparsetools import csr_matvecs
 from scipy.sparse.csgraph import connected_components
 from scipy.special import ive
 
@@ -137,29 +140,47 @@ def _heat_coefficients(n: int, grid: np.ndarray) -> np.ndarray:
     return c
 
 
-def _probe_block_moments(lap, basis: np.ndarray, k_max: int, v: np.ndarray) -> np.ndarray:
+def _chebyshev_operator(lap):
+    """M = 2 (L - I) in sorted CSR form. On a node with edges the diagonal is an
+    exact 0 and is dropped; an isolated node keeps its -2."""
+    op = 2.0 * (lap - sp.identity(lap.shape[0], format="csr"))
+    op.eliminate_zeros()
+    op.sort_indices()
+    return op
+
+
+def _probe_block_moments(op, basis: np.ndarray, k_max: int, v: np.ndarray) -> np.ndarray:
     """Chebyshev moments mu_k = sum over the columns z of z^T T_k(L - I) z,
-    k = 0 .. 2 k_max, of the probe block v (n, width), which is overwritten by
-    its deflation against the zero eigenspace (the columns of basis). Zero
-    modes sit at x = -1, where |T_k| = 1, so one deflation suffices. Each step
-    of T_{k+1} z = 2 (L - I) T_k z - T_{k-1} z is one sparse-dense product and
-    gives two moments: mu_{2k} = 2 |T_k z|^2 - mu_0 and mu_{2k+1} =
-    2 <T_{k+1} z, T_k z> - mu_1. The dots are einsum, not BLAS, so their bits
-    do not depend on the BLAS thread count."""
+    k = 0 .. 2 k_max, of the probe block v (n, width), a C-contiguous float64
+    array, which is overwritten: first by its deflation against the zero
+    eigenspace (the columns of basis), then as recurrence storage. Zero modes
+    sit at x = -1, where |T_k| = 1, so one deflation suffices. op is
+    M = 2 (L - I) from _chebyshev_operator. T_1 z = M z / 2, which is exact,
+    and each step of T_{k+1} z = M T_k z - T_{k-1} z negates T_{k-1} z in
+    place and accumulates the sparse-dense product M T_k z into it, allocating
+    nothing. Each step gives two moments: mu_{2k} = 2 |T_k z|^2 -
+    mu_0 and mu_{2k+1} = 2 <T_{k+1} z, T_k z> - mu_1. The dots are einsum,
+    not BLAS, so their bits do not depend on the BLAS thread count."""
+    n, width = v.shape
+    if v.dtype != np.float64 or not v.flags.c_contiguous or op.shape != (n, n):
+        # the accumulate writes through ravel() views, which would be copies,
+        # and its native loop does not check the operator's size
+        raise ValueError("the probe block must be a C-contiguous float64 (n, width) array")
     v -= basis @ (basis.T @ v)
     mu = np.empty(2 * k_max + 1)
     mu[0] = np.einsum("ij,ij->", v, v)
     if not k_max:
         return mu
-    prev, cur = v, lap @ v - v
+    prev, cur = v, 0.5 * (op @ v)
     mu[1] = np.einsum("ij,ij->", cur, v)
     for k in range(1, k_max + 1):
         mu[2 * k] = 2 * np.einsum("ij,ij->", cur, cur) - mu[0]
         if k == k_max:
             break
-        nxt = 2 * (lap @ cur - cur) - prev
-        mu[2 * k + 1] = 2 * np.einsum("ij,ij->", nxt, cur) - mu[1]
-        prev, cur = cur, nxt
+        np.negative(prev, out=prev)
+        csr_matvecs(n, n, width, op.indptr, op.indices, op.data, cur.ravel(), prev.ravel())
+        mu[2 * k + 1] = 2 * np.einsum("ij,ij->", prev, cur) - mu[1]
+        prev, cur = cur, prev
     return mu
 
 
@@ -183,6 +204,7 @@ def _heat_traces_estimated(
     """
     lap, deg = _normalized_laplacian_sparse(n, edges)
     basis = _zero_mode_basis(lap, deg)
+    op = _chebyshev_operator(lap)
     coef = _heat_coefficients(n, grid)
     k_max = coef.shape[1] // 2
     rng = np.random.default_rng(seed)
@@ -195,7 +217,7 @@ def _heat_traces_estimated(
             if len(running) == workers:
                 _, running = wait(running, return_when=FIRST_COMPLETED)
             v = _draw_probe_block(rng, min(PROBE_BLOCK, probes - start), n)
-            blocks.append(pool.submit(_probe_block_moments, lap, basis, k_max, v))
+            blocks.append(pool.submit(_probe_block_moments, op, basis, k_max, v))
             running.add(blocks[-1])
     mu = np.zeros(coef.shape[1])
     for block in blocks:

@@ -608,6 +608,52 @@ def reorthogonalized_heat_traces(
     return n_zero + acc / probes
 
 
+def four_pass_block_moments(lap, basis: np.ndarray, k_max: int, v: np.ndarray) -> np.ndarray:
+    """Reference Chebyshev moments of one probe block: each step forms
+    T_{k+1} z = 2 (L T_k z - T_k z) - T_{k-1} z from the Laplacian itself,
+    diagonal included, in four passes and two fresh arrays. Same deflation,
+    doubling identities and einsum dots as netlsd._probe_block_moments."""
+    v -= basis @ (basis.T @ v)
+    mu = np.empty(2 * k_max + 1)
+    mu[0] = np.einsum("ij,ij->", v, v)
+    if not k_max:
+        return mu
+    prev, cur = v, lap @ v - v
+    mu[1] = np.einsum("ij,ij->", cur, v)
+    for k in range(1, k_max + 1):
+        mu[2 * k] = 2 * np.einsum("ij,ij->", cur, cur) - mu[0]
+        if k == k_max:
+            break
+        nxt = 2 * (lap @ cur - cur) - prev
+        mu[2 * k + 1] = 2 * np.einsum("ij,ij->", nxt, cur) - mu[1]
+        prev, cur = cur, nxt
+    return mu
+
+
+def four_pass_heat_traces(
+    n: int, edges: set, grid: np.ndarray, probes: int, seed: int
+) -> np.ndarray:
+    """Reference heat-trace estimator: the probe blocks in draw order, one at a
+    time, through four_pass_block_moments on the Laplacian."""
+    from qcloak.netlsd import (
+        PROBE_BLOCK,
+        _draw_probe_block,
+        _heat_coefficients,
+        _normalized_laplacian_sparse,
+        _zero_mode_basis,
+    )
+
+    lap, deg = _normalized_laplacian_sparse(n, edges)
+    basis = _zero_mode_basis(lap, deg)
+    coef = _heat_coefficients(n, grid)
+    rng = np.random.default_rng(seed)
+    mu = np.zeros(coef.shape[1])
+    for start in range(0, probes, PROBE_BLOCK):
+        v = _draw_probe_block(rng, min(PROBE_BLOCK, probes - start), n)
+        mu += four_pass_block_moments(lap, basis, coef.shape[1] // 2, v)
+    return basis.shape[1] + coef @ mu / probes
+
+
 def signature_to_csv(sig) -> str:
     lines = ["t,h"]
     for t, h in zip(sig.timescales, sig.traces):

@@ -5,14 +5,16 @@ import numpy as np
 import pytest
 
 import qcloak.netlsd
+from qcloak.analysis import make_baseline
 from qcloak.bench import gen_qft, gen_random_blocks
 from qcloak.circuit import Circuit, Gate, cx, rz, sx
-from qcloak.dag import to_dag
+from qcloak.dag import CircuitDag, to_dag
 from qcloak.netlsd import (
     DENSE_NODE_LIMIT,
     PROBE_BLOCK,
     PROBE_SEED,
     TRUNCATION_BOUND,
+    _chebyshev_operator,
     _draw_probe_block,
     _heat_coefficients,
     _heat_traces_estimated,
@@ -28,6 +30,7 @@ from qcloak.netlsd import (
 from strategies import (
     reorthogonalized_heat_traces,
     signature_to_csv,
+    four_pass_heat_traces,
     union_find_zero_mode_basis,
 )
 
@@ -151,6 +154,64 @@ def test_estimated_matches_reorthogonalized_oracle(circuit):
     np.testing.assert_allclose(est, want, rtol=1e-9, atol=0)
 
 
+def _isolated_nodes_dag() -> CircuitDag:
+    """Seven nodes: the path 0-1-3, the edge 5-6, and nodes 2 and 4 with only
+    self-loops, which the symmetrized graph drops, so they are isolated."""
+    return CircuitDag(2, 3, ((0, 1), (2, 2), (1, 3), (4, 4), (5, 6)))
+
+
+@pytest.mark.parametrize(
+    "dag",
+    [
+        pytest.param(to_dag(gen_qft(3)), id="qft3"),
+        pytest.param(to_dag(gen_qft(4)), id="qft4"),
+        pytest.param(to_dag(_bridged_halves()), id="bridged_random16"),
+        pytest.param(to_dag(make_baseline(gen_random_blocks(128, 300, 1))), id="baseline_random128"),
+        pytest.param(_isolated_nodes_dag(), id="isolated_nodes"),
+    ],
+)
+def test_estimated_matches_four_pass_oracle(dag):
+    # the in-place accumulate on 2 (L - I) against the recurrence on L itself;
+    # the two differ only in summation order
+    n, edges, grid = dag.num_nodes, _undirected_edges(dag), default_grid()
+    est = _heat_traces_estimated(n, edges, grid, ORACLE_PROBES, PROBE_SEED)
+    want = four_pass_heat_traces(n, edges, grid, ORACLE_PROBES, PROBE_SEED)
+    np.testing.assert_allclose(est, want, rtol=1e-12, atol=0)
+
+
+def test_chebyshev_operator_is_twice_the_shifted_laplacian():
+    dag = _isolated_nodes_dag()
+    n, edges = dag.num_nodes, _undirected_edges(dag)
+    lap, _ = _normalized_laplacian_sparse(n, edges)
+    op = _chebyshev_operator(lap)
+    assert op.format == "csr" and op.has_sorted_indices
+    assert np.array_equal(op.toarray(), 2 * (lap.toarray() - np.eye(n)))
+    # no stored zeros: the diagonal is kept only on the isolated nodes 2 and 4
+    assert (op.data != 0).all()
+    assert op.nnz == 2 * len(edges) + 2
+    assert list(op.diagonal()) == [0, 0, -2, 0, -2, 0, 0]
+
+
+@pytest.mark.parametrize(
+    "block",
+    [
+        pytest.param(lambda v: np.asfortranarray(v), id="fortran"),
+        pytest.param(lambda v: v.astype(np.float32), id="float32"),
+        pytest.param(lambda v: np.hstack((v, v))[:, ::2], id="strided"),
+        pytest.param(lambda v: np.ascontiguousarray(v[1:]), id="fewer_rows_than_nodes"),
+    ],
+)
+def test_probe_block_moments_rejects_a_block_the_accumulate_cannot_take(block):
+    # the accumulate writes through ravel() views, so a copy would take the
+    # results, and its native loop would index past a block with fewer rows
+    dag = to_dag(gen_qft(3))
+    n, edges = dag.num_nodes, _undirected_edges(dag)
+    lap, deg = _normalized_laplacian_sparse(n, edges)
+    v = block(_draw_probe_block(np.random.default_rng(PROBE_SEED), 4, n))
+    with pytest.raises(ValueError, match="C-contiguous float64"):
+        _probe_block_moments(_chebyshev_operator(lap), _zero_mode_basis(lap, deg), 3, v)
+
+
 @pytest.mark.parametrize(
     "circuit",
     [
@@ -167,12 +228,13 @@ def test_pool_matches_sequential_block_loop(circuit):
     n, edges, grid = dag.num_nodes, _undirected_edges(dag), default_grid()
     lap, deg = _normalized_laplacian_sparse(n, edges)
     basis = _zero_mode_basis(lap, deg)
+    op = _chebyshev_operator(lap)
     coef = _heat_coefficients(n, grid)
     rng = np.random.default_rng(PROBE_SEED)
     mu = np.zeros(coef.shape[1])
     for start in range(0, ORACLE_PROBES, PROBE_BLOCK):
         v = _draw_probe_block(rng, min(PROBE_BLOCK, ORACLE_PROBES - start), n)
-        mu += _probe_block_moments(lap, basis, coef.shape[1] // 2, v)
+        mu += _probe_block_moments(op, basis, coef.shape[1] // 2, v)
     want = basis.shape[1] + coef @ mu / ORACLE_PROBES
     got = _heat_traces_estimated(n, edges, grid, ORACLE_PROBES, PROBE_SEED)
     assert np.array_equal(got, want)
@@ -185,12 +247,13 @@ def test_chebyshev_degree_meets_truncation_bound_on_path():
     n, edges, grid = dag.num_nodes, _undirected_edges(dag), default_grid()
     lap, deg = _normalized_laplacian_sparse(n, edges)
     basis = _zero_mode_basis(lap, deg)
+    op = _chebyshev_operator(lap)
     lam = 1 - np.cos(np.pi * np.arange(n) / (n - 1))
     exact = np.exp(-np.outer(grid, lam)).sum(axis=1)
     coef = _heat_coefficients(n, grid)
 
     def error(k_max: int) -> float:
-        mu = _probe_block_moments(lap, basis, k_max, np.eye(n))
+        mu = _probe_block_moments(op, basis, k_max, np.eye(n))
         return np.abs(basis.shape[1] + coef[:, : 2 * k_max + 1] @ mu - exact).max()
 
     k_max = coef.shape[1] // 2
