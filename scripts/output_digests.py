@@ -18,7 +18,8 @@ Digested outputs:
 - compare JSON and CSV (wall times removed) on ghz4, qft4, add4 and w8, in
   analytic, 2000-shot and structural-only modes;
 - dense and estimated heat-trace signatures of the qft8 and random16
-  baselines.
+  baselines, and the signature of the random128 baseline through
+  circuit_signature, which estimates it (7.9k nodes).
 """
 
 import argparse
@@ -101,6 +102,8 @@ def digests() -> dict:
         out.update(
             {f"signature/{k}": v for k, v in _signature_digests(name, c).items()}
         )
+    est = netlsd.circuit_signature(make_baseline(circs["random128"])).traces
+    out["signature/random128/estimated"] = _sha(est.tobytes())
     return out
 
 

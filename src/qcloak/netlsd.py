@@ -3,11 +3,14 @@
 The circuit DAG is symmetrized to an undirected graph; the signature is
 h(t) = trace(exp(-t L)) over a log-spaced grid of timescales, where L is the
 symmetric normalized Laplacian (isolated nodes contribute eigenvalue 0).
-Above DENSE_NODE_LIMIT nodes, h(t) is estimated from stochastic Chebyshev
-moments (Han, Malioutov, Avron & Shin, SISC 2017) of PROBES = 512
-Rademacher probes drawn from seed PROBE_SEED = 11; both are constants, not
-settings. Each step of the Chebyshev recurrence is one sparse product with
-M = 2 (L - I), accumulated in place into the probe block it replaces.
+Above DENSE_NODE_LIMIT nodes, h(t) is a Chebyshev series in L - I whose
+moments, the traces of T_k(L - I), are estimated stochastically (Han,
+Malioutov, Avron & Shin, SISC 2017) from PROBES = 128 Rademacher probes
+drawn from seed PROBE_SEED = 11. Each step of the probes' recurrence is one
+sparse product with M = 2 (L - I), accumulated in place into the probe block
+it replaces. The moments of degree k <= 2 EXACT_STEPS = 16 are computed
+exactly instead, from sparse matrix powers: they carry most of h(t), and the
+probes estimate them worst. All three are constants, not settings.
 Signatures are compared by unnormalized Euclidean distance.
 """
 
@@ -27,8 +30,9 @@ from .circuit import Circuit
 from .dag import CircuitDag, to_dag
 
 DENSE_NODE_LIMIT = 3000
-PROBES = 512
+PROBES = 128
 PROBE_SEED = 11
+EXACT_STEPS = 8  # sparse recurrence steps: exact moments of degree k <= 2 EXACT_STEPS
 PROBE_BLOCK = 16  # probes per block: columns of one sparse-dense product
 TRUNCATION_BOUND = 1e-13  # absolute, on the estimated h(t)
 DEFAULT_POINTS = 250
@@ -184,23 +188,63 @@ def _probe_block_moments(op, basis: np.ndarray, k_max: int, v: np.ndarray) -> np
     return mu
 
 
+def _exact_moments(op, count: int, steps: int) -> np.ndarray:
+    """Exact deflated Chebyshev moments tr T_k(A) - count (-1)^k, k = 0 ..
+    2 steps, of A = M/2 = L - I, where op is M from _chebyshev_operator and
+    count the number of zero modes (connected components); these are the
+    values whose probe averages _probe_block_moments estimates. The sparse
+    recurrence T_{j+1} = M T_j - T_{j-1} keeps two matrices at a time, and
+    each step gives two traces: tr T_{2j} = 2 |T_j|_F^2 - n and tr T_{2j+1} =
+    2 <T_{j+1}, T_j>_F - tr T_1. Sparse products and differences store no
+    duplicate entries, so a Frobenius product is a sum over stored data. The
+    products are sparse and the sums einsum, not BLAS, so the bits do not
+    depend on the BLAS thread count."""
+    n = op.shape[0]
+    mu = np.empty(2 * steps + 1)
+    mu[0] = n
+    prev, cur = sp.identity(n, format="csr"), 0.5 * op
+    if steps:
+        mu[1] = np.einsum("i->", cur.diagonal())
+    for j in range(1, steps + 1):
+        mu[2 * j] = 2 * np.einsum("i,i->", cur.data, cur.data) - n
+        if j == steps:
+            break
+        prev = op @ cur - prev
+        mu[2 * j + 1] = 2 * np.einsum("i->", prev.multiply(cur).data) - mu[1]
+        prev, cur = cur, prev
+    mu[0::2] -= count
+    mu[1::2] += count
+    return mu
+
+
 def _heat_traces_estimated(
     n: int,
     edges: set[tuple[int, int]],
     grid: np.ndarray,
     probes: int,
     seed: int,
+    exact_steps: int | None = EXACT_STEPS,
 ) -> np.ndarray:
-    """Stochastic Chebyshev moments with the exact zero-eigenspace deflated,
-    summed through the series of _heat_coefficients. Relative error is roughly
-    1/sqrt(probes * n) at small t and degrades toward large t, where the
-    deflated exact component count dominates h(t).
+    """Chebyshev moments of L - I with the exact zero-eigenspace deflated,
+    summed through the series of _heat_coefficients. The moments of degree
+    k <= 2 min(exact_steps, K) are exact (_exact_moments). The rest are probe
+    averages, scaled by the exact degree-0 moment over the probes' own so
+    that the probes' spectral weights sum to their exact total (which makes
+    the estimate exact on a graph whose nonzero eigenvalues are all equal,
+    such as disjoint edges); exact_steps=None takes every moment from the
+    probes, unscaled. The low degrees carry most of h(t) and vary most
+    between probes, so the exact values act as a control variate, and the
+    error left is the probes' estimate of the high degrees. On nine 1.0k- to
+    10k-node circuit DAGs its norm over the default grid against the dense
+    eigenvalues averages 0.06 to 0.73 over probe seeds 11-13, and is at most
+    0.97 (2.3 to 33 and at most 40 with 512 probes and no exact moments).
 
-    Probes run PROBE_BLOCK at a time as the columns of one matrix, on a thread
-    pool with one worker per usable CPU (the sparse products release the
-    GIL). Blocks are drawn in order from one generator, a block only when a
-    worker is free, and their moments are summed in draw order, so the result
-    is bit-identical for any worker count.
+    The exact moments and the probe blocks, PROBE_BLOCK probes at a time as
+    the columns of one matrix, run on a thread pool with one worker per
+    usable CPU (the sparse products release the GIL). Blocks are drawn in
+    order from one generator, a block only when a worker is free, and their
+    moments are summed in draw order, so the result is bit-identical for any
+    worker count.
     """
     lap, deg = _normalized_laplacian_sparse(n, edges)
     basis = _zero_mode_basis(lap, deg)
@@ -209,10 +253,13 @@ def _heat_traces_estimated(
     k_max = coef.shape[1] // 2
     rng = np.random.default_rng(seed)
     starts = range(0, probes, PROBE_BLOCK)
-    workers = max(1, min(_usable_cpus(), len(starts)))
+    workers = min(_usable_cpus(), len(starts) + 1)
     blocks = []
     running = set()
     with ThreadPoolExecutor(max_workers=workers) as pool:
+        if exact_steps is not None:
+            exact = pool.submit(_exact_moments, op, basis.shape[1], min(exact_steps, k_max))
+            running.add(exact)
         for start in starts:
             if len(running) == workers:
                 _, running = wait(running, return_when=FIRST_COMPLETED)
@@ -222,7 +269,13 @@ def _heat_traces_estimated(
     mu = np.zeros(coef.shape[1])
     for block in blocks:
         mu += block.result()
-    return basis.shape[1] + coef @ mu / probes
+    mu /= probes
+    if exact_steps is not None:
+        low = exact.result()
+        if mu[0] > 0:
+            mu[low.size :] *= low[0] / mu[0]
+        mu[: low.size] = low
+    return basis.shape[1] + coef @ mu
 
 
 def netlsd_signature(d: CircuitDag, grid: np.ndarray | None = None) -> HeatSignature:

@@ -6,16 +6,18 @@ import pytest
 
 import qcloak.netlsd
 from qcloak.analysis import make_baseline
-from qcloak.bench import gen_qft, gen_random_blocks
+from qcloak.bench import desk_benchmarks, gen_qft, gen_random_blocks
 from qcloak.circuit import Circuit, Gate, cx, rz, sx
 from qcloak.dag import CircuitDag, to_dag
 from qcloak.netlsd import (
     DENSE_NODE_LIMIT,
+    EXACT_STEPS,
     PROBE_BLOCK,
     PROBE_SEED,
     TRUNCATION_BOUND,
     _chebyshev_operator,
     _draw_probe_block,
+    _exact_moments,
     _heat_coefficients,
     _heat_traces_estimated,
     _normalized_laplacian_sparse,
@@ -27,6 +29,7 @@ from qcloak.netlsd import (
     netlsd_divergence,
     netlsd_signature,
 )
+from qcloak.pipeline import PipelineConfig, encode
 from strategies import (
     reorthogonalized_heat_traces,
     signature_to_csv,
@@ -149,7 +152,8 @@ def test_estimated_matches_reorthogonalized_oracle(circuit):
     dag = to_dag(circuit)
     grid = default_grid()
     n, edges = dag.num_nodes, _undirected_edges(dag)
-    est = _heat_traces_estimated(n, edges, grid, ORACLE_PROBES, PROBE_SEED)
+    # the probes' part alone: the oracle takes every moment from the probes
+    est = _heat_traces_estimated(n, edges, grid, ORACLE_PROBES, PROBE_SEED, exact_steps=None)
     want = reorthogonalized_heat_traces(n, edges, grid, ORACLE_PROBES, 60, PROBE_SEED)
     np.testing.assert_allclose(est, want, rtol=1e-9, atol=0)
 
@@ -158,6 +162,76 @@ def _isolated_nodes_dag() -> CircuitDag:
     """Seven nodes: the path 0-1-3, the edge 5-6, and nodes 2 and 4 with only
     self-loops, which the symmetrized graph drops, so they are isolated."""
     return CircuitDag(2, 3, ((0, 1), (2, 2), (1, 3), (4, 4), (5, 6)))
+
+
+@pytest.mark.parametrize(
+    "dag",
+    [
+        # 2 nodes: one zero mode, one eigenvalue 2
+        pytest.param(to_dag(Circuit(1)), id="circuit1"),
+        pytest.param(to_dag(Circuit(3)), id="circuit3"),
+        pytest.param(to_dag(gen_qft(3)), id="qft3"),
+        pytest.param(to_dag(_bridged_halves()), id="bridged_random16"),
+        pytest.param(_isolated_nodes_dag(), id="isolated_nodes"),
+    ],
+)
+def test_exact_moments_match_identity_probes_and_eigenvalues(dag):
+    n, edges = dag.num_nodes, _undirected_edges(dag)
+    lap, deg = _normalized_laplacian_sparse(n, edges)
+    basis = _zero_mode_basis(lap, deg)
+    op = _chebyshev_operator(lap)
+    count = basis.shape[1]
+    got = _exact_moments(op, count, EXACT_STEPS)
+    assert got.shape == (2 * EXACT_STEPS + 1,)
+    assert got[0] == n - count
+    # rounding: each moment sums n terms of size at most 1
+    tol = 64 * np.finfo(float).eps * n
+    # the identity as the probe block: one deflated probe per node, each of
+    # whose deflations rounds a dense column
+    probed = _probe_block_moments(op, basis, EXACT_STEPS, np.eye(n))
+    np.testing.assert_allclose(got, probed, rtol=0, atol=8 * tol)
+    # sum_i T_k(lambda_i - 1) over the dense eigenvalues, less the zero modes
+    theta = np.arccos(np.clip(np.linalg.eigvalsh(lap.toarray()) - 1, -1, 1))
+    k = np.arange(2 * EXACT_STEPS + 1)
+    want = np.cos(np.outer(k, theta)).sum(axis=1) - count * (-1.0) ** k
+    np.testing.assert_allclose(got, want, rtol=0, atol=tol)
+
+
+def test_exact_moments_clip_to_a_short_series():
+    # a grid of small t needs a series shorter than the exact steps: every
+    # moment it uses is exact, so the probes change nothing
+    dag = to_dag(_bridged_halves())
+    n, edges, grid = dag.num_nodes, _undirected_edges(dag), default_grid(t_max=0.1)
+    coef = _heat_coefficients(n, grid)
+    k_max = coef.shape[1] // 2
+    assert 0 < k_max < EXACT_STEPS
+    lap, deg = _normalized_laplacian_sparse(n, edges)
+    basis = _zero_mode_basis(lap, deg)
+    want = basis.shape[1] + coef @ _exact_moments(_chebyshev_operator(lap), basis.shape[1], k_max)
+    for seed in (PROBE_SEED, PROBE_SEED + 1):
+        got = _heat_traces_estimated(n, edges, grid, ORACLE_PROBES, seed)
+        assert np.array_equal(got, want)
+    dense = qcloak.netlsd._heat_traces_dense(n, edges, grid)
+    np.testing.assert_allclose(got, dense, rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize(
+    "circuit",
+    [
+        # 2,039 nodes
+        pytest.param(gen_random_blocks(32, 300, 1), id="random32"),
+        # 1,329 nodes
+        pytest.param(encode(desk_benchmarks()["add9"], PipelineConfig(seed=3)).circuit, id="add9_encoded"),
+    ],
+)
+def test_estimator_accuracy_against_dense(circuit, monkeypatch):
+    # the shipped probe count and exact steps; 512 probes and no exact
+    # moments gave error norms of 4.3 and 2.2 here
+    dag = to_dag(circuit)
+    dense = netlsd_signature(dag)
+    monkeypatch.setattr(qcloak.netlsd, "DENSE_NODE_LIMIT", 0)
+    est = netlsd_signature(dag)
+    assert np.linalg.norm(est.traces - dense.traces) <= 0.5
 
 
 @pytest.mark.parametrize(
@@ -172,9 +246,10 @@ def _isolated_nodes_dag() -> CircuitDag:
 )
 def test_estimated_matches_four_pass_oracle(dag):
     # the in-place accumulate on 2 (L - I) against the recurrence on L itself;
-    # the two differ only in summation order
+    # the two differ only in summation order; the probes' part alone, as the
+    # oracle takes every moment from the probes
     n, edges, grid = dag.num_nodes, _undirected_edges(dag), default_grid()
-    est = _heat_traces_estimated(n, edges, grid, ORACLE_PROBES, PROBE_SEED)
+    est = _heat_traces_estimated(n, edges, grid, ORACLE_PROBES, PROBE_SEED, exact_steps=None)
     want = four_pass_heat_traces(n, edges, grid, ORACLE_PROBES, PROBE_SEED)
     np.testing.assert_allclose(est, want, rtol=1e-12, atol=0)
 
@@ -223,7 +298,9 @@ def test_probe_block_moments_rejects_a_block_the_accumulate_cannot_take(block):
     ],
 )
 def test_pool_matches_sequential_block_loop(circuit):
-    # the pool must sum the blocks' moment vectors in draw order
+    # the pool must sum the blocks' moment vectors in draw order, scale the
+    # high-degree averages to the exact degree-0 moment, then put the exact
+    # moments in place of the low-degree averages
     dag = to_dag(circuit)
     n, edges, grid = dag.num_nodes, _undirected_edges(dag), default_grid()
     lap, deg = _normalized_laplacian_sparse(n, edges)
@@ -235,7 +312,11 @@ def test_pool_matches_sequential_block_loop(circuit):
     for start in range(0, ORACLE_PROBES, PROBE_BLOCK):
         v = _draw_probe_block(rng, min(PROBE_BLOCK, ORACLE_PROBES - start), n)
         mu += _probe_block_moments(op, basis, coef.shape[1] // 2, v)
-    want = basis.shape[1] + coef @ mu / ORACLE_PROBES
+    mu /= ORACLE_PROBES
+    low = _exact_moments(op, basis.shape[1], EXACT_STEPS)
+    mu[low.size :] *= low[0] / mu[0]
+    mu[: low.size] = low
+    want = basis.shape[1] + coef @ mu
     got = _heat_traces_estimated(n, edges, grid, ORACLE_PROBES, PROBE_SEED)
     assert np.array_equal(got, want)
 
