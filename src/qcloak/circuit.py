@@ -91,9 +91,12 @@ class Circuit:
         object.__setattr__(self, "measured_qubits", tuple(self.measured_qubits))
         if self.num_qubits < 1:
             raise ValueError("num_qubits must be positive")
-        for g in self.gates:
-            if min(g.qubits) < 0 or max(g.qubits) >= self.num_qubits:
-                raise ValueError(f"gate {g} acts outside qubits 0..{self.num_qubits - 1}")
+        # one set of every wire touched, so a valid circuit costs no call per gate
+        n = self.num_qubits
+        used = {q for g in self.gates for q in g.qubits}
+        if used and (min(used) < 0 or max(used) >= n):
+            g = next(g for g in self.gates if min(g.qubits) < 0 or max(g.qubits) >= n)
+            raise ValueError(f"gate {g} acts outside qubits 0..{n - 1}")
         if len(set(self.measured_qubits)) != len(self.measured_qubits):
             raise ValueError("duplicate measured qubit")
         for q in self.measured_qubits:

@@ -16,9 +16,11 @@ Signatures are compared by unnormalized Euclidean distance.
 
 from __future__ import annotations
 
+import functools
 import os
 from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor, wait
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 import scipy.sparse as sp
@@ -35,6 +37,7 @@ PROBE_SEED = 11
 EXACT_STEPS = 8  # sparse recurrence steps: exact moments of degree k <= 2 EXACT_STEPS
 PROBE_BLOCK = 16  # probes per block: columns of one sparse-dense product
 TRUNCATION_BOUND = 1e-13  # absolute, on the estimated h(t)
+BESSEL_MEMO_ENTRIES = 64  # column blocks of _bessel_columns; 2 kB a column on the default grid
 DEFAULT_POINTS = 250
 DEFAULT_T_MIN = 1e-2
 DEFAULT_T_MAX = 1e2
@@ -54,19 +57,20 @@ def default_grid(
     return np.logspace(np.log10(t_min), np.log10(t_max), points)
 
 
-def _undirected_edges(d: CircuitDag) -> set[tuple[int, int]]:
-    out = set()
-    for a, b in d.edges:
-        if a != b:
-            out.add((min(a, b), max(a, b)))
-    return out
+def _undirected_edges(d: CircuitDag) -> np.ndarray:
+    """The DAG's distinct edges without self-loops as an (E, 2) array of rows
+    (a, b), a < b, sorted."""
+    ends = np.fromiter(chain.from_iterable(d.edges), dtype=np.int64, count=2 * len(d.edges))
+    ends = ends.reshape(-1, 2)
+    lo, hi = ends.min(axis=1), ends.max(axis=1)
+    keys = np.unique((lo * d.num_nodes + hi)[lo != hi])
+    return np.stack(np.divmod(keys, d.num_nodes), axis=1)
 
 
-def _normalized_laplacian_dense(n: int, edges: set[tuple[int, int]]) -> np.ndarray:
+def _normalized_laplacian_dense(n: int, edges: np.ndarray) -> np.ndarray:
     adj = np.zeros((n, n))
-    for a, b in edges:
-        adj[a, b] = 1.0
-        adj[b, a] = 1.0
+    adj[edges[:, 0], edges[:, 1]] = 1.0
+    adj[edges[:, 1], edges[:, 0]] = 1.0
     deg = adj.sum(axis=1)
     inv_sqrt = np.where(deg > 0, 1.0 / np.sqrt(np.maximum(deg, 1.0)), 0.0)
     lap = -adj * np.outer(inv_sqrt, inv_sqrt)
@@ -74,16 +78,10 @@ def _normalized_laplacian_dense(n: int, edges: set[tuple[int, int]]) -> np.ndarr
     return lap
 
 
-def _normalized_laplacian_sparse(n: int, edges: set[tuple[int, int]]):
-    if edges:
-        rows, cols = zip(*edges)
-    else:
-        rows, cols = (), ()
-    data = np.ones(2 * len(edges))
-    adj = sp.csr_matrix(
-        (data, (np.array(rows + cols, dtype=int), np.array(cols + rows, dtype=int))),
-        shape=(n, n),
-    )
+def _normalized_laplacian_sparse(n: int, edges: np.ndarray):
+    rows = np.concatenate((edges[:, 0], edges[:, 1]))
+    cols = np.concatenate((edges[:, 1], edges[:, 0]))
+    adj = sp.csr_matrix((np.ones(len(rows)), (rows, cols)), shape=(n, n))
     deg = np.asarray(adj.sum(axis=1)).ravel()
     inv_sqrt = np.where(deg > 0, 1.0 / np.sqrt(np.maximum(deg, 1.0)), 0.0)
     scale = sp.diags(inv_sqrt)
@@ -91,7 +89,7 @@ def _normalized_laplacian_sparse(n: int, edges: set[tuple[int, int]]):
     return lap.tocsr(), deg
 
 
-def _heat_traces_dense(n: int, edges: set[tuple[int, int]], grid: np.ndarray) -> np.ndarray:
+def _heat_traces_dense(n: int, edges: np.ndarray, grid: np.ndarray) -> np.ndarray:
     lam = np.linalg.eigvalsh(_normalized_laplacian_dense(n, edges))
     return np.exp(-np.outer(grid, lam)).sum(axis=1)
 
@@ -120,6 +118,16 @@ def _draw_probe_block(rng: np.random.Generator, width: int, n: int) -> np.ndarra
     return np.ascontiguousarray((rng.integers(0, 2, size=(width, n)) * 2.0 - 1.0).T)
 
 
+@functools.lru_cache(maxsize=BESSEL_MEMO_ENTRIES)
+def _bessel_columns(grid_bytes: bytes, first: int, stop: int) -> np.ndarray:
+    """Read-only 2 ive(k, t) for first <= k < stop, one row per t of the
+    float64 grid whose bytes are grid_bytes. ive is elementwise, so each
+    entry has the bits of computing it alone."""
+    cols = 2 * ive(np.arange(first, stop), np.frombuffer(grid_bytes)[:, None])
+    cols.setflags(write=False)
+    return cols
+
+
 def _heat_coefficients(n: int, grid: np.ndarray) -> np.ndarray:
     """Chebyshev coefficients c_0 = ive(0, t), c_k = 2 (-1)^k ive(k, t), k <= 2K,
     of exp(-t (x + 1)) on [-1, 1], one row per t. K is the smallest with
@@ -127,7 +135,8 @@ def _heat_coefficients(n: int, grid: np.ndarray) -> np.ndarray:
     has norm^2 <= n, so that bounds the truncation error of h(t). Past the last
     computed term c_m, I_{k+1}(t) / I_k(t) <= r = t / (m + 1/2 + sqrt(t^2 +
     (m + 1/2)^2)) (Amos 1974), so the rest sums to less than |c_m| r / (1 - r)."""
-    c = 2 * ive(np.arange(17), grid[:, None])
+    key = grid.tobytes()
+    c = _bessel_columns(key, 0, 17)
     while True:
         m = c.shape[1] - 1
         r = grid / (m + 0.5 + np.hypot(grid, m + 0.5))
@@ -136,9 +145,9 @@ def _heat_coefficients(n: int, grid: np.ndarray) -> np.ndarray:
         ok = (n * tails <= TRUNCATION_BOUND).all(axis=0)
         if ok.any():
             break
-        c = np.hstack((c, 2 * ive(np.arange(m + 1, 2 * m + 1), grid[:, None])))
+        c = np.hstack((c, _bessel_columns(key, m + 1, 2 * m + 1)))
     k_max = (int(np.argmax(ok)) + 1) // 2  # the first ok cut j, rounded up to even 2K
-    c = c[:, : 2 * k_max + 1]
+    c = c[:, : 2 * k_max + 1].copy()
     c[:, 0] /= 2
     c[:, 1::2] *= -1
     return c
@@ -219,7 +228,7 @@ def _exact_moments(op, count: int, steps: int) -> np.ndarray:
 
 def _heat_traces_estimated(
     n: int,
-    edges: set[tuple[int, int]],
+    edges: np.ndarray,
     grid: np.ndarray,
     probes: int,
     seed: int,

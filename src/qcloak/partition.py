@@ -90,14 +90,6 @@ def form_blocks(c: Circuit) -> BlockPartition:
     return BlockPartition(c.num_qubits, blocks, tuple(provenance), c.measured_qubits)
 
 
-def to_local_circuit(b: Block) -> Circuit:
-    """The block's gates remapped onto local wires."""
-    local_gates = [
-        Gate(g.kind, tuple(b.local(q) for q in g.qubits), g.angle) for g in b.gates
-    ]
-    return Circuit(len(b.qubits), tuple(local_gates))
-
-
 def block_unitary(b: Block) -> np.ndarray:
     """Unitary of the block over its local wires (2x2 or 4x4, little-endian).
 
@@ -105,11 +97,11 @@ def block_unitary(b: Block) -> np.ndarray:
     runs as in circuit_unitary. These bits are KAK's input and so fix the
     emitted angles: fusing would move them by rounding and change the
     encoded QASM for a fixed seed."""
-    local = to_local_circuit(b)
-    n = local.num_qubits
+    n = len(b.qubits)
+    local = {q: i for i, q in enumerate(b.qubits)}
     u = np.eye(2**n, dtype=complex)
-    for g in local.gates:
-        u = apply_gate(u, g, n)
+    for g in b.gates:
+        u = apply_gate(u, g, n, tuple(local[q] for q in g.qubits))
     return u
 
 

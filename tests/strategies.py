@@ -1,5 +1,8 @@
 """Shared hypothesis strategies and oracle helpers."""
 
+import cmath
+import math
+
 import numpy as np
 from hypothesis import strategies as st
 from scipy.stats import unitary_group
@@ -21,11 +24,10 @@ from qcloak.qasm import QasmError
 from qcloak.synthesis import (
     CANDIDATE_TOL,
     DRESS_MARGIN,
+    RZ_TRIVIAL_TOL,
     SynthesisError,
     _dress_cx,
     _pauli_dress,
-    _rz_is_trivial,
-    _rz_unless_trivial,
     _segments,
 )
 
@@ -171,6 +173,15 @@ def rewritten_candidate_1q(u: np.ndarray, rng: np.random.Generator | None) -> Ci
 # synthesis must match it bit for bit.
 
 
+def _rz_is_trivial(theta: float) -> bool:
+    r = abs(theta) % (2 * np.pi)
+    return min(r, 2 * np.pi - r) < RZ_TRIVIAL_TOL
+
+
+def _rz_unless_trivial(theta: float, wire: int) -> list[Gate]:
+    return [] if _rz_is_trivial(theta) else [Gate(GateKind.RZ, (wire,), theta)]
+
+
 def per_matrix_factor_kron(g: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
     """g = e^{i phase} kron(g1, g0) with det g1 = det g0 = 1, for one 4x4."""
     m = g.reshape(2, 2, 2, 2).transpose(0, 2, 1, 3).reshape(4, 4)
@@ -310,6 +321,68 @@ def per_candidate_generate(b: Block, k: int, seed: int, rngs=None) -> list[Circu
     return out
 
 
+_CX_ROWS = {(0, 1): (0, 3, 2, 1), (1, 0): (0, 1, 3, 2)}
+_WIRE_ROW_PAIRS = (((0, 1), (2, 3)), ((0, 2), (1, 3)))
+
+
+def _run_matrix(gates) -> tuple[complex, complex, complex, complex]:
+    """Row-major 2x2 product of a one-wire run, later gates on the left."""
+    a, b, c, d = 1 + 0j, 0j, 0j, 1 + 0j
+    for g in gates:
+        kind = g.kind
+        if kind is GateKind.RZ:
+            lo = cmath.exp(-0.5j * g.angle)
+            hi = lo.conjugate()
+            a, b, c, d = lo * a, lo * b, hi * c, hi * d
+        elif kind is GateKind.X:
+            a, b, c, d = c, d, a, b
+        else:
+            if kind is GateKind.SX:
+                p, q = 0.5 + 0.5j, 0.5 - 0.5j
+            else:
+                p, q = complex(math.cos(g.angle / 2)), -1j * math.sin(g.angle / 2)
+            a, b, c, d = p * a + q * c, p * b + q * d, q * a + p * c, q * b + p * d
+    return a, b, c, d
+
+
+def fragment_unitary(c: Circuit) -> np.ndarray:
+    """Reference unitary of a one- or two-wire fragment in complex scalars,
+    one gate at a time: each wire's run between CX gates is one 2x2 product,
+    the first runs form kron(run1, run0), each CX permutes its rows and each
+    later run multiplies the row pairs of its wire."""
+    if c.num_qubits == 1:
+        a, b, cc, d = _run_matrix(c.gates)
+        return np.array([[a, b], [cc, d]])
+    m = None
+    runs: tuple[list[Gate], list[Gate]] = ([], [])
+    for g in (*c.gates, None):
+        if g is not None and g.kind is not GateKind.CX:
+            runs[g.qubits[0]].append(g)
+            continue
+        if m is None:
+            a0, b0, c0, d0 = _run_matrix(runs[0])
+            a1, b1, c1, d1 = _run_matrix(runs[1])
+            m = [
+                [a1 * a0, a1 * b0, b1 * a0, b1 * b0],
+                [a1 * c0, a1 * d0, b1 * c0, b1 * d0],
+                [c1 * a0, c1 * b0, d1 * a0, d1 * b0],
+                [c1 * c0, c1 * d0, d1 * c0, d1 * d0],
+            ]
+        else:
+            for run, pairs in zip(runs, _WIRE_ROW_PAIRS):
+                if not run:
+                    continue
+                a, b, cc, d = _run_matrix(run)
+                for p, q in pairs:
+                    rp, rq = m[p], m[q]
+                    m[p] = [a * x + b * y for x, y in zip(rp, rq)]
+                    m[q] = [cc * x + d * y for x, y in zip(rp, rq)]
+        if g is not None:
+            m = [m[r] for r in _CX_ROWS[g.qubits]]
+            runs = ([], [])
+    return np.array(m)
+
+
 class ZeroFirstRng:
     """A Generator whose first uniform draw is (0, 0): a zero mix, whose
     eigenvectors do not diagonalize a generic m2, so the search retries."""
@@ -326,6 +399,14 @@ class ZeroFirstRng:
 
     def integers(self, *args, **kwargs):
         return self.inner.integers(*args, **kwargs)
+
+
+def to_local_circuit(b: Block) -> Circuit:
+    """The block's gates remapped onto local wires."""
+    return Circuit(
+        len(b.qubits),
+        tuple(Gate(g.kind, tuple(b.local(q) for q in g.qubits), g.angle) for g in b.gates),
+    )
 
 
 def gate_bits(c: Circuit) -> list[tuple]:
@@ -536,7 +617,7 @@ def tensordot_circuit_unitary(c: Circuit) -> np.ndarray:
     return u.reshape(dim, dim)
 
 
-def union_find_zero_mode_basis(n: int, edges: set, deg: np.ndarray) -> np.ndarray:
+def union_find_zero_mode_basis(n: int, edges: np.ndarray, deg: np.ndarray) -> np.ndarray:
     """Reference zero-eigenspace basis: components from a union-find over the
     edge list, one D^{1/2} indicator column each, in order of smallest node."""
     parent = list(range(n))
@@ -562,7 +643,7 @@ def union_find_zero_mode_basis(n: int, edges: set, deg: np.ndarray) -> np.ndarra
 
 
 def reorthogonalized_heat_traces(
-    n: int, edges: set, grid: np.ndarray, probes: int, steps: int, seed: int
+    n: int, edges: np.ndarray, grid: np.ndarray, probes: int, steps: int, seed: int
 ) -> np.ndarray:
     """Reference heat-trace estimator: one probe at a time, Lanczos with full
     reorthogonalization against the probe's whole basis. Same Rademacher
@@ -631,7 +712,7 @@ def four_pass_block_moments(lap, basis: np.ndarray, k_max: int, v: np.ndarray) -
 
 
 def four_pass_heat_traces(
-    n: int, edges: set, grid: np.ndarray, probes: int, seed: int
+    n: int, edges: np.ndarray, grid: np.ndarray, probes: int, seed: int
 ) -> np.ndarray:
     """Reference heat-trace estimator: the probe blocks in draw order, one at a
     time, through four_pass_block_moments on the Laplacian."""

@@ -92,6 +92,12 @@ def test_circuit_rejects_negative_qubits(gate):
         Circuit(2, (gate,))
 
 
+def test_circuit_names_the_first_gate_out_of_range():
+    gates = (x(0), sx(1), cx(1, 3), x(-1), cx(0, 1))
+    with pytest.raises(ValueError, match=re.escape(f"gate {cx(1, 3)} acts outside qubits 0..2")):
+        Circuit(3, gates)
+
+
 def test_gate_counts_groups_sx_and_x():
     c = Circuit(3, (x(0), sx(1), sx(2), rz(1.0, 0), rx(2.0, 1), cx(0, 1), cx(1, 2)))
     counts = gate_counts(c)

@@ -86,6 +86,20 @@ def test_equal_up_to_global_phase(theta):
     assert not equal_up_to_global_phase(u @ u, u) or np.allclose(u @ u, u)
 
 
+def test_equal_up_to_global_phase_stacked_answers_each_matrix():
+    rng = np.random.default_rng(5)
+    u = circuit_unitary(Circuit(2, (rx(1.0, 0), cx(0, 1))))
+    b = np.array([u, u, u, np.zeros((4, 4)), np.zeros((4, 4))])
+    a = np.array([1j * u, u @ u, u + 1e-6, np.zeros((4, 4)), np.full((4, 4), 1e-3)])
+    a[0] *= np.exp(1j * rng.uniform(0, 2 * np.pi))
+    each = [equal_up_to_global_phase(x, y) for x, y in zip(a, b)]
+    assert each == [True, False, False, True, False]
+    assert all(type(e) is bool for e in each)
+    assert equal_up_to_global_phase(a, b).tolist() == each
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        equal_up_to_global_phase(a, b[:4])
+
+
 def test_is_unitary_rejects():
     assert not is_unitary(np.ones((2, 2)))
     assert not is_unitary(np.zeros((2, 3)))

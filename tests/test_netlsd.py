@@ -3,6 +3,7 @@ import sys
 
 import numpy as np
 import pytest
+from scipy.special import ive
 
 import qcloak.netlsd
 from qcloak.analysis import make_baseline
@@ -343,6 +344,43 @@ def test_chebyshev_degree_meets_truncation_bound_on_path():
     assert error(k_max // 2) > 1e-7
     # no fixed cap: a longer grid takes more terms
     assert _heat_coefficients(n, default_grid(t_max=1e3)).shape[1] > coef.shape[1]
+
+
+@pytest.mark.parametrize("sizes", [(1,), (10**8,), (1, 10**8, 1), (10**8, 1)])
+def test_heat_coefficients_memo_keeps_every_bit(sizes):
+    # 2 ive(k, t) columns come from a memo that an earlier, larger n may have
+    # extended; each result must equal one fresh ive call over all its
+    # columns, with the cut K of its own n
+    grid = default_grid()
+    widths = {}
+    for n in sizes:
+        qcloak.netlsd._bessel_columns.cache_clear()
+        widths[n] = _heat_coefficients(n, grid).shape[1]
+    assert len(set(widths.values())) == len(widths)
+    qcloak.netlsd._bessel_columns.cache_clear()
+    for n in sizes:
+        coef = _heat_coefficients(n, grid)
+        want = 2 * ive(np.arange(widths[n]), grid[:, None])
+        want[:, 0] /= 2
+        want[:, 1::2] *= -1
+        assert coef.tobytes() == want.tobytes()
+    assert qcloak.netlsd._bessel_columns.cache_info().hits >= len(sizes) - 1
+
+
+@pytest.mark.parametrize(
+    "dag",
+    [
+        pytest.param(to_dag(gen_qft(3)), id="qft3"),
+        pytest.param(to_dag(Circuit(2, (cx(0, 1), cx(0, 1), cx(1, 0)))), id="repeated_cx"),
+        pytest.param(_isolated_nodes_dag(), id="isolated_nodes"),
+        pytest.param(CircuitDag(1, 0, ()), id="no_edges"),
+    ],
+)
+def test_undirected_edges_match_the_set_reference(dag):
+    want = sorted({(min(a, b), max(a, b)) for a, b in dag.edges if a != b})
+    got = _undirected_edges(dag)
+    assert got.shape == (len(want), 2)
+    assert [tuple(e) for e in got.tolist()] == want
 
 
 def test_pooled_estimate_repeatable():

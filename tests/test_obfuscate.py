@@ -16,8 +16,8 @@ from qcloak.obfuscate import (
     key_from_json,
     key_to_json,
 )
-from qcloak.partition import form_blocks, reassemble, to_local_circuit
-from strategies import circuits
+from qcloak.partition import form_blocks, reassemble
+from strategies import circuits, to_local_circuit
 
 
 def test_inject_x_matches_mask():

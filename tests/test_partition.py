@@ -6,14 +6,8 @@ from qcloak.bench import gen_adder, gen_qft
 from qcloak.circuit import Circuit, cx, rx, rz, sx, x
 from qcloak.linalg import circuit_unitary, equal_up_to_global_phase
 from qcloak.obfuscate import inject_rx_pairs, inject_x_end
-from qcloak.partition import (
-    Block,
-    block_unitary,
-    form_blocks,
-    reassemble,
-    to_local_circuit,
-)
-from strategies import circuits, tensordot_circuit_unitary
+from qcloak.partition import Block, block_unitary, form_blocks, reassemble
+from strategies import circuits, tensordot_circuit_unitary, to_local_circuit
 
 
 def test_block_validation():

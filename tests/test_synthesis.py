@@ -19,18 +19,21 @@ from qcloak.linalg import (
     rz_matrix,
 )
 from qcloak.netlsd import circuit_signature
-from qcloak.partition import Block, block_unitary, form_blocks, to_local_circuit
+from qcloak.partition import Block, block_unitary, form_blocks
 from qcloak.synthesis import (
     CANDIDATE_TOL,
+    CX_CODE,
     DRESS_MARGIN,
+    RZ_CODE,
     SYNTH_CHUNK,
+    Candidates,
     SynthesisError,
     _candidate_sets,
+    _checked_candidates,
     _emit_many,
-    _euler_runs,
     _template_1q,
+    candidate_unitaries,
     fragment_signature,
-    fragment_unitary,
     generate_candidates,
     minimal_cx_count,
     select_candidate,
@@ -45,6 +48,7 @@ from strategies import (
     boundary_blocks,
     circuits,
     class_edge_unitary,
+    fragment_unitary,
     gate_bits,
     gates_on,
     peephole_1q,
@@ -52,6 +56,7 @@ from strategies import (
     per_candidate_generate,
     rewritten_candidate_1q,
     rewritten_euler_1q,
+    to_local_circuit,
     unitaries,
 )
 
@@ -61,8 +66,9 @@ def _u1(c: Circuit) -> np.ndarray:
 
 
 def euler_1q(u: np.ndarray, wire: int = 0):
-    """The one-matrix case of the stacked Euler emission."""
-    return _euler_runs(np.asarray(u, dtype=complex)[None], [wire])[0]
+    """The one-matrix case of the stacked Euler emission, on the given wire."""
+    frag = _emit_many([([[np.asarray(u, dtype=complex)]], [], None)]).circuit(0)
+    return [Gate(g.kind, (wire,), g.angle) for g in frag.gates]
 
 
 def test_peephole_pinned_rules():
@@ -118,7 +124,7 @@ EDGE_EPS = [0.0, 1e-13, -1e-13, 1e-11]
 
 
 def _candidate_1q(u: np.ndarray, rng: np.random.Generator | None) -> Circuit:
-    return _emit_many([_template_1q(u, rng)])[0]
+    return _emit_many([_template_1q(u, rng)]).circuit(0)
 
 
 def _dressing_angle(seed: int) -> float:
@@ -335,37 +341,111 @@ def test_fragment_unitary_matches_circuit_unitary(c):
     assert np.max(np.abs(fragment_unitary(c) - circuit_unitary(c))) <= 1e-12
 
 
-def _shift_first_rz(c: Circuit) -> Circuit:
-    i = next(i for i, g in enumerate(c.gates) if g.kind is GateKind.RZ)
-    g = c.gates[i]
-    return Circuit(2, c.gates[:i] + (rz(g.angle + 1e-6, g.qubits[0]),) + c.gates[i + 1 :])
+def _with_candidate(cands: Candidates, index: int, mutate) -> Candidates:
+    """cands with the columns of candidate index replaced by mutate's."""
+    parts = [
+        [col[cands.start[i] : cands.start[i + 1]] for col in (cands.kind, cands.wire, cands.angle)]
+        for i in range(len(cands))
+    ]
+    parts[index] = mutate(*parts[index])
+    kind, wire, angle = (np.concatenate(col) for col in zip(*parts))
+    sizes = [len(part[0]) for part in parts]
+    return Candidates(kind, wire, angle, np.concatenate(([0], np.cumsum(sizes))), cands.width)
 
 
-def _drop_first_cx(c: Circuit) -> Circuit:
-    i = next(i for i, g in enumerate(c.gates) if g.kind is GateKind.CX)
-    return Circuit(2, c.gates[:i] + c.gates[i + 1 :])
+def _shift_first_rz(kind, wire, angle):
+    angle = angle.copy()
+    angle[np.flatnonzero(kind == RZ_CODE)[0]] += 1e-6
+    return kind, wire, angle
 
 
-def _swap_first_cx(c: Circuit) -> Circuit:
-    i = next(i for i, g in enumerate(c.gates) if g.kind is GateKind.CX)
-    control, target = c.gates[i].qubits
-    return Circuit(2, c.gates[:i] + (cx(target, control),) + c.gates[i + 1 :])
+def _drop_first_cx(kind, wire, angle):
+    i = np.flatnonzero(kind == CX_CODE)[0]
+    return np.delete(kind, i), np.delete(wire, i), np.delete(angle, i)
+
+
+def _swap_first_cx(kind, wire, angle):
+    wire = wire.copy()
+    i = np.flatnonzero(kind == CX_CODE)[0]
+    wire[i] = 1 - wire[i]
+    return kind, wire, angle
+
+
+def _mutating_emit(monkeypatch, index: int, mutate):
+    real = qcloak.synthesis._emit_many
+    monkeypatch.setattr(
+        qcloak.synthesis,
+        "_emit_many",
+        lambda templates: _with_candidate(real(templates), index, mutate),
+    )
+
+
+MUTATED_BLOCK = Block((0, 1), (sx(0), cx(0, 1), rz(0.8, 1), cx(1, 0), rz(0.3, 0)), 6)
 
 
 @pytest.mark.parametrize("index", [0, 2])
 @pytest.mark.parametrize("mutate", [_shift_first_rz, _drop_first_cx, _swap_first_cx])
 def test_candidate_check_names_the_mutated_candidate(monkeypatch, mutate, index):
-    real = qcloak.synthesis._emit_many
-
-    def mutating(templates):
-        out = real(templates)
-        out[index] = mutate(out[index])
-        return out
-
-    monkeypatch.setattr(qcloak.synthesis, "_emit_many", mutating)
-    b = Block((0, 1), (sx(0), cx(0, 1), rz(0.8, 1), cx(1, 0), rz(0.3, 0)), 6)
+    _mutating_emit(monkeypatch, index, mutate)
     with pytest.raises(SynthesisError, match=f"^candidate {index} for block 6 failed"):
-        generate_candidates(b, 3, 12)
+        generate_candidates(MUTATED_BLOCK, 3, 12)
+
+
+@pytest.mark.parametrize("mutate", [_shift_first_rz, _drop_first_cx, _swap_first_cx])
+def test_candidate_check_covers_candidates_that_are_not_selected(monkeypatch, mutate):
+    # the check runs on every candidate, not only on the one selected
+    chosen = synthesize_block(MUTATED_BLOCK, 3, 2, 12)
+    cands = generate_candidates(MUTATED_BLOCK, 3, 12)
+    dropped = [i for i, c in enumerate(cands) if c != chosen]
+    assert dropped
+    _mutating_emit(monkeypatch, dropped[-1], mutate)
+    with pytest.raises(SynthesisError, match=f"^candidate {dropped[-1]} for block 6 failed"):
+        synthesize_blocks([MUTATED_BLOCK], 3, 2, 12)
+
+
+def _assert_check_unitaries_match_circuits(bs: list[Block], k: int, seed: int):
+    try:
+        cands = _checked_candidates(bs, k, seed)
+    except SynthesisError:
+        return
+    groups = candidate_unitaries(cands)
+    assert sorted(j for idx, _ in groups.values() for j in idx) == list(range(len(cands)))
+    for idx, stack in groups.values():
+        for j, u in zip(idx.tolist(), stack):
+            assert np.max(np.abs(u - circuit_unitary(cands.circuit(j)))) <= 1e-12
+
+
+@given(
+    st.lists(blocks(), min_size=1, max_size=6),
+    st.sampled_from([1, 3]),
+    st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=80, deadline=None)
+def test_check_unitaries_match_materialized_candidates(drawn, k, seed):
+    _assert_check_unitaries_match_circuits(_with_orders(drawn), k, seed)
+
+
+@given(st.data(), st.sampled_from([1, 3]), st.integers(0, 2**32 - 1))
+@settings(max_examples=80, deadline=None)
+def test_check_unitaries_match_materialized_candidates_at_class_boundaries(data, k, seed):
+    bs = [data.draw(boundary_blocks(3 * i)) for i in range(data.draw(st.integers(1, 4)))]
+    _assert_check_unitaries_match_circuits(bs, k, seed)
+
+
+def test_synthesize_blocks_builds_one_circuit_per_block(monkeypatch):
+    bs = list(form_blocks(gen_random_blocks(16, 60, seed=2)).blocks)
+    want = synthesize_blocks(bs, 3, 2, 5)  # also fills the signature memo
+    built = []
+
+    class CountingCircuit(Circuit):
+        def __post_init__(self):
+            built.append(self)
+            super().__post_init__()
+
+    monkeypatch.setattr(qcloak.synthesis, "Circuit", CountingCircuit)
+    got = synthesize_blocks(bs, 3, 2, 5)
+    assert {o: c.gates for o, c in got.items()} == {o: c.gates for o, c in want.items()}
+    assert len(built) == len(bs)
 
 
 # A generic two-qubit block: its magic-basis Gram matrix is not diagonal, so
