@@ -248,7 +248,6 @@ def run_qaoa_case_study(
     iterations: int = 100,
     seed: int = 0,
     shots: int = 8192,
-    pipeline: PipelineConfig | None = None,
 ) -> QaoaResult:
     """Derivative-free MaxCut optimization with per-evaluation re-encoding.
 
@@ -260,8 +259,6 @@ def run_qaoa_case_study(
         raise ValueError(f"mode must be one of {QAOA_MODES}")
     if prob.num_nodes > 10:
         raise ValueError("case study limited to 10 nodes")
-    if pipeline is None:
-        pipeline = PipelineConfig()
     table = cut_values(prob)
     root = np.random.SeedSequence(seed)
     trace: list[float] = []
@@ -275,7 +272,7 @@ def run_qaoa_case_study(
         if mode == "baseline":
             dist = sample(make_baseline(circ), shots, samp_seed)
         else:
-            enc = encode(circ, replace(pipeline, seed=enc_seed))
+            enc = encode(circ, PipelineConfig(seed=enc_seed))
             dist = sample(enc.circuit, shots, samp_seed)
             if mode == "corrected":
                 dist = decode(dist, enc.key)

@@ -10,10 +10,10 @@ matrix, as synthesis does for the candidates of many blocks at once. The
 unitarity test, det, magic-basis transform, Gram matrix, first
 diagonalizer tries, sign fix, eigenphases, left factor and frame
 factorization each run once over the stack; only a failed try repeats, from
-its own rng. kak_decompose_many (one u, many rngs) and kak_decompose (one
-u, one rng) are the repeated-u cases of the same path. Stacked eigh, det,
-svd, 4x4 matmul, angle and complex division give each matrix the bits of
-its own call, so every result equals the decomposition of its matrix alone.
+its own rng. kak_decompose (one u, one rng) is the one-matrix case of the
+same path. Stacked eigh, det, svd, 4x4 matmul, angle and complex division
+give each matrix the bits of its own call, so every result equals the
+decomposition of its matrix alone.
 np.abs of a complex array does not round as the scalar abs() does, so a
 magnitude that replaces a scalar abs() is computed as np.hypot(z.real,
 z.imag).
@@ -254,18 +254,10 @@ def kak_decompose_stack(
     return out
 
 
-def kak_decompose_many(
-    u: np.ndarray, rngs: list[np.random.Generator | None]
-) -> list[KakTerms]:
-    """Decompositions of one 4x4 unitary, one per rng: the repeated-u case of
-    kak_decompose_stack."""
+def kak_decompose(u: np.ndarray, rng: np.random.Generator | None = None) -> KakTerms:
+    """Canonicalized Cartan decomposition of a 4x4 unitary: the one-matrix
+    case of kak_decompose_stack."""
     u = np.asarray(u, dtype=complex)
     if u.shape != (4, 4):
         raise ValueError(f"expected a 4x4 matrix, got {u.shape}")
-    return kak_decompose_stack(np.broadcast_to(u, (len(rngs), 4, 4)), rngs)
-
-
-def kak_decompose(u: np.ndarray, rng: np.random.Generator | None = None) -> KakTerms:
-    """Canonicalized Cartan decomposition of a 4x4 unitary: the one-rng case
-    of kak_decompose_many."""
-    return kak_decompose_many(u, [rng])[0]
+    return kak_decompose_stack(u[None], [rng])[0]

@@ -16,7 +16,7 @@ import numpy as np
 
 from .circuit import Circuit, Gate, GateKind
 from .distributions import Distribution, json_float, json_int, json_list
-from .partition import Block, BlockPartition, reassemble
+from .partition import Block, BlockPartition
 
 THETA_MARGIN = 0.1
 
@@ -110,19 +110,21 @@ def _boundaries(p: BlockPartition) -> list[tuple[int, int, int]]:
 
 
 def inject_rx_pairs(
-    c: Circuit, p: BlockPartition, seed: int, density: float = 1.0
-) -> tuple[Circuit, tuple[RxPair, ...], BlockPartition]:
+    p: BlockPartition, seed: int, density: float = 1.0
+) -> tuple[BlockPartition, tuple[RxPair, ...]]:
     """Insert RX(theta)/RX(-theta) across block boundaries.
 
     For each wire crossing from one block to the next, with probability
     `density`, RX(theta) is appended to the earlier block and RX(-theta) is
     prepended to the later block, theta ~ Uniform[0.1, 2*pi - 0.1]. Returns
-    the new circuit, the injection record, and the partition with the pairs
-    folded into their blocks; the circuit is that partition reassembled with
-    no replacements. The partition is returned rather than recomputed
-    because re-partitioning the new circuit would put both halves of a pair in
-    the earlier block (still open when the second half is scanned), where they
-    cancel instead of straddling the boundary.
+    the partition with the pairs folded into their blocks and the injection
+    record. The halves of each pair are adjacent on their wire and cancel
+    exactly, so encode checks its output against the X-injected circuit p
+    was formed from and no RX-injected circuit is built. The pairs go into
+    the blocks, not into a new circuit, because re-partitioning such a
+    circuit would put both halves of a pair in the earlier block (still open
+    when the second half is scanned), where they cancel instead of
+    straddling the boundary.
     """
     if not 0.0 <= density <= 1.0:
         raise ValueError("density must lie in [0, 1]")
@@ -161,9 +163,9 @@ def inject_rx_pairs(
         stop = size[order] if pos == last[order] else shift + pos + 1
         provenance.extend((order, j) for j in range(start, stop))
     new_partition = BlockPartition(
-        c.num_qubits, new_blocks, tuple(provenance), c.measured_qubits
+        p.num_qubits, new_blocks, tuple(provenance), p.measured_qubits
     )
-    return reassemble(new_partition, {}), tuple(record), new_partition
+    return new_partition, tuple(record)
 
 
 def decode(d: Distribution, k: ObfuscationKey) -> Distribution:

@@ -1,16 +1,18 @@
 """The four-step encoder: key injection, partitioning, RX pairs, resynthesis.
 
 encode() is the single entry point used by the CLI and the analysis layer.
-It refuses to return a circuit that fails either whole-circuit check:
+The key decodes the X-injected circuit, and the RX pairs cancel exactly, so
+the output must equal the X-injected circuit. encode refuses to return a
+circuit that fails either whole-circuit check against it:
 
 - certify(), a structural certificate run at every size in O(g). It proves
-  the output equals the RX-injected circuit up to a global phase, given
+  the output equals the X-injected circuit up to a global phase, given
   that each selected fragment equals its block's unitary, which
   synthesis.synthesize_blocks has checked.
 - A random-stimuli check up to EQUIV_CHECK_MAX_QUBITS qubits: the output and
-  the RX-injected circuit are applied to the same few random product states
+  the X-injected circuit are applied to the same few random product states
   and compared up to a global phase (Burgholzer, Kueng & Wille, ASP-DAC
-  2021).
+  2021). It covers the RX injection end to end, independently of certify.
 """
 
 from __future__ import annotations
@@ -223,9 +225,7 @@ def encode(c: Circuit, cfg: PipelineConfig) -> EncodeResult:
     seeds = np.random.SeedSequence(cfg.seed).generate_state(3)
     x_circ, key = inject_x_end(c, int(seeds[0]))
     x_partition = form_blocks(x_circ)
-    rx_circ, rx_record, partition = inject_rx_pairs(
-        x_circ, x_partition, int(seeds[1]), cfg.rx_density
-    )
+    partition, rx_record = inject_rx_pairs(x_partition, int(seeds[1]), cfg.rx_density)
     key = replace(key, rx_record=rx_record)
 
     fragments = synthesize_blocks(partition.blocks, cfg.k, cfg.shortlist, int(seeds[2]))
@@ -236,7 +236,7 @@ def encode(c: Circuit, cfg: PipelineConfig) -> EncodeResult:
         stimuli = _stimuli(c.num_qubits)
         if not equal_up_to_global_phase(
             apply_circuit(stimuli.copy(), out),
-            apply_circuit(stimuli.copy(), rx_circ),
+            apply_circuit(stimuli.copy(), x_circ),
             tol=STIMULI_TOL,
         ):
             raise SynthesisEquivalenceError(

@@ -24,7 +24,6 @@ from qcloak.bench import (
 from qcloak.circuit import gate_counts
 from qcloak.dag import to_dag
 from qcloak.linalg import circuit_unitary, equal_up_to_global_phase
-from qcloak.pipeline import PipelineConfig
 from qcloak.simulator import expectation, ideal_distribution
 
 
@@ -156,9 +155,8 @@ def test_case_study_smoke_and_determinism():
 
 def test_case_study_encoded_modes():
     prob = ring_problem(4)
-    cfg = PipelineConfig(seed=0)
-    cor = run_qaoa_case_study(prob, "corrected", iterations=2, seed=1, shots=256, pipeline=cfg)
-    unc = run_qaoa_case_study(prob, "uncorrected", iterations=2, seed=1, shots=256, pipeline=cfg)
+    cor = run_qaoa_case_study(prob, "corrected", iterations=2, seed=1, shots=256)
+    unc = run_qaoa_case_study(prob, "uncorrected", iterations=2, seed=1, shots=256)
     assert cor.mode == "corrected" and unc.mode == "uncorrected"
     assert len(cor.losses) >= 3 and len(unc.losses) >= 3
     assert "uncorrected" in QAOA_MODES

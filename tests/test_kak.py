@@ -11,7 +11,6 @@ from qcloak.kak import (
     _factor_kron_2x2,
     canonical_matrix,
     kak_decompose,
-    kak_decompose_many,
     kak_decompose_stack,
     kak_reconstruct,
 )
@@ -157,7 +156,7 @@ def _rngs(k: int, seed: int):
 
 
 def _assert_many_matches_oracle(u: np.ndarray, k: int, seed: int):
-    got = kak_decompose_many(u, _rngs(k, seed))
+    got = kak_decompose_stack(np.broadcast_to(u, (k, 4, 4)), _rngs(k, seed))
     want = [per_candidate_kak(u, rng) for rng in _rngs(k, seed)]
     assert len(got) == k
     for g, w in zip(got, want):
@@ -186,7 +185,7 @@ def test_stacked_kak_retry_matches_oracle():
                    np.random.default_rng(4)]
         oracle = [None, ZeroFirstRng(1), np.random.default_rng(2), ZeroFirstRng(3),
                   np.random.default_rng(4)]
-        got = kak_decompose_many(u, stacked)
+        got = kak_decompose_stack(np.broadcast_to(u, (len(stacked), 4, 4)), stacked)
         for g, r in zip(got, oracle):
             _assert_terms_equal(g, per_candidate_kak(u, r))
         assert stacked[1].uniform_calls >= 2 and stacked[3].uniform_calls >= 2
@@ -200,10 +199,10 @@ def test_stacked_kak_retry_matches_oracle():
 
 def test_kak_decompose_is_the_one_rng_case():
     u = class_edge_unitary("c1_pi_4", 0.0, 4)
-    _assert_terms_equal(kak_decompose(u), kak_decompose_many(u, [None])[0])
+    _assert_terms_equal(kak_decompose(u), kak_decompose_stack(u[None], [None])[0])
     _assert_terms_equal(
         kak_decompose(u, np.random.default_rng(9)),
-        kak_decompose_many(u, [np.random.default_rng(9)])[0],
+        kak_decompose_stack(u[None], [np.random.default_rng(9)])[0],
     )
 
 

@@ -89,8 +89,8 @@ def _assert_pairs_adjacent(out: Circuit, record) -> None:
 
 def test_rx_pairs_structure():
     c = Circuit(3, (sx(0), cx(0, 1), cx(1, 2), cx(0, 1)))
-    p = form_blocks(c)
-    out, record, p2 = inject_rx_pairs(c, p, seed=11)
+    p2, record = inject_rx_pairs(form_blocks(c), seed=11)
+    out = reassemble(p2, {})
     # blocks: (0,)[sx], (0,1)[cx], (1,2)[cx], (0,1)[cx]; four wire crossings
     assert len(record) == 4
     assert {(r.wire, r.boundary) for r in record} == {(0, 0), (0, 1), (1, 1), (1, 2)}
@@ -104,7 +104,8 @@ def test_rx_pairs_structure():
 def test_rx_pairs_fold_into_blocks():
     c = Circuit(3, (sx(0), cx(0, 1), cx(1, 2), cx(0, 1)))
     p = form_blocks(c)
-    out, record, p2 = inject_rx_pairs(c, p, seed=11)
+    p2, record = inject_rx_pairs(p, seed=11)
+    out = reassemble(p2, {})
     by_order = {b.order_index: b for b in p2.blocks}
     for r in record:
         earlier = by_order[r.boundary]
@@ -124,20 +125,21 @@ def test_rx_pairs_fold_into_blocks():
 
 def test_rx_density_zero_injects_nothing():
     c = Circuit(3, (cx(0, 1), cx(1, 2)))
-    out, record, p2 = inject_rx_pairs(c, form_blocks(c), seed=1, density=0.0)
-    assert record == () and out == c
+    p2, record = inject_rx_pairs(form_blocks(c), seed=1, density=0.0)
+    assert record == () and reassemble(p2, {}) == c
 
 
 def test_rx_density_validated():
     c = Circuit(2, (cx(0, 1),))
     with pytest.raises(ValueError):
-        inject_rx_pairs(c, form_blocks(c), seed=1, density=1.5)
+        inject_rx_pairs(form_blocks(c), seed=1, density=1.5)
 
 
 @given(circuits(max_qubits=4, max_gates=16))
 @settings(max_examples=50)
 def test_rx_pairs_preserve_unitary_exactly(c):
-    out, record, p2 = inject_rx_pairs(c, form_blocks(c), seed=5)
+    p2, record = inject_rx_pairs(form_blocks(c), seed=5)
+    out = reassemble(p2, {})
     assert np.allclose(circuit_unitary(out), circuit_unitary(c), atol=1e-12)
     assert sum(len(b.gates) for b in p2.blocks) == out.num_gates
     assert {order for order, _pos in p2.provenance} == {b.order_index for b in p2.blocks}
@@ -158,7 +160,7 @@ def test_inject_x_then_decode_is_identity_on_strings(c):
 def test_key_json_round_trip():
     c = Circuit(3, (sx(0), cx(0, 1), cx(1, 2), cx(0, 1)))
     xed, key = inject_x_end(c, seed=2)
-    _, record, _ = inject_rx_pairs(xed, form_blocks(xed), seed=4)
+    _, record = inject_rx_pairs(form_blocks(xed), seed=4)
     key = ObfuscationKey(key.flip_mask, key.seed, record)
     back = key_from_json(key_to_json(key))
     assert back == key

@@ -118,10 +118,10 @@ def _drop_fragment_gate(p: BlockPartition, frags: dict[int, Circuit]) -> Circuit
     return partition.reassemble(p, {**frags, o: short})
 
 
-def _misplace_rx_half(x_circ, p, seed, density):
+def _misplace_rx_half(p, seed, density):
     """inject_rx_pairs, except that the RX(-theta) half of the first pair
     whose wire has two more blocks moves one block later on its wire."""
-    _circ, record, rx_p = obfuscate.inject_rx_pairs(x_circ, p, seed, density)
+    rx_p, record = obfuscate.inject_rx_pairs(p, seed, density)
     on_wire: dict[int, list[int]] = {}
     for b in rx_p.blocks:
         for q in b.qubits:
@@ -141,8 +141,7 @@ def _misplace_rx_half(x_circ, p, seed, density):
         elif b.order_index == after:
             gates = (half, *gates)
         blocks.append(Block(b.qubits, gates, b.order_index))
-    moved = replace(rx_p, blocks=tuple(blocks))
-    return partition.reassemble(moved, {}), record, moved
+    return replace(rx_p, blocks=tuple(blocks)), record
 
 
 def _install(monkeypatch, mutant: str) -> list[Circuit]:
@@ -185,8 +184,8 @@ def test_whole_circuit_check_rejects_mutated_output(monkeypatch, mutant, n):
 @pytest.mark.parametrize("mutant", MUTANTS[2:])
 def test_certificate_rejects_mutants(monkeypatch, mutant, n):
     # the certificate runs first, so it is what rejects each mutant, also
-    # the misplaced half, which the random-stimuli check cannot see: the
-    # RX-injected circuit it compares against has the same misplaced half
+    # the misplaced half, which the random-stimuli check would reject too
+    # (test_stimuli_check_sees_a_misplaced_rx_half)
     _install(monkeypatch, mutant)
     with pytest.raises(SynthesisEquivalenceError, match="^certificate: "):
         encode(gen_random_blocks(n, 24, 5), PipelineConfig(seed=2))
@@ -203,12 +202,16 @@ def test_dense_oracle_rejects_every_mutant(monkeypatch, mutant):
     assert not dense_equivalent(outputs[0], x_circ)
 
 
-def test_only_the_certificate_sees_a_misplaced_rx_half(monkeypatch):
+def test_stimuli_check_sees_a_misplaced_rx_half(monkeypatch):
+    # the stimuli check compares against the X-injected circuit, so it
+    # covers the RX injection end to end without the certificate
     c, cfg = gen_random_blocks(8, 24, 5), PipelineConfig(seed=2)
     x_circ = encode(c, cfg).x_injected
     outputs = _install(monkeypatch, "misplaced_rx_half")
     monkeypatch.setattr(qcloak.pipeline, "certify", lambda *inputs: None)
-    encode(c, cfg)  # the stimuli check alone passes it
+    with pytest.raises(SynthesisEquivalenceError, match="random stimuli"):
+        encode(c, cfg)
+    assert len(outputs) == 1
     assert not dense_equivalent(outputs[0], x_circ)
 
 
@@ -272,7 +275,7 @@ def test_certificate_accepts_an_empty_block_list(n):
 def _certificate_inputs(c: Circuit, seed: int = 5) -> list:
     """certify's arguments for c taken as the X-injected circuit."""
     p = form_blocks(c)
-    _rx_circ, record, rx_p = obfuscate.inject_rx_pairs(c, p, seed)
+    rx_p, record = obfuscate.inject_rx_pairs(p, seed)
     frags = {b.order_index: synthesize_block(b, 3, 2, seed) for b in rx_p.blocks}
     return [c, p, rx_p, record, frags, partition.reassemble(rx_p, frags)]
 
