@@ -128,12 +128,6 @@ def circuit_unitary(c: Circuit) -> np.ndarray:
     return apply_circuit(np.eye(2**c.num_qubits, dtype=complex), c)
 
 
-def is_unitary(u: np.ndarray, tol: float = 1e-10) -> bool:
-    if u.shape[0] != u.shape[1]:
-        return False
-    return np.max(np.abs(u.conj().T @ u - np.eye(u.shape[0]))) <= tol
-
-
 def equal_up_to_global_phase(a: np.ndarray, b: np.ndarray, tol: float = 1e-9):
     """True iff a = e^{i phi} b for some phase, in max-abs-entry norm. The
     phase is read at b's largest entry; an all-zero b needs max |a| <= tol.

@@ -67,30 +67,29 @@ def _undirected_edges(d: CircuitDag) -> np.ndarray:
     return np.stack(np.divmod(keys, d.num_nodes), axis=1)
 
 
-def _normalized_laplacian_dense(n: int, edges: np.ndarray) -> np.ndarray:
-    adj = np.zeros((n, n))
-    adj[edges[:, 0], edges[:, 1]] = 1.0
-    adj[edges[:, 1], edges[:, 0]] = 1.0
-    deg = adj.sum(axis=1)
+def _scaled_adjacency(n: int, edges: np.ndarray):
+    """D^-1/2 A D^-1/2 of the undirected graph as CSR (an isolated node's row
+    and column empty), and the degrees D. The edges are distinct, so each
+    stored entry is one product of two scale factors."""
+    rows = np.concatenate((edges[:, 0], edges[:, 1]))
+    cols = np.concatenate((edges[:, 1], edges[:, 0]))
+    deg = np.bincount(rows, minlength=n).astype(float)
     inv_sqrt = np.where(deg > 0, 1.0 / np.sqrt(np.maximum(deg, 1.0)), 0.0)
-    lap = -adj * np.outer(inv_sqrt, inv_sqrt)
-    np.fill_diagonal(lap, np.where(deg > 0, 1.0, 0.0))
-    return lap
+    return sp.csr_matrix((inv_sqrt[rows] * inv_sqrt[cols], (rows, cols)), shape=(n, n)), deg
 
 
 def _normalized_laplacian_sparse(n: int, edges: np.ndarray):
-    rows = np.concatenate((edges[:, 0], edges[:, 1]))
-    cols = np.concatenate((edges[:, 1], edges[:, 0]))
-    adj = sp.csr_matrix((np.ones(len(rows)), (rows, cols)), shape=(n, n))
-    deg = np.asarray(adj.sum(axis=1)).ravel()
-    inv_sqrt = np.where(deg > 0, 1.0 / np.sqrt(np.maximum(deg, 1.0)), 0.0)
-    scale = sp.diags(inv_sqrt)
-    lap = sp.diags(np.where(deg > 0, 1.0, 0.0)) - scale @ adj @ scale
-    return lap.tocsr(), deg
+    s, deg = _scaled_adjacency(n, edges)
+    return (sp.diags(np.where(deg > 0, 1.0, 0.0)) - s).tocsr(), deg
 
 
 def _heat_traces_dense(n: int, edges: np.ndarray, grid: np.ndarray) -> np.ndarray:
-    lam = np.linalg.eigvalsh(_normalized_laplacian_dense(n, edges))
+    s, deg = _scaled_adjacency(n, edges)
+    # -S, not 0 - S: the entries off the edges are -0.0, and eigvalsh's
+    # output bits depend on those signs
+    lap = -s.toarray()
+    np.fill_diagonal(lap, np.where(deg > 0, 1.0, 0.0))
+    lam = np.linalg.eigvalsh(lap)
     return np.exp(-np.outer(grid, lam)).sum(axis=1)
 
 

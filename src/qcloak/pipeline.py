@@ -5,9 +5,11 @@ The key decodes the X-injected circuit, and the RX pairs cancel exactly, so
 the output must equal the X-injected circuit. encode refuses to return a
 circuit that fails either whole-circuit check against it:
 
-- certify(), a structural certificate run at every size in O(g). It proves
-  the output equals the X-injected circuit up to a global phase, given
-  that each selected fragment equals its block's unitary, which
+- certify(), a structural certificate run at every size in O(g). Its two
+  checks, the RX-injected blocks with their recorded halves removed
+  against the X-injected circuit and the fragments against the output,
+  prove the output equals the X-injected circuit up to a global phase,
+  given that each selected fragment equals its block's unitary, which
   synthesis.synthesize_blocks has checked.
 - A random-stimuli check up to EQUIV_CHECK_MAX_QUBITS qubits: the output and
   the X-injected circuit are applied to the same few random product states
@@ -27,7 +29,7 @@ from .circuit import Circuit, GateKind
 from .linalg import apply_circuit, equal_up_to_global_phase
 from .netlsd import DEFAULT_POINTS, DEFAULT_T_MAX, DEFAULT_T_MIN
 from .obfuscate import ObfuscationKey, RxPair, inject_rx_pairs, inject_x_end
-from .partition import Block, BlockPartition, form_blocks, reassemble
+from .partition import BlockPartition, form_blocks, reassemble
 from .synthesis import synthesize_blocks
 
 # imported for perfbench/tracing.py, which wraps these names; not called here
@@ -81,14 +83,6 @@ def _fail(message: str) -> SynthesisEquivalenceError:
     return SynthesisEquivalenceError(f"certificate: {message}")
 
 
-def _in_order(blocks: tuple[Block, ...]) -> list[Block]:
-    ordered = sorted(blocks, key=lambda b: b.order_index)
-    orders = [b.order_index for b in ordered]
-    if len(set(orders)) != len(orders):
-        raise _fail("duplicate block order_index")
-    return ordered
-
-
 def _match_wires(c: Circuit, entries: list[tuple], what: str) -> None:
     """Raise unless c is the concatenation of entries up to a reordering that
     keeps every wire's gate sequence.
@@ -119,8 +113,7 @@ def _match_wires(c: Circuit, entries: list[tuple], what: str) -> None:
 
 def certify(
     x_circ: Circuit,
-    x_partition: BlockPartition,
-    rx_partition: BlockPartition,
+    partition: BlockPartition,
     rx_record: tuple[RxPair, ...],
     fragments: dict[int, Circuit],
     out: Circuit,
@@ -129,39 +122,30 @@ def certify(
     given that each fragment equals its block's unitary. Raises
     SynthesisEquivalenceError on the first check that fails:
 
-    (a) the X-injected partition's blocks, concatenated in order_index
+    (a) each RX-injected block starts with exactly its recorded RX(-theta)
+        halves and ends with exactly its recorded RX(theta) halves, each
+        pair's later block being the next block on its wire after the
+        earlier one, so adjacent halves cancel exactly; and the blocks'
+        cores, the blocks without these halves, concatenated in order_index
         order, give x_circ's per-wire gate sequences;
-    (b) each RX-injected block is its X-injected block with only its
-        recorded RX(-theta) halves prepended and RX(theta) halves appended,
-        each pair's later block being the next block on its wire after the
-        earlier one, so adjacent halves cancel exactly;
-    (c) the blocks' fragments, mapped to global qubits and concatenated in
+    (b) the blocks' fragments, mapped to global qubits and concatenated in
         order_index order, give out's per-wire gate sequences.
 
     Reads no provenance: nothing reassemble relies on is trusted."""
     n = x_circ.num_qubits
-    if not n == x_partition.num_qubits == rx_partition.num_qubits == out.num_qubits:
-        raise _fail("circuits and partitions differ in width")
+    if not n == partition.num_qubits == out.num_qubits:
+        raise _fail("circuits and partition differ in width")
     if out.measured_qubits != x_circ.measured_qubits:
         raise _fail("output measures other qubits")
 
-    x_blocks = _in_order(x_partition.blocks)
-    if any(not 0 <= q < n for b in x_blocks for q in b.qubits):
+    blocks = sorted(partition.blocks, key=lambda b: b.order_index)
+    if len({b.order_index for b in blocks}) != len(blocks):
+        raise _fail("duplicate block order_index")
+    if any(not 0 <= q < n for b in blocks for q in b.qubits):
         raise _fail("a block acts outside the circuit's qubits")
-    _match_wires(
-        x_circ,
-        [(g.kind, g.qubits, g.angle) for b in x_blocks for g in b.gates],
-        "X-injected partition",
-    )
-
-    rx_blocks = _in_order(rx_partition.blocks)
-    if [(b.order_index, b.qubits) for b in rx_blocks] != [
-        (b.order_index, b.qubits) for b in x_blocks
-    ]:
-        raise _fail("RX-injected partition has other blocks")
     later_on_wire: dict[tuple[int, int], int] = {}
     last_on_wire: dict[int, int] = {}
-    for b in x_blocks:
+    for b in blocks:
         for q in b.qubits:
             if q in last_on_wire:
                 later_on_wire[q, last_on_wire[q]] = b.order_index
@@ -175,21 +159,21 @@ def certify(
             raise _fail(f"RX pair on wire {pair.wire} crosses no block boundary")
         append.setdefault(pair.boundary, []).append((pair.wire, pair.theta))
         prepend.setdefault(later, []).append((pair.wire, -pair.theta))
-    for xb, rb in zip(x_blocks, rx_blocks):
-        o = xb.order_index
+    cores = []
+    for b in blocks:
+        o = b.order_index
         pre, app = prepend.get(o, []), append.get(o, [])
-        gates = rb.gates
+        gates = b.gates
         start, stop = len(pre), len(gates) - len(app)
-        if (
-            stop - start != len(xb.gates)
-            or gates[start:stop] != xb.gates
-            or [(g.kind, g.qubits, g.angle) for g in gates[:start] + gates[stop:]]
-            != [(GateKind.RX, (wire,), angle) for wire, angle in pre + app]
-        ):
-            raise _fail(f"block {o} is not its X-injected block plus its RX halves")
+        if stop < start or [
+            (g.kind, g.qubits, g.angle) for g in gates[:start] + gates[stop:]
+        ] != [(GateKind.RX, (wire,), angle) for wire, angle in pre + app]:
+            raise _fail(f"block {o} does not start and end with exactly its RX halves")
+        cores.extend((g.kind, g.qubits, g.angle) for g in gates[start:stop])
+    _match_wires(x_circ, cores, "block cores")
 
     entries = []
-    for b in rx_blocks:
+    for b in blocks:
         frag = fragments.get(b.order_index)
         if frag is None or frag.num_qubits != len(b.qubits):
             raise _fail(f"block {b.order_index} has no fragment of its width")
@@ -224,14 +208,13 @@ def encode(c: Circuit, cfg: PipelineConfig) -> EncodeResult:
     each block, reassemble; then the whole-circuit checks."""
     seeds = np.random.SeedSequence(cfg.seed).generate_state(3)
     x_circ, key = inject_x_end(c, int(seeds[0]))
-    x_partition = form_blocks(x_circ)
-    partition, rx_record = inject_rx_pairs(x_partition, int(seeds[1]), cfg.rx_density)
+    partition, rx_record = inject_rx_pairs(form_blocks(x_circ), int(seeds[1]), cfg.rx_density)
     key = replace(key, rx_record=rx_record)
 
     fragments = synthesize_blocks(partition.blocks, cfg.k, cfg.shortlist, int(seeds[2]))
     out = reassemble(partition, fragments)
 
-    certify(x_circ, x_partition, partition, rx_record, fragments, out)
+    certify(x_circ, partition, rx_record, fragments, out)
     if c.num_qubits <= EQUIV_CHECK_MAX_QUBITS:
         stimuli = _stimuli(c.num_qubits)
         if not equal_up_to_global_phase(

@@ -426,19 +426,14 @@ def _checked_candidates(blocks: list[Block], k: int, seed: int) -> Candidates:
     return cands
 
 
-def _candidate_sets(blocks: list[Block], k: int, seed: int) -> list[list[Circuit]]:
-    """The k checked candidates of every block, as Circuits."""
-    cands = _checked_candidates(blocks, k, seed)
-    return [[cands.circuit(j + i) for i in range(k)] for j in range(0, len(cands), k)]
-
-
 def generate_candidates(b: Block, k: int, seed: int) -> list[Circuit]:
     """k fragments equivalent to the block, all at the block's minimal CX
     count. Candidate 0 is the deterministic plain synthesis; later candidates
     draw decomposition branches and canceling-rotation dressings from a
     per-(seed, block, index) RNG. The one-block case of synthesize_blocks'
     candidate stack."""
-    return _candidate_sets([b], k, seed)[0]
+    cands = _checked_candidates([b], k, seed)
+    return [cands.circuit(i) for i in range(k)]
 
 
 def _select(sx_plus_x, rz, signature, block: Block, shortlist: int) -> int:
@@ -464,25 +459,21 @@ def select_candidate(cands: list[Circuit], original_block: Block, shortlist: int
     best = _select(
         [n.sx_plus_x for n in counts],
         [n.rz for n in counts],
-        lambda i: fragment_signature(cands[i]),
+        lambda i: _wire_signature(cands[i].num_qubits, tuple(g.qubits for g in cands[i].gates)),
         original_block,
         shortlist,
     )
     return cands[best]
 
 
-def fragment_signature(c: Circuit) -> HeatSignature:
-    """Heat signature of c on the default grid, memoized by wire structure.
-
-    to_dag's edges, and so the signature, depend only on the wire count and
-    on which wires each gate touches, never on gate kinds or angles, and an
-    encode meets few distinct structures, so most lookups hit. The returned
-    arrays are read-only and shared."""
-    return _wire_signature(c.num_qubits, tuple(g.qubits for g in c.gates))
-
-
 @functools.lru_cache(maxsize=SIGNATURE_MEMO_ENTRIES)
 def _wire_signature(num_qubits: int, wires: tuple[tuple[int, ...], ...]) -> HeatSignature:
+    """Heat signature on the default grid of a fragment over num_qubits wires
+    whose gates touch `wires`, memoized by that structure: to_dag's edges,
+    and so the signature, depend only on the wire count and on which wires
+    each gate touches, never on gate kinds or angles, and an encode meets
+    few distinct structures, so most lookups hit. The returned arrays are
+    read-only and shared."""
     # X and CX stand in for the gates: any gates on the same wires give the
     # same DAG edges. Looked up in netlsd at call time, so tracing and tests
     # see each miss.

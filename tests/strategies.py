@@ -18,7 +18,7 @@ from qcloak.kak import (
     _canonicalize,
     canonical_matrix,
 )
-from qcloak.linalg import circuit_unitary, equal_up_to_global_phase, is_unitary, rz_matrix
+from qcloak.linalg import circuit_unitary, equal_up_to_global_phase, rz_matrix
 from qcloak.partition import Block, block_unitary
 from qcloak.qasm import QasmError
 from qcloak.synthesis import (
@@ -32,6 +32,12 @@ from qcloak.synthesis import (
 )
 
 ANGLES = st.floats(min_value=-6.3, max_value=6.3, allow_nan=False)
+
+
+def is_unitary(u: np.ndarray, tol: float = 1e-10) -> bool:
+    if u.shape[0] != u.shape[1]:
+        return False
+    return np.max(np.abs(u.conj().T @ u - np.eye(u.shape[0]))) <= tol
 
 
 @st.composite
@@ -615,6 +621,20 @@ def tensordot_circuit_unitary(c: Circuit) -> np.ndarray:
             axis = n - 1 - g.qubits[0]
             u = np.moveaxis(np.tensordot(gate_unitary(g), u, axes=([1], [axis])), 0, axis)
     return u.reshape(dim, dim)
+
+
+def dense_normalized_laplacian(n: int, edges: np.ndarray) -> np.ndarray:
+    """Symmetric normalized Laplacian built densely, -D^-1/2 A D^-1/2 off the
+    diagonal: the oracle for the dense heat-trace path's Laplacian. Its
+    entries off the edges are -0.0, products of a zero and a negated scale."""
+    adj = np.zeros((n, n))
+    adj[edges[:, 0], edges[:, 1]] = 1.0
+    adj[edges[:, 1], edges[:, 0]] = 1.0
+    deg = adj.sum(axis=1)
+    inv_sqrt = np.where(deg > 0, 1.0 / np.sqrt(np.maximum(deg, 1.0)), 0.0)
+    lap = -adj * np.outer(inv_sqrt, inv_sqrt)
+    np.fill_diagonal(lap, np.where(deg > 0, 1.0, 0.0))
+    return lap
 
 
 def union_find_zero_mode_basis(n: int, edges: np.ndarray, deg: np.ndarray) -> np.ndarray:

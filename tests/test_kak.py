@@ -14,12 +14,13 @@ from qcloak.kak import (
     kak_decompose_stack,
     kak_reconstruct,
 )
-from qcloak.linalg import CX_MATRIX, PAULI_X, PAULI_Y, PAULI_Z, is_unitary
+from qcloak.linalg import CX_MATRIX, PAULI_X, PAULI_Y, PAULI_Z
 from strategies import (
     CLASS_EDGE_EPS,
     CLASS_EDGES,
     ZeroFirstRng,
     class_edge_unitary,
+    is_unitary,
     per_candidate_kak,
     per_matrix_factor_kron,
     unitaries,

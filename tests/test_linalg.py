@@ -13,11 +13,17 @@ from qcloak.linalg import (
     circuit_unitary,
     equal_up_to_global_phase,
     gate_unitary,
-    is_unitary,
     rx_matrix,
     rz_matrix,
 )
-from strategies import ANGLES, circuits, embed_unitary, one_qubit_runs, slow_circuit_unitary
+from strategies import (
+    ANGLES,
+    circuits,
+    embed_unitary,
+    is_unitary,
+    one_qubit_runs,
+    slow_circuit_unitary,
+)
 
 
 def test_rotation_matrices_match_exponentials():

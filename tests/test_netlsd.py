@@ -32,6 +32,7 @@ from qcloak.netlsd import (
 )
 from qcloak.pipeline import PipelineConfig, encode
 from strategies import (
+    dense_normalized_laplacian,
     reorthogonalized_heat_traces,
     signature_to_csv,
     four_pass_heat_traces,
@@ -163,6 +164,36 @@ def _isolated_nodes_dag() -> CircuitDag:
     """Seven nodes: the path 0-1-3, the edge 5-6, and nodes 2 and 4 with only
     self-loops, which the symmetrized graph drops, so they are isolated."""
     return CircuitDag(2, 3, ((0, 1), (2, 2), (1, 3), (4, 4), (5, 6)))
+
+
+@pytest.mark.parametrize(
+    "dag",
+    [
+        pytest.param(to_dag(gen_qft(3)), id="qft3"),
+        pytest.param(
+            to_dag(encode(desk_benchmarks()["w8"], PipelineConfig(seed=3)).circuit),
+            id="w8_encoded",
+        ),
+        pytest.param(_isolated_nodes_dag(), id="isolated_nodes"),
+    ],
+)
+def test_dense_laplacian_matches_the_dense_oracle_bit_for_bit(dag, monkeypatch):
+    # the dense path negates the sparse D^-1/2 A D^-1/2, so its Laplacian must
+    # be the all-dense one in every bit, -0.0 off the edges included: the bits
+    # of eigvalsh's output, and so of the dense signatures, depend on them
+    n, edges, grid = dag.num_nodes, _undirected_edges(dag), default_grid()
+    eigvalsh, seen = np.linalg.eigvalsh, []
+
+    def spy(a):
+        seen.append(a.copy())
+        return eigvalsh(a)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", spy)
+    got = qcloak.netlsd._heat_traces_dense(n, edges, grid)
+    monkeypatch.undo()
+    lap = dense_normalized_laplacian(n, edges)
+    assert len(seen) == 1 and seen[0].tobytes() == lap.tobytes()
+    assert got.tobytes() == np.exp(-np.outer(grid, eigvalsh(lap))).sum(axis=1).tobytes()
 
 
 @pytest.mark.parametrize(

@@ -267,17 +267,16 @@ def test_certificate_accepts_an_empty_block_list(n):
     c = Circuit(n)
     p = form_blocks(c)
     assert p.blocks == ()
-    certify(c, p, p, (), {}, c)
+    certify(c, p, (), {}, c)
     with pytest.raises(SynthesisEquivalenceError):
-        certify(c, p, p, (), {}, Circuit(n, (rz(0.5, 0),)))
+        certify(c, p, (), {}, Circuit(n, (rz(0.5, 0),)))
 
 
 def _certificate_inputs(c: Circuit, seed: int = 5) -> list:
     """certify's arguments for c taken as the X-injected circuit."""
-    p = form_blocks(c)
-    rx_p, record = obfuscate.inject_rx_pairs(p, seed)
+    rx_p, record = obfuscate.inject_rx_pairs(form_blocks(c), seed)
     frags = {b.order_index: synthesize_block(b, 3, 2, seed) for b in rx_p.blocks}
-    return [c, p, rx_p, record, frags, partition.reassemble(rx_p, frags)]
+    return [c, rx_p, record, frags, partition.reassemble(rx_p, frags)]
 
 
 def test_certificate_handles_idle_wires():
@@ -299,8 +298,68 @@ def test_certificate_rejects_reordered_or_truncated_circuits():
     # gate sequences of wires 0 and 1; only the CX identity on wire 2 differs
     swapped = Circuit(3, (cx(1, 2), rz(0.3, 2), cx(0, 2)))
     assert not dense_equivalent(swapped, c)
-    with pytest.raises(SynthesisEquivalenceError, match="X-injected partition"):
+    with pytest.raises(SynthesisEquivalenceError, match="block cores"):
         certify(swapped, *inputs[1:])
     out = inputs[-1]
     with pytest.raises(SynthesisEquivalenceError, match="unmatched gates"):
         certify(*inputs[:-1], replace(out, gates=out.gates[:-1]))
+
+
+def _edit_block(p: BlockPartition, order: int, edit) -> BlockPartition:
+    """p with the gates of block `order` replaced by edit(gates)."""
+    blocks = tuple(
+        Block(b.qubits, edit(b.gates), b.order_index) if b.order_index == order else b
+        for b in p.blocks
+    )
+    return replace(p, blocks=blocks)
+
+
+def _drop_recorded_half(p, record):
+    pair = record[0]
+    half = Gate(GateKind.RX, (pair.wire,), pair.theta)
+    return _edit_block(p, pair.boundary, lambda gs: tuple(g for g in gs if g != half)), record
+
+
+def _prepend_unrecorded_rx(p, record):
+    b = p.blocks[-1]
+    extra = Gate(GateKind.RX, b.qubits[:1], 0.7)
+    return _edit_block(p, b.order_index, lambda gs: (extra, *gs)), record
+
+
+def _shift_core_rz(p, record):
+    b = next(b for b in p.blocks if any(g.kind is GateKind.RZ for g in b.gates))
+    i = next(i for i, g in enumerate(b.gates) if g.kind is GateKind.RZ)
+
+    def shift(gs):
+        return (*gs[:i], rz(gs[i].angle + 1e-6, gs[i].qubits[0]), *gs[i + 1 :])
+
+    return _edit_block(p, b.order_index, shift), record
+
+
+def _unpaired_record(p, record):
+    """An RX(theta) ending the last block on wire 0, recorded as a pair."""
+    last = max(b.order_index for b in p.blocks if 0 in b.qubits)
+    half = Gate(GateKind.RX, (0,), 0.7)
+    pair = obfuscate.RxPair(0, last, 0.7)
+    return _edit_block(p, last, lambda gs: (*gs, half)), (*record, pair)
+
+
+@pytest.mark.parametrize(
+    "tamper, message",
+    [
+        (_drop_recorded_half, "block [0-9]+ does not start and end with exactly its RX halves"),
+        (_prepend_unrecorded_rx, "block [0-9]+ does not start and end with exactly its RX halves"),
+        (_shift_core_rz, "gate [0-9]+ differs from the block cores"),
+        (_unpaired_record, "RX pair on wire 0 crosses no block boundary"),
+    ],
+    ids=["dropped_half", "unrecorded_rx", "shifted_core_rz", "unpaired_record"],
+)
+def test_certificate_rejects_tampered_rx_blocks(tamper, message):
+    # the fragments and the output stay those of the untampered blocks, so
+    # only the walk over the RX-injected blocks can see each change
+    c, rx_p, record, frags, out = _certificate_inputs(gen_random_blocks(6, 16, 5))
+    assert record
+    certify(c, rx_p, record, frags, out)
+    rx_p, record = tamper(rx_p, record)
+    with pytest.raises(SynthesisEquivalenceError, match=f"^certificate: {message}$"):
+        certify(c, rx_p, record, frags, out)

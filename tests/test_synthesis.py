@@ -28,12 +28,10 @@ from qcloak.synthesis import (
     SYNTH_CHUNK,
     Candidates,
     SynthesisError,
-    _candidate_sets,
     _checked_candidates,
     _emit_many,
     _template_1q,
     candidate_unitaries,
-    fragment_signature,
     generate_candidates,
     minimal_cx_count,
     select_candidate,
@@ -272,6 +270,10 @@ def test_select_candidate_signs_reference_block_once(monkeypatch):
     assert calls == []
 
 
+def _memo_signature(c):
+    return qcloak.synthesis._wire_signature(c.num_qubits, tuple(g.qubits for g in c.gates))
+
+
 def test_fragment_signature_memo_matches_fresh_signature():
     qcloak.synthesis._wire_signature.cache_clear()
     c = gen_random_blocks(16, 30, seed=1)
@@ -280,12 +282,12 @@ def test_fragment_signature_memo_matches_fresh_signature():
         frags.append(to_local_circuit(b))
         frags.extend(generate_candidates(b, 3, 4))
     for frag in frags:
-        memo = fragment_signature(frag)
+        memo = _memo_signature(frag)
         fresh = circuit_signature(frag)
         assert np.array_equal(memo.timescales, fresh.timescales)
         assert np.array_equal(memo.traces, fresh.traces)
     assert qcloak.synthesis._wire_signature.cache_info().hits > 0
-    memo = fragment_signature(frags[0])
+    memo = _memo_signature(frags[0])
     with pytest.raises(ValueError, match="read-only"):
         memo.traces[0] = 0.0
     with pytest.raises(ValueError, match="read-only"):
@@ -481,10 +483,11 @@ def _assert_stack_matches_per_block_oracle(bs, k, shortlist, seed, chunk, stub_o
     with mock.patch.object(qcloak.synthesis, "SYNTH_CHUNK", chunk), mock.patch.object(
         qcloak.synthesis, "_candidate_rngs", stub_rngs
     ):
-        cand_sets = _candidate_sets(bs, k, seed)
+        stack = _checked_candidates(bs, k, seed)
         chosen = synthesize_blocks(bs, k, shortlist, seed)
     assert sorted(chosen) == sorted(b.order_index for b in bs)
-    for b, cands in zip(bs, cand_sets):
+    for j, b in enumerate(bs):
+        cands = [stack.circuit(j * k + i) for i in range(k)]
         want = per_candidate_generate(
             b, k, seed, _oracle_rngs(seed, b.order_index, k, stub_order)
         )
@@ -492,7 +495,7 @@ def _assert_stack_matches_per_block_oracle(bs, k, shortlist, seed, chunk, stub_o
         assert [c.num_qubits for c in cands] == [c.num_qubits for c in want]
         assert gate_bits(chosen[b.order_index]) == gate_bits(select_candidate(want, b, shortlist))
     if stub_order is not None and k > 1:
-        # _candidate_sets and synthesize_blocks each drew one stub, and each retried
+        # _checked_candidates and synthesize_blocks each drew one stub, and each retried
         assert len(stubs) == 2 and all(r.uniform_calls >= 2 for r in stubs)
 
 
@@ -555,12 +558,12 @@ def test_kak_class_boundaries_through_the_stack(data, k, seed):
     # frames: each candidate either matches its block or the stack raises
     bs = [data.draw(boundary_blocks(3 * i)) for i in range(data.draw(st.integers(1, 4)))]
     try:
-        cand_sets = _candidate_sets(bs, k, seed)
+        stack = _checked_candidates(bs, k, seed)
     except SynthesisError:
         return
-    for b, cands in zip(bs, cand_sets):
+    for j, b in enumerate(bs):
         u = block_unitary(b)
-        for c in cands:
+        for c in (stack.circuit(j * k + i) for i in range(k)):
             assert c.num_qubits == 2
             assert {g.kind for g in c.gates} <= {GateKind.RZ, GateKind.SX, GateKind.X, GateKind.CX}
             assert gate_counts(c).cx <= 3
