@@ -65,24 +65,15 @@ def _emit(payload: dict) -> None:
     print(json.dumps(payload, indent=2))
 
 
-def _config_from_args(args) -> PipelineConfig:
-    return PipelineConfig(
-        seed=args.seed,
-        k=args.k,
-        shortlist=args.shortlist,
-        rx_density=args.rx_density,
-    )
-
-
 def cmd_encode(args) -> int:
     circuit = parse_qasm(_read(args.input))
-    cfg = _config_from_args(args)
     t0 = time.perf_counter()
-    enc = encode(circuit, cfg)
+    enc = encode(circuit, PipelineConfig(seed=args.seed))
     wall = time.perf_counter() - t0
     baseline = make_baseline(circuit)
-    _write_atomic(args.output, serialize_qasm(enc.circuit))
+    # the key first: an encoded circuit on disk without its key cannot be decoded
     _write_atomic(args.key, key_to_json(enc.key))
+    _write_atomic(args.output, serialize_qasm(enc.circuit))
     counts_enc = gate_counts(enc.circuit)
     counts_base = gate_counts(baseline)
     log.info("encoded %s -> %s (key %s)", args.input, args.output, args.key)
@@ -132,11 +123,10 @@ def cmd_compare(args) -> int:
     if args.shots < 1:
         raise ValueError("shots must be at least 1")
     circuit = parse_qasm(_read(args.input))
-    cfg = _config_from_args(args)
     shots = None if args.analytic else args.shots
     report = compare(
         circuit,
-        cfg,
+        PipelineConfig(seed=args.seed),
         shots=shots,
         structural_only=args.structural_only,
         name=args.name or os.path.basename(args.input),
@@ -183,13 +173,6 @@ def cmd_qaoa_demo(args) -> int:
     return 0
 
 
-def _add_pipeline_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--seed", type=int, default=0, help="master pipeline seed")
-    p.add_argument("--k", type=int, default=3, help="candidates per block")
-    p.add_argument("--shortlist", type=int, default=2, help="gate-count shortlist size")
-    p.add_argument("--rx-density", type=float, default=1.0, dest="rx_density")
-
-
 def _add_sampling_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--shots", type=int, default=100000)
     p.add_argument("--sim-cap", type=int, default=20, dest="sim_cap")
@@ -211,7 +194,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("input", help="input QASM file")
     p.add_argument("output", help="obfuscated QASM file")
     p.add_argument("key", help="key JSON file")
-    _add_pipeline_flags(p)
+    p.add_argument("--seed", type=int, default=0, help="master pipeline seed")
 
     p = sub.add_parser("decode", help="apply a key to a measured distribution")
     p.add_argument("distribution", help="distribution JSON file")
@@ -236,7 +219,7 @@ def build_parser() -> argparse.ArgumentParser:
         dest="structural_only",
         help="skip simulation metrics",
     )
-    _add_pipeline_flags(p)
+    p.add_argument("--seed", type=int, default=0, help="master pipeline seed")
     _add_sampling_flags(p)
 
     p = sub.add_parser("qaoa-demo", help="ring-4 MaxCut case study, all three modes")

@@ -109,32 +109,25 @@ def _boundaries(p: BlockPartition) -> list[tuple[int, int, int]]:
     return out
 
 
-def inject_rx_pairs(
-    p: BlockPartition, seed: int, density: float = 1.0
-) -> tuple[BlockPartition, tuple[RxPair, ...]]:
+def inject_rx_pairs(p: BlockPartition, seed: int) -> tuple[BlockPartition, tuple[RxPair, ...]]:
     """Insert RX(theta)/RX(-theta) across block boundaries.
 
-    For each wire crossing from one block to the next, with probability
-    `density`, RX(theta) is appended to the earlier block and RX(-theta) is
-    prepended to the later block, theta ~ Uniform[0.1, 2*pi - 0.1]. Returns
-    the partition with the pairs folded into their blocks and the injection
-    record. The halves of each pair are adjacent on their wire and cancel
-    exactly, so encode checks its output against the X-injected circuit p
-    was formed from and no RX-injected circuit is built. The pairs go into
-    the blocks, not into a new circuit, because re-partitioning such a
-    circuit would put both halves of a pair in the earlier block (still open
-    when the second half is scanned), where they cancel instead of
-    straddling the boundary.
+    For each wire crossing from one block to the next, RX(theta) is appended
+    to the earlier block and RX(-theta) is prepended to the later block,
+    theta ~ Uniform[0.1, 2*pi - 0.1]. Returns the partition with the pairs
+    folded into their blocks and the injection record. The halves of each
+    pair are adjacent on their wire and cancel exactly, so encode checks its
+    output against the X-injected circuit p was formed from and no
+    RX-injected circuit is built. The pairs go into the blocks, not into a
+    new circuit, because re-partitioning such a circuit would put both halves
+    of a pair in the earlier block (still open when the second half is
+    scanned), where they cancel instead of straddling the boundary.
     """
-    if not 0.0 <= density <= 1.0:
-        raise ValueError("density must lie in [0, 1]")
     rng = np.random.default_rng(seed)
     record: list[RxPair] = []
     prepend: dict[int, list[Gate]] = {}
     append: dict[int, list[Gate]] = {}
     for wire, earlier, later in _boundaries(p):
-        if density < 1.0 and rng.random() >= density:
-            continue
         theta = rng.uniform(THETA_MARGIN, 2 * np.pi - THETA_MARGIN)
         record.append(RxPair(wire, earlier, theta))
         append.setdefault(earlier, []).append(Gate(GateKind.RX, (wire,), theta))

@@ -40,6 +40,8 @@ EQUIV_CHECK_MAX_QUBITS = 10  # widest circuit the random-stimuli check runs on
 STIMULI_COUNT = 4  # random product states per stimuli check
 STIMULI_SEED = 2021
 STIMULI_TOL = 1e-7
+CANDIDATES = 3  # KAK/Euler candidates generated per block
+SHORTLIST = 2  # fewest-SX+X candidates the most distant one is picked from
 
 
 class SynthesisEquivalenceError(RuntimeError):
@@ -49,20 +51,11 @@ class SynthesisEquivalenceError(RuntimeError):
 @dataclass(frozen=True)
 class PipelineConfig:
     seed: int = 0
-    k: int = 3
-    shortlist: int = 2
-    rx_density: float = 1.0
     # The NetLSD timescale grid is fixed (netlsd.default_grid), not a setting:
     # these read-only names give its bounds to code that builds it from a config.
     grid_min: ClassVar[float] = DEFAULT_T_MIN
     grid_max: ClassVar[float] = DEFAULT_T_MAX
     grid_points: ClassVar[int] = DEFAULT_POINTS
-
-    def __post_init__(self):
-        if self.k < 1 or not 1 <= self.shortlist <= self.k:
-            raise ValueError("need k >= 1 and 1 <= shortlist <= k")
-        if not 0.0 <= self.rx_density <= 1.0:
-            raise ValueError("rx_density must lie in [0, 1]")
 
 
 @dataclass(frozen=True)
@@ -208,10 +201,10 @@ def encode(c: Circuit, cfg: PipelineConfig) -> EncodeResult:
     each block, reassemble; then the whole-circuit checks."""
     seeds = np.random.SeedSequence(cfg.seed).generate_state(3)
     x_circ, key = inject_x_end(c, int(seeds[0]))
-    partition, rx_record = inject_rx_pairs(form_blocks(x_circ), int(seeds[1]), cfg.rx_density)
+    partition, rx_record = inject_rx_pairs(form_blocks(x_circ), int(seeds[1]))
     key = replace(key, rx_record=rx_record)
 
-    fragments = synthesize_blocks(partition.blocks, cfg.k, cfg.shortlist, int(seeds[2]))
+    fragments = synthesize_blocks(partition.blocks, CANDIDATES, SHORTLIST, int(seeds[2]))
     out = reassemble(partition, fragments)
 
     certify(x_circ, partition, rx_record, fragments, out)

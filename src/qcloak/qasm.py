@@ -4,9 +4,10 @@ Supported statements: optional `OPENQASM 2.0;` header, optional
 `include "qelib1.inc";`, one `qreg name[n];`, optional `creg name[n];`,
 gates `x`, `sx`, `rz(expr)`, `rx(expr)`, `cx`, `measure` (a whole register
 onto an equal-size creg, or qubit i onto bit i: outcome bit i is always
-qubit i), and `barrier` (parsed, discarded). Registers have at least one bit.
-Angle expressions are decimal literals or pi multiples such as `pi/2`,
-`2*pi`, `-pi/4`. Comments run from `//` to end of line.
+qubit i), and `barrier` (parsed, discarded). Measurements are terminal: a
+gate on a qubit after that qubit's `measure` is an error. Registers have at
+least one bit. Angle expressions are decimal literals or pi multiples such
+as `pi/2`, `2*pi`, `-pi/4`. Comments run from `//` to end of line.
 """
 
 import math
@@ -73,7 +74,7 @@ class _Parser:
         self.creg_name = None
         self.creg_size = 0
         self.gates: list[Gate] = []
-        self.measured: list[int] = []
+        self.measured: dict[int, None] = {}  # a set that keeps measure order
 
     def qubit(self, operand: str, line: int) -> int:
         m = _OPERAND_RE.match(operand.strip())
@@ -86,6 +87,10 @@ class _Parser:
             raise QasmError(line, f"unknown register '{name}'")
         if idx >= self.qreg_size:
             raise QasmError(line, f"qubit index {idx} out of range for {name}[{self.qreg_size}]")
+        if idx in self.measured:
+            raise QasmError(
+                line, f"gate on {name}[{idx}] after its measure: measurements are terminal"
+            )
         return idx
 
     def statement(self, line: int, stmt: str):
@@ -168,9 +173,7 @@ class _Parser:
                     f"measure {ms.group(1)} -> {md.group(1)}: register sizes differ "
                     f"({self.qreg_size} vs {self.creg_size})",
                 )
-            for q in range(self.qreg_size):
-                if q not in self.measured:
-                    self.measured.append(q)
+            self.measured.update(dict.fromkeys(range(self.qreg_size)))
             return
         q = int(ms.group(2))
         b = int(md.group(2))
@@ -182,8 +185,7 @@ class _Parser:
             raise QasmError(
                 line, f"measure {ms.group(1)}[{q}] -> {md.group(1)}[{b}]: bit i must measure qubit i"
             )
-        if q not in self.measured:
-            self.measured.append(q)
+        self.measured[q] = None
 
 
 def parse_qasm(text: str) -> Circuit:

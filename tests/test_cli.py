@@ -243,6 +243,17 @@ def test_exit_code_bad_qasm_angle(tmp_path, capsys, caplog):
     assert not out.exists() and not key.exists()
 
 
+def test_exit_code_gate_after_measure(tmp_path, capsys, caplog):
+    bad = tmp_path / "late.qasm"
+    bad.write_text("qreg q[1];\ncreg c[1];\nmeasure q[0] -> c[0];\nx q[0];\n")
+    rc = main(["simulate", str(bad), str(tmp_path / "c.json")])
+    capsys.readouterr()
+    assert rc == 1
+    errors = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
+    assert errors == ["line 4: gate on q[0] after its measure: measurements are terminal"]
+    assert not (tmp_path / "c.json").exists()
+
+
 def test_exit_code_empty_qreg(tmp_path, capsys, caplog):
     bad = tmp_path / "zero.qasm"
     bad.write_text("OPENQASM 2.0;\nqreg q[0];\n")
@@ -323,14 +334,31 @@ def test_exit_code_missing_input(tmp_path, capsys):
     assert rc == 3
 
 
-@pytest.mark.parametrize("flag", ["--shots", "--sim-cap"])
+@pytest.mark.parametrize("flag", ["--shots", "--sim-cap", "--k", "--shortlist", "--rx-density"])
 def test_encode_rejects_sampling_flags(tmp_path, ghz3_path, capsys, flag):
     out, key = tmp_path / "enc.qasm", tmp_path / "key.json"
     with pytest.raises(SystemExit) as exc:
         main(["encode", str(ghz3_path), str(out), str(key), flag, "10"])
     capsys.readouterr()
     assert exc.value.code == 1
-    assert not out.exists()
+    assert not out.exists() and not key.exists()
+
+
+def test_compare_takes_no_setting_but_the_seed(tmp_path, ghz3_path, capsys):
+    rj = tmp_path / "report.json"
+    with pytest.raises(SystemExit) as exc:
+        main(["compare", str(ghz3_path), "--json", str(rj), "--k", "1"])
+    capsys.readouterr()
+    assert exc.value.code == 1
+    assert not rj.exists()
+
+
+def test_key_write_failure_leaves_no_encoded_circuit(tmp_path, ghz3_path, capsys):
+    out, key = tmp_path / "enc.qasm", tmp_path / "missing" / "key.json"
+    rc = main(["encode", str(ghz3_path), str(out), str(key)])
+    capsys.readouterr()
+    assert rc == 3
+    assert not out.exists() and not key.exists()
 
 
 def test_exit_code_bad_usage(capsys):

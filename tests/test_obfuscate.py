@@ -123,16 +123,11 @@ def test_rx_pairs_fold_into_blocks():
     _assert_pairs_adjacent(out, record)
 
 
-def test_rx_density_zero_injects_nothing():
-    c = Circuit(3, (cx(0, 1), cx(1, 2)))
-    p2, record = inject_rx_pairs(form_blocks(c), seed=1, density=0.0)
+def test_no_block_boundary_injects_nothing():
+    # blocks (0,1)[cx, sx, rz, cx] and (2,)[x]: no wire crosses a boundary
+    c = Circuit(3, (cx(0, 1), sx(0), rz(0.3, 1), cx(1, 0), x(2)))
+    p2, record = inject_rx_pairs(form_blocks(c), seed=1)
     assert record == () and reassemble(p2, {}) == c
-
-
-def test_rx_density_validated():
-    c = Circuit(2, (cx(0, 1),))
-    with pytest.raises(ValueError):
-        inject_rx_pairs(form_blocks(c), seed=1, density=1.5)
 
 
 @given(circuits(max_qubits=4, max_gates=16))

@@ -88,7 +88,7 @@ def test_block_unitary_bits_match_tensordot_product(c):
 @pytest.mark.parametrize("c", [gen_qft(5), gen_adder(5)], ids=["qft5", "add5"])
 def test_block_unitary_bits_pinned_on_rx_injected_blocks(c):
     x_circ, _key = inject_x_end(c, 4)
-    p, _record = inject_rx_pairs(form_blocks(x_circ), 5, 1.0)
+    p, _record = inject_rx_pairs(form_blocks(x_circ), 5)
     _assert_block_bits_pinned(p)
 
 

@@ -1,3 +1,4 @@
+import math
 from dataclasses import replace
 
 import pytest
@@ -8,7 +9,7 @@ from qcloak import obfuscate, partition
 from qcloak.analysis import make_baseline, tvd
 from qcloak.bench import desk_benchmarks, gen_ghz, gen_random_blocks, gen_wstate
 from qcloak.circuit import Circuit, Gate, GateKind, cx, gate_counts, rz, sx
-from qcloak.obfuscate import decode
+from qcloak.obfuscate import THETA_MARGIN, decode
 from qcloak.partition import Block, BlockPartition, form_blocks
 from qcloak.pipeline import (
     EQUIV_CHECK_MAX_QUBITS,
@@ -21,17 +22,6 @@ from qcloak.pipeline import (
 from qcloak.simulator import ideal_distribution
 from qcloak.synthesis import synthesize_block
 from strategies import circuits, dense_equivalent
-
-
-def test_config_validation():
-    with pytest.raises(ValueError):
-        PipelineConfig(k=0)
-    with pytest.raises(ValueError):
-        PipelineConfig(shortlist=0)
-    with pytest.raises(ValueError):
-        PipelineConfig(k=2, shortlist=3)
-    with pytest.raises(ValueError):
-        PipelineConfig(rx_density=1.5)
 
 
 def test_encode_result_structure():
@@ -118,10 +108,10 @@ def _drop_fragment_gate(p: BlockPartition, frags: dict[int, Circuit]) -> Circuit
     return partition.reassemble(p, {**frags, o: short})
 
 
-def _misplace_rx_half(p, seed, density):
+def _misplace_rx_half(p, seed):
     """inject_rx_pairs, except that the RX(-theta) half of the first pair
     whose wire has two more blocks moves one block later on its wire."""
-    rx_p, record = obfuscate.inject_rx_pairs(p, seed, density)
+    rx_p, record = obfuscate.inject_rx_pairs(p, seed)
     on_wire: dict[int, list[int]] = {}
     for b in rx_p.blocks:
         for q in b.qubits:
@@ -242,6 +232,15 @@ def test_desk_encodes_pass_the_dense_oracle(name, seed):
     # ghz12 is left out: its two dense unitaries take 256 MB each
     enc = encode(desk_benchmarks()[name], PipelineConfig(seed=seed))
     assert dense_equivalent(enc.circuit, enc.x_injected)
+
+
+@pytest.mark.parametrize("name", list(desk_benchmarks()))
+def test_every_block_boundary_gets_one_rx_pair(name):
+    enc = encode(desk_benchmarks()[name], PipelineConfig(seed=3))
+    boundaries = obfuscate._boundaries(form_blocks(enc.x_injected))
+    pairs = enc.key.rx_record
+    assert sorted((p.wire, p.boundary) for p in pairs) == [(w, a) for w, a, _b in boundaries]
+    assert all(THETA_MARGIN <= p.theta <= 2 * math.pi - THETA_MARGIN for p in pairs)
 
 
 @given(circuits(max_qubits=EQUIV_CHECK_MAX_QUBITS, max_gates=24))

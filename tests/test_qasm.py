@@ -84,6 +84,28 @@ def test_parse_errors():
         parse_qasm("qreg q[2];\ncreg c[2];\nmeasure q[1] -> c[0];\n")
 
 
+HEAD2 = "qreg q[2];\ncreg c[2];\n"
+
+
+@pytest.mark.parametrize(
+    "body, line, qubit",
+    [
+        pytest.param("measure q[0] -> c[0];\nx q[0];\n", 4, 0, id="x-after-measure"),
+        pytest.param("measure q[1] -> c[1];\nsx q[0];\ncx q[0],q[1];\n", 5, 1, id="cx-target"),
+        pytest.param("measure q -> c;\nrz(pi/2) q[1];\n", 4, 1, id="measure-register"),
+    ],
+)
+def test_gate_after_measure_is_rejected(body, line, qubit):
+    # QASM runs a gate after the measure, so hoisting it would change the outcome
+    with pytest.raises(QasmError, match=rf"^line {line}: gate on q\[{qubit}\] after its measure"):
+        parse_qasm(HEAD2 + body)
+
+
+def test_gate_on_unmeasured_qubit_after_a_measure_is_accepted():
+    c = parse_qasm(HEAD2 + "measure q[0] -> c[0];\nbarrier q;\nx q[1];\nmeasure q[1] -> c[1];\n")
+    assert c.gates == (x(1),) and c.measured_qubits == (0, 1)
+
+
 def test_serialize_golden():
     c = Circuit(2, (sx(0), rz(math.pi / 2, 1), cx(1, 0)), (0, 1))
     assert serialize_qasm(c) == (
