@@ -18,8 +18,10 @@ Digested outputs:
 - compare JSON and CSV (wall times removed) on ghz4, qft4, add4 and w8, in
   analytic, 2000-shot and structural-only modes;
 - dense and estimated heat-trace signatures of the qft8 and random16
-  baselines, and the signature of the random128 baseline through
-  circuit_signature, which estimates it (7.9k nodes).
+  baselines;
+- through circuit_signature, which takes the estimated path on both, the
+  signatures of the random128 baseline (7.9k nodes) and of qft8's seed-3
+  encode (1.1k nodes, above netlsd.DENSE_NODE_LIMIT).
 """
 
 import argparse
@@ -102,8 +104,14 @@ def digests() -> dict:
         out.update(
             {f"signature/{k}": v for k, v in _signature_digests(name, c).items()}
         )
-    est = netlsd.circuit_signature(make_baseline(circs["random128"])).traces
-    out["signature/random128/estimated"] = _sha(est.tobytes())
+    dispatched = {
+        "random128": make_baseline(circs["random128"]),
+        "qft8_encoded": encode(circs["qft8"], PipelineConfig(seed=3)).circuit,
+    }
+    for name, c in dispatched.items():
+        assert netlsd.signature_path(to_dag(c)) == "estimated", name
+        est = netlsd.circuit_signature(c).traces
+        out[f"signature/{name}/estimated"] = _sha(est.tobytes())
     return out
 
 

@@ -28,7 +28,8 @@ from .bench import (
     run_qaoa_case_study,
 )
 from .circuit import gate_counts
-from .netlsd import netlsd_divergence
+from .dag import to_dag
+from .netlsd import netlsd_divergence, signature_path
 from .obfuscate import decode, key_from_json, key_to_json
 from .pipeline import (
     PipelineConfig,
@@ -76,6 +77,9 @@ def cmd_encode(args) -> int:
     _write_atomic(args.output, serialize_qasm(enc.circuit))
     counts_enc = gate_counts(enc.circuit)
     counts_base = gate_counts(baseline)
+    t0 = time.perf_counter()
+    divergence = netlsd_divergence(enc.circuit, baseline)
+    netlsd_wall = time.perf_counter() - t0
     log.info("encoded %s -> %s (key %s)", args.input, args.output, args.key)
     _emit(
         {
@@ -88,7 +92,12 @@ def cmd_encode(args) -> int:
                 "sx_x_encoded": counts_enc.sx_plus_x,
                 "sx_x_baseline": counts_base.sx_plus_x,
             },
-            "netlsd_vs_baseline": netlsd_divergence(enc.circuit, baseline),
+            "netlsd_vs_baseline": divergence,
+            "netlsd_path": {
+                "encoded": signature_path(to_dag(enc.circuit)),
+                "baseline": signature_path(to_dag(baseline)),
+            },
+            "netlsd_seconds": netlsd_wall,
             "encode_seconds": wall,
             "whole_circuit_check": whole_circuit_check(circuit.num_qubits),
         }

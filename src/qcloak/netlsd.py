@@ -3,15 +3,42 @@
 The circuit DAG is symmetrized to an undirected graph; the signature is
 h(t) = trace(exp(-t L)) over a log-spaced grid of timescales, where L is the
 symmetric normalized Laplacian (isolated nodes contribute eigenvalue 0).
-Above DENSE_NODE_LIMIT nodes, h(t) is a Chebyshev series in L - I whose
+Up to DENSE_NODE_LIMIT = 600 nodes, h(t) comes from the dense eigenvalues
+(one eigvalsh, O(n^3)). Above it, h(t) is a Chebyshev series in L - I whose
 moments, the traces of T_k(L - I), are estimated stochastically (Han,
 Malioutov, Avron & Shin, SISC 2017) from PROBES = 128 Rademacher probes
 drawn from seed PROBE_SEED = 11. Each step of the probes' recurrence is one
 sparse product with M = 2 (L - I), accumulated in place into the probe block
 it replaces. The moments of degree k <= 2 EXACT_STEPS = 16 are computed
 exactly instead, from sparse matrix powers: they carry most of h(t), and the
-probes estimate them worst. All three are constants, not settings.
+probes estimate them worst. All four are constants, not settings.
 Signatures are compared by unnormalized Euclidean distance.
+
+The limit is where the two paths cost the same. scripts/netlsd_crossover.py
+times both on pipeline encodes of gen_random_blocks(16, b, 1); on 2 vCPUs,
+min of 5, milliseconds dense / estimated:
+
+    nodes   1 BLAS thread   2 BLAS threads
+      436     16 / 31         16 / 24
+      558     31 / 32         26 / 30
+      599     34 / 30         33 / 32
+      669     43 / 30         40 / 28
+      801     82 / 33         57 / 28
+     1330    268 / 31        207 / 41
+
+The estimator's cost is mostly fixed (25-45 ms up to 1.6k nodes) and the
+dense cost grows as n^3. In three sweeps, under either thread count, the
+dense path was faster on no DAG above 599 nodes. The limit is set by cost
+alone. What it allows: a divergence between two signatures moves by at most
+the sum of their error norms over the grid (the triangle inequality). On
+the desk DAGs that the limit moves onto the estimator (qft8 and add9: the
+baselines and the encodes at seeds 0, 3 and 7), those norms are
+0.03-0.35. The full divergences of qft8 and add9 (2.5k-4.2k) move by at
+most 4.1e-6 relative.
+A key-only divergence near that error floor moves more: qft8's reads 0.399
+estimated against 0.324 exact at seed 3 (0.424 against 0.373 at seed 7),
+so its full/key-only ratio reads 6.6k instead of 8.1k (5.9k instead of
+6.8k). add9's, at 20-40, moves by at most 3e-4 relative.
 """
 
 from __future__ import annotations
@@ -31,7 +58,7 @@ from scipy.special import ive
 from .circuit import Circuit
 from .dag import CircuitDag, to_dag
 
-DENSE_NODE_LIMIT = 3000
+DENSE_NODE_LIMIT = 600  # the dense/estimated cost crossover; see the module docstring
 PROBES = 128
 PROBE_SEED = 11
 EXACT_STEPS = 8  # sparse recurrence steps: exact moments of degree k <= 2 EXACT_STEPS
@@ -286,6 +313,11 @@ def _heat_traces_estimated(
     return basis.shape[1] + coef @ mu
 
 
+def signature_path(d: CircuitDag) -> str:
+    """"dense" or "estimated": the path netlsd_signature takes on d."""
+    return "dense" if d.num_nodes <= DENSE_NODE_LIMIT else "estimated"
+
+
 def netlsd_signature(d: CircuitDag, grid: np.ndarray | None = None) -> HeatSignature:
     grid = default_grid() if grid is None else np.asarray(grid, dtype=float)
     if grid.ndim != 1 or not grid.size or not np.isfinite(grid).all() or (grid < 0).any():
@@ -294,7 +326,7 @@ def netlsd_signature(d: CircuitDag, grid: np.ndarray | None = None) -> HeatSigna
     if n < 1:
         raise ValueError("graph must have at least one node")
     edges = _undirected_edges(d)
-    if n <= DENSE_NODE_LIMIT:
+    if signature_path(d) == "dense":
         traces = _heat_traces_dense(n, edges, grid)
     else:
         traces = _heat_traces_estimated(n, edges, grid, PROBES, PROBE_SEED)

@@ -4,11 +4,12 @@ from dataclasses import replace
 import pytest
 
 import qcloak.cli
+import qcloak.netlsd
 import qcloak.pipeline
 import qcloak.synthesis
 from qcloak import distributions
 from qcloak.analysis import make_baseline, tvd
-from qcloak.bench import adder_layout, gen_adder, gen_ghz, gen_random_blocks
+from qcloak.bench import adder_layout, gen_adder, gen_ghz, gen_qft, gen_random_blocks
 from qcloak.circuit import GateKind
 from qcloak.cli import main
 from qcloak.obfuscate import key_from_json
@@ -33,6 +34,8 @@ def test_encode_decode_round_trip(tmp_path, ghz3_path, capsys):
     assert payload["num_qubits"] == 3
     assert payload["gates"]["cx_encoded"] == payload["gates"]["cx_baseline"]
     assert payload["netlsd_vs_baseline"] > 0
+    assert payload["netlsd_path"] == {"encoded": "dense", "baseline": "dense"}
+    assert payload["netlsd_seconds"] > 0
     assert payload["whole_circuit_check"] == "certificate+stimuli"
 
     counts = tmp_path / "counts.json"
@@ -50,6 +53,23 @@ def test_encode_decode_round_trip(tmp_path, ghz3_path, capsys):
     want = ideal_distribution(make_baseline(gen_ghz(3)))
     assert tvd(got, want) < 0.1
     assert got.top() in {"000", "111"}
+
+
+def test_encode_summary_names_the_estimated_netlsd_path(tmp_path, capsys, monkeypatch):
+    # qft8's seed-3 encode (1,062 nodes) and baseline (796) are both above
+    # DENSE_NODE_LIMIT; the block fragments' signatures stay dense
+    src = tmp_path / "qft8.qasm"
+    src.write_text(serialize_qasm(gen_qft(8)))
+    estimated, calls = qcloak.netlsd._heat_traces_estimated, []
+    monkeypatch.setattr(
+        qcloak.netlsd, "_heat_traces_estimated", lambda *a: calls.append(a[0]) or estimated(*a)
+    )
+    out, key = tmp_path / "enc.qasm", tmp_path / "key.json"
+    rc = main(["encode", str(src), str(out), str(key), "--seed", "3"])
+    assert rc == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["netlsd_path"] == {"encoded": "estimated", "baseline": "estimated"}
+    assert sorted(calls) == [796, 1062]
 
 
 def test_decode_partial_measurement(tmp_path, capsys):

@@ -29,6 +29,7 @@ from qcloak.netlsd import (
     default_grid,
     netlsd_divergence,
     netlsd_signature,
+    signature_path,
 )
 from qcloak.pipeline import PipelineConfig, encode
 from strategies import (
@@ -252,18 +253,40 @@ def test_exact_moments_clip_to_a_short_series():
     [
         # 2,039 nodes
         pytest.param(gen_random_blocks(32, 300, 1), id="random32"),
-        # 1,329 nodes
+        # the desk DAGs above DENSE_NODE_LIMIT: 1,329, 1,062, 796 and 923 nodes
         pytest.param(encode(desk_benchmarks()["add9"], PipelineConfig(seed=3)).circuit, id="add9_encoded"),
+        pytest.param(encode(desk_benchmarks()["qft8"], PipelineConfig(seed=3)).circuit, id="qft8_encoded"),
+        pytest.param(make_baseline(desk_benchmarks()["qft8"]), id="qft8_baseline"),
+        pytest.param(make_baseline(desk_benchmarks()["add9"]), id="add9_baseline"),
     ],
 )
 def test_estimator_accuracy_against_dense(circuit, monkeypatch):
     # the shipped probe count and exact steps; 512 probes and no exact
-    # moments gave error norms of 4.3 and 2.2 here
+    # moments gave error norms of 4.3 and 2.2 on random32 and add9_encoded
     dag = to_dag(circuit)
+    monkeypatch.setattr(qcloak.netlsd, "DENSE_NODE_LIMIT", dag.num_nodes)
     dense = netlsd_signature(dag)
     monkeypatch.setattr(qcloak.netlsd, "DENSE_NODE_LIMIT", 0)
     est = netlsd_signature(dag)
     assert np.linalg.norm(est.traces - dense.traces) <= 0.5
+
+
+@pytest.mark.parametrize("extra, path", [(0, "dense"), (1, "estimated")])
+def test_dispatch_boundary(extra, path, monkeypatch):
+    # a one-wire chain of DENSE_NODE_LIMIT + extra nodes: source, gates, sink
+    dag = to_dag(Circuit(1, (sx(0),) * (DENSE_NODE_LIMIT + extra - 2)))
+    assert dag.num_nodes == DENSE_NODE_LIMIT + extra
+    calls = []
+
+    def spy(name):
+        real = getattr(qcloak.netlsd, name)
+        return lambda *args: calls.append(name) or real(*args)
+
+    for name in ("_heat_traces_dense", "_heat_traces_estimated"):
+        monkeypatch.setattr(qcloak.netlsd, name, spy(name))
+    netlsd_signature(dag)
+    assert calls == [f"_heat_traces_{path}"]
+    assert signature_path(dag) == path
 
 
 @pytest.mark.parametrize(
