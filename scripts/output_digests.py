@@ -14,7 +14,9 @@ are already set.
 Digested outputs:
 - encoded QASM and key JSON of every desk circuit, add9_sum (add9 measuring
   only its sum register), qft32 and random128 at pipeline seeds 0, 3 and 7;
-- each of those circuits' make_baseline QASM;
+- each of those circuits' make_baseline QASM, and for qft32 and random128
+  the X-only baseline of the seed-3 encode, built from a table shared with
+  the baseline pass, as compare builds it;
 - compare JSON and CSV (wall times removed) on ghz4, qft4, add4 and w8, in
   analytic, 2000-shot and structural-only modes;
 - dense and estimated heat-trace signatures of the qft8 and random16
@@ -59,6 +61,7 @@ COMPARE_MODES = {
     "structural": {"structural_only": True},
 }
 COMPARE_SEED = 3
+X_ONLY_CIRCUITS = ("qft32", "random128")
 
 
 def _sha(data: str | bytes) -> str:
@@ -89,11 +92,15 @@ def digests() -> dict:
     out = {}
     circs = _circuits()
     for name, c in circs.items():
-        out[f"baseline/{name}"] = _sha(serialize_qasm(make_baseline(c)))
+        table: dict = {}
+        out[f"baseline/{name}"] = _sha(serialize_qasm(make_baseline(c, table)))
         for seed in ENCODE_SEEDS:
             enc = encode(c, PipelineConfig(seed=seed))
             out[f"encode/{name}/seed{seed}/qasm"] = _sha(serialize_qasm(enc.circuit))
             out[f"encode/{name}/seed{seed}/key"] = _sha(key_to_json(enc.key))
+            if seed == COMPARE_SEED and name in X_ONLY_CIRCUITS:
+                x_only = make_baseline(enc.x_injected, table)
+                out[f"baseline/{name}/x_only"] = _sha(serialize_qasm(x_only))
     cfg = PipelineConfig(seed=COMPARE_SEED)
     for name in COMPARE_CIRCUITS:
         for mode, kwargs in COMPARE_MODES.items():

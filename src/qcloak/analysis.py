@@ -20,7 +20,7 @@ from .obfuscate import decode
 from .partition import Block, form_blocks, reassemble
 from .pipeline import PipelineConfig, encode
 from .simulator import ideal_distribution, sample
-from .synthesis import synthesize_blocks
+from .synthesis import candidate_chunks
 
 # imported for perfbench/tracing.py, which wraps these names; not called here
 from .synthesis import generate_candidates, select_candidate  # noqa: F401
@@ -79,9 +79,10 @@ def make_baseline(c: Circuit, table: dict | None = None) -> Circuit:
     selection; no injections of any kind.
 
     The plain fragment is a pure function of the block's local gates, so
-    each distinct block is synthesized once, in one synthesize_blocks call
-    with k = 1. table maps block keys to plain fragments; a caller that
-    passes the same dict to several calls shares their fragments."""
+    each distinct block is synthesized once, with k = 1. table maps block
+    keys to plain candidates as (Candidates, index), emitted onto each
+    block's own qubits; a caller that passes the same dict to several calls
+    shares them."""
     p = form_blocks(c)
     table = {} if table is None else table
     keys = {b.order_index: _block_key(b) for b in p.blocks}
@@ -90,10 +91,14 @@ def make_baseline(c: Circuit, table: dict | None = None) -> Circuit:
         key = keys[b.order_index]
         if key not in table and key not in missing:
             missing[key] = b
-    made = synthesize_blocks(list(missing.values()), 1, 1, 0)
-    for key, b in missing.items():
-        table[key] = made[b.order_index]
-    return reassemble(p, {order: table[key] for order, key in keys.items()})
+    for chunk, cands in candidate_chunks(list(missing.values()), 1, 0):
+        for j, b in enumerate(chunk):
+            table[keys[b.order_index]] = cands, j
+    fragments = {}
+    for b in p.blocks:
+        cands, j = table[keys[b.order_index]]
+        fragments[b.order_index] = cands.gates(j, b.qubits)
+    return reassemble(p, fragments)
 
 
 @dataclass(frozen=True)
@@ -131,7 +136,7 @@ def compare(
     mode (or when the circuit has more than sim_cap qubits)."""
     if sim_cap < 1:
         raise ValueError("sim_cap must be positive")
-    table: dict = {}  # plain fragments shared by the baseline and X-only passes
+    table: dict = {}  # plain candidates shared by the baseline and X-only passes
     t0 = time.perf_counter()
     baseline = make_baseline(original, table)
     t_base = time.perf_counter() - t0
@@ -152,7 +157,7 @@ def compare(
     t0 = time.perf_counter()
     x_only = make_baseline(enc.x_injected, table)
     t_x_only = time.perf_counter() - t0
-    del table  # no later pass reads a block's plain fragment
+    del table  # no later pass reads a block's plain candidate
 
     t0 = time.perf_counter()
     baseline_sig = circuit_signature(baseline)

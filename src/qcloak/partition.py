@@ -105,34 +105,23 @@ def block_unitary(b: Block) -> np.ndarray:
     return u
 
 
-def reassemble(p: BlockPartition, replacements: dict[int, Circuit]) -> Circuit:
+def reassemble(p: BlockPartition, fragments: dict[int, tuple[Gate, ...]]) -> Circuit:
     """Substitute block contents and emit a full circuit.
 
-    replacements maps a block's order_index to a fragment over that block's
-    local wires. A block's fragment is spread over the block's original gate
-    slots, so identity replacements reproduce the original circuit exactly
-    and per-wire gate order across blocks is always preserved. Every block
-    owns at least one slot, as every block form_blocks or inject_rx_pairs
-    makes does.
+    fragments maps a block's order_index to the Gates that replace it, placed
+    as they are; a block with no entry keeps its own. A block's fragment is
+    spread over the block's original gate slots, so identity replacements
+    reproduce the original circuit exactly and per-wire gate order across
+    blocks is always preserved. Every block owns at least one slot, as every
+    block form_blocks or inject_rx_pairs makes does.
     """
     slots: dict[int, list[int]] = {}
     for gate_idx, (order, _pos) in enumerate(p.provenance):
         slots.setdefault(order, []).append(gate_idx)
 
-    emitted: list[list[Gate]] = [[] for _ in range(len(p.provenance))]
+    emitted: list[tuple[Gate, ...]] = [()] * len(p.provenance)
     for b in p.blocks:
-        frag = replacements.get(b.order_index)
-        if frag is None:
-            gates = list(b.gates)
-        else:
-            if frag.num_qubits > len(b.qubits):
-                raise ValueError(
-                    f"fragment spans {frag.num_qubits} wires, block has {len(b.qubits)}"
-                )
-            gates = [
-                Gate(g.kind, tuple(b.qubits[w] for w in g.qubits), g.angle)
-                for g in frag.gates
-            ]
+        gates = fragments.get(b.order_index, b.gates)
         block_slots = slots[b.order_index]
         m, ell = len(gates), len(block_slots)
         for k, slot in enumerate(block_slots):

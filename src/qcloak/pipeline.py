@@ -25,7 +25,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from .circuit import Circuit, GateKind
+from .circuit import Circuit, Gate, GateKind
 from .linalg import apply_circuit, equal_up_to_global_phase
 from .netlsd import DEFAULT_POINTS, DEFAULT_T_MAX, DEFAULT_T_MIN
 from .obfuscate import ObfuscationKey, RxPair, inject_rx_pairs, inject_x_end
@@ -76,18 +76,18 @@ def _fail(message: str) -> SynthesisEquivalenceError:
     return SynthesisEquivalenceError(f"certificate: {message}")
 
 
-def _match_wires(c: Circuit, entries: list[tuple], what: str) -> None:
+def _match_wires(c: Circuit, entries: list[Gate], what: str) -> None:
     """Raise unless c is the concatenation of entries up to a reordering that
     keeps every wire's gate sequence.
 
-    entries are (kind, global qubits, angle) tuples in block order, each
-    qubit in 0..n-1. Each gate of c must equal the next entry on its first
-    wire, and a CX must be that same entry on its second wire; every entry
-    must be used. Equal per-wire sequences with one node per CX give the
-    same DAG, and so the same unitary."""
-    wires: list[list[tuple]] = [[] for _ in range(c.num_qubits)]
+    entries are Gates in block order, each qubit in 0..n-1. Each gate of c
+    must equal the next entry on its first wire, and a CX must be that same
+    entry on its second wire; every entry must be used. Equal per-wire
+    sequences with one node per CX give the same DAG, and so the same
+    unitary."""
+    wires: list[list[Gate]] = [[] for _ in range(c.num_qubits)]
     for e in entries:
-        qubits = e[1]
+        qubits = e.qubits
         wires[qubits[0]].append(e)
         if len(qubits) == 2:
             wires[qubits[1]].append(e)
@@ -95,7 +95,8 @@ def _match_wires(c: Circuit, entries: list[tuple], what: str) -> None:
     for i, g in enumerate(c.gates):
         qubits = g.qubits
         e = next(its[qubits[0]], None)
-        if e is None or e[0] is not g.kind or e[1] != qubits or e[2] != g.angle:
+        # both checked circuits hold the entries' own Gates, so most entries are g
+        if e is None or (e is not g and e != g):
             raise _fail(f"gate {i} differs from the {what}")
         if len(qubits) == 2 and next(its[qubits[1]], None) is not e:
             raise _fail(f"gate {i} is another CX than the {what} has")
@@ -108,12 +109,12 @@ def certify(
     x_circ: Circuit,
     partition: BlockPartition,
     rx_record: tuple[RxPair, ...],
-    fragments: dict[int, Circuit],
+    fragments: dict[int, tuple[Gate, ...]],
     out: Circuit,
 ) -> None:
     """Structural proof, in O(g), that out equals x_circ up to a global phase
-    given that each fragment equals its block's unitary. Raises
-    SynthesisEquivalenceError on the first check that fails:
+    given that each fragment, read on its block's qubits, equals its block's
+    unitary. Raises SynthesisEquivalenceError on the first check that fails:
 
     (a) each RX-injected block starts with exactly its recorded RX(-theta)
         halves and ends with exactly its recorded RX(theta) halves, each
@@ -121,8 +122,9 @@ def certify(
         earlier one, so adjacent halves cancel exactly; and the blocks'
         cores, the blocks without these halves, concatenated in order_index
         order, give x_circ's per-wire gate sequences;
-    (b) the blocks' fragments, mapped to global qubits and concatenated in
-        order_index order, give out's per-wire gate sequences.
+    (b) every block has a fragment (it may be empty) whose gates act on the
+        block's qubits only, and the fragments, concatenated in order_index
+        order, give out's per-wire gate sequences.
 
     Reads no provenance: nothing reassemble relies on is trusted."""
     n = x_circ.num_qubits
@@ -162,20 +164,17 @@ def certify(
             (g.kind, g.qubits, g.angle) for g in gates[:start] + gates[stop:]
         ] != [(GateKind.RX, (wire,), angle) for wire, angle in pre + app]:
             raise _fail(f"block {o} does not start and end with exactly its RX halves")
-        cores.extend((g.kind, g.qubits, g.angle) for g in gates[start:stop])
+        cores.extend(gates[start:stop])
     _match_wires(x_circ, cores, "block cores")
 
     entries = []
     for b in blocks:
         frag = fragments.get(b.order_index)
-        if frag is None or frag.num_qubits != len(b.qubits):
-            raise _fail(f"block {b.order_index} has no fragment of its width")
-        if len(b.qubits) == 1:
-            to_global = {(0,): b.qubits}
-        else:
-            lo, hi = b.qubits
-            to_global = {(0,): (lo,), (1,): (hi,), (0, 1): (lo, hi), (1, 0): (hi, lo)}
-        entries.extend((g.kind, to_global[g.qubits], g.angle) for g in frag.gates)
+        if frag is None:
+            raise _fail(f"block {b.order_index} has no fragment")
+        if not {q for g in frag for q in g.qubits} <= set(b.qubits):
+            raise _fail(f"the fragment of block {b.order_index} acts outside its qubits")
+        entries.extend(frag)
     _match_wires(out, entries, "block fragments")
 
 

@@ -16,8 +16,8 @@ angles (Candidates), with no Gate objects. The check multiplies each wire's
 run of emitted gates into one 2x2 matrix, all runs at once, combines each
 candidate's runs through its CX row permutations, and compares the stacked
 results with the block unitaries. Selection ranks every candidate from the
-columns too, and only each block's selected candidate becomes Gates and a
-Circuit. generate_candidates and synthesize_block are the one-block case.
+columns too, and only each block's selected candidate becomes Gates, on its
+block's qubits. generate_candidates and synthesize_block are the one-block case.
 Each candidate's gates and angle bits equal those of building it alone: the
 Euler arithmetic over the stack is elementwise IEEE arithmetic, which
 rounds as the scalar operations do. The magnitudes |a|, |b| come from
@@ -28,6 +28,7 @@ a complex array does not, and would move emitted angles.
 from __future__ import annotations
 
 import functools
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -59,13 +60,7 @@ _GRID.setflags(write=False)
 RZ_CODE, SX_CODE, X_CODE, CX_CODE = 0, 1, 2, 3
 _SLOT_KINDS = np.array([RZ_CODE, SX_CODE, RZ_CODE, SX_CODE, RZ_CODE], dtype=np.int8)
 _SLOTS = len(_SLOT_KINDS)
-# Gates are frozen and compare by value, so fragments share one instance of
-# each angle-free gate, indexed by kind code and local wire (a CX's control)
-_SHARED = {
-    SX_CODE: (Gate(GateKind.SX, (0,)), Gate(GateKind.SX, (1,))),
-    X_CODE: (Gate(GateKind.X, (0,)), Gate(GateKind.X, (1,))),
-    CX_CODE: (Gate(GateKind.CX, (0, 1)), Gate(GateKind.CX, (1, 0))),
-}
+_KINDS = (GateKind.RZ, GateKind.SX, GateKind.X, GateKind.CX)  # by kind code
 # one-qubit gate matrices by kind code; an RZ's diagonal is filled in per gate
 _GATE_MATRICES = np.array([np.eye(2), SX_MATRIX, PAULI_X], dtype=complex)
 # new row i of a two-wire unitary is old row _CX_ROWS[control][i]
@@ -113,16 +108,20 @@ class Candidates:
             for k, w in zip(self.kind[span].tolist(), self.wire[span].tolist())
         )
 
-    def circuit(self, i: int) -> Circuit:
-        """Fragment i as Gates."""
+    def gates(self, i: int, qubits: tuple[int, ...]) -> tuple[Gate, ...]:
+        """Fragment i as Gates, local wire w on qubits[w]."""
         span = slice(self.start[i], self.start[i + 1])
-        gates = [
-            Gate(GateKind.RZ, (w,), a) if k == RZ_CODE else _SHARED[k][w]
+        cx = (tuple(qubits), tuple(qubits[::-1]))  # by control wire
+        return tuple(
+            Gate(_KINDS[k], cx[w] if k == CX_CODE else (qubits[w],), a if k == RZ_CODE else None)
             for k, w, a in zip(
                 self.kind[span].tolist(), self.wire[span].tolist(), self.angle[span].tolist()
             )
-        ]
-        return Circuit(int(self.width[i]), tuple(gates))
+        )
+
+    def circuit(self, i: int) -> Circuit:
+        """Fragment i as a Circuit on its local wires."""
+        return Circuit(int(self.width[i]), self.gates(i, (0, 1)))
 
 
 def _trivial(theta: np.ndarray) -> np.ndarray:
@@ -486,23 +485,30 @@ def _wire_signature(num_qubits: int, wires: tuple[tuple[int, ...], ...]) -> Heat
     return sig
 
 
-def synthesize_block(b: Block, k: int, shortlist: int, seed: int) -> Circuit:
+def synthesize_block(b: Block, k: int, shortlist: int, seed: int) -> tuple[Gate, ...]:
     """The one-block case of synthesize_blocks."""
     return synthesize_blocks([b], k, shortlist, seed)[b.order_index]
 
 
-def synthesize_blocks(
-    blocks: list[Block] | tuple[Block, ...], k: int, shortlist: int, seed: int
-) -> dict[int, Circuit]:
-    """Selected fragment of every block, keyed by order_index: each chunk of
-    SYNTH_CHUNK blocks gets one candidate stack, every candidate is checked
-    and ranked from its columns, and only each block's selected candidate
-    becomes a Circuit. Every fragment equals select_candidate's choice among
-    generate_candidates'."""
-    out = {}
+def candidate_chunks(
+    blocks: list[Block] | tuple[Block, ...], k: int, seed: int
+) -> Iterator[tuple[list[Block], Candidates]]:
+    """Each chunk of SYNTH_CHUNK blocks with its _checked_candidates stack."""
     for start in range(0, len(blocks), SYNTH_CHUNK):
         chunk = list(blocks[start : start + SYNTH_CHUNK])
-        cands = _checked_candidates(chunk, k, seed)
+        yield chunk, _checked_candidates(chunk, k, seed)
+
+
+def synthesize_blocks(
+    blocks: list[Block] | tuple[Block, ...], k: int, shortlist: int, seed: int
+) -> dict[int, tuple[Gate, ...]]:
+    """Selected fragment of every block, keyed by order_index, as Gates on
+    the block's qubits: every candidate is checked and ranked from its
+    columns, and only each block's selected candidate becomes Gates. Every
+    fragment equals select_candidate's choice among generate_candidates',
+    local wire w on the block's qubit w."""
+    out = {}
+    for chunk, cands in candidate_chunks(blocks, k, seed):
         owner = cands.owners()
         sx_or_x = (cands.kind == SX_CODE) | (cands.kind == X_CODE)
         sx_plus_x = np.bincount(owner[sx_or_x], minlength=len(cands))
@@ -516,5 +522,5 @@ def synthesize_blocks(
                 b,
                 shortlist,
             )
-            out[b.order_index] = cands.circuit(j * k + best)
+            out[b.order_index] = cands.gates(j * k + best, b.qubits)
     return out

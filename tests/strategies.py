@@ -415,11 +415,18 @@ def to_local_circuit(b: Block) -> Circuit:
     )
 
 
-def gate_bits(c: Circuit) -> list[tuple]:
-    """c's gates with each angle's type and exact bits, so -0.0 != 0.0."""
+def gates_on_wires(gates, wires) -> tuple[Gate, ...]:
+    """The gates moved from local wires onto the given ones, local wire w on
+    wires[w]."""
+    return tuple(Gate(g.kind, tuple(wires[q] for q in g.qubits), g.angle) for g in gates)
+
+
+def gate_bits(c: Circuit | tuple[Gate, ...]) -> list[tuple]:
+    """The gates of a circuit or a fragment with each angle's type and exact
+    bits, so -0.0 != 0.0."""
     return [
         (g.kind, g.qubits, type(g.angle), None if g.angle is None else float(g.angle).hex())
-        for g in c.gates
+        for g in (c.gates if isinstance(c, Circuit) else c)
     ]
 
 

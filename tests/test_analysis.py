@@ -31,6 +31,7 @@ from strategies import (
     REPORT_JSON_KEYS,
     circuits,
     gate_bits,
+    gates_on_wires,
     per_candidate_generate,
 )
 
@@ -128,19 +129,25 @@ def _per_block_baseline(c: Circuit) -> Circuit:
     """The baseline with every block synthesized on its own by the
     per-candidate oracle."""
     p = form_blocks(c)
-    return reassemble(p, {b.order_index: per_candidate_generate(b, 1, 0)[0] for b in p.blocks})
+    return reassemble(
+        p,
+        {
+            b.order_index: gates_on_wires(per_candidate_generate(b, 1, 0)[0].gates, b.qubits)
+            for b in p.blocks
+        },
+    )
 
 
 def _counting_synthesis(monkeypatch) -> list[int]:
-    """Block counts of every synthesize_blocks call make_baseline makes."""
-    real = qcloak.analysis.synthesize_blocks
+    """Block counts of every candidate_chunks call make_baseline makes."""
+    real = qcloak.analysis.candidate_chunks
     counts: list[int] = []
 
-    def counting(blocks, k, shortlist, seed):
+    def counting(blocks, k, seed):
         counts.append(len(blocks))
-        return real(blocks, k, shortlist, seed)
+        return real(blocks, k, seed)
 
-    monkeypatch.setattr(qcloak.analysis, "synthesize_blocks", counting)
+    monkeypatch.setattr(qcloak.analysis, "candidate_chunks", counting)
     return counts
 
 

@@ -17,7 +17,7 @@ from qcloak.obfuscate import (
     key_to_json,
 )
 from qcloak.partition import form_blocks, reassemble
-from strategies import circuits, to_local_circuit
+from strategies import circuits
 
 
 def test_inject_x_matches_mask():
@@ -118,7 +118,7 @@ def test_rx_pairs_fold_into_blocks():
             b.order_index for b in part.blocks
         }
     # identity reassembly of the folded partition reproduces the new circuit
-    reps = {b.order_index: to_local_circuit(b) for b in p2.blocks}
+    reps = {b.order_index: b.gates for b in p2.blocks}
     assert reassemble(p2, reps) == out
     _assert_pairs_adjacent(out, record)
 
@@ -138,7 +138,7 @@ def test_rx_pairs_preserve_unitary_exactly(c):
     assert np.allclose(circuit_unitary(out), circuit_unitary(c), atol=1e-12)
     assert sum(len(b.gates) for b in p2.blocks) == out.num_gates
     assert {order for order, _pos in p2.provenance} == {b.order_index for b in p2.blocks}
-    reps = {b.order_index: to_local_circuit(b) for b in p2.blocks}
+    reps = {b.order_index: b.gates for b in p2.blocks}
     assert reassemble(p2, reps) == out
     _assert_pairs_adjacent(out, record)
 

@@ -95,17 +95,51 @@ def test_block_unitary_bits_pinned_on_rx_injected_blocks(c):
 def test_reassemble_identity_reproduces_original():
     c = Circuit(3, (sx(0), cx(0, 1), rz(0.2, 1), cx(1, 2), x(2)))
     p = form_blocks(c)
-    out = reassemble(p, {b.order_index: to_local_circuit(b) for b in p.blocks})
+    out = reassemble(p, {b.order_index: b.gates for b in p.blocks})
     assert out == c
 
 
 def test_reassemble_substitutes_fragment():
-    c = Circuit(2, (cx(0, 1),))
+    c = Circuit(3, (cx(1, 2),))
     p = form_blocks(c)
-    frag = Circuit(2, (rz(1.0, 0), cx(1, 0), rz(-1.0, 0)))
+    frag = (rz(1.0, 1), cx(2, 1), rz(-1.0, 1))
     out = reassemble(p, {0: frag})
-    assert out.gates == (rz(1.0, 0), cx(1, 1 - 1), rz(-1.0, 0))
-    assert out.num_qubits == 2 and out.measured_qubits == c.measured_qubits
+    # the fragment's own Gates, placed as they are
+    assert all(a is b for a, b in zip(out.gates, frag, strict=True))
+    assert out.num_qubits == 3 and out.measured_qubits == c.measured_qubits
+
+
+# blocks A = (0, 1) on slots 0, 2, 4 and B = (2,) on slots 1, 3
+SPREAD_CIRCUIT = Circuit(3, (cx(0, 1), sx(2), rz(0.1, 0), x(2), sx(1)))
+
+
+@pytest.mark.parametrize(
+    "m_a, m_b, order",
+    [
+        # A: m = 5 > ell = 3 takes gates 0 | 1 2 | 3 4; B: m = 1 < ell = 2 takes - | 0
+        (5, 1, ["a0", "a1", "a2", "b0", "a3", "a4"]),
+        # A: m = 2 < ell takes - | 0 | 1; B: m = 3 > ell takes 0 | 1 2
+        (2, 3, ["b0", "a0", "b1", "b2", "a1"]),
+        # A: m = 0 leaves every slot empty; B: m = ell takes one gate per slot
+        (0, 2, ["b0", "b1"]),
+        # A: m = 4 > ell takes 0 | 1 | 2 3; B: m = 0
+        (4, 0, ["a0", "a1", "a2", "a3"]),
+    ],
+)
+def test_reassemble_spreads_each_fragment_over_its_slots(m_a, m_b, order):
+    p = form_blocks(SPREAD_CIRCUIT)
+    slots = [
+        [i for i, (o, _pos) in enumerate(p.provenance) if o == b.order_index] for b in p.blocks
+    ]
+    assert [b.qubits for b in p.blocks] == [(0, 1), (2,)] and slots == [[0, 2, 4], [1, 3]]
+    # distinct angles name each fragment gate: a<i> on qubit 0, b<i> on qubit 2
+    names = {f"a{i}": rz(0.5 + i, 0) for i in range(m_a)}
+    names.update({f"b{i}": rz(-0.5 - i, 2) for i in range(m_b)})
+    frags = {
+        0: tuple(names[f"a{i}"] for i in range(m_a)),
+        1: tuple(names[f"b{i}"] for i in range(m_b)),
+    }
+    assert reassemble(p, frags).gates == tuple(names[n] for n in order)
 
 
 @given(circuits(max_qubits=5, max_gates=25))
@@ -126,7 +160,7 @@ def test_partition_invariants(c):
 @given(circuits(max_qubits=5, max_gates=25))
 def test_reassemble_identity_property(c):
     p = form_blocks(c)
-    assert reassemble(p, {b.order_index: to_local_circuit(b) for b in p.blocks}) == c
+    assert reassemble(p, {b.order_index: b.gates for b in p.blocks}) == c
 
 
 @given(circuits(max_qubits=4, max_gates=16))
@@ -136,8 +170,7 @@ def test_equivalent_fragments_preserve_circuit_unitary(c):
     p = form_blocks(c)
     reps = {}
     for b in p.blocks:
-        local = to_local_circuit(b)
-        extra = (rx(0.9, 0), rx(-0.9, 0))
-        reps[b.order_index] = Circuit(local.num_qubits, local.gates + extra)
+        q = b.qubits[0]
+        reps[b.order_index] = b.gates + (rx(0.9, q), rx(-0.9, q))
     out = reassemble(p, reps)
     assert equal_up_to_global_phase(circuit_unitary(out), circuit_unitary(c), 1e-9)

@@ -20,7 +20,7 @@ from qcloak.pipeline import (
     encode,
 )
 from qcloak.simulator import ideal_distribution
-from qcloak.synthesis import synthesize_block
+from qcloak.synthesis import synthesize_block, synthesize_blocks
 from strategies import circuits, dense_equivalent
 
 
@@ -73,11 +73,15 @@ def test_encoded_cx_count_matches_baseline(c):
     assert gate_counts(enc.circuit).cx == gate_counts(make_baseline(c)).cx
 
 
-def _shift_first_rz(c: Circuit) -> Circuit:
-    gates = list(c.gates)
+def _shifted_first_rz(gates: tuple[Gate, ...]) -> tuple[Gate, ...]:
+    gates = list(gates)
     i = next(i for i, g in enumerate(gates) if g.kind is GateKind.RZ)
     gates[i] = rz(gates[i].angle + 1e-6, gates[i].qubits[0])
-    return Circuit(c.num_qubits, tuple(gates), c.measured_qubits)
+    return tuple(gates)
+
+
+def _shift_first_rz(c: Circuit) -> Circuit:
+    return Circuit(c.num_qubits, _shifted_first_rz(c.gates), c.measured_qubits)
 
 
 def _drop_first_cx(c: Circuit) -> Circuit:
@@ -86,26 +90,21 @@ def _drop_first_cx(c: Circuit) -> Circuit:
     return Circuit(c.num_qubits, tuple(gates), c.measured_qubits)
 
 
-def _swap_blocks(p: BlockPartition, frags: dict[int, Circuit]) -> Circuit:
+def _swap_blocks(p: BlockPartition, frags: dict[int, tuple[Gate, ...]]) -> Circuit:
     """The fragments concatenated in block order, except that the first block
     and the next block on its first wire change places."""
     blocks = sorted(p.blocks, key=lambda b: b.order_index)
     first = blocks[0]
     j = next(j for j, b in enumerate(blocks) if j > 0 and first.qubits[0] in b.qubits)
     blocks[0], blocks[j] = blocks[j], blocks[0]
-    gates = [
-        Gate(g.kind, tuple(b.qubits[w] for w in g.qubits), g.angle)
-        for b in blocks
-        for g in frags[b.order_index].gates
-    ]
+    gates = [g for b in blocks for g in frags[b.order_index]]
     return Circuit(p.num_qubits, tuple(gates), p.measured_qubits)
 
 
-def _drop_fragment_gate(p: BlockPartition, frags: dict[int, Circuit]) -> Circuit:
+def _drop_fragment_gate(p: BlockPartition, frags: dict[int, tuple[Gate, ...]]) -> Circuit:
     """Reassembly with the first gate of the longest fragment left out."""
-    o = max(frags, key=lambda o: len(frags[o].gates))
-    short = Circuit(frags[o].num_qubits, frags[o].gates[1:])
-    return partition.reassemble(p, {**frags, o: short})
+    o = max(frags, key=lambda o: len(frags[o]))
+    return partition.reassemble(p, {**frags, o: frags[o][1:]})
 
 
 def _misplace_rx_half(p, seed):
@@ -215,7 +214,7 @@ def test_stimuli_check_rejects_a_wrong_fragment(monkeypatch):
         frags = real(blocks, k, shortlist, seed)
         calls.append(len(blocks))
         two = {b.order_index for b in blocks if len(b.qubits) == 2}
-        return {o: _shift_first_rz(f) if o in two else f for o, f in frags.items()}
+        return {o: _shifted_first_rz(f) if o in two else f for o, f in frags.items()}
 
     monkeypatch.setattr(qcloak.pipeline, "synthesize_blocks", wrong)
     with pytest.raises(SynthesisEquivalenceError, match="random stimuli"):
@@ -362,3 +361,57 @@ def test_certificate_rejects_tampered_rx_blocks(tamper, message):
     rx_p, record = tamper(rx_p, record)
     with pytest.raises(SynthesisEquivalenceError, match=f"^certificate: {message}$"):
         certify(c, rx_p, record, frags, out)
+
+
+def _gate_off_block(p: BlockPartition, frags: dict, kind: GateKind) -> tuple[int, dict]:
+    """The order_index of the first block whose fragment has a `kind` gate,
+    and frags with that gate moved to a qubit outside the block: a one-qubit
+    gate onto it, a CX's target onto it."""
+    for b in sorted(p.blocks, key=lambda b: b.order_index):
+        frag = frags[b.order_index]
+        i = next((i for i, g in enumerate(frag) if g.kind is kind), None)
+        if i is None:
+            continue
+        outside = next(q for q in range(p.num_qubits) if q not in b.qubits)
+        g = frag[i]
+        qubits = (outside,) if len(g.qubits) == 1 else (g.qubits[0], outside)
+        moved = (*frag[:i], Gate(g.kind, qubits, g.angle), *frag[i + 1 :])
+        return b.order_index, {**frags, b.order_index: moved}
+    raise AssertionError(f"no fragment has a {kind.value} gate")
+
+
+@pytest.mark.parametrize("kind", [GateKind.RZ, GateKind.CX], ids=["rz", "cx"])
+def test_certificate_rejects_a_fragment_gate_outside_its_block(kind):
+    # reassembled from the same fragments, the output matches them wire by
+    # wire; only the block check sees the gate that left its block
+    c, rx_p, record, frags, _out = _certificate_inputs(gen_random_blocks(6, 16, 5))
+    o, moved = _gate_off_block(rx_p, frags, kind)
+    out = partition.reassemble(rx_p, moved)
+    assert not dense_equivalent(out, c)
+    message = f"^certificate: the fragment of block {o} acts outside its qubits$"
+    with pytest.raises(SynthesisEquivalenceError, match=message):
+        certify(c, rx_p, record, moved, out)
+
+
+def test_certificate_rejects_a_block_without_fragment():
+    c, rx_p, record, frags, _out = _certificate_inputs(gen_random_blocks(6, 16, 5))
+    o = rx_p.blocks[0].order_index
+    del frags[o]
+    # reassemble keeps the block's own gates, RX halves included
+    out = partition.reassemble(rx_p, frags)
+    message = f"^certificate: block {o} has no fragment$"
+    with pytest.raises(SynthesisEquivalenceError, match=message):
+        certify(c, rx_p, record, frags, out)
+
+
+def test_empty_fragment_is_placed_and_certified():
+    # cx cx is the identity, so its plain fragment is (): a fragment, not a
+    # missing entry, for both reassemble and certify
+    c = Circuit(2, (cx(0, 1), cx(0, 1)))
+    p = form_blocks(c)
+    frags = synthesize_blocks(p.blocks, 1, 1, 0)
+    assert frags == {0: ()}
+    out = partition.reassemble(p, frags)
+    assert out == Circuit(2, (), c.measured_qubits)
+    assert make_baseline(c) == out
+    certify(c, p, (), frags, out)

@@ -19,7 +19,7 @@ from qcloak.linalg import (
     rz_matrix,
 )
 from qcloak.netlsd import circuit_signature
-from qcloak.partition import Block, block_unitary, form_blocks
+from qcloak.partition import Block, block_unitary, form_blocks, reassemble
 from qcloak.synthesis import (
     CANDIDATE_TOL,
     CX_CODE,
@@ -49,6 +49,7 @@ from strategies import (
     fragment_unitary,
     gate_bits,
     gates_on,
+    gates_on_wires,
     peephole_1q,
     per_candidate_euler_1q,
     per_candidate_generate,
@@ -297,20 +298,17 @@ def test_fragment_signature_memo_matches_fresh_signature():
 def test_synthesize_block_end_to_end():
     b = Block((1, 3), (cx(1, 3), rz(1.1, 1), sx(3), cx(3, 1)), 2)
     frag = synthesize_block(b, 3, 2, 8)
-    assert frag.num_qubits == 2
-    assert equal_up_to_global_phase(circuit_unitary(frag), block_unitary(b), 1e-9)
-
-
-def _gates_on_wires(gates, wires):
-    """The drawn gates, moved from local wires 0/1 onto the block's wires."""
-    return tuple(Gate(g.kind, tuple(wires[q] for q in g.qubits), g.angle) for g in gates)
+    # Block rejects a gate outside its qubits
+    local = to_local_circuit(Block(b.qubits, frag, b.order_index))
+    assert local.num_qubits == 2
+    assert equal_up_to_global_phase(circuit_unitary(local), block_unitary(b), 1e-9)
 
 
 @st.composite
 def blocks(draw):
     wires = draw(st.sampled_from([(0,), (2,), (0, 1), (1, 3)]))
     gates = draw(st.lists(gates_on(len(wires)), min_size=1, max_size=12))
-    return Block(wires, _gates_on_wires(gates, wires), draw(st.integers(0, 500)))
+    return Block(wires, gates_on_wires(gates, wires), draw(st.integers(0, 500)))
 
 
 def _assert_candidates_match_oracle(b: Block, k: int, seed: int):
@@ -396,9 +394,10 @@ def test_candidate_check_names_the_mutated_candidate(monkeypatch, mutate, index)
 @pytest.mark.parametrize("mutate", [_shift_first_rz, _drop_first_cx, _swap_first_cx])
 def test_candidate_check_covers_candidates_that_are_not_selected(monkeypatch, mutate):
     # the check runs on every candidate, not only on the one selected
+    # MUTATED_BLOCK's qubits are its local wires
     chosen = synthesize_block(MUTATED_BLOCK, 3, 2, 12)
     cands = generate_candidates(MUTATED_BLOCK, 3, 12)
-    dropped = [i for i, c in enumerate(cands) if c != chosen]
+    dropped = [i for i, c in enumerate(cands) if c.gates != chosen]
     assert dropped
     _mutating_emit(monkeypatch, dropped[-1], mutate)
     with pytest.raises(SynthesisError, match=f"^candidate {dropped[-1]} for block 6 failed"):
@@ -434,20 +433,25 @@ def test_check_unitaries_match_materialized_candidates_at_class_boundaries(data,
     _assert_check_unitaries_match_circuits(bs, k, seed)
 
 
-def test_synthesize_blocks_builds_one_circuit_per_block(monkeypatch):
-    bs = list(form_blocks(gen_random_blocks(16, 60, seed=2)).blocks)
-    want = synthesize_blocks(bs, 3, 2, 5)  # also fills the signature memo
-    built = []
+def test_reassembly_builds_one_gate_per_output_gate(monkeypatch):
+    # synthesis emits each selected fragment's Gates once, on its block's
+    # qubits, and reassemble places them as they are: no fragment Circuit,
+    # and no Gate built again on global wires
+    p = form_blocks(gen_random_blocks(16, 60, seed=2))
+    want = reassemble(p, synthesize_blocks(p.blocks, 3, 2, 5))  # also fills the signature memo
+    built = {Gate: 0, Circuit: 0}
+    for cls in built:
 
-    class CountingCircuit(Circuit):
-        def __post_init__(self):
-            built.append(self)
-            super().__post_init__()
+        def counting(self, cls=cls, real=cls.__post_init__):
+            built[cls] += 1
+            real(self)
 
-    monkeypatch.setattr(qcloak.synthesis, "Circuit", CountingCircuit)
-    got = synthesize_blocks(bs, 3, 2, 5)
-    assert {o: c.gates for o, c in got.items()} == {o: c.gates for o, c in want.items()}
-    assert len(built) == len(bs)
+        monkeypatch.setattr(cls, "__post_init__", counting)
+    frags = synthesize_blocks(p.blocks, 3, 2, 5)
+    assert built == {Gate: sum(map(len, frags.values())), Circuit: 0}
+    out = reassemble(p, frags)
+    assert built == {Gate: out.num_gates, Circuit: 1}  # the one Circuit is out
+    assert gate_bits(out) == gate_bits(want)
 
 
 # A generic two-qubit block: its magic-basis Gram matrix is not diagonal, so
@@ -493,7 +497,8 @@ def _assert_stack_matches_per_block_oracle(bs, k, shortlist, seed, chunk, stub_o
         )
         assert [gate_bits(c) for c in cands] == [gate_bits(c) for c in want]
         assert [c.num_qubits for c in cands] == [c.num_qubits for c in want]
-        assert gate_bits(chosen[b.order_index]) == gate_bits(select_candidate(want, b, shortlist))
+        picked = select_candidate(want, b, shortlist)
+        assert gate_bits(chosen[b.order_index]) == gate_bits(gates_on_wires(picked.gates, b.qubits))
     if stub_order is not None and k > 1:
         # _checked_candidates and synthesize_blocks each drew one stub, and each retried
         assert len(stubs) == 2 and all(r.uniform_calls >= 2 for r in stubs)
