@@ -17,6 +17,9 @@ Digested outputs:
 - each of those circuits' make_baseline QASM, and for qft32 and random128
   the X-only baseline of the seed-3 encode, built from a table shared with
   the baseline pass, as compare builds it;
+- for qft32 and random128, the identity reassembly of the seed-3 encode's
+  X-injected circuit after RX injection at seed 3: every block placed back
+  unchanged, which pins reassemble's placement apart from synthesis;
 - compare JSON and CSV (wall times removed) on ghz4, qft4, add4 and w8, in
   analytic, 2000-shot and structural-only modes;
 - dense and estimated heat-trace signatures of the qft8 and random16
@@ -49,7 +52,8 @@ from qcloak.bench import (
     structural_benchmarks,
 )
 from qcloak.dag import to_dag
-from qcloak.obfuscate import key_to_json
+from qcloak.obfuscate import inject_rx_pairs, key_to_json
+from qcloak.partition import form_blocks, reassemble
 from qcloak.pipeline import PipelineConfig, encode
 from qcloak.qasm import serialize_qasm
 
@@ -61,7 +65,7 @@ COMPARE_MODES = {
     "structural": {"structural_only": True},
 }
 COMPARE_SEED = 3
-X_ONLY_CIRCUITS = ("qft32", "random128")
+X_ONLY_CIRCUITS = ("qft32", "random128")  # also digested as an identity reassembly
 
 
 def _sha(data: str | bytes) -> str:
@@ -101,6 +105,9 @@ def digests() -> dict:
             if seed == COMPARE_SEED and name in X_ONLY_CIRCUITS:
                 x_only = make_baseline(enc.x_injected, table)
                 out[f"baseline/{name}/x_only"] = _sha(serialize_qasm(x_only))
+                p, _record = inject_rx_pairs(form_blocks(enc.x_injected), seed)
+                identity = reassemble(p, {})
+                out[f"encode/{name}/seed{seed}/rx_identity"] = _sha(serialize_qasm(identity))
     cfg = PipelineConfig(seed=COMPARE_SEED)
     for name in COMPARE_CIRCUITS:
         for mode, kwargs in COMPARE_MODES.items():

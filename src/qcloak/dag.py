@@ -24,12 +24,17 @@ class CircuitDag:
 
 
 def to_dag(c: Circuit) -> CircuitDag:
-    g = c.num_gates
-    n = c.num_qubits
+    return wire_dag(c.num_qubits, tuple(g.qubits for g in c.gates))
+
+
+def wire_dag(n: int, wires: tuple[tuple[int, ...], ...]) -> CircuitDag:
+    """DAG of n wires whose gates touch `wires`, in order. The edges depend
+    on nothing else, so to_dag reads only each gate's qubits."""
+    g = len(wires)
     front = [g + w for w in range(n)]
     edges = []
-    for i, gate in enumerate(c.gates):
-        for w in gate.qubits:
+    for i, gate_wires in enumerate(wires):
+        for w in gate_wires:
             edges.append((front[w], i))
             front[w] = i
     for w in range(n):

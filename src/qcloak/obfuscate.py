@@ -115,13 +115,14 @@ def inject_rx_pairs(p: BlockPartition, seed: int) -> tuple[BlockPartition, tuple
     For each wire crossing from one block to the next, RX(theta) is appended
     to the earlier block and RX(-theta) is prepended to the later block,
     theta ~ Uniform[0.1, 2*pi - 0.1]. Returns the partition with the pairs
-    folded into their blocks and the injection record. The halves of each
-    pair are adjacent on their wire and cancel exactly, so encode checks its
-    output against the X-injected circuit p was formed from and no
-    RX-injected circuit is built. The pairs go into the blocks, not into a
-    new circuit, because re-partitioning such a circuit would put both halves
-    of a pair in the earlier block (still open when the second half is
-    scanned), where they cancel instead of straddling the boundary.
+    folded into their blocks and the injection record. A prepended half
+    shares its block's first slot and an appended half its last, so the two
+    halves of each pair are adjacent on their wire and cancel exactly:
+    encode checks its output against the X-injected circuit p was formed
+    from and no RX-injected circuit is built. The pairs go into the blocks,
+    not into a new circuit, because re-partitioning such a circuit would put
+    both halves of a pair in the earlier block (still open when the second
+    half is scanned), where they cancel instead of straddling the boundary.
     """
     rng = np.random.default_rng(seed)
     record: list[RxPair] = []
@@ -133,31 +134,14 @@ def inject_rx_pairs(p: BlockPartition, seed: int) -> tuple[BlockPartition, tuple
         append.setdefault(earlier, []).append(Gate(GateKind.RX, (wire,), theta))
         prepend.setdefault(later, []).append(Gate(GateKind.RX, (wire,), -theta))
 
-    new_blocks = tuple(
-        Block(
-            b.qubits,
-            tuple(prepend.get(b.order_index, ()))
-            + b.gates
-            + tuple(append.get(b.order_index, ())),
-            b.order_index,
-        )
-        for b in p.blocks
-    )
-    # Old slot pos of a block becomes the new positions [start, stop): its
-    # first slot also takes the block's prepends and its last slot the
-    # appends. On any wire the two halves of a pair end up adjacent, so the
-    # circuit unitary is unchanged exactly.
-    last = {b.order_index: len(b.gates) - 1 for b in p.blocks}
-    size = {b.order_index: len(b.gates) for b in new_blocks}
-    provenance: list[tuple[int, int]] = []
-    for order, pos in p.provenance:
-        shift = len(prepend.get(order, ()))
-        start = 0 if pos == 0 else shift + pos
-        stop = size[order] if pos == last[order] else shift + pos + 1
-        provenance.extend((order, j) for j in range(start, stop))
-    new_partition = BlockPartition(
-        p.num_qubits, new_blocks, tuple(provenance), p.measured_qubits
-    )
+    blocks: list[Block] = []
+    slots: list[tuple[int, ...]] = []
+    for b, s in zip(p.blocks, p.slots, strict=True):
+        pre = tuple(prepend.get(b.order_index, ()))
+        app = tuple(append.get(b.order_index, ()))
+        blocks.append(Block(b.qubits, pre + b.gates + app, b.order_index))
+        slots.append((s[0],) * len(pre) + s + (s[-1],) * len(app))
+    new_partition = BlockPartition(p.num_qubits, tuple(blocks), tuple(slots), p.measured_qubits)
     return new_partition, tuple(record)
 
 

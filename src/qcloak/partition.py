@@ -17,7 +17,8 @@ from .linalg import apply_gate
 
 @dataclass(frozen=True)
 class Block:
-    """Contiguous sub-circuit on one or two wires; gates keep global indices."""
+    """Contiguous sub-circuit on one or two wires; gates keep global qubits.
+    The partition's slots record where each gate stands in the source circuit."""
 
     qubits: tuple[int, ...]
     gates: tuple[Gate, ...]
@@ -39,10 +40,13 @@ class Block:
 
 @dataclass(frozen=True)
 class BlockPartition:
+    """Blocks in order_index order. slots[i][j] is the index of the source
+    gate that gate j of blocks[i] stands at; gates sharing a slot are placed
+    together, in block order."""
+
     num_qubits: int
     blocks: tuple[Block, ...]
-    # original gate index -> (block order_index, position within block)
-    provenance: tuple[tuple[int, int], ...]
+    slots: tuple[tuple[int, ...], ...]
     measured_qubits: tuple[int, ...]
 
 
@@ -50,10 +54,9 @@ def form_blocks(c: Circuit) -> BlockPartition:
     """Single-pass O(g) partition of the gate list into two-qubit blocks."""
     builders: list[dict] = []
     open_by_qubit: dict[int, dict] = {}
-    provenance: list[tuple[int, int]] = []
 
     def open_block(qubits: tuple[int, ...]) -> dict:
-        b = {"qubits": set(qubits), "gates": [], "order": len(builders)}
+        b = {"qubits": set(qubits), "gates": [], "slots": [], "order": len(builders)}
         builders.append(b)
         for q in qubits:
             open_by_qubit[q] = b
@@ -81,13 +84,14 @@ def form_blocks(c: Circuit) -> BlockPartition:
                 if bb is not None and bb is not ba:
                     complete(bb)
                 b = open_block((qa, qb))
-        provenance.append((b["order"], len(b["gates"])))
         b["gates"].append(gate)
+        b["slots"].append(i)
 
     blocks = tuple(
         Block(tuple(sorted(b["qubits"])), tuple(b["gates"]), b["order"]) for b in builders
     )
-    return BlockPartition(c.num_qubits, blocks, tuple(provenance), c.measured_qubits)
+    slots = tuple(tuple(b["slots"]) for b in builders)
+    return BlockPartition(c.num_qubits, blocks, slots, c.measured_qubits)
 
 
 def block_unitary(b: Block) -> np.ndarray:
@@ -110,24 +114,19 @@ def reassemble(p: BlockPartition, fragments: dict[int, tuple[Gate, ...]]) -> Cir
 
     fragments maps a block's order_index to the Gates that replace it, placed
     as they are; a block with no entry keeps its own. A block's fragment is
-    spread over the block's original gate slots, so identity replacements
-    reproduce the original circuit exactly and per-wire gate order across
-    blocks is always preserved. Every block owns at least one slot, as every
-    block form_blocks or inject_rx_pairs makes does.
+    spread over the block's own slots, so identity replacements reproduce
+    the source circuit exactly and per-wire gate order across blocks is
+    always preserved. A block without slots, or slots not aligned with the
+    blocks, is a ValueError: its fragment would have nowhere to go.
     """
-    slots: dict[int, list[int]] = {}
-    for gate_idx, (order, _pos) in enumerate(p.provenance):
-        slots.setdefault(order, []).append(gate_idx)
-
-    emitted: list[tuple[Gate, ...]] = [()] * len(p.provenance)
-    for b in p.blocks:
+    placed: dict[int, list[Gate]] = {}
+    for b, block_slots in zip(p.blocks, p.slots, strict=True):
+        if not block_slots:
+            raise ValueError(f"block {b.order_index} has no slot")
         gates = fragments.get(b.order_index, b.gates)
-        block_slots = slots[b.order_index]
         m, ell = len(gates), len(block_slots)
         for k, slot in enumerate(block_slots):
-            emitted[slot] = gates[(k * m) // ell : ((k + 1) * m) // ell]
+            placed.setdefault(slot, []).extend(gates[(k * m) // ell : ((k + 1) * m) // ell])
 
-    out: list[Gate] = []
-    for chunk in emitted:
-        out.extend(chunk)
+    out = [g for slot in sorted(placed) for g in placed[slot]]
     return Circuit(p.num_qubits, tuple(out), p.measured_qubits)

@@ -126,7 +126,7 @@ def certify(
         block's qubits only, and the fragments, concatenated in order_index
         order, give out's per-wire gate sequences.
 
-    Reads no provenance: nothing reassemble relies on is trusted."""
+    Reads no slots: nothing reassemble relies on is trusted."""
     n = x_circ.num_qubits
     if not n == partition.num_qubits == out.num_qubits:
         raise _fail("circuits and partition differ in width")

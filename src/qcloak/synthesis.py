@@ -35,6 +35,7 @@ import numpy as np
 
 from . import netlsd
 from .circuit import Circuit, Gate, GateKind, gate_counts
+from .dag import wire_dag
 from .kak import DecompositionError, KakTerms, kak_decompose_stack
 from .linalg import PAULI_X, PAULI_Y, PAULI_Z, SX_MATRIX, equal_up_to_global_phase
 from .linalg import rx_matrix, ry_matrix, rz_matrix
@@ -468,19 +469,13 @@ def select_candidate(cands: list[Circuit], original_block: Block, shortlist: int
 @functools.lru_cache(maxsize=SIGNATURE_MEMO_ENTRIES)
 def _wire_signature(num_qubits: int, wires: tuple[tuple[int, ...], ...]) -> HeatSignature:
     """Heat signature on the default grid of a fragment over num_qubits wires
-    whose gates touch `wires`, memoized by that structure: to_dag's edges,
+    whose gates touch `wires`, memoized by that structure: wire_dag's edges,
     and so the signature, depend only on the wire count and on which wires
     each gate touches, never on gate kinds or angles, and an encode meets
     few distinct structures, so most lookups hit. The returned arrays are
     read-only and shared."""
-    # X and CX stand in for the gates: any gates on the same wires give the
-    # same DAG edges. Looked up in netlsd at call time, so tracing and tests
-    # see each miss.
-    stand_in = Circuit(
-        num_qubits,
-        tuple(Gate(GateKind.CX if len(w) == 2 else GateKind.X, w) for w in wires),
-    )
-    sig = netlsd.circuit_signature(stand_in, _GRID)
+    # Looked up in netlsd at call time, so tracing and tests see each miss.
+    sig = netlsd.netlsd_signature(wire_dag(num_qubits, wires), _GRID)
     sig.traces.setflags(write=False)
     return sig
 

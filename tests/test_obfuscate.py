@@ -112,11 +112,12 @@ def test_rx_pairs_fold_into_blocks():
         assert earlier.gates[-1].kind is GateKind.RX or any(
             g.kind is GateKind.RX and g.angle == r.theta for g in earlier.gates
         )
-    # every block owns at least one slot, so reassemble places every fragment
-    for part in (p, p2):
-        assert {order for order, _pos in part.provenance} == {
-            b.order_index for b in part.blocks
-        }
+    # each block keeps its source slots; a prepended half shares the block's
+    # first slot and an appended half its last
+    assert p.slots == ((0,), (1,), (2,), (3,))
+    assert p2.slots == ((0, 0), (1, 1, 1, 1), (2, 2, 2), (3, 3, 3))
+    for b, s in zip(p2.blocks, p2.slots):
+        assert len(s) == len(b.gates)
     # identity reassembly of the folded partition reproduces the new circuit
     reps = {b.order_index: b.gates for b in p2.blocks}
     assert reassemble(p2, reps) == out
@@ -137,7 +138,9 @@ def test_rx_pairs_preserve_unitary_exactly(c):
     out = reassemble(p2, {})
     assert np.allclose(circuit_unitary(out), circuit_unitary(c), atol=1e-12)
     assert sum(len(b.gates) for b in p2.blocks) == out.num_gates
-    assert {order for order, _pos in p2.provenance} == {b.order_index for b in p2.blocks}
+    p = form_blocks(c)
+    for b, s, old in zip(p2.blocks, p2.slots, p.slots):
+        assert len(s) == len(b.gates) and set(s) == set(old)
     reps = {b.order_index: b.gates for b in p2.blocks}
     assert reassemble(p2, reps) == out
     _assert_pairs_adjacent(out, record)

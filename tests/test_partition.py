@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -29,7 +31,7 @@ def test_form_blocks_ghz_chain():
         (cx(0, 1),),
         (cx(1, 2), rz(0.4, 2)),
     ]
-    assert p.provenance == ((0, 0), (1, 0), (2, 0), (2, 1))
+    assert p.slots == ((0,), (1,), (2, 3))
 
 
 def test_shared_wire_completes_block():
@@ -128,10 +130,7 @@ SPREAD_CIRCUIT = Circuit(3, (cx(0, 1), sx(2), rz(0.1, 0), x(2), sx(1)))
 )
 def test_reassemble_spreads_each_fragment_over_its_slots(m_a, m_b, order):
     p = form_blocks(SPREAD_CIRCUIT)
-    slots = [
-        [i for i, (o, _pos) in enumerate(p.provenance) if o == b.order_index] for b in p.blocks
-    ]
-    assert [b.qubits for b in p.blocks] == [(0, 1), (2,)] and slots == [[0, 2, 4], [1, 3]]
+    assert [b.qubits for b in p.blocks] == [(0, 1), (2,)] and p.slots == ((0, 2, 4), (1, 3))
     # distinct angles name each fragment gate: a<i> on qubit 0, b<i> on qubit 2
     names = {f"a{i}": rz(0.5 + i, 0) for i in range(m_a)}
     names.update({f"b{i}": rz(-0.5 - i, 2) for i in range(m_b)})
@@ -142,13 +141,51 @@ def test_reassemble_spreads_each_fragment_over_its_slots(m_a, m_b, order):
     assert reassemble(p, frags).gates == tuple(names[n] for n in order)
 
 
+# blocks A = (0, 1) on slots 0, 2; B = (2,) on 1; C = (1, 2) on 3, 5; D = (0,) on 4.
+# RX injection appends the halves of A -> D (wire 0) and A -> C (wire 1) to A
+# and of B -> C (wire 2) to B, and prepends the other halves to C and D.
+RX_SPREAD_CIRCUIT = Circuit(3, (cx(0, 1), sx(2), rz(0.1, 0), cx(1, 2), sx(0), x(2)))
+
+
+def test_reassemble_spreads_fragments_over_shared_rx_slots():
+    p, record = inject_rx_pairs(form_blocks(RX_SPREAD_CIRCUIT), seed=7)
+    assert [(r.wire, r.boundary) for r in record] == [(0, 0), (1, 0), (2, 1)]
+    assert [b.qubits for b in p.blocks] == [(0, 1), (2,), (1, 2), (0,)]
+    assert p.slots == ((0, 2, 2, 2), (1, 1), (3, 3, 3, 5), (4, 4))
+    # A: m = 6 > ell = 4 takes 0 | 1 2 | 3 | 4 5; B: m = 1 < ell = 2 takes - | 0;
+    # C: m = 2 < ell = 4 takes - | 0 | - | 1; D: m = 3 > ell = 2 takes 0 | 1 2
+    # distinct angles name each fragment gate, on a qubit of its block
+    qubit_and_size = {"a": (0, 6), "b": (2, 1), "c": (1, 2), "d": (0, 3)}
+    frags = {
+        o: tuple(rz(10 * o + i, q) for i in range(m))
+        for o, (q, m) in enumerate(qubit_and_size.values())
+    }
+    names = {f"{n}{i}": g for n, o in zip("abcd", frags) for i, g in enumerate(frags[o])}
+    order = ["a0", "b0", "a1", "a2", "a3", "a4", "a5", "c0", "d0", "d1", "d2", "c1"]
+    assert reassemble(p, frags).gates == tuple(names[n] for n in order)
+
+
+def test_reassemble_rejects_slots_not_aligned_with_blocks():
+    p = form_blocks(SPREAD_CIRCUIT)
+    with pytest.raises(ValueError):
+        reassemble(replace(p, slots=p.slots[:-1]), {})
+
+
+def test_reassemble_rejects_a_block_without_slots():
+    p = form_blocks(SPREAD_CIRCUIT)
+    with pytest.raises(ValueError, match="block 1 has no slot"):
+        reassemble(replace(p, slots=(p.slots[0], ())), {})
+
+
 @given(circuits(max_qubits=5, max_gates=25))
 def test_partition_invariants(c):
     p = form_blocks(c)
-    assert sum(len(b.gates) for b in p.blocks) == c.num_gates
-    assert len(p.provenance) == c.num_gates
-    for i, (order, pos) in enumerate(p.provenance):
-        assert p.blocks[order].gates[pos] == c.gates[i]
+    assert len(p.slots) == len(p.blocks)
+    for b, s in zip(p.blocks, p.slots):
+        assert len(s) == len(b.gates)
+        assert all(g == c.gates[i] for g, i in zip(b.gates, s))
+    # every source gate stands at exactly one block gate
+    assert sorted(i for s in p.slots for i in s) == list(range(c.num_gates))
     per_wire: dict[int, list[int]] = {}
     for b in p.blocks:
         for q in b.qubits:
