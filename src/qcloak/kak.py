@@ -6,14 +6,19 @@ pi/4 >= c1 >= c2 >= |c3|, c2 >= 0. Index convention: locals[w] acts on local
 wire w, and wire 0 is the low-order bit, so kron(l1, l0) is the frame matrix.
 
 kak_decompose_stack decomposes a (m, 4, 4) stack of unitaries, one rng per
-matrix, as synthesis does for the candidates of many blocks at once. The
-unitarity test, det, magic-basis transform, Gram matrix, first
-diagonalizer tries, sign fix, eigenphases, left factor and frame
-factorization each run once over the stack; only a failed try repeats, from
-its own rng. kak_decompose (one u, one rng) is the one-matrix case of the
-same path. Stacked eigh, det, svd, 4x4 matmul, angle and complex division
-give each matrix the bits of its own call, so every result equals the
-decomposition of its matrix alone.
+matrix, as synthesis does for the candidates of many blocks at once, and
+returns the terms as stacks (KakStack). The unitarity test, det,
+magic-basis transform, Gram matrix, first diagonalizer tries, sign fix,
+eigenphases, left factor, frame factorization and GAMMA @ theta each run
+once over the stack, and each canonicalization step (shift, negation, swap,
+boundary fix) runs once over the rows it applies to, in the one-matrix
+order; only a failed diagonalizer try repeats, from its own rng. A None rng
+is the plain decomposition, default_rng(PLAIN_SEED): its first mix is drawn
+once at import, and its generator is built only when that mix fails.
+kak_decompose (one u, one rng) is the one-matrix case of the same path.
+Stacked eigh, det, svd, 2x2 and 4x4 matmul, matrix-vector products, angle
+and complex division give each matrix the bits of its own call, so every
+row equals the decomposition of its matrix alone.
 np.abs of a complex array does not round as the scalar abs() does, so a
 magnitude that replaces a scalar abs() is computed as np.hypot(z.real,
 z.imag).
@@ -48,6 +53,10 @@ _SWAP_CONJ = {
 
 DIAG_TOL = 1e-11
 UNITARY_TOL = 1e-8
+# None stands for default_rng(PLAIN_SEED); its first (a, b) mix is drawn once
+PLAIN_SEED = 2023
+_PLAIN_MIX = np.random.default_rng(PLAIN_SEED).uniform(-1, 1, 2)
+_PLAIN_MIX.setflags(write=False)
 _DIAGONAL = np.arange(4)
 _OFF_DIAGONAL = ~np.eye(4, dtype=bool)
 
@@ -68,6 +77,25 @@ class KakTerms:
     right_locals: tuple[np.ndarray, np.ndarray]
     weyl: np.ndarray
     global_phase: float
+
+
+@dataclass(frozen=True)
+class KakStack:
+    """The KakTerms of m matrices as stacks along a leading axis: row i of
+    every field belongs to matrix i, and stack[i] is its KakTerms (iterating
+    a stack yields them in order)."""
+
+    left_locals: tuple[np.ndarray, np.ndarray]
+    right_locals: tuple[np.ndarray, np.ndarray]
+    weyl: np.ndarray
+    global_phase: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.weyl)
+
+    def __getitem__(self, i: int) -> KakTerms:
+        (l0, l1), (r0, r1) = self.left_locals, self.right_locals
+        return KakTerms((l0[i], l1[i]), (r0[i], r1[i]), self.weyl[i], float(self.global_phase[i]))
 
 
 def canonical_matrix(c: np.ndarray) -> np.ndarray:
@@ -118,10 +146,11 @@ def _diagonalize(m2: np.ndarray, ab: np.ndarray) -> tuple[np.ndarray, np.ndarray
     return cand, np.max(np.abs(d[:, _OFF_DIAGONAL]), axis=1) < DIAG_TOL
 
 
-def _raw_decompose(us: np.ndarray, rngs: list[np.random.Generator]):
-    """Uncanonicalized KAK terms of each us[i], one per rng: rngs[i] draws the
-    (a, b) mixes of us[i]'s own diagonalizer search, so no rng's draws
-    depend on the others'."""
+def _raw_decompose(us: np.ndarray, rngs: list[np.random.Generator | None]):
+    """Uncanonicalized KAK terms of each us[i] as stacks (phase, l1, l0, c,
+    r1, r0): rngs[i] draws the (a, b) mixes of us[i]'s own diagonalizer
+    search, so no rng's draws depend on the others'. A None row takes
+    _PLAIN_MIX first and builds its default_rng(PLAIN_SEED) only to retry."""
     det = np.linalg.det(us)
     delta = np.angle(det) / 4
     up = us * np.exp(-1j * delta)[:, None, None]
@@ -131,10 +160,15 @@ def _raw_decompose(us: np.ndarray, rngs: list[np.random.Generator]):
     # m2 is complex symmetric unitary; a real orthogonal diagonalizer always
     # exists and almost any real mix of Re/Im parts exposes it. First tries
     # run as one stack; only a failed one retries, from its own rng.
-    p, ok = _diagonalize(m2, np.array([rng.uniform(-1, 1, 2) for rng in rngs]))
+    mixes = [_PLAIN_MIX if rng is None else rng.uniform(-1, 1, 2) for rng in rngs]
+    p, ok = _diagonalize(m2, np.reshape(mixes, (-1, 2)))  # (0, 2) for an empty stack
     for i in np.flatnonzero(~ok):
+        rng = rngs[i]
+        if rng is None:
+            rng = np.random.default_rng(PLAIN_SEED)
+            rng.uniform(-1, 1, 2)  # the first mix, already tried
         for _ in range(99):
-            cand, found = _diagonalize(m2[i : i + 1], rngs[i].uniform(-1, 1, 2)[None])
+            cand, found = _diagonalize(m2[i : i + 1], rng.uniform(-1, 1, 2)[None])
             if found[0]:
                 p[i] = cand[0]
                 break
@@ -142,13 +176,9 @@ def _raw_decompose(us: np.ndarray, rngs: list[np.random.Generator]):
             raise DecompositionError(int(i), "no real-orthogonal diagonalizer found")
     p[np.linalg.det(p) < 0, :, 0] *= -1
     theta = 0.5 * np.angle(np.diagonal(np.swapaxes(p, 1, 2) @ m2 @ p, axis1=1, axis2=2))
-    for t in theta:
-        # force sum(t) = 0 so both orthogonal factors land in SO(4)
-        if round(np.sum(t) / np.pi) % 2 != 0:
-            t[0] += np.pi
-        if round(np.sum(t) / (2 * np.pi)) != 0:
-            t[0] -= np.pi
-            t[1] -= np.pi
+    # force sum(theta) = 0 so both orthogonal factors land in SO(4)
+    theta[np.round(np.sum(theta, axis=1) / np.pi) % 2 != 0, 0] += np.pi
+    theta[np.round(np.sum(theta, axis=1) / (2 * np.pi)) != 0, :2] -= np.pi
 
     o2 = np.swapaxes(p, 1, 2)
     phases = np.zeros((len(rngs), 4, 4), dtype=complex)
@@ -159,83 +189,77 @@ def _raw_decompose(us: np.ndarray, rngs: list[np.random.Generator]):
         raise DecompositionError(int(np.argmax(not_real)), "left orthogonal factor is not real")
 
     g1, g0, pk = _factor_kron_2x2(MAGIC @ np.concatenate((o1.real, o2)) @ MAGIC_H)
-    out = []
-    for i, t in enumerate(theta):
-        w, c1, c2, c3 = GAMMA @ t
-        j = len(rngs) + i
-        phase = (delta[i] + w) + (pk[i] + pk[j])
-        out.append((phase, g1[i], g0[i], np.array([c1, c2, c3]), g1[j], g0[j]))
-    return out
+    # one matrix-vector product per matrix, as GAMMA @ theta[i] rounds
+    w = np.matmul(GAMMA, theta[:, :, None])[:, :, 0]
+    m = len(rngs)
+    phase = (delta + w[:, 0]) + (pk[:m] + pk[m:])
+    return phase, g1[:m], g0[:m], w[:, 1:], g1[m:], g0[m:]
 
 
 def _canonicalize(phase, l1, l0, c, r1, r0):
-    c = np.array(c, dtype=float)
+    """Move each row's coordinates into the Weyl chamber, updating its phase
+    and locals in place. Every step runs once over the rows it applies to,
+    in the order of the one-matrix procedure, so each row gets the bits of
+    its own decomposition."""
 
-    def shift(k, steps):
+    def shift(rows, k, steps):
         # c[k] += steps * pi/2 costs a phase and, when odd, a Pauli on both
         # left locals: N(c + (pi/2) e_k) = i P_k x P_k N(c)
-        nonlocal phase, l1, l0
-        c[k] += steps * np.pi / 2
-        phase += -steps * np.pi / 2
-        if steps % 2 != 0:
-            p = _PAULIS[k]
-            l1 = l1 @ p
-            l0 = l0 @ p
+        c[rows, k] += steps * np.pi / 2
+        phase[rows] += -steps * np.pi / 2
+        odd = rows[steps % 2 != 0]
+        l1[odd] = l1[odd] @ _PAULIS[k]
+        l0[odd] = l0[odd] @ _PAULIS[k]
 
-    def negate(j, k):
+    def negate(rows, j, k):
         # conjugating by the remaining Pauli on wire 1 flips signs of c_j, c_k
-        nonlocal l1, r1
         p = _PAULIS[3 - j - k]
-        c[j] = -c[j]
-        c[k] = -c[k]
-        l1 = l1 @ p
-        r1 = p @ r1
+        c[rows, j] = -c[rows, j]
+        c[rows, k] = -c[rows, k]
+        l1[rows] = l1[rows] @ p
+        r1[rows] = p @ r1[rows]
 
-    def swap(j, k):
-        nonlocal l1, l0, r1, r0
-        s = _SWAP_CONJ[(min(j, k), max(j, k))]
-        c[j], c[k] = c[k], c[j]
-        l1 = l1 @ s.conj().T
-        l0 = l0 @ s.conj().T
-        r1 = s @ r1
-        r0 = s @ r0
+    def swap(rows, j, k):
+        s = _SWAP_CONJ[(j, k)]
+        c[rows, j], c[rows, k] = c[rows, k], c[rows, j]
+        l1[rows] = l1[rows] @ s.conj().T
+        l0[rows] = l0[rows] @ s.conj().T
+        r1[rows] = s @ r1[rows]
+        r0[rows] = s @ r0[rows]
 
     for k in range(3):
-        steps = -int(np.round(c[k] / (np.pi / 2)))
-        if steps:
-            shift(k, steps)
-    neg = [k for k in range(3) if c[k] < -1e-15]
-    if len(neg) >= 2:
-        negate(neg[0], neg[1])
+        steps = -np.round(c[:, k] / (np.pi / 2))
+        rows = np.flatnonzero(steps)
+        shift(rows, k, steps[rows])
+    # the first two negative coordinates, if there are two
+    neg = c < -1e-15
+    negate(np.flatnonzero(neg[:, 0] & neg[:, 1]), 0, 1)
+    negate(np.flatnonzero(neg[:, 0] & ~neg[:, 1] & neg[:, 2]), 0, 2)
+    negate(np.flatnonzero(~neg[:, 0] & neg[:, 1] & neg[:, 2]), 1, 2)
     for _ in range(2):
-        if abs(c[0]) < abs(c[1]) - 1e-15:
-            swap(0, 1)
-        if abs(c[1]) < abs(c[2]) - 1e-15:
-            swap(1, 2)
-    if c[0] < -1e-15:
-        negate(0, 2)
-    if c[1] < -1e-15:
-        negate(1, 2)
+        swap(np.flatnonzero(np.abs(c[:, 0]) < np.abs(c[:, 1]) - 1e-15), 0, 1)
+        swap(np.flatnonzero(np.abs(c[:, 1]) < np.abs(c[:, 2]) - 1e-15), 1, 2)
+    negate(np.flatnonzero(c[:, 0] < -1e-15), 0, 2)
+    negate(np.flatnonzero(c[:, 1] < -1e-15), 1, 2)
     # boundary c1 = pi/4: both signs of c3 are in the same class; fix c3 >= 0
-    if abs(c[0] - np.pi / 4) < 1e-12 and c[2] < -1e-15:
-        shift(0, -1)
-        negate(0, 2)
+    rows = np.flatnonzero((np.abs(c[:, 0] - np.pi / 4) < 1e-12) & (c[:, 2] < -1e-15))
+    shift(rows, 0, np.full(len(rows), -1.0))
+    negate(rows, 0, 2)
     c[np.abs(c) < 1e-15] = 0.0
-    return phase, l1, l0, c, r1, r0
 
 
-def kak_decompose_stack(
-    us: np.ndarray, rngs: list[np.random.Generator | None]
-) -> list[KakTerms]:
+def kak_decompose_stack(us: np.ndarray, rngs: list[np.random.Generator | None]) -> KakStack:
     """Canonicalized Cartan decompositions of a (m, 4, 4) stack of unitaries,
-    us[i] drawing its branch choices from rngs[i].
+    us[i] drawing its branch choices from rngs[i], returned as stacks.
 
     An rng only varies internal branch choices (eigenvector order and
     signs); every branch yields a valid decomposition of the same u. None
-    stands for default_rng(2023), the plain decomposition. Each result
-    equals the decomposition of its matrix alone bit for bit. Raises
-    ValueError for a non-unitary matrix and DecompositionError, with the
-    matrix's stack index, when a decomposition step fails.
+    stands for default_rng(PLAIN_SEED), the plain decomposition: its first
+    mix is drawn once at import, and the generator is built only if that
+    mix fails. Each row equals the decomposition of its matrix alone bit
+    for bit. Raises ValueError for a non-unitary matrix and
+    DecompositionError, with the matrix's stack index, when a decomposition
+    step fails.
     """
     us = np.asarray(us, dtype=complex)
     if us.ndim != 3 or us.shape[1:] != (4, 4) or len(us) != len(rngs):
@@ -243,15 +267,10 @@ def kak_decompose_stack(
     dev = np.max(np.abs(np.swapaxes(us.conj(), 1, 2) @ us - np.eye(4)), axis=(1, 2))
     if not np.all(dev <= UNITARY_TOL):
         raise ValueError("input matrix is not unitary")
-    if not rngs:
-        return []
-    rngs = [np.random.default_rng(2023) if rng is None else rng for rng in rngs]
-    out = []
-    for raw in _raw_decompose(us, rngs):
-        phase, l1, l0, c, r1, r0 = _canonicalize(*raw)
-        phase = float((phase + np.pi) % (2 * np.pi) - np.pi)
-        out.append(KakTerms((l0, l1), (r0, r1), c, phase))
-    return out
+    phase, l1, l0, c, r1, r0 = _raw_decompose(us, rngs)
+    _canonicalize(phase, l1, l0, c, r1, r0)
+    phase = (phase + np.pi) % (2 * np.pi) - np.pi
+    return KakStack((l0, l1), (r0, r1), c, phase)
 
 
 def kak_decompose(u: np.ndarray, rng: np.random.Generator | None = None) -> KakTerms:

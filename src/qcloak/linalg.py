@@ -17,33 +17,40 @@ SX_MATRIX = 0.5 * np.array([[1 + 1j, 1 - 1j], [1 - 1j, 1 + 1j]])
 CX_MATRIX = np.array(
     [[1, 0, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0], [0, 1, 0, 0]], dtype=complex
 )
+# after a CX with control wire c, row i of a two-wire unitary is old row CX_ROWS[c][i]
+CX_ROWS = np.array([(0, 3, 2, 1), (0, 1, 3, 2)])
 
 UNITARY_QUBIT_CAP = 12
 
 
-# The rotations are filled in place, which takes about half the time of
-# building them from nested lists and gives the same entries.
+# The rotations take an angle or an array of angles and return one 2x2
+# matrix or a (..., 2, 2) stack. Every entry of a stack has the bits of its
+# own one-angle call: np.cos, np.sin and the complex np.exp round each
+# element alike whatever the array's length (tests/test_linalg.py pins this).
 
 
-def rx_matrix(theta: float) -> np.ndarray:
-    c, s = np.cos(theta / 2), np.sin(theta / 2)
-    m = np.empty((2, 2), dtype=complex)
-    m[0, 0] = m[1, 1] = c
-    m[0, 1] = m[1, 0] = -1j * s
+def rx_matrix(theta: float | np.ndarray) -> np.ndarray:
+    t = np.asarray(theta, dtype=float)
+    c, s = np.cos(t / 2), np.sin(t / 2)
+    m = np.empty(t.shape + (2, 2), dtype=complex)
+    m[..., 0, 0] = m[..., 1, 1] = c
+    m[..., 0, 1] = m[..., 1, 0] = -1j * s
     return m
 
 
-def rz_matrix(theta: float) -> np.ndarray:
-    m = np.zeros((2, 2), dtype=complex)
-    m[0, 0], m[1, 1] = np.exp(-0.5j * theta), np.exp(0.5j * theta)
+def rz_matrix(theta: float | np.ndarray) -> np.ndarray:
+    t = np.asarray(theta, dtype=float)
+    m = np.zeros(t.shape + (2, 2), dtype=complex)
+    m[..., 0, 0], m[..., 1, 1] = np.exp(-0.5j * t), np.exp(0.5j * t)
     return m
 
 
-def ry_matrix(theta: float) -> np.ndarray:
-    c, s = np.cos(theta / 2), np.sin(theta / 2)
-    m = np.empty((2, 2), dtype=complex)
-    m[0, 0] = m[1, 1] = c
-    m[0, 1], m[1, 0] = -s, s
+def ry_matrix(theta: float | np.ndarray) -> np.ndarray:
+    t = np.asarray(theta, dtype=float)
+    c, s = np.cos(t / 2), np.sin(t / 2)
+    m = np.empty(t.shape + (2, 2), dtype=complex)
+    m[..., 0, 0] = m[..., 1, 1] = c
+    m[..., 0, 1], m[..., 1, 0] = -s, s
     return m
 
 
@@ -79,18 +86,6 @@ def _apply_cx(u: np.ndarray, control: int, target: int, n: int) -> None:
     view[tuple(idx)] = np.flip(view[tuple(idx)], axis=flip_axis)
 
 
-def apply_gate(
-    u: np.ndarray, g: Gate, n: int, qubits: tuple[int, ...] | None = None
-) -> np.ndarray:
-    """u with g applied to its rows, on qubits in place of g.qubits when
-    given; CX updates u in place and returns it."""
-    qubits = g.qubits if qubits is None else qubits
-    if g.kind is GateKind.CX:
-        _apply_cx(u, qubits[0], qubits[1], n)
-        return u
-    return _apply_1q(u, gate_unitary(g), qubits[0], n)
-
-
 def apply_circuit(u: np.ndarray, c: Circuit) -> np.ndarray:
     """c applied to the rows of a C-contiguous u with 2^n rows; u may be
     updated in place, and the result is returned.
@@ -100,7 +95,7 @@ def apply_circuit(u: np.ndarray, c: Circuit) -> np.ndarray:
     end. The result differs from the gate-by-gate product by rounding only,
     so it serves simulation and pass/fail equivalence checks; bits that feed
     later computation come from gate-by-gate products (see
-    partition.block_unitary)."""
+    partition.block_unitaries)."""
     n = c.num_qubits
     pending: dict[int, np.ndarray] = {}  # wire -> product of its open 1q run
     for g in c.gates:

@@ -5,14 +5,24 @@ holding its qubit or opens a new block; a two-qubit gate joins the open block
 holding both its qubits, otherwise it completes every open block touching
 either qubit and opens a fresh block. A completed block never reopens, so on
 any single wire the blocks appear in creation order.
+
+block_unitaries builds the unitaries of many blocks at once. Blocks with the
+same gate structure (width, and each gate's kind and local wires) form one
+stack, and each gate position is one np.matmul over it: the same 2x2 BLAS
+product on each block's own contiguous rows as a one-block product, so each
+matrix has the bits of applying its block's gates one at a time. A CX is a
+row permutation, which is exact.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .circuit import Circuit, Gate
-from .linalg import apply_gate
+from .circuit import Circuit, Gate, GateKind
+from .linalg import CX_ROWS, PAULI_X, SX_MATRIX, rx_matrix, rz_matrix
+
+_FIXED = {GateKind.X: PAULI_X, GateKind.SX: SX_MATRIX}
+_ROTATIONS = {GateKind.RZ: rz_matrix, GateKind.RX: rx_matrix}
 
 
 @dataclass(frozen=True)
@@ -94,19 +104,47 @@ def form_blocks(c: Circuit) -> BlockPartition:
     return BlockPartition(c.num_qubits, blocks, slots, c.measured_qubits)
 
 
-def block_unitary(b: Block) -> np.ndarray:
-    """Unitary of the block over its local wires (2x2 or 4x4, little-endian).
+def block_unitaries(blocks: list[Block] | tuple[Block, ...]) -> dict[int, np.ndarray]:
+    """Unitaries of the blocks over their local wires (little-endian), as
+    {width: (count, d, d) stack of that width's blocks in list order}.
 
     Gates are applied one at a time in circuit order, not fused into per-wire
     runs as in circuit_unitary. These bits are KAK's input and so fix the
     emitted angles: fusing would move them by rounding and change the
     encoded QASM for a fixed seed."""
-    n = len(b.qubits)
-    local = {q: i for i, q in enumerate(b.qubits)}
-    u = np.eye(2**n, dtype=complex)
-    for g in b.gates:
-        u = apply_gate(u, g, n, tuple(local[q] for q in g.qubits))
-    return u
+    groups: dict[tuple, list[int]] = {}
+    for i, b in enumerate(blocks):
+        # each gate's kind and first local wire: a one-qubit gate's wire or
+        # a CX's control, whose target is the other wire
+        lo = b.qubits[0]
+        structure = tuple((g.kind, int(g.qubits[0] != lo)) for g in b.gates)
+        groups.setdefault((len(b.qubits), structure), []).append(i)
+    widths = np.array([len(b.qubits) for b in blocks], dtype=int)
+    rank = np.zeros(len(blocks), dtype=int)  # position within its width's stack
+    out = {}
+    for w in (1, 2):
+        rank[widths == w] = np.arange(np.count_nonzero(widths == w))
+        out[w] = np.empty((np.count_nonzero(widths == w), 2**w, 2**w), dtype=complex)
+    for (n, structure), members in groups.items():
+        u = np.tile(np.eye(2**n, dtype=complex), (len(members), 1, 1))
+        for p, (kind, wire) in enumerate(structure):
+            if kind is GateKind.CX:
+                u = u[:, CX_ROWS[wire]]
+                continue
+            mat = _FIXED.get(kind)
+            if mat is None:
+                angles = np.array([blocks[i].gates[p].angle for i in members])
+                mat = _ROTATIONS[kind](angles)[:, None]
+            rows = u.reshape(len(members), 2 ** (n - 1 - wire), 2, -1)
+            u = np.matmul(mat, rows).reshape(u.shape)
+        out[n][rank[members]] = u
+    return out
+
+
+def block_unitary(b: Block) -> np.ndarray:
+    """Unitary of one block over its local wires (2x2 or 4x4): the one-block
+    case of block_unitaries."""
+    return block_unitaries([b])[len(b.qubits)][0]
 
 
 def reassemble(p: BlockPartition, fragments: dict[int, tuple[Gate, ...]]) -> Circuit:

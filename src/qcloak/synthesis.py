@@ -7,22 +7,35 @@ of 2*pi within RZ_TRIVIAL_TOL), one X for SX RZ SX around a trivial middle
 RZ, one RZ or nothing for a diagonal segment. Every candidate is checked
 against the block unitary up to global phase before it can be returned.
 
-synthesize_blocks builds the candidates of many blocks as one stack, one
-chunk of SYNTH_CHUNK blocks at a time: one kak.kak_decompose_stack call
-over the k candidates of every two-qubit block, the Euler angles of every
-one-qubit segment of every candidate from one (m, 2, 2) stack, and the
-emitted gates of every candidate as columns of kind codes, local wires and
-angles (Candidates), with no Gate objects. The check multiplies each wire's
-run of emitted gates into one 2x2 matrix, all runs at once, combines each
-candidate's runs through its CX row permutations, and compares the stacked
-results with the block unitaries. Selection ranks every candidate from the
-columns too, and only each block's selected candidate becomes Gates, on its
-block's qubits. generate_candidates and synthesize_block are the one-block case.
-Each candidate's gates and angle bits equal those of building it alone: the
-Euler arithmetic over the stack is elementwise IEEE arithmetic, which
-rounds as the scalar operations do. The magnitudes |a|, |b| come from
-np.hypot(z.real, z.imag), which rounds as the scalar abs() does; np.abs of
-a complex array does not, and would move emitted angles.
+synthesize_blocks builds the candidates of many blocks as stacks, one chunk
+of SYNTH_CHUNK blocks at a time, from the block unitaries to the Euler pass:
+the block unitaries by gate structure (partition.block_unitaries), one
+kak.kak_decompose_stack call over the k candidates of every two-qubit
+block, one vectorized class decision, the Pauli dressing, class template
+and CX dressings of each (class, dressed) group as one stack, the Euler
+angles of every one-qubit segment of every candidate from one (m, 2, 2)
+stack, and the emitted gates of every candidate as columns of kind codes,
+local wires and angles (Candidates), with no Gate objects. Only each
+candidate's own rng draws run per candidate: KAK's first mix, then the
+Pauli choice, then the 2 * (CX count) dressing angles, in that order. The
+check multiplies each wire's run of emitted gates into one 2x2 matrix, all
+runs at once, combines each candidate's runs through its CX row
+permutations, and compares the stacked results with the block unitaries.
+Selection ranks every candidate from the columns too, and only each block's
+selected candidate becomes Gates, on its block's qubits. generate_candidates
+and synthesize_block are the one-block case, weyl_to_circuit the
+one-candidate case of the template stage.
+Each candidate's gates and angle bits equal those of building it alone:
+- the rotations come from linalg's builders over angle arrays, whose every
+  entry has the bits of a one-angle call;
+- the 2x2 products are np.matmul over contiguous stacks (a constant factor
+  broadcast), one BLAS call per matrix with the strides of a one-matrix
+  product; a broadcast elementwise product, as _run_products uses for the
+  pass/fail check, would round differently;
+- the Euler arithmetic over the stack is elementwise IEEE arithmetic, which
+  rounds as the scalar operations do. The magnitudes |a|, |b| come from
+  np.hypot(z.real, z.imag), which rounds as the scalar abs() does; np.abs
+  of a complex array does not, and would move emitted angles.
 """
 
 from __future__ import annotations
@@ -36,21 +49,22 @@ import numpy as np
 from . import netlsd
 from .circuit import Circuit, Gate, GateKind, gate_counts
 from .dag import wire_dag
-from .kak import DecompositionError, KakTerms, kak_decompose_stack
-from .linalg import PAULI_X, PAULI_Y, PAULI_Z, SX_MATRIX, equal_up_to_global_phase
+from .kak import DecompositionError, KakStack, KakTerms, kak_decompose_stack
+from .linalg import CX_ROWS, PAULI_X, PAULI_Y, PAULI_Z, SX_MATRIX, equal_up_to_global_phase
 from .linalg import rx_matrix, ry_matrix, rz_matrix
 from .netlsd import HeatSignature, netlsd_divergence
-from .partition import Block, block_unitary
+from .partition import Block, block_unitaries
 
 # imported for perfbench/tracing.py, which wraps these names; not called here
 from .kak import kak_decompose  # noqa: F401
 from .linalg import circuit_unitary  # noqa: F401
+from .partition import block_unitary  # noqa: F401
 
 RZ_TRIVIAL_TOL = 1e-12
 CLASS_TOL = 1e-10
 DRESS_MARGIN = 0.1
 CANDIDATE_TOL = 1e-9  # each candidate's unitary check, up to global phase
-SYNTH_CHUNK = 64  # blocks per candidate stack; bounds the stack's memory
+SYNTH_CHUNK = 256  # blocks per candidate stack; bounds the stack's memory
 SIGNATURE_MEMO_ENTRIES = 1024  # about 2 kB of traces each; the grid is shared
 _GRID = netlsd.default_grid()
 _GRID.setflags(write=False)
@@ -64,8 +78,9 @@ _SLOTS = len(_SLOT_KINDS)
 _KINDS = (GateKind.RZ, GateKind.SX, GateKind.X, GateKind.CX)  # by kind code
 # one-qubit gate matrices by kind code; an RZ's diagonal is filled in per gate
 _GATE_MATRICES = np.array([np.eye(2), SX_MATRIX, PAULI_X], dtype=complex)
-# new row i of a two-wire unitary is old row _CX_ROWS[control][i]
-_CX_ROWS = np.array([(0, 3, 2, 1), (0, 1, 3, 2)])
+# _CONTROLS[n, j]: the control wire of CX j of the n-CX template
+_CONTROLS = np.array([(0, 0, 0), (1, 0, 0), (1, 1, 0), (1, 0, 1)])
+_PAULIS = (PAULI_X, PAULI_Y, PAULI_Z)
 # the fixed rotations of the minimal-CX templates, built once
 _RX_PLUS, _RX_MINUS = rx_matrix(np.pi / 2), rx_matrix(-np.pi / 2)
 _RZ_PLUS, _RZ_MINUS = rz_matrix(np.pi / 2), rz_matrix(-np.pi / 2)
@@ -168,152 +183,159 @@ def _euler_runs(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return kind, angle, present
 
 
+def _cx_classes(weyl: np.ndarray) -> np.ndarray:
+    """Minimal CX count (0, 1, 2 or 3) of each row of canonical coordinates."""
+    small = np.abs(weyl) < CLASS_TOL
+    cx_like = (np.abs(weyl[:, 0] - np.pi / 4) < CLASS_TOL) & small[:, 1] & small[:, 2]
+    return np.select([small.all(axis=1), cx_like, small[:, 2]], [0, 1, 2], 3)
+
+
 def minimal_cx_count(c: np.ndarray) -> int:
-    """Minimal CX count for canonical coordinates (0, 1, 2, or 3)."""
-    c1, c2, c3 = c
-    if abs(c1) < CLASS_TOL and abs(c2) < CLASS_TOL and abs(c3) < CLASS_TOL:
-        return 0
-    if abs(c1 - np.pi / 4) < CLASS_TOL and abs(c2) < CLASS_TOL and abs(c3) < CLASS_TOL:
-        return 1
-    if abs(c3) < CLASS_TOL:
-        return 2
-    return 3
+    """Minimal CX count for canonical coordinates: the one-row case of the
+    stacked class decision."""
+    return int(_cx_classes(np.asarray(c, dtype=float)[None])[0])
 
 
-def _segments(t: KakTerms) -> tuple[list[list[np.ndarray]], list[tuple[int, int]]]:
-    """Template for the minimal-CX circuit of a KakTerms value.
-
-    Returns per-wire 1q segment matrices and the CX list between them:
-    segments[i] applies before cx[i]; cx entries are (control, target) local
-    wires. Matrix identities behind each class were checked numerically to
-    1e-12 over random canonical coordinates.
-    """
-    l0, l1 = t.left_locals
-    r0, r1 = t.right_locals
-    c1, c2, c3 = t.weyl
-    cls = minimal_cx_count(t.weyl)
+def _class_segments(cls: int, l0, l1, r0, r1, weyl) -> list[list[np.ndarray]]:
+    """Segment stacks of the minimal-CX template of class cls, for rows of
+    KAK terms of that class: segments[s][w] applies on wire w before CX s.
+    Matrix identities behind each class were checked numerically to 1e-12
+    over random canonical coordinates."""
+    c1, c2, c3 = weyl.T
     if cls == 0:
-        return [[l0 @ r0, l1 @ r1]], []
+        return [[l0 @ r0, l1 @ r1]]
     if cls == 1:
-        return (
-            [[r0, _RY_MINUS @ r1], [l0 @ _RX_MINUS, l1 @ _RY_MINUS.conj().T @ _RZ_MINUS]],
-            [(1, 0)],
-        )
+        return [[r0, _RY_MINUS @ r1], [l0 @ _RX_MINUS, l1 @ _RY_MINUS.conj().T @ _RZ_MINUS]]
     if cls == 2:
-        return (
-            [
-                [_RX_PLUS @ r0, _RX_PLUS @ r1],
-                [rz_matrix(-2 * c2), rx_matrix(-2 * c1)],
-                [l0 @ _RX_MINUS, l1 @ _RX_MINUS],
-            ],
-            [(1, 0), (1, 0)],
-        )
-    alpha = 2 * c2 - np.pi / 2
-    beta = np.pi / 2 - 2 * c1
-    delta = np.pi / 2 - 2 * c3
-    return (
-        [
-            [_RZ_PLUS @ r0, r1],
-            [_EYE, ry_matrix(alpha)],
-            [rz_matrix(delta), ry_matrix(beta)],
-            [l0, l1 @ _RZ_MINUS],
-        ],
-        [(1, 0), (0, 1), (1, 0)],
-    )
+        return [
+            [_RX_PLUS @ r0, _RX_PLUS @ r1],
+            [rz_matrix(-2 * c2), rx_matrix(-2 * c1)],
+            [l0 @ _RX_MINUS, l1 @ _RX_MINUS],
+        ]
+    return [
+        [_RZ_PLUS @ r0, r1],
+        [np.broadcast_to(_EYE, r1.shape), ry_matrix(2 * c2 - np.pi / 2)],
+        [rz_matrix(np.pi / 2 - 2 * c3), ry_matrix(np.pi / 2 - 2 * c1)],
+        [l0, l1 @ _RZ_MINUS],
+    ]
 
 
-def _dress_cx(segments, cxs, rng: np.random.Generator):
-    """Split a canceling rotation across each CX: RZ on the control wire and
-    RX on the target wire commute with CX, so absorbing RZ(psi)/RZ(-psi)
-    (resp. RX) into the neighboring segments leaves the product unchanged."""
-    for i, (control, target) in enumerate(cxs):
-        psi = rng.uniform(DRESS_MARGIN, 2 * np.pi - DRESS_MARGIN)
-        chi = rng.uniform(DRESS_MARGIN, 2 * np.pi - DRESS_MARGIN)
-        segments[i][control] = rz_matrix(-psi) @ segments[i][control]
-        segments[i + 1][control] = segments[i + 1][control] @ rz_matrix(psi)
-        segments[i][target] = rx_matrix(-chi) @ segments[i][target]
-        segments[i + 1][target] = segments[i + 1][target] @ rx_matrix(chi)
+def _dress_cx(segments: list[list[np.ndarray]], cls: int, angles: np.ndarray):
+    """Split a canceling rotation across each CX of a class-cls template: RZ
+    on the control wire and RX on the target wire commute with CX, so
+    absorbing RZ(psi)/RZ(-psi) (resp. RX) into the neighboring segments
+    leaves the product unchanged. Row i's psi and chi of CX j are
+    angles[i, 2 j] and angles[i, 2 j + 1]."""
+    for j in range(cls):
+        control = _CONTROLS[cls, j]
+        target = 1 - control
+        psi, chi = angles[:, 2 * j], angles[:, 2 * j + 1]
+        segments[j][control] = rz_matrix(-psi) @ segments[j][control]
+        segments[j + 1][control] = segments[j + 1][control] @ rz_matrix(psi)
+        segments[j][target] = rx_matrix(-chi) @ segments[j][target]
+        segments[j + 1][target] = segments[j + 1][target] @ rx_matrix(chi)
     return segments
 
 
-def _emit_many(templates) -> Candidates:
-    """Columns of the fragments of a list of (segments, cxs, lead) templates,
-    with the Euler runs of all their segments computed as one stack.
+def _templates_2q(mats: np.ndarray, at: np.ndarray, t: KakStack, cls: np.ndarray, rngs) -> None:
+    """Write the segment matrices of each row's two-wire template to mats,
+    segment s on wire w of row i at mats[at[i] + 2 s + w]. A None rng takes
+    the plain template of its decomposition; any other draws, after the
+    decomposition's draws, a Pauli dressing and then the canceling CX
+    dressings. Each (class, dressed) group is one stack."""
+    dressed = np.array([rng is not None for rng in rngs], dtype=bool)
+    choice = np.zeros(len(rngs), dtype=int)
+    angles = np.zeros((len(rngs), 2 * 3))  # psi, chi of each of up to 3 CXs
+    for i in np.flatnonzero(dressed):
+        n = 2 * cls[i]
+        choice[i] = rngs[i].integers(0, 4)
+        angles[i, :n] = rngs[i].uniform(DRESS_MARGIN, 2 * np.pi - DRESS_MARGIN, n)
+    for c, d in np.ndindex(4, 2):
+        rows = np.flatnonzero((cls == c) & (dressed == d))
+        if not len(rows):
+            continue
+        local = [m[rows] for m in (*t.left_locals, *t.right_locals)]
+        if d:
+            # exp(i(c1 XX + c2 YY + c3 ZZ)) commutes with P x P for any Pauli
+            # P, so the same P can be pushed into all four locals
+            for p, pauli in enumerate(_PAULIS, 1):
+                on = np.flatnonzero(choice[rows] == p)
+                for w, m in enumerate(local):
+                    m[on] = m[on] @ pauli if w < 2 else pauli @ m[on]
+        segments = _class_segments(c, *local, t.weyl[rows])
+        if d:
+            segments = _dress_cx(segments, c, angles[rows])
+        for s, seg in enumerate(segments):
+            for w, m in enumerate(seg):
+                mats[at[rows] + 2 * s + w] = m
 
-    segments[i] holds one 2x2 matrix per wire and applies before cxs[i];
-    a one-wire template has one segment and no CX. lead is None, or the
-    angle of a dressing RZ that runs before a one-wire fragment's run and
+
+def _templates_1q(mats: np.ndarray, at: np.ndarray, us: np.ndarray, rngs):
+    """Write the one-wire template of us[i] to mats[at[i]]: us[i] itself for
+    a None rng, else us[i] RZ(-psi) after a dressing RZ(psi) drawn from the
+    rng. Returns the rows that have a dressing RZ and its angles."""
+    dressed = np.array([i for i, rng in enumerate(rngs) if rng is not None], dtype=int)
+    psi = np.array([rngs[i].uniform(DRESS_MARGIN, 2 * np.pi - DRESS_MARGIN) for i in dressed])
+    mats[at] = us
+    mats[at[dressed]] = us[dressed] @ rz_matrix(-psi)
+    return dressed, psi
+
+
+def _starts(sizes: np.ndarray) -> np.ndarray:
+    """Offsets of consecutive runs of the given sizes, one more than runs."""
+    return np.concatenate(([0], np.cumsum(sizes))).astype(int)
+
+
+def _emit_many(mats, width, cx_count, lead_index=(), lead_angle=()) -> Candidates:
+    """Columns of fragments given by their segment matrices, with the Euler
+    runs of all segments computed as one stack.
+
+    Fragment f has width[f] wires and cx_count[f] CXs, each CX's control
+    wire that of the cx_count[f]-CX template; its segment s on wire w is
+    mats[o + width[f] s + w], o the sum of width * (cx_count + 1) over the
+    fragments before f, and segment s applies before CX s. A one-wire
+    fragment in lead_index runs a dressing RZ(lead_angle) first, which
     folds into its leading RZ."""
-    mats = np.array([m for segments, _, _ in templates for seg in segments for m in seg])
+    width, cx_count = np.asarray(width), np.asarray(cx_count)
     kind, angle, present = _euler_runs(mats)
-    wires, lead_rows, leads, cx_slots, cx_wires, sizes = [], [], [], [], [], []
-    for segments, cxs, lead in templates:
-        width = len(segments[0])
-        if lead is not None:
-            lead_rows.append(len(wires))
-            leads.append(lead)
-        for i in range(len(segments)):
-            if i:
-                cx_slots.append(_SLOTS * len(wires))
-                cx_wires.append(cxs[i - 1][0])
-            wires.extend(range(width))
-        sizes.append(_SLOTS * width * len(segments) + len(cxs))
-    if leads:
+    sizes = width * (cx_count + 1)
+    start = _starts(sizes)
+    if len(lead_index):
         # the dressing RZ(lead) runs first, so it folds into a leading RZ
-        rows = np.array(lead_rows)
+        rows = start[np.asarray(lead_index)]
         had = present[rows, 0]
-        leads = np.array(leads)
-        folded = np.where(had, leads + angle[rows, 0], leads)
+        folded = np.where(had, lead_angle + angle[rows, 0], lead_angle)
         angle[rows, 0] = folded
         present[rows, 0] = ~had | ~_trivial(folded)
-    # every slot with a CX entry inserted before each segment after the first,
-    # then only the present entries
+    # CX j of fragment f runs before segment j + 1: its entry goes before
+    # that segment's first slot; then only the present entries are kept
+    cx_owner = np.repeat(np.arange(len(width)), cx_count)
+    j = np.arange(len(cx_owner)) - _starts(cx_count)[cx_owner]
+    cx_slots = _SLOTS * (start[cx_owner] + width[cx_owner] * (j + 1))
+    mat_owner = np.repeat(np.arange(len(width)), sizes)
+    wires = ((np.arange(len(mats)) - start[mat_owner]) % width[mat_owner]).astype(np.int8)
     keep = np.insert(present.ravel(), cx_slots, True)
-    owner = np.repeat(np.arange(len(templates)), sizes)[keep]
-    slot_wires = np.repeat(np.array(wires, dtype=np.int8), _SLOTS)
+    owner = np.repeat(np.arange(len(width)), _SLOTS * sizes + cx_count)[keep]
+    controls = _CONTROLS[cx_count[cx_owner], j]
     return Candidates(
         kind=np.insert(kind.ravel(), cx_slots, CX_CODE)[keep],
-        wire=np.insert(slot_wires, cx_slots, cx_wires)[keep],
+        wire=np.insert(np.repeat(wires, _SLOTS), cx_slots, controls)[keep],
         angle=np.insert(angle.ravel(), cx_slots, 0.0)[keep],
-        start=np.concatenate(([0], np.cumsum(np.bincount(owner, minlength=len(templates))))),
-        width=np.array([len(segments[0]) for segments, _, _ in templates]),
+        start=_starts(np.bincount(owner, minlength=len(width))),
+        width=width,
     )
 
 
 def weyl_to_circuit(t: KakTerms) -> Circuit:
-    """Two-wire fragment realizing the KakTerms value at its minimal CX count."""
-    return _emit_many([(*_segments(t), None)]).circuit(0)
-
-
-def _pauli_dress(t: KakTerms, rng: np.random.Generator) -> KakTerms:
-    """exp(i(c1 XX + c2 YY + c3 ZZ)) commutes with P x P for any Pauli P, so
-    the same P can be pushed into all four locals without changing anything."""
-    choice = int(rng.integers(0, 4))
-    if choice == 0:
-        return t
-    p = (PAULI_X, PAULI_Y, PAULI_Z)[choice - 1]
-    l0, l1 = t.left_locals
-    r0, r1 = t.right_locals
-    return KakTerms((l0 @ p, l1 @ p), (p @ r0, p @ r1), t.weyl, t.global_phase)
-
-
-def _template_1q(u: np.ndarray, rng: np.random.Generator | None):
-    """One-wire template of u: the plain Euler run for a None rng, else the
-    run of u RZ(-psi) after a dressing RZ(psi) drawn from the rng."""
-    if rng is None:
-        return [[u]], [], None
-    psi = rng.uniform(DRESS_MARGIN, 2 * np.pi - DRESS_MARGIN)
-    return [[u @ rz_matrix(-psi)]], [], psi
-
-
-def _template_2q(t: KakTerms, rng: np.random.Generator | None):
-    """Two-wire template of a decomposition: the plain KAK template for a None
-    rng, else a Pauli dressing and canceling CX dressings drawn from the rng
-    after the decomposition's own draws."""
-    if rng is None:
-        return (*_segments(t), None)
-    segments, cxs = _segments(_pauli_dress(t, rng))
-    return _dress_cx(segments, cxs, rng), cxs, None
+    """Two-wire fragment realizing the KakTerms value at its minimal CX count:
+    the one-candidate case of the stacked template stage."""
+    (l0, l1), (r0, r1) = t.left_locals, t.right_locals
+    weyl = np.asarray(t.weyl, dtype=float)[None]
+    one = KakStack((l0[None], l1[None]), (r0[None], r1[None]), weyl, np.array([t.global_phase]))
+    cls = _cx_classes(weyl)
+    mats = np.empty((2 * cls[0] + 2, 2, 2), dtype=complex)
+    _templates_2q(mats, np.zeros(1, dtype=int), one, cls, [None])
+    return _emit_many(mats, [2], cls).circuit(0)
 
 
 def _run_products(cands: Candidates) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -326,10 +348,10 @@ def _run_products(cands: Candidates) -> tuple[np.ndarray, np.ndarray, np.ndarray
     run first[i] + 2 s + w is wire w's run after the fragment's s-th CX."""
     owner = cands.owners()
     is_cx = cands.kind == CX_CODE
-    cx_before = np.concatenate(([0], np.cumsum(is_cx)))
+    cx_before = _starts(is_cx)
     first_cx = cx_before[cands.start[:-1]]
     cx_count = cx_before[cands.start[1:]] - first_cx
-    first = np.concatenate(([0], np.cumsum(2 * (cx_count + 1))))
+    first = _starts(2 * (cx_count + 1))
     one = ~is_cx
     run = (first[owner] + 2 * (cx_before[:-1] - first_cx[owner]) + cands.wire)[one]
     kind = cands.kind[one]
@@ -377,7 +399,7 @@ def candidate_unitaries(cands: Candidates) -> dict[tuple[int, int], tuple[np.nda
         u = _kron(runs[r + 1], runs[r])
         stack = np.arange(len(idx))[:, None]
         for s in range(count):
-            rows = _CX_ROWS[controls[first_cx[idx] + s]]
+            rows = CX_ROWS[controls[first_cx[idx] + s]]
             u = _kron(runs[r + 2 * s + 3], runs[r + 2 * s + 2]) @ u[stack, rows]
         out[(width, count)] = idx, u
     return out
@@ -390,35 +412,42 @@ def _candidate_rngs(seed: int, order_index: int, k: int) -> list[np.random.Gener
 
 def _checked_candidates(blocks: list[Block], k: int, seed: int) -> Candidates:
     """k checked candidates per block, block j's at j k .. j k + k - 1, built
-    as one stack: one KAK pass over the candidates of all two-qubit blocks,
-    one Euler pass over the segments of every candidate, then one check of
-    every candidate against its block."""
+    as one stack: the block unitaries by gate structure, one KAK pass over
+    the candidates of all two-qubit blocks, the templates by class, one
+    Euler pass over the segments of every candidate, then one check of
+    every candidate against its block. Only the rng draws run per
+    candidate."""
     if any(not b.gates for b in blocks):
         raise ValueError("cannot synthesize an empty block")
     if k < 1:
         raise ValueError(f"need k >= 1 candidates per block, got {k}")
-    us = [block_unitary(b) for b in blocks]
-    rngs = [_candidate_rngs(seed, b.order_index, k) for b in blocks]
-    two = [i for i, b in enumerate(blocks) if len(b.qubits) == 2]
-    stack = np.array([us[i] for i in two for _ in range(k)]).reshape(-1, 4, 4)
+    width = np.repeat([len(b.qubits) for b in blocks], k).astype(int)
+    frags = {w: np.flatnonzero(width == w) for w in (1, 2)}
+    # each candidate's block unitary and rng, in fragment order within its width
+    us = {w: np.repeat(u, k, axis=0) for w, u in block_unitaries(blocks).items()}
+    rngs: dict[int, list] = {1: [], 2: []}
+    for b in blocks:
+        rngs[len(b.qubits)].extend(_candidate_rngs(seed, b.order_index, k))
     try:
-        terms = iter(kak_decompose_stack(stack, [rng for i in two for rng in rngs[i]]))
+        terms = kak_decompose_stack(us[2], rngs[2])
     except DecompositionError as exc:
-        b = blocks[two[exc.index // k]]
+        f = frags[2][exc.index]
         raise SynthesisError(
-            f"candidate {exc.index % k} for block {b.order_index} has no KAK decomposition"
+            f"candidate {f % k} for block {blocks[f // k].order_index} has no KAK decomposition"
         ) from exc
-    templates = []
-    for b, u, block_rngs in zip(blocks, us, rngs):
-        if len(b.qubits) == 1:
-            templates.extend(_template_1q(u, rng) for rng in block_rngs)
-        else:
-            templates.extend(_template_2q(next(terms), rng) for rng in block_rngs)
-    cands = _emit_many(templates)
+    cx_count = np.zeros(len(width), dtype=int)
+    cx_count[frags[2]] = _cx_classes(terms.weyl)
+    start = _starts(width * (cx_count + 1))
+    mats = np.empty((start[-1], 2, 2), dtype=complex)
+    leads, psi = _templates_1q(mats, start[frags[1]], us[1], rngs[1])
+    _templates_2q(mats, start[frags[2]], terms, cx_count[frags[2]], rngs[2])
+    cands = _emit_many(mats, width, cx_count, frags[1][leads], psi)
+    rank = np.zeros(len(width), dtype=int)  # each fragment's row in us[its width]
+    for w, f in frags.items():
+        rank[f] = np.arange(len(f))
     ok = np.ones(len(cands), dtype=bool)
-    for idx, got in candidate_unitaries(cands).values():
-        want = np.array([us[j // k] for j in idx.tolist()])
-        ok[idx] = equal_up_to_global_phase(got, want, tol=CANDIDATE_TOL)
+    for (w, _), (idx, got) in candidate_unitaries(cands).items():
+        ok[idx] = equal_up_to_global_phase(got, us[w][rank[idx]], tol=CANDIDATE_TOL)
     if not ok.all():
         j = int(np.argmin(ok))
         b = blocks[j // k]

@@ -15,20 +15,26 @@ from qcloak.kak import (
     MAGIC_H,
     UNITARY_TOL,
     KakTerms,
-    _canonicalize,
     canonical_matrix,
 )
-from qcloak.linalg import circuit_unitary, equal_up_to_global_phase, rz_matrix
-from qcloak.partition import Block, block_unitary
+from qcloak.linalg import (
+    PAULI_X,
+    PAULI_Y,
+    PAULI_Z,
+    SX_MATRIX,
+    _apply_1q,
+    _apply_cx,
+    circuit_unitary,
+    equal_up_to_global_phase,
+)
+from qcloak.partition import Block
 from qcloak.qasm import QasmError
 from qcloak.synthesis import (
     CANDIDATE_TOL,
+    CLASS_TOL,
     DRESS_MARGIN,
     RZ_TRIVIAL_TOL,
     SynthesisError,
-    _dress_cx,
-    _pauli_dress,
-    _segments,
 )
 
 ANGLES = st.floats(min_value=-6.3, max_value=6.3, allow_nan=False)
@@ -170,8 +176,221 @@ def rewritten_candidate_1q(u: np.ndarray, rng: np.random.Generator | None) -> Ci
         return Circuit(1, tuple(rewritten_euler_1q(u, 0)))
     psi = rng.uniform(DRESS_MARGIN, 2 * np.pi - DRESS_MARGIN)
     gates = [Gate(GateKind.RZ, (0,), psi)]
-    gates.extend(rewritten_euler_1q(u @ rz_matrix(-psi), 0))
+    gates.extend(rewritten_euler_1q(u @ scalar_rz_matrix(-psi), 0))
     return Circuit(1, tuple(peephole_1q(gates)))
+
+
+# Scalar oracles of the stacked template stage: the rotation builders, KAK's
+# canonicalization, the class decision, the minimal-CX templates with their
+# Pauli and CX dressings, and the block unitary, one matrix at a time. The
+# stacked code in linalg, kak, synthesis and partition must match them bit
+# for bit.
+
+
+def scalar_rx_matrix(theta: float) -> np.ndarray:
+    c, s = np.cos(theta / 2), np.sin(theta / 2)
+    m = np.empty((2, 2), dtype=complex)
+    m[0, 0] = m[1, 1] = c
+    m[0, 1] = m[1, 0] = -1j * s
+    return m
+
+
+def scalar_rz_matrix(theta: float) -> np.ndarray:
+    m = np.zeros((2, 2), dtype=complex)
+    m[0, 0], m[1, 1] = np.exp(-0.5j * theta), np.exp(0.5j * theta)
+    return m
+
+
+def scalar_ry_matrix(theta: float) -> np.ndarray:
+    c, s = np.cos(theta / 2), np.sin(theta / 2)
+    m = np.empty((2, 2), dtype=complex)
+    m[0, 0] = m[1, 1] = c
+    m[0, 1], m[1, 0] = -s, s
+    return m
+
+
+_PAULIS = (PAULI_X, PAULI_Y, PAULI_Z)
+# single-qubit S with (S x S) N(c) (S x S)^dag = N(c with axes j,k swapped)
+_SWAP_CONJ = {
+    (0, 1): scalar_rz_matrix(np.pi / 2),
+    (1, 2): scalar_rx_matrix(np.pi / 2),
+    (0, 2): scalar_ry_matrix(np.pi / 2),
+}
+
+
+def scalar_canonicalize(phase, l1, l0, c, r1, r0):
+    c = np.array(c, dtype=float)
+
+    def shift(k, steps):
+        # c[k] += steps * pi/2 costs a phase and, when odd, a Pauli on both
+        # left locals: N(c + (pi/2) e_k) = i P_k x P_k N(c)
+        nonlocal phase, l1, l0
+        c[k] += steps * np.pi / 2
+        phase += -steps * np.pi / 2
+        if steps % 2 != 0:
+            p = _PAULIS[k]
+            l1 = l1 @ p
+            l0 = l0 @ p
+
+    def negate(j, k):
+        # conjugating by the remaining Pauli on wire 1 flips signs of c_j, c_k
+        nonlocal l1, r1
+        p = _PAULIS[3 - j - k]
+        c[j] = -c[j]
+        c[k] = -c[k]
+        l1 = l1 @ p
+        r1 = p @ r1
+
+    def swap(j, k):
+        nonlocal l1, l0, r1, r0
+        s = _SWAP_CONJ[(min(j, k), max(j, k))]
+        c[j], c[k] = c[k], c[j]
+        l1 = l1 @ s.conj().T
+        l0 = l0 @ s.conj().T
+        r1 = s @ r1
+        r0 = s @ r0
+
+    for k in range(3):
+        steps = -int(np.round(c[k] / (np.pi / 2)))
+        if steps:
+            shift(k, steps)
+    neg = [k for k in range(3) if c[k] < -1e-15]
+    if len(neg) >= 2:
+        negate(neg[0], neg[1])
+    for _ in range(2):
+        if abs(c[0]) < abs(c[1]) - 1e-15:
+            swap(0, 1)
+        if abs(c[1]) < abs(c[2]) - 1e-15:
+            swap(1, 2)
+    if c[0] < -1e-15:
+        negate(0, 2)
+    if c[1] < -1e-15:
+        negate(1, 2)
+    # boundary c1 = pi/4: both signs of c3 are in the same class; fix c3 >= 0
+    if abs(c[0] - np.pi / 4) < 1e-12 and c[2] < -1e-15:
+        shift(0, -1)
+        negate(0, 2)
+    c[np.abs(c) < 1e-15] = 0.0
+    return phase, l1, l0, c, r1, r0
+
+
+def scalar_minimal_cx_count(c: np.ndarray) -> int:
+    """Minimal CX count for canonical coordinates (0, 1, 2, or 3)."""
+    c1, c2, c3 = c
+    if abs(c1) < CLASS_TOL and abs(c2) < CLASS_TOL and abs(c3) < CLASS_TOL:
+        return 0
+    if abs(c1 - np.pi / 4) < CLASS_TOL and abs(c2) < CLASS_TOL and abs(c3) < CLASS_TOL:
+        return 1
+    if abs(c3) < CLASS_TOL:
+        return 2
+    return 3
+
+
+# the fixed rotations of the minimal-CX templates
+_RX_PLUS, _RX_MINUS = scalar_rx_matrix(np.pi / 2), scalar_rx_matrix(-np.pi / 2)
+_RZ_PLUS, _RZ_MINUS = scalar_rz_matrix(np.pi / 2), scalar_rz_matrix(-np.pi / 2)
+_RY_MINUS = scalar_ry_matrix(-np.pi / 2)
+_EYE = np.eye(2, dtype=complex)
+
+
+def scalar_segments(t: KakTerms) -> tuple[list[list[np.ndarray]], list[tuple[int, int]]]:
+    """Template for the minimal-CX circuit of a KakTerms value.
+
+    Returns per-wire 1q segment matrices and the CX list between them:
+    segments[i] applies before cx[i]; cx entries are (control, target) local
+    wires. Matrix identities behind each class were checked numerically to
+    1e-12 over random canonical coordinates.
+    """
+    l0, l1 = t.left_locals
+    r0, r1 = t.right_locals
+    c1, c2, c3 = t.weyl
+    cls = scalar_minimal_cx_count(t.weyl)
+    if cls == 0:
+        return [[l0 @ r0, l1 @ r1]], []
+    if cls == 1:
+        return (
+            [[r0, _RY_MINUS @ r1], [l0 @ _RX_MINUS, l1 @ _RY_MINUS.conj().T @ _RZ_MINUS]],
+            [(1, 0)],
+        )
+    if cls == 2:
+        return (
+            [
+                [_RX_PLUS @ r0, _RX_PLUS @ r1],
+                [scalar_rz_matrix(-2 * c2), scalar_rx_matrix(-2 * c1)],
+                [l0 @ _RX_MINUS, l1 @ _RX_MINUS],
+            ],
+            [(1, 0), (1, 0)],
+        )
+    alpha = 2 * c2 - np.pi / 2
+    beta = np.pi / 2 - 2 * c1
+    delta = np.pi / 2 - 2 * c3
+    return (
+        [
+            [_RZ_PLUS @ r0, r1],
+            [_EYE, scalar_ry_matrix(alpha)],
+            [scalar_rz_matrix(delta), scalar_ry_matrix(beta)],
+            [l0, l1 @ _RZ_MINUS],
+        ],
+        [(1, 0), (0, 1), (1, 0)],
+    )
+
+
+def scalar_dress_cx(segments, cxs, rng: np.random.Generator):
+    """Split a canceling rotation across each CX: RZ on the control wire and
+    RX on the target wire commute with CX, so absorbing RZ(psi)/RZ(-psi)
+    (resp. RX) into the neighboring segments leaves the product unchanged."""
+    for i, (control, target) in enumerate(cxs):
+        psi = rng.uniform(DRESS_MARGIN, 2 * np.pi - DRESS_MARGIN)
+        chi = rng.uniform(DRESS_MARGIN, 2 * np.pi - DRESS_MARGIN)
+        segments[i][control] = scalar_rz_matrix(-psi) @ segments[i][control]
+        segments[i + 1][control] = segments[i + 1][control] @ scalar_rz_matrix(psi)
+        segments[i][target] = scalar_rx_matrix(-chi) @ segments[i][target]
+        segments[i + 1][target] = segments[i + 1][target] @ scalar_rx_matrix(chi)
+    return segments
+
+
+def scalar_pauli_dress(t: KakTerms, rng: np.random.Generator) -> KakTerms:
+    """exp(i(c1 XX + c2 YY + c3 ZZ)) commutes with P x P for any Pauli P, so
+    the same P can be pushed into all four locals without changing anything."""
+    choice = int(rng.integers(0, 4))
+    if choice == 0:
+        return t
+    p = (PAULI_X, PAULI_Y, PAULI_Z)[choice - 1]
+    l0, l1 = t.left_locals
+    r0, r1 = t.right_locals
+    return KakTerms((l0 @ p, l1 @ p), (p @ r0, p @ r1), t.weyl, t.global_phase)
+
+
+def scalar_template_2q(t: KakTerms, rng: np.random.Generator | None):
+    """Two-wire template of a decomposition: the plain KAK template for a None
+    rng, else a Pauli dressing and canceling CX dressings drawn from the rng
+    after the decomposition's own draws."""
+    if rng is None:
+        return scalar_segments(t)
+    segments, cxs = scalar_segments(scalar_pauli_dress(t, rng))
+    return scalar_dress_cx(segments, cxs, rng), cxs
+
+
+def scalar_gate_unitary(g: Gate) -> np.ndarray:
+    if g.kind is GateKind.RZ:
+        return scalar_rz_matrix(g.angle)
+    if g.kind is GateKind.RX:
+        return scalar_rx_matrix(g.angle)
+    return PAULI_X if g.kind is GateKind.X else SX_MATRIX
+
+
+def per_gate_block_unitary(b: Block) -> np.ndarray:
+    """Reference for partition.block_unitaries: the block's gates applied to
+    the identity one at a time, on their local wires."""
+    n = len(b.qubits)
+    u = np.eye(2**n, dtype=complex)
+    for g in b.gates:
+        wires = tuple(b.local(q) for q in g.qubits)
+        if g.kind is GateKind.CX:
+            _apply_cx(u, wires[0], wires[1], n)
+        else:
+            u = _apply_1q(u, scalar_gate_unitary(g), wires[0], n)
+    return u
 
 
 # Per-candidate synthesis oracle: each candidate decomposed, emitted and
@@ -251,7 +470,7 @@ def per_candidate_kak(u: np.ndarray, rng: np.random.Generator | None = None) -> 
         raise ValueError("input matrix is not unitary")
     if rng is None:
         rng = np.random.default_rng(2023)
-    phase, l1, l0, c, r1, r0 = _canonicalize(*per_candidate_raw_decompose(u, rng))
+    phase, l1, l0, c, r1, r0 = scalar_canonicalize(*per_candidate_raw_decompose(u, rng))
     phase = float((phase + np.pi) % (2 * np.pi) - np.pi)
     return KakTerms((l0, l1), (r0, r1), c, phase)
 
@@ -294,7 +513,7 @@ def per_candidate_1q(u: np.ndarray, rng: np.random.Generator | None) -> Circuit:
     if rng is None:
         return Circuit(1, tuple(per_candidate_euler_1q(u, 0)))
     psi = rng.uniform(DRESS_MARGIN, 2 * np.pi - DRESS_MARGIN)
-    gates = per_candidate_euler_1q(u @ rz_matrix(-psi), 0)
+    gates = per_candidate_euler_1q(u @ scalar_rz_matrix(-psi), 0)
     if gates and gates[0].kind is GateKind.RZ:
         gates[:1] = _rz_unless_trivial(psi + gates[0].angle, 0)
     else:
@@ -303,18 +522,14 @@ def per_candidate_1q(u: np.ndarray, rng: np.random.Generator | None) -> Circuit:
 
 
 def per_candidate_2q(u: np.ndarray, rng: np.random.Generator | None) -> Circuit:
-    if rng is None:
-        return _per_candidate_emit(*_segments(per_candidate_kak(u)))
-    terms = _pauli_dress(per_candidate_kak(u, rng=rng), rng)
-    segments, cxs = _segments(terms)
-    return _per_candidate_emit(_dress_cx(segments, cxs, rng), cxs)
+    return _per_candidate_emit(*scalar_template_2q(per_candidate_kak(u, rng), rng))
 
 
 def per_candidate_generate(b: Block, k: int, seed: int, rngs=None) -> list[Circuit]:
     """Reference for synthesis.generate_candidates: each candidate built and
     checked through circuit_unitary before the next is drawn. rngs replaces
     the per-(seed, block, index) generators when given."""
-    u = block_unitary(b)
+    u = per_gate_block_unitary(b)
     build = per_candidate_1q if len(b.qubits) == 1 else per_candidate_2q
     if rngs is None:
         rngs = [None] + [np.random.default_rng([seed, b.order_index, i]) for i in range(1, k)]
@@ -603,8 +818,8 @@ def dense_equivalent(a: Circuit, b: Circuit, tol: float = 1e-7) -> bool:
 
 def tensordot_circuit_unitary(c: Circuit) -> np.ndarray:
     """Gate-by-gate product by per-gate tensordot contraction (2x2 matmuls on
-    one wire). block_unitary must equal it bit for bit: its bits are KAK's
-    input and so fix the encoded QASM."""
+    one wire). partition.block_unitaries must equal it bit for bit: its bits
+    are KAK's input and so fix the encoded QASM."""
     from qcloak.circuit import GateKind
     from qcloak.linalg import gate_unitary
 

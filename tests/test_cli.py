@@ -72,6 +72,38 @@ def test_encode_summary_names_the_estimated_netlsd_path(tmp_path, capsys, monkey
     assert sorted(calls) == [796, 1062]
 
 
+def test_encode_summary_builds_and_signs_each_dag_once(tmp_path, capsys, monkeypatch):
+    circuit = gen_qft(4)
+    src = tmp_path / "qft4.qasm"
+    src.write_text(serialize_qasm(circuit))
+    enc = qcloak.pipeline.encode(circuit, qcloak.pipeline.PipelineConfig(seed=3))
+    want = qcloak.netlsd.netlsd_divergence(enc.circuit, make_baseline(circuit))
+    built, signed, compared = [], [], []
+    for mod in (qcloak.cli, qcloak.netlsd):
+        monkeypatch.setattr(
+            mod, "to_dag", lambda c, real=mod.to_dag: built.append(real(c)) or built[-1]
+        )
+    real_sign = qcloak.netlsd.netlsd_signature
+    monkeypatch.setattr(
+        qcloak.netlsd, "netlsd_signature", lambda d, *a: signed.append(d) or real_sign(d, *a)
+    )
+    divergence = qcloak.cli.netlsd_divergence
+    monkeypatch.setattr(
+        qcloak.cli, "netlsd_divergence", lambda *sigs: compared.append(sigs) or divergence(*sigs)
+    )
+    out, key = tmp_path / "enc.qasm", tmp_path / "key.json"
+    assert main(["encode", str(src), str(out), str(key), "--seed", "3"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    # one DAG per circuit, each signed once; the synthesis memo signs its own
+    # fragment DAGs, which no to_dag call builds
+    assert len(built) == 2
+    assert [d for d in signed if any(d is b for b in built)] == built
+    assert len(compared) == 1
+    assert all(isinstance(sig, qcloak.netlsd.HeatSignature) for sig in compared[0])
+    assert payload["netlsd_vs_baseline"] == want
+    assert payload["netlsd_path"] == {"encoded": "dense", "baseline": "dense"}
+
+
 def test_decode_partial_measurement(tmp_path, capsys):
     # add9 measuring only its 4-bit sum register (1 + 15 mod 16 = 0000)
     _m, _a, sum_wires, _cout = adder_layout(9)

@@ -7,6 +7,7 @@ from scipy.linalg import expm
 from qcloak.kak import (
     MAGIC,
     MAGIC_H,
+    PLAIN_SEED,
     KakTerms,
     _factor_kron_2x2,
     canonical_matrix,
@@ -238,4 +239,59 @@ def test_kak_stack_rejects_bad_input():
         kak_decompose_stack(np.array([u, 2 * u]), [None, None])
     with pytest.raises(ValueError, match="expected 2 4x4 matrices"):
         kak_decompose_stack(np.array([u]), [None, None])
-    assert kak_decompose_stack(np.zeros((0, 4, 4)), []) == []
+    assert len(kak_decompose_stack(np.zeros((0, 4, 4)), [])) == 0
+
+
+def _counting_default_rng(monkeypatch) -> list:
+    """Record the arguments of every np.random.default_rng call."""
+    calls = []
+    real = np.random.default_rng
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(np.random, "default_rng", counting)
+    return calls
+
+
+def test_plain_rows_build_no_generator(monkeypatch):
+    # a plain row's first diagonalizer mix is fixed; its generator is built
+    # only when that mix fails
+    rng = np.random.default_rng(3)
+    us = [np.linalg.qr(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))[0] for _ in range(6)]
+    us += [class_edge_unitary(c, eps, 2) for c in sorted(CLASS_EDGES) for eps in CLASS_EDGE_EPS]
+    want = [per_candidate_kak(u, None) for u in us]
+    calls = _counting_default_rng(monkeypatch)
+    got = kak_decompose_stack(np.array(us), [None] * len(us))
+    assert calls == []
+    for g, w in zip(got, want):
+        _assert_terms_equal(g, w)
+
+
+def _plain_mix_degenerate_unitary(seed: int) -> np.ndarray:
+    """A unitary whose magic-basis Gram matrix m2 has two eigenphases x1, x2
+    on which the plain first mix a cos x + b sin x takes one value, so that
+    mix's eigenvectors mix their eigenvectors and do not diagonalize m2."""
+    a, b = np.random.default_rng(PLAIN_SEED).uniform(-1, 1, 2)
+    phi = np.arctan2(b, a)
+    x = np.array([phi + 0.7, phi - 0.7, 0.4, 0.0])
+    x[3] = -x[:3].sum()  # det v = 1
+    o = _special_orthogonal(np.random.default_rng(seed))
+    v = o @ np.diag(np.exp(0.5j * x)) @ o.T  # m2 = v^T v = o diag(e^{i x}) o^T
+    return MAGIC @ v @ MAGIC_H
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_plain_row_whose_first_try_fails_matches_oracle(monkeypatch, seed):
+    u = _plain_mix_degenerate_unitary(seed)
+    other = class_edge_unitary("c1_pi_4", 0.0, 3)
+    want = [per_candidate_kak(m, None) for m in (u, other)]
+    calls = _counting_default_rng(monkeypatch)
+    got = kak_decompose_stack(np.array([u, other]), [None, None])
+    # only the failing row built its generator, and it retried from the
+    # plain generator's second draw on
+    assert calls == [(PLAIN_SEED,)]
+    for g, w in zip(got, want):
+        _assert_terms_equal(g, w)
+    assert np.max(np.abs(kak_reconstruct(got[0]) - u)) <= 1e-9

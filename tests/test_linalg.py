@@ -14,6 +14,7 @@ from qcloak.linalg import (
     equal_up_to_global_phase,
     gate_unitary,
     rx_matrix,
+    ry_matrix,
     rz_matrix,
 )
 from strategies import (
@@ -22,6 +23,9 @@ from strategies import (
     embed_unitary,
     is_unitary,
     one_qubit_runs,
+    scalar_rx_matrix,
+    scalar_ry_matrix,
+    scalar_rz_matrix,
     slow_circuit_unitary,
 )
 
@@ -30,6 +34,54 @@ def test_rotation_matrices_match_exponentials():
     for theta in (-5.0, -np.pi / 3, 0.0, 0.7, np.pi, 6.2):
         assert np.allclose(rz_matrix(theta), expm(-0.5j * theta * PAULI_Z), atol=1e-14)
         assert np.allclose(rx_matrix(theta), expm(-0.5j * theta * PAULI_X), atol=1e-14)
+
+
+# angles where a vectorized sin, cos or exp could round apart from a scalar
+# call: signed zeros, multiples of pi/2, a subnormal-scale and a huge angle
+BOUNDARY_ANGLES = (
+    0.0, -0.0, np.pi / 2, -np.pi / 2, np.pi, -np.pi, 2 * np.pi, -2 * np.pi, 1e-300, 1e10
+)
+
+
+def _bits(a: np.ndarray) -> np.ndarray:
+    return np.ascontiguousarray(a).view(np.uint64)
+
+
+@pytest.mark.parametrize(
+    "stacked, scalar",
+    [(rx_matrix, scalar_rx_matrix), (ry_matrix, scalar_ry_matrix), (rz_matrix, scalar_rz_matrix)],
+    ids=["rx", "ry", "rz"],
+)
+def test_stacked_rotations_match_scalar_builders_bit_for_bit(stacked, scalar):
+    # the stacked template stage builds its rotations from angle arrays; its
+    # outputs equal the per-candidate code's only if every entry has the
+    # bits of a one-angle call
+    rng = np.random.default_rng(24)
+    angles = np.concatenate(
+        (rng.uniform(-4 * np.pi, 4 * np.pi, 100_000), rng.normal(0, 1e3, 2_000), BOUNDARY_ANGLES)
+    )
+    want = np.array([scalar(a) for a in angles.tolist()])
+    assert np.array_equal(_bits(stacked(angles)), _bits(want))
+    assert np.array_equal(_bits(stacked(angles[::-1][::2])), _bits(want[::-1][::2]))
+    for a in BOUNDARY_ANGLES:
+        assert np.array_equal(_bits(stacked(a)), _bits(scalar(a)))
+
+
+def test_stacked_2x2_matmul_matches_per_matrix_products_bit_for_bit():
+    # contiguous (n, 2, 2) stacks, a broadcast constant on either side and a
+    # transposed constant, as the template stage and KAK canonicalization
+    # multiply them
+    rng = np.random.default_rng(6)
+    a, b = (rng.normal(size=(2, 5_000, 2, 2)) + 1j * rng.normal(size=(2, 5_000, 2, 2)))
+    c = scalar_ry_matrix(-np.pi / 2)
+    for got, want in (
+        (a @ b, [x @ y for x, y in zip(a, b)]),
+        (a @ c, [x @ c for x in a]),
+        (c @ a, [c @ x for x in a]),
+        (a @ c.conj().T, [x @ c.conj().T for x in a]),
+        (np.matmul(np.broadcast_to(c, a.shape), b), [c @ y for y in b]),
+    ):
+        assert np.array_equal(_bits(got), _bits(np.array(want)))
 
 
 def test_sx_squares_to_x():

@@ -4,12 +4,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from qcloak.bench import gen_adder, gen_qft
+from qcloak.bench import gen_adder, gen_qft, gen_random_blocks
 from qcloak.circuit import Circuit, cx, rx, rz, sx, x
 from qcloak.linalg import circuit_unitary, equal_up_to_global_phase
 from qcloak.obfuscate import inject_rx_pairs, inject_x_end
-from qcloak.partition import Block, block_unitary, form_blocks, reassemble
-from strategies import circuits, tensordot_circuit_unitary, to_local_circuit
+from qcloak.partition import Block, block_unitaries, block_unitary, form_blocks, reassemble
+from qcloak.synthesis import SYNTH_CHUNK
+from strategies import circuits, per_gate_block_unitary, tensordot_circuit_unitary, to_local_circuit
 
 
 def test_block_validation():
@@ -75,10 +76,25 @@ def test_block_unitary_matches_local_circuit():
     assert np.allclose(block_unitary(b), circuit_unitary(to_local_circuit(b)))
 
 
+def _bits(a: np.ndarray) -> np.ndarray:
+    return np.ascontiguousarray(a).view(np.uint64)
+
+
 def _assert_block_bits_pinned(p):
-    for b in p.blocks:
-        want = tensordot_circuit_unitary(to_local_circuit(b))
-        assert np.array_equal(block_unitary(b), want)
+    # the stacked unitaries of whole chunks, as synthesis builds them, and of
+    # each block alone, against two gate-by-gate products
+    blocks = list(p.blocks)
+    for start in range(0, len(blocks), SYNTH_CHUNK):
+        chunk = blocks[start : start + SYNTH_CHUNK]
+        stacks = block_unitaries(chunk)
+        for w, stack in stacks.items():
+            members = [b for b in chunk if len(b.qubits) == w]
+            assert stack.shape == (len(members), 2**w, 2**w)
+            for b, got in zip(members, stack):
+                want = tensordot_circuit_unitary(to_local_circuit(b))
+                assert np.array_equal(_bits(got), _bits(want))
+                assert np.array_equal(_bits(got), _bits(per_gate_block_unitary(b)))
+                assert np.array_equal(_bits(block_unitary(b)), _bits(want))
 
 
 @given(circuits(max_qubits=4, max_gates=30))
@@ -92,6 +108,19 @@ def test_block_unitary_bits_pinned_on_rx_injected_blocks(c):
     x_circ, _key = inject_x_end(c, 4)
     p, _record = inject_rx_pairs(form_blocks(x_circ), 5)
     _assert_block_bits_pinned(p)
+
+
+def test_block_unitary_bits_pinned_across_chunks():
+    # 658 RX-injected blocks: three chunks of mixed widths and many structures
+    x_circ, _key = inject_x_end(gen_random_blocks(128, 300, 1), 3)
+    p, _record = inject_rx_pairs(form_blocks(x_circ), 3)
+    assert len(p.blocks) > 2 * SYNTH_CHUNK
+    _assert_block_bits_pinned(p)
+
+
+def test_block_unitaries_of_no_blocks():
+    stacks = block_unitaries([])
+    assert {w: s.shape for w, s in stacks.items()} == {1: (0, 2, 2), 2: (0, 4, 4)}
 
 
 def test_reassemble_identity_reproduces_original():

@@ -1,3 +1,4 @@
+import itertools
 from unittest import mock
 
 import numpy as np
@@ -29,8 +30,9 @@ from qcloak.synthesis import (
     Candidates,
     SynthesisError,
     _checked_candidates,
+    _cx_classes,
     _emit_many,
-    _template_1q,
+    _templates_1q,
     candidate_unitaries,
     generate_candidates,
     minimal_cx_count,
@@ -40,6 +42,8 @@ from qcloak.synthesis import (
     weyl_to_circuit,
 )
 from strategies import (
+    BOUNDARY_OFFSETS,
+    BOUNDARY_POINTS,
     CLASS_EDGE_EPS,
     CLASS_EDGES,
     ZeroFirstRng,
@@ -55,6 +59,7 @@ from strategies import (
     per_candidate_generate,
     rewritten_candidate_1q,
     rewritten_euler_1q,
+    scalar_minimal_cx_count,
     to_local_circuit,
     unitaries,
 )
@@ -66,7 +71,7 @@ def _u1(c: Circuit) -> np.ndarray:
 
 def euler_1q(u: np.ndarray, wire: int = 0):
     """The one-matrix case of the stacked Euler emission, on the given wire."""
-    frag = _emit_many([([[np.asarray(u, dtype=complex)]], [], None)]).circuit(0)
+    frag = _emit_many(np.asarray(u, dtype=complex)[None], [1], [0]).circuit(0)
     return [Gate(g.kind, (wire,), g.angle) for g in frag.gates]
 
 
@@ -123,7 +128,9 @@ EDGE_EPS = [0.0, 1e-13, -1e-13, 1e-11]
 
 
 def _candidate_1q(u: np.ndarray, rng: np.random.Generator | None) -> Circuit:
-    return _emit_many([_template_1q(u, rng)]).circuit(0)
+    mats = np.empty((1, 2, 2), dtype=complex)
+    leads = _templates_1q(mats, np.zeros(1, dtype=int), np.asarray(u, dtype=complex)[None], [rng])
+    return _emit_many(mats, [1], [0], *leads).circuit(0)
 
 
 def _dressing_angle(seed: int) -> float:
@@ -188,6 +195,18 @@ def test_minimal_cx_count_classes():
     assert minimal_cx_count(np.array([0.5, 0.3, 0.0])) == 2
     assert minimal_cx_count(np.array([np.pi / 4, np.pi / 4, np.pi / 4])) == 3
     assert minimal_cx_count(np.array([0.5, 0.3, 1e-12])) == 2
+
+
+def test_stacked_class_decision_matches_per_candidate_rule():
+    # every boundary point with every offset on each coordinate, and the
+    # offsets alone (near-identity blocks): the stacked decision keeps the
+    # per-candidate rule exactly, its CLASS_TOL edges included
+    offsets = np.array(list(itertools.product(BOUNDARY_OFFSETS, repeat=3)))
+    weyl = np.concatenate([offsets] + [np.array(c) + offsets for c in BOUNDARY_POINTS.values()])
+    want = [scalar_minimal_cx_count(c) for c in weyl]
+    assert _cx_classes(weyl).tolist() == want
+    assert [minimal_cx_count(c) for c in weyl] == want
+    assert set(want) == {0, 1, 2, 3}
 
 
 @given(unitaries())
@@ -376,7 +395,7 @@ def _mutating_emit(monkeypatch, index: int, mutate):
     monkeypatch.setattr(
         qcloak.synthesis,
         "_emit_many",
-        lambda templates: _with_candidate(real(templates), index, mutate),
+        lambda *args: _with_candidate(real(*args), index, mutate),
     )
 
 
@@ -523,7 +542,7 @@ def test_block_stack_matches_per_block_oracle(drawn, k, seed, chunk, data):
 
 @pytest.mark.parametrize("count", [SYNTH_CHUNK - 1, SYNTH_CHUNK, SYNTH_CHUNK + 1])
 def test_block_stack_matches_oracle_across_the_real_chunk_size(count):
-    c = gen_random_blocks(24, 120, seed=3)
+    c = gen_random_blocks(24, 200, seed=3)  # 399 blocks, more than SYNTH_CHUNK + 1
     bs = _with_orders(list(form_blocks(c).blocks)[:count], first=1)
     assert len(bs) == count and {len(b.qubits) for b in bs} == {1, 2}
     stub = next(b for b in reversed(bs) if len(b.qubits) == 2)
