@@ -12,7 +12,7 @@ import json
 import time
 from dataclasses import asdict, dataclass, field, fields
 
-from .circuit import Circuit, gate_counts
+from .circuit import Circuit, Fragment, gate_counts
 from .dag import cx_depth
 from .distributions import Distribution
 from .netlsd import circuit_signature, netlsd_divergence
@@ -80,9 +80,10 @@ def make_baseline(c: Circuit, table: dict | None = None) -> Circuit:
 
     The plain fragment is a pure function of the block's local gates, so
     each distinct block is synthesized once, with k = 1. table maps block
-    keys to plain candidates as (Candidates, index), emitted onto each
-    block's own qubits; a caller that passes the same dict to several calls
-    shares them."""
+    keys to plain candidates as (Candidates, index); a caller that passes
+    the same dict to several calls shares them. The candidates of each
+    Candidates stack are placed on their blocks' qubits as one column set
+    and reach reassemble as Fragments, so no Gate is built."""
     p = form_blocks(c)
     table = {} if table is None else table
     keys = {b.order_index: _block_key(b) for b in p.blocks}
@@ -94,10 +95,17 @@ def make_baseline(c: Circuit, table: dict | None = None) -> Circuit:
     for chunk, cands in candidate_chunks(list(missing.values()), 1, 0):
         for j, b in enumerate(chunk):
             table[keys[b.order_index]] = cands, j
-    fragments = {}
+    placed: dict[int, tuple] = {}  # per Candidates stack: it, its blocks, their candidates
     for b in p.blocks:
         cands, j = table[keys[b.order_index]]
-        fragments[b.order_index] = cands.gates(j, b.qubits)
+        _cands, members, idx = placed.setdefault(id(cands), (cands, [], []))
+        members.append(b)
+        idx.append(j)
+    fragments = {}
+    for cands, members, idx in placed.values():
+        cols, at = cands.place(idx, [b.qubits[0] for b in members], [b.qubits[-1] for b in members])
+        for f, b in enumerate(members):
+            fragments[b.order_index] = Fragment(cols, at[f], at[f + 1])
     return reassemble(p, fragments)
 
 

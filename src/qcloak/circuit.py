@@ -1,8 +1,19 @@
-"""Circuit intermediate representation over the {X, SX, RZ, RX, CX} basis."""
+"""Circuit intermediate representation over the {X, SX, RZ, RX, CX} basis.
+
+A Circuit holds its gates as Gate objects, as columns (CircuitColumns: kind
+codes, two qubit columns and an angle column), or both: the compiler's
+outputs are built from columns and build their Gates only when .gates is
+read, so reassembly, certification, gate counts, CX depth and DAG edges run
+as array operations.
+"""
 
 import math
-from dataclasses import dataclass, field
+from collections.abc import Sequence
+from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
+
+import numpy as np
 
 
 class GateKind(Enum):
@@ -74,20 +85,143 @@ def cx(control: int, target: int) -> Gate:
     return Gate(GateKind.CX, (control, target))
 
 
+# Column kind codes, shared with synthesis.Candidates; KINDS[code] is the kind.
+RZ_CODE, SX_CODE, X_CODE, CX_CODE, RX_CODE = range(5)
+KINDS = (GateKind.RZ, GateKind.SX, GateKind.X, GateKind.CX, GateKind.RX)
+_CODES = {kind: code for code, kind in enumerate(KINDS)}
+
+
+class CircuitColumns(NamedTuple):
+    """A gate sequence as columns, row i the i-th gate: kind codes (int8), the
+    qubit or a CX's control (q0), a CX's target or -1 (q1), and the angle of
+    an RZ or RX or NaN (angle)."""
+
+    kind: np.ndarray
+    q0: np.ndarray
+    q1: np.ndarray
+    angle: np.ndarray
+
+    def gates(self, start: int = 0, stop: int | None = None) -> tuple[Gate, ...]:
+        """Rows start:stop as Gates, each built and checked by Gate."""
+        rows = (col[start:stop].tolist() for col in self)
+        # t != t: NaN, no angle
+        return tuple(
+            [
+                Gate(KINDS[k], (a,) if b == -1 else (a, b), None if t != t else t)
+                for k, a, b, t in zip(*rows)
+            ]
+        )
+
+
+def gate_columns(gates) -> CircuitColumns:
+    """Columns of a sequence of Gates."""
+    gates = tuple(gates)
+    return CircuitColumns(
+        np.array([_CODES[g.kind] for g in gates], dtype=np.int8),
+        np.array([g.qubits[0] for g in gates], dtype=np.int64),
+        np.array([g.qubits[1] if len(g.qubits) == 2 else -1 for g in gates], dtype=np.int64),
+        np.array([math.nan if g.angle is None else g.angle for g in gates], dtype=float),
+    )
+
+
+def _checked_columns(num_qubits: int, cols) -> CircuitColumns:
+    """Read-only copies of the columns after the checks Gate and Circuit run
+    on the same gates, with their errors: the first row that breaks a gate
+    rule raises as Gate raises for it, then a non-positive num_qubits, then
+    the first gate outside the qubits."""
+    kind, q0, q1, angle = (np.asarray(col) for col in cols)
+    if any(col.ndim != 1 or len(col) != len(kind) for col in (kind, q0, q1, angle)):
+        raise ValueError("gate columns must be 1-D and of one length")
+    integral = all(col.dtype.kind in "iu" for col in (kind, q0, q1))
+    if len(kind) and not (integral and angle.dtype.kind == "f"):
+        raise TypeError("kind and qubit columns must be integers, angles floats")
+    kind, q0, q1 = kind.astype(np.int64), q0.astype(np.int64), q1.astype(np.int64)
+    angle = angle.astype(float)
+    unknown = (kind < 0) | (kind >= len(KINDS))
+    if unknown.any():
+        raise ValueError(f"unknown gate kind code {kind[np.argmax(unknown)]}")
+    is_cx = kind == CX_CODE
+    angled = (kind == RZ_CODE) | (kind == RX_CODE)
+    broken = (
+        (is_cx != (q1 != -1))
+        | (is_cx & (q0 == q1))
+        | np.where(angled, ~np.isfinite(angle), ~np.isnan(angle))
+    )
+    if broken.any():
+        _row_gate(kind, q0, q1, angle, int(np.argmax(broken)))  # raises Gate's error
+    if num_qubits < 1:
+        raise ValueError("num_qubits must be positive")
+    outside = (q0 < 0) | (q0 >= num_qubits) | (is_cx & ((q1 < 0) | (q1 >= num_qubits)))
+    if outside.any():
+        g = _row_gate(kind, q0, q1, angle, int(np.argmax(outside)))
+        raise ValueError(f"gate {g} acts outside qubits 0..{num_qubits - 1}")
+    out = CircuitColumns(kind.astype(np.int8), q0, q1, angle)
+    for col in out:
+        col.setflags(write=False)
+    return out
+
+
+def _row_gate(kind, q0, q1, angle, i: int) -> Gate:
+    """Row i as a Gate: a row that breaks a gate rule raises Gate's error.
+    NaN is a missing angle, except on RZ and RX, where it is the angle."""
+    k, b, t = int(kind[i]), int(q1[i]), float(angle[i])
+    qubits = (int(q0[i]),) if b == -1 else (int(q0[i]), b)
+    return Gate(KINDS[k], qubits, None if math.isnan(t) and k not in (RZ_CODE, RX_CODE) else t)
+
+
+def _check_measured(num_qubits: int, measured: tuple[int, ...]) -> None:
+    if len(set(measured)) != len(measured):
+        raise ValueError("duplicate measured qubit")
+    for q in measured:
+        if not 0 <= q < num_qubits:
+            raise ValueError(f"measured qubit {q} out of range")
+
+
+class Derived:
+    """Descriptor of a frozen dataclass's tuple field that an instance is
+    either built with or derives once, on the first read, by derive(instance)
+    (see Circuit.gates). Given a default, the field is optional."""
+
+    def __init__(self, derive, *default):
+        self.derive, self.default = derive, default
+
+    def __set_name__(self, owner, name):
+        self.key = "_" + name
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            if not self.default:
+                raise AttributeError(self.key)  # a field without a default
+            return self.default[0]
+        value = obj.__dict__.get(self.key)
+        if value is None:
+            value = obj.__dict__[self.key] = self.derive(obj)
+        return value
+
+    def __set__(self, obj, value):
+        obj.__dict__[self.key] = tuple(value)
+
+
 @dataclass(frozen=True)
 class Circuit:
     """Ordered gate list over num_qubits wires.
 
     Gate order is execution order. Qubit 0 is the least significant bit of
     every basis-state index and the rightmost character of outcome strings.
+
+    A circuit is built from Gates (Circuit(n, gates, measured)) or from
+    columns (Circuit.from_columns), after the same checks. Each form is
+    derived from the other once, when it is first read: .gates builds the
+    Gates of a columns-built circuit, .columns the columns of a Gate-built
+    one. Equality and hashing compare Gates, so both forms of one gate
+    sequence are equal and hash alike.
     """
 
     num_qubits: int
-    gates: tuple[Gate, ...] = ()
+    gates: tuple[Gate, ...] = Derived(lambda c: c.__dict__["_columns"].gates(), ())
     measured_qubits: tuple[int, ...] = ()
 
     def __post_init__(self):
-        object.__setattr__(self, "gates", tuple(self.gates))
         object.__setattr__(self, "measured_qubits", tuple(self.measured_qubits))
         if self.num_qubits < 1:
             raise ValueError("num_qubits must be positive")
@@ -97,15 +231,111 @@ class Circuit:
         if used and (min(used) < 0 or max(used) >= n):
             g = next(g for g in self.gates if min(g.qubits) < 0 or max(g.qubits) >= n)
             raise ValueError(f"gate {g} acts outside qubits 0..{n - 1}")
-        if len(set(self.measured_qubits)) != len(self.measured_qubits):
-            raise ValueError("duplicate measured qubit")
-        for q in self.measured_qubits:
-            if not 0 <= q < self.num_qubits:
-                raise ValueError(f"measured qubit {q} out of range")
+        _check_measured(n, self.measured_qubits)
+
+    @classmethod
+    def from_columns(
+        cls, num_qubits: int, columns, measured_qubits: tuple[int, ...] = ()
+    ) -> "Circuit":
+        """A circuit whose gates are the rows of columns (a CircuitColumns or
+        any (kind, q0, q1, angle) sequence), checked as Gate and Circuit
+        check the same gates and raising their errors. No Gate is built
+        until .gates is read."""
+        cols = _checked_columns(num_qubits, columns)
+        measured = tuple(measured_qubits)
+        _check_measured(num_qubits, measured)
+        c = object.__new__(cls)
+        c.__dict__.update(num_qubits=num_qubits, measured_qubits=measured, _columns=cols)
+        return c
+
+    @property
+    def columns(self) -> CircuitColumns:
+        """The gates as read-only columns, derived once for a Gate-built circuit."""
+        cols = self.__dict__.get("_columns")
+        if cols is None:
+            cols = gate_columns(self.gates)
+            for col in cols:
+                col.setflags(write=False)
+            self.__dict__["_columns"] = cols
+        return cols
 
     @property
     def num_gates(self) -> int:
-        return len(self.gates)
+        cols = self.__dict__.get("_columns")
+        return len(self.gates) if cols is None else len(cols.kind)
+
+
+def offsets(sizes) -> np.ndarray:
+    """Offsets of consecutive runs of the given sizes, one more than runs."""
+    out = np.zeros(len(sizes) + 1, dtype=np.int64)
+    np.cumsum(sizes, out=out[1:])
+    return out
+
+
+def ranges(starts: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+    """The runs starts[i] .. starts[i] + sizes[i] - 1, concatenated."""
+    sizes = np.asarray(sizes, dtype=np.int64)
+    at = offsets(sizes)
+    return np.repeat(np.asarray(starts, dtype=np.int64) - at[:-1], sizes) + np.arange(at[-1])
+
+
+class Fragment(Sequence):
+    """Rows start:stop of shared CircuitColumns: the gates that replace one
+    block, on global qubits. Indexing or iterating builds them as Gates;
+    stack_fragments reads the rows."""
+
+    __slots__ = ("columns", "start", "stop")
+
+    def __init__(self, columns: CircuitColumns, start: int, stop: int):
+        self.columns, self.start, self.stop = columns, start, stop
+
+    def __len__(self) -> int:
+        return self.stop - self.start
+
+    def __iter__(self):
+        return iter(self.columns.gates(self.start, self.stop))
+
+    def __getitem__(self, i):
+        return self.columns.gates(self.start, self.stop)[i]
+
+    def __repr__(self) -> str:
+        return f"Fragment({self.columns.gates(self.start, self.stop)!r})"
+
+
+def stack_fragments(frags) -> tuple[CircuitColumns, np.ndarray]:
+    """The rows of the fragments concatenated in list order, and each
+    fragment's length. A fragment is a Fragment or a sequence of Gates; the
+    Fragments' rows are gathered with one array operation per column set."""
+    sizes = np.array([len(f) for f in frags], dtype=np.int64)
+    at = offsets(sizes)
+    groups: dict[int, tuple[CircuitColumns, list[int], list[int]]] = {}
+    loose: list[int] = []
+    for i, f in enumerate(frags):
+        if type(f) is Fragment:
+            _cols, members, starts = groups.setdefault(id(f.columns), (f.columns, [], []))
+            members.append(i)
+            starts.append(f.start)
+        elif len(f):
+            loose.append(i)
+    parts = list(groups.values())
+    if loose:
+        gates = gate_columns(g for i in loose for g in frags[i])
+        parts.append((gates, loose, offsets(sizes[loose])[:-1]))
+    if len(parts) == 1:  # the other fragments are empty: one gather
+        cols, members, starts = parts[0]
+        rows = ranges(starts, sizes[members])
+        return CircuitColumns(*(col[rows] for col in cols)), sizes
+    out = CircuitColumns(
+        np.empty(at[-1], dtype=np.int8),
+        np.empty(at[-1], dtype=np.int64),
+        np.empty(at[-1], dtype=np.int64),
+        np.empty(at[-1]),
+    )
+    for cols, members, starts in parts:
+        rows, dest = ranges(starts, sizes[members]), ranges(at[members], sizes[members])
+        for col, src in zip(out, cols):
+            col[dest] = src[rows]
+    return out, sizes
 
 
 @dataclass(frozen=True)
@@ -121,15 +351,7 @@ class GateCounts:
 
 
 def gate_counts(c: Circuit) -> GateCounts:
-    """Per-kind gate tallies; SX and X are grouped as on hardware."""
-    n_cx = n_sxx = n_rz = n_rx = 0
-    for g in c.gates:
-        if g.kind is GateKind.CX:
-            n_cx += 1
-        elif g.kind in (GateKind.SX, GateKind.X):
-            n_sxx += 1
-        elif g.kind is GateKind.RZ:
-            n_rz += 1
-        else:
-            n_rx += 1
-    return GateCounts(cx=n_cx, sx_plus_x=n_sxx, rz=n_rz, rx=n_rx)
+    """Per-kind gate tallies from the kind column; SX and X are grouped as on
+    hardware."""
+    n = np.bincount(c.columns.kind, minlength=len(KINDS)).tolist()
+    return GateCounts(cx=n[CX_CODE], sx_plus_x=n[SX_CODE] + n[X_CODE], rz=n[RZ_CODE], rx=n[RX_CODE])

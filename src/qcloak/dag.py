@@ -1,8 +1,13 @@
-"""Wire-dependency DAG over circuit gates and structural depth counters."""
+"""Wire-dependency DAG over circuit gates and structural depth counters.
+
+Both read a circuit's columns (circuit.CircuitColumns), so neither builds a
+Gate object."""
 
 from dataclasses import dataclass
 
-from .circuit import Circuit, GateKind
+import numpy as np
+
+from .circuit import CX_CODE, Circuit, Derived
 
 
 @dataclass(frozen=True)
@@ -11,46 +16,73 @@ class CircuitDag:
 
     source of wire w = g + w, sink of wire w = g + n + w. Edges follow gate
     adjacency along each wire, so every gate node has in-degree and
-    out-degree equal to its arity.
+    out-degree equal to its arity. A DAG built by to_dag holds its edges as
+    an (E, 2) array, in column_dag's order, and builds the edges tuple on
+    its first read.
     """
 
     num_qubits: int
     num_gates: int
-    edges: tuple[tuple[int, int], ...]
+    edges: tuple[tuple[int, int], ...] = Derived(
+        lambda d: tuple(map(tuple, d.__dict__["_edge_array"].tolist()))
+    )
 
     @property
     def num_nodes(self) -> int:
         return self.num_gates + 2 * self.num_qubits
 
+    @property
+    def edge_array(self) -> np.ndarray:
+        """The edges as a read-only (E, 2) int64 array, in the order of edges."""
+        arr = self.__dict__.get("_edge_array")
+        if arr is None:
+            arr = np.array(self.edges, dtype=np.int64).reshape(-1, 2)
+            arr.setflags(write=False)
+            self.__dict__["_edge_array"] = arr
+        return arr
+
 
 def to_dag(c: Circuit) -> CircuitDag:
-    return wire_dag(c.num_qubits, tuple(g.qubits for g in c.gates))
+    cols = c.columns
+    return column_dag(c.num_qubits, cols.q0, cols.q1)
 
 
-def wire_dag(n: int, wires: tuple[tuple[int, ...], ...]) -> CircuitDag:
-    """DAG of n wires whose gates touch `wires`, in order. The edges depend
-    on nothing else, so to_dag reads only each gate's qubits."""
-    g = len(wires)
-    front = [g + w for w in range(n)]
-    edges = []
-    for i, gate_wires in enumerate(wires):
-        for w in gate_wires:
-            edges.append((front[w], i))
-            front[w] = i
-    for w in range(n):
-        edges.append((front[w], g + n + w))
-    return CircuitDag(n, g, tuple(edges))
+def incidences(q0: np.ndarray, q1: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The (gate, wire) pairs of gates whose gate i acts on wire q0[i] and,
+    unless q1[i] is -1, on wire q1[i]: gates, then wires."""
+    two = np.flatnonzero(q1 != -1)
+    return np.concatenate((np.arange(len(q0)), two)), np.concatenate((q0, q1[two]))
+
+
+def column_dag(n: int, q0: np.ndarray, q1: np.ndarray) -> CircuitDag:
+    """DAG of n wires whose gate i acts on wire q0[i] and, unless q1[i] is
+    -1, on wire q1[i]; the edges depend on nothing else. They run along each
+    wire in turn, from its source through its gates in order to its sink."""
+    g = len(q0)
+    gate, wire = incidences(q0, q1)
+    w = np.arange(n)
+    wire = np.concatenate((wire, w, w))
+    node = np.concatenate((gate, g + w, g + n + w))
+    rank = np.concatenate((gate, np.full(n, -1), np.full(n, g)))  # source first, sink last
+    order = np.lexsort((rank, wire))
+    node, wire = node[order], wire[order]
+    link = wire[1:] == wire[:-1]
+    edges = np.stack((node[:-1][link], node[1:][link]), axis=1)
+    edges.setflags(write=False)
+    d = object.__new__(CircuitDag)
+    d.__dict__.update(num_qubits=n, num_gates=g, _edge_array=edges)
+    return d
 
 
 def cx_depth(c: Circuit) -> int:
-    """CX count along the longest dependency path (one-qubit gates count 0)."""
+    """CX count along the longest dependency path (one-qubit gates count 0).
+    Only the CX rows are walked: a one-qubit gate never moves its wire's
+    depth."""
+    cols = c.columns
+    cx = cols.kind == CX_CODE
     front = [0] * c.num_qubits
     best = 0
-    for gate in c.gates:
-        d = max(front[w] for w in gate.qubits)
-        if gate.kind is GateKind.CX:
-            d += 1
-        for w in gate.qubits:
-            front[w] = d
+    for a, b in zip(cols.q0[cx].tolist(), cols.q1[cx].tolist()):
+        d = front[a] = front[b] = max(front[a], front[b]) + 1
         best = max(best, d)
     return best

@@ -47,7 +47,6 @@ import functools
 import os
 from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor, wait
 from dataclasses import dataclass
-from itertools import chain
 
 import numpy as np
 import scipy.sparse as sp
@@ -87,8 +86,7 @@ def default_grid(
 def _undirected_edges(d: CircuitDag) -> np.ndarray:
     """The DAG's distinct edges without self-loops as an (E, 2) array of rows
     (a, b), a < b, sorted."""
-    ends = np.fromiter(chain.from_iterable(d.edges), dtype=np.int64, count=2 * len(d.edges))
-    ends = ends.reshape(-1, 2)
+    ends = d.edge_array
     lo, hi = ends.min(axis=1), ends.max(axis=1)
     keys = np.unique((lo * d.num_nodes + hi)[lo != hi])
     return np.stack(np.divmod(keys, d.num_nodes), axis=1)
@@ -194,12 +192,18 @@ def _probe_block_moments(op, basis: np.ndarray, k_max: int, v: np.ndarray) -> np
     array, which is overwritten: first by its deflation against the zero
     eigenspace (the columns of basis), then as recurrence storage. Zero modes
     sit at x = -1, where |T_k| = 1, so one deflation suffices. op is
-    M = 2 (L - I) from _chebyshev_operator. T_1 z = M z / 2, which is exact,
-    and each step of T_{k+1} z = M T_k z - T_{k-1} z negates T_{k-1} z in
-    place and accumulates the sparse-dense product M T_k z into it, allocating
-    nothing. Each step gives two moments: mu_{2k} = 2 |T_k z|^2 -
-    mu_0 and mu_{2k+1} = 2 <T_{k+1} z, T_k z> - mu_1. The dots are einsum,
-    not BLAS, so their bits do not depend on the BLAS thread count."""
+    M = 2 (L - I) from _chebyshev_operator.
+
+    The recurrence T_{k+1} z = M T_k z - T_{k-1} z runs on U_k = s_k T_k z,
+    s_k = 1, 1, -1, -1, 1, 1, ... (s_{k+1} = -s_{k-1}), so that U_{k+1} =
+    s_{k+1} s_k M U_k + U_{k-1}: each step is one sparse-dense product
+    accumulated in place into U_{k-1}, with M or -M (a negated copy of its
+    data), and no pass that negates. U_0 = z and U_1 = M z / 2, which is
+    exact. IEEE arithmetic is symmetric in sign, so every U_k has the bits
+    of +-T_k z and the moments those of the plain recurrence. Each step gives
+    two moments: mu_{2k} = 2 |U_k|^2 - mu_0 and mu_{2k+1} = 2 s_{k+1} s_k
+    <U_{k+1}, U_k> - mu_1. The dots are einsum, not BLAS, so their bits do
+    not depend on the BLAS thread count."""
     n, width = v.shape
     if v.dtype != np.float64 or not v.flags.c_contiguous or op.shape != (n, n):
         # the accumulate writes through ravel() views, which would be copies,
@@ -212,13 +216,14 @@ def _probe_block_moments(op, basis: np.ndarray, k_max: int, v: np.ndarray) -> np
         return mu
     prev, cur = v, 0.5 * (op @ v)
     mu[1] = np.einsum("ij,ij->", cur, v)
+    data = {1: op.data, -1: np.negative(op.data)}
     for k in range(1, k_max + 1):
         mu[2 * k] = 2 * np.einsum("ij,ij->", cur, cur) - mu[0]
         if k == k_max:
             break
-        np.negative(prev, out=prev)
-        csr_matvecs(n, n, width, op.indptr, op.indices, op.data, cur.ravel(), prev.ravel())
-        mu[2 * k + 1] = 2 * np.einsum("ij,ij->", prev, cur) - mu[1]
+        sign = -1 if k % 2 else 1  # s_{k+1} s_k
+        csr_matvecs(n, n, width, op.indptr, op.indices, data[sign], cur.ravel(), prev.ravel())
+        mu[2 * k + 1] = 2 * (sign * np.einsum("ij,ij->", prev, cur)) - mu[1]
         prev, cur = cur, prev
     return mu
 

@@ -15,10 +15,11 @@ row permutation, which is exact.
 """
 
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
-from .circuit import Circuit, Gate, GateKind
+from .circuit import Circuit, CircuitColumns, Gate, GateKind, offsets, stack_fragments
 from .linalg import CX_ROWS, PAULI_X, SX_MATRIX, rx_matrix, rz_matrix
 
 _FIXED = {GateKind.X: PAULI_X, GateKind.SX: SX_MATRIX}
@@ -147,24 +148,33 @@ def block_unitary(b: Block) -> np.ndarray:
     return block_unitaries([b])[len(b.qubits)][0]
 
 
-def reassemble(p: BlockPartition, fragments: dict[int, tuple[Gate, ...]]) -> Circuit:
+def reassemble(p: BlockPartition, fragments: dict) -> Circuit:
     """Substitute block contents and emit a full circuit.
 
-    fragments maps a block's order_index to the Gates that replace it, placed
-    as they are; a block with no entry keeps its own. A block's fragment is
-    spread over the block's own slots, so identity replacements reproduce
-    the source circuit exactly and per-wire gate order across blocks is
-    always preserved. A block without slots, or slots not aligned with the
+    fragments maps a block's order_index to what replaces it, placed as it
+    is: a circuit.Fragment (rows of shared columns, as synthesis emits) or
+    a sequence of Gates; a block with no entry keeps its own gates. Gate j
+    of a block's m-gate fragment goes to the block's slot k = ((j + 1) ell
+    - 1) // m, ell its slot count, which spreads the fragment over the
+    block's own slots in order ((k m) // ell is the first gate at slot k).
+    Gates sharing a slot keep block order, then fragment order. So identity
+    replacements reproduce the source circuit exactly and per-wire gate
+    order across blocks is always preserved. The placement is array
+    operations over all gates at once, and the output is built from columns:
+    no Gate is built. A block without slots, or slots not aligned with the
     blocks, is a ValueError: its fragment would have nowhere to go.
     """
-    placed: dict[int, list[Gate]] = {}
-    for b, block_slots in zip(p.blocks, p.slots, strict=True):
-        if not block_slots:
-            raise ValueError(f"block {b.order_index} has no slot")
-        gates = fragments.get(b.order_index, b.gates)
-        m, ell = len(gates), len(block_slots)
-        for k, slot in enumerate(block_slots):
-            placed.setdefault(slot, []).extend(gates[(k * m) // ell : ((k + 1) * m) // ell])
-
-    out = [g for slot in sorted(placed) for g in placed[slot]]
-    return Circuit(p.num_qubits, tuple(out), p.measured_qubits)
+    if len(p.slots) != len(p.blocks):
+        raise ValueError(f"{len(p.slots)} slot tuples for {len(p.blocks)} blocks")
+    ell = np.array([len(s) for s in p.slots], dtype=np.int64)
+    if len(ell) and not ell.all():
+        raise ValueError(f"block {p.blocks[int(np.argmin(ell))].order_index} has no slot")
+    cols, m = stack_fragments([fragments.get(b.order_index, b.gates) for b in p.blocks])
+    owner = np.repeat(np.arange(len(m)), m)
+    j = np.arange(len(owner)) - offsets(m)[owner]
+    flat = np.fromiter(chain.from_iterable(p.slots), dtype=np.int64, count=int(ell.sum()))
+    slot = flat[offsets(ell)[owner] + ((j + 1) * ell[owner] - 1) // m[owner]]
+    order = np.argsort(slot, kind="stable")
+    return Circuit.from_columns(
+        p.num_qubits, CircuitColumns(*(col[order] for col in cols)), p.measured_qubits
+    )

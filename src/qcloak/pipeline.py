@@ -25,7 +25,8 @@ from typing import ClassVar
 
 import numpy as np
 
-from .circuit import Circuit, Gate, GateKind
+from .circuit import Circuit, CircuitColumns, GateKind, offsets, stack_fragments
+from .dag import incidences
 from .linalg import apply_circuit, equal_up_to_global_phase
 from .netlsd import DEFAULT_POINTS, DEFAULT_T_MAX, DEFAULT_T_MIN
 from .obfuscate import ObfuscationKey, RxPair, inject_rx_pairs, inject_x_end
@@ -76,40 +77,57 @@ def _fail(message: str) -> SynthesisEquivalenceError:
     return SynthesisEquivalenceError(f"certificate: {message}")
 
 
-def _match_wires(c: Circuit, entries: list[Gate], what: str) -> None:
-    """Raise unless c is the concatenation of entries up to a reordering that
-    keeps every wire's gate sequence.
+def _wire_touches(n: int, cols: CircuitColumns):
+    """Every (gate, wire) incidence of the columns ordered by wire, then gate:
+    the gates and wires of the incidences, and each wire's count."""
+    gate, wire = incidences(cols.q0, cols.q1)
+    order = np.lexsort((gate, wire))
+    return gate[order], wire[order], np.bincount(wire, minlength=n)
 
-    entries are Gates in block order, each qubit in 0..n-1. Each gate of c
-    must equal the next entry on its first wire, and a CX must be that same
-    entry on its second wire; every entry must be used. Equal per-wire
-    sequences with one node per CX give the same DAG, and so the same
-    unitary."""
-    wires: list[list[Gate]] = [[] for _ in range(c.num_qubits)]
-    for e in entries:
-        qubits = e.qubits
-        wires[qubits[0]].append(e)
-        if len(qubits) == 2:
-            wires[qubits[1]].append(e)
-    its = [iter(seq) for seq in wires]
-    for i, g in enumerate(c.gates):
-        qubits = g.qubits
-        e = next(its[qubits[0]], None)
-        # both checked circuits hold the entries' own Gates, so most entries are g
-        if e is None or (e is not g and e != g):
+
+def _match_wires(n: int, got: CircuitColumns, want: CircuitColumns, what: str) -> None:
+    """Raise unless got is the concatenation of the rows of want up to a
+    reordering that keeps every wire's gate sequence.
+
+    Both act on qubits 0..n-1. The k-th gate of got on a wire is matched
+    with the k-th row of want on that wire: each gate must equal its match
+    on its first wire, a CX must have that same match on its second wire,
+    and every row must be matched. Equal per-wire sequences with one node
+    per CX give the same DAG, and so the same unitary. The message names
+    the first gate of got, in order, that fails."""
+    gate, wire, counts = _wire_touches(n, got)
+    rows, _wires, want_counts = _wire_touches(n, want)
+    pos = np.arange(len(gate)) - offsets(counts)[wire]
+    has = pos < want_counts[wire]
+    match = np.full(len(gate), -1)
+    match[has] = rows[(offsets(want_counts)[wire] + pos)[has]]
+    first = wire == got.q0[gate]
+    m0 = np.empty(len(got.kind), dtype=np.int64)
+    m0[gate[first]] = match[first]
+    m1 = np.full(len(got.kind), -1)
+    m1[gate[~first]] = match[~first]
+    same = m0 >= 0
+    if len(rows):
+        e = np.maximum(m0, 0)
+        a, b = got.angle, want.angle[e]
+        same &= (got.kind == want.kind[e]) & (got.q0 == want.q0[e]) & (got.q1 == want.q1[e])
+        same &= (a == b) | (np.isnan(a) & np.isnan(b))  # NaN: no angle
+    other_cx = (got.q1 != -1) & (m1 != m0)
+    if not (same & ~other_cx).all():
+        i = int(np.argmin(same & ~other_cx))
+        if not same[i]:
             raise _fail(f"gate {i} differs from the {what}")
-        if len(qubits) == 2 and next(its[qubits[1]], None) is not e:
-            raise _fail(f"gate {i} is another CX than the {what} has")
-    for q, it in enumerate(its):
-        if next(it, None) is not None:
-            raise _fail(f"the {what} has unmatched gates on wire {q}")
+        raise _fail(f"gate {i} is another CX than the {what} has")
+    if (want_counts > counts).any():
+        wire = int(np.argmax(want_counts > counts))
+        raise _fail(f"the {what} has unmatched gates on wire {wire}")
 
 
 def certify(
     x_circ: Circuit,
     partition: BlockPartition,
     rx_record: tuple[RxPair, ...],
-    fragments: dict[int, tuple[Gate, ...]],
+    fragments: dict,
     out: Circuit,
 ) -> None:
     """Structural proof, in O(g), that out equals x_circ up to a global phase
@@ -122,10 +140,13 @@ def certify(
         earlier one, so adjacent halves cancel exactly; and the blocks'
         cores, the blocks without these halves, concatenated in order_index
         order, give x_circ's per-wire gate sequences;
-    (b) every block has a fragment (it may be empty) whose gates act on the
-        block's qubits only, and the fragments, concatenated in order_index
-        order, give out's per-wire gate sequences.
+    (b) every block has a fragment (a circuit.Fragment or a sequence of
+        Gates; it may be empty) whose gates act on the block's qubits only,
+        and the fragments, concatenated in order_index order, give out's
+        per-wire gate sequences.
 
+    Both wire walks compare columns (circuit.CircuitColumns), so a
+    columns-built out and Fragments are read without building Gates.
     Reads no slots: nothing reassemble relies on is trusted."""
     n = x_circ.num_qubits
     if not n == partition.num_qubits == out.num_qubits:
@@ -164,18 +185,25 @@ def certify(
             (g.kind, g.qubits, g.angle) for g in gates[:start] + gates[stop:]
         ] != [(GateKind.RX, (wire,), angle) for wire, angle in pre + app]:
             raise _fail(f"block {o} does not start and end with exactly its RX halves")
-        cores.extend(gates[start:stop])
-    _match_wires(x_circ, cores, "block cores")
+        cores.append(gates[start:stop])
+    _match_wires(n, x_circ.columns, stack_fragments(cores)[0], "block cores")
 
-    entries = []
-    for b in blocks:
-        frag = fragments.get(b.order_index)
-        if frag is None:
-            raise _fail(f"block {b.order_index} has no fragment")
-        if not {q for g in frag for q in g.qubits} <= set(b.qubits):
-            raise _fail(f"the fragment of block {b.order_index} acts outside its qubits")
-        entries.extend(frag)
-    _match_wires(out, entries, "block fragments")
+    frags = [fragments.get(b.order_index) for b in blocks]
+    missing = next((i for i, f in enumerate(frags) if f is None), len(blocks))
+    entries, sizes = stack_fragments([() if f is None else f for f in frags])
+    owner = np.repeat(np.arange(len(blocks)), sizes)
+    lo = np.array([b.qubits[0] for b in blocks], dtype=np.int64)[owner]
+    hi = np.array([b.qubits[-1] for b in blocks], dtype=np.int64)[owner]
+    cx = entries.q1 != -1
+    outside = (entries.q0 != lo) & (entries.q0 != hi)
+    outside |= cx & (entries.q1 != lo) & (entries.q1 != hi)
+    stray = int(owner[np.argmax(outside)]) if outside.any() else len(blocks)
+    if min(missing, stray) < len(blocks):
+        o = blocks[min(missing, stray)].order_index
+        if missing <= stray:
+            raise _fail(f"block {o} has no fragment")
+        raise _fail(f"the fragment of block {o} acts outside its qubits")
+    _match_wires(n, out.columns, entries, "block fragments")
 
 
 @functools.lru_cache(maxsize=EQUIV_CHECK_MAX_QUBITS)

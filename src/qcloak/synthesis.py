@@ -21,8 +21,10 @@ Pauli choice, then the 2 * (CX count) dressing angles, in that order. The
 check multiplies each wire's run of emitted gates into one 2x2 matrix, all
 runs at once, combines each candidate's runs through its CX row
 permutations, and compares the stacked results with the block unitaries.
-Selection ranks every candidate from the columns too, and only each block's
-selected candidate becomes Gates, on its block's qubits. generate_candidates
+Selection ranks every candidate from the columns too (one lexsort per
+chunk, signature memo keyed by column bytes), and each chunk's selected
+candidates are placed on their blocks' qubits as one set of circuit columns
+(circuit.Fragment), still with no Gate objects. generate_candidates
 and synthesize_block are the one-block case, weyl_to_circuit the
 one-candidate case of the template stage.
 Each candidate's gates and angle bits equal those of building it alone:
@@ -47,8 +49,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import netlsd
-from .circuit import Circuit, Gate, GateKind, gate_counts
-from .dag import wire_dag
+from .circuit import CX_CODE, RZ_CODE, SX_CODE, X_CODE, Circuit, CircuitColumns, Fragment, Gate
+from .circuit import gate_counts, offsets, ranges
+from .dag import column_dag
 from .kak import DecompositionError, KakStack, KakTerms, kak_decompose_stack
 from .linalg import CX_ROWS, PAULI_X, PAULI_Y, PAULI_Z, SX_MATRIX, equal_up_to_global_phase
 from .linalg import rx_matrix, ry_matrix, rz_matrix
@@ -69,13 +72,11 @@ SIGNATURE_MEMO_ENTRIES = 1024  # about 2 kB of traces each; the grid is shared
 _GRID = netlsd.default_grid()
 _GRID.setflags(write=False)
 
-# Column kind codes. A segment's Euler run fills the five slots RZ SX RZ SX
-# RZ, an X in the second slot when the middle RZ is trivial; a slot is
+# A segment's Euler run fills the five slots RZ SX RZ SX RZ (circuit's kind
+# codes), an X in the second slot when the middle RZ is trivial; a slot is
 # emitted only where its present flag is set.
-RZ_CODE, SX_CODE, X_CODE, CX_CODE = 0, 1, 2, 3
 _SLOT_KINDS = np.array([RZ_CODE, SX_CODE, RZ_CODE, SX_CODE, RZ_CODE], dtype=np.int8)
 _SLOTS = len(_SLOT_KINDS)
-_KINDS = (GateKind.RZ, GateKind.SX, GateKind.X, GateKind.CX)  # by kind code
 # one-qubit gate matrices by kind code; an RZ's diagonal is filled in per gate
 _GATE_MATRICES = np.array([np.eye(2), SX_MATRIX, PAULI_X], dtype=complex)
 # _CONTROLS[n, j]: the control wire of CX j of the n-CX template
@@ -116,28 +117,37 @@ class Candidates:
         """The fragment index of every entry."""
         return np.repeat(np.arange(len(self)), np.diff(self.start))
 
-    def wire_structure(self, i: int) -> tuple[tuple[int, ...], ...]:
-        """The wires each gate of fragment i touches, in order."""
-        span = slice(self.start[i], self.start[i + 1])
-        return tuple(
-            (w, 1 - w) if k == CX_CODE else (w,)
-            for k, w in zip(self.kind[span].tolist(), self.wire[span].tolist())
+    def place(self, idx, lo, hi) -> tuple[CircuitColumns, list[int]]:
+        """Fragments idx as one column set on global qubits, local wire 0 of
+        fragment idx[j] on qubit lo[j] and wire 1 on hi[j], and the offsets
+        of each fragment's rows (one more than there are fragments)."""
+        idx = np.asarray(idx, dtype=np.int64)
+        first = self.start[idx]
+        sizes = self.start[idx + 1] - first
+        rows = ranges(first, sizes)
+        owner = np.repeat(np.arange(len(idx)), sizes)
+        kind, on_lo = self.kind[rows], self.wire[rows] == 0
+        lo, hi = np.asarray(lo)[owner], np.asarray(hi)[owner]
+        cols = CircuitColumns(
+            kind,
+            np.where(on_lo, lo, hi),
+            np.where(kind == CX_CODE, np.where(on_lo, hi, lo), -1),
+            np.where(kind == RZ_CODE, self.angle[rows], np.nan),
         )
-
-    def gates(self, i: int, qubits: tuple[int, ...]) -> tuple[Gate, ...]:
-        """Fragment i as Gates, local wire w on qubits[w]."""
-        span = slice(self.start[i], self.start[i + 1])
-        cx = (tuple(qubits), tuple(qubits[::-1]))  # by control wire
-        return tuple(
-            Gate(_KINDS[k], cx[w] if k == CX_CODE else (qubits[w],), a if k == RZ_CODE else None)
-            for k, w, a in zip(
-                self.kind[span].tolist(), self.wire[span].tolist(), self.angle[span].tolist()
-            )
-        )
+        return cols, offsets(sizes).tolist()
 
     def circuit(self, i: int) -> Circuit:
         """Fragment i as a Circuit on its local wires."""
-        return Circuit(int(self.width[i]), self.gates(i, (0, 1)))
+        return Circuit.from_columns(int(self.width[i]), self.place([i], [0], [1])[0])
+
+    @functools.cached_property
+    def _structure_codes(self) -> np.ndarray:
+        return structure_codes(self.wire, self.kind == CX_CODE)
+
+    def structure(self, i: int) -> tuple[int, bytes]:
+        """Fragment i's key in the signature memo (_structure_signature)."""
+        codes = self._structure_codes[self.start[i] : self.start[i + 1]]
+        return int(self.width[i]), codes.tobytes()
 
 
 def _trivial(theta: np.ndarray) -> np.ndarray:
@@ -281,11 +291,6 @@ def _templates_1q(mats: np.ndarray, at: np.ndarray, us: np.ndarray, rngs):
     return dressed, psi
 
 
-def _starts(sizes: np.ndarray) -> np.ndarray:
-    """Offsets of consecutive runs of the given sizes, one more than runs."""
-    return np.concatenate(([0], np.cumsum(sizes))).astype(int)
-
-
 def _emit_many(mats, width, cx_count, lead_index=(), lead_angle=()) -> Candidates:
     """Columns of fragments given by their segment matrices, with the Euler
     runs of all segments computed as one stack.
@@ -299,7 +304,7 @@ def _emit_many(mats, width, cx_count, lead_index=(), lead_angle=()) -> Candidate
     width, cx_count = np.asarray(width), np.asarray(cx_count)
     kind, angle, present = _euler_runs(mats)
     sizes = width * (cx_count + 1)
-    start = _starts(sizes)
+    start = offsets(sizes)
     if len(lead_index):
         # the dressing RZ(lead) runs first, so it folds into a leading RZ
         rows = start[np.asarray(lead_index)]
@@ -310,7 +315,7 @@ def _emit_many(mats, width, cx_count, lead_index=(), lead_angle=()) -> Candidate
     # CX j of fragment f runs before segment j + 1: its entry goes before
     # that segment's first slot; then only the present entries are kept
     cx_owner = np.repeat(np.arange(len(width)), cx_count)
-    j = np.arange(len(cx_owner)) - _starts(cx_count)[cx_owner]
+    j = np.arange(len(cx_owner)) - offsets(cx_count)[cx_owner]
     cx_slots = _SLOTS * (start[cx_owner] + width[cx_owner] * (j + 1))
     mat_owner = np.repeat(np.arange(len(width)), sizes)
     wires = ((np.arange(len(mats)) - start[mat_owner]) % width[mat_owner]).astype(np.int8)
@@ -321,7 +326,7 @@ def _emit_many(mats, width, cx_count, lead_index=(), lead_angle=()) -> Candidate
         kind=np.insert(kind.ravel(), cx_slots, CX_CODE)[keep],
         wire=np.insert(np.repeat(wires, _SLOTS), cx_slots, controls)[keep],
         angle=np.insert(angle.ravel(), cx_slots, 0.0)[keep],
-        start=_starts(np.bincount(owner, minlength=len(width))),
+        start=offsets(np.bincount(owner, minlength=len(width))),
         width=width,
     )
 
@@ -348,10 +353,10 @@ def _run_products(cands: Candidates) -> tuple[np.ndarray, np.ndarray, np.ndarray
     run first[i] + 2 s + w is wire w's run after the fragment's s-th CX."""
     owner = cands.owners()
     is_cx = cands.kind == CX_CODE
-    cx_before = _starts(is_cx)
+    cx_before = offsets(is_cx)
     first_cx = cx_before[cands.start[:-1]]
     cx_count = cx_before[cands.start[1:]] - first_cx
-    first = _starts(2 * (cx_count + 1))
+    first = offsets(2 * (cx_count + 1))
     one = ~is_cx
     run = (first[owner] + 2 * (cx_before[:-1] - first_cx[owner]) + cands.wire)[one]
     kind = cands.kind[one]
@@ -437,7 +442,7 @@ def _checked_candidates(blocks: list[Block], k: int, seed: int) -> Candidates:
         ) from exc
     cx_count = np.zeros(len(width), dtype=int)
     cx_count[frags[2]] = _cx_classes(terms.weyl)
-    start = _starts(width * (cx_count + 1))
+    start = offsets(width * (cx_count + 1))
     mats = np.empty((start[-1], 2, 2), dtype=complex)
     leads, psi = _templates_1q(mats, start[frags[1]], us[1], rngs[1])
     _templates_2q(mats, start[frags[2]], terms, cx_count[frags[2]], rngs[2])
@@ -465,18 +470,31 @@ def generate_candidates(b: Block, k: int, seed: int) -> list[Circuit]:
     return [cands.circuit(i) for i in range(k)]
 
 
-def _select(sx_plus_x, rz, signature, block: Block, shortlist: int) -> int:
-    """Index of the selected candidate: shortlist by fewest SX+X (ties: fewer
-    RZ, then lower index), then the shortlisted fragment most structurally
-    distant from the source block. signature(i) is candidate i's heat
-    signature; it is asked for only when the shortlist keeps two or more."""
-    ranked = sorted(range(len(sx_plus_x)), key=lambda i: (sx_plus_x[i], rz[i], i))
-    kept = ranked[:shortlist]
+def _shortlists(sx_plus_x: np.ndarray, rz: np.ndarray, k: int, shortlist: int) -> np.ndarray:
+    """(blocks, min(shortlist, k)) indices of each block's shortlist, block j
+    owning candidates j k .. j k + k - 1: fewest SX+X, ties broken by fewer
+    RZ, then lower index. One lexsort over all the blocks."""
+    index = np.arange(len(sx_plus_x))
+    return np.lexsort((index, rz, sx_plus_x, index // k)).reshape(-1, k)[:, :shortlist]
+
+
+def _most_distant(kept: list[int], structure, block: Block) -> int:
+    """The shortlisted candidate most structurally distant from the source
+    block (the first of equals), or the only one; structure(i) is candidate
+    i's memo key, read only when there are two or more."""
     if len(kept) == 1:
         return kept[0]
-    local = tuple(tuple(map(block.local, g.qubits)) for g in block.gates)
-    reference = _wire_signature(len(block.qubits), local)
-    return max(kept, key=lambda i: netlsd_divergence(signature(i), reference))
+    lo = block.qubits[0]
+    reference = _structure_signature(
+        *structure_key(
+            len(block.qubits),
+            [g.qubits[0] != lo for g in block.gates],
+            [len(g.qubits) == 2 for g in block.gates],
+        )
+    )
+    return max(
+        kept, key=lambda i: netlsd_divergence(_structure_signature(*structure(i)), reference)
+    )
 
 
 def select_candidate(cands: list[Circuit], original_block: Block, shortlist: int) -> Circuit:
@@ -485,33 +503,49 @@ def select_candidate(cands: list[Circuit], original_block: Block, shortlist: int
     if not cands:
         raise ValueError("no candidates to select from")
     counts = [gate_counts(c) for c in cands]
-    best = _select(
-        [n.sx_plus_x for n in counts],
-        [n.rz for n in counts],
-        lambda i: _wire_signature(cands[i].num_qubits, tuple(g.qubits for g in cands[i].gates)),
-        original_block,
-        shortlist,
-    )
-    return cands[best]
+    sx_plus_x, rz = np.array([(n.sx_plus_x, n.rz) for n in counts]).T
+    kept = _shortlists(sx_plus_x, rz, len(cands), shortlist)[0].tolist()
+    return cands[_most_distant(kept, lambda i: circuit_structure(cands[i]), original_block)]
+
+
+def structure_codes(wire, is_cx) -> np.ndarray:
+    """One int8 code per gate of fragments on local wires, wire + 2 is_cx:
+    gate i acts on wire[i] and, where is_cx[i], is a CX with that control
+    and the other wire as target."""
+    return np.asarray(wire, dtype=np.int8) + 2 * np.asarray(is_cx, dtype=np.int8)
+
+
+def structure_key(width, wire, is_cx) -> tuple[int, bytes]:
+    """The signature memo's key of a fragment on width (1 or 2) local wires:
+    the width and the bytes of its structure_codes."""
+    return int(width), structure_codes(wire, is_cx).tobytes()
+
+
+def circuit_structure(c: Circuit) -> tuple[int, bytes]:
+    """A local-wire circuit's key in the signature memo."""
+    cols = c.columns
+    return structure_key(c.num_qubits, cols.q0, cols.kind == CX_CODE)
 
 
 @functools.lru_cache(maxsize=SIGNATURE_MEMO_ENTRIES)
-def _wire_signature(num_qubits: int, wires: tuple[tuple[int, ...], ...]) -> HeatSignature:
-    """Heat signature on the default grid of a fragment over num_qubits wires
-    whose gates touch `wires`, memoized by that structure: wire_dag's edges,
-    and so the signature, depend only on the wire count and on which wires
-    each gate touches, never on gate kinds or angles, and an encode meets
-    few distinct structures, so most lookups hit. The returned arrays are
-    read-only and shared."""
+def _structure_signature(width: int, structure: bytes) -> HeatSignature:
+    """Heat signature on the default grid of the fragment whose structure_key
+    is (width, structure), memoized by it: the DAG's edges, and so the
+    signature, depend on nothing else, never on gate kinds or angles, and an
+    encode meets few distinct structures, so most lookups hit. The returned
+    arrays are read-only and shared."""
+    code = np.frombuffer(structure, dtype=np.int8).astype(np.int64)
+    wire, is_cx = code % 2, code >= 2
+    dag = column_dag(width, wire, np.where(is_cx, 1 - wire, -1))
     # Looked up in netlsd at call time, so tracing and tests see each miss.
-    sig = netlsd.netlsd_signature(wire_dag(num_qubits, wires), _GRID)
+    sig = netlsd.netlsd_signature(dag, _GRID)
     sig.traces.setflags(write=False)
     return sig
 
 
 def synthesize_block(b: Block, k: int, shortlist: int, seed: int) -> tuple[Gate, ...]:
-    """The one-block case of synthesize_blocks."""
-    return synthesize_blocks([b], k, shortlist, seed)[b.order_index]
+    """The one-block case of synthesize_blocks, as Gates."""
+    return tuple(synthesize_blocks([b], k, shortlist, seed)[b.order_index])
 
 
 def candidate_chunks(
@@ -525,26 +559,22 @@ def candidate_chunks(
 
 def synthesize_blocks(
     blocks: list[Block] | tuple[Block, ...], k: int, shortlist: int, seed: int
-) -> dict[int, tuple[Gate, ...]]:
-    """Selected fragment of every block, keyed by order_index, as Gates on
-    the block's qubits: every candidate is checked and ranked from its
-    columns, and only each block's selected candidate becomes Gates. Every
-    fragment equals select_candidate's choice among generate_candidates',
-    local wire w on the block's qubit w."""
+) -> dict[int, Fragment]:
+    """Selected fragment of every block, keyed by order_index, as a Fragment
+    on the block's qubits: every candidate is checked and ranked from its
+    columns, and each chunk's selected candidates are placed on their
+    blocks' qubits as one column set; no Gate is built. Every fragment
+    equals select_candidate's choice among generate_candidates', local wire
+    w on the block's qubit w."""
     out = {}
     for chunk, cands in candidate_chunks(blocks, k, seed):
         owner = cands.owners()
         sx_or_x = (cands.kind == SX_CODE) | (cands.kind == X_CODE)
         sx_plus_x = np.bincount(owner[sx_or_x], minlength=len(cands))
         rz = np.bincount(owner[cands.kind == RZ_CODE], minlength=len(cands))
+        kept = _shortlists(sx_plus_x, rz, k, shortlist).tolist()
+        best = [_most_distant(row, cands.structure, b) for row, b in zip(kept, chunk)]
+        cols, at = cands.place(best, [b.qubits[0] for b in chunk], [b.qubits[-1] for b in chunk])
         for j, b in enumerate(chunk):
-            span = slice(j * k, (j + 1) * k)
-            best = _select(
-                sx_plus_x[span].tolist(),
-                rz[span].tolist(),
-                lambda i: _wire_signature(len(b.qubits), cands.wire_structure(j * k + i)),
-                b,
-                shortlist,
-            )
-            out[b.order_index] = cands.gates(j * k + best, b.qubits)
+            out[b.order_index] = Fragment(cols, at[j], at[j + 1])
     return out

@@ -953,6 +953,32 @@ def four_pass_block_moments(lap, basis: np.ndarray, k_max: int, v: np.ndarray) -
     return mu
 
 
+def negating_block_moments(op, basis: np.ndarray, k_max: int, v: np.ndarray) -> np.ndarray:
+    """Reference Chebyshev moments of one probe block on the plain recurrence
+    T_{k+1} z = M T_k z - T_{k-1} z, M = op: each step negates T_{k-1} z in
+    place and accumulates M T_k z into it. netlsd._probe_block_moments runs
+    the signed recurrence instead, which must give the same bits."""
+    from scipy.sparse._sparsetools import csr_matvecs
+
+    n, width = v.shape
+    v -= basis @ (basis.T @ v)
+    mu = np.empty(2 * k_max + 1)
+    mu[0] = np.einsum("ij,ij->", v, v)
+    if not k_max:
+        return mu
+    prev, cur = v, 0.5 * (op @ v)
+    mu[1] = np.einsum("ij,ij->", cur, v)
+    for k in range(1, k_max + 1):
+        mu[2 * k] = 2 * np.einsum("ij,ij->", cur, cur) - mu[0]
+        if k == k_max:
+            break
+        np.negative(prev, out=prev)
+        csr_matvecs(n, n, width, op.indptr, op.indices, op.data, cur.ravel(), prev.ravel())
+        mu[2 * k + 1] = 2 * np.einsum("ij,ij->", prev, cur) - mu[1]
+        prev, cur = cur, prev
+    return mu
+
+
 def four_pass_heat_traces(
     n: int, edges: np.ndarray, grid: np.ndarray, probes: int, seed: int
 ) -> np.ndarray:
@@ -975,6 +1001,51 @@ def four_pass_heat_traces(
         v = _draw_probe_block(rng, min(PROBE_BLOCK, probes - start), n)
         mu += four_pass_block_moments(lap, basis, coef.shape[1] // 2, v)
     return basis.shape[1] + coef @ mu / probes
+
+
+def gate_counts_walk(c: Circuit) -> tuple[int, int, int, int]:
+    """Reference (CX, SX+X, RZ, RX) tallies from a walk over c.gates."""
+    n_cx = n_sxx = n_rz = n_rx = 0
+    for g in c.gates:
+        if g.kind is GateKind.CX:
+            n_cx += 1
+        elif g.kind in (GateKind.SX, GateKind.X):
+            n_sxx += 1
+        elif g.kind is GateKind.RZ:
+            n_rz += 1
+        else:
+            n_rx += 1
+    return n_cx, n_sxx, n_rz, n_rx
+
+
+def cx_depth_walk(c: Circuit) -> int:
+    """Reference CX depth: every gate moves its wires' fronts."""
+    front = [0] * c.num_qubits
+    best = 0
+    for gate in c.gates:
+        d = max(front[w] for w in gate.qubits)
+        if gate.kind is GateKind.CX:
+            d += 1
+        for w in gate.qubits:
+            front[w] = d
+        best = max(best, d)
+    return best
+
+
+def dag_edges_walk(c: Circuit) -> tuple[tuple[int, int], ...]:
+    """Reference DAG edges: each gate's wires in order link it to the previous
+    node on the wire (first the wire's source g + w), then each wire's last
+    node to its sink g + n + w."""
+    g, n = len(c.gates), c.num_qubits
+    front = [g + w for w in range(n)]
+    edges = []
+    for i, gate in enumerate(c.gates):
+        for w in gate.qubits:
+            edges.append((front[w], i))
+            front[w] = i
+    for w in range(n):
+        edges.append((front[w], g + n + w))
+    return tuple(edges)
 
 
 def signature_to_csv(sig) -> str:

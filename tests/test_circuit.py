@@ -1,11 +1,39 @@
 import math
 import re
 
+import numpy as np
 import pytest
 from hypothesis import given
+from hypothesis import strategies as st
 
-from qcloak.circuit import Circuit, Gate, GateKind, cx, gate_counts, rx, rz, sx, x
-from strategies import circuits
+from qcloak.circuit import (
+    CX_CODE,
+    RX_CODE,
+    RZ_CODE,
+    SX_CODE,
+    X_CODE,
+    Circuit,
+    CircuitColumns,
+    Gate,
+    GateKind,
+    cx,
+    gate_columns,
+    gate_counts,
+    rx,
+    rz,
+    sx,
+    x,
+)
+from qcloak.dag import cx_depth, to_dag
+from qcloak.qasm import serialize_qasm
+from strategies import (
+    circuits,
+    cx_depth_walk,
+    dag_edges_walk,
+    gate_bits,
+    gate_counts_walk,
+    gates_on,
+)
 
 
 def test_gate_helpers():
@@ -108,3 +136,93 @@ def test_gate_counts_groups_sx_and_x():
 @given(circuits(max_qubits=5, max_gates=20))
 def test_gate_counts_total_matches_length(c):
     assert gate_counts(c).total == c.num_gates
+
+
+# angles whose bits a column round trip could lose: signed zero, a
+# subnormal-scale value, large magnitudes and exact multiples of 2*pi
+EDGE_ANGLES = st.sampled_from(
+    [0.0, -0.0, 1e-300, -1e-300, 1e10, -1e10, *(k * 2 * math.pi for k in (-3, -1, 1, 2, 7))]
+)
+
+
+@st.composite
+def edge_angle_circuits(draw):
+    n = draw(st.integers(1, 5))
+    gates = []
+    for g in draw(st.lists(gates_on(n), max_size=25)):
+        if g.kind.has_angle and draw(st.booleans()):
+            g = Gate(g.kind, g.qubits, draw(EDGE_ANGLES))
+        gates.append(g)
+    measured = draw(st.lists(st.integers(0, n - 1), unique=True))
+    return Circuit(n, tuple(gates), tuple(measured))
+
+
+@given(edge_angle_circuits())
+def test_gate_and_column_circuits_are_one_circuit(c):
+    d = Circuit.from_columns(c.num_qubits, c.columns, c.measured_qubits)
+    walks = (gate_counts_walk(c), cx_depth_walk(c), sorted(dag_edges_walk(c)))
+    # the column reads build no Gate
+    for e in (c, d):
+        n = gate_counts(e)
+        edges = sorted(to_dag(e).edges)  # in wire order, not the walk's
+        assert ((n.cx, n.sx_plus_x, n.rz, n.rx), cx_depth(e), edges) == walks
+        assert e.num_gates == len(c.gates)
+    assert "_gates" not in vars(d)
+    assert d == c and hash(d) == hash(c)
+    assert gate_bits(d) == gate_bits(c)
+    assert serialize_qasm(d) == serialize_qasm(c)
+    assert d.gates is d.gates  # built once
+    # a Gate-built circuit's columns round-trip to the same columns
+    for got, want in zip(d.columns, c.columns):
+        assert got.dtype == want.dtype and np.array_equal(got, want, equal_nan=True)
+
+
+def _raised(build) -> tuple[type, str]:
+    with pytest.raises((ValueError, TypeError)) as info:
+        build()
+    return type(info.value), str(info.value)
+
+
+# (num_qubits, the Gate a Gate-built circuit would hold, its column row)
+BAD_ROWS = {
+    "qubit_too_large": (2, (GateKind.X, (2,), None), (X_CODE, 2, -1, math.nan)),
+    "negative_qubit": (2, (GateKind.SX, (-3,), None), (SX_CODE, -3, -1, math.nan)),
+    "cx_target_too_large": (2, (GateKind.CX, (0, 5), None), (CX_CODE, 0, 5, math.nan)),
+    "equal_cx_qubits": (2, (GateKind.CX, (1, 1), None), (CX_CODE, 1, 1, math.nan)),
+    "cx_without_target": (2, (GateKind.CX, (1,), None), (CX_CODE, 1, -1, math.nan)),
+    "x_with_two_qubits": (2, (GateKind.X, (0, 1), None), (X_CODE, 0, 1, math.nan)),
+    "infinite_rz": (2, (GateKind.RZ, (0,), math.inf), (RZ_CODE, 0, -1, math.inf)),
+    "nan_rx": (2, (GateKind.RX, (1,), math.nan), (RX_CODE, 1, -1, math.nan)),
+    "angle_on_sx": (2, (GateKind.SX, (0,), 0.5), (SX_CODE, 0, -1, 0.5)),
+    "angle_on_cx": (2, (GateKind.CX, (0, 1), 0.0), (CX_CODE, 0, 1, 0.0)),
+}
+
+
+@pytest.mark.parametrize("case", list(BAD_ROWS))
+def test_invalid_columns_raise_what_gates_raise(case):
+    n, (kind, qubits, angle), row = BAD_ROWS[case]
+    # a valid first row, then the bad one, with and without a later row
+    # that breaks a gate rule: gate rules are checked before the range
+    for last, later in (((X_CODE, 1, -1, math.nan), x(1)), ((SX_CODE, 0, -1, 1.0), None)):
+        rows = [(RZ_CODE, 0, -1, 0.25), row, last]
+        cols = CircuitColumns(*(np.array(col) for col in zip(*rows)))
+
+        def gates(later=later):
+            bad = Gate(kind, qubits, angle)
+            return (rz(0.25, 0), bad, later or Gate(GateKind.SX, (0,), 1.0))
+
+        want = _raised(lambda: Circuit(n, gates()))
+        assert _raised(lambda: Circuit.from_columns(n, cols)) == want
+
+
+def test_invalid_circuit_columns_raise_what_circuit_raises():
+    cols = gate_columns((x(0), cx(0, 1)))
+    assert _raised(lambda: Circuit.from_columns(0, cols)) == _raised(lambda: Circuit(0, (x(0),)))
+    for measured in ((0, 0), (2,), (-1,)):
+        want = _raised(lambda: Circuit(2, (x(0), cx(0, 1)), measured))
+        assert _raised(lambda: Circuit.from_columns(2, cols, measured)) == want
+    unknown = CircuitColumns(np.array([7]), np.array([0]), np.array([-1]), np.array([math.nan]))
+    with pytest.raises(ValueError, match="unknown gate kind code 7"):
+        Circuit.from_columns(1, unknown)
+    with pytest.raises(ValueError, match="one length"):
+        Circuit.from_columns(2, cols._replace(angle=cols.angle[:1]))

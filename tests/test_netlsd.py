@@ -37,6 +37,7 @@ from strategies import (
     reorthogonalized_heat_traces,
     signature_to_csv,
     four_pass_heat_traces,
+    negating_block_moments,
     union_find_zero_mode_basis,
 )
 
@@ -307,6 +308,31 @@ def test_estimated_matches_four_pass_oracle(dag):
     est = _heat_traces_estimated(n, edges, grid, ORACLE_PROBES, PROBE_SEED, exact_steps=None)
     want = four_pass_heat_traces(n, edges, grid, ORACLE_PROBES, PROBE_SEED)
     np.testing.assert_allclose(est, want, rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize(
+    "dag",
+    [
+        pytest.param(to_dag(gen_qft(3)), id="qft3"),
+        pytest.param(to_dag(_bridged_halves()), id="bridged_random16"),
+        pytest.param(
+            to_dag(make_baseline(gen_random_blocks(128, 300, 1))), id="baseline_random128"
+        ),
+        pytest.param(_isolated_nodes_dag(), id="isolated_nodes"),
+    ],
+)
+@pytest.mark.parametrize("width", [1, 16])
+def test_signed_recurrence_matches_the_negating_one_bit_for_bit(dag, width):
+    # U_k = s_k T_k z: negated operands and sums round to the negated result,
+    # so every moment keeps its bits at every degree the series can take
+    n, edges = dag.num_nodes, _undirected_edges(dag)
+    lap, deg = _normalized_laplacian_sparse(n, edges)
+    op, basis = _chebyshev_operator(lap), _zero_mode_basis(lap, deg)
+    k_max = _heat_coefficients(n, default_grid()).shape[1] // 2
+    v = _draw_probe_block(np.random.default_rng(PROBE_SEED), width, n)
+    got = _probe_block_moments(op, basis, k_max, v.copy())
+    want = negating_block_moments(op, basis, k_max, v.copy())
+    assert np.array_equal(got, want)
 
 
 def test_chebyshev_operator_is_twice_the_shifted_laplacian():

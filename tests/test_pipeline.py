@@ -7,7 +7,13 @@ from hypothesis import given, settings
 import qcloak.pipeline
 from qcloak import obfuscate, partition
 from qcloak.analysis import make_baseline, tvd
-from qcloak.bench import desk_benchmarks, gen_ghz, gen_random_blocks, gen_wstate
+from qcloak.bench import (
+    desk_benchmarks,
+    gen_ghz,
+    gen_random_blocks,
+    gen_wstate,
+    structural_benchmarks,
+)
 from qcloak.circuit import Circuit, Gate, GateKind, cx, gate_counts, rz, sx
 from qcloak.obfuscate import THETA_MARGIN, decode
 from qcloak.partition import Block, BlockPartition, form_blocks
@@ -410,8 +416,27 @@ def test_empty_fragment_is_placed_and_certified():
     c = Circuit(2, (cx(0, 1), cx(0, 1)))
     p = form_blocks(c)
     frags = synthesize_blocks(p.blocks, 1, 1, 0)
-    assert frags == {0: ()}
+    assert {o: tuple(f) for o, f in frags.items()} == {0: ()}
     out = partition.reassemble(p, frags)
     assert out == Circuit(2, (), c.measured_qubits)
     assert make_baseline(c) == out
     certify(c, p, (), frags, out)
+
+
+def test_encode_and_baseline_build_no_gate_for_an_output_gate(monkeypatch):
+    # above the stimuli check's width nothing reads an output's gates: the
+    # only Gates built are the RX halves and the key's X gates (1,713 here)
+    c = structural_benchmarks()["random128"]
+    built = []
+    real = Gate.__post_init__
+    monkeypatch.setattr(Gate, "__post_init__", lambda g: built.append(g) or real(g))
+    enc = encode(c, PipelineConfig(seed=3))
+    baseline = make_baseline(c)
+    flips = enc.key.flip_mask.count("1")
+    assert len(built) == 2 * len(enc.key.rx_record) + flips == 1713
+    assert {g.kind for g in built} == {GateKind.RX, GateKind.X}
+    # reading .gates builds each output's Gates once
+    for out in (enc.circuit, baseline):
+        before = len(built)
+        assert out.gates is out.gates
+        assert len(built) - before == out.num_gates

@@ -269,6 +269,28 @@ def test_select_candidate_shortlist_bound():
     assert gate_counts(chosen).sx_plus_x <= sxx[shortlist - 1]
 
 
+@given(
+    st.integers(1, 5).flatmap(
+        lambda k: st.tuples(
+            st.just(k),
+            st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3)), min_size=k, max_size=6 * k)
+            .map(lambda rows: rows[: len(rows) // k * k]),
+            st.integers(1, 6),
+        )
+    )
+)
+def test_shortlists_rank_as_the_sorted_reference(drawn):
+    # few distinct counts, so every tie rule is exercised
+    k, counts, shortlist = drawn
+    sx_plus_x, rz = np.array(counts).T
+    got = qcloak.synthesis._shortlists(sx_plus_x, rz, k, shortlist).tolist()
+    want = [
+        sorted(range(j, j + k), key=lambda i: (sx_plus_x[i], rz[i], i))[:shortlist]
+        for j in range(0, len(counts), k)
+    ]
+    assert got == want
+
+
 def test_select_candidate_signs_reference_block_once(monkeypatch):
     calls = []
     real = qcloak.netlsd.netlsd_signature
@@ -278,7 +300,7 @@ def test_select_candidate_signs_reference_block_once(monkeypatch):
         return real(d, *args, **kwargs)
 
     monkeypatch.setattr(qcloak.netlsd, "netlsd_signature", counting)
-    qcloak.synthesis._wire_signature.cache_clear()
+    qcloak.synthesis._structure_signature.cache_clear()
     b = Block((0, 1), (sx(0), cx(0, 1), rz(0.8, 1), cx(1, 0)), 3)
     shortlist = 3
     cands = generate_candidates(b, 3, 12)
@@ -291,11 +313,11 @@ def test_select_candidate_signs_reference_block_once(monkeypatch):
 
 
 def _memo_signature(c):
-    return qcloak.synthesis._wire_signature(c.num_qubits, tuple(g.qubits for g in c.gates))
+    return qcloak.synthesis._structure_signature(*qcloak.synthesis.circuit_structure(c))
 
 
 def test_fragment_signature_memo_matches_fresh_signature():
-    qcloak.synthesis._wire_signature.cache_clear()
+    qcloak.synthesis._structure_signature.cache_clear()
     c = gen_random_blocks(16, 30, seed=1)
     frags = []
     for b in form_blocks(c).blocks:
@@ -306,7 +328,7 @@ def test_fragment_signature_memo_matches_fresh_signature():
         fresh = circuit_signature(frag)
         assert np.array_equal(memo.timescales, fresh.timescales)
         assert np.array_equal(memo.traces, fresh.traces)
-    assert qcloak.synthesis._wire_signature.cache_info().hits > 0
+    assert qcloak.synthesis._structure_signature.cache_info().hits > 0
     memo = _memo_signature(frags[0])
     with pytest.raises(ValueError, match="read-only"):
         memo.traces[0] = 0.0
@@ -453,11 +475,13 @@ def test_check_unitaries_match_materialized_candidates_at_class_boundaries(data,
 
 
 def test_reassembly_builds_one_gate_per_output_gate(monkeypatch):
-    # synthesis emits each selected fragment's Gates once, on its block's
-    # qubits, and reassemble places them as they are: no fragment Circuit,
-    # and no Gate built again on global wires
+    # synthesis places each chunk's selected fragments on their blocks'
+    # qubits as columns, and reassemble builds its output from columns: no
+    # Gate and no validated Circuit until the output's gates are read, and
+    # then one Gate per output gate
     p = form_blocks(gen_random_blocks(16, 60, seed=2))
-    want = reassemble(p, synthesize_blocks(p.blocks, 3, 2, 5))  # also fills the signature memo
+    # also fills the signature memo
+    want = gate_bits(reassemble(p, synthesize_blocks(p.blocks, 3, 2, 5)))
     built = {Gate: 0, Circuit: 0}
     for cls in built:
 
@@ -467,10 +491,13 @@ def test_reassembly_builds_one_gate_per_output_gate(monkeypatch):
 
         monkeypatch.setattr(cls, "__post_init__", counting)
     frags = synthesize_blocks(p.blocks, 3, 2, 5)
-    assert built == {Gate: sum(map(len, frags.values())), Circuit: 0}
     out = reassemble(p, frags)
-    assert built == {Gate: out.num_gates, Circuit: 1}  # the one Circuit is out
-    assert gate_bits(out) == gate_bits(want)
+    assert built == {Gate: 0, Circuit: 0}
+    assert out.num_gates == sum(map(len, frags.values()))
+    assert gate_bits(out) == want
+    assert built == {Gate: out.num_gates, Circuit: 0}
+    out.gates
+    assert built == {Gate: out.num_gates, Circuit: 0}  # built once
 
 
 # A generic two-qubit block: its magic-basis Gram matrix is not diagonal, so
