@@ -12,12 +12,14 @@ import json
 import time
 from dataclasses import asdict, dataclass, field, fields
 
-from .circuit import Circuit, Fragment, gate_counts
+import numpy as np
+
+from .circuit import Circuit, gate_counts
 from .dag import cx_depth
 from .distributions import Distribution
 from .netlsd import circuit_signature, netlsd_divergence
 from .obfuscate import decode
-from .partition import Block, form_blocks, reassemble
+from .partition import Block, block_rows, form_blocks, reassemble
 from .pipeline import PipelineConfig, encode
 from .simulator import ideal_distribution, sample
 from .synthesis import candidate_chunks
@@ -59,19 +61,16 @@ def dominant_percentile(reference: Distribution, candidate: Distribution) -> flo
     return 100.0 * below / (support - 1)
 
 
-def _block_key(b: Block) -> tuple:
-    """Everything a block's plain fragment depends on: its width and its
-    gates on local wires, each angle by its bits (so rz(0.0) and rz(-0.0)
-    never share a key)."""
-    lo = b.qubits[0]
-    return len(b.qubits), tuple(
-        (
-            g.kind,
-            tuple(0 if q == lo else 1 for q in g.qubits),
-            None if g.angle is None else float(g.angle).hex(),
-        )
-        for g in b.gates
-    )
+def _block_keys(blocks) -> list[tuple[int, bytes]]:
+    """Everything each block's plain fragment depends on: its width and the
+    bytes of its rows on local wires, each row's kind and local wire, then
+    its angle's bits (so rz(0.0) and rz(-0.0) never share a key)."""
+    cols, at, wire = block_rows(blocks)
+    rows = np.empty((len(wire), 9), dtype=np.uint8)
+    rows[:, 0] = 2 * cols.kind + wire
+    rows[:, 1:] = cols.angle.reshape(-1, 1).view(np.uint8)
+    data, bounds = rows.tobytes(), (9 * at).tolist()
+    return [(len(b.qubits), data[bounds[i] : bounds[i + 1]]) for i, b in enumerate(blocks)]
 
 
 def make_baseline(c: Circuit, table: dict | None = None) -> Circuit:
@@ -86,26 +85,23 @@ def make_baseline(c: Circuit, table: dict | None = None) -> Circuit:
     and reach reassemble as Fragments, so no Gate is built."""
     p = form_blocks(c)
     table = {} if table is None else table
-    keys = {b.order_index: _block_key(b) for b in p.blocks}
+    keys = _block_keys(p.blocks)  # blocks[i] has order_index i
     missing: dict[tuple, Block] = {}
-    for b in p.blocks:
-        key = keys[b.order_index]
-        if key not in table and key not in missing:
-            missing[key] = b
+    for b, key in zip(p.blocks, keys):
+        if key not in table:
+            missing.setdefault(key, b)
     for chunk, cands in candidate_chunks(list(missing.values()), 1, 0):
         for j, b in enumerate(chunk):
             table[keys[b.order_index]] = cands, j
     placed: dict[int, tuple] = {}  # per Candidates stack: it, its blocks, their candidates
-    for b in p.blocks:
-        cands, j = table[keys[b.order_index]]
+    for b, key in zip(p.blocks, keys):
+        cands, j = table[key]
         _cands, members, idx = placed.setdefault(id(cands), (cands, [], []))
         members.append(b)
         idx.append(j)
     fragments = {}
     for cands, members, idx in placed.values():
-        cols, at = cands.place(idx, [b.qubits[0] for b in members], [b.qubits[-1] for b in members])
-        for f, b in enumerate(members):
-            fragments[b.order_index] = Fragment(cols, at[f], at[f + 1])
+        fragments.update(cands.fragments(idx, members))
     return reassemble(p, fragments)
 
 

@@ -1,15 +1,17 @@
 """Circuit intermediate representation over the {X, SX, RZ, RX, CX} basis.
 
-A Circuit holds its gates as Gate objects, as columns (CircuitColumns: kind
-codes, two qubit columns and an angle column), or both: the compiler's
-outputs are built from columns and build their Gates only when .gates is
-read, so reassembly, certification, gate counts, CX depth and DAG edges run
-as array operations.
+A Circuit stores its gates as columns (CircuitColumns: kind codes, two qubit
+columns and an angle column), from parsing to serializing: every pass reads
+and builds columns, and a block's gates are a Fragment, rows of columns the
+partition's blocks share. Gate objects exist only at the public edges: a
+Circuit or Block built from Gates converts them once, and .gates builds them
+from the columns when it is read.
 """
 
+import functools
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import NamedTuple
 
@@ -32,12 +34,6 @@ class GateKind(Enum):
         return self in (GateKind.RZ, GateKind.RX)
 
 
-# Gate.__post_init__ runs for every emitted gate; module names are cheaper
-# to read than GateKind members, each of which is a class-attribute lookup.
-_CX = GateKind.CX
-_ANGLED = (GateKind.RZ, GateKind.RX)
-
-
 @dataclass(frozen=True)
 class Gate:
     """One gate instance. Angles are stored as given, never reduced mod 2*pi."""
@@ -54,11 +50,11 @@ class Gate:
         kind = self.kind
         if type(kind) is not GateKind:
             raise TypeError(f"gate kind must be a GateKind, got {kind!r}")
-        if len(qubits) != (2 if kind is _CX else 1):
+        if len(qubits) != kind.arity:
             raise ValueError(f"{kind.value} takes {kind.arity} qubit(s), got {qubits}")
-        if kind is _CX and qubits[0] == qubits[1]:
+        if kind is GateKind.CX and qubits[0] == qubits[1]:
             raise ValueError(f"duplicate qubit operands in {kind.value}{qubits}")
-        if kind in _ANGLED:
+        if kind.has_angle:
             if self.angle is None or not math.isfinite(self.angle):
                 raise ValueError(f"{kind.value} needs a finite angle, got {self.angle}")
         elif self.angle is not None:
@@ -124,11 +120,13 @@ def gate_columns(gates) -> CircuitColumns:
     )
 
 
-def _checked_columns(num_qubits: int, cols) -> CircuitColumns:
+def _checked_columns(num_qubits: int, cols, gates=None) -> CircuitColumns:
     """Read-only copies of the columns after the checks Gate and Circuit run
     on the same gates, with their errors: the first row that breaks a gate
     rule raises as Gate raises for it, then a non-positive num_qubits, then
-    the first gate outside the qubits."""
+    the first gate outside the qubits. gates, the Gates the columns came
+    from, if given, checked their own rules and name the gate outside (in
+    columns, a CX's target -1 would read as no target)."""
     kind, q0, q1, angle = (np.asarray(col) for col in cols)
     if any(col.ndim != 1 or len(col) != len(kind) for col in (kind, q0, q1, angle)):
         raise ValueError("gate columns must be 1-D and of one length")
@@ -137,23 +135,25 @@ def _checked_columns(num_qubits: int, cols) -> CircuitColumns:
         raise TypeError("kind and qubit columns must be integers, angles floats")
     kind, q0, q1 = kind.astype(np.int64), q0.astype(np.int64), q1.astype(np.int64)
     angle = angle.astype(float)
-    unknown = (kind < 0) | (kind >= len(KINDS))
-    if unknown.any():
-        raise ValueError(f"unknown gate kind code {kind[np.argmax(unknown)]}")
     is_cx = kind == CX_CODE
-    angled = (kind == RZ_CODE) | (kind == RX_CODE)
-    broken = (
-        (is_cx != (q1 != -1))
-        | (is_cx & (q0 == q1))
-        | np.where(angled, ~np.isfinite(angle), ~np.isnan(angle))
-    )
-    if broken.any():
-        _row_gate(kind, q0, q1, angle, int(np.argmax(broken)))  # raises Gate's error
+    if gates is None:
+        unknown = (kind < 0) | (kind >= len(KINDS))
+        if unknown.any():
+            raise ValueError(f"unknown gate kind code {kind[np.argmax(unknown)]}")
+        angled = (kind == RZ_CODE) | (kind == RX_CODE)
+        broken = (
+            (is_cx != (q1 != -1))
+            | (is_cx & (q0 == q1))
+            | np.where(angled, ~np.isfinite(angle), ~np.isnan(angle))
+        )
+        if broken.any():
+            _row_gate(kind, q0, q1, angle, int(np.argmax(broken)))  # raises Gate's error
     if num_qubits < 1:
         raise ValueError("num_qubits must be positive")
     outside = (q0 < 0) | (q0 >= num_qubits) | (is_cx & ((q1 < 0) | (q1 >= num_qubits)))
     if outside.any():
-        g = _row_gate(kind, q0, q1, angle, int(np.argmax(outside)))
+        i = int(np.argmax(outside))
+        g = _row_gate(kind, q0, q1, angle, i) if gates is None else gates[i]
         raise ValueError(f"gate {g} acts outside qubits 0..{num_qubits - 1}")
     out = CircuitColumns(kind.astype(np.int8), q0, q1, angle)
     for col in out:
@@ -169,100 +169,52 @@ def _row_gate(kind, q0, q1, angle, i: int) -> Gate:
     return Gate(KINDS[k], qubits, None if math.isnan(t) and k not in (RZ_CODE, RX_CODE) else t)
 
 
-def _check_measured(num_qubits: int, measured: tuple[int, ...]) -> None:
-    if len(set(measured)) != len(measured):
-        raise ValueError("duplicate measured qubit")
-    for q in measured:
-        if not 0 <= q < num_qubits:
-            raise ValueError(f"measured qubit {q} out of range")
-
-
-class Derived:
-    """Descriptor of a frozen dataclass's tuple field that an instance is
-    either built with or derives once, on the first read, by derive(instance)
-    (see Circuit.gates). Given a default, the field is optional."""
-
-    def __init__(self, derive, *default):
-        self.derive, self.default = derive, default
-
-    def __set_name__(self, owner, name):
-        self.key = "_" + name
-
-    def __get__(self, obj, owner=None):
-        if obj is None:
-            if not self.default:
-                raise AttributeError(self.key)  # a field without a default
-            return self.default[0]
-        value = obj.__dict__.get(self.key)
-        if value is None:
-            value = obj.__dict__[self.key] = self.derive(obj)
-        return value
-
-    def __set__(self, obj, value):
-        obj.__dict__[self.key] = tuple(value)
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Circuit:
-    """Ordered gate list over num_qubits wires.
+    """Ordered gate list over num_qubits wires, stored as read-only columns.
 
     Gate order is execution order. Qubit 0 is the least significant bit of
     every basis-state index and the rightmost character of outcome strings.
 
-    A circuit is built from Gates (Circuit(n, gates, measured)) or from
-    columns (Circuit.from_columns), after the same checks. Each form is
-    derived from the other once, when it is first read: .gates builds the
-    Gates of a columns-built circuit, .columns the columns of a Gate-built
-    one. Equality and hashing compare Gates, so both forms of one gate
-    sequence are equal and hash alike.
+    Circuit(n, gates, measured) converts its Gates to columns once;
+    Circuit.from_columns takes columns. Both run the same checks, with the
+    errors Gate and Circuit raise for the same gates. .gates builds the
+    Gates from the columns on its first read and keeps them; equality and
+    hashing compare them.
     """
 
     num_qubits: int
-    gates: tuple[Gate, ...] = Derived(lambda c: c.__dict__["_columns"].gates(), ())
+    # a cached_property as a field: dataclass equality, hashing, repr and
+    # replace read it, and only a read builds the Gates
+    gates: tuple[Gate, ...] = functools.cached_property(lambda c: c.columns.gates())
     measured_qubits: tuple[int, ...] = ()
+    columns: CircuitColumns = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self):
-        object.__setattr__(self, "measured_qubits", tuple(self.measured_qubits))
-        if self.num_qubits < 1:
-            raise ValueError("num_qubits must be positive")
-        # one set of every wire touched, so a valid circuit costs no call per gate
-        n = self.num_qubits
-        used = {q for g in self.gates for q in g.qubits}
-        if used and (min(used) < 0 or max(used) >= n):
-            g = next(g for g in self.gates if min(g.qubits) < 0 or max(g.qubits) >= n)
-            raise ValueError(f"gate {g} acts outside qubits 0..{n - 1}")
-        _check_measured(n, self.measured_qubits)
+    def __init__(self, num_qubits: int, gates=(), measured_qubits=()):
+        gates = tuple(gates)
+        self._store(num_qubits, gate_columns(gates), measured_qubits, gates)
 
     @classmethod
-    def from_columns(
-        cls, num_qubits: int, columns, measured_qubits: tuple[int, ...] = ()
-    ) -> "Circuit":
+    def from_columns(cls, num_qubits: int, columns, measured_qubits=()) -> "Circuit":
         """A circuit whose gates are the rows of columns (a CircuitColumns or
-        any (kind, q0, q1, angle) sequence), checked as Gate and Circuit
-        check the same gates and raising their errors. No Gate is built
-        until .gates is read."""
-        cols = _checked_columns(num_qubits, columns)
-        measured = tuple(measured_qubits)
-        _check_measured(num_qubits, measured)
+        any (kind, q0, q1, angle) sequence)."""
         c = object.__new__(cls)
-        c.__dict__.update(num_qubits=num_qubits, measured_qubits=measured, _columns=cols)
+        c._store(num_qubits, columns, measured_qubits)
         return c
 
-    @property
-    def columns(self) -> CircuitColumns:
-        """The gates as read-only columns, derived once for a Gate-built circuit."""
-        cols = self.__dict__.get("_columns")
-        if cols is None:
-            cols = gate_columns(self.gates)
-            for col in cols:
-                col.setflags(write=False)
-            self.__dict__["_columns"] = cols
-        return cols
+    def _store(self, num_qubits: int, columns, measured_qubits, gates=None) -> None:
+        cols = _checked_columns(num_qubits, columns, gates)
+        measured = tuple(measured_qubits)
+        if len(set(measured)) != len(measured):
+            raise ValueError("duplicate measured qubit")
+        for q in measured:
+            if not 0 <= q < num_qubits:
+                raise ValueError(f"measured qubit {q} out of range")
+        self.__dict__.update(num_qubits=num_qubits, columns=cols, measured_qubits=measured)
 
     @property
     def num_gates(self) -> int:
-        cols = self.__dict__.get("_columns")
-        return len(self.gates) if cols is None else len(cols.kind)
+        return len(self.columns.kind)
 
 
 def offsets(sizes) -> np.ndarray:
@@ -280,9 +232,9 @@ def ranges(starts: np.ndarray, sizes: np.ndarray) -> np.ndarray:
 
 
 class Fragment(Sequence):
-    """Rows start:stop of shared CircuitColumns: the gates that replace one
-    block, on global qubits. Indexing or iterating builds them as Gates;
-    stack_fragments reads the rows."""
+    """Rows start:stop of shared CircuitColumns, on global qubits: a block's
+    gates or the gates that replace it. Indexing or iterating builds them as
+    Gates; stack_fragments reads the rows."""
 
     __slots__ = ("columns", "start", "stop")
 
@@ -302,25 +254,32 @@ class Fragment(Sequence):
         return f"Fragment({self.columns.gates(self.start, self.stop)!r})"
 
 
+def group_ranks(owner: np.ndarray, groups: int) -> tuple[np.ndarray, np.ndarray]:
+    """Each entry's rank among the entries with its owner (an int64 array of
+    0 .. groups - 1), in entry order, and each owner's entry count."""
+    count = np.bincount(owner, minlength=groups)
+    order = np.argsort(owner, kind="stable")
+    rank = np.empty(len(owner), dtype=np.int64)
+    rank[order] = np.arange(len(owner)) - offsets(count)[owner[order]]
+    return rank, count
+
+
 def stack_fragments(frags) -> tuple[CircuitColumns, np.ndarray]:
     """The rows of the fragments concatenated in list order, and each
-    fragment's length. A fragment is a Fragment or a sequence of Gates; the
-    Fragments' rows are gathered with one array operation per column set."""
+    fragment's length. A fragment is a Fragment or a sequence of Gates,
+    converted to columns; the rows are gathered with one array operation
+    per column set."""
     sizes = np.array([len(f) for f in frags], dtype=np.int64)
     at = offsets(sizes)
     groups: dict[int, tuple[CircuitColumns, list[int], list[int]]] = {}
-    loose: list[int] = []
     for i, f in enumerate(frags):
-        if type(f) is Fragment:
+        if len(f):  # an empty fragment has no rows to gather
+            if type(f) is not Fragment:
+                f = Fragment(gate_columns(f), 0, len(f))
             _cols, members, starts = groups.setdefault(id(f.columns), (f.columns, [], []))
             members.append(i)
             starts.append(f.start)
-        elif len(f):
-            loose.append(i)
     parts = list(groups.values())
-    if loose:
-        gates = gate_columns(g for i in loose for g in frags[i])
-        parts.append((gates, loose, offsets(sizes[loose])[:-1]))
     if len(parts) == 1:  # the other fragments are empty: one gather
         cols, members, starts = parts[0]
         rows = ranges(starts, sizes[members])

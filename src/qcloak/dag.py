@@ -3,43 +3,40 @@
 Both read a circuit's columns (circuit.CircuitColumns), so neither builds a
 Gate object."""
 
-from dataclasses import dataclass
+import functools
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .circuit import CX_CODE, Circuit, Derived
+from .circuit import CX_CODE, Circuit
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class CircuitDag:
     """Gate nodes 0..g-1 in circuit order, then one source and one sink per wire.
 
     source of wire w = g + w, sink of wire w = g + n + w. Edges follow gate
     adjacency along each wire, so every gate node has in-degree and
-    out-degree equal to its arity. A DAG built by to_dag holds its edges as
-    an (E, 2) array, in column_dag's order, and builds the edges tuple on
-    its first read.
+    out-degree equal to its arity. The edges are stored as a read-only
+    (E, 2) int64 array, edge_array; the edges tuple is built from it on its
+    first read.
     """
 
     num_qubits: int
     num_gates: int
-    edges: tuple[tuple[int, int], ...] = Derived(
-        lambda d: tuple(map(tuple, d.__dict__["_edge_array"].tolist()))
+    edges: tuple[tuple[int, int], ...] = functools.cached_property(
+        lambda d: tuple(map(tuple, d.edge_array.tolist()))
     )
+    edge_array: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __init__(self, num_qubits: int, num_gates: int, edges):
+        arr = np.array(tuple(edges), dtype=np.int64).reshape(-1, 2)
+        arr.setflags(write=False)
+        self.__dict__.update(num_qubits=num_qubits, num_gates=num_gates, edge_array=arr)
 
     @property
     def num_nodes(self) -> int:
         return self.num_gates + 2 * self.num_qubits
-
-    @property
-    def edge_array(self) -> np.ndarray:
-        """The edges as a read-only (E, 2) int64 array, in the order of edges."""
-        arr = self.__dict__.get("_edge_array")
-        if arr is None:
-            arr = np.array(self.edges, dtype=np.int64).reshape(-1, 2)
-            arr.setflags(write=False)
-            self.__dict__["_edge_array"] = arr
-        return arr
 
 
 def to_dag(c: Circuit) -> CircuitDag:
@@ -70,7 +67,7 @@ def column_dag(n: int, q0: np.ndarray, q1: np.ndarray) -> CircuitDag:
     edges = np.stack((node[:-1][link], node[1:][link]), axis=1)
     edges.setflags(write=False)
     d = object.__new__(CircuitDag)
-    d.__dict__.update(num_qubits=n, num_gates=g, _edge_array=edges)
+    d.__dict__.update(num_qubits=n, num_gates=g, edge_array=edges)
     return d
 
 

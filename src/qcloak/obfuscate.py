@@ -11,10 +11,12 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from itertools import chain, pairwise
 
 import numpy as np
 
-from .circuit import Circuit, Gate, GateKind
+from .circuit import RX_CODE, X_CODE, Circuit, CircuitColumns, Fragment, group_ranks, offsets
+from .circuit import ranges, stack_fragments
 from .distributions import Distribution, json_float, json_int, json_list
 from .partition import Block, BlockPartition
 
@@ -79,70 +81,76 @@ def inject_x_end(c: Circuit, seed: int) -> tuple[Circuit, ObfuscationKey]:
     rng = np.random.default_rng(seed)
     draws = rng.integers(0, 2, size=c.num_qubits)
     mask = "".join("1" if draws[q] else "0" for q in reversed(range(c.num_qubits)))
-    gates = list(c.gates)
-    for q in range(c.num_qubits):
-        if draws[q]:
-            gates.append(Gate(GateKind.X, (q,)))
+    flipped = np.flatnonzero(draws)
+    k = len(flipped)
+    x_rows = (np.full(k, X_CODE), flipped, np.full(k, -1), np.full(k, np.nan))
+    cols = [np.concatenate(pair) for pair in zip(c.columns, x_rows)]
     # only a strict subset is recorded, so a fully measured circuit's key is
     # the same version 1 key as before measured_qubits existed
     measured = tuple(sorted(c.measured_qubits))
     if len(measured) == c.num_qubits:
         measured = ()
     key = ObfuscationKey(mask, seed, measured_qubits=measured)
-    return Circuit(c.num_qubits, tuple(gates), c.measured_qubits), key
-
-
-def _boundaries(p: BlockPartition) -> list[tuple[int, int, int]]:
-    """(wire, earlier order_index, later order_index) for each block-boundary
-    crossing of each wire. On any one wire, blocks appear in ascending
-    order_index, so consecutive entries of that wire's block list are exactly
-    its boundaries."""
-    per_wire: dict[int, list[int]] = {}
-    for b in p.blocks:
-        for q in b.qubits:
-            per_wire.setdefault(q, []).append(b.order_index)
-    out = []
-    for w in sorted(per_wire):
-        orders = sorted(per_wire[w])
-        for a, b in zip(orders, orders[1:]):
-            out.append((w, a, b))
-    return out
+    return Circuit.from_columns(c.num_qubits, cols, c.measured_qubits), key
 
 
 def inject_rx_pairs(p: BlockPartition, seed: int) -> tuple[BlockPartition, tuple[RxPair, ...]]:
     """Insert RX(theta)/RX(-theta) across block boundaries.
 
-    For each wire crossing from one block to the next, RX(theta) is appended
-    to the earlier block and RX(-theta) is prepended to the later block,
-    theta ~ Uniform[0.1, 2*pi - 0.1]. Returns the partition with the pairs
-    folded into their blocks and the injection record. A prepended half
-    shares its block's first slot and an appended half its last, so the two
-    halves of each pair are adjacent on their wire and cancel exactly:
-    encode checks its output against the X-injected circuit p was formed
-    from and no RX-injected circuit is built. The pairs go into the blocks,
-    not into a new circuit, because re-partitioning such a circuit would put
-    both halves of a pair in the earlier block (still open when the second
-    half is scanned), where they cancel instead of straddling the boundary.
+    For each wire crossing from one block to the next (by wire, then block),
+    RX(theta) is appended to the earlier block and RX(-theta) is prepended to
+    the later block, theta ~ Uniform[0.1, 2*pi - 0.1]. Returns the partition
+    with the pairs folded into their blocks, one new column set, and the
+    injection record. A prepended half shares its block's first slot and an
+    appended half its last, so the two halves of each pair are adjacent on
+    their wire and cancel exactly: encode checks its output against the
+    X-injected circuit p was formed from and no RX-injected circuit is built.
+    The pairs go into the blocks, not into a new circuit, because
+    re-partitioning such a circuit would put both halves of a pair in the
+    earlier block (still open when the second half is scanned), where they
+    cancel instead of straddling the boundary.
     """
+    blocks = p.blocks
+    rows, sizes = stack_fragments([b.rows for b in blocks])
+    ell = [len(s) for s in p.slots]
+    if len(ell) != len(blocks) or (np.array(ell, dtype=np.int64) != sizes).any() or 0 in ell:
+        raise ValueError("each block needs one slot per gate and at least one gate")
+    # the block boundaries: consecutive blocks on a wire, in order_index order
+    owner = np.repeat(np.arange(len(blocks)), [len(b.qubits) for b in blocks])
+    wire = np.fromiter(chain.from_iterable(b.qubits for b in blocks), np.int64, len(owner))
+    order = np.array([b.order_index for b in blocks], dtype=np.int64)
+    by_wire = np.lexsort((order[owner], wire))
+    owner, wire = owner[by_wire], wire[by_wire]
+    cross = np.flatnonzero(wire[1:] == wire[:-1])
+    earlier, later, wire = owner[cross], owner[cross + 1], wire[cross]
     rng = np.random.default_rng(seed)
-    record: list[RxPair] = []
-    prepend: dict[int, list[Gate]] = {}
-    append: dict[int, list[Gate]] = {}
-    for wire, earlier, later in _boundaries(p):
-        theta = rng.uniform(THETA_MARGIN, 2 * np.pi - THETA_MARGIN)
-        record.append(RxPair(wire, earlier, theta))
-        append.setdefault(earlier, []).append(Gate(GateKind.RX, (wire,), theta))
-        prepend.setdefault(later, []).append(Gate(GateKind.RX, (wire,), -theta))
+    theta = rng.uniform(THETA_MARGIN, 2 * np.pi - THETA_MARGIN, len(cross))
+    record = tuple(map(RxPair, wire.tolist(), order[earlier].tolist(), theta.tolist()))
 
-    blocks: list[Block] = []
-    slots: list[tuple[int, ...]] = []
-    for b, s in zip(p.blocks, p.slots, strict=True):
-        pre = tuple(prepend.get(b.order_index, ()))
-        app = tuple(append.get(b.order_index, ()))
-        blocks.append(Block(b.qubits, pre + b.gates + app, b.order_index))
-        slots.append((s[0],) * len(pre) + s + (s[-1],) * len(app))
-    new_partition = BlockPartition(p.num_qubits, tuple(blocks), tuple(slots), p.measured_qubits)
-    return new_partition, tuple(record)
+    # each new row's source row: a block's own rows, its first row for the
+    # RX(-theta) halves it now starts with, its last for the RX(theta) halves
+    # it now ends with; a half takes its source row's slot
+    first, n_first = group_ranks(later, len(blocks))
+    last, n_last = group_ranks(earlier, len(blocks))
+    at, old_at = offsets(sizes + n_first + n_last), offsets(sizes)
+    first += at[later]
+    last += at[earlier + 1] - n_last[earlier]
+    source = np.empty(at[-1], dtype=np.int64)
+    source[ranges(at[:-1] + n_first, sizes)] = np.arange(old_at[-1])
+    source[first], source[last] = old_at[later], old_at[earlier + 1] - 1
+    cols = CircuitColumns(*(col[source] for col in rows))
+    halves = np.concatenate((first, last))
+    cols.kind[halves], cols.q0[halves], cols.q1[halves] = RX_CODE, np.tile(wire, 2), -1
+    cols.angle[halves] = np.concatenate((-theta, theta))
+    slot = np.fromiter(chain.from_iterable(p.slots), dtype=np.int64, count=old_at[-1])[source]
+
+    bounds, slot = at.tolist(), slot.tolist()
+    blocks = tuple(
+        Block.from_rows(b.qubits, Fragment(cols, a, z), b.order_index)
+        for b, (a, z) in zip(blocks, pairwise(bounds))
+    )
+    slots = tuple(tuple(slot[a:z]) for a, z in pairwise(bounds))
+    return BlockPartition(p.num_qubits, blocks, slots, p.measured_qubits), record
 
 
 def decode(d: Distribution, k: ObfuscationKey) -> Distribution:

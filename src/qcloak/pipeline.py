@@ -25,7 +25,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from .circuit import Circuit, CircuitColumns, GateKind, offsets, stack_fragments
+from .circuit import RX_CODE, Circuit, CircuitColumns, group_ranks, offsets, stack_fragments
 from .dag import incidences
 from .linalg import apply_circuit, equal_up_to_global_phase
 from .netlsd import DEFAULT_POINTS, DEFAULT_T_MAX, DEFAULT_T_MIN
@@ -140,14 +140,14 @@ def certify(
         earlier one, so adjacent halves cancel exactly; and the blocks'
         cores, the blocks without these halves, concatenated in order_index
         order, give x_circ's per-wire gate sequences;
-    (b) every block has a fragment (a circuit.Fragment or a sequence of
-        Gates; it may be empty) whose gates act on the block's qubits only,
-        and the fragments, concatenated in order_index order, give out's
-        per-wire gate sequences.
+    (b) every block has a fragment (a circuit.Fragment, as synthesis emits,
+        or a sequence of Gates, converted once; it may be empty) whose gates
+        act on the block's qubits only, and the fragments, concatenated in
+        order_index order, give out's per-wire gate sequences.
 
-    Both wire walks compare columns (circuit.CircuitColumns), so a
-    columns-built out and Fragments are read without building Gates.
-    Reads no slots: nothing reassemble relies on is trusted."""
+    Every check reads columns (circuit.CircuitColumns): the circuits', the
+    blocks' rows and the Fragments' rows. Reads no slots: nothing
+    reassemble relies on is trusted."""
     n = x_circ.num_qubits
     if not n == partition.num_qubits == out.num_qubits:
         raise _fail("circuits and partition differ in width")
@@ -159,34 +159,41 @@ def certify(
         raise _fail("duplicate block order_index")
     if any(not 0 <= q < n for b in blocks for q in b.qubits):
         raise _fail("a block acts outside the circuit's qubits")
-    later_on_wire: dict[tuple[int, int], int] = {}
+    # (wire, order_index) -> positions of that block and the next on the wire
+    next_on_wire: dict[tuple[int, int], tuple[int, int]] = {}
     last_on_wire: dict[int, int] = {}
-    for b in blocks:
+    for i, b in enumerate(blocks):
         for q in b.qubits:
             if q in last_on_wire:
-                later_on_wire[q, last_on_wire[q]] = b.order_index
-            last_on_wire[q] = b.order_index
-    # order_index -> (wire, angle) of the halves it starts / ends with
-    prepend: dict[int, list[tuple[int, float]]] = {}
-    append: dict[int, list[tuple[int, float]]] = {}
-    for pair in rx_record:
-        later = later_on_wire.get((pair.wire, pair.boundary))
-        if later is None:
-            raise _fail(f"RX pair on wire {pair.wire} crosses no block boundary")
-        append.setdefault(pair.boundary, []).append((pair.wire, pair.theta))
-        prepend.setdefault(later, []).append((pair.wire, -pair.theta))
-    cores = []
-    for b in blocks:
-        o = b.order_index
-        pre, app = prepend.get(o, []), append.get(o, [])
-        gates = b.gates
-        start, stop = len(pre), len(gates) - len(app)
-        if stop < start or [
-            (g.kind, g.qubits, g.angle) for g in gates[:start] + gates[stop:]
-        ] != [(GateKind.RX, (wire,), angle) for wire, angle in pre + app]:
-            raise _fail(f"block {o} does not start and end with exactly its RX halves")
-        cores.append(gates[start:stop])
-    _match_wires(n, x_circ.columns, stack_fragments(cores)[0], "block cores")
+                next_on_wire[q, blocks[last_on_wire[q]].order_index] = last_on_wire[q], i
+            last_on_wire[q] = i
+    crossed = [next_on_wire.get((pair.wire, pair.boundary)) for pair in rx_record]
+    if None in crossed:
+        wire = rx_record[crossed.index(None)].wire
+        raise _fail(f"RX pair on wire {wire} crosses no block boundary")
+    earlier, later = np.array(crossed, dtype=np.int64).reshape(-1, 2).T
+    wire = np.array([pair.wire for pair in rx_record], dtype=np.int64)
+    theta = np.array([pair.theta for pair in rx_record], dtype=float)
+    # the rows of the halves, in record order: the RX(-theta) halves each
+    # block starts with, then the RX(theta) halves each ends with
+    rows, sizes = stack_fragments([b.rows for b in blocks])
+    at = offsets(sizes)
+    first, n_first = group_ranks(later, len(blocks))
+    last, n_last = group_ranks(earlier, len(blocks))
+    half = np.concatenate((at[later] + first, at[earlier + 1] - n_last[earlier] + last))
+    bad = sizes < n_first + n_last
+    if len(rows.kind):
+        r = np.clip(half, 0, len(rows.kind) - 1)  # a short block is bad anyway
+        wrong = (rows.kind[r] != RX_CODE) | (rows.q0[r] != np.tile(wire, 2))
+        wrong |= rows.angle[r] != np.concatenate((-theta, theta))
+        bad[np.concatenate((later, earlier))[wrong]] = True
+    if bad.any():
+        o = blocks[int(np.argmax(bad))].order_index
+        raise _fail(f"block {o} does not start and end with exactly its RX halves")
+    core = np.ones(len(rows.kind), dtype=bool)
+    core[half] = False
+    cores = CircuitColumns(*(col[core] for col in rows))
+    _match_wires(n, x_circ.columns, cores, "block cores")
 
     frags = [fragments.get(b.order_index) for b in blocks]
     missing = next((i for i, f in enumerate(frags) if f is None), len(blocks))

@@ -13,7 +13,9 @@ as `pi/2`, `2*pi`, `-pi/4`. Comments run from `//` to end of line.
 import math
 import re
 
-from .circuit import Circuit, Gate, GateKind
+from .circuit import CX_CODE, KINDS, RX_CODE, RZ_CODE, Circuit
+
+_CODES = {kind.value: code for code, kind in enumerate(KINDS)}
 
 _FLOAT_RE = re.compile(r"^[+-]?(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?$")
 _PI_RE = re.compile(r"^([+-])?(?:(\d+\.?\d*|\.\d+)\s*\*\s*)?pi(?:\s*/\s*(\d+\.?\d*|\.\d+))?$")
@@ -73,7 +75,7 @@ class _Parser:
         self.qreg_size = 0
         self.creg_name = None
         self.creg_size = 0
-        self.gates: list[Gate] = []
+        self.rows: list[tuple[int, int, int, float]] = []  # kind code, q0, q1, angle
         self.measured: dict[int, None] = {}  # a set that keeps measure order
 
     def qubit(self, operand: str, line: int) -> int:
@@ -128,7 +130,7 @@ class _Parser:
             return
         if head in ("x", "sx"):
             q = self.qubit(rest, line)
-            self.gates.append(Gate(GateKind(head), (q,)))
+            self.rows.append((_CODES[head], q, -1, math.nan))
             return
         if head.startswith("rz") or head.startswith("rx"):
             m = re.match(r"^(rz|rx)\s*\(([^)]*)\)\s*(.*)$", stmt, re.IGNORECASE)
@@ -137,7 +139,7 @@ class _Parser:
             kind, expr, operand = m.groups()
             angle = _parse_angle(expr, line)
             q = self.qubit(operand, line)
-            self.gates.append(Gate(GateKind(kind.lower()), (q,), angle))
+            self.rows.append((_CODES[kind.lower()], q, -1, angle))
             return
         if head == "cx":
             operands = rest.split(",")
@@ -147,7 +149,7 @@ class _Parser:
             t = self.qubit(operands[1], line)
             if c == t:
                 raise QasmError(line, "cx control equals target")
-            self.gates.append(Gate(GateKind.CX, (c, t)))
+            self.rows.append((CX_CODE, c, t, math.nan))
             return
         raise QasmError(line, f"unknown gate name {head}")
 
@@ -195,7 +197,8 @@ def parse_qasm(text: str) -> Circuit:
         p.statement(line, stmt)
     if p.qreg_name is None:
         raise QasmError(1, "missing qreg declaration")
-    return Circuit(p.qreg_size, tuple(p.gates), tuple(p.measured))
+    columns = tuple(zip(*p.rows)) or ((), (), (), ())
+    return Circuit.from_columns(p.qreg_size, columns, tuple(p.measured))
 
 
 def serialize_qasm(c: Circuit) -> str:
@@ -203,13 +206,13 @@ def serialize_qasm(c: Circuit) -> str:
     lines = ["OPENQASM 2.0;", f"qreg q[{c.num_qubits}];"]
     if c.measured_qubits:
         lines.append(f"creg c[{c.num_qubits}];")
-    for g in c.gates:
-        if g.kind is GateKind.CX:
-            lines.append(f"cx q[{g.qubits[0]}],q[{g.qubits[1]}];")
-        elif g.kind.has_angle:
-            lines.append(f"{g.kind.value}({g.angle:.17g}) q[{g.qubits[0]}];")
+    for k, a, b, t in zip(*(col.tolist() for col in c.columns)):
+        if k == CX_CODE:
+            lines.append(f"cx q[{a}],q[{b}];")
+        elif k in (RZ_CODE, RX_CODE):
+            lines.append(f"{KINDS[k].value}({t:.17g}) q[{a}];")
         else:
-            lines.append(f"{g.kind.value} q[{g.qubits[0]}];")
+            lines.append(f"{KINDS[k].value} q[{a}];")
     for q in c.measured_qubits:
         lines.append(f"measure q[{q}] -> c[{q}];")
     return "\n".join(lines) + "\n"

@@ -9,24 +9,24 @@ against the block unitary up to global phase before it can be returned.
 
 synthesize_blocks builds the candidates of many blocks as stacks, one chunk
 of SYNTH_CHUNK blocks at a time, from the block unitaries to the Euler pass:
-the block unitaries by gate structure (partition.block_unitaries), one
-kak.kak_decompose_stack call over the k candidates of every two-qubit
-block, one vectorized class decision, the Pauli dressing, class template
-and CX dressings of each (class, dressed) group as one stack, the Euler
-angles of every one-qubit segment of every candidate from one (m, 2, 2)
-stack, and the emitted gates of every candidate as columns of kind codes,
-local wires and angles (Candidates), with no Gate objects. Only each
-candidate's own rng draws run per candidate: KAK's first mix, then the
-Pauli choice, then the 2 * (CX count) dressing angles, in that order. The
-check multiplies each wire's run of emitted gates into one 2x2 matrix, all
-runs at once, combines each candidate's runs through its CX row
+the block unitaries by gate structure from the blocks' rows of circuit
+columns (partition.block_unitaries), one kak.kak_decompose_stack call over
+the k candidates of every two-qubit block, one vectorized class decision,
+the Pauli dressing, class template and CX dressings of each (class,
+dressed) group as one stack, the Euler angles of every one-qubit segment of
+every candidate from one (m, 2, 2) stack, and the emitted gates of every
+candidate as columns of kind codes, local wires and angles (Candidates).
+Only each candidate's own rng draws run per candidate: KAK's first mix,
+then the Pauli choice, then the 2 * (CX count) dressing angles, in that
+order. The check multiplies each wire's run of emitted gates into one 2x2
+matrix, all runs at once, combines each candidate's runs through its CX row
 permutations, and compares the stacked results with the block unitaries.
 Selection ranks every candidate from the columns too (one lexsort per
-chunk, signature memo keyed by column bytes), and each chunk's selected
-candidates are placed on their blocks' qubits as one set of circuit columns
-(circuit.Fragment), still with no Gate objects. generate_candidates
-and synthesize_block are the one-block case, weyl_to_circuit the
-one-candidate case of the template stage.
+chunk, signature memo keyed by column bytes, the blocks' keys from their
+rows), and each chunk's selected candidates are placed on their blocks'
+qubits as one set of circuit columns (circuit.Fragment): no Gate object is
+built. generate_candidates and synthesize_block are the one-block case,
+weyl_to_circuit the one-candidate case of the template stage.
 Each candidate's gates and angle bits equal those of building it alone:
 - the rotations come from linalg's builders over angle arrays, whose every
   entry has the bits of a one-angle call;
@@ -56,7 +56,7 @@ from .kak import DecompositionError, KakStack, KakTerms, kak_decompose_stack
 from .linalg import CX_ROWS, PAULI_X, PAULI_Y, PAULI_Z, SX_MATRIX, equal_up_to_global_phase
 from .linalg import rx_matrix, ry_matrix, rz_matrix
 from .netlsd import HeatSignature, netlsd_divergence
-from .partition import Block, block_unitaries
+from .partition import Block, block_rows, block_unitaries
 
 # imported for perfbench/tracing.py, which wraps these names; not called here
 from .kak import kak_decompose  # noqa: F401
@@ -135,6 +135,12 @@ class Candidates:
             np.where(kind == RZ_CODE, self.angle[rows], np.nan),
         )
         return cols, offsets(sizes).tolist()
+
+    def fragments(self, idx, blocks) -> dict[int, Fragment]:
+        """Fragments idx placed by place on the blocks' qubits, local wire w
+        of fragment idx[j] on qubit w of blocks[j], keyed by order_index."""
+        cols, at = self.place(idx, [b.qubits[0] for b in blocks], [b.qubits[-1] for b in blocks])
+        return {b.order_index: Fragment(cols, at[j], at[j + 1]) for j, b in enumerate(blocks)}
 
     def circuit(self, i: int) -> Circuit:
         """Fragment i as a Circuit on its local wires."""
@@ -422,7 +428,7 @@ def _checked_candidates(blocks: list[Block], k: int, seed: int) -> Candidates:
     Euler pass over the segments of every candidate, then one check of
     every candidate against its block. Only the rng draws run per
     candidate."""
-    if any(not b.gates for b in blocks):
+    if any(not len(b.rows) for b in blocks):
         raise ValueError("cannot synthesize an empty block")
     if k < 1:
         raise ValueError(f"need k >= 1 candidates per block, got {k}")
@@ -478,23 +484,22 @@ def _shortlists(sx_plus_x: np.ndarray, rz: np.ndarray, k: int, shortlist: int) -
     return np.lexsort((index, rz, sx_plus_x, index // k)).reshape(-1, k)[:, :shortlist]
 
 
-def _most_distant(kept: list[int], structure, block: Block) -> int:
+def _most_distant(kept: list[int], structure, reference: tuple[int, bytes]) -> int:
     """The shortlisted candidate most structurally distant from the source
-    block (the first of equals), or the only one; structure(i) is candidate
-    i's memo key, read only when there are two or more."""
+    block, whose memo key is reference (the first of equals), or the only
+    one; structure(i) is candidate i's memo key, read only when there are
+    two or more."""
     if len(kept) == 1:
         return kept[0]
-    lo = block.qubits[0]
-    reference = _structure_signature(
-        *structure_key(
-            len(block.qubits),
-            [g.qubits[0] != lo for g in block.gates],
-            [len(g.qubits) == 2 for g in block.gates],
-        )
-    )
-    return max(
-        kept, key=lambda i: netlsd_divergence(_structure_signature(*structure(i)), reference)
-    )
+    ref = _structure_signature(*reference)
+    return max(kept, key=lambda i: netlsd_divergence(_structure_signature(*structure(i)), ref))
+
+
+def block_structures(blocks) -> list[tuple[int, bytes]]:
+    """Each block's key in the signature memo, from one gather of their rows."""
+    cols, at, wire = block_rows(blocks)
+    data, bounds = structure_codes(wire, cols.q1 != -1).tobytes(), at.tolist()
+    return [(len(b.qubits), data[bounds[i] : bounds[i + 1]]) for i, b in enumerate(blocks)]
 
 
 def select_candidate(cands: list[Circuit], original_block: Block, shortlist: int) -> Circuit:
@@ -505,7 +510,8 @@ def select_candidate(cands: list[Circuit], original_block: Block, shortlist: int
     counts = [gate_counts(c) for c in cands]
     sx_plus_x, rz = np.array([(n.sx_plus_x, n.rz) for n in counts]).T
     kept = _shortlists(sx_plus_x, rz, len(cands), shortlist)[0].tolist()
-    return cands[_most_distant(kept, lambda i: circuit_structure(cands[i]), original_block)]
+    reference = block_structures([original_block])[0]
+    return cands[_most_distant(kept, lambda i: circuit_structure(cands[i]), reference)]
 
 
 def structure_codes(wire, is_cx) -> np.ndarray:
@@ -515,22 +521,17 @@ def structure_codes(wire, is_cx) -> np.ndarray:
     return np.asarray(wire, dtype=np.int8) + 2 * np.asarray(is_cx, dtype=np.int8)
 
 
-def structure_key(width, wire, is_cx) -> tuple[int, bytes]:
-    """The signature memo's key of a fragment on width (1 or 2) local wires:
-    the width and the bytes of its structure_codes."""
-    return int(width), structure_codes(wire, is_cx).tobytes()
-
-
 def circuit_structure(c: Circuit) -> tuple[int, bytes]:
-    """A local-wire circuit's key in the signature memo."""
+    """A local-wire circuit's key in the signature memo: its width and the
+    bytes of its structure_codes."""
     cols = c.columns
-    return structure_key(c.num_qubits, cols.q0, cols.kind == CX_CODE)
+    return c.num_qubits, structure_codes(cols.q0, cols.kind == CX_CODE).tobytes()
 
 
 @functools.lru_cache(maxsize=SIGNATURE_MEMO_ENTRIES)
 def _structure_signature(width: int, structure: bytes) -> HeatSignature:
-    """Heat signature on the default grid of the fragment whose structure_key
-    is (width, structure), memoized by it: the DAG's edges, and so the
+    """Heat signature on the default grid of the fragment whose memo key is
+    (width, structure), memoized by it: the DAG's edges, and so the
     signature, depend on nothing else, never on gate kinds or angles, and an
     encode meets few distinct structures, so most lookups hit. The returned
     arrays are read-only and shared."""
@@ -573,8 +574,7 @@ def synthesize_blocks(
         sx_plus_x = np.bincount(owner[sx_or_x], minlength=len(cands))
         rz = np.bincount(owner[cands.kind == RZ_CODE], minlength=len(cands))
         kept = _shortlists(sx_plus_x, rz, k, shortlist).tolist()
-        best = [_most_distant(row, cands.structure, b) for row, b in zip(kept, chunk)]
-        cols, at = cands.place(best, [b.qubits[0] for b in chunk], [b.qubits[-1] for b in chunk])
-        for j, b in enumerate(chunk):
-            out[b.order_index] = Fragment(cols, at[j], at[j + 1])
+        refs = block_structures(chunk)
+        best = [_most_distant(row, cands.structure, ref) for row, ref in zip(kept, refs)]
+        out.update(cands.fragments(best, chunk))
     return out

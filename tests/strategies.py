@@ -18,6 +18,7 @@ from qcloak.kak import (
     canonical_matrix,
 )
 from qcloak.linalg import (
+    CX_MATRIX,
     PAULI_X,
     PAULI_Y,
     PAULI_Z,
@@ -26,8 +27,10 @@ from qcloak.linalg import (
     _apply_cx,
     circuit_unitary,
     equal_up_to_global_phase,
+    rx_matrix,
+    rz_matrix,
 )
-from qcloak.partition import Block
+from qcloak.partition import Block, BlockPartition
 from qcloak.qasm import QasmError
 from qcloak.synthesis import (
     CANDIDATE_TOL,
@@ -377,6 +380,56 @@ def scalar_gate_unitary(g: Gate) -> np.ndarray:
     if g.kind is GateKind.RX:
         return scalar_rx_matrix(g.angle)
     return PAULI_X if g.kind is GateKind.X else SX_MATRIX
+
+
+def gate_unitary(g: Gate) -> np.ndarray:
+    """One gate's matrix on its own operands."""
+    if g.kind is GateKind.X:
+        return PAULI_X.copy()
+    if g.kind is GateKind.SX:
+        return SX_MATRIX.copy()
+    if g.kind is GateKind.RZ:
+        return rz_matrix(g.angle)
+    if g.kind is GateKind.RX:
+        return rx_matrix(g.angle)
+    return CX_MATRIX.copy()
+
+
+def gate_loop_apply_circuit(u: np.ndarray, c: Circuit) -> np.ndarray:
+    """Reference for linalg.apply_circuit, which must equal it bit for bit:
+    one Gate at a time, each wire's one-qubit run multiplied into its 2x2
+    matrix by one 2x2 product per gate and applied when a CX touches the
+    wire or at the end."""
+    n = c.num_qubits
+    pending: dict[int, np.ndarray] = {}  # wire -> product of its open 1q run
+    for g in c.gates:
+        if g.kind is GateKind.CX:
+            for q in g.qubits:
+                if q in pending:
+                    u = _apply_1q(u, pending.pop(q), q, n)
+            _apply_cx(u, g.qubits[0], g.qubits[1], n)
+        else:
+            q = g.qubits[0]
+            mat = gate_unitary(g)
+            pending[q] = mat @ pending[q] if q in pending else mat
+    for q, mat in pending.items():
+        u = _apply_1q(u, mat, q, n)
+    return u
+
+
+def block_boundaries(p: BlockPartition) -> list[tuple[int, int, int]]:
+    """(wire, earlier order_index, later order_index) for each block-boundary
+    crossing of each wire, in order of wire, then of order_index: the
+    consecutive entries of each wire's list of blocks."""
+    per_wire: dict[int, list[int]] = {}
+    for b in p.blocks:
+        for q in b.qubits:
+            per_wire.setdefault(q, []).append(b.order_index)
+    out = []
+    for w in sorted(per_wire):
+        orders = sorted(per_wire[w])
+        out.extend((w, a, b) for a, b in zip(orders, orders[1:]))
+    return out
 
 
 def per_gate_block_unitary(b: Block) -> np.ndarray:
@@ -801,8 +854,6 @@ def embed_unitary(mat: np.ndarray, qubits: tuple[int, ...], num_qubits: int) -> 
 
 def slow_circuit_unitary(c: Circuit) -> np.ndarray:
     """Independent reference: explicit kron embedding, no shared code path."""
-    from qcloak.linalg import gate_unitary
-
     u = np.eye(2**c.num_qubits, dtype=complex)
     for g in c.gates:
         u = embed_unitary(gate_unitary(g), g.qubits, c.num_qubits) @ u
@@ -820,9 +871,6 @@ def tensordot_circuit_unitary(c: Circuit) -> np.ndarray:
     """Gate-by-gate product by per-gate tensordot contraction (2x2 matmuls on
     one wire). partition.block_unitaries must equal it bit for bit: its bits
     are KAK's input and so fix the encoded QASM."""
-    from qcloak.circuit import GateKind
-    from qcloak.linalg import gate_unitary
-
     n = c.num_qubits
     dim = 2**n
     if n == 1:

@@ -167,7 +167,7 @@ def test_gate_and_column_circuits_are_one_circuit(c):
         edges = sorted(to_dag(e).edges)  # in wire order, not the walk's
         assert ((n.cx, n.sx_plus_x, n.rz, n.rx), cx_depth(e), edges) == walks
         assert e.num_gates == len(c.gates)
-    assert "_gates" not in vars(d)
+    assert "gates" not in vars(d)
     assert d == c and hash(d) == hash(c)
     assert gate_bits(d) == gate_bits(c)
     assert serialize_qasm(d) == serialize_qasm(c)

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import expm
 
+from qcloak.bench import desk_benchmarks
 from qcloak.circuit import Circuit, cx, rx, rz, sx, x
 from qcloak.linalg import (
     CX_MATRIX,
@@ -10,17 +12,20 @@ from qcloak.linalg import (
     PAULI_Z,
     SX_MATRIX,
     UNITARY_QUBIT_CAP,
+    apply_circuit,
     circuit_unitary,
     equal_up_to_global_phase,
-    gate_unitary,
     rx_matrix,
     ry_matrix,
     rz_matrix,
 )
+from qcloak.pipeline import EQUIV_CHECK_MAX_QUBITS, PipelineConfig, _stimuli, encode
 from strategies import (
     ANGLES,
     circuits,
     embed_unitary,
+    gate_loop_apply_circuit,
+    gate_unitary,
     is_unitary,
     one_qubit_runs,
     scalar_rx_matrix,
@@ -105,6 +110,33 @@ def test_gate_unitary_dispatch():
     assert np.allclose(gate_unitary(cx(0, 1)), CX_MATRIX)
     assert np.allclose(gate_unitary(rz(1.1, 2)), rz_matrix(1.1))
     assert np.allclose(gate_unitary(rx(-2.2, 0)), rx_matrix(-2.2))
+
+
+@given(
+    st.one_of(circuits(max_qubits=5, max_gates=30), one_qubit_runs(max_qubits=6, min_gates=40)),
+    st.integers(1, 4),
+)
+@settings(max_examples=80, deadline=None)
+def test_apply_circuit_has_the_gate_loop_bits(c, width):
+    # the column kernel's stacked matrices and run products against one
+    # Gate at a time, on the identity and on a block of random states
+    rng = np.random.default_rng(width)
+    dim = 2**c.num_qubits
+    states = rng.standard_normal((dim, width)) + 1j * rng.standard_normal((dim, width))
+    for u in (np.eye(dim, dtype=complex), states):
+        assert np.array_equal(apply_circuit(u.copy(), c), gate_loop_apply_circuit(u.copy(), c))
+
+
+@pytest.mark.parametrize(
+    "name",
+    [name for name, c in desk_benchmarks().items() if c.num_qubits <= EQUIV_CHECK_MAX_QUBITS],
+)
+def test_apply_circuit_has_the_gate_loop_bits_on_encode_stimuli(name):
+    enc = encode(desk_benchmarks()[name], PipelineConfig(seed=3))
+    for c in (enc.circuit, enc.x_injected):
+        stimuli = _stimuli(c.num_qubits)
+        got = apply_circuit(stimuli.copy(), c)
+        assert np.array_equal(got, gate_loop_apply_circuit(stimuli.copy(), c))
 
 
 def test_embed_unitary_positions():

@@ -1,3 +1,4 @@
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -18,8 +19,11 @@ def test_block_validation():
         Block((1, 0), (), 0)
     with pytest.raises(ValueError):
         Block((0, 1, 2), (), 0)
-    with pytest.raises(ValueError):
-        Block((0, 1), (x(2),), 0)
+    # the rows are checked as columns; the message names the first stray Gate
+    for gates, stray in (((x(2),), x(2)), ((sx(0), cx(1, 3), x(2)), cx(1, 3))):
+        message = re.escape(f"gate {stray} outside block wires (0, 1)")
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            Block((0, 1), gates, 0)
 
 
 def test_form_blocks_ghz_chain():
@@ -136,7 +140,7 @@ def test_reassemble_substitutes_fragment():
     frag = (rz(1.0, 1), cx(2, 1), rz(-1.0, 1))
     out = reassemble(p, {0: frag})
     # the fragment's gates, placed as they are; out is built from columns
-    assert "_gates" not in vars(out)
+    assert "gates" not in vars(out)
     assert out.gates == frag
     assert out.num_qubits == 3 and out.measured_qubits == c.measured_qubits
 

@@ -8,10 +8,12 @@ import qcloak.pipeline
 from qcloak import obfuscate, partition
 from qcloak.analysis import make_baseline, tvd
 from qcloak.bench import (
+    build_qaoa_circuit,
     desk_benchmarks,
     gen_ghz,
     gen_random_blocks,
     gen_wstate,
+    ring_problem,
     structural_benchmarks,
 )
 from qcloak.circuit import Circuit, Gate, GateKind, cx, gate_counts, rz, sx
@@ -24,10 +26,12 @@ from qcloak.pipeline import (
     SynthesisEquivalenceError,
     certify,
     encode,
+    whole_circuit_check,
 )
-from qcloak.simulator import ideal_distribution
+from qcloak.qasm import parse_qasm, serialize_qasm
+from qcloak.simulator import ideal_distribution, run_statevector, sample
 from qcloak.synthesis import synthesize_block, synthesize_blocks
-from strategies import circuits, dense_equivalent
+from strategies import block_boundaries, circuits, dense_equivalent
 
 
 def test_encode_result_structure():
@@ -242,7 +246,7 @@ def test_desk_encodes_pass_the_dense_oracle(name, seed):
 @pytest.mark.parametrize("name", list(desk_benchmarks()))
 def test_every_block_boundary_gets_one_rx_pair(name):
     enc = encode(desk_benchmarks()[name], PipelineConfig(seed=3))
-    boundaries = obfuscate._boundaries(form_blocks(enc.x_injected))
+    boundaries = block_boundaries(form_blocks(enc.x_injected))
     pairs = enc.key.rx_record
     assert sorted((p.wire, p.boundary) for p in pairs) == [(w, a) for w, a, _b in boundaries]
     assert all(THETA_MARGIN <= p.theta <= 2 * math.pi - THETA_MARGIN for p in pairs)
@@ -423,20 +427,43 @@ def test_empty_fragment_is_placed_and_certified():
     certify(c, p, (), frags, out)
 
 
-def test_encode_and_baseline_build_no_gate_for_an_output_gate(monkeypatch):
-    # above the stimuli check's width nothing reads an output's gates: the
-    # only Gates built are the RX halves and the key's X gates (1,713 here)
-    c = structural_benchmarks()["random128"]
+def _count_gates(monkeypatch) -> list:
+    """The Gates built from now on, as Gate.__post_init__ sees them."""
     built = []
     real = Gate.__post_init__
     monkeypatch.setattr(Gate, "__post_init__", lambda g: built.append(g) or real(g))
+    return built
+
+
+def test_encode_and_baseline_build_no_gate_for_an_output_gate(monkeypatch):
+    # the key's X gates and the RX halves are rows too: no pass builds a Gate
+    c = structural_benchmarks()["random128"]
+    built = _count_gates(monkeypatch)
     enc = encode(c, PipelineConfig(seed=3))
     baseline = make_baseline(c)
-    flips = enc.key.flip_mask.count("1")
-    assert len(built) == 2 * len(enc.key.rx_record) + flips == 1713
-    assert {g.kind for g in built} == {GateKind.RX, GateKind.X}
+    assert built == []
     # reading .gates builds each output's Gates once
     for out in (enc.circuit, baseline):
         before = len(built)
         assert out.gates is out.gates
         assert len(built) - before == out.num_gates
+
+
+def test_qaoa_encode_sample_and_serialize_build_no_gate(monkeypatch):
+    # the stimuli check, the simulator and the serializer read columns
+    c = build_qaoa_circuit(ring_problem(4, 1, (0.4, 0.9)))
+    built = _count_gates(monkeypatch)
+    enc = encode(c, PipelineConfig(seed=3))
+    sample(enc.circuit, 256, 1)
+    serialize_qasm(enc.circuit)
+    assert whole_circuit_check(c.num_qubits) == "certificate+stimuli"
+    assert built == []
+
+
+def test_parse_encode_simulate_and_serialize_build_no_gate(monkeypatch):
+    text = serialize_qasm(desk_benchmarks()["add4"])
+    built = _count_gates(monkeypatch)
+    enc = encode(parse_qasm(text), PipelineConfig(seed=3))
+    run_statevector(enc.circuit)
+    serialize_qasm(enc.circuit)
+    assert built == []

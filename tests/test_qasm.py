@@ -53,8 +53,13 @@ def test_unknown_gate_message():
 
 
 def test_error_line_numbers():
+    # the parser's own errors come before the column checks' ValueErrors
     with pytest.raises(QasmError, match="line 3"):
         parse_qasm("qreg q[2];\nx q[0];\ncx q[0],q[0];\n")
+    with pytest.raises(QasmError, match="^line 4: cx control equals target$"):
+        parse_qasm("qreg q[2];\nx q[0];\n\ncx q[1],q[1];\n")
+    with pytest.raises(QasmError, match=r"^line 3: qubit index 2 out of range for q\[2\]$"):
+        parse_qasm("qreg q[2];\ncx q[0],q[1];\nrz(0.5) q[2];\n")
     with pytest.raises(QasmError, match="line 1: missing qreg"):
         parse_qasm("OPENQASM 2.0;\n")
 
@@ -121,9 +126,12 @@ def test_serialize_golden():
 
 
 def test_angle_precision_survives_round_trip():
-    theta = 0.1234567890123456789
-    c = Circuit(1, (rx(theta, 0),))
-    assert parse_qasm(serialize_qasm(c)).gates[0].angle == float(theta)
+    edges = (rz(-0.0, 0), rz(1e-300, 0), rx(6.283185307179586, 0))
+    for gate in (rx(0.1234567890123456789, 0), *edges):
+        text = serialize_qasm(Circuit(1, (gate,)))
+        back = parse_qasm(text)
+        assert back.gates[0].angle.hex() == gate.angle.hex()  # the sign of -0.0 too
+        assert serialize_qasm(back) == text
 
 
 @given(circuits(max_qubits=5, max_gates=20, measure_all=False))
