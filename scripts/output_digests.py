@@ -18,7 +18,8 @@ Digested outputs:
   the X-only baseline of the seed-3 encode, built from a table shared with
   the baseline pass, as compare builds it;
 - for qft32 and random128, the identity reassembly of the seed-3 encode's
-  X-injected circuit after RX injection at seed 3: every block placed back
+  X-injected circuit after RX injection at seed 3: the partition's own rows
+  and bounds passed as the fragment set, so every block is placed back
   unchanged, which pins reassemble's placement apart from synthesis;
 - compare JSON and CSV (wall times removed) on ghz4, qft4, add4 and w8, in
   analytic, 2000-shot and structural-only modes;
@@ -106,7 +107,7 @@ def digests() -> dict:
                 x_only = make_baseline(enc.x_injected, table)
                 out[f"baseline/{name}/x_only"] = _sha(serialize_qasm(x_only))
                 p, _record = inject_rx_pairs(form_blocks(enc.x_injected), seed)
-                identity = reassemble(p, {})
+                identity = reassemble(p, p.rows, p.bounds)
                 out[f"encode/{name}/seed{seed}/rx_identity"] = _sha(serialize_qasm(identity))
     cfg = PipelineConfig(seed=COMPARE_SEED)
     for name in COMPARE_CIRCUITS:

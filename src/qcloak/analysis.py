@@ -14,12 +14,12 @@ from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
-from .circuit import Circuit, gate_counts
+from .circuit import Circuit, CircuitColumns, gate_counts, join_columns, offsets, ranges
 from .dag import cx_depth
 from .distributions import Distribution
 from .netlsd import circuit_signature, netlsd_divergence
 from .obfuscate import decode
-from .partition import Block, block_rows, form_blocks, reassemble
+from .partition import BlockPartition, form_blocks, reassemble
 from .pipeline import PipelineConfig, encode
 from .simulator import ideal_distribution, sample
 from .synthesis import candidate_chunks
@@ -61,16 +61,15 @@ def dominant_percentile(reference: Distribution, candidate: Distribution) -> flo
     return 100.0 * below / (support - 1)
 
 
-def _block_keys(blocks) -> list[tuple[int, bytes]]:
+def _block_keys(p: BlockPartition) -> list[tuple[int, bytes]]:
     """Everything each block's plain fragment depends on: its width and the
     bytes of its rows on local wires, each row's kind and local wire, then
     its angle's bits (so rz(0.0) and rz(-0.0) never share a key)."""
-    cols, at, wire = block_rows(blocks)
-    rows = np.empty((len(wire), 9), dtype=np.uint8)
-    rows[:, 0] = 2 * cols.kind + wire
-    rows[:, 1:] = cols.angle.reshape(-1, 1).view(np.uint8)
-    data, bounds = rows.tobytes(), (9 * at).tolist()
-    return [(len(b.qubits), data[bounds[i] : bounds[i + 1]]) for i, b in enumerate(blocks)]
+    rows = np.empty((len(p.local_wire), 9), dtype=np.uint8)
+    rows[:, 0] = 2 * p.rows.kind + p.local_wire
+    rows[:, 1:] = p.rows.angle.reshape(-1, 1).view(np.uint8)
+    data, at = rows.tobytes(), (9 * p.bounds).tolist()
+    return [(w, data[a:z]) for w, a, z in zip(p.width.tolist(), at, at[1:])]
 
 
 def make_baseline(c: Circuit, table: dict | None = None) -> Circuit:
@@ -81,28 +80,33 @@ def make_baseline(c: Circuit, table: dict | None = None) -> Circuit:
     each distinct block is synthesized once, with k = 1. table maps block
     keys to plain candidates as (Candidates, index); a caller that passes
     the same dict to several calls shares them. The candidates of each
-    Candidates stack are placed on their blocks' qubits as one column set
-    and reach reassemble as Fragments, so no Gate is built."""
+    Candidates stack are placed on their blocks' qubits as one column set,
+    and the sets are gathered into block order as the fragment set that
+    reassemble takes, so no Gate is built."""
     p = form_blocks(c)
     table = {} if table is None else table
-    keys = _block_keys(p.blocks)  # blocks[i] has order_index i
-    missing: dict[tuple, Block] = {}
-    for b, key in zip(p.blocks, keys):
+    keys = _block_keys(p)  # block i has order index i
+    missing: dict[tuple, int] = {}  # each missing key's first block
+    for i, key in enumerate(keys):
         if key not in table:
-            missing.setdefault(key, b)
-    for chunk, cands in candidate_chunks(list(missing.values()), 1, 0):
-        for j, b in enumerate(chunk):
-            table[keys[b.order_index]] = cands, j
-    placed: dict[int, tuple] = {}  # per Candidates stack: it, its blocks, their candidates
-    for b, key in zip(p.blocks, keys):
+            missing.setdefault(key, i)
+    for chunk, cands in candidate_chunks(p.take(list(missing.values())), 1, 0):
+        for j, i in enumerate(chunk.order.tolist()):
+            table[keys[i]] = cands, j
+    stacks: dict[int, tuple] = {}  # per Candidates stack: it, its blocks, their candidates
+    for i, key in enumerate(keys):
         cands, j = table[key]
-        _cands, members, idx = placed.setdefault(id(cands), (cands, [], []))
-        members.append(b)
+        _cands, members, idx = stacks.setdefault(id(cands), (cands, [], []))
+        members.append(i)
         idx.append(j)
-    fragments = {}
-    for cands, members, idx in placed.values():
-        fragments.update(cands.fragments(idx, members))
-    return reassemble(p, fragments)
+    # each stack's candidates placed on its blocks' qubits, then the rows in block order
+    placed = [(m, *cands.place(idx, p.lo[m], p.hi[m])) for cands, m, idx in stacks.values()]
+    none = np.zeros(0, dtype=np.int64)
+    by_block = np.argsort(np.concatenate([none, *(m for m, _cols, _n in placed)]))
+    sizes = np.concatenate([none, *(n for _m, _cols, n in placed)])
+    rows = ranges(offsets(sizes)[by_block], sizes[by_block])
+    fragments = CircuitColumns(*(col[rows] for col in join_columns(c for _m, c, _n in placed)))
+    return reassemble(p, fragments, offsets(sizes[by_block]))
 
 
 @dataclass(frozen=True)

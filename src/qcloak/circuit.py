@@ -2,15 +2,15 @@
 
 A Circuit stores its gates as columns (CircuitColumns: kind codes, two qubit
 columns and an angle column), from parsing to serializing: every pass reads
-and builds columns, and a block's gates are a Fragment, rows of columns the
-partition's blocks share. Gate objects exist only at the public edges: a
-Circuit or Block built from Gates converts them once, and .gates builds them
-from the columns when it is read.
+and builds columns, and a block partition is one column set too, its blocks
+row ranges of it (partition.BlockPartition). Gate and Block objects exist
+only at the public edges: a Circuit, Block or BlockPartition built from them
+converts them once, and .gates and .blocks build them from the columns when
+they are read.
 """
 
 import functools
 import math
-from collections.abc import Sequence
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import NamedTuple
@@ -231,29 +231,6 @@ def ranges(starts: np.ndarray, sizes: np.ndarray) -> np.ndarray:
     return np.repeat(np.asarray(starts, dtype=np.int64) - at[:-1], sizes) + np.arange(at[-1])
 
 
-class Fragment(Sequence):
-    """Rows start:stop of shared CircuitColumns, on global qubits: a block's
-    gates or the gates that replace it. Indexing or iterating builds them as
-    Gates; stack_fragments reads the rows."""
-
-    __slots__ = ("columns", "start", "stop")
-
-    def __init__(self, columns: CircuitColumns, start: int, stop: int):
-        self.columns, self.start, self.stop = columns, start, stop
-
-    def __len__(self) -> int:
-        return self.stop - self.start
-
-    def __iter__(self):
-        return iter(self.columns.gates(self.start, self.stop))
-
-    def __getitem__(self, i):
-        return self.columns.gates(self.start, self.stop)[i]
-
-    def __repr__(self) -> str:
-        return f"Fragment({self.columns.gates(self.start, self.stop)!r})"
-
-
 def group_ranks(owner: np.ndarray, groups: int) -> tuple[np.ndarray, np.ndarray]:
     """Each entry's rank among the entries with its owner (an int64 array of
     0 .. groups - 1), in entry order, and each owner's entry count."""
@@ -264,37 +241,9 @@ def group_ranks(owner: np.ndarray, groups: int) -> tuple[np.ndarray, np.ndarray]
     return rank, count
 
 
-def stack_fragments(frags) -> tuple[CircuitColumns, np.ndarray]:
-    """The rows of the fragments concatenated in list order, and each
-    fragment's length. A fragment is a Fragment or a sequence of Gates,
-    converted to columns; the rows are gathered with one array operation
-    per column set."""
-    sizes = np.array([len(f) for f in frags], dtype=np.int64)
-    at = offsets(sizes)
-    groups: dict[int, tuple[CircuitColumns, list[int], list[int]]] = {}
-    for i, f in enumerate(frags):
-        if len(f):  # an empty fragment has no rows to gather
-            if type(f) is not Fragment:
-                f = Fragment(gate_columns(f), 0, len(f))
-            _cols, members, starts = groups.setdefault(id(f.columns), (f.columns, [], []))
-            members.append(i)
-            starts.append(f.start)
-    parts = list(groups.values())
-    if len(parts) == 1:  # the other fragments are empty: one gather
-        cols, members, starts = parts[0]
-        rows = ranges(starts, sizes[members])
-        return CircuitColumns(*(col[rows] for col in cols)), sizes
-    out = CircuitColumns(
-        np.empty(at[-1], dtype=np.int8),
-        np.empty(at[-1], dtype=np.int64),
-        np.empty(at[-1], dtype=np.int64),
-        np.empty(at[-1]),
-    )
-    for cols, members, starts in parts:
-        rows, dest = ranges(starts, sizes[members]), ranges(at[members], sizes[members])
-        for col, src in zip(out, cols):
-            col[dest] = src[rows]
-    return out, sizes
+def join_columns(sets) -> CircuitColumns:
+    """The rows of the column sets, in order, as one column set."""
+    return CircuitColumns(*(np.concatenate(cols) for cols in zip(gate_columns(()), *sets)))
 
 
 @dataclass(frozen=True)

@@ -11,14 +11,12 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from itertools import chain, pairwise
 
 import numpy as np
 
-from .circuit import RX_CODE, X_CODE, Circuit, CircuitColumns, Fragment, group_ranks, offsets
-from .circuit import ranges, stack_fragments
+from .circuit import RX_CODE, X_CODE, Circuit, CircuitColumns, group_ranks, offsets, ranges
 from .distributions import Distribution, json_float, json_int, json_list
-from .partition import Block, BlockPartition
+from .partition import BlockPartition
 
 THETA_MARGIN = 0.1
 
@@ -110,47 +108,31 @@ def inject_rx_pairs(p: BlockPartition, seed: int) -> tuple[BlockPartition, tuple
     earlier block (still open when the second half is scanned), where they
     cancel instead of straddling the boundary.
     """
-    blocks = p.blocks
-    rows, sizes = stack_fragments([b.rows for b in blocks])
-    ell = [len(s) for s in p.slots]
-    if len(ell) != len(blocks) or (np.array(ell, dtype=np.int64) != sizes).any() or 0 in ell:
-        raise ValueError("each block needs one slot per gate and at least one gate")
-    # the block boundaries: consecutive blocks on a wire, in order_index order
-    owner = np.repeat(np.arange(len(blocks)), [len(b.qubits) for b in blocks])
-    wire = np.fromiter(chain.from_iterable(b.qubits for b in blocks), np.int64, len(owner))
-    order = np.array([b.order_index for b in blocks], dtype=np.int64)
-    by_wire = np.lexsort((order[owner], wire))
-    owner, wire = owner[by_wire], wire[by_wire]
-    cross = np.flatnonzero(wire[1:] == wire[:-1])
-    earlier, later, wire = owner[cross], owner[cross + 1], wire[cross]
+    old_at, sizes = p.bounds, np.diff(p.bounds)
+    earlier, later, wire = p.boundaries()
     rng = np.random.default_rng(seed)
-    theta = rng.uniform(THETA_MARGIN, 2 * np.pi - THETA_MARGIN, len(cross))
-    record = tuple(map(RxPair, wire.tolist(), order[earlier].tolist(), theta.tolist()))
+    theta = rng.uniform(THETA_MARGIN, 2 * np.pi - THETA_MARGIN, len(wire))
+    record = tuple(map(RxPair, wire.tolist(), p.order[earlier].tolist(), theta.tolist()))
 
     # each new row's source row: a block's own rows, its first row for the
     # RX(-theta) halves it now starts with, its last for the RX(theta) halves
     # it now ends with; a half takes its source row's slot
-    first, n_first = group_ranks(later, len(blocks))
-    last, n_last = group_ranks(earlier, len(blocks))
-    at, old_at = offsets(sizes + n_first + n_last), offsets(sizes)
+    first, n_first = group_ranks(later, len(sizes))
+    last, n_last = group_ranks(earlier, len(sizes))
+    at = offsets(sizes + n_first + n_last)
     first += at[later]
     last += at[earlier + 1] - n_last[earlier]
     source = np.empty(at[-1], dtype=np.int64)
     source[ranges(at[:-1] + n_first, sizes)] = np.arange(old_at[-1])
     source[first], source[last] = old_at[later], old_at[earlier + 1] - 1
-    cols = CircuitColumns(*(col[source] for col in rows))
+    cols = CircuitColumns(*(col[source] for col in p.rows))
     halves = np.concatenate((first, last))
     cols.kind[halves], cols.q0[halves], cols.q1[halves] = RX_CODE, np.tile(wire, 2), -1
     cols.angle[halves] = np.concatenate((-theta, theta))
-    slot = np.fromiter(chain.from_iterable(p.slots), dtype=np.int64, count=old_at[-1])[source]
-
-    bounds, slot = at.tolist(), slot.tolist()
-    blocks = tuple(
-        Block.from_rows(b.qubits, Fragment(cols, a, z), b.order_index)
-        for b, (a, z) in zip(blocks, pairwise(bounds))
+    rx_p = BlockPartition.from_rows(
+        p.num_qubits, cols, at, p.lo, p.hi, p.order, p.slot[source], p.measured_qubits
     )
-    slots = tuple(tuple(slot[a:z]) for a, z in pairwise(bounds))
-    return BlockPartition(p.num_qubits, blocks, slots, p.measured_qubits), record
+    return rx_p, record
 
 
 def decode(d: Distribution, k: ObfuscationKey) -> Distribution:

@@ -4,8 +4,9 @@ Blocks are built in one forward pass: a one-qubit gate joins the open block
 holding its qubit or opens a new block; a two-qubit gate joins the open block
 holding both its qubits, otherwise it completes every open block touching
 either qubit and opens a fresh block. A completed block never reopens, so on
-any single wire the blocks appear in creation order. A partition's blocks
-are consecutive rows of one shared column set (circuit.Fragment each).
+any single wire the blocks appear in creation order. A partition is one
+column set, as a circuit is: every pass reads its blocks as row ranges of
+shared columns, and only reading .blocks builds Block objects.
 
 block_unitaries builds the unitaries of many blocks at once. Blocks with the
 same gate structure (width, and each gate's kind and local wires) form one
@@ -21,8 +22,8 @@ from itertools import chain, pairwise
 
 import numpy as np
 
-from .circuit import CX_CODE, RX_CODE, RZ_CODE, SX_CODE, X_CODE, Circuit, CircuitColumns, Fragment
-from .circuit import Gate, gate_columns, offsets, stack_fragments
+from .circuit import CX_CODE, RX_CODE, RZ_CODE, SX_CODE, X_CODE, Circuit, CircuitColumns, Gate
+from .circuit import gate_columns, join_columns, offsets, ranges
 from .linalg import CX_ROWS, PAULI_X, SX_MATRIX, rx_matrix, rz_matrix
 
 _FIXED = {X_CODE: PAULI_X, SX_CODE: SX_MATRIX}
@@ -32,13 +33,13 @@ _ROTATIONS = {RZ_CODE: rz_matrix, RX_CODE: rx_matrix}
 @dataclass(frozen=True, init=False)
 class Block:
     """Contiguous sub-circuit on one or two wires; gates keep global qubits.
-    The partition's slots record where each gate stands in the source circuit.
-    Its gates are rows; .gates builds them as Gates on its first read."""
+    The public one-block view: its gates are rows, and .gates builds them
+    as Gates on its first read."""
 
     qubits: tuple[int, ...]
-    gates: tuple[Gate, ...] = functools.cached_property(lambda b: tuple(b.rows))
+    gates: tuple[Gate, ...] = functools.cached_property(lambda b: b.rows.gates())
     order_index: int
-    rows: Fragment = field(init=False, repr=False, compare=False)
+    rows: CircuitColumns = field(init=False, repr=False, compare=False)
 
     def __init__(self, qubits: tuple[int, ...], gates, order_index: int):
         if not 1 <= len(qubits) <= 2:
@@ -50,32 +51,123 @@ class Block:
         outside = ~np.isin(cols.q0, qubits) | ((cols.kind == CX_CODE) & ~np.isin(cols.q1, qubits))
         if outside.any():
             raise ValueError(f"gate {gates[int(np.argmax(outside))]} outside block wires {qubits}")
-        rows = Fragment(cols, 0, len(gates))
-        self.__dict__.update(qubits=qubits, rows=rows, order_index=order_index)
+        self.__dict__.update(qubits=qubits, rows=cols, order_index=order_index)
 
     @classmethod
-    def from_rows(cls, qubits: tuple[int, ...], rows: Fragment, order_index: int) -> "Block":
+    def from_rows(cls, qubits: tuple[int, ...], rows: CircuitColumns, order_index: int) -> "Block":
         """A block whose gates are rows, unchecked: its callers build the rows
         on the block's sorted qubits."""
         b = object.__new__(cls)
         b.__dict__.update(qubits=qubits, rows=rows, order_index=order_index)
         return b
 
-    def local(self, q: int) -> int:
-        """Local wire index of global qubit q (wire order = ascending qubit)."""
-        return self.qubits.index(q)
+
+def _block_views(p: "BlockPartition") -> tuple[Block, ...]:
+    rows = [CircuitColumns(*(c[a:z] for c in p.rows)) for a, z in pairwise(p.bounds.tolist())]
+    return tuple(
+        Block.from_rows((lo,) if lo == hi else (lo, hi), r, o)
+        for lo, hi, o, r in zip(p.lo.tolist(), p.hi.tolist(), p.order.tolist(), rows)
+    )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class BlockPartition:
-    """Blocks in order_index order. slots[i][j] is the index of the source
-    gate that gate j of blocks[i] stands at; gates sharing a slot are placed
-    together, in block order."""
+    """Blocks in order_index order, as one column set: block i's gates are
+    rows bounds[i]:bounds[i + 1] of rows, on qubits lo[i] and hi[i] (equal
+    for a one-qubit block), with order index order[i]. slot[r] is the index
+    of the source gate row r stands at; gates sharing a slot are placed
+    together, in block order.
+
+    BlockPartition(n, blocks, slots, measured) converts its Blocks once and
+    checks that blocks[i] has a gate and one slot per gate in slots[i].
+    .blocks and .slots are built from the columns on their first read;
+    equality and hashing compare them."""
 
     num_qubits: int
-    blocks: tuple[Block, ...]
-    slots: tuple[tuple[int, ...], ...]
-    measured_qubits: tuple[int, ...]
+    # cached_properties as fields, as Circuit.gates: only a read builds them
+    blocks: tuple[Block, ...] = functools.cached_property(_block_views)
+    slots: tuple[tuple[int, ...], ...] = functools.cached_property(
+        lambda p: tuple(tuple(p.slot[a:z].tolist()) for a, z in pairwise(p.bounds.tolist()))
+    )
+    measured_qubits: tuple[int, ...] = ()
+    rows: CircuitColumns = field(init=False, repr=False, compare=False)
+    bounds: np.ndarray = field(init=False, repr=False, compare=False)
+    lo: np.ndarray = field(init=False, repr=False, compare=False)
+    hi: np.ndarray = field(init=False, repr=False, compare=False)
+    order: np.ndarray = field(init=False, repr=False, compare=False)
+    slot: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __init__(self, num_qubits: int, blocks, slots, measured_qubits=()):
+        blocks, slots = tuple(blocks), tuple(slots)
+        if len(slots) != len(blocks):
+            raise ValueError(f"{len(slots)} slot tuples for {len(blocks)} blocks")
+        for b, s in zip(blocks, slots):
+            o, m = b.order_index, len(b.rows.kind)
+            if not len(s):
+                raise ValueError(f"block {o} has no slot")
+            if len(s) != m:
+                raise ValueError(f"block {o} has {len(s)} slots for {m} gates")
+        rows = join_columns(b.rows for b in blocks)
+        at = offsets([len(b.rows.kind) for b in blocks])
+        per_block = [(b.qubits[0], b.qubits[-1], b.order_index) for b in blocks]
+        lo, hi, order = np.array(per_block, dtype=np.int64).reshape(-1, 3).T.copy()
+        slot = np.fromiter(chain.from_iterable(slots), dtype=np.int64, count=len(rows.kind))
+        built = self.from_rows(num_qubits, rows, at, lo, hi, order, slot, measured_qubits)
+        self.__dict__.update(vars(built))
+
+    @classmethod
+    def from_rows(cls, num_qubits: int, rows, bounds, lo, hi, order, slot, measured_qubits=()):
+        """A partition of these columns, unchecked: its callers build them
+        aligned, without an empty block."""
+        p = object.__new__(cls)
+        p.__dict__.update(num_qubits=num_qubits, rows=rows, bounds=bounds, lo=lo, hi=hi)
+        p.__dict__.update(order=order, slot=slot, measured_qubits=tuple(measured_qubits))
+        return p
+
+    @property
+    def num_blocks(self) -> int:
+        return len(self.order)
+
+    @property
+    def width(self) -> np.ndarray:
+        """Each block's wire count, 1 or 2."""
+        return 1 + (self.lo != self.hi)
+
+    @functools.cached_property
+    def local_wire(self) -> np.ndarray:
+        """Each row's local wire (int8): 1 where its qubit (a CX's control) is
+        its block's upper qubit, else 0."""
+        return (self.rows.q0 != np.repeat(self.lo, np.diff(self.bounds))).astype(np.int8)
+
+    def boundaries(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Each pair of consecutive blocks on a wire, by wire and then order
+        index: the earlier block's position, the later one's and the wire."""
+        two = np.flatnonzero(self.lo != self.hi)
+        owner = np.concatenate((np.arange(self.num_blocks), two))
+        wire = np.concatenate((self.lo, self.hi[two]))
+        by_wire = np.lexsort((self.order[owner], wire))
+        owner, wire = owner[by_wire], wire[by_wire]
+        cross = np.flatnonzero(wire[1:] == wire[:-1])
+        return owner[cross], owner[cross + 1], wire[cross]
+
+    def take(self, idx) -> "BlockPartition":
+        """The blocks at idx as a partition: positions, whose rows are
+        gathered, or a slice, whose columns are views of these."""
+        sizes = np.diff(self.bounds)[idx]
+        if isinstance(idx, slice):
+            rows = slice(self.bounds[idx.start], self.bounds[idx.start] + sizes.sum())
+        else:
+            rows = ranges(self.bounds[idx], sizes)
+        cols = CircuitColumns(*(col[rows] for col in self.rows))
+        lo, hi, order, slot = self.lo[idx], self.hi[idx], self.order[idx], self.slot[rows]
+        n, measured = self.num_qubits, self.measured_qubits
+        return self.from_rows(n, cols, offsets(sizes), lo, hi, order, slot, measured)
+
+
+def partition_of(b: Block) -> BlockPartition:
+    """The block alone as a partition, its gates at slots 0, 1, ...: the
+    conversion the one-block API runs."""
+    return BlockPartition(b.qubits[-1] + 1, (b,), (range(len(b.rows.kind)),))
 
 
 def form_blocks(c: Circuit) -> BlockPartition:
@@ -100,45 +192,32 @@ def form_blocks(c: Circuit) -> BlockPartition:
             qubits.append((a, b) if a < b else (b, a))
         block_of.append(k)
     block = np.array(block_of, dtype=np.int64)
-    order = np.argsort(block, kind="stable")
-    at = offsets(np.bincount(block, minlength=len(qubits))).tolist()
-    rows = CircuitColumns(*(col[order] for col in cols))
-    source = order.tolist()
-    blocks = tuple(
-        Block.from_rows(q, Fragment(rows, a, z), i)
-        for i, (q, (a, z)) in enumerate(zip(qubits, pairwise(at)))
-    )
-    slots = tuple(tuple(source[a:z]) for a, z in pairwise(at))
-    return BlockPartition(c.num_qubits, blocks, slots, c.measured_qubits)
+    source = np.argsort(block, kind="stable")
+    rows = CircuitColumns(*(col[source] for col in cols))
+    at = offsets(np.bincount(block, minlength=len(qubits)))
+    lo, hi = np.array([(q[0], q[-1]) for q in qubits], dtype=np.int64).reshape(-1, 2).T.copy()
+    order = np.arange(len(qubits), dtype=np.int64)
+    measured = c.measured_qubits
+    return BlockPartition.from_rows(c.num_qubits, rows, at, lo, hi, order, source, measured)
 
 
-def block_rows(blocks) -> tuple[CircuitColumns, np.ndarray, np.ndarray]:
-    """The blocks' rows concatenated in list order, each block's row offsets
-    (one more than there are blocks), and each row's local wire: 1 where
-    its qubit (a CX's control) is the block's upper qubit, else 0."""
-    cols, sizes = stack_fragments([b.rows for b in blocks])
-    lo = np.array([b.qubits[0] for b in blocks], dtype=np.int64)
-    wire = cols.q0 != np.repeat(lo, sizes)
-    return cols, offsets(sizes), wire.astype(np.int8)
-
-
-def block_unitaries(blocks: list[Block] | tuple[Block, ...]) -> dict[int, np.ndarray]:
-    """Unitaries of the blocks over their local wires (little-endian), as
-    {width: (count, d, d) stack of that width's blocks in list order}.
+def block_unitaries(p: BlockPartition) -> dict[int, np.ndarray]:
+    """Unitaries of the partition's blocks over their local wires
+    (little-endian), as {width: (count, d, d) stack of that width's blocks
+    in partition order}.
 
     Gates are applied one at a time in circuit order, not fused into per-wire
     runs as in circuit_unitary. These bits are KAK's input and so fix the
     emitted angles: fusing would move them by rounding and change the
     encoded QASM for a fixed seed."""
-    cols, at, wire = block_rows(blocks)
+    cols, at = p.rows, p.bounds
     # each row's kind and first local wire: a one-qubit gate's wire or a
     # CX's control, whose target is the other wire
-    codes, bounds = (2 * cols.kind + wire).tobytes(), at.tolist()
+    codes, bounds, widths = (2 * cols.kind + p.local_wire).tobytes(), at.tolist(), p.width
     groups: dict[tuple, list[int]] = {}
-    for i, b in enumerate(blocks):
-        groups.setdefault((len(b.qubits), codes[bounds[i] : bounds[i + 1]]), []).append(i)
-    widths = np.array([len(b.qubits) for b in blocks], dtype=int)
-    rank = np.zeros(len(blocks), dtype=int)  # position within its width's stack
+    for i, w in enumerate(widths.tolist()):
+        groups.setdefault((w, codes[bounds[i] : bounds[i + 1]]), []).append(i)
+    rank = np.zeros(len(widths), dtype=int)  # position within its width's stack
     out = {}
     for w in (1, 2):
         rank[widths == w] = np.arange(np.count_nonzero(widths == w))
@@ -146,14 +225,14 @@ def block_unitaries(blocks: list[Block] | tuple[Block, ...]) -> dict[int, np.nda
     for (n, structure), members in groups.items():
         first = at[members]
         u = np.tile(np.eye(2**n, dtype=complex), (len(members), 1, 1))
-        for p, code in enumerate(structure):
+        for pos, code in enumerate(structure):
             kind, wire = divmod(code, 2)
             if kind == CX_CODE:
                 u = u[:, CX_ROWS[wire]]
                 continue
             mat = _FIXED.get(kind)
             if mat is None:
-                mat = _ROTATIONS[kind](cols.angle[first + p])[:, None]
+                mat = _ROTATIONS[kind](cols.angle[first + pos])[:, None]
             rows = u.reshape(len(members), 2 ** (n - 1 - wire), 2, -1)
             u = np.matmul(mat, rows).reshape(u.shape)
         out[n][rank[members]] = u
@@ -163,15 +242,15 @@ def block_unitaries(blocks: list[Block] | tuple[Block, ...]) -> dict[int, np.nda
 def block_unitary(b: Block) -> np.ndarray:
     """Unitary of one block over its local wires (2x2 or 4x4): the one-block
     case of block_unitaries."""
-    return block_unitaries([b])[len(b.qubits)][0]
+    return block_unitaries(partition_of(b))[len(b.qubits)][0]
 
 
-def reassemble(p: BlockPartition, fragments: dict) -> Circuit:
+def reassemble(p: BlockPartition, rows: CircuitColumns, bounds: np.ndarray) -> Circuit:
     """Substitute block contents and emit a full circuit.
 
-    fragments maps a block's order_index to what replaces it, placed as it
-    is: a circuit.Fragment (rows of shared columns, as synthesis emits) or
-    a sequence of Gates; a block with no entry keeps its own gates. Gate j
+    rows and bounds are a fragment set aligned with p's blocks: block i is
+    replaced by rows bounds[i]:bounds[i + 1], on global qubits, placed as
+    they are (p.rows and p.bounds put every block back unchanged). Gate j
     of a block's m-gate fragment goes to the block's slot k = ((j + 1) ell
     - 1) // m, ell its slot count, which spreads the fragment over the
     block's own slots in order ((k m) // ell is the first gate at slot k).
@@ -179,20 +258,16 @@ def reassemble(p: BlockPartition, fragments: dict) -> Circuit:
     replacements reproduce the source circuit exactly and per-wire gate
     order across blocks is always preserved. The placement is array
     operations over all gates at once, and the output is built from columns:
-    no Gate is built. A block without slots, or slots not aligned with the
-    blocks, is a ValueError: its fragment would have nowhere to go.
+    no Gate is built. A fragment set of another length than the blocks is a
+    ValueError.
     """
-    if len(p.slots) != len(p.blocks):
-        raise ValueError(f"{len(p.slots)} slot tuples for {len(p.blocks)} blocks")
-    ell = np.array([len(s) for s in p.slots], dtype=np.int64)
-    if len(ell) and not ell.all():
-        raise ValueError(f"block {p.blocks[int(np.argmin(ell))].order_index} has no slot")
-    cols, m = stack_fragments([fragments.get(b.order_index, b.rows) for b in p.blocks])
+    if len(bounds) != len(p.bounds):
+        raise ValueError(f"{len(bounds) - 1} fragments for {p.num_blocks} blocks")
+    m, ell = np.diff(bounds), np.diff(p.bounds)
     owner = np.repeat(np.arange(len(m)), m)
-    j = np.arange(len(owner)) - offsets(m)[owner]
-    flat = np.fromiter(chain.from_iterable(p.slots), dtype=np.int64, count=int(ell.sum()))
-    slot = flat[offsets(ell)[owner] + ((j + 1) * ell[owner] - 1) // m[owner]]
+    j = np.arange(len(owner)) - bounds[owner]
+    slot = p.slot[p.bounds[owner] + ((j + 1) * ell[owner] - 1) // m[owner]]
     order = np.argsort(slot, kind="stable")
     return Circuit.from_columns(
-        p.num_qubits, CircuitColumns(*(col[order] for col in cols)), p.measured_qubits
+        p.num_qubits, CircuitColumns(*(col[order] for col in rows)), p.measured_qubits
     )

@@ -25,7 +25,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from .circuit import RX_CODE, Circuit, CircuitColumns, group_ranks, offsets, stack_fragments
+from .circuit import RX_CODE, Circuit, CircuitColumns, group_ranks, offsets
 from .dag import incidences
 from .linalg import apply_circuit, equal_up_to_global_phase
 from .netlsd import DEFAULT_POINTS, DEFAULT_T_MAX, DEFAULT_T_MIN
@@ -125,48 +125,47 @@ def _match_wires(n: int, got: CircuitColumns, want: CircuitColumns, what: str) -
 
 def certify(
     x_circ: Circuit,
-    partition: BlockPartition,
+    p: BlockPartition,
     rx_record: tuple[RxPair, ...],
-    fragments: dict,
+    rows: CircuitColumns,
+    bounds: np.ndarray,
     out: Circuit,
 ) -> None:
     """Structural proof, in O(g), that out equals x_circ up to a global phase
     given that each fragment, read on its block's qubits, equals its block's
-    unitary. Raises SynthesisEquivalenceError on the first check that fails:
+    unitary. rows and bounds are the fragment set, aligned with the
+    partition's blocks as synthesis.synthesize_blocks returns it. Raises
+    SynthesisEquivalenceError on the first check that fails:
 
-    (a) each RX-injected block starts with exactly its recorded RX(-theta)
-        halves and ends with exactly its recorded RX(theta) halves, each
-        pair's later block being the next block on its wire after the
-        earlier one, so adjacent halves cancel exactly; and the blocks'
-        cores, the blocks without these halves, concatenated in order_index
-        order, give x_circ's per-wire gate sequences;
-    (b) every block has a fragment (a circuit.Fragment, as synthesis emits,
-        or a sequence of Gates, converted once; it may be empty) whose gates
-        act on the block's qubits only, and the fragments, concatenated in
-        order_index order, give out's per-wire gate sequences.
+    (a) the blocks' order indices increase, and each RX-injected block
+        starts with exactly its recorded RX(-theta) halves and ends with
+        exactly its recorded RX(theta) halves, each pair's later block being
+        the next block on its wire after the earlier one, so adjacent halves
+        cancel exactly; and the blocks' cores, the blocks without these
+        halves, concatenated in order, give x_circ's per-wire gate
+        sequences;
+    (b) there is one fragment per block (it may be empty), whose gates act
+        on the block's qubits only, and the fragments, concatenated in
+        order, give out's per-wire gate sequences.
 
     Every check reads columns (circuit.CircuitColumns): the circuits', the
-    blocks' rows and the Fragments' rows. Reads no slots: nothing
+    partition's rows and the fragment set's. Reads no slots: nothing
     reassemble relies on is trusted."""
     n = x_circ.num_qubits
-    if not n == partition.num_qubits == out.num_qubits:
+    if not n == p.num_qubits == out.num_qubits:
         raise _fail("circuits and partition differ in width")
     if out.measured_qubits != x_circ.measured_qubits:
         raise _fail("output measures other qubits")
 
-    blocks = sorted(partition.blocks, key=lambda b: b.order_index)
-    if len({b.order_index for b in blocks}) != len(blocks):
-        raise _fail("duplicate block order_index")
-    if any(not 0 <= q < n for b in blocks for q in b.qubits):
+    if (np.diff(p.order) <= 0).any():
+        raise _fail("block order indices do not increase")
+    if (p.lo < 0).any() or (p.hi >= n).any():
         raise _fail("a block acts outside the circuit's qubits")
-    # (wire, order_index) -> positions of that block and the next on the wire
-    next_on_wire: dict[tuple[int, int], tuple[int, int]] = {}
-    last_on_wire: dict[int, int] = {}
-    for i, b in enumerate(blocks):
-        for q in b.qubits:
-            if q in last_on_wire:
-                next_on_wire[q, blocks[last_on_wire[q]].order_index] = last_on_wire[q], i
-            last_on_wire[q] = i
+    # (wire, order index) -> positions of that block and the next on the wire
+    earlier, later, wire = p.boundaries()
+    next_on_wire = dict(
+        zip(zip(wire.tolist(), p.order[earlier].tolist()), zip(earlier.tolist(), later.tolist()))
+    )
     crossed = [next_on_wire.get((pair.wire, pair.boundary)) for pair in rx_record]
     if None in crossed:
         wire = rx_record[crossed.index(None)].wire
@@ -176,41 +175,35 @@ def certify(
     theta = np.array([pair.theta for pair in rx_record], dtype=float)
     # the rows of the halves, in record order: the RX(-theta) halves each
     # block starts with, then the RX(theta) halves each ends with
-    rows, sizes = stack_fragments([b.rows for b in blocks])
-    at = offsets(sizes)
-    first, n_first = group_ranks(later, len(blocks))
-    last, n_last = group_ranks(earlier, len(blocks))
+    at, sizes = p.bounds, np.diff(p.bounds)
+    first, n_first = group_ranks(later, p.num_blocks)
+    last, n_last = group_ranks(earlier, p.num_blocks)
     half = np.concatenate((at[later] + first, at[earlier + 1] - n_last[earlier] + last))
     bad = sizes < n_first + n_last
-    if len(rows.kind):
-        r = np.clip(half, 0, len(rows.kind) - 1)  # a short block is bad anyway
-        wrong = (rows.kind[r] != RX_CODE) | (rows.q0[r] != np.tile(wire, 2))
-        wrong |= rows.angle[r] != np.concatenate((-theta, theta))
+    if len(p.rows.kind):
+        r = np.clip(half, 0, len(p.rows.kind) - 1)  # a short block is bad anyway
+        wrong = (p.rows.kind[r] != RX_CODE) | (p.rows.q0[r] != np.tile(wire, 2))
+        wrong |= p.rows.angle[r] != np.concatenate((-theta, theta))
         bad[np.concatenate((later, earlier))[wrong]] = True
     if bad.any():
-        o = blocks[int(np.argmax(bad))].order_index
+        o = p.order[np.argmax(bad)]
         raise _fail(f"block {o} does not start and end with exactly its RX halves")
-    core = np.ones(len(rows.kind), dtype=bool)
+    core = np.ones(len(p.rows.kind), dtype=bool)
     core[half] = False
-    cores = CircuitColumns(*(col[core] for col in rows))
+    cores = CircuitColumns(*(col[core] for col in p.rows))
     _match_wires(n, x_circ.columns, cores, "block cores")
 
-    frags = [fragments.get(b.order_index) for b in blocks]
-    missing = next((i for i, f in enumerate(frags) if f is None), len(blocks))
-    entries, sizes = stack_fragments([() if f is None else f for f in frags])
-    owner = np.repeat(np.arange(len(blocks)), sizes)
-    lo = np.array([b.qubits[0] for b in blocks], dtype=np.int64)[owner]
-    hi = np.array([b.qubits[-1] for b in blocks], dtype=np.int64)[owner]
-    cx = entries.q1 != -1
-    outside = (entries.q0 != lo) & (entries.q0 != hi)
-    outside |= cx & (entries.q1 != lo) & (entries.q1 != hi)
-    stray = int(owner[np.argmax(outside)]) if outside.any() else len(blocks)
-    if min(missing, stray) < len(blocks):
-        o = blocks[min(missing, stray)].order_index
-        if missing <= stray:
-            raise _fail(f"block {o} has no fragment")
+    if len(bounds) != len(at):
+        raise _fail(f"{len(bounds) - 1} fragments for {p.num_blocks} blocks")
+    owner = np.repeat(np.arange(p.num_blocks), np.diff(bounds))
+    lo, hi = p.lo[owner], p.hi[owner]
+    cx = rows.q1 != -1
+    outside = (rows.q0 != lo) & (rows.q0 != hi)
+    outside |= cx & (rows.q1 != lo) & (rows.q1 != hi)
+    if outside.any():
+        o = p.order[owner[np.argmax(outside)]]
         raise _fail(f"the fragment of block {o} acts outside its qubits")
-    _match_wires(n, out.columns, entries, "block fragments")
+    _match_wires(n, out.columns, rows, "block fragments")
 
 
 @functools.lru_cache(maxsize=EQUIV_CHECK_MAX_QUBITS)
@@ -238,10 +231,10 @@ def encode(c: Circuit, cfg: PipelineConfig) -> EncodeResult:
     partition, rx_record = inject_rx_pairs(form_blocks(x_circ), int(seeds[1]))
     key = replace(key, rx_record=rx_record)
 
-    fragments = synthesize_blocks(partition.blocks, CANDIDATES, SHORTLIST, int(seeds[2]))
-    out = reassemble(partition, fragments)
+    rows, bounds = synthesize_blocks(partition, CANDIDATES, SHORTLIST, int(seeds[2]))
+    out = reassemble(partition, rows, bounds)
 
-    certify(x_circ, partition, rx_record, fragments, out)
+    certify(x_circ, partition, rx_record, rows, bounds, out)
     if c.num_qubits <= EQUIV_CHECK_MAX_QUBITS:
         stimuli = _stimuli(c.num_qubits)
         if not equal_up_to_global_phase(

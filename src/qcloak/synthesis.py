@@ -7,10 +7,11 @@ of 2*pi within RZ_TRIVIAL_TOL), one X for SX RZ SX around a trivial middle
 RZ, one RZ or nothing for a diagonal segment. Every candidate is checked
 against the block unitary up to global phase before it can be returned.
 
-synthesize_blocks builds the candidates of many blocks as stacks, one chunk
-of SYNTH_CHUNK blocks at a time, from the block unitaries to the Euler pass:
-the block unitaries by gate structure from the blocks' rows of circuit
-columns (partition.block_unitaries), one kak.kak_decompose_stack call over
+synthesize_blocks builds the candidates of a partition's blocks as stacks,
+one chunk of SYNTH_CHUNK blocks at a time, from the block unitaries to the
+Euler pass: the block unitaries by gate structure from the chunk's rows, a
+contiguous range of the partition's column set read in place
+(partition.block_unitaries), one kak.kak_decompose_stack call over
 the k candidates of every two-qubit block, one vectorized class decision,
 the Pauli dressing, class template and CX dressings of each (class,
 dressed) group as one stack, the Euler angles of every one-qubit segment of
@@ -24,8 +25,9 @@ permutations, and compares the stacked results with the block unitaries.
 Selection ranks every candidate from the columns too (one lexsort per
 chunk, signature memo keyed by column bytes, the blocks' keys from their
 rows), and each chunk's selected candidates are placed on their blocks'
-qubits as one set of circuit columns (circuit.Fragment): no Gate object is
-built. generate_candidates and synthesize_block are the one-block case,
+qubits as one set of circuit columns; the chunks' sets join into one
+fragment set aligned with the partition's blocks. No Gate or Block object
+is built. generate_candidates and synthesize_block are the one-block case,
 weyl_to_circuit the one-candidate case of the template stage.
 Each candidate's gates and angle bits equal those of building it alone:
 - the rotations come from linalg's builders over angle arrays, whose every
@@ -49,14 +51,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import netlsd
-from .circuit import CX_CODE, RZ_CODE, SX_CODE, X_CODE, Circuit, CircuitColumns, Fragment, Gate
-from .circuit import gate_counts, offsets, ranges
+from .circuit import CX_CODE, RZ_CODE, SX_CODE, X_CODE, Circuit, CircuitColumns, Gate
+from .circuit import gate_counts, join_columns, offsets, ranges
 from .dag import column_dag
 from .kak import DecompositionError, KakStack, KakTerms, kak_decompose_stack
 from .linalg import CX_ROWS, PAULI_X, PAULI_Y, PAULI_Z, SX_MATRIX, equal_up_to_global_phase
 from .linalg import rx_matrix, ry_matrix, rz_matrix
 from .netlsd import HeatSignature, netlsd_divergence
-from .partition import Block, block_rows, block_unitaries
+from .partition import Block, BlockPartition, block_unitaries, partition_of
 
 # imported for perfbench/tracing.py, which wraps these names; not called here
 from .kak import kak_decompose  # noqa: F401
@@ -117,10 +119,10 @@ class Candidates:
         """The fragment index of every entry."""
         return np.repeat(np.arange(len(self)), np.diff(self.start))
 
-    def place(self, idx, lo, hi) -> tuple[CircuitColumns, list[int]]:
+    def place(self, idx, lo, hi) -> tuple[CircuitColumns, np.ndarray]:
         """Fragments idx as one column set on global qubits, local wire 0 of
-        fragment idx[j] on qubit lo[j] and wire 1 on hi[j], and the offsets
-        of each fragment's rows (one more than there are fragments)."""
+        fragment idx[j] on qubit lo[j] and wire 1 on hi[j], and each
+        fragment's row count."""
         idx = np.asarray(idx, dtype=np.int64)
         first = self.start[idx]
         sizes = self.start[idx + 1] - first
@@ -134,13 +136,7 @@ class Candidates:
             np.where(kind == CX_CODE, np.where(on_lo, hi, lo), -1),
             np.where(kind == RZ_CODE, self.angle[rows], np.nan),
         )
-        return cols, offsets(sizes).tolist()
-
-    def fragments(self, idx, blocks) -> dict[int, Fragment]:
-        """Fragments idx placed by place on the blocks' qubits, local wire w
-        of fragment idx[j] on qubit w of blocks[j], keyed by order_index."""
-        cols, at = self.place(idx, [b.qubits[0] for b in blocks], [b.qubits[-1] for b in blocks])
-        return {b.order_index: Fragment(cols, at[j], at[j + 1]) for j, b in enumerate(blocks)}
+        return cols, sizes
 
     def circuit(self, i: int) -> Circuit:
         """Fragment i as a Circuit on its local wires."""
@@ -421,30 +417,28 @@ def _candidate_rngs(seed: int, order_index: int, k: int) -> list[np.random.Gener
     return [None] + [np.random.default_rng([seed, order_index, i]) for i in range(1, k)]
 
 
-def _checked_candidates(blocks: list[Block], k: int, seed: int) -> Candidates:
-    """k checked candidates per block, block j's at j k .. j k + k - 1, built
-    as one stack: the block unitaries by gate structure, one KAK pass over
-    the candidates of all two-qubit blocks, the templates by class, one
+def _checked_candidates(p: BlockPartition, k: int, seed: int) -> Candidates:
+    """k checked candidates per block of p, block j's at j k .. j k + k - 1,
+    built as one stack: the block unitaries by gate structure, one KAK pass
+    over the candidates of all two-qubit blocks, the templates by class, one
     Euler pass over the segments of every candidate, then one check of
     every candidate against its block. Only the rng draws run per
     candidate."""
-    if any(not len(b.rows) for b in blocks):
-        raise ValueError("cannot synthesize an empty block")
     if k < 1:
         raise ValueError(f"need k >= 1 candidates per block, got {k}")
-    width = np.repeat([len(b.qubits) for b in blocks], k).astype(int)
+    width = np.repeat(p.width, k)
     frags = {w: np.flatnonzero(width == w) for w in (1, 2)}
     # each candidate's block unitary and rng, in fragment order within its width
-    us = {w: np.repeat(u, k, axis=0) for w, u in block_unitaries(blocks).items()}
+    us = {w: np.repeat(u, k, axis=0) for w, u in block_unitaries(p).items()}
     rngs: dict[int, list] = {1: [], 2: []}
-    for b in blocks:
-        rngs[len(b.qubits)].extend(_candidate_rngs(seed, b.order_index, k))
+    for w, o in zip(p.width.tolist(), p.order.tolist()):
+        rngs[w].extend(_candidate_rngs(seed, o, k))
     try:
         terms = kak_decompose_stack(us[2], rngs[2])
     except DecompositionError as exc:
         f = frags[2][exc.index]
         raise SynthesisError(
-            f"candidate {f % k} for block {blocks[f // k].order_index} has no KAK decomposition"
+            f"candidate {f % k} for block {p.order[f // k]} has no KAK decomposition"
         ) from exc
     cx_count = np.zeros(len(width), dtype=int)
     cx_count[frags[2]] = _cx_classes(terms.weyl)
@@ -461,8 +455,7 @@ def _checked_candidates(blocks: list[Block], k: int, seed: int) -> Candidates:
         ok[idx] = equal_up_to_global_phase(got, us[w][rank[idx]], tol=CANDIDATE_TOL)
     if not ok.all():
         j = int(np.argmin(ok))
-        b = blocks[j // k]
-        raise SynthesisError(f"candidate {j % k} for block {b.order_index} failed equivalence")
+        raise SynthesisError(f"candidate {j % k} for block {p.order[j // k]} failed equivalence")
     return cands
 
 
@@ -472,7 +465,7 @@ def generate_candidates(b: Block, k: int, seed: int) -> list[Circuit]:
     draw decomposition branches and canceling-rotation dressings from a
     per-(seed, block, index) RNG. The one-block case of synthesize_blocks'
     candidate stack."""
-    cands = _checked_candidates([b], k, seed)
+    cands = _checked_candidates(partition_of(b), k, seed)
     return [cands.circuit(i) for i in range(k)]
 
 
@@ -495,11 +488,10 @@ def _most_distant(kept: list[int], structure, reference: tuple[int, bytes]) -> i
     return max(kept, key=lambda i: netlsd_divergence(_structure_signature(*structure(i)), ref))
 
 
-def block_structures(blocks) -> list[tuple[int, bytes]]:
-    """Each block's key in the signature memo, from one gather of their rows."""
-    cols, at, wire = block_rows(blocks)
-    data, bounds = structure_codes(wire, cols.q1 != -1).tobytes(), at.tolist()
-    return [(len(b.qubits), data[bounds[i] : bounds[i + 1]]) for i, b in enumerate(blocks)]
+def block_structures(p: BlockPartition) -> list[tuple[int, bytes]]:
+    """Each block's key in the signature memo, read from the partition's rows."""
+    data, at = structure_codes(p.local_wire, p.rows.q1 != -1).tobytes(), p.bounds.tolist()
+    return [(w, data[a:z]) for w, a, z in zip(p.width.tolist(), at, at[1:])]
 
 
 def select_candidate(cands: list[Circuit], original_block: Block, shortlist: int) -> Circuit:
@@ -510,7 +502,7 @@ def select_candidate(cands: list[Circuit], original_block: Block, shortlist: int
     counts = [gate_counts(c) for c in cands]
     sx_plus_x, rz = np.array([(n.sx_plus_x, n.rz) for n in counts]).T
     kept = _shortlists(sx_plus_x, rz, len(cands), shortlist)[0].tolist()
-    reference = block_structures([original_block])[0]
+    reference = block_structures(partition_of(original_block))[0]
     return cands[_most_distant(kept, lambda i: circuit_structure(cands[i]), reference)]
 
 
@@ -546,29 +538,31 @@ def _structure_signature(width: int, structure: bytes) -> HeatSignature:
 
 def synthesize_block(b: Block, k: int, shortlist: int, seed: int) -> tuple[Gate, ...]:
     """The one-block case of synthesize_blocks, as Gates."""
-    return tuple(synthesize_blocks([b], k, shortlist, seed)[b.order_index])
+    return synthesize_blocks(partition_of(b), k, shortlist, seed)[0].gates()
 
 
 def candidate_chunks(
-    blocks: list[Block] | tuple[Block, ...], k: int, seed: int
-) -> Iterator[tuple[list[Block], Candidates]]:
-    """Each chunk of SYNTH_CHUNK blocks with its _checked_candidates stack."""
-    for start in range(0, len(blocks), SYNTH_CHUNK):
-        chunk = list(blocks[start : start + SYNTH_CHUNK])
+    p: BlockPartition, k: int, seed: int
+) -> Iterator[tuple[BlockPartition, Candidates]]:
+    """Each chunk of SYNTH_CHUNK blocks, a view of p's rows, with its
+    _checked_candidates stack."""
+    for start in range(0, p.num_blocks, SYNTH_CHUNK):
+        chunk = p.take(slice(start, start + SYNTH_CHUNK))
         yield chunk, _checked_candidates(chunk, k, seed)
 
 
 def synthesize_blocks(
-    blocks: list[Block] | tuple[Block, ...], k: int, shortlist: int, seed: int
-) -> dict[int, Fragment]:
-    """Selected fragment of every block, keyed by order_index, as a Fragment
-    on the block's qubits: every candidate is checked and ranked from its
-    columns, and each chunk's selected candidates are placed on their
-    blocks' qubits as one column set; no Gate is built. Every fragment
-    equals select_candidate's choice among generate_candidates', local wire
-    w on the block's qubit w."""
-    out = {}
-    for chunk, cands in candidate_chunks(blocks, k, seed):
+    p: BlockPartition, k: int, shortlist: int, seed: int
+) -> tuple[CircuitColumns, np.ndarray]:
+    """The selected fragment of every block of p as a fragment set aligned
+    with its blocks: one column set on global qubits and the offsets of each
+    block's rows (one more than there are blocks). Every candidate is
+    checked and ranked from its columns, and each chunk's selected
+    candidates are placed on their blocks' qubits as one column set; no
+    Gate is built. Every fragment equals select_candidate's choice among
+    generate_candidates', local wire w on the block's qubit w."""
+    placed = []
+    for chunk, cands in candidate_chunks(p, k, seed):
         owner = cands.owners()
         sx_or_x = (cands.kind == SX_CODE) | (cands.kind == X_CODE)
         sx_plus_x = np.bincount(owner[sx_or_x], minlength=len(cands))
@@ -576,5 +570,6 @@ def synthesize_blocks(
         kept = _shortlists(sx_plus_x, rz, k, shortlist).tolist()
         refs = block_structures(chunk)
         best = [_most_distant(row, cands.structure, ref) for row, ref in zip(kept, refs)]
-        out.update(cands.fragments(best, chunk))
-    return out
+        placed.append(cands.place(best, chunk.lo, chunk.hi))
+    sizes = np.concatenate([np.zeros(0, dtype=np.int64), *(n for _cols, n in placed)])
+    return join_columns(cols for cols, _n in placed), offsets(sizes)

@@ -7,7 +7,7 @@ import numpy as np
 from hypothesis import strategies as st
 from scipy.stats import unitary_group
 
-from qcloak.circuit import Circuit, Gate, GateKind, cx, rx, rz, sx, x
+from qcloak.circuit import Circuit, CircuitColumns, Gate, GateKind, cx, gate_columns, rx, rz, sx, x
 from qcloak.kak import (
     DIAG_TOL,
     GAMMA,
@@ -432,13 +432,42 @@ def block_boundaries(p: BlockPartition) -> list[tuple[int, int, int]]:
     return out
 
 
+def local_wire(b: Block, q: int) -> int:
+    """Local wire index of global qubit q in block b (wire order = ascending
+    qubit)."""
+    return b.qubits.index(q)
+
+
+def partition_of_blocks(blocks) -> BlockPartition:
+    """The blocks as a partition through its public constructor, their gates
+    at consecutive slots, over just the qubits they use."""
+    blocks = tuple(blocks)
+    num_qubits = 1 + max((b.qubits[-1] for b in blocks), default=0)
+    at = np.cumsum([0] + [len(b.gates) for b in blocks]).tolist()
+    return BlockPartition(num_qubits, blocks, [range(a, z) for a, z in zip(at, at[1:])])
+
+
+def fragment_set(frags) -> tuple[CircuitColumns, np.ndarray]:
+    """Per-block Gate sequences as the aligned fragment set reassemble and
+    certify take: one column set and each block's row offsets."""
+    frags = [tuple(f) for f in frags]
+    return gate_columns(g for f in frags for g in f), np.cumsum([0] + [len(f) for f in frags])
+
+
+def fragments_by_order(p: BlockPartition, rows, bounds) -> dict[int, tuple[Gate, ...]]:
+    """A fragment set aligned with p's blocks as {order index: Gate tuple},
+    in block order."""
+    at = bounds.tolist()
+    return {o: rows.gates(a, z) for o, a, z in zip(p.order.tolist(), at, at[1:])}
+
+
 def per_gate_block_unitary(b: Block) -> np.ndarray:
     """Reference for partition.block_unitaries: the block's gates applied to
     the identity one at a time, on their local wires."""
     n = len(b.qubits)
     u = np.eye(2**n, dtype=complex)
     for g in b.gates:
-        wires = tuple(b.local(q) for q in g.qubits)
+        wires = tuple(local_wire(b, q) for q in g.qubits)
         if g.kind is GateKind.CX:
             _apply_cx(u, wires[0], wires[1], n)
         else:
@@ -679,7 +708,7 @@ def to_local_circuit(b: Block) -> Circuit:
     """The block's gates remapped onto local wires."""
     return Circuit(
         len(b.qubits),
-        tuple(Gate(g.kind, tuple(b.local(q) for q in g.qubits), g.angle) for g in b.gates),
+        tuple(Gate(g.kind, tuple(local_wire(b, q) for q in g.qubits), g.angle) for g in b.gates),
     )
 
 

@@ -30,6 +30,7 @@ from strategies import (
     REPORT_CSV_HEADER,
     REPORT_JSON_KEYS,
     circuits,
+    fragment_set,
     gate_bits,
     gates_on_wires,
     per_candidate_generate,
@@ -131,10 +132,10 @@ def _per_block_baseline(c: Circuit) -> Circuit:
     p = form_blocks(c)
     return reassemble(
         p,
-        {
-            b.order_index: gates_on_wires(per_candidate_generate(b, 1, 0)[0].gates, b.qubits)
+        *fragment_set(
+            gates_on_wires(per_candidate_generate(b, 1, 0)[0].gates, b.qubits)
             for b in p.blocks
-        },
+        ),
     )
 
 
@@ -143,9 +144,9 @@ def _counting_synthesis(monkeypatch) -> list[int]:
     real = qcloak.analysis.candidate_chunks
     counts: list[int] = []
 
-    def counting(blocks, k, seed):
-        counts.append(len(blocks))
-        return real(blocks, k, seed)
+    def counting(p, k, seed):
+        counts.append(p.num_blocks)
+        return real(p, k, seed)
 
     monkeypatch.setattr(qcloak.analysis, "candidate_chunks", counting)
     return counts

@@ -226,8 +226,8 @@ def test_exit_code_failed_certificate_at_12_qubits(tmp_path, capsys, monkeypatch
 
     real = qcloak.pipeline.reassemble
 
-    def drop_first_cx(p, frags):
-        c = real(p, frags)
+    def drop_first_cx(p, rows, bounds):
+        c = real(p, rows, bounds)
         i = next(i for i, g in enumerate(c.gates) if g.kind is GateKind.CX)
         return replace(c, gates=c.gates[:i] + c.gates[i + 1:])
 

@@ -17,7 +17,7 @@ from qcloak.obfuscate import (
     key_to_json,
 )
 from qcloak.partition import form_blocks, reassemble
-from strategies import circuits
+from strategies import circuits, fragment_set
 
 
 def test_inject_x_matches_mask():
@@ -90,7 +90,7 @@ def _assert_pairs_adjacent(out: Circuit, record) -> None:
 def test_rx_pairs_structure():
     c = Circuit(3, (sx(0), cx(0, 1), cx(1, 2), cx(0, 1)))
     p2, record = inject_rx_pairs(form_blocks(c), seed=11)
-    out = reassemble(p2, {})
+    out = reassemble(p2, p2.rows, p2.bounds)
     # blocks: (0,)[sx], (0,1)[cx], (1,2)[cx], (0,1)[cx]; four wire crossings
     assert len(record) == 4
     assert {(r.wire, r.boundary) for r in record} == {(0, 0), (0, 1), (1, 1), (1, 2)}
@@ -105,7 +105,7 @@ def test_rx_pairs_fold_into_blocks():
     c = Circuit(3, (sx(0), cx(0, 1), cx(1, 2), cx(0, 1)))
     p = form_blocks(c)
     p2, record = inject_rx_pairs(p, seed=11)
-    out = reassemble(p2, {})
+    out = reassemble(p2, p2.rows, p2.bounds)
     by_order = {b.order_index: b for b in p2.blocks}
     for r in record:
         earlier = by_order[r.boundary]
@@ -119,8 +119,8 @@ def test_rx_pairs_fold_into_blocks():
     for b, s in zip(p2.blocks, p2.slots):
         assert len(s) == len(b.gates)
     # identity reassembly of the folded partition reproduces the new circuit
-    reps = {b.order_index: b.gates for b in p2.blocks}
-    assert reassemble(p2, reps) == out
+    reps = fragment_set(b.gates for b in p2.blocks)
+    assert reassemble(p2, *reps) == out
     _assert_pairs_adjacent(out, record)
 
 
@@ -128,21 +128,21 @@ def test_no_block_boundary_injects_nothing():
     # blocks (0,1)[cx, sx, rz, cx] and (2,)[x]: no wire crosses a boundary
     c = Circuit(3, (cx(0, 1), sx(0), rz(0.3, 1), cx(1, 0), x(2)))
     p2, record = inject_rx_pairs(form_blocks(c), seed=1)
-    assert record == () and reassemble(p2, {}) == c
+    assert record == () and reassemble(p2, p2.rows, p2.bounds) == c
 
 
 @given(circuits(max_qubits=4, max_gates=16))
 @settings(max_examples=50)
 def test_rx_pairs_preserve_unitary_exactly(c):
     p2, record = inject_rx_pairs(form_blocks(c), seed=5)
-    out = reassemble(p2, {})
+    out = reassemble(p2, p2.rows, p2.bounds)
     assert np.allclose(circuit_unitary(out), circuit_unitary(c), atol=1e-12)
     assert sum(len(b.gates) for b in p2.blocks) == out.num_gates
     p = form_blocks(c)
     for b, s, old in zip(p2.blocks, p2.slots, p.slots):
         assert len(s) == len(b.gates) and set(s) == set(old)
-    reps = {b.order_index: b.gates for b in p2.blocks}
-    assert reassemble(p2, reps) == out
+    reps = fragment_set(b.gates for b in p2.blocks)
+    assert reassemble(p2, *reps) == out
     _assert_pairs_adjacent(out, record)
 
 

@@ -9,9 +9,23 @@ from qcloak.bench import gen_adder, gen_qft, gen_random_blocks
 from qcloak.circuit import Circuit, cx, rx, rz, sx, x
 from qcloak.linalg import circuit_unitary, equal_up_to_global_phase
 from qcloak.obfuscate import inject_rx_pairs, inject_x_end
-from qcloak.partition import Block, block_unitaries, block_unitary, form_blocks, reassemble
+from qcloak.partition import (
+    Block,
+    BlockPartition,
+    block_unitaries,
+    block_unitary,
+    form_blocks,
+    reassemble,
+)
 from qcloak.synthesis import SYNTH_CHUNK
-from strategies import circuits, per_gate_block_unitary, tensordot_circuit_unitary, to_local_circuit
+from strategies import (
+    circuits,
+    fragment_set,
+    partition_of_blocks,
+    per_gate_block_unitary,
+    tensordot_circuit_unitary,
+    to_local_circuit,
+)
 
 
 def test_block_validation():
@@ -87,12 +101,11 @@ def _bits(a: np.ndarray) -> np.ndarray:
 def _assert_block_bits_pinned(p):
     # the stacked unitaries of whole chunks, as synthesis builds them, and of
     # each block alone, against two gate-by-gate products
-    blocks = list(p.blocks)
-    for start in range(0, len(blocks), SYNTH_CHUNK):
-        chunk = blocks[start : start + SYNTH_CHUNK]
+    for start in range(0, p.num_blocks, SYNTH_CHUNK):
+        chunk = p.take(slice(start, start + SYNTH_CHUNK))
         stacks = block_unitaries(chunk)
         for w, stack in stacks.items():
-            members = [b for b in chunk if len(b.qubits) == w]
+            members = [b for b in chunk.blocks if len(b.qubits) == w]
             assert stack.shape == (len(members), 2**w, 2**w)
             for b, got in zip(members, stack):
                 want = tensordot_circuit_unitary(to_local_circuit(b))
@@ -123,14 +136,14 @@ def test_block_unitary_bits_pinned_across_chunks():
 
 
 def test_block_unitaries_of_no_blocks():
-    stacks = block_unitaries([])
+    stacks = block_unitaries(partition_of_blocks([]))
     assert {w: s.shape for w, s in stacks.items()} == {1: (0, 2, 2), 2: (0, 4, 4)}
 
 
 def test_reassemble_identity_reproduces_original():
     c = Circuit(3, (sx(0), cx(0, 1), rz(0.2, 1), cx(1, 2), x(2)))
     p = form_blocks(c)
-    out = reassemble(p, {b.order_index: b.gates for b in p.blocks})
+    out = reassemble(p, *fragment_set(b.gates for b in p.blocks))
     assert out == c
 
 
@@ -138,7 +151,7 @@ def test_reassemble_substitutes_fragment():
     c = Circuit(3, (cx(1, 2),))
     p = form_blocks(c)
     frag = (rz(1.0, 1), cx(2, 1), rz(-1.0, 1))
-    out = reassemble(p, {0: frag})
+    out = reassemble(p, *fragment_set([frag]))
     # the fragment's gates, placed as they are; out is built from columns
     assert "gates" not in vars(out)
     assert out.gates == frag
@@ -172,7 +185,7 @@ def test_reassemble_spreads_each_fragment_over_its_slots(m_a, m_b, order):
         0: tuple(names[f"a{i}"] for i in range(m_a)),
         1: tuple(names[f"b{i}"] for i in range(m_b)),
     }
-    assert reassemble(p, frags).gates == tuple(names[n] for n in order)
+    assert reassemble(p, *fragment_set(frags.values())).gates == tuple(names[n] for n in order)
 
 
 # blocks A = (0, 1) on slots 0, 2; B = (2,) on 1; C = (1, 2) on 3, 5; D = (0,) on 4.
@@ -196,19 +209,24 @@ def test_reassemble_spreads_fragments_over_shared_rx_slots():
     }
     names = {f"{n}{i}": g for n, o in zip("abcd", frags) for i, g in enumerate(frags[o])}
     order = ["a0", "b0", "a1", "a2", "a3", "a4", "a5", "c0", "d0", "d1", "d2", "c1"]
-    assert reassemble(p, frags).gates == tuple(names[n] for n in order)
+    assert reassemble(p, *fragment_set(frags.values())).gates == tuple(names[n] for n in order)
 
 
+# A partition's slot column is aligned with its rows, so reassemble cannot be
+# given misaligned or slotless blocks: the public constructor rejects them.
 def test_reassemble_rejects_slots_not_aligned_with_blocks():
     p = form_blocks(SPREAD_CIRCUIT)
     with pytest.raises(ValueError):
-        reassemble(replace(p, slots=p.slots[:-1]), {})
+        BlockPartition(p.num_qubits, p.blocks, p.slots[:-1], p.measured_qubits)
+    with pytest.raises(ValueError, match="^block 1 has 1 slots for 2 gates$"):
+        replace(p, slots=(p.slots[0], p.slots[1][:-1]))
 
 
 def test_reassemble_rejects_a_block_without_slots():
     p = form_blocks(SPREAD_CIRCUIT)
+    empty = Block((2,), (), 1)
     with pytest.raises(ValueError, match="block 1 has no slot"):
-        reassemble(replace(p, slots=(p.slots[0], ())), {})
+        BlockPartition(p.num_qubits, (p.blocks[0], empty), (p.slots[0], ()), p.measured_qubits)
 
 
 @given(circuits(max_qubits=5, max_gates=25))
@@ -229,9 +247,22 @@ def test_partition_invariants(c):
 
 
 @given(circuits(max_qubits=5, max_gates=25))
+def test_partition_constructor_gives_back_the_columns(c):
+    # built from a partition's own Block views and slot tuples, the public
+    # constructor gives the same columns, of the same dtypes
+    for p in (form_blocks(c), inject_rx_pairs(form_blocks(c), 5)[0]):
+        q = BlockPartition(p.num_qubits, p.blocks, p.slots, p.measured_qubits)
+        assert q == p
+        got = (*q.rows, q.bounds, q.lo, q.hi, q.order, q.slot)
+        want = (*p.rows, p.bounds, p.lo, p.hi, p.order, p.slot)
+        for a, b in zip(got, want):
+            assert a.dtype == b.dtype and np.array_equal(a, b, equal_nan=True)
+
+
+@given(circuits(max_qubits=5, max_gates=25))
 def test_reassemble_identity_property(c):
     p = form_blocks(c)
-    assert reassemble(p, {b.order_index: b.gates for b in p.blocks}) == c
+    assert reassemble(p, *fragment_set(b.gates for b in p.blocks)) == c
 
 
 @given(circuits(max_qubits=4, max_gates=16))
@@ -239,9 +270,9 @@ def test_reassemble_identity_property(c):
 def test_equivalent_fragments_preserve_circuit_unitary(c):
     # replace each block by its gates plus a cancelling rotation pair
     p = form_blocks(c)
-    reps = {}
+    reps = []
     for b in p.blocks:
         q = b.qubits[0]
-        reps[b.order_index] = b.gates + (rx(0.9, q), rx(-0.9, q))
-    out = reassemble(p, reps)
+        reps.append(b.gates + (rx(0.9, q), rx(-0.9, q)))
+    out = reassemble(p, *fragment_set(reps))
     assert equal_up_to_global_phase(circuit_unitary(out), circuit_unitary(c), 1e-9)

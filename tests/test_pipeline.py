@@ -31,7 +31,13 @@ from qcloak.pipeline import (
 from qcloak.qasm import parse_qasm, serialize_qasm
 from qcloak.simulator import ideal_distribution, run_statevector, sample
 from qcloak.synthesis import synthesize_block, synthesize_blocks
-from strategies import block_boundaries, circuits, dense_equivalent
+from strategies import (
+    block_boundaries,
+    circuits,
+    dense_equivalent,
+    fragment_set,
+    fragments_by_order,
+)
 
 
 def test_encode_result_structure():
@@ -100,9 +106,10 @@ def _drop_first_cx(c: Circuit) -> Circuit:
     return Circuit(c.num_qubits, tuple(gates), c.measured_qubits)
 
 
-def _swap_blocks(p: BlockPartition, frags: dict[int, tuple[Gate, ...]]) -> Circuit:
+def _swap_blocks(p: BlockPartition, rows, bounds) -> Circuit:
     """The fragments concatenated in block order, except that the first block
     and the next block on its first wire change places."""
+    frags = fragments_by_order(p, rows, bounds)
     blocks = sorted(p.blocks, key=lambda b: b.order_index)
     first = blocks[0]
     j = next(j for j, b in enumerate(blocks) if j > 0 and first.qubits[0] in b.qubits)
@@ -111,15 +118,17 @@ def _swap_blocks(p: BlockPartition, frags: dict[int, tuple[Gate, ...]]) -> Circu
     return Circuit(p.num_qubits, tuple(gates), p.measured_qubits)
 
 
-def _drop_fragment_gate(p: BlockPartition, frags: dict[int, tuple[Gate, ...]]) -> Circuit:
+def _drop_fragment_gate(p: BlockPartition, rows, bounds) -> Circuit:
     """Reassembly with the first gate of the longest fragment left out."""
+    frags = fragments_by_order(p, rows, bounds)
     o = max(frags, key=lambda o: len(frags[o]))
-    return partition.reassemble(p, {**frags, o: frags[o][1:]})
+    return partition.reassemble(p, *fragment_set({**frags, o: frags[o][1:]}.values()))
 
 
 def _misplace_rx_half(p, seed):
     """inject_rx_pairs, except that the RX(-theta) half of the first pair
-    whose wire has two more blocks moves one block later on its wire."""
+    whose wire has two more blocks moves one block later on its wire, to
+    that block's first slot."""
     rx_p, record = obfuscate.inject_rx_pairs(p, seed)
     on_wire: dict[int, list[int]] = {}
     for b in rx_p.blocks:
@@ -132,31 +141,33 @@ def _misplace_rx_half(p, seed):
             later, after = orders[k + 1], orders[k + 2]
             break
     half = Gate(GateKind.RX, (pair.wire,), -pair.theta)
-    blocks = []
-    for b in rx_p.blocks:
+    blocks, slots = [], []
+    for b, s in zip(rx_p.blocks, rx_p.slots):
         gates = b.gates
         if b.order_index == later:
-            gates = tuple(g for g in gates if g != half)
+            kept = [i for i, g in enumerate(gates) if g != half]
+            gates, s = tuple(gates[i] for i in kept), tuple(s[i] for i in kept)
         elif b.order_index == after:
-            gates = (half, *gates)
+            gates, s = (half, *gates), (s[0], *s)
         blocks.append(Block(b.qubits, gates, b.order_index))
-    return replace(rx_p, blocks=tuple(blocks)), record
+        slots.append(s)
+    return replace(rx_p, blocks=tuple(blocks), slots=tuple(slots)), record
 
 
 def _install(monkeypatch, mutant: str) -> list[Circuit]:
     """Install one mutant of encode's inputs to the whole-circuit checks;
     the returned list receives every output circuit encode builds."""
     output_mutants = {
-        "shifted_rz": lambda p, frags: _shift_first_rz(partition.reassemble(p, frags)),
-        "dropped_cx": lambda p, frags: _drop_first_cx(partition.reassemble(p, frags)),
+        "shifted_rz": lambda p, *frags: _shift_first_rz(partition.reassemble(p, *frags)),
+        "dropped_cx": lambda p, *frags: _drop_first_cx(partition.reassemble(p, *frags)),
         "swapped_blocks": _swap_blocks,
         "dropped_fragment_gate": _drop_fragment_gate,
         "misplaced_rx_half": partition.reassemble,
     }
     outputs: list[Circuit] = []
 
-    def reassemble(p, frags):
-        outputs.append(output_mutants[mutant](p, frags))
+    def reassemble(p, rows, bounds):
+        outputs.append(output_mutants[mutant](p, rows, bounds))
         return outputs[-1]
 
     monkeypatch.setattr(qcloak.pipeline, "reassemble", reassemble)
@@ -220,11 +231,11 @@ def test_stimuli_check_rejects_a_wrong_fragment(monkeypatch):
     real = qcloak.pipeline.synthesize_blocks
     calls = []
 
-    def wrong(blocks, k, shortlist, seed):
-        frags = real(blocks, k, shortlist, seed)
-        calls.append(len(blocks))
-        two = {b.order_index for b in blocks if len(b.qubits) == 2}
-        return {o: _shifted_first_rz(f) if o in two else f for o, f in frags.items()}
+    def wrong(p, k, shortlist, seed):
+        frags = fragments_by_order(p, *real(p, k, shortlist, seed))
+        calls.append(p.num_blocks)
+        two = {b.order_index for b in p.blocks if len(b.qubits) == 2}
+        return fragment_set(_shifted_first_rz(f) if o in two else f for o, f in frags.items())
 
     monkeypatch.setattr(qcloak.pipeline, "synthesize_blocks", wrong)
     with pytest.raises(SynthesisEquivalenceError, match="random stimuli"):
@@ -275,16 +286,16 @@ def test_certificate_accepts_an_empty_block_list(n):
     c = Circuit(n)
     p = form_blocks(c)
     assert p.blocks == ()
-    certify(c, p, (), {}, c)
+    certify(c, p, (), *fragment_set([]), c)
     with pytest.raises(SynthesisEquivalenceError):
-        certify(c, p, (), {}, Circuit(n, (rz(0.5, 0),)))
+        certify(c, p, (), *fragment_set([]), Circuit(n, (rz(0.5, 0),)))
 
 
 def _certificate_inputs(c: Circuit, seed: int = 5) -> list:
     """certify's arguments for c taken as the X-injected circuit."""
     rx_p, record = obfuscate.inject_rx_pairs(form_blocks(c), seed)
-    frags = {b.order_index: synthesize_block(b, 3, 2, seed) for b in rx_p.blocks}
-    return [c, rx_p, record, frags, partition.reassemble(rx_p, frags)]
+    rows, bounds = fragment_set(synthesize_block(b, 3, 2, seed) for b in rx_p.blocks)
+    return [c, rx_p, record, rows, bounds, partition.reassemble(rx_p, rows, bounds)]
 
 
 def test_certificate_handles_idle_wires():
@@ -314,12 +325,16 @@ def test_certificate_rejects_reordered_or_truncated_circuits():
 
 
 def _edit_block(p: BlockPartition, order: int, edit) -> BlockPartition:
-    """p with the gates of block `order` replaced by edit(gates)."""
-    blocks = tuple(
-        Block(b.qubits, edit(b.gates), b.order_index) if b.order_index == order else b
-        for b in p.blocks
-    )
-    return replace(p, blocks=blocks)
+    """p with the gates of block `order` replaced by edit(gates), each at
+    the block's first slot."""
+    blocks, slots = [], []
+    for b, s in zip(p.blocks, p.slots):
+        if b.order_index == order:
+            b = Block(b.qubits, edit(b.gates), b.order_index)
+            s = s[:1] * len(b.gates)
+        blocks.append(b)
+        slots.append(s)
+    return replace(p, blocks=tuple(blocks), slots=tuple(slots))
 
 
 def _drop_recorded_half(p, record):
@@ -365,18 +380,32 @@ def _unpaired_record(p, record):
 def test_certificate_rejects_tampered_rx_blocks(tamper, message):
     # the fragments and the output stay those of the untampered blocks, so
     # only the walk over the RX-injected blocks can see each change
-    c, rx_p, record, frags, out = _certificate_inputs(gen_random_blocks(6, 16, 5))
+    c, rx_p, record, rows, bounds, out = _certificate_inputs(gen_random_blocks(6, 16, 5))
     assert record
-    certify(c, rx_p, record, frags, out)
+    certify(c, rx_p, record, rows, bounds, out)
     rx_p, record = tamper(rx_p, record)
     with pytest.raises(SynthesisEquivalenceError, match=f"^certificate: {message}$"):
-        certify(c, rx_p, record, frags, out)
+        certify(c, rx_p, record, rows, bounds, out)
 
 
-def _gate_off_block(p: BlockPartition, frags: dict, kind: GateKind) -> tuple[int, dict]:
+def test_certificate_rejects_blocks_out_of_order():
+    # the halves and the wire walks read the blocks in partition order, so
+    # that order must be the order of their indices
+    c, rx_p, record, rows, bounds, out = _certificate_inputs(gen_random_blocks(6, 16, 5))
+    certify(c, rx_p, record, rows, bounds, out)
+    blocks, slots = rx_p.blocks, rx_p.slots
+    for order in ([1, 0, *range(2, len(blocks))], [0, *range(len(blocks) - 1)]):
+        # two blocks swapped; the first block twice, the last left out
+        other = replace(rx_p, blocks=[blocks[i] for i in order], slots=[slots[i] for i in order])
+        with pytest.raises(SynthesisEquivalenceError, match="^certificate: block order indices"):
+            certify(c, other, record, rows, bounds, out)
+
+
+def _gate_off_block(p: BlockPartition, rows, bounds, kind: GateKind) -> tuple[int, tuple]:
     """The order_index of the first block whose fragment has a `kind` gate,
-    and frags with that gate moved to a qubit outside the block: a one-qubit
-    gate onto it, a CX's target onto it."""
+    and the fragment set with that gate moved to a qubit outside the block:
+    a one-qubit gate onto it, a CX's target onto it."""
+    frags = fragments_by_order(p, rows, bounds)
     for b in sorted(p.blocks, key=lambda b: b.order_index):
         frag = frags[b.order_index]
         i = next((i for i, g in enumerate(frag) if g.kind is kind), None)
@@ -386,7 +415,7 @@ def _gate_off_block(p: BlockPartition, frags: dict, kind: GateKind) -> tuple[int
         g = frag[i]
         qubits = (outside,) if len(g.qubits) == 1 else (g.qubits[0], outside)
         moved = (*frag[:i], Gate(g.kind, qubits, g.angle), *frag[i + 1 :])
-        return b.order_index, {**frags, b.order_index: moved}
+        return b.order_index, fragment_set({**frags, b.order_index: moved}.values())
     raise AssertionError(f"no fragment has a {kind.value} gate")
 
 
@@ -394,24 +423,28 @@ def _gate_off_block(p: BlockPartition, frags: dict, kind: GateKind) -> tuple[int
 def test_certificate_rejects_a_fragment_gate_outside_its_block(kind):
     # reassembled from the same fragments, the output matches them wire by
     # wire; only the block check sees the gate that left its block
-    c, rx_p, record, frags, _out = _certificate_inputs(gen_random_blocks(6, 16, 5))
-    o, moved = _gate_off_block(rx_p, frags, kind)
-    out = partition.reassemble(rx_p, moved)
+    c, rx_p, record, rows, bounds, _out = _certificate_inputs(gen_random_blocks(6, 16, 5))
+    o, moved = _gate_off_block(rx_p, rows, bounds, kind)
+    out = partition.reassemble(rx_p, *moved)
     assert not dense_equivalent(out, c)
     message = f"^certificate: the fragment of block {o} acts outside its qubits$"
     with pytest.raises(SynthesisEquivalenceError, match=message):
-        certify(c, rx_p, record, moved, out)
+        certify(c, rx_p, record, *moved, out)
 
 
 def test_certificate_rejects_a_block_without_fragment():
-    c, rx_p, record, frags, _out = _certificate_inputs(gen_random_blocks(6, 16, 5))
-    o = rx_p.blocks[0].order_index
-    del frags[o]
-    # reassemble keeps the block's own gates, RX halves included
-    out = partition.reassemble(rx_p, frags)
-    message = f"^certificate: block {o} has no fragment$"
-    with pytest.raises(SynthesisEquivalenceError, match=message):
-        certify(c, rx_p, record, frags, out)
+    # a fragment set is aligned with the blocks: one left out, or one too
+    # many, is rejected by reassemble and by the certificate
+    c, rx_p, record, rows, bounds, out = _certificate_inputs(gen_random_blocks(6, 16, 5))
+    frags = list(fragments_by_order(rx_p, rows, bounds).values())
+    n = rx_p.num_blocks
+    for other in (frags[1:], [*frags, ()]):
+        other_rows, other_bounds = fragment_set(other)
+        message = f"{len(other)} fragments for {n} blocks"
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            partition.reassemble(rx_p, other_rows, other_bounds)
+        with pytest.raises(SynthesisEquivalenceError, match=f"^certificate: {message}$"):
+            certify(c, rx_p, record, other_rows, other_bounds, out)
 
 
 def test_empty_fragment_is_placed_and_certified():
@@ -419,12 +452,12 @@ def test_empty_fragment_is_placed_and_certified():
     # missing entry, for both reassemble and certify
     c = Circuit(2, (cx(0, 1), cx(0, 1)))
     p = form_blocks(c)
-    frags = synthesize_blocks(p.blocks, 1, 1, 0)
-    assert {o: tuple(f) for o, f in frags.items()} == {0: ()}
-    out = partition.reassemble(p, frags)
+    rows, bounds = synthesize_blocks(p, 1, 1, 0)
+    assert fragments_by_order(p, rows, bounds) == {0: ()}
+    out = partition.reassemble(p, rows, bounds)
     assert out == Circuit(2, (), c.measured_qubits)
     assert make_baseline(c) == out
-    certify(c, p, (), frags, out)
+    certify(c, p, (), rows, bounds, out)
 
 
 def _count_gates(monkeypatch) -> list:
@@ -435,13 +468,38 @@ def _count_gates(monkeypatch) -> list:
     return built
 
 
+def _count_blocks(monkeypatch) -> list:
+    """The Blocks built from now on, through Block(...) or Block.from_rows."""
+    built = []
+    real_init, real_from_rows = Block.__init__, Block.from_rows
+
+    def init(b, *args):
+        built.append(args)
+        real_init(b, *args)
+
+    def from_rows(*args):
+        built.append(args)
+        return real_from_rows(*args)
+
+    monkeypatch.setattr(Block, "__init__", init)
+    monkeypatch.setattr(Block, "from_rows", from_rows)
+    return built
+
+
 def test_encode_and_baseline_build_no_gate_for_an_output_gate(monkeypatch):
-    # the key's X gates and the RX halves are rows too: no pass builds a Gate
+    # the key's X gates and the RX halves are rows too: no pass builds a
+    # Gate, and a partition's blocks are row ranges: none builds a Block
     c = structural_benchmarks()["random128"]
     built = _count_gates(monkeypatch)
+    blocks = _count_blocks(monkeypatch)
     enc = encode(c, PipelineConfig(seed=3))
     baseline = make_baseline(c)
-    assert built == []
+    assert built == [] and blocks == []
+    # only reading .blocks builds them, once
+    p = form_blocks(c)
+    assert blocks == []
+    assert p.blocks is p.blocks
+    assert len(blocks) == p.num_blocks and built == []
     # reading .gates builds each output's Gates once
     for out in (enc.circuit, baseline):
         before = len(built)
@@ -453,11 +511,12 @@ def test_qaoa_encode_sample_and_serialize_build_no_gate(monkeypatch):
     # the stimuli check, the simulator and the serializer read columns
     c = build_qaoa_circuit(ring_problem(4, 1, (0.4, 0.9)))
     built = _count_gates(monkeypatch)
+    blocks = _count_blocks(monkeypatch)
     enc = encode(c, PipelineConfig(seed=3))
     sample(enc.circuit, 256, 1)
     serialize_qasm(enc.circuit)
     assert whole_circuit_check(c.num_qubits) == "certificate+stimuli"
-    assert built == []
+    assert built == [] and blocks == []
 
 
 def test_parse_encode_simulate_and_serialize_build_no_gate(monkeypatch):

@@ -51,9 +51,11 @@ from strategies import (
     circuits,
     class_edge_unitary,
     fragment_unitary,
+    fragments_by_order,
     gate_bits,
     gates_on,
     gates_on_wires,
+    partition_of_blocks,
     peephole_1q,
     per_candidate_euler_1q,
     per_candidate_generate,
@@ -442,12 +444,12 @@ def test_candidate_check_covers_candidates_that_are_not_selected(monkeypatch, mu
     assert dropped
     _mutating_emit(monkeypatch, dropped[-1], mutate)
     with pytest.raises(SynthesisError, match=f"^candidate {dropped[-1]} for block 6 failed"):
-        synthesize_blocks([MUTATED_BLOCK], 3, 2, 12)
+        synthesize_blocks(partition_of_blocks([MUTATED_BLOCK]), 3, 2, 12)
 
 
 def _assert_check_unitaries_match_circuits(bs: list[Block], k: int, seed: int):
     try:
-        cands = _checked_candidates(bs, k, seed)
+        cands = _checked_candidates(partition_of_blocks(bs), k, seed)
     except SynthesisError:
         return
     groups = candidate_unitaries(cands)
@@ -481,7 +483,7 @@ def test_reassembly_builds_one_gate_per_output_gate(monkeypatch):
     # then one Gate per output gate
     p = form_blocks(gen_random_blocks(16, 60, seed=2))
     # also fills the signature memo
-    want = gate_bits(reassemble(p, synthesize_blocks(p.blocks, 3, 2, 5)))
+    want = gate_bits(reassemble(p, *synthesize_blocks(p, 3, 2, 5)))
     built = {Gate: 0, Circuit: 0}
     # Gate checks itself in __post_init__; Circuit(n, gates) converts and
     # checks its Gates in __init__, which Circuit.from_columns skips
@@ -492,10 +494,10 @@ def test_reassembly_builds_one_gate_per_output_gate(monkeypatch):
             real(self, *args)
 
         monkeypatch.setattr(cls, hook, counting)
-    frags = synthesize_blocks(p.blocks, 3, 2, 5)
-    out = reassemble(p, frags)
+    rows, bounds = synthesize_blocks(p, 3, 2, 5)
+    out = reassemble(p, rows, bounds)
     assert built == {Gate: 0, Circuit: 0}
-    assert out.num_gates == sum(map(len, frags.values()))
+    assert out.num_gates == len(rows.kind)
     assert gate_bits(out) == want
     assert built == {Gate: out.num_gates, Circuit: 0}
     out.gates
@@ -535,8 +537,9 @@ def _assert_stack_matches_per_block_oracle(bs, k, shortlist, seed, chunk, stub_o
     with mock.patch.object(qcloak.synthesis, "SYNTH_CHUNK", chunk), mock.patch.object(
         qcloak.synthesis, "_candidate_rngs", stub_rngs
     ):
-        stack = _checked_candidates(bs, k, seed)
-        chosen = synthesize_blocks(bs, k, shortlist, seed)
+        p = partition_of_blocks(bs)
+        stack = _checked_candidates(p, k, seed)
+        chosen = fragments_by_order(p, *synthesize_blocks(p, k, shortlist, seed))
     assert sorted(chosen) == sorted(b.order_index for b in bs)
     for j, b in enumerate(bs):
         cands = [stack.circuit(j * k + i) for i in range(k)]
@@ -579,7 +582,8 @@ def test_block_stack_matches_oracle_across_the_real_chunk_size(count):
 
 
 def test_synthesize_blocks_of_nothing():
-    assert synthesize_blocks([], 3, 2, 0) == {}
+    p = partition_of_blocks([])
+    assert fragments_by_order(p, *synthesize_blocks(p, 3, 2, 0)) == {}
 
 
 def test_kak_failure_names_its_block(monkeypatch):
@@ -600,7 +604,7 @@ def test_kak_failure_names_its_block(monkeypatch):
     monkeypatch.setattr(qcloak.synthesis, "_candidate_rngs", rngs)
     bs = [Block((0, 1), RETRY_BLOCK_GATES, 4), Block((0, 1), RETRY_BLOCK_GATES, 9)]
     with pytest.raises(SynthesisError, match="^candidate 2 for block 9 has no KAK"):
-        synthesize_blocks(bs, 3, 2, 0)
+        synthesize_blocks(partition_of_blocks(bs), 3, 2, 0)
 
 
 @given(st.data(), st.sampled_from([1, 3]), st.integers(0, 2**32 - 1))
@@ -611,7 +615,7 @@ def test_kak_class_boundaries_through_the_stack(data, k, seed):
     # frames: each candidate either matches its block or the stack raises
     bs = [data.draw(boundary_blocks(3 * i)) for i in range(data.draw(st.integers(1, 4)))]
     try:
-        stack = _checked_candidates(bs, k, seed)
+        stack = _checked_candidates(partition_of_blocks(bs), k, seed)
     except SynthesisError:
         return
     for j, b in enumerate(bs):
