@@ -15,7 +15,8 @@ import numpy as np
 from scipy.optimize import minimize
 
 from .analysis import make_baseline
-from .circuit import Circuit, Gate, cx, rx, rz, sx, x
+from .circuit import CX_CODE, RX_CODE, RZ_CODE, SX_CODE, Circuit, CircuitColumns, Gate
+from .circuit import cx, rx, rz, sx, x
 from .distributions import Distribution
 from .obfuscate import decode
 from .pipeline import PipelineConfig, encode
@@ -214,20 +215,35 @@ def cut_values(prob: MaxCutProblem) -> dict[str, int]:
 
 def build_qaoa_circuit(prob: MaxCutProblem) -> Circuit:
     """Uniform superposition, then per layer the cost phase CX RZ(2g) CX per
-    edge and the mixer RX(2b) per node."""
+    edge and the mixer RX(2b) per node. Built as columns: the gates of _h,
+    cx, rz and rx, without a Gate."""
     if not prob.parameters:
         raise ValueError("problem has no bound parameters")
-    p = prob.qaoa_layers
+    n, p = prob.num_nodes, prob.qaoa_layers
     gammas, betas = prob.parameters[:p], prob.parameters[p:]
-    gates: list[Gate] = []
-    for q in range(prob.num_nodes):
-        gates += _h(q)
+    half, nan = np.pi / 2, math.nan
+    kind = [RZ_CODE, SX_CODE, RZ_CODE] * n
+    q0 = [q for q in range(n) for _ in range(3)]
+    q1 = [-1] * (3 * n)
+    angle = [half, nan, half] * n
     for layer in range(p):
+        g = float(2 * gammas[layer])
         for i, j in prob.edges:
-            gates += [cx(i, j), rz(2 * gammas[layer], j), cx(i, j)]
-        for q in range(prob.num_nodes):
-            gates.append(rx(2 * betas[layer], q))
-    return Circuit(prob.num_nodes, tuple(gates), tuple(range(prob.num_nodes)))
+            kind += (CX_CODE, RZ_CODE, CX_CODE)
+            q0 += (i, j, i)
+            q1 += (j, -1, j)
+            angle += (nan, g, nan)
+        kind += [RX_CODE] * n
+        q0 += range(n)
+        q1 += [-1] * n
+        angle += [float(2 * betas[layer])] * n
+    cols = CircuitColumns(
+        np.array(kind, dtype=np.int8),
+        np.array(q0, dtype=np.int64),
+        np.array(q1, dtype=np.int64),
+        np.array(angle, dtype=float),
+    )
+    return Circuit.from_columns(n, cols, tuple(range(n)))
 
 
 QAOA_MODES = ("baseline", "corrected", "uncorrected")

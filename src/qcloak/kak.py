@@ -5,17 +5,19 @@ Any U in U(4) factors as e^{i phi} (l1 x l0) exp(i(c1 XX + c2 YY + c3 ZZ))
 pi/4 >= c1 >= c2 >= |c3|, c2 >= 0. Index convention: locals[w] acts on local
 wire w, and wire 0 is the low-order bit, so kron(l1, l0) is the frame matrix.
 
-kak_decompose_stack decomposes a (m, 4, 4) stack of unitaries, one rng per
-matrix, as synthesis does for the candidates of many blocks at once, and
-returns the terms as stacks (KakStack). The unitarity test, det,
-magic-basis transform, Gram matrix, first diagonalizer tries, sign fix,
-eigenphases, left factor, frame factorization and GAMMA @ theta each run
-once over the stack, and each canonicalization step (shift, negation, swap,
-boundary fix) runs once over the rows it applies to, in the one-matrix
-order; only a failed diagonalizer try repeats, from its own rng. A None rng
-is the plain decomposition, default_rng(PLAIN_SEED): its first mix is drawn
-once at import, and its generator is built only when that mix fails.
-kak_decompose (one u, one rng) is the one-matrix case of the same path.
+kak_decompose_stack decomposes a (m, 4, 4) stack of unitaries, as synthesis
+does for the candidates of many blocks at once, and returns the terms as
+stacks (KakStack). Its draws are arrays: each row's first diagonalizer mix,
+and the seed of the generator that row retries from. The unitarity test,
+det, magic-basis transform, Gram matrix, first diagonalizer tries, sign
+fix, eigenphases, left factor, frame factorization and GAMMA @ theta each
+run once over the stack, and each canonicalization step (shift, negation,
+swap, boundary fix) runs once over the rows it applies to, in the
+one-matrix order; only a failed diagonalizer try repeats, and only it
+builds a generator, default_rng(its row's retry seed). A row whose retry
+seed is None is the plain decomposition, default_rng(PLAIN_SEED): its first
+mix is drawn once at import, and its generator is built only when that mix
+fails. kak_decompose (one u) is the one-matrix case of the same path.
 Stacked eigh, det, svd, 2x2 and 4x4 matmul, matrix-vector products, angle
 and complex division give each matrix the bits of its own call, so every
 row equals the decomposition of its matrix alone.
@@ -53,7 +55,8 @@ _SWAP_CONJ = {
 
 DIAG_TOL = 1e-11
 UNITARY_TOL = 1e-8
-# None stands for default_rng(PLAIN_SEED); its first (a, b) mix is drawn once
+# a None retry seed stands for default_rng(PLAIN_SEED); its first (a, b) mix
+# is drawn once
 PLAIN_SEED = 2023
 _PLAIN_MIX = np.random.default_rng(PLAIN_SEED).uniform(-1, 1, 2)
 _PLAIN_MIX.setflags(write=False)
@@ -146,11 +149,12 @@ def _diagonalize(m2: np.ndarray, ab: np.ndarray) -> tuple[np.ndarray, np.ndarray
     return cand, np.max(np.abs(d[:, _OFF_DIAGONAL]), axis=1) < DIAG_TOL
 
 
-def _raw_decompose(us: np.ndarray, rngs: list[np.random.Generator | None]):
+def _raw_decompose(us: np.ndarray, mixes: np.ndarray, retry_seeds: list):
     """Uncanonicalized KAK terms of each us[i] as stacks (phase, l1, l0, c,
-    r1, r0): rngs[i] draws the (a, b) mixes of us[i]'s own diagonalizer
-    search, so no rng's draws depend on the others'. A None row takes
-    _PLAIN_MIX first and builds its default_rng(PLAIN_SEED) only to retry."""
+    r1, r0): mixes[i] is the (a, b) mix of us[i]'s first diagonalizer try,
+    and only a failed try builds a generator, default_rng(retry_seeds[i]),
+    to draw the next mixes from, so no row's draws depend on the others'. A
+    None seed retries from default_rng(PLAIN_SEED) past its first mix."""
     det = np.linalg.det(us)
     delta = np.angle(det) / 4
     up = us * np.exp(-1j * delta)[:, None, None]
@@ -159,13 +163,12 @@ def _raw_decompose(us: np.ndarray, rngs: list[np.random.Generator | None]):
     m2 = np.swapaxes(v, 1, 2) @ v
     # m2 is complex symmetric unitary; a real orthogonal diagonalizer always
     # exists and almost any real mix of Re/Im parts exposes it. First tries
-    # run as one stack; only a failed one retries, from its own rng.
-    mixes = [_PLAIN_MIX if rng is None else rng.uniform(-1, 1, 2) for rng in rngs]
-    p, ok = _diagonalize(m2, np.reshape(mixes, (-1, 2)))  # (0, 2) for an empty stack
+    # run as one stack; only a failed one retries, from its own generator.
+    p, ok = _diagonalize(m2, mixes)
     for i in np.flatnonzero(~ok):
-        rng = rngs[i]
-        if rng is None:
-            rng = np.random.default_rng(PLAIN_SEED)
+        seed = retry_seeds[i]
+        rng = np.random.default_rng(PLAIN_SEED if seed is None else seed)
+        if seed is None:
             rng.uniform(-1, 1, 2)  # the first mix, already tried
         for _ in range(99):
             cand, found = _diagonalize(m2[i : i + 1], rng.uniform(-1, 1, 2)[None])
@@ -181,7 +184,7 @@ def _raw_decompose(us: np.ndarray, rngs: list[np.random.Generator | None]):
     theta[np.round(np.sum(theta, axis=1) / (2 * np.pi)) != 0, :2] -= np.pi
 
     o2 = np.swapaxes(p, 1, 2)
-    phases = np.zeros((len(rngs), 4, 4), dtype=complex)
+    phases = np.zeros((len(us), 4, 4), dtype=complex)
     phases[:, _DIAGONAL, _DIAGONAL] = np.exp(-1j * theta)
     o1 = v @ p @ phases
     not_real = ~(np.max(np.abs(o1.imag), axis=(1, 2)) <= 1e-9)
@@ -191,7 +194,7 @@ def _raw_decompose(us: np.ndarray, rngs: list[np.random.Generator | None]):
     g1, g0, pk = _factor_kron_2x2(MAGIC @ np.concatenate((o1.real, o2)) @ MAGIC_H)
     # one matrix-vector product per matrix, as GAMMA @ theta[i] rounds
     w = np.matmul(GAMMA, theta[:, :, None])[:, :, 0]
-    m = len(rngs)
+    m = len(us)
     phase = (delta + w[:, 0]) + (pk[:m] + pk[m:])
     return phase, g1[:m], g0[:m], w[:, 1:], g1[m:], g0[m:]
 
@@ -248,35 +251,48 @@ def _canonicalize(phase, l1, l0, c, r1, r0):
     c[np.abs(c) < 1e-15] = 0.0
 
 
-def kak_decompose_stack(us: np.ndarray, rngs: list[np.random.Generator | None]) -> KakStack:
+def kak_decompose_stack(us: np.ndarray, mixes=None, retry_seeds=None) -> KakStack:
     """Canonicalized Cartan decompositions of a (m, 4, 4) stack of unitaries,
-    us[i] drawing its branch choices from rngs[i], returned as stacks.
+    returned as stacks.
 
-    An rng only varies internal branch choices (eigenvector order and
-    signs); every branch yields a valid decomposition of the same u. None
-    stands for default_rng(PLAIN_SEED), the plain decomposition: its first
-    mix is drawn once at import, and the generator is built only if that
-    mix fails. Each row equals the decomposition of its matrix alone bit
-    for bit. Raises ValueError for a non-unitary matrix and
-    DecompositionError, with the matrix's stack index, when a decomposition
-    step fails.
+    Row i's first diagonalizer try mixes Re and Im of its Gram matrix by
+    mixes[i] = (a, b), each in [-1, 1]; only if that try fails is a
+    generator built, default_rng(retry_seeds[i]), to draw the next mixes
+    from. A draw only varies internal branch choices (eigenvector order and
+    signs); every branch yields a valid decomposition of the same u. A row
+    whose retry seed is None, and every row when retry_seeds is None, is
+    the plain decomposition, default_rng(PLAIN_SEED): its first mix was
+    drawn once at import (mixes is read only for the other rows), and its
+    generator is built only if that mix fails. Each row equals the
+    decomposition of its matrix alone bit for bit. Raises ValueError for a
+    non-unitary matrix and DecompositionError, with the matrix's stack
+    index, when a decomposition step fails.
     """
     us = np.asarray(us, dtype=complex)
-    if us.ndim != 3 or us.shape[1:] != (4, 4) or len(us) != len(rngs):
-        raise ValueError(f"expected {len(rngs)} 4x4 matrices, got shape {us.shape}")
+    seeds = [None] * len(us) if retry_seeds is None else list(retry_seeds)
+    if us.ndim != 3 or us.shape[1:] != (4, 4) or len(us) != len(seeds):
+        raise ValueError(f"expected {len(seeds)} 4x4 matrices, got shape {us.shape}")
+    first = np.tile(_PLAIN_MIX, (len(seeds), 1))
+    drawn = np.array([s is not None for s in seeds], dtype=bool)
+    if drawn.any():
+        mixes = np.asarray(mixes, dtype=float)
+        if mixes.shape != first.shape:
+            raise ValueError(f"expected {len(seeds)} (a, b) mixes, got shape {mixes.shape}")
+        first[drawn] = mixes[drawn]
     dev = np.max(np.abs(np.swapaxes(us.conj(), 1, 2) @ us - np.eye(4)), axis=(1, 2))
     if not np.all(dev <= UNITARY_TOL):
         raise ValueError("input matrix is not unitary")
-    phase, l1, l0, c, r1, r0 = _raw_decompose(us, rngs)
+    phase, l1, l0, c, r1, r0 = _raw_decompose(us, first, seeds)
     _canonicalize(phase, l1, l0, c, r1, r0)
     phase = (phase + np.pi) % (2 * np.pi) - np.pi
     return KakStack((l0, l1), (r0, r1), c, phase)
 
 
-def kak_decompose(u: np.ndarray, rng: np.random.Generator | None = None) -> KakTerms:
+def kak_decompose(u: np.ndarray, mix=None, retry_seed=None) -> KakTerms:
     """Canonicalized Cartan decomposition of a 4x4 unitary: the one-matrix
-    case of kak_decompose_stack."""
+    case of kak_decompose_stack, plain unless retry_seed is given."""
     u = np.asarray(u, dtype=complex)
     if u.shape != (4, 4):
         raise ValueError(f"expected a 4x4 matrix, got {u.shape}")
-    return kak_decompose_stack(u[None], [rng])[0]
+    mixes = None if mix is None else np.reshape(mix, (1, 2))
+    return kak_decompose_stack(u[None], mixes, [retry_seed])[0]

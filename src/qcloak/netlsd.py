@@ -3,7 +3,7 @@
 The circuit DAG is symmetrized to an undirected graph; the signature is
 h(t) = trace(exp(-t L)) over a log-spaced grid of timescales, where L is the
 symmetric normalized Laplacian (isolated nodes contribute eigenvalue 0).
-Up to DENSE_NODE_LIMIT = 600 nodes, h(t) comes from the dense eigenvalues
+Up to DENSE_NODE_LIMIT = 540 nodes, h(t) comes from the dense eigenvalues
 (one eigvalsh, O(n^3)). Above it, h(t) is a Chebyshev series in L - I whose
 moments, the traces of T_k(L - I), are estimated stochastically (Han,
 Malioutov, Avron & Shin, SISC 2017) from PROBES = 128 Rademacher probes
@@ -14,31 +14,50 @@ exactly instead, from sparse matrix powers: they carry most of h(t), and the
 probes estimate them worst. All four are constants, not settings.
 Signatures are compared by unnormalized Euclidean distance.
 
+The series is cut where its truncation error is far below the probes'
+error, which sets the estimate's accuracy. With PROBES = 128, the error
+norm of the estimate against the dense eigenvalues, over the 250 points of
+the default grid, averaged at least 0.06 over probe seeds 11-13 on nine
+1.0k- to 10k-node circuit DAGs (_heat_traces_estimated): a per-point RMS
+of 0.06 / sqrt(250) = 3.8e-3. TRUNCATION_BOUND sits three orders below
+that, rounded down to a power of ten: 1e-6 on every h(t). (The smallest
+single norm measured, 0.03 on a desk DAG, is 1.9e-3 per point.) The probe
+error falls as 1 / sqrt(PROBES), so the bound stays three orders below it
+up to about 1,800 probes (128 x 3.8^2). On 8k-13k nodes it takes K = 33
+recurrence steps where 1e-13 took 44. Against 1e-13, the estimated h(t) of
+the 10k-node encode DAG of gen_random_blocks(128, 300, 1) at seed 3 moved
+by at most 4.3e-9, its divergence from the baseline by 2.8e-15 relative
+and the X-only divergence by 1.5e-14.
+
 The limit is where the two paths cost the same. scripts/netlsd_crossover.py
 times both on pipeline encodes of gen_random_blocks(16, b, 1); on 2 vCPUs,
-min of 5, milliseconds dense / estimated:
+min of 5 calls and of three sweeps, milliseconds dense / estimated:
 
     nodes   1 BLAS thread   2 BLAS threads
-      436     16 / 31         16 / 24
-      558     31 / 32         26 / 30
-      599     34 / 30         33 / 32
-      669     43 / 30         40 / 28
-      801     82 / 33         57 / 28
-     1330    268 / 31        207 / 41
+      436     13 / 18         16 / 16
+      495     17 / 18         19 / 22
+      538     21 / 19         23 / 18
+      556     24 / 21         25 / 18
+      596     30 / 19         29 / 21
+      667     37 / 22         37 / 22
+      802     64 / 23         50 / 16
+     1333    270 / 23        170 / 24
 
-The estimator's cost is mostly fixed (25-45 ms up to 1.6k nodes) and the
+The estimator's cost is mostly fixed (15-35 ms up to 1.6k nodes) and the
 dense cost grows as n^3. In three sweeps, under either thread count, the
-dense path was faster on no DAG above 599 nodes. The limit is set by cost
-alone. What it allows: a divergence between two signatures moves by at most
-the sum of their error norms over the grid (the triangle inequality). On
-the desk DAGs that the limit moves onto the estimator (qft8 and add9: the
-baselines and the encodes at seeds 0, 3 and 7), those norms are
-0.03-0.35. The full divergences of qft8 and add9 (2.5k-4.2k) move by at
-most 4.1e-6 relative.
-A key-only divergence near that error floor moves more: qft8's reads 0.399
-estimated against 0.324 exact at seed 3 (0.424 against 0.373 at seed 7),
-so its full/key-only ratio reads 6.6k instead of 8.1k (5.9k instead of
-6.8k). add9's, at 20-40, moves by at most 3e-4 relative.
+dense path was faster on no DAG above 538 nodes; with the series cut at
+1e-13 it was faster on none above 599, and the limit was 600. The limit is
+set by cost alone; no desk DAG of pipeline seeds 0-9 has between 371 and
+794 nodes, so the move to 540 sent none of them to another path. What it allows: a
+divergence between two signatures moves by at most the sum of their error
+norms over the grid (the triangle inequality). On the desk DAGs above the
+limit (qft8 and add9: the baselines and the encodes at seeds 0, 3 and 7),
+those norms are 0.03-0.21. The full divergences of qft8 and add9
+(2.6k-4.2k) move by at most 3.0e-6 relative. A key-only divergence near
+that error floor moves more: qft8's reads 0.399 estimated against 0.324
+exact at seed 3 (0.424 against 0.373 at seed 7), so its full/key-only ratio
+reads 6.7k instead of 8.3k (6.2k instead of 7.1k). add9's, at 20-40, moves
+by at most 2.6e-4 relative.
 """
 
 from __future__ import annotations
@@ -57,12 +76,12 @@ from scipy.special import ive
 from .circuit import Circuit
 from .dag import CircuitDag, to_dag
 
-DENSE_NODE_LIMIT = 600  # the dense/estimated cost crossover; see the module docstring
+DENSE_NODE_LIMIT = 540  # the dense/estimated cost crossover; see the module docstring
 PROBES = 128
 PROBE_SEED = 11
 EXACT_STEPS = 8  # sparse recurrence steps: exact moments of degree k <= 2 EXACT_STEPS
 PROBE_BLOCK = 16  # probes per block: columns of one sparse-dense product
-TRUNCATION_BOUND = 1e-13  # absolute, on the estimated h(t)
+TRUNCATION_BOUND = 1e-6  # absolute, on the estimated h(t); see the module docstring
 BESSEL_MEMO_ENTRIES = 64  # column blocks of _bessel_columns; 2 kB a column on the default grid
 DEFAULT_POINTS = 250
 DEFAULT_T_MIN = 1e-2

@@ -258,11 +258,14 @@ def reassemble(p: BlockPartition, rows: CircuitColumns, bounds: np.ndarray) -> C
     replacements reproduce the source circuit exactly and per-wire gate
     order across blocks is always preserved. The placement is array
     operations over all gates at once, and the output is built from columns:
-    no Gate is built. A fragment set of another length than the blocks is a
-    ValueError.
+    no Gate is built. A fragment set of another length than the blocks, or
+    whose bounds do not run from 0 to its row count, is a ValueError.
     """
     if len(bounds) != len(p.bounds):
         raise ValueError(f"{len(bounds) - 1} fragments for {p.num_blocks} blocks")
+    if bounds[0] != 0 or bounds[-1] != len(rows.kind):
+        ends = f"{bounds[0]}..{bounds[-1]}"
+        raise ValueError(f"fragment bounds run {ends} over {len(rows.kind)} rows")
     m, ell = np.diff(bounds), np.diff(p.bounds)
     owner = np.repeat(np.arange(len(m)), m)
     j = np.arange(len(owner)) - bounds[owner]

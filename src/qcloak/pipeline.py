@@ -144,8 +144,9 @@ def certify(
         cancel exactly; and the blocks' cores, the blocks without these
         halves, concatenated in order, give x_circ's per-wire gate
         sequences;
-    (b) there is one fragment per block (it may be empty), whose gates act
-        on the block's qubits only, and the fragments, concatenated in
+    (b) there is one fragment per block (it may be empty), the bounds run
+        from 0 to the fragment set's row count, each fragment's gates act
+        on its block's qubits only, and the fragments, concatenated in
         order, give out's per-wire gate sequences.
 
     Every check reads columns (circuit.CircuitColumns): the circuits', the
@@ -195,6 +196,9 @@ def certify(
 
     if len(bounds) != len(at):
         raise _fail(f"{len(bounds) - 1} fragments for {p.num_blocks} blocks")
+    if bounds[0] != 0 or bounds[-1] != len(rows.kind):
+        ends = f"{bounds[0]}..{bounds[-1]}"
+        raise _fail(f"fragment bounds run {ends} over {len(rows.kind)} rows")
     owner = np.repeat(np.arange(p.num_blocks), np.diff(bounds))
     lo, hi = p.lo[owner], p.hi[owner]
     cx = rows.q1 != -1

@@ -17,11 +17,19 @@ the Pauli dressing, class template and CX dressings of each (class,
 dressed) group as one stack, the Euler angles of every one-qubit segment of
 every candidate from one (m, 2, 2) stack, and the emitted gates of every
 candidate as columns of kind codes, local wires and angles (Candidates).
-Only each candidate's own rng draws run per candidate: KAK's first mix,
-then the Pauli choice, then the 2 * (CX count) dressing angles, in that
-order. The check multiplies each wire's run of emitted gates into one 2x2
-matrix, all runs at once, combines each candidate's runs through its CX row
-permutations, and compares the stacked results with the block unitaries.
+Every candidate after the plain candidate 0 reads its draws from stream
+positions: candidate i of the block with order index o reads uniform j at
+position o * DRAW_STRIDE + j of candidate i's stream, PCG64 seeded from
+[seed, DRAW_TAG, i]. Uniforms 0-1 are KAK's first diagonalizer mix, 2 the
+Pauli choice and 3-8 the CX dressing angles (psi, chi of each CX); a
+one-wire candidate's uniform 0 is its dressing angle. A chunk reads all its
+blocks' draws with one advance and one random call per stream, so every
+draw is a pure function of (seed, o, i, j), whatever the chunking, block
+count or k; only a failed diagonalizer try builds a generator,
+default_rng([seed, o, i]) (kak.kak_decompose_stack). The check multiplies
+each wire's run of emitted gates into one 2x2 matrix, all runs at once,
+combines each candidate's runs through its CX row permutations, and
+compares the stacked results with the block unitaries.
 Selection ranks every candidate from the columns too (one lexsort per
 chunk, signature memo keyed by column bytes, the blocks' keys from their
 rows), and each chunk's selected candidates are placed on their blocks'
@@ -70,6 +78,9 @@ CLASS_TOL = 1e-10
 DRESS_MARGIN = 0.1
 CANDIDATE_TOL = 1e-9  # each candidate's unitary check, up to global phase
 SYNTH_CHUNK = 256  # blocks per candidate stack; bounds the stack's memory
+DRAW_TAG = 2**63 - 25  # keeps the draw streams apart from the key, RX and retry ones
+DRAW_STRIDE = 9  # uniforms per block on a candidate's stream: 2 mix, 1 Pauli, 6 angles
+_DRAW_GAP = 64  # order indices further apart than this are read as separate runs
 SIGNATURE_MEMO_ENTRIES = 1024  # about 2 kB of traces each; the grid is shared
 _GRID = netlsd.default_grid()
 _GRID.setflags(write=False)
@@ -249,19 +260,21 @@ def _dress_cx(segments: list[list[np.ndarray]], cls: int, angles: np.ndarray):
     return segments
 
 
-def _templates_2q(mats: np.ndarray, at: np.ndarray, t: KakStack, cls: np.ndarray, rngs) -> None:
+def _dress_angles(u: np.ndarray) -> np.ndarray:
+    """Dressing angles uniform on [DRESS_MARGIN, 2 pi - DRESS_MARGIN] from
+    uniforms on [0, 1), as Generator.uniform scales them."""
+    return DRESS_MARGIN + (2 * np.pi - DRESS_MARGIN - DRESS_MARGIN) * u
+
+
+def _templates_2q(mats, at, t: KakStack, cls: np.ndarray, draws, dressed) -> None:
     """Write the segment matrices of each row's two-wire template to mats,
-    segment s on wire w of row i at mats[at[i] + 2 s + w]. A None rng takes
-    the plain template of its decomposition; any other draws, after the
-    decomposition's draws, a Pauli dressing and then the canceling CX
-    dressings. Each (class, dressed) group is one stack."""
-    dressed = np.array([rng is not None for rng in rngs], dtype=bool)
-    choice = np.zeros(len(rngs), dtype=int)
-    angles = np.zeros((len(rngs), 2 * 3))  # psi, chi of each of up to 3 CXs
-    for i in np.flatnonzero(dressed):
-        n = 2 * cls[i]
-        choice[i] = rngs[i].integers(0, 4)
-        angles[i, :n] = rngs[i].uniform(DRESS_MARGIN, 2 * np.pi - DRESS_MARGIN, n)
+    segment s on wire w of row i at mats[at[i] + 2 s + w]. A row that is not
+    dressed takes the plain template of its decomposition; a dressed row
+    takes a Pauli dressing, Pauli floor(4 u) of its uniform draws[i, 2],
+    and then the canceling CX dressings of draws[i, 3:]. Each (class,
+    dressed) group is one stack."""
+    choice = np.where(dressed, (4 * draws[:, 2]).astype(int), 0)
+    angles = _dress_angles(draws[:, 3:])  # psi, chi of each of up to 3 CXs
     for c, d in np.ndindex(4, 2):
         rows = np.flatnonzero((cls == c) & (dressed == d))
         if not len(rows):
@@ -282,15 +295,16 @@ def _templates_2q(mats: np.ndarray, at: np.ndarray, t: KakStack, cls: np.ndarray
                 mats[at[rows] + 2 * s + w] = m
 
 
-def _templates_1q(mats: np.ndarray, at: np.ndarray, us: np.ndarray, rngs):
-    """Write the one-wire template of us[i] to mats[at[i]]: us[i] itself for
-    a None rng, else us[i] RZ(-psi) after a dressing RZ(psi) drawn from the
-    rng. Returns the rows that have a dressing RZ and its angles."""
-    dressed = np.array([i for i, rng in enumerate(rngs) if rng is not None], dtype=int)
-    psi = np.array([rngs[i].uniform(DRESS_MARGIN, 2 * np.pi - DRESS_MARGIN) for i in dressed])
+def _templates_1q(mats: np.ndarray, at: np.ndarray, us: np.ndarray, draws, dressed):
+    """Write the one-wire template of us[i] to mats[at[i]]: us[i] itself, or
+    for a dressed row us[i] RZ(-psi) after a dressing RZ(psi), psi from its
+    uniform draws[i, 0]. Returns the rows that have a dressing RZ and its
+    angles."""
+    rows = np.flatnonzero(dressed)
+    psi = _dress_angles(draws[rows, 0])
     mats[at] = us
-    mats[at[dressed]] = us[dressed] @ rz_matrix(-psi)
-    return dressed, psi
+    mats[at[rows]] = us[rows] @ rz_matrix(-psi)
+    return rows, psi
 
 
 def _emit_many(mats, width, cx_count, lead_index=(), lead_angle=()) -> Candidates:
@@ -341,7 +355,8 @@ def weyl_to_circuit(t: KakTerms) -> Circuit:
     one = KakStack((l0[None], l1[None]), (r0[None], r1[None]), weyl, np.array([t.global_phase]))
     cls = _cx_classes(weyl)
     mats = np.empty((2 * cls[0] + 2, 2, 2), dtype=complex)
-    _templates_2q(mats, np.zeros(1, dtype=int), one, cls, [None])
+    plain = np.zeros(1, dtype=bool)
+    _templates_2q(mats, np.zeros(1, dtype=int), one, cls, np.zeros((1, DRAW_STRIDE)), plain)
     return _emit_many(mats, [2], cls).circuit(0)
 
 
@@ -412,9 +427,34 @@ def candidate_unitaries(cands: Candidates) -> dict[tuple[int, int], tuple[np.nda
     return out
 
 
-def _candidate_rngs(seed: int, order_index: int, k: int) -> list[np.random.Generator | None]:
-    """None for the plain candidate 0, then one generator per later candidate."""
-    return [None] + [np.random.default_rng([seed, order_index, i]) for i in range(1, k)]
+def _candidate_draws(seed: int, order, k: int) -> np.ndarray:
+    """(len(order), k, DRAW_STRIDE) uniforms on [0, 1): [b, i, j] is uniform j
+    of candidate i of the block with order index order[b], the value at
+    position order[b] * DRAW_STRIDE + j of candidate i's stream, PCG64 seeded
+    from [seed, DRAW_TAG, i]. Candidate 0 is plain and draws nothing: its
+    rows are zeros. Each stream is advanced to the first of each run of
+    order indices at most _DRAW_GAP apart and read by one random call, so a
+    value depends on (seed, order index, i, j) alone."""
+    order = np.asarray(order, dtype=np.int64)
+    out = np.zeros((len(order), k, DRAW_STRIDE))
+    if k < 2 or not len(order):
+        return out
+    known = np.sort(order)
+    cut = np.flatnonzero(np.diff(known) > _DRAW_GAP)
+    first = known[np.concatenate(([0], cut + 1))]
+    span = known[np.concatenate((cut, [-1]))] + 1 - first
+    run = np.searchsorted(first, order, side="right") - 1
+    rows = offsets(span)[run] + order - first[run]  # each block's row of the reads
+    runs = list(zip(first.tolist(), span.tolist()))
+    for i in range(1, k):
+        bits = np.random.PCG64(np.random.SeedSequence([seed, DRAW_TAG, i]))
+        gen, at, read = np.random.Generator(bits), 0, []  # at: the stream position
+        for a, n in runs:
+            bits.advance((a - at) * DRAW_STRIDE)
+            read.append(gen.random(n * DRAW_STRIDE))
+            at = a + n
+        out[:, i] = np.concatenate(read).reshape(-1, DRAW_STRIDE)[rows]
+    return out
 
 
 def _checked_candidates(p: BlockPartition, k: int, seed: int) -> Candidates:
@@ -422,31 +462,38 @@ def _checked_candidates(p: BlockPartition, k: int, seed: int) -> Candidates:
     built as one stack: the block unitaries by gate structure, one KAK pass
     over the candidates of all two-qubit blocks, the templates by class, one
     Euler pass over the segments of every candidate, then one check of
-    every candidate against its block. Only the rng draws run per
-    candidate."""
+    every candidate against its block. The draws of every candidate are
+    read as one array (_candidate_draws)."""
     if k < 1:
         raise ValueError(f"need k >= 1 candidates per block, got {k}")
     width = np.repeat(p.width, k)
     frags = {w: np.flatnonzero(width == w) for w in (1, 2)}
-    # each candidate's block unitary and rng, in fragment order within its width
+    # each candidate's block unitary, in fragment order within its width
     us = {w: np.repeat(u, k, axis=0) for w, u in block_unitaries(p).items()}
-    rngs: dict[int, list] = {1: [], 2: []}
-    for w, o in zip(p.width.tolist(), p.order.tolist()):
-        rngs[w].extend(_candidate_rngs(seed, o, k))
+    draws = _candidate_draws(seed, p.order, k).reshape(len(width), DRAW_STRIDE)
+    index = np.arange(len(width)) % k
+    dressed = index != 0
+    two = frags[2]
+    # a dressed candidate's failed first try retries from [seed, o, i]
+    retry = [
+        [seed, o, i] if i else None
+        for o, i in zip(np.repeat(p.order, k)[two].tolist(), index[two].tolist())
+    ]
     try:
-        terms = kak_decompose_stack(us[2], rngs[2])
+        terms = kak_decompose_stack(us[2], -1 + 2 * draws[two, :2], retry)
     except DecompositionError as exc:
-        f = frags[2][exc.index]
+        f = two[exc.index]
         raise SynthesisError(
             f"candidate {f % k} for block {p.order[f // k]} has no KAK decomposition"
         ) from exc
     cx_count = np.zeros(len(width), dtype=int)
-    cx_count[frags[2]] = _cx_classes(terms.weyl)
+    cx_count[two] = _cx_classes(terms.weyl)
     start = offsets(width * (cx_count + 1))
     mats = np.empty((start[-1], 2, 2), dtype=complex)
-    leads, psi = _templates_1q(mats, start[frags[1]], us[1], rngs[1])
-    _templates_2q(mats, start[frags[2]], terms, cx_count[frags[2]], rngs[2])
-    cands = _emit_many(mats, width, cx_count, frags[1][leads], psi)
+    one = frags[1]
+    leads, psi = _templates_1q(mats, start[one], us[1], draws[one], dressed[one])
+    _templates_2q(mats, start[two], terms, cx_count[two], draws[two], dressed[two])
+    cands = _emit_many(mats, width, cx_count, one[leads], psi)
     rank = np.zeros(len(width), dtype=int)  # each fragment's row in us[its width]
     for w, f in frags.items():
         rank[f] = np.arange(len(f))
@@ -462,9 +509,9 @@ def _checked_candidates(p: BlockPartition, k: int, seed: int) -> Candidates:
 def generate_candidates(b: Block, k: int, seed: int) -> list[Circuit]:
     """k fragments equivalent to the block, all at the block's minimal CX
     count. Candidate 0 is the deterministic plain synthesis; later candidates
-    draw decomposition branches and canceling-rotation dressings from a
-    per-(seed, block, index) RNG. The one-block case of synthesize_blocks'
-    candidate stack."""
+    take decomposition branches and canceling-rotation dressings from their
+    draws, a pure function of (seed, the block's order index, candidate
+    index). The one-block case of synthesize_blocks' candidate stack."""
     cands = _checked_candidates(partition_of(b), k, seed)
     return [cands.circuit(i) for i in range(k)]
 

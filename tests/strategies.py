@@ -35,6 +35,8 @@ from qcloak.qasm import QasmError
 from qcloak.synthesis import (
     CANDIDATE_TOL,
     CLASS_TOL,
+    DRAW_STRIDE,
+    DRAW_TAG,
     DRESS_MARGIN,
     RZ_TRIVIAL_TOL,
     SynthesisError,
@@ -172,12 +174,37 @@ def rewritten_euler_1q(u: np.ndarray, wire: int = 0) -> list[Gate]:
     return peephole_1q(raw_euler_gates(u, wire))
 
 
-def rewritten_candidate_1q(u: np.ndarray, rng: np.random.Generator | None) -> Circuit:
+def scalar_draw(seed: int, order_index: int, i: int, j: int) -> float:
+    """Uniform j of candidate i of the block with order index order_index,
+    read alone: one fresh stream of candidate i, PCG64 seeded from [seed,
+    DRAW_TAG, i], advanced to position order_index * DRAW_STRIDE + j."""
+    bits = np.random.PCG64(np.random.SeedSequence([seed, DRAW_TAG, i]))
+    bits.advance(order_index * DRAW_STRIDE + j)
+    return float(np.random.Generator(bits).random())
+
+
+def candidate_draw_rows(seed: int, order_index: int, k: int) -> np.ndarray:
+    """(k, DRAW_STRIDE) draws of a block's k candidates, each uniform read
+    alone (scalar_draw); row 0, the plain candidate's, is zeros."""
+    rows = np.zeros((k, DRAW_STRIDE))
+    for i in range(1, k):
+        rows[i] = [scalar_draw(seed, order_index, i, j) for j in range(DRAW_STRIDE)]
+    return rows
+
+
+def dress_angle(u: float) -> float:
+    """A dressing angle from its uniform, as Generator.uniform scales one."""
+    low, high = DRESS_MARGIN, 2 * np.pi - DRESS_MARGIN
+    return low + (high - low) * u
+
+
+def rewritten_candidate_1q(u: np.ndarray, draw: float | None) -> Circuit:
     """Reference for synthesis._candidate_1q: RZ(psi) prepended to the
-    reference Euler run of u RZ(-psi), rewritten, with the same RNG draw."""
-    if rng is None:
+    reference Euler run of u RZ(-psi), rewritten, psi from the uniform draw;
+    a None draw is the plain candidate."""
+    if draw is None:
         return Circuit(1, tuple(rewritten_euler_1q(u, 0)))
-    psi = rng.uniform(DRESS_MARGIN, 2 * np.pi - DRESS_MARGIN)
+    psi = dress_angle(draw)
     gates = [Gate(GateKind.RZ, (0,), psi)]
     gates.extend(rewritten_euler_1q(u @ scalar_rz_matrix(-psi), 0))
     return Circuit(1, tuple(peephole_1q(gates)))
@@ -338,13 +365,14 @@ def scalar_segments(t: KakTerms) -> tuple[list[list[np.ndarray]], list[tuple[int
     )
 
 
-def scalar_dress_cx(segments, cxs, rng: np.random.Generator):
+def scalar_dress_cx(segments, cxs, draws):
     """Split a canceling rotation across each CX: RZ on the control wire and
     RX on the target wire commute with CX, so absorbing RZ(psi)/RZ(-psi)
-    (resp. RX) into the neighboring segments leaves the product unchanged."""
+    (resp. RX) into the neighboring segments leaves the product unchanged.
+    CX i's psi and chi come from the uniforms draws[2 i] and draws[2 i + 1]."""
     for i, (control, target) in enumerate(cxs):
-        psi = rng.uniform(DRESS_MARGIN, 2 * np.pi - DRESS_MARGIN)
-        chi = rng.uniform(DRESS_MARGIN, 2 * np.pi - DRESS_MARGIN)
+        psi = dress_angle(draws[2 * i])
+        chi = dress_angle(draws[2 * i + 1])
         segments[i][control] = scalar_rz_matrix(-psi) @ segments[i][control]
         segments[i + 1][control] = segments[i + 1][control] @ scalar_rz_matrix(psi)
         segments[i][target] = scalar_rx_matrix(-chi) @ segments[i][target]
@@ -352,10 +380,11 @@ def scalar_dress_cx(segments, cxs, rng: np.random.Generator):
     return segments
 
 
-def scalar_pauli_dress(t: KakTerms, rng: np.random.Generator) -> KakTerms:
+def scalar_pauli_dress(t: KakTerms, draw: float) -> KakTerms:
     """exp(i(c1 XX + c2 YY + c3 ZZ)) commutes with P x P for any Pauli P, so
-    the same P can be pushed into all four locals without changing anything."""
-    choice = int(rng.integers(0, 4))
+    the same P, number floor(4 draw) (0 for none), can be pushed into all
+    four locals without changing anything."""
+    choice = math.floor(4 * draw)
     if choice == 0:
         return t
     p = (PAULI_X, PAULI_Y, PAULI_Z)[choice - 1]
@@ -364,14 +393,14 @@ def scalar_pauli_dress(t: KakTerms, rng: np.random.Generator) -> KakTerms:
     return KakTerms((l0 @ p, l1 @ p), (p @ r0, p @ r1), t.weyl, t.global_phase)
 
 
-def scalar_template_2q(t: KakTerms, rng: np.random.Generator | None):
+def scalar_template_2q(t: KakTerms, row: np.ndarray | None):
     """Two-wire template of a decomposition: the plain KAK template for a None
-    rng, else a Pauli dressing and canceling CX dressings drawn from the rng
-    after the decomposition's own draws."""
-    if rng is None:
+    draw row, else a Pauli dressing from row[2] and canceling CX dressings
+    from row[3:]."""
+    if row is None:
         return scalar_segments(t)
-    segments, cxs = scalar_segments(scalar_pauli_dress(t, rng))
-    return scalar_dress_cx(segments, cxs, rng), cxs
+    segments, cxs = scalar_segments(scalar_pauli_dress(t, row[2]))
+    return scalar_dress_cx(segments, cxs, row[3:]), cxs
 
 
 def scalar_gate_unitary(g: Gate) -> np.ndarray:
@@ -502,7 +531,9 @@ def per_matrix_factor_kron(g: np.ndarray) -> tuple[np.ndarray, np.ndarray, float
     return g1, g0, float(np.angle(g[idx] / frame[idx]))
 
 
-def per_candidate_raw_decompose(u: np.ndarray, rng: np.random.Generator):
+def per_candidate_raw_decompose(u: np.ndarray, mix, retry):
+    """The first diagonalizer try mixes by mix = (a, b); each later try draws
+    its mix from retry(), a generator built on the first retry."""
     det = np.linalg.det(u)
     delta = np.angle(det) / 4
     up = u * np.exp(-1j * delta)
@@ -511,8 +542,14 @@ def per_candidate_raw_decompose(u: np.ndarray, rng: np.random.Generator):
     v = MAGIC_H @ up @ MAGIC
     m2 = v.T @ v
     p = None
-    for _ in range(100):
-        a, b = rng.uniform(-1, 1, 2)
+    rng = None
+    for attempt in range(100):
+        if attempt == 0:
+            a, b = mix
+        else:
+            if rng is None:
+                rng = retry()
+            a, b = rng.uniform(-1, 1, 2)
         _, cand = np.linalg.eigh(a * m2.real + b * m2.imag)
         d = cand.T @ m2 @ cand
         if np.max(np.abs(d - np.diag(np.diag(d)))) < DIAG_TOL:
@@ -544,15 +581,23 @@ def per_candidate_raw_decompose(u: np.ndarray, rng: np.random.Generator):
     return phase, l1, l0, np.array([c1, c2, c3]), r1, r0
 
 
-def per_candidate_kak(u: np.ndarray, rng: np.random.Generator | None = None) -> KakTerms:
+def per_candidate_kak(u: np.ndarray, mix=None, retry_seed=None) -> KakTerms:
+    """A plain decomposition without a retry seed: the mixes of
+    default_rng(2023), in order; else the first mix, then on a retry the
+    mixes of default_rng(retry_seed)."""
     u = np.asarray(u, dtype=complex)
     if u.shape != (4, 4):
         raise ValueError(f"expected a 4x4 matrix, got {u.shape}")
     if not is_unitary(u, tol=UNITARY_TOL):
         raise ValueError("input matrix is not unitary")
-    if rng is None:
-        rng = np.random.default_rng(2023)
-    phase, l1, l0, c, r1, r0 = scalar_canonicalize(*per_candidate_raw_decompose(u, rng))
+    if retry_seed is None:
+        plain = np.random.default_rng(2023)
+        mix = plain.uniform(-1, 1, 2)
+
+    def retry():
+        return plain if retry_seed is None else np.random.default_rng(retry_seed)
+
+    phase, l1, l0, c, r1, r0 = scalar_canonicalize(*per_candidate_raw_decompose(u, mix, retry))
     phase = float((phase + np.pi) % (2 * np.pi) - np.pi)
     return KakTerms((l0, l1), (r0, r1), c, phase)
 
@@ -591,10 +636,10 @@ def _per_candidate_emit(segments, cxs) -> Circuit:
     return Circuit(2, tuple(gates))
 
 
-def per_candidate_1q(u: np.ndarray, rng: np.random.Generator | None) -> Circuit:
-    if rng is None:
+def per_candidate_1q(u: np.ndarray, row: np.ndarray | None) -> Circuit:
+    if row is None:
         return Circuit(1, tuple(per_candidate_euler_1q(u, 0)))
-    psi = rng.uniform(DRESS_MARGIN, 2 * np.pi - DRESS_MARGIN)
+    psi = dress_angle(row[0])
     gates = per_candidate_euler_1q(u @ scalar_rz_matrix(-psi), 0)
     if gates and gates[0].kind is GateKind.RZ:
         gates[:1] = _rz_unless_trivial(psi + gates[0].angle, 0)
@@ -603,21 +648,26 @@ def per_candidate_1q(u: np.ndarray, rng: np.random.Generator | None) -> Circuit:
     return Circuit(1, tuple(gates))
 
 
-def per_candidate_2q(u: np.ndarray, rng: np.random.Generator | None) -> Circuit:
-    return _per_candidate_emit(*scalar_template_2q(per_candidate_kak(u, rng), rng))
+def per_candidate_2q(u: np.ndarray, row: np.ndarray | None, retry_seed=None) -> Circuit:
+    mix = None if row is None else -1 + 2 * row[:2]
+    return _per_candidate_emit(*scalar_template_2q(per_candidate_kak(u, mix, retry_seed), row))
 
 
-def per_candidate_generate(b: Block, k: int, seed: int, rngs=None) -> list[Circuit]:
+def per_candidate_generate(b: Block, k: int, seed: int, draws=None) -> list[Circuit]:
     """Reference for synthesis.generate_candidates: each candidate built and
-    checked through circuit_unitary before the next is drawn. rngs replaces
-    the per-(seed, block, index) generators when given."""
+    checked through circuit_unitary before the next is drawn. Candidate i >= 1
+    takes row i of draws (candidate_draw_rows' by default), and a two-wire
+    one retries its diagonalizer from default_rng([seed, b.order_index, i])."""
     u = per_gate_block_unitary(b)
-    build = per_candidate_1q if len(b.qubits) == 1 else per_candidate_2q
-    if rngs is None:
-        rngs = [None] + [np.random.default_rng([seed, b.order_index, i]) for i in range(1, k)]
+    if draws is None:
+        draws = candidate_draw_rows(seed, b.order_index, k)
     out = []
-    for i, rng in enumerate(rngs):
-        frag = build(u, rng)
+    for i in range(k):
+        row = draws[i] if i else None
+        if len(b.qubits) == 1:
+            frag = per_candidate_1q(u, row)
+        else:
+            frag = per_candidate_2q(u, row, [seed, b.order_index, i] if i else None)
         if not equal_up_to_global_phase(circuit_unitary(frag), u, tol=CANDIDATE_TOL):
             raise SynthesisError(f"candidate {i} for block {b.order_index} failed equivalence")
         out.append(frag)
@@ -686,22 +736,22 @@ def fragment_unitary(c: Circuit) -> np.ndarray:
     return np.array(m)
 
 
-class ZeroFirstRng:
-    """A Generator whose first uniform draw is (0, 0): a zero mix, whose
-    eigenvectors do not diagonalize a generic m2, so the search retries."""
+def counting_default_rng(monkeypatch) -> list:
+    """Record the arguments of every np.random.default_rng call."""
+    calls = []
+    real = np.random.default_rng
 
-    def __init__(self, seed):
-        self.inner = np.random.default_rng(seed)
-        self.uniform_calls = 0
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
 
-    def uniform(self, *args, **kwargs):
-        self.uniform_calls += 1
-        if self.uniform_calls == 1:
-            return np.zeros(2)
-        return self.inner.uniform(*args, **kwargs)
+    monkeypatch.setattr(np.random, "default_rng", counting)
+    return calls
 
-    def integers(self, *args, **kwargs):
-        return self.inner.integers(*args, **kwargs)
+
+# a draw pair (0.5, 0.5) is the diagonalizer mix -1 + 2 u = (0, 0), whose
+# eigenvectors do not diagonalize a generic Gram matrix, so the search retries
+ZERO_MIX_DRAWS = (0.5, 0.5)
 
 
 def to_local_circuit(b: Block) -> Circuit:

@@ -19,8 +19,8 @@ from qcloak.linalg import CX_MATRIX, PAULI_X, PAULI_Y, PAULI_Z
 from strategies import (
     CLASS_EDGE_EPS,
     CLASS_EDGES,
-    ZeroFirstRng,
     class_edge_unitary,
+    counting_default_rng,
     is_unitary,
     per_candidate_kak,
     per_matrix_factor_kron,
@@ -153,13 +153,20 @@ def _assert_terms_equal(got: KakTerms, want: KakTerms):
     assert got.global_phase == want.global_phase
 
 
-def _rngs(k: int, seed: int):
-    return [None] + [np.random.default_rng([seed, i]) for i in range(1, k)]
+def _draws(k: int, seed: int) -> tuple[np.ndarray, list]:
+    """Mixes and retry seeds of k candidates: row 0 plain, row i >= 1 with
+    its own first mix and retry seed [seed, i]."""
+    mixes = np.random.default_rng([seed, 0]).uniform(-1, 1, (k, 2))
+    return mixes, [None] + [[seed, i] for i in range(1, k)]
+
+
+def _oracle(us, mixes, seeds) -> list[KakTerms]:
+    return [per_candidate_kak(u, m, s) for u, m, s in zip(us, mixes, seeds)]
 
 
 def _assert_many_matches_oracle(u: np.ndarray, k: int, seed: int):
-    got = kak_decompose_stack(np.broadcast_to(u, (k, 4, 4)), _rngs(k, seed))
-    want = [per_candidate_kak(u, rng) for rng in _rngs(k, seed)]
+    got = kak_decompose_stack(np.broadcast_to(u, (k, 4, 4)), *_draws(k, seed))
+    want = _oracle([u] * k, *_draws(k, seed))
     assert len(got) == k
     for g, w in zip(got, want):
         _assert_terms_equal(g, w)
@@ -178,33 +185,31 @@ def test_stacked_kak_matches_oracle_at_class_edges(case, eps):
         _assert_many_matches_oracle(class_edge_unitary(case, eps, frame_seed), 5, frame_seed)
 
 
-def test_stacked_kak_retry_matches_oracle():
+def test_stacked_kak_retry_matches_oracle(monkeypatch):
     rng = np.random.default_rng(11)
     for _ in range(5):
         u = np.linalg.qr(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))[0]
-        # candidates 1 and 3 retry; 0, 2 and 4 take their first draw
-        stacked = [None, ZeroFirstRng(1), np.random.default_rng(2), ZeroFirstRng(3),
-                   np.random.default_rng(4)]
-        oracle = [None, ZeroFirstRng(1), np.random.default_rng(2), ZeroFirstRng(3),
-                  np.random.default_rng(4)]
-        got = kak_decompose_stack(np.broadcast_to(u, (len(stacked), 4, 4)), stacked)
-        for g, r in zip(got, oracle):
-            _assert_terms_equal(g, per_candidate_kak(u, r))
-        assert stacked[1].uniform_calls >= 2 and stacked[3].uniform_calls >= 2
-        assert [stacked[i].uniform_calls for i in (1, 3)] == [
-            oracle[i].uniform_calls for i in (1, 3)
-        ]
-        # each rng's later draws continue from the same state
-        assert stacked[2].uniform() == oracle[2].uniform()
-        assert stacked[1].uniform() == oracle[1].uniform()
+        # candidates 1 and 3 take a zero first mix and retry; 0 is plain,
+        # and 2 and 4 take their first mix
+        mixes, seeds = _draws(5, 7)
+        mixes[[1, 3]] = 0.0
+        want = _oracle([u] * 5, mixes, seeds)
+        calls = counting_default_rng(monkeypatch)
+        got = kak_decompose_stack(np.broadcast_to(u, (5, 4, 4)), mixes, seeds)
+        # only the retrying rows built a generator, each from its own seed
+        assert calls == [([7, 1],), ([7, 3],)]
+        monkeypatch.undo()
+        for g, w in zip(got, want):
+            _assert_terms_equal(g, w)
 
 
 def test_kak_decompose_is_the_one_rng_case():
     u = class_edge_unitary("c1_pi_4", 0.0, 4)
-    _assert_terms_equal(kak_decompose(u), kak_decompose_stack(u[None], [None])[0])
+    _assert_terms_equal(kak_decompose(u), kak_decompose_stack(u[None])[0])
+    mix = np.array([0.3, -0.8])
     _assert_terms_equal(
-        kak_decompose(u, np.random.default_rng(9)),
-        kak_decompose_stack(u[None], [np.random.default_rng(9)])[0],
+        kak_decompose(u, mix, [9]),
+        kak_decompose_stack(u[None], mix[None], [[9]])[0],
     )
 
 
@@ -215,44 +220,30 @@ def test_kak_decompose_is_the_one_rng_case():
 )
 @settings(max_examples=60, deadline=None)
 def test_kak_stack_of_distinct_unitaries_matches_per_candidate_oracle(us, seed, data):
-    # one u per candidate, each with its own rng; one candidate's first
-    # diagonalizer try fails, so it alone retries from its own stub
+    # one u per candidate, each with its own mix and retry seed; one
+    # candidate's first diagonalizer try fails, so it alone retries
     stub = data.draw(st.integers(0, len(us) - 1))
-
-    def rngs():
-        out = [np.random.default_rng([seed, i]) for i in range(len(us))]
-        out[stub] = ZeroFirstRng([seed, stub])
-        out[0] = None if stub != 0 else out[0]
-        return out
-
-    stacked, oracle = rngs(), rngs()
-    got = kak_decompose_stack(np.array(us), stacked)
-    for u, g, rng in zip(us, got, oracle):
-        _assert_terms_equal(g, per_candidate_kak(u, rng))
-    assert stacked[stub].uniform_calls >= 2
-    assert stacked[stub].uniform_calls == oracle[stub].uniform_calls
+    mixes = np.random.default_rng([seed, 0]).uniform(-1, 1, (len(us), 2))
+    mixes[stub] = 0.0
+    seeds = [[seed, i] for i in range(len(us))]
+    if stub != 0:
+        seeds[0] = None
+    got = kak_decompose_stack(np.array(us), mixes, seeds)
+    for g, w in zip(got, _oracle(us, mixes, seeds)):
+        _assert_terms_equal(g, w)
 
 
 def test_kak_stack_rejects_bad_input():
     u = class_edge_unitary("cx", 0.0, 1)
     with pytest.raises(ValueError, match="not unitary"):
-        kak_decompose_stack(np.array([u, 2 * u]), [None, None])
+        kak_decompose_stack(np.array([u, 2 * u]))
     with pytest.raises(ValueError, match="expected 2 4x4 matrices"):
-        kak_decompose_stack(np.array([u]), [None, None])
-    assert len(kak_decompose_stack(np.zeros((0, 4, 4)), [])) == 0
-
-
-def _counting_default_rng(monkeypatch) -> list:
-    """Record the arguments of every np.random.default_rng call."""
-    calls = []
-    real = np.random.default_rng
-
-    def counting(*args, **kwargs):
-        calls.append(args)
-        return real(*args, **kwargs)
-
-    monkeypatch.setattr(np.random, "default_rng", counting)
-    return calls
+        kak_decompose_stack(np.array([u]), None, [None, None])
+    # a row with a retry seed takes its first mix from mixes
+    for mixes in (None, np.zeros((2, 2))):
+        with pytest.raises(ValueError, match="expected 1 \\(a, b\\) mixes"):
+            kak_decompose_stack(np.array([u]), mixes, [[1]])
+    assert len(kak_decompose_stack(np.zeros((0, 4, 4)))) == 0
 
 
 def test_plain_rows_build_no_generator(monkeypatch):
@@ -262,8 +253,8 @@ def test_plain_rows_build_no_generator(monkeypatch):
     us = [np.linalg.qr(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))[0] for _ in range(6)]
     us += [class_edge_unitary(c, eps, 2) for c in sorted(CLASS_EDGES) for eps in CLASS_EDGE_EPS]
     want = [per_candidate_kak(u, None) for u in us]
-    calls = _counting_default_rng(monkeypatch)
-    got = kak_decompose_stack(np.array(us), [None] * len(us))
+    calls = counting_default_rng(monkeypatch)
+    got = kak_decompose_stack(np.array(us))
     assert calls == []
     for g, w in zip(got, want):
         _assert_terms_equal(g, w)
@@ -287,8 +278,8 @@ def test_plain_row_whose_first_try_fails_matches_oracle(monkeypatch, seed):
     u = _plain_mix_degenerate_unitary(seed)
     other = class_edge_unitary("c1_pi_4", 0.0, 3)
     want = [per_candidate_kak(m, None) for m in (u, other)]
-    calls = _counting_default_rng(monkeypatch)
-    got = kak_decompose_stack(np.array([u, other]), [None, None])
+    calls = counting_default_rng(monkeypatch)
+    got = kak_decompose_stack(np.array([u, other]))
     # only the failing row built its generator, and it retried from the
     # plain generator's second draw on
     assert calls == [(PLAIN_SEED,)]

@@ -15,11 +15,13 @@ from qcloak.netlsd import (
     EXACT_STEPS,
     PROBE_BLOCK,
     PROBE_SEED,
+    PROBES,
     TRUNCATION_BOUND,
     _chebyshev_operator,
     _draw_probe_block,
     _exact_moments,
     _heat_coefficients,
+    _heat_traces_dense,
     _heat_traces_estimated,
     _normalized_laplacian_sparse,
     _probe_block_moments,
@@ -151,14 +153,19 @@ ORACLE_PROBES = 37  # not a multiple of the block width: the last block is short
         pytest.param(_bridged_halves(), id="bridged_random16"),
     ],
 )
-def test_estimated_matches_reorthogonalized_oracle(circuit):
+def test_estimated_matches_reorthogonalized_oracle(circuit, monkeypatch):
     assert ORACLE_PROBES % PROBE_BLOCK
     dag = to_dag(circuit)
     grid = default_grid()
     n, edges = dag.num_nodes, _undirected_edges(dag)
     # the probes' part alone: the oracle takes every moment from the probes
-    est = _heat_traces_estimated(n, edges, grid, ORACLE_PROBES, PROBE_SEED, exact_steps=None)
     want = reorthogonalized_heat_traces(n, edges, grid, ORACLE_PROBES, 60, PROBE_SEED)
+    est = _heat_traces_estimated(n, edges, grid, ORACLE_PROBES, PROBE_SEED, exact_steps=None)
+    # the shipped series is within its truncation bound of the oracle's
+    np.testing.assert_allclose(est, want, rtol=1e-9, atol=TRUNCATION_BOUND)
+    # and, cut where truncation is far below rounding, equal to it to 1e-9
+    monkeypatch.setattr(qcloak.netlsd, "TRUNCATION_BOUND", 1e-13)
+    est = _heat_traces_estimated(n, edges, grid, ORACLE_PROBES, PROBE_SEED, exact_steps=None)
     np.testing.assert_allclose(est, want, rtol=1e-9, atol=0)
 
 
@@ -254,7 +261,7 @@ def test_exact_moments_clip_to_a_short_series():
     [
         # 2,039 nodes
         pytest.param(gen_random_blocks(32, 300, 1), id="random32"),
-        # the desk DAGs above DENSE_NODE_LIMIT: 1,329, 1,062, 796 and 923 nodes
+        # the desk DAGs above DENSE_NODE_LIMIT: 1,328, 1,068, 796 and 923 nodes
         pytest.param(encode(desk_benchmarks()["add9"], PipelineConfig(seed=3)).circuit, id="add9_encoded"),
         pytest.param(encode(desk_benchmarks()["qft8"], PipelineConfig(seed=3)).circuit, id="qft8_encoded"),
         pytest.param(make_baseline(desk_benchmarks()["qft8"]), id="qft8_baseline"),
@@ -424,6 +431,20 @@ def test_chebyshev_degree_meets_truncation_bound_on_path():
     assert error(k_max // 2) > 1e-7
     # no fixed cap: a longer grid takes more terms
     assert _heat_coefficients(n, default_grid(t_max=1e3)).shape[1] > coef.shape[1]
+
+
+def test_truncation_moves_the_estimate_far_less_than_the_probe_error(monkeypatch):
+    # 1,385 nodes: the series cut at TRUNCATION_BOUND against one cut at
+    # 1e-13, both against the dense eigenvalues
+    dag = to_dag(gen_random_blocks(32, 200, 1))
+    n, edges, grid = dag.num_nodes, _undirected_edges(dag), default_grid()
+    dense = _heat_traces_dense(n, edges, grid)
+    est = _heat_traces_estimated(n, edges, grid, PROBES, PROBE_SEED)
+    k_max = _heat_coefficients(n, grid).shape[1] // 2
+    monkeypatch.setattr(qcloak.netlsd, "TRUNCATION_BOUND", 1e-13)
+    assert _heat_coefficients(n, grid).shape[1] // 2 > k_max
+    longer = _heat_traces_estimated(n, edges, grid, PROBES, PROBE_SEED)
+    assert np.linalg.norm(est - longer) < 1e-3 * np.linalg.norm(est - dense)
 
 
 @pytest.mark.parametrize("sizes", [(1,), (10**8,), (1, 10**8, 1), (10**8, 1)])

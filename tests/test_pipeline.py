@@ -1,6 +1,8 @@
 import math
+import re
 from dataclasses import replace
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 
@@ -16,7 +18,7 @@ from qcloak.bench import (
     ring_problem,
     structural_benchmarks,
 )
-from qcloak.circuit import Circuit, Gate, GateKind, cx, gate_counts, rz, sx
+from qcloak.circuit import Circuit, CircuitColumns, Gate, GateKind, cx, gate_counts, rz, sx
 from qcloak.obfuscate import THETA_MARGIN, decode
 from qcloak.partition import Block, BlockPartition, form_blocks
 from qcloak.pipeline import (
@@ -445,6 +447,23 @@ def test_certificate_rejects_a_block_without_fragment():
             partition.reassemble(rx_p, other_rows, other_bounds)
         with pytest.raises(SynthesisEquivalenceError, match=f"^certificate: {message}$"):
             certify(c, rx_p, record, other_rows, other_bounds, out)
+
+
+def test_fragment_bounds_must_run_from_zero_to_the_row_count():
+    # the partition's own rows plus one more, with bounds that leave it out
+    # at either end: reassemble would drop the extra row, and certify would
+    # fail inside numpy instead of naming the fault
+    c = gen_random_blocks(6, 16, 5)
+    p = form_blocks(c)
+    n = len(p.rows.kind)
+    longer = CircuitColumns(*(np.append(col, col[:1]) for col in p.rows))
+    for bounds, ends in ((p.bounds, f"0..{n}"), (p.bounds + 1, f"1..{n + 1}")):
+        message = re.escape(f"fragment bounds run {ends} over {n + 1} rows")
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            partition.reassemble(p, longer, bounds)
+        with pytest.raises(SynthesisEquivalenceError, match=f"^certificate: {message}$"):
+            certify(c, p, (), longer, bounds, c)
+    certify(c, p, (), p.rows, p.bounds, partition.reassemble(p, p.rows, p.bounds))
 
 
 def test_empty_fragment_is_placed_and_certified():

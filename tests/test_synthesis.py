@@ -20,11 +20,12 @@ from qcloak.linalg import (
     rz_matrix,
 )
 from qcloak.netlsd import circuit_signature
+from qcloak.obfuscate import inject_rx_pairs
 from qcloak.partition import Block, block_unitary, form_blocks, reassemble
 from qcloak.synthesis import (
     CANDIDATE_TOL,
     CX_CODE,
-    DRESS_MARGIN,
+    DRAW_STRIDE,
     RZ_CODE,
     SYNTH_CHUNK,
     Candidates,
@@ -33,6 +34,7 @@ from qcloak.synthesis import (
     _cx_classes,
     _emit_many,
     _templates_1q,
+    candidate_chunks,
     candidate_unitaries,
     generate_candidates,
     minimal_cx_count,
@@ -46,10 +48,13 @@ from strategies import (
     BOUNDARY_POINTS,
     CLASS_EDGE_EPS,
     CLASS_EDGES,
-    ZeroFirstRng,
+    ZERO_MIX_DRAWS,
     boundary_blocks,
+    candidate_draw_rows,
     circuits,
     class_edge_unitary,
+    counting_default_rng,
+    dress_angle,
     fragment_unitary,
     fragments_by_order,
     gate_bits,
@@ -129,15 +134,14 @@ EDGE_UNITARIES = {
 EDGE_EPS = [0.0, 1e-13, -1e-13, 1e-11]
 
 
-def _candidate_1q(u: np.ndarray, rng: np.random.Generator | None) -> Circuit:
+def _candidate_1q(u: np.ndarray, draw: float | None) -> Circuit:
     mats = np.empty((1, 2, 2), dtype=complex)
-    leads = _templates_1q(mats, np.zeros(1, dtype=int), np.asarray(u, dtype=complex)[None], [rng])
+    row = np.zeros((1, DRAW_STRIDE))
+    row[0, 0] = draw or 0.0
+    dressed = np.array([draw is not None])
+    u = np.asarray(u, dtype=complex)[None]
+    leads = _templates_1q(mats, np.zeros(1, dtype=int), u, row, dressed)
     return _emit_many(mats, [1], [0], *leads).circuit(0)
-
-
-def _dressing_angle(seed: int) -> float:
-    # _candidates_1q's first draw from the same per-seed RNG
-    return np.random.default_rng(seed).uniform(DRESS_MARGIN, 2 * np.pi - DRESS_MARGIN)
 
 
 def _assert_matches_rewriter(u: np.ndarray, seed: int):
@@ -150,9 +154,10 @@ def _assert_matches_rewriter(u: np.ndarray, seed: int):
     # From u RZ(psi) the dressed candidate re-derives u itself: for lam near 0
     # that run has no leading RZ and RZ(psi) is prepended, while from u the
     # run starts with RZ(-psi) and the folded RZ is trivial.
-    for v in (u, u @ rz_matrix(_dressing_angle(seed))):
-        got = _candidate_1q(v, np.random.default_rng(seed))
-        assert got == rewritten_candidate_1q(v, np.random.default_rng(seed))
+    draw = np.random.default_rng(seed).random()
+    for v in (u, u @ rz_matrix(dress_angle(draw))):
+        got = _candidate_1q(v, draw)
+        assert got == rewritten_candidate_1q(v, draw)
         assert equal_up_to_global_phase(_u1(got), v, 1e-9)
 
 
@@ -516,27 +521,29 @@ def _with_orders(bs: list[Block], first: int = 0) -> list[Block]:
     return [Block(b.qubits, b.gates, first + 3 * i) for i, b in enumerate(bs)]
 
 
-def _oracle_rngs(seed: int, order_index: int, k: int, stub_order: int | None):
-    rngs = [None] + [np.random.default_rng([seed, order_index, i]) for i in range(1, k)]
+def _oracle_draws(seed: int, order_index: int, k: int, stub_order: int | None) -> np.ndarray:
+    draws = candidate_draw_rows(seed, order_index, k)
     if order_index == stub_order and k > 1:
-        rngs[1] = ZeroFirstRng([seed, order_index, 1])
-    return rngs
+        draws[1, :2] = ZERO_MIX_DRAWS
+    return draws
 
 
 def _assert_stack_matches_per_block_oracle(bs, k, shortlist, seed, chunk, stub_order):
     """The stacked path with SYNTH_CHUNK = chunk against per-block,
-    per-candidate synthesis; candidate 1 of the block stub_order draws from
-    a stub whose first diagonalizer try fails."""
-    stubs = []
+    per-candidate synthesis; the first diagonalizer try of candidate 1 of
+    the block stub_order takes a zero mix, which fails, so it retries."""
+    real = qcloak.synthesis._candidate_draws
 
-    def stub_rngs(seed_, order_index, k_):
-        rngs = _oracle_rngs(seed_, order_index, k_, stub_order)
-        stubs.extend(r for r in rngs if isinstance(r, ZeroFirstRng))
-        return rngs
+    def stub_draws(seed_, order, k_):
+        draws = real(seed_, order, k_)
+        if k_ > 1:
+            draws[np.asarray(order) == stub_order, 1, :2] = ZERO_MIX_DRAWS
+        return draws
 
     with mock.patch.object(qcloak.synthesis, "SYNTH_CHUNK", chunk), mock.patch.object(
-        qcloak.synthesis, "_candidate_rngs", stub_rngs
-    ):
+        qcloak.synthesis, "_candidate_draws", stub_draws
+    ), pytest.MonkeyPatch.context() as monkeypatch:
+        calls = counting_default_rng(monkeypatch)
         p = partition_of_blocks(bs)
         stack = _checked_candidates(p, k, seed)
         chosen = fragments_by_order(p, *synthesize_blocks(p, k, shortlist, seed))
@@ -544,15 +551,16 @@ def _assert_stack_matches_per_block_oracle(bs, k, shortlist, seed, chunk, stub_o
     for j, b in enumerate(bs):
         cands = [stack.circuit(j * k + i) for i in range(k)]
         want = per_candidate_generate(
-            b, k, seed, _oracle_rngs(seed, b.order_index, k, stub_order)
+            b, k, seed, _oracle_draws(seed, b.order_index, k, stub_order)
         )
         assert [gate_bits(c) for c in cands] == [gate_bits(c) for c in want]
         assert [c.num_qubits for c in cands] == [c.num_qubits for c in want]
         picked = select_candidate(want, b, shortlist)
         assert gate_bits(chosen[b.order_index]) == gate_bits(gates_on_wires(picked.gates, b.qubits))
     if stub_order is not None and k > 1:
-        # _checked_candidates and synthesize_blocks each drew one stub, and each retried
-        assert len(stubs) == 2 and all(r.uniform_calls >= 2 for r in stubs)
+        # _checked_candidates and synthesize_blocks each retried the stub
+        # from its own generator
+        assert calls.count(([seed, stub_order, 1],)) == 2
 
 
 @given(
@@ -589,19 +597,22 @@ def test_synthesize_blocks_of_nothing():
 def test_kak_failure_names_its_block(monkeypatch):
     # a diagonalizer search that never succeeds fails the block's candidate
     # as a SynthesisError naming block and candidate, like a failed check
-    class NeverRng(ZeroFirstRng):
+    class NeverRng:
         def uniform(self, *args, **kwargs):
             return np.zeros(2)  # every diagonalizer try mixes nothing
 
-    real = qcloak.synthesis._candidate_rngs
+    real_draws, real_rng = qcloak.synthesis._candidate_draws, np.random.default_rng
 
-    def rngs(seed, order_index, k):
-        out = real(seed, order_index, k)
-        if order_index == 9:
-            out[2] = NeverRng(0)
+    def draws(seed, order, k):
+        out = real_draws(seed, order, k)
+        out[np.asarray(order) == 9, 2, :2] = ZERO_MIX_DRAWS
         return out
 
-    monkeypatch.setattr(qcloak.synthesis, "_candidate_rngs", rngs)
+    def rng(seed=None):
+        return NeverRng() if seed == [0, 9, 2] else real_rng(seed)
+
+    monkeypatch.setattr(qcloak.synthesis, "_candidate_draws", draws)
+    monkeypatch.setattr(np.random, "default_rng", rng)
     bs = [Block((0, 1), RETRY_BLOCK_GATES, 4), Block((0, 1), RETRY_BLOCK_GATES, 9)]
     with pytest.raises(SynthesisError, match="^candidate 2 for block 9 has no KAK"):
         synthesize_blocks(partition_of_blocks(bs), 3, 2, 0)
@@ -625,3 +636,85 @@ def test_kak_class_boundaries_through_the_stack(data, k, seed):
             assert {g.kind for g in c.gates} <= {GateKind.RZ, GateKind.SX, GateKind.X, GateKind.CX}
             assert gate_counts(c).cx <= 3
             assert equal_up_to_global_phase(circuit_unitary(c), u, CANDIDATE_TOL + 1e-12)
+
+
+# Candidate draws read from stream positions: a pure function of (seed, order
+# index, candidate index, draw index).
+def _candidate_bits(cands: Candidates, idx) -> list[tuple]:
+    """The columns of candidates idx, each angle as its exact bits."""
+    out = []
+    for i in idx:
+        a, z = cands.start[i], cands.start[i + 1]
+        out.append(
+            (int(cands.width[i]), cands.kind[a:z].tobytes(), cands.wire[a:z].tobytes(),
+             cands.angle[a:z].tobytes())
+        )
+    return out
+
+
+DRAW_PARTITION = inject_rx_pairs(form_blocks(gen_random_blocks(12, 140, seed=4)), 6)[0]
+
+
+@pytest.mark.parametrize("chunk", [1, 3, SYNTH_CHUNK])
+def test_candidates_do_not_depend_on_chunking(chunk):
+    p, k = DRAW_PARTITION, 3
+    whole = _checked_candidates(p, k, 21)
+    with mock.patch.object(qcloak.synthesis, "SYNTH_CHUNK", chunk):
+        stacks = [cands for _chunk, cands in candidate_chunks(p, k, 21)]
+        rows, bounds = synthesize_blocks(p, k, 2, 21)
+    assert len(stacks) == -(-p.num_blocks // chunk)
+    got = [bits for cands in stacks for bits in _candidate_bits(cands, range(len(cands)))]
+    assert got == _candidate_bits(whole, range(len(whole)))
+    want_rows, want_bounds = synthesize_blocks(p, k, 2, 21)
+    assert np.array_equal(bounds, want_bounds)
+    for col, want in zip(rows, want_rows):
+        assert col.tobytes() == want.tobytes()
+
+
+def test_candidates_do_not_depend_on_k():
+    p = DRAW_PARTITION
+    three, five = _checked_candidates(p, 3, 8), _checked_candidates(p, 5, 8)
+    for j in range(p.num_blocks):
+        assert _candidate_bits(three, [3 * j + 1, 3 * j + 2]) == _candidate_bits(
+            five, [5 * j + 1, 5 * j + 2]
+        )
+
+
+def test_one_block_candidates_equal_their_rows_in_the_partition():
+    p, k = DRAW_PARTITION, 3
+    stack = _checked_candidates(p, k, 13)
+    blocks = p.blocks
+    for j in range(0, p.num_blocks, 7):
+        got = generate_candidates(blocks[j], k, 13)
+        want = [stack.circuit(j * k + i) for i in range(k)]
+        assert [gate_bits(c) for c in got] == [gate_bits(c) for c in want]
+
+
+def test_candidate_draws_are_read_at_their_stream_positions():
+    # order indices out of order, repeated and further apart than one run,
+    # each uniform against the same position read alone
+    order = np.array([5, 0, 1, 900, 5, 70, 71, 3000, 2])
+    draws = qcloak.synthesis._candidate_draws(17, order, 4)
+    assert draws.shape == (len(order), 4, DRAW_STRIDE)
+    assert not draws[:, 0].any()  # the plain candidate draws nothing
+    for b, o in enumerate(order.tolist()):
+        assert np.array_equal(draws[b], candidate_draw_rows(17, o, 4))
+
+
+def test_candidate_draw_marginals_are_uniform():
+    from scipy.stats import chisquare, kstest
+
+    # 20,000 blocks, candidates 1-5: 10^5 draws of each kind
+    u = qcloak.synthesis._candidate_draws(5, np.arange(20_000), 6)[:, 1:].reshape(-1, DRAW_STRIDE)
+    assert len(u) == 100_000
+    margin = qcloak.synthesis.DRESS_MARGIN
+    span = 2 * np.pi - 2 * margin
+    dress = qcloak.synthesis._dress_angles
+    for sample, cdf in (
+        ((-1 + 2 * u[:, :2]).ravel(), ("uniform", (-1, 2))),  # KAK's first mix
+        (dress(u[:, 0]), ("uniform", (margin, span))),  # a one-wire candidate's psi
+        (dress(u[:, 3:]).ravel(), ("uniform", (margin, span))),  # the CX dressings
+    ):
+        assert kstest(sample, *cdf).pvalue > 1e-3
+    pauli = np.bincount((4 * u[:, 2]).astype(int), minlength=4)
+    assert len(pauli) == 4 and chisquare(pauli).pvalue > 1e-3
