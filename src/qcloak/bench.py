@@ -15,7 +15,7 @@ import numpy as np
 from scipy.optimize import minimize
 
 from .analysis import make_baseline
-from .circuit import CX_CODE, RX_CODE, RZ_CODE, SX_CODE, Circuit, CircuitColumns, Gate
+from .circuit import CX_CODE, RX_CODE, RZ_CODE, Circuit, CircuitColumns, Gate, gate_columns
 from .circuit import cx, rx, rz, sx, x
 from .distributions import Distribution
 from .obfuscate import decode
@@ -31,6 +31,10 @@ QAOA_CASE_STUDY_START = (1.0, 0.55)
 
 def _h(q: int) -> list[Gate]:
     return [rz(np.pi / 2, q), sx(q), rz(np.pi / 2, q)]
+
+
+# _h's kind codes and angles, for the circuits built as columns
+_H_KIND, _, _, _H_ANGLE = (col.tolist() for col in gate_columns(_h(0)))
 
 
 def _ry(theta: float, q: int) -> list[Gate]:
@@ -221,11 +225,11 @@ def build_qaoa_circuit(prob: MaxCutProblem) -> Circuit:
         raise ValueError("problem has no bound parameters")
     n, p = prob.num_nodes, prob.qaoa_layers
     gammas, betas = prob.parameters[:p], prob.parameters[p:]
-    half, nan = np.pi / 2, math.nan
-    kind = [RZ_CODE, SX_CODE, RZ_CODE] * n
-    q0 = [q for q in range(n) for _ in range(3)]
-    q1 = [-1] * (3 * n)
-    angle = [half, nan, half] * n
+    nan = math.nan
+    kind = _H_KIND * n
+    q0 = [q for q in range(n) for _ in _H_KIND]
+    q1 = [-1] * len(kind)
+    angle = _H_ANGLE * n
     for layer in range(p):
         g = float(2 * gammas[layer])
         for i, j in prob.edges:

@@ -7,17 +7,18 @@ wire w, and wire 0 is the low-order bit, so kron(l1, l0) is the frame matrix.
 
 kak_decompose_stack decomposes a (m, 4, 4) stack of unitaries, as synthesis
 does for the candidates of many blocks at once, and returns the terms as
-stacks (KakStack). Its draws are arrays: each row's first diagonalizer mix,
-and the seed of the generator that row retries from. The unitarity test,
-det, magic-basis transform, Gram matrix, first diagonalizer tries, sign
-fix, eigenphases, left factor, frame factorization and GAMMA @ theta each
-run once over the stack, and each canonicalization step (shift, negation,
-swap, boundary fix) runs once over the rows it applies to, in the
-one-matrix order; only a failed diagonalizer try repeats, and only it
-builds a generator, default_rng(its row's retry seed). A row whose retry
-seed is None is the plain decomposition, default_rng(PLAIN_SEED): its first
-mix is drawn once at import, and its generator is built only when that mix
-fails. kak_decompose (one u) is the one-matrix case of the same path.
+stacks (KakStack). A row is plain unless the dressed mask marks it: a plain
+row's first diagonalizer mix is the first of default_rng(PLAIN_SEED),
+drawn once at import; a dressed row's first mix is its row of the mixes
+array. The unitarity test, det, magic-basis transform, Gram matrix, first
+diagonalizer tries, sign fix, eigenphases, left factor, frame
+factorization and GAMMA @ theta each run once over the stack, and each
+canonicalization step (shift, negation, swap, boundary fix) runs once over
+the rows it applies to, in the one-matrix order; only a failed
+diagonalizer try repeats, and only it builds a generator: default_rng(
+PLAIN_SEED) past its first mix for a plain row, default_rng(retry_seed(i))
+for dressed row i. kak_decompose (one u, plain) is the one-matrix case of
+the same path.
 Stacked eigh, det, svd, 2x2 and 4x4 matmul, matrix-vector products, angle
 and complex division give each matrix the bits of its own call, so every
 row equals the decomposition of its matrix alone.
@@ -55,8 +56,7 @@ _SWAP_CONJ = {
 
 DIAG_TOL = 1e-11
 UNITARY_TOL = 1e-8
-# a None retry seed stands for default_rng(PLAIN_SEED); its first (a, b) mix
-# is drawn once
+# a plain row's generator; its first (a, b) mix is drawn once
 PLAIN_SEED = 2023
 _PLAIN_MIX = np.random.default_rng(PLAIN_SEED).uniform(-1, 1, 2)
 _PLAIN_MIX.setflags(write=False)
@@ -149,12 +149,13 @@ def _diagonalize(m2: np.ndarray, ab: np.ndarray) -> tuple[np.ndarray, np.ndarray
     return cand, np.max(np.abs(d[:, _OFF_DIAGONAL]), axis=1) < DIAG_TOL
 
 
-def _raw_decompose(us: np.ndarray, mixes: np.ndarray, retry_seeds: list):
+def _raw_decompose(us: np.ndarray, mixes: np.ndarray, dressed: np.ndarray, retry_seed):
     """Uncanonicalized KAK terms of each us[i] as stacks (phase, l1, l0, c,
     r1, r0): mixes[i] is the (a, b) mix of us[i]'s first diagonalizer try,
-    and only a failed try builds a generator, default_rng(retry_seeds[i]),
-    to draw the next mixes from, so no row's draws depend on the others'. A
-    None seed retries from default_rng(PLAIN_SEED) past its first mix."""
+    and only a failed try builds a generator to draw the next mixes from,
+    default_rng(retry_seed(i)) for a dressed row and default_rng(PLAIN_SEED)
+    past its first mix for a plain one, so no row's draws depend on the
+    others'."""
     det = np.linalg.det(us)
     delta = np.angle(det) / 4
     up = us * np.exp(-1j * delta)[:, None, None]
@@ -166,9 +167,10 @@ def _raw_decompose(us: np.ndarray, mixes: np.ndarray, retry_seeds: list):
     # run as one stack; only a failed one retries, from its own generator.
     p, ok = _diagonalize(m2, mixes)
     for i in np.flatnonzero(~ok):
-        seed = retry_seeds[i]
-        rng = np.random.default_rng(PLAIN_SEED if seed is None else seed)
-        if seed is None:
+        if dressed[i]:
+            rng = np.random.default_rng(retry_seed(int(i)))
+        else:
+            rng = np.random.default_rng(PLAIN_SEED)
             rng.uniform(-1, 1, 2)  # the first mix, already tried
         for _ in range(99):
             cand, found = _diagonalize(m2[i : i + 1], rng.uniform(-1, 1, 2)[None])
@@ -251,48 +253,54 @@ def _canonicalize(phase, l1, l0, c, r1, r0):
     c[np.abs(c) < 1e-15] = 0.0
 
 
-def kak_decompose_stack(us: np.ndarray, mixes=None, retry_seeds=None) -> KakStack:
+def kak_decompose_stack(us: np.ndarray, dressed=None, mixes=None, retry_seed=None) -> KakStack:
     """Canonicalized Cartan decompositions of a (m, 4, 4) stack of unitaries,
     returned as stacks.
 
-    Row i's first diagonalizer try mixes Re and Im of its Gram matrix by
-    mixes[i] = (a, b), each in [-1, 1]; only if that try fails is a
-    generator built, default_rng(retry_seeds[i]), to draw the next mixes
-    from. A draw only varies internal branch choices (eigenvector order and
-    signs); every branch yields a valid decomposition of the same u. A row
-    whose retry seed is None, and every row when retry_seeds is None, is
-    the plain decomposition, default_rng(PLAIN_SEED): its first mix was
-    drawn once at import (mixes is read only for the other rows), and its
-    generator is built only if that mix fails. Each row equals the
+    Every row is the plain decomposition unless the (m,) bool mask dressed
+    marks it. A plain row's first diagonalizer try mixes Re and Im of its
+    Gram matrix by the first mix of default_rng(PLAIN_SEED), drawn once at
+    import, and builds that generator only if the mix fails. A dressed row
+    i's first try mixes by mixes[i] = (a, b), each in [-1, 1] (mixes is
+    (m, 2) and read at the dressed rows), and only if it fails is a
+    generator built, default_rng(retry_seed(i)), to draw the next mixes
+    from. mixes and retry_seed come with dressed or not at all. A mix only
+    varies internal branch choices (eigenvector order and signs); every
+    branch yields a valid decomposition of the same u. Each row equals the
     decomposition of its matrix alone bit for bit. Raises ValueError for a
     non-unitary matrix and DecompositionError, with the matrix's stack
     index, when a decomposition step fails.
     """
     us = np.asarray(us, dtype=complex)
-    seeds = [None] * len(us) if retry_seeds is None else list(retry_seeds)
-    if us.ndim != 3 or us.shape[1:] != (4, 4) or len(us) != len(seeds):
-        raise ValueError(f"expected {len(seeds)} 4x4 matrices, got shape {us.shape}")
-    first = np.tile(_PLAIN_MIX, (len(seeds), 1))
-    drawn = np.array([s is not None for s in seeds], dtype=bool)
-    if drawn.any():
+    if us.ndim != 3 or us.shape[1:] != (4, 4):
+        raise ValueError(f"expected a stack of 4x4 matrices, got shape {us.shape}")
+    first = np.tile(_PLAIN_MIX, (len(us), 1))
+    if dressed is None:
+        if mixes is not None or retry_seed is not None:
+            raise ValueError("mixes and retry_seed need a dressed mask")
+        dressed = np.zeros(len(us), dtype=bool)
+    else:
+        dressed = np.asarray(dressed, dtype=bool)
         mixes = np.asarray(mixes, dtype=float)
-        if mixes.shape != first.shape:
-            raise ValueError(f"expected {len(seeds)} (a, b) mixes, got shape {mixes.shape}")
-        first[drawn] = mixes[drawn]
+        if dressed.shape != (len(us),) or mixes.shape != first.shape or retry_seed is None:
+            raise ValueError(
+                f"expected {len(us)} dressed flags, {len(us)} (a, b) mixes and a retry seed; "
+                f"got shapes {dressed.shape} and {mixes.shape}"
+            )
+        first[dressed] = mixes[dressed]
     dev = np.max(np.abs(np.swapaxes(us.conj(), 1, 2) @ us - np.eye(4)), axis=(1, 2))
     if not np.all(dev <= UNITARY_TOL):
         raise ValueError("input matrix is not unitary")
-    phase, l1, l0, c, r1, r0 = _raw_decompose(us, first, seeds)
+    phase, l1, l0, c, r1, r0 = _raw_decompose(us, first, dressed, retry_seed)
     _canonicalize(phase, l1, l0, c, r1, r0)
     phase = (phase + np.pi) % (2 * np.pi) - np.pi
     return KakStack((l0, l1), (r0, r1), c, phase)
 
 
-def kak_decompose(u: np.ndarray, mix=None, retry_seed=None) -> KakTerms:
-    """Canonicalized Cartan decomposition of a 4x4 unitary: the one-matrix
-    case of kak_decompose_stack, plain unless retry_seed is given."""
+def kak_decompose(u: np.ndarray) -> KakTerms:
+    """Canonicalized Cartan decomposition of a 4x4 unitary: the plain
+    one-matrix case of kak_decompose_stack."""
     u = np.asarray(u, dtype=complex)
     if u.shape != (4, 4):
         raise ValueError(f"expected a 4x4 matrix, got {u.shape}")
-    mixes = None if mix is None else np.reshape(mix, (1, 2))
-    return kak_decompose_stack(u[None], mixes, [retry_seed])[0]
+    return kak_decompose_stack(u[None])[0]

@@ -80,7 +80,6 @@ CANDIDATE_TOL = 1e-9  # each candidate's unitary check, up to global phase
 SYNTH_CHUNK = 256  # blocks per candidate stack; bounds the stack's memory
 DRAW_TAG = 2**63 - 25  # keeps the draw streams apart from the key, RX and retry ones
 DRAW_STRIDE = 9  # uniforms per block on a candidate's stream: 2 mix, 1 Pauli, 6 angles
-_DRAW_GAP = 64  # order indices further apart than this are read as separate runs
 SIGNATURE_MEMO_ENTRIES = 1024  # about 2 kB of traces each; the grid is shared
 _GRID = netlsd.default_grid()
 _GRID.setflags(write=False)
@@ -433,14 +432,15 @@ def _candidate_draws(seed: int, order, k: int) -> np.ndarray:
     position order[b] * DRAW_STRIDE + j of candidate i's stream, PCG64 seeded
     from [seed, DRAW_TAG, i]. Candidate 0 is plain and draws nothing: its
     rows are zeros. Each stream is advanced to the first of each run of
-    order indices at most _DRAW_GAP apart and read by one random call, so a
-    value depends on (seed, order index, i, j) alone."""
+    consecutive order indices and read by one random call, so a value
+    depends on (seed, order index, i, j) alone; a partition's chunk is one
+    run."""
     order = np.asarray(order, dtype=np.int64)
     out = np.zeros((len(order), k, DRAW_STRIDE))
     if k < 2 or not len(order):
         return out
     known = np.sort(order)
-    cut = np.flatnonzero(np.diff(known) > _DRAW_GAP)
+    cut = np.flatnonzero(np.diff(known) > 1)
     first = known[np.concatenate(([0], cut + 1))]
     span = known[np.concatenate((cut, [-1]))] + 1 - first
     run = np.searchsorted(first, order, side="right") - 1
@@ -474,13 +474,14 @@ def _checked_candidates(p: BlockPartition, k: int, seed: int) -> Candidates:
     index = np.arange(len(width)) % k
     dressed = index != 0
     two = frags[2]
-    # a dressed candidate's failed first try retries from [seed, o, i]
-    retry = [
-        [seed, o, i] if i else None
-        for o, i in zip(np.repeat(p.order, k)[two].tolist(), index[two].tolist())
-    ]
+
+    def retry_seed(r: int) -> list[int]:
+        # a dressed candidate's failed first try retries from [seed, o, i]
+        f = int(two[r])
+        return [seed, int(p.order[f // k]), f % k]
+
     try:
-        terms = kak_decompose_stack(us[2], -1 + 2 * draws[two, :2], retry)
+        terms = kak_decompose_stack(us[2], dressed[two], -1 + 2 * draws[two, :2], retry_seed)
     except DecompositionError as exc:
         f = two[exc.index]
         raise SynthesisError(

@@ -8,6 +8,7 @@ from qcloak.kak import (
     MAGIC,
     MAGIC_H,
     PLAIN_SEED,
+    KakStack,
     KakTerms,
     _factor_kron_2x2,
     canonical_matrix,
@@ -164,8 +165,15 @@ def _oracle(us, mixes, seeds) -> list[KakTerms]:
     return [per_candidate_kak(u, m, s) for u, m, s in zip(us, mixes, seeds)]
 
 
+def _stack(us, mixes, seeds) -> KakStack:
+    """kak_decompose_stack with a row dressed where its oracle seed is not
+    None, retrying from that seed."""
+    dressed = [s is not None for s in seeds]
+    return kak_decompose_stack(us, dressed, mixes, lambda r: seeds[r])
+
+
 def _assert_many_matches_oracle(u: np.ndarray, k: int, seed: int):
-    got = kak_decompose_stack(np.broadcast_to(u, (k, 4, 4)), *_draws(k, seed))
+    got = _stack(np.broadcast_to(u, (k, 4, 4)), *_draws(k, seed))
     want = _oracle([u] * k, *_draws(k, seed))
     assert len(got) == k
     for g, w in zip(got, want):
@@ -195,7 +203,7 @@ def test_stacked_kak_retry_matches_oracle(monkeypatch):
         mixes[[1, 3]] = 0.0
         want = _oracle([u] * 5, mixes, seeds)
         calls = counting_default_rng(monkeypatch)
-        got = kak_decompose_stack(np.broadcast_to(u, (5, 4, 4)), mixes, seeds)
+        got = _stack(np.broadcast_to(u, (5, 4, 4)), mixes, seeds)
         # only the retrying rows built a generator, each from its own seed
         assert calls == [([7, 1],), ([7, 3],)]
         monkeypatch.undo()
@@ -206,11 +214,7 @@ def test_stacked_kak_retry_matches_oracle(monkeypatch):
 def test_kak_decompose_is_the_one_rng_case():
     u = class_edge_unitary("c1_pi_4", 0.0, 4)
     _assert_terms_equal(kak_decompose(u), kak_decompose_stack(u[None])[0])
-    mix = np.array([0.3, -0.8])
-    _assert_terms_equal(
-        kak_decompose(u, mix, [9]),
-        kak_decompose_stack(u[None], mix[None], [[9]])[0],
-    )
+    _assert_terms_equal(kak_decompose(u), per_candidate_kak(u, None))
 
 
 @given(
@@ -228,7 +232,7 @@ def test_kak_stack_of_distinct_unitaries_matches_per_candidate_oracle(us, seed, 
     seeds = [[seed, i] for i in range(len(us))]
     if stub != 0:
         seeds[0] = None
-    got = kak_decompose_stack(np.array(us), mixes, seeds)
+    got = _stack(np.array(us), mixes, seeds)
     for g, w in zip(got, _oracle(us, mixes, seeds)):
         _assert_terms_equal(g, w)
 
@@ -237,12 +241,25 @@ def test_kak_stack_rejects_bad_input():
     u = class_edge_unitary("cx", 0.0, 1)
     with pytest.raises(ValueError, match="not unitary"):
         kak_decompose_stack(np.array([u, 2 * u]))
-    with pytest.raises(ValueError, match="expected 2 4x4 matrices"):
-        kak_decompose_stack(np.array([u]), None, [None, None])
-    # a row with a retry seed takes its first mix from mixes
-    for mixes in (None, np.zeros((2, 2))):
-        with pytest.raises(ValueError, match="expected 1 \\(a, b\\) mixes"):
-            kak_decompose_stack(np.array([u]), mixes, [[1]])
+    with pytest.raises(ValueError, match="expected a stack of 4x4 matrices"):
+        kak_decompose_stack(u)
+    # a dressed mask comes with one mix per row and a retry seed
+    def seed(r):
+        return [1]
+
+    for dressed, mixes, retry in (
+        ([True, False], np.zeros((1, 2)), seed),
+        ([True], None, seed),
+        ([True], np.zeros((2, 2)), seed),
+        ([True], np.zeros((1, 2)), None),
+    ):
+        with pytest.raises(ValueError, match="expected 1 dressed flags"):
+            kak_decompose_stack(np.array([u]), dressed, mixes, retry)
+    # mixes or a retry seed without a mask would be read by no row
+    with pytest.raises(ValueError, match="need a dressed mask"):
+        kak_decompose_stack(np.array([u]), mixes=np.zeros((1, 2)))
+    with pytest.raises(ValueError, match="need a dressed mask"):
+        kak_decompose_stack(np.array([u]), retry_seed=seed)
     assert len(kak_decompose_stack(np.zeros((0, 4, 4)))) == 0
 
 
