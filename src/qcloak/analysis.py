@@ -19,7 +19,7 @@ from .dag import cx_depth
 from .distributions import Distribution
 from .netlsd import circuit_signature, netlsd_divergence
 from .obfuscate import decode
-from .partition import BlockPartition, form_blocks, reassemble
+from .partition import BlockPartition, form_blocks, reassemble, row_keys
 from .pipeline import PipelineConfig, encode
 from .simulator import ideal_distribution, sample
 from .synthesis import candidate_chunks
@@ -68,8 +68,7 @@ def _block_keys(p: BlockPartition) -> list[tuple[int, bytes]]:
     rows = np.empty((len(p.local_wire), 9), dtype=np.uint8)
     rows[:, 0] = 2 * p.rows.kind + p.local_wire
     rows[:, 1:] = p.rows.angle.reshape(-1, 1).view(np.uint8)
-    data, at = rows.tobytes(), (9 * p.bounds).tolist()
-    return [(w, data[a:z]) for w, a, z in zip(p.width.tolist(), at, at[1:])]
+    return row_keys(rows, p.bounds, p.width)
 
 
 def make_baseline(c: Circuit, table: dict | None = None) -> Circuit:

@@ -54,6 +54,16 @@ def ry_matrix(theta: float | np.ndarray) -> np.ndarray:
     return m
 
 
+def gate_matrices(kind: np.ndarray, angle: np.ndarray) -> np.ndarray:
+    """The 2x2 matrix of each row of kind-code and angle columns, as a
+    (len(kind), 2, 2) stack; a CX row's matrix is left unset."""
+    mats = np.empty((len(kind), 2, 2), dtype=complex)
+    for code, rotation in ((RZ_CODE, rz_matrix), (RX_CODE, rx_matrix)):
+        mats[kind == code] = rotation(angle[kind == code])
+    mats[kind == X_CODE], mats[kind == SX_CODE] = PAULI_X, SX_MATRIX
+    return mats
+
+
 def _apply_1q(u: np.ndarray, mat: np.ndarray, q: int, n: int) -> np.ndarray:
     """mat applied to qubit q of the row index of a C-contiguous u with 2^n rows.
 
@@ -88,10 +98,7 @@ def apply_circuit(u: np.ndarray, c: Circuit) -> np.ndarray:
     partition.block_unitaries)."""
     n = c.num_qubits
     kind, q0, q1, angle = c.columns
-    mats = np.empty((len(kind), 2, 2), dtype=complex)
-    for code, rotation in ((RZ_CODE, rz_matrix), (RX_CODE, rx_matrix)):
-        mats[kind == code] = rotation(angle[kind == code])
-    mats[kind == X_CODE], mats[kind == SX_CODE] = PAULI_X, SX_MATRIX
+    mats = gate_matrices(kind, angle)
     # one pass over the rows: row i, the p-th of its wire's open run r,
     # joins level p as (r, i); steps lists in order the runs as they close
     # (wire, run, -1) and the CXs (control, -1, target)

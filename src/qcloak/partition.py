@@ -46,6 +46,9 @@ class Block:
             raise ValueError("block must span one or two qubits")
         if tuple(sorted(qubits)) != qubits:
             raise ValueError("block qubits must be sorted")
+        if order_index < 0:
+            # candidate draws are read at stream positions from the order index
+            raise ValueError(f"block order index must be non-negative, got {order_index}")
         gates = tuple(gates)
         cols = gate_columns(gates)
         outside = ~np.isin(cols.q0, qubits) | ((cols.kind == CX_CODE) & ~np.isin(cols.q1, qubits))
@@ -201,6 +204,14 @@ def form_blocks(c: Circuit) -> BlockPartition:
     return BlockPartition.from_rows(c.num_qubits, rows, at, lo, hi, order, source, measured)
 
 
+def row_keys(records: np.ndarray, bounds, width) -> list[tuple[int, bytes]]:
+    """Each block's key: its width and the bytes of its rows bounds[i]:bounds[i
+    + 1] of records, one fixed-size record (scalar or 2-D array row) per row."""
+    records = np.ascontiguousarray(records)
+    data, at = records.tobytes(), (records.strides[0] * np.asarray(bounds)).tolist()
+    return [(w, data[a:z]) for w, a, z in zip(np.asarray(width).tolist(), at, at[1:])]
+
+
 def block_unitaries(p: BlockPartition) -> dict[int, np.ndarray]:
     """Unitaries of the partition's blocks over their local wires
     (little-endian), as {width: (count, d, d) stack of that width's blocks
@@ -210,13 +221,12 @@ def block_unitaries(p: BlockPartition) -> dict[int, np.ndarray]:
     runs as in circuit_unitary. These bits are KAK's input and so fix the
     emitted angles: fusing would move them by rounding and change the
     encoded QASM for a fixed seed."""
-    cols, at = p.rows, p.bounds
+    cols, at, widths = p.rows, p.bounds, p.width
+    groups: dict[tuple, list[int]] = {}
     # each row's kind and first local wire: a one-qubit gate's wire or a
     # CX's control, whose target is the other wire
-    codes, bounds, widths = (2 * cols.kind + p.local_wire).tobytes(), at.tolist(), p.width
-    groups: dict[tuple, list[int]] = {}
-    for i, w in enumerate(widths.tolist()):
-        groups.setdefault((w, codes[bounds[i] : bounds[i + 1]]), []).append(i)
+    for i, key in enumerate(row_keys(2 * cols.kind + p.local_wire, at, widths)):
+        groups.setdefault(key, []).append(i)
     rank = np.zeros(len(widths), dtype=int)  # position within its width's stack
     out = {}
     for w in (1, 2):

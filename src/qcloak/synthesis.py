@@ -16,7 +16,8 @@ the k candidates of every two-qubit block, one vectorized class decision,
 the Pauli dressing, class template and CX dressings of each (class,
 dressed) group as one stack, the Euler angles of every one-qubit segment of
 every candidate from one (m, 2, 2) stack, and the emitted gates of every
-candidate as columns of kind codes, local wires and angles (Candidates).
+candidate as one CircuitColumns on local wires (Candidates): q0 a gate's
+wire or a CX's control, q1 a CX's target or -1, the angle NaN except on RZ.
 Every candidate after the plain candidate 0 reads its draws from stream
 positions: candidate i of the block with order index o reads uniform j at
 position o * DRAW_STRIDE + j of candidate i's stream, PCG64 seeded from
@@ -27,16 +28,16 @@ blocks' draws with one advance and one random call per stream, so every
 draw is a pure function of (seed, o, i, j), whatever the chunking, block
 count or k; only a failed diagonalizer try builds a generator,
 default_rng([seed, o, i]) (kak.kak_decompose_stack). The check multiplies
-each wire's run of emitted gates into one 2x2 matrix, all runs at once,
-combines each candidate's runs through its CX row permutations, and
-compares the stacked results with the block unitaries.
-Selection ranks every candidate from the columns too (one lexsort per
-chunk, signature memo keyed by column bytes, the blocks' keys from their
-rows), and each chunk's selected candidates are placed on their blocks'
-qubits as one set of circuit columns; the chunks' sets join into one
-fragment set aligned with the partition's blocks. No Gate or Block object
-is built. generate_candidates and synthesize_block are the one-block case,
-weyl_to_circuit the one-candidate case of the template stage.
+each wire's run of emitted gates (linalg.gate_matrices) into one 2x2
+matrix, all runs at once, combines each candidate's runs through its CX row
+permutations, and compares the stacked results with the block unitaries.
+One selection, _select, ranks a stack's candidates from their rows (one
+lexsort, a signature memo keyed by partition.row_keys); each chunk's
+selected candidates are placed on their blocks' qubits by remapping local
+wires, and the chunks' sets join into one fragment set aligned with the
+partition's blocks. No Gate or Block object is built. generate_candidates,
+select_candidate and synthesize_block are the one-block case of these
+calls, weyl_to_circuit the one-candidate case of the template stage.
 Each candidate's gates and angle bits equal those of building it alone:
 - the rotations come from linalg's builders over angle arrays, whose every
   entry has the bits of a one-angle call;
@@ -60,13 +61,13 @@ import numpy as np
 
 from . import netlsd
 from .circuit import CX_CODE, RZ_CODE, SX_CODE, X_CODE, Circuit, CircuitColumns, Gate
-from .circuit import gate_counts, join_columns, offsets, ranges
+from .circuit import join_columns, offsets, ranges
 from .dag import column_dag
 from .kak import DecompositionError, KakStack, KakTerms, kak_decompose_stack
-from .linalg import CX_ROWS, PAULI_X, PAULI_Y, PAULI_Z, SX_MATRIX, equal_up_to_global_phase
-from .linalg import rx_matrix, ry_matrix, rz_matrix
+from .linalg import CX_ROWS, PAULI_X, PAULI_Y, PAULI_Z, equal_up_to_global_phase
+from .linalg import gate_matrices, rx_matrix, ry_matrix, rz_matrix
 from .netlsd import HeatSignature, netlsd_divergence
-from .partition import Block, BlockPartition, block_unitaries, partition_of
+from .partition import Block, BlockPartition, block_unitaries, partition_of, row_keys
 
 # imported for perfbench/tracing.py, which wraps these names; not called here
 from .kak import kak_decompose  # noqa: F401
@@ -89,8 +90,6 @@ _GRID.setflags(write=False)
 # emitted only where its present flag is set.
 _SLOT_KINDS = np.array([RZ_CODE, SX_CODE, RZ_CODE, SX_CODE, RZ_CODE], dtype=np.int8)
 _SLOTS = len(_SLOT_KINDS)
-# one-qubit gate matrices by kind code; an RZ's diagonal is filled in per gate
-_GATE_MATRICES = np.array([np.eye(2), SX_MATRIX, PAULI_X], dtype=complex)
 # _CONTROLS[n, j]: the control wire of CX j of the n-CX template
 _CONTROLS = np.array([(0, 0, 0), (1, 0, 0), (1, 1, 0), (1, 0, 1)])
 _PAULIS = (PAULI_X, PAULI_Y, PAULI_Z)
@@ -110,15 +109,13 @@ class SynthesisError(RuntimeError):
 
 @dataclass(frozen=True)
 class Candidates:
-    """Emitted gates of many fragments as columns: fragment i is entries
-    start[i]:start[i + 1] on width[i] local wires. kind holds the codes
-    RZ_CODE, SX_CODE, X_CODE and CX_CODE; wire a one-qubit gate's wire or a
-    CX's control (its target is the other wire); angle an RZ's angle, 0.0
-    for the other kinds."""
+    """Emitted gates of many fragments as one column set on local wires:
+    fragment i is rows start[i]:start[i + 1] of rows, on width[i] wires. The
+    rows are in the circuit format, kinds RZ, SX, X and CX: q0 a one-qubit
+    gate's wire or a CX's control, q1 a CX's target or -1, angle an RZ's
+    angle or NaN."""
 
-    kind: np.ndarray
-    wire: np.ndarray
-    angle: np.ndarray
+    rows: CircuitColumns
     start: np.ndarray
     width: np.ndarray
 
@@ -126,8 +123,13 @@ class Candidates:
         return len(self.width)
 
     def owners(self) -> np.ndarray:
-        """The fragment index of every entry."""
+        """The fragment index of every row."""
         return np.repeat(np.arange(len(self)), np.diff(self.start))
+
+    def keys(self) -> list[tuple[int, bytes]]:
+        """Each fragment's key in the signature memo (_structure_signature)."""
+        codes = structure_codes(self.rows.q0, self.rows.q1 != -1)
+        return row_keys(codes, self.start, self.width)
 
     def place(self, idx, lo, hi) -> tuple[CircuitColumns, np.ndarray]:
         """Fragments idx as one column set on global qubits, local wire 0 of
@@ -138,28 +140,15 @@ class Candidates:
         sizes = self.start[idx + 1] - first
         rows = ranges(first, sizes)
         owner = np.repeat(np.arange(len(idx)), sizes)
-        kind, on_lo = self.kind[rows], self.wire[rows] == 0
         lo, hi = np.asarray(lo)[owner], np.asarray(hi)[owner]
-        cols = CircuitColumns(
-            kind,
-            np.where(on_lo, lo, hi),
-            np.where(kind == CX_CODE, np.where(on_lo, hi, lo), -1),
-            np.where(kind == RZ_CODE, self.angle[rows], np.nan),
-        )
-        return cols, sizes
+        kind, q0, q1, angle = (col[rows] for col in self.rows)
+        q1 = np.where(q1 == -1, -1, np.where(q1 == 0, lo, hi))
+        return CircuitColumns(kind, np.where(q0 == 0, lo, hi), q1, angle), sizes
 
     def circuit(self, i: int) -> Circuit:
         """Fragment i as a Circuit on its local wires."""
-        return Circuit.from_columns(int(self.width[i]), self.place([i], [0], [1])[0])
-
-    @functools.cached_property
-    def _structure_codes(self) -> np.ndarray:
-        return structure_codes(self.wire, self.kind == CX_CODE)
-
-    def structure(self, i: int) -> tuple[int, bytes]:
-        """Fragment i's key in the signature memo (_structure_signature)."""
-        codes = self._structure_codes[self.start[i] : self.start[i + 1]]
-        return int(self.width[i]), codes.tobytes()
+        rows = slice(self.start[i], self.start[i + 1])
+        return Circuit.from_columns(int(self.width[i]), [col[rows] for col in self.rows])
 
 
 def _trivial(theta: np.ndarray) -> np.ndarray:
@@ -193,8 +182,8 @@ def _euler_runs(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     lam = np.where(a_zero, 0.0, (total - diff) / 2)
     middle = theta + np.pi
     flip = _trivial(middle)
-    zero = np.zeros(len(mats))
-    angle = np.stack((np.where(diagonal, total, lam), zero, middle, zero, phi + np.pi), axis=1)
+    none = np.full(len(mats), np.nan)  # the SX (or X) slots' angle
+    angle = np.stack((np.where(diagonal, total, lam), none, middle, none, phi + np.pi), axis=1)
     kind = np.tile(_SLOT_KINDS, (len(mats), 1))
     kind[flip, 1] = X_CODE
     present = np.empty(angle.shape, dtype=bool)
@@ -307,8 +296,8 @@ def _templates_1q(mats: np.ndarray, at: np.ndarray, us: np.ndarray, draws, dress
 
 
 def _emit_many(mats, width, cx_count, lead_index=(), lead_angle=()) -> Candidates:
-    """Columns of fragments given by their segment matrices, with the Euler
-    runs of all segments computed as one stack.
+    """Fragments given by their segment matrices as one Candidates stack,
+    with the Euler runs of all segments computed as one stack.
 
     Fragment f has width[f] wires and cx_count[f] CXs, each CX's control
     wire that of the cx_count[f]-CX template; its segment s on wire w is
@@ -337,13 +326,13 @@ def _emit_many(mats, width, cx_count, lead_index=(), lead_angle=()) -> Candidate
     keep = np.insert(present.ravel(), cx_slots, True)
     owner = np.repeat(np.arange(len(width)), _SLOTS * sizes + cx_count)[keep]
     controls = _CONTROLS[cx_count[cx_owner], j]
-    return Candidates(
-        kind=np.insert(kind.ravel(), cx_slots, CX_CODE)[keep],
-        wire=np.insert(np.repeat(wires, _SLOTS), cx_slots, controls)[keep],
-        angle=np.insert(angle.ravel(), cx_slots, 0.0)[keep],
-        start=offsets(np.bincount(owner, minlength=len(width))),
-        width=width,
+    rows = CircuitColumns(
+        np.insert(kind.ravel(), cx_slots, CX_CODE)[keep],
+        np.insert(np.repeat(wires, _SLOTS), cx_slots, controls)[keep],
+        np.insert(np.full(kind.size, -1, dtype=np.int8), cx_slots, 1 - controls)[keep],
+        np.insert(angle.ravel(), cx_slots, np.nan)[keep],
     )
+    return Candidates(rows, offsets(np.bincount(owner, minlength=len(width))), width)
 
 
 def weyl_to_circuit(t: KakTerms) -> Circuit:
@@ -367,24 +356,21 @@ def _run_products(cands: Candidates) -> tuple[np.ndarray, np.ndarray, np.ndarray
     there are fragments) and the index of each fragment's first CX among
     cands' CX entries. Fragment i owns runs first[i] .. first[i + 1] - 1:
     run first[i] + 2 s + w is wire w's run after the fragment's s-th CX."""
+    kind, wire, _target, angle = cands.rows
     owner = cands.owners()
-    is_cx = cands.kind == CX_CODE
+    is_cx = kind == CX_CODE
     cx_before = offsets(is_cx)
     first_cx = cx_before[cands.start[:-1]]
     cx_count = cx_before[cands.start[1:]] - first_cx
     first = offsets(2 * (cx_count + 1))
     one = ~is_cx
-    run = (first[owner] + 2 * (cx_before[:-1] - first_cx[owner]) + cands.wire)[one]
-    kind = cands.kind[one]
-    mats = _GATE_MATRICES[kind]
-    rz = kind == RZ_CODE
-    lo = np.exp(-0.5j * cands.angle[one][rz])
-    mats[rz, 0, 0], mats[rz, 1, 1] = lo, lo.conj()
+    run = (first[owner] + 2 * (cx_before[:-1] - first_cx[owner]) + wire)[one]
+    mats = gate_matrices(kind[one], angle[one])
     # each run's gates in stream order, padded with identities to one length
     order = np.argsort(run, kind="stable")
     run = run[order]
     pos = np.arange(len(run)) - np.searchsorted(run, run)
-    padded = np.tile(_GATE_MATRICES[RZ_CODE], (first[-1], pos.max(initial=0) + 1, 1, 1))
+    padded = np.tile(np.eye(2, dtype=complex), (first[-1], pos.max(initial=0) + 1, 1, 1))
     padded[run, pos] = mats[order]
     acc = padded[:, 0]
     for p in range(1, padded.shape[1]):
@@ -408,7 +394,7 @@ def candidate_unitaries(cands: Candidates) -> dict[tuple[int, int], tuple[np.nda
     next runs multiplies them. Rounding differs from linalg.circuit_unitary's,
     which stays the one kernel whose bits reach an output."""
     runs, first, first_cx = _run_products(cands)
-    controls = cands.wire[cands.kind == CX_CODE]
+    controls = cands.rows.q0[cands.rows.kind == CX_CODE]
     cx_count = np.diff(first) // 2 - 1
     out = {}
     for width, count in sorted(set(zip(cands.width.tolist(), cx_count.tolist()))):
@@ -525,33 +511,40 @@ def _shortlists(sx_plus_x: np.ndarray, rz: np.ndarray, k: int, shortlist: int) -
     return np.lexsort((index, rz, sx_plus_x, index // k)).reshape(-1, k)[:, :shortlist]
 
 
-def _most_distant(kept: list[int], structure, reference: tuple[int, bytes]) -> int:
-    """The shortlisted candidate most structurally distant from the source
-    block, whose memo key is reference (the first of equals), or the only
-    one; structure(i) is candidate i's memo key, read only when there are
-    two or more."""
-    if len(kept) == 1:
-        return kept[0]
-    ref = _structure_signature(*reference)
-    return max(kept, key=lambda i: netlsd_divergence(_structure_signature(*structure(i)), ref))
+def _select(cands: Candidates, refs: list, k: int, shortlist: int) -> list[int]:
+    """Each block's selected candidate, block j owning candidates j k .. j k
+    + k - 1 of cands and refs[j] its memo key: the only one of its shortlist
+    (_shortlists), or the shortlisted one most structurally distant from the
+    block (the first of equals)."""
+    if shortlist < 1:
+        raise ValueError(f"need shortlist >= 1 candidates per block, got {shortlist}")
+    kind, owner = cands.rows.kind, cands.owners()
+    sx_plus_x = np.bincount(owner[(kind == SX_CODE) | (kind == X_CODE)], minlength=len(cands))
+    rz = np.bincount(owner[kind == RZ_CODE], minlength=len(cands))
+    keys, best = cands.keys(), []
+    for kept, ref in zip(_shortlists(sx_plus_x, rz, k, shortlist).tolist(), refs):
+        if len(kept) > 1:
+            sig = _structure_signature(*ref)
+            kept = [max(kept, key=lambda i: netlsd_divergence(_structure_signature(*keys[i]), sig))]
+        best.append(kept[0])
+    return best
 
 
 def block_structures(p: BlockPartition) -> list[tuple[int, bytes]]:
     """Each block's key in the signature memo, read from the partition's rows."""
-    data, at = structure_codes(p.local_wire, p.rows.q1 != -1).tobytes(), p.bounds.tolist()
-    return [(w, data[a:z]) for w, a, z in zip(p.width.tolist(), at, at[1:])]
+    return row_keys(structure_codes(p.local_wire, p.rows.q1 != -1), p.bounds, p.width)
 
 
 def select_candidate(cands: list[Circuit], original_block: Block, shortlist: int) -> Circuit:
     """Shortlist by fewest SX+X (ties: fewer RZ, then lower index), then pick
-    the shortlisted fragment most structurally distant from the source block."""
+    the shortlisted fragment most structurally distant from the source block:
+    _select over the local-wire circuits stacked as Candidates."""
     if not cands:
         raise ValueError("no candidates to select from")
-    counts = [gate_counts(c) for c in cands]
-    sx_plus_x, rz = np.array([(n.sx_plus_x, n.rz) for n in counts]).T
-    kept = _shortlists(sx_plus_x, rz, len(cands), shortlist)[0].tolist()
-    reference = block_structures(partition_of(original_block))[0]
-    return cands[_most_distant(kept, lambda i: circuit_structure(cands[i]), reference)]
+    sizes, width = [c.num_gates for c in cands], np.array([c.num_qubits for c in cands])
+    stack = Candidates(join_columns(c.columns for c in cands), offsets(sizes), width)
+    ref = block_structures(partition_of(original_block))
+    return cands[_select(stack, ref, len(cands), shortlist)[0]]
 
 
 def structure_codes(wire, is_cx) -> np.ndarray:
@@ -559,13 +552,6 @@ def structure_codes(wire, is_cx) -> np.ndarray:
     gate i acts on wire[i] and, where is_cx[i], is a CX with that control
     and the other wire as target."""
     return np.asarray(wire, dtype=np.int8) + 2 * np.asarray(is_cx, dtype=np.int8)
-
-
-def circuit_structure(c: Circuit) -> tuple[int, bytes]:
-    """A local-wire circuit's key in the signature memo: its width and the
-    bytes of its structure_codes."""
-    cols = c.columns
-    return c.num_qubits, structure_codes(cols.q0, cols.kind == CX_CODE).tobytes()
 
 
 @functools.lru_cache(maxsize=SIGNATURE_MEMO_ENTRIES)
@@ -611,13 +597,7 @@ def synthesize_blocks(
     generate_candidates', local wire w on the block's qubit w."""
     placed = []
     for chunk, cands in candidate_chunks(p, k, seed):
-        owner = cands.owners()
-        sx_or_x = (cands.kind == SX_CODE) | (cands.kind == X_CODE)
-        sx_plus_x = np.bincount(owner[sx_or_x], minlength=len(cands))
-        rz = np.bincount(owner[cands.kind == RZ_CODE], minlength=len(cands))
-        kept = _shortlists(sx_plus_x, rz, k, shortlist).tolist()
-        refs = block_structures(chunk)
-        best = [_most_distant(row, cands.structure, ref) for row, ref in zip(kept, refs)]
+        best = _select(cands, block_structures(chunk), k, shortlist)
         placed.append(cands.place(best, chunk.lo, chunk.hi))
     sizes = np.concatenate([np.zeros(0, dtype=np.int64), *(n for _cols, n in placed)])
     return join_columns(cols for cols, _n in placed), offsets(sizes)

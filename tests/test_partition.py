@@ -16,8 +16,9 @@ from qcloak.partition import (
     block_unitary,
     form_blocks,
     reassemble,
+    row_keys,
 )
-from qcloak.synthesis import SYNTH_CHUNK
+from qcloak.synthesis import SYNTH_CHUNK, block_structures
 from strategies import (
     circuits,
     fragment_set,
@@ -38,6 +39,14 @@ def test_block_validation():
         message = re.escape(f"gate {stray} outside block wires (0, 1)")
         with pytest.raises(ValueError, match=f"^{message}$"):
             Block((0, 1), gates, 0)
+
+
+def test_block_rejects_a_negative_order_index():
+    # candidate draws are read at stream positions from the order index, so
+    # a negative one would wrap around the stream
+    with pytest.raises(ValueError, match="^block order index must be non-negative, got -5$"):
+        Block((0, 1), (cx(0, 1),), -5)
+    assert Block((0, 1), (cx(0, 1),), 0).order_index == 0
 
 
 def test_form_blocks_ghz_chain():
@@ -136,8 +145,11 @@ def test_block_unitary_bits_pinned_across_chunks():
 
 
 def test_block_unitaries_of_no_blocks():
-    stacks = block_unitaries(partition_of_blocks([]))
+    p = partition_of_blocks([])
+    stacks = block_unitaries(p)
     assert {w: s.shape for w, s in stacks.items()} == {1: (0, 2, 2), 2: (0, 4, 4)}
+    assert row_keys(p.local_wire, p.bounds, p.width) == []
+    assert block_structures(p) == []
 
 
 def test_reassemble_identity_reproduces_original():

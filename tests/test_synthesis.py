@@ -1,4 +1,5 @@
 import itertools
+from itertools import pairwise
 from unittest import mock
 
 import numpy as np
@@ -9,7 +10,8 @@ from hypothesis import strategies as st
 import qcloak.netlsd
 import qcloak.synthesis
 from qcloak.bench import gen_random_blocks
-from qcloak.circuit import Circuit, Gate, GateKind, cx, gate_counts, rx, rz, sx, x
+from qcloak.circuit import Circuit, CircuitColumns, Gate, GateKind, cx, gate_counts, join_columns
+from qcloak.circuit import rx, rz, sx, x
 from qcloak.kak import kak_decompose
 from qcloak.linalg import (
     SX_MATRIX,
@@ -21,7 +23,7 @@ from qcloak.linalg import (
 )
 from qcloak.netlsd import circuit_signature
 from qcloak.obfuscate import inject_rx_pairs
-from qcloak.partition import Block, block_unitary, form_blocks, reassemble
+from qcloak.partition import Block, block_unitary, form_blocks, partition_of, reassemble
 from qcloak.synthesis import (
     CANDIDATE_TOL,
     CX_CODE,
@@ -34,6 +36,7 @@ from qcloak.synthesis import (
     _cx_classes,
     _emit_many,
     _templates_1q,
+    block_structures,
     candidate_chunks,
     candidate_unitaries,
     generate_candidates,
@@ -298,6 +301,18 @@ def test_shortlists_rank_as_the_sorted_reference(drawn):
     assert got == want
 
 
+@pytest.mark.parametrize("shortlist", [-1, 0])
+def test_shortlist_below_one_is_rejected(shortlist):
+    # a shortlist of -1 would drop each block's last candidate, and 0 keep none
+    p = form_blocks(gen_random_blocks(3, 4, seed=0))
+    message = f"^need shortlist >= 1 candidates per block, got {shortlist}$"
+    with pytest.raises(ValueError, match=message):
+        synthesize_blocks(p, 3, shortlist, 0)
+    b = p.blocks[0]
+    with pytest.raises(ValueError, match=message):
+        select_candidate(generate_candidates(b, 3, 0), b, shortlist)
+
+
 def test_select_candidate_signs_reference_block_once(monkeypatch):
     calls = []
     real = qcloak.netlsd.netlsd_signature
@@ -320,7 +335,8 @@ def test_select_candidate_signs_reference_block_once(monkeypatch):
 
 
 def _memo_signature(c):
-    return qcloak.synthesis._structure_signature(*qcloak.synthesis.circuit_structure(c))
+    one = Candidates(c.columns, np.array([0, c.num_gates]), np.array([c.num_qubits]))
+    return qcloak.synthesis._structure_signature(*one.keys()[0])
 
 
 def test_fragment_signature_memo_matches_fresh_signature():
@@ -359,6 +375,32 @@ def blocks(draw):
     return Block(wires, gates_on_wires(gates, wires), draw(st.integers(0, 500)))
 
 
+@given(blocks(), st.sampled_from([1, 2, 3]), st.integers(0, 2**32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_candidate_memo_key_is_one_read_three_ways(b, k, seed):
+    # the stack's key, the key of its rows placed as a block on qubits 1 and 3
+    # (or 2 alone), and the key select_candidate builds from the Circuits
+    stack = _checked_candidates(partition_of(b), k, seed)
+    keys = stack.keys()
+    assert len(keys) == k
+    for i, key in enumerate(keys):
+        qubits = (1, 3) if stack.width[i] == 2 else (2,)
+        rows, sizes = stack.place([i], [qubits[0]], [qubits[-1]])
+        if sizes[0]:  # a partition's block has at least one gate
+            placed = Block.from_rows(qubits, rows, b.order_index)
+            assert block_structures(partition_of(placed)) == [key]
+    seen = []
+    real = qcloak.synthesis._select
+
+    def spy(cands, *args):
+        seen.append(cands)
+        return real(cands, *args)
+
+    with mock.patch.object(qcloak.synthesis, "_select", spy):
+        select_candidate(generate_candidates(b, k, seed), b, 1)
+    assert [c.keys() for c in seen] == [keys]
+
+
 def _assert_candidates_match_oracle(b: Block, k: int, seed: int):
     got = generate_candidates(b, k, seed)
     want = per_candidate_generate(b, k, seed)
@@ -390,33 +432,32 @@ def test_fragment_unitary_matches_circuit_unitary(c):
 
 
 def _with_candidate(cands: Candidates, index: int, mutate) -> Candidates:
-    """cands with the columns of candidate index replaced by mutate's."""
+    """cands with the rows of candidate index replaced by mutate's."""
     parts = [
-        [col[cands.start[i] : cands.start[i + 1]] for col in (cands.kind, cands.wire, cands.angle)]
-        for i in range(len(cands))
+        CircuitColumns(*(col[a:z] for col in cands.rows))
+        for a, z in pairwise(cands.start.tolist())
     ]
-    parts[index] = mutate(*parts[index])
-    kind, wire, angle = (np.concatenate(col) for col in zip(*parts))
-    sizes = [len(part[0]) for part in parts]
-    return Candidates(kind, wire, angle, np.concatenate(([0], np.cumsum(sizes))), cands.width)
+    parts[index] = mutate(parts[index])
+    sizes = [len(part.kind) for part in parts]
+    return Candidates(join_columns(parts), np.concatenate(([0], np.cumsum(sizes))), cands.width)
 
 
-def _shift_first_rz(kind, wire, angle):
-    angle = angle.copy()
-    angle[np.flatnonzero(kind == RZ_CODE)[0]] += 1e-6
-    return kind, wire, angle
+def _shift_first_rz(rows: CircuitColumns) -> CircuitColumns:
+    angle = rows.angle.copy()
+    angle[np.flatnonzero(rows.kind == RZ_CODE)[0]] += 1e-6
+    return rows._replace(angle=angle)
 
 
-def _drop_first_cx(kind, wire, angle):
-    i = np.flatnonzero(kind == CX_CODE)[0]
-    return np.delete(kind, i), np.delete(wire, i), np.delete(angle, i)
+def _drop_first_cx(rows: CircuitColumns) -> CircuitColumns:
+    i = np.flatnonzero(rows.kind == CX_CODE)[0]
+    return CircuitColumns(*(np.delete(col, i) for col in rows))
 
 
-def _swap_first_cx(kind, wire, angle):
-    wire = wire.copy()
-    i = np.flatnonzero(kind == CX_CODE)[0]
-    wire[i] = 1 - wire[i]
-    return kind, wire, angle
+def _swap_first_cx(rows: CircuitColumns) -> CircuitColumns:
+    q0, q1 = rows.q0.copy(), rows.q1.copy()
+    i = np.flatnonzero(rows.kind == CX_CODE)[0]
+    q0[i], q1[i] = rows.q1[i], rows.q0[i]
+    return rows._replace(q0=q0, q1=q1)
 
 
 def _mutating_emit(monkeypatch, index: int, mutate):
@@ -641,14 +682,11 @@ def test_kak_class_boundaries_through_the_stack(data, k, seed):
 # Candidate draws read from stream positions: a pure function of (seed, order
 # index, candidate index, draw index).
 def _candidate_bits(cands: Candidates, idx) -> list[tuple]:
-    """The columns of candidates idx, each angle as its exact bits."""
+    """The rows of candidates idx, each angle as its exact bits."""
     out = []
     for i in idx:
         a, z = cands.start[i], cands.start[i + 1]
-        out.append(
-            (int(cands.width[i]), cands.kind[a:z].tobytes(), cands.wire[a:z].tobytes(),
-             cands.angle[a:z].tobytes())
-        )
+        out.append((int(cands.width[i]), *(col[a:z].tobytes() for col in cands.rows)))
     return out
 
 
