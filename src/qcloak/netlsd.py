@@ -7,11 +7,14 @@ Up to DENSE_NODE_LIMIT = 540 nodes, h(t) comes from the dense eigenvalues
 (one eigvalsh, O(n^3)). Above it, h(t) is a Chebyshev series in L - I whose
 moments, the traces of T_k(L - I), are estimated stochastically (Han,
 Malioutov, Avron & Shin, SISC 2017) from PROBES = 128 Rademacher probes
-drawn from seed PROBE_SEED = 11. Each step of the probes' recurrence is one
-sparse product with M = 2 (L - I), accumulated in place into the probe block
-it replaces. The moments of degree k <= 2 EXACT_STEPS = 16 are computed
-exactly instead, from sparse matrix powers: they carry most of h(t), and the
-probes estimate them worst. All four are constants, not settings.
+drawn from seed PROBE_SEED = 11, PROBE_BLOCK = 16 at a time, each block by
+the task that runs it, from its position in the stream. Each step of the
+probes' recurrence is one sparse product with M = 2 (L - I), accumulated in
+place into the probe block it replaces. The moments of degree k <= 2
+EXACT_STEPS = 16 are computed exactly instead, from sparse matrix powers:
+they carry most of h(t), and the probes estimate them worst. Of these the
+probes compute only mu_0 and mu_1, off which every higher moment is read.
+All five are constants, not settings.
 Signatures are compared by unnormalized Euclidean distance.
 
 The series is cut where its truncation error is far below the probes'
@@ -29,30 +32,34 @@ the 10k-node encode DAG of gen_random_blocks(128, 300, 1) at seed 3 moved
 by at most 4.3e-9, its divergence from the baseline by 2.8e-15 relative
 and the X-only divergence by 1.5e-14.
 
-The limit is where the two paths cost the same. scripts/netlsd_crossover.py
-times both on pipeline encodes of gen_random_blocks(16, b, 1); on 2 vCPUs,
-min of 5 calls and of three sweeps, milliseconds dense / estimated:
+The limit was set where the two paths cost the same.
+scripts/netlsd_crossover.py times both on pipeline encodes of
+gen_random_blocks(16, b, 1); on 2 vCPUs, min of 5 calls and of three
+sweeps, milliseconds dense / estimated:
 
     nodes   1 BLAS thread   2 BLAS threads
-      436     13 / 18         16 / 16
-      495     17 / 18         19 / 22
-      538     21 / 19         23 / 18
-      556     24 / 21         25 / 18
-      596     30 / 19         29 / 21
-      667     37 / 22         37 / 22
-      802     64 / 23         50 / 16
-     1333    270 / 23        170 / 24
+      323      6 / 12          6 /  9
+      436     11 / 12         10 /  9
+      495     14 / 12         13 /  9
+      538     18 / 12         15 / 12
+      556     18 / 13         18 / 11
+      596     22 / 11         22 / 12
+      667     30 / 12         25 / 12
+     1333    236 / 16        140 / 16
 
-The estimator's cost is mostly fixed (15-35 ms up to 1.6k nodes) and the
-dense cost grows as n^3. In three sweeps, under either thread count, the
-dense path was faster on no DAG above 538 nodes; with the series cut at
-1e-13 it was faster on none above 599, and the limit was 600. The limit is
-set by cost alone; no desk DAG of pipeline seeds 0-9 has between 371 and
-794 nodes, so the move to 540 sent none of them to another path. What it allows: a
-divergence between two signatures moves by at most the sum of their error
-norms over the grid (the triangle inequality). On the desk DAGs above the
-limit (qft8 and add9: the baselines and the encodes at seeds 0, 3 and 7),
-those norms are 0.03-0.21. The full divergences of qft8 and add9
+The estimator's cost is mostly fixed (9-17 ms up to 1.6k nodes) and the
+dense cost grows as n^3. In these sweeps the dense path was faster on no
+DAG above 436 nodes under one BLAS thread and above 323 under two. The
+limit stays where the sweeps that set it found the crossover, when the
+estimator cost 15-35 ms and the dense path was faster on no DAG above 538
+nodes: moving it would move the signatures of the DAGs in between. With the
+series cut at 1e-13 the dense path was faster on none above 599, and the
+limit was 600. No desk DAG of pipeline seeds 0-9 has between 371 and 794
+nodes, so the move to 540 sent none of them to another path. What the
+limit allows: a divergence between two signatures moves by at most the sum
+of their error norms over the grid (the triangle inequality). On the desk
+DAGs above the limit (qft8 and add9: the baselines and the encodes at
+seeds 0, 3 and 7), those norms are 0.03-0.21. The full divergences of qft8 and add9
 (2.6k-4.2k) move by at most 3.0e-6 relative. A key-only divergence near
 that error floor moves more: qft8's reads 0.399 estimated against 0.324
 exact at seed 3 (0.424 against 0.373 at seed 7), so its full/key-only ratio
@@ -64,7 +71,7 @@ from __future__ import annotations
 
 import functools
 import os
-from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor, wait
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -155,9 +162,17 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _draw_probe_block(rng: np.random.Generator, width: int, n: int) -> np.ndarray:
-    """The next width Rademacher probes as the columns of a C-contiguous (n, width)
-    matrix. One (width, n) draw is the same stream as width draws of size n."""
+def _draw_probe_block(seed: int, start: int, width: int, n: int) -> np.ndarray:
+    """Rademacher probes start .. start + width - 1 of seed's stream as the
+    columns of a C-contiguous (n, width) matrix: the block that width draws
+    of size n would give after start such draws from default_rng(seed). Each
+    entry is the top bit of one uint32, half of one PCG64 output, so probe
+    start begins start n / 2 outputs into the stream."""
+    bits = np.random.PCG64(seed)
+    bits.advance(start * n // 2)
+    rng = np.random.Generator(bits)
+    if start * n % 2:
+        rng.integers(0, 2)  # the low half of the output the block starts in
     return np.ascontiguousarray((rng.integers(0, 2, size=(width, n)) * 2.0 - 1.0).T)
 
 
@@ -205,13 +220,18 @@ def _chebyshev_operator(lap):
     return op
 
 
-def _probe_block_moments(op, basis: np.ndarray, k_max: int, v: np.ndarray) -> np.ndarray:
+def _probe_block_moments(
+    op, basis: np.ndarray, k_max: int, v: np.ndarray, exact: int = 0
+) -> np.ndarray:
     """Chebyshev moments mu_k = sum over the columns z of z^T T_k(L - I) z,
     k = 0 .. 2 k_max, of the probe block v (n, width), a C-contiguous float64
     array, which is overwritten: first by its deflation against the zero
     eigenspace (the columns of basis), then as recurrence storage. Zero modes
     sit at x = -1, where |T_k| = 1, so one deflation suffices. op is
-    M = 2 (L - I) from _chebyshev_operator.
+    M = 2 (L - I) from _chebyshev_operator. The moments of degree 2 .. 2
+    exact, which the caller takes from _exact_moments, are left at 0 and
+    cost no dot; mu_0 and mu_1 are always computed, as every higher moment
+    is read off them.
 
     The recurrence T_{k+1} z = M T_k z - T_{k-1} z runs on U_k = s_k T_k z,
     s_k = 1, 1, -1, -1, 1, 1, ... (s_{k+1} = -s_{k-1}), so that U_{k+1} =
@@ -219,17 +239,17 @@ def _probe_block_moments(op, basis: np.ndarray, k_max: int, v: np.ndarray) -> np
     accumulated in place into U_{k-1}, with M or -M (a negated copy of its
     data), and no pass that negates. U_0 = z and U_1 = M z / 2, which is
     exact. IEEE arithmetic is symmetric in sign, so every U_k has the bits
-    of +-T_k z and the moments those of the plain recurrence. Each step gives
-    two moments: mu_{2k} = 2 |U_k|^2 - mu_0 and mu_{2k+1} = 2 s_{k+1} s_k
-    <U_{k+1}, U_k> - mu_1. The dots are einsum, not BLAS, so their bits do
-    not depend on the BLAS thread count."""
+    of +-T_k z and the moments those of the plain recurrence. Step k has two
+    moments, each one dot: mu_{2k} = 2 |U_k|^2 - mu_0 and mu_{2k+1} = 2
+    s_{k+1} s_k <U_{k+1}, U_k> - mu_1. The dots are einsum, not BLAS, so their
+    bits do not depend on the BLAS thread count."""
     n, width = v.shape
     if v.dtype != np.float64 or not v.flags.c_contiguous or op.shape != (n, n):
         # the accumulate writes through ravel() views, which would be copies,
         # and its native loop does not check the operator's size
         raise ValueError("the probe block must be a C-contiguous float64 (n, width) array")
     v -= basis @ (basis.T @ v)
-    mu = np.empty(2 * k_max + 1)
+    mu = np.zeros(2 * k_max + 1)
     mu[0] = np.einsum("ij,ij->", v, v)
     if not k_max:
         return mu
@@ -237,12 +257,14 @@ def _probe_block_moments(op, basis: np.ndarray, k_max: int, v: np.ndarray) -> np
     mu[1] = np.einsum("ij,ij->", cur, v)
     data = {1: op.data, -1: np.negative(op.data)}
     for k in range(1, k_max + 1):
-        mu[2 * k] = 2 * np.einsum("ij,ij->", cur, cur) - mu[0]
+        if k > exact:
+            mu[2 * k] = 2 * np.einsum("ij,ij->", cur, cur) - mu[0]
         if k == k_max:
             break
         sign = -1 if k % 2 else 1  # s_{k+1} s_k
         csr_matvecs(n, n, width, op.indptr, op.indices, data[sign], cur.ravel(), prev.ravel())
-        mu[2 * k + 1] = 2 * (sign * np.einsum("ij,ij->", prev, cur)) - mu[1]
+        if k >= exact:
+            mu[2 * k + 1] = 2 * (sign * np.einsum("ij,ij->", prev, cur)) - mu[1]
         prev, cur = cur, prev
     return mu
 
@@ -300,34 +322,31 @@ def _heat_traces_estimated(
 
     The exact moments and the probe blocks, PROBE_BLOCK probes at a time as
     the columns of one matrix, run on a thread pool with one worker per
-    usable CPU (the sparse products release the GIL). Blocks are drawn in
-    order from one generator, a block only when a worker is free, and their
-    moments are summed in draw order, so the result is bit-identical for any
-    worker count.
+    usable CPU (the sparse products release the GIL). Every task is
+    submitted at once, and each block's task draws the block itself from its
+    position in the stream of seed (_draw_probe_block), so a block exists
+    only while a worker runs it. The blocks skip the dots of the degrees
+    taken exact, and their moments are summed in draw order, so the result
+    is bit-identical for any worker count.
     """
     lap, deg = _normalized_laplacian_sparse(n, edges)
     basis = _zero_mode_basis(lap, deg)
     op = _chebyshev_operator(lap)
     coef = _heat_coefficients(n, grid)
     k_max = coef.shape[1] // 2
-    rng = np.random.default_rng(seed)
+    steps = 0 if exact_steps is None else min(exact_steps, k_max)  # exact through degree 2 steps
     starts = range(0, probes, PROBE_BLOCK)
-    workers = min(_usable_cpus(), len(starts) + 1)
-    blocks = []
-    running = set()
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        if exact_steps is not None:
-            exact = pool.submit(_exact_moments, op, basis.shape[1], min(exact_steps, k_max))
-            running.add(exact)
-        for start in starts:
-            if len(running) == workers:
-                _, running = wait(running, return_when=FIRST_COMPLETED)
-            v = _draw_probe_block(rng, min(PROBE_BLOCK, probes - start), n)
-            blocks.append(pool.submit(_probe_block_moments, op, basis, k_max, v))
-            running.add(blocks[-1])
+
+    def block(start: int) -> np.ndarray:
+        v = _draw_probe_block(seed, start, min(PROBE_BLOCK, probes - start), n)
+        return _probe_block_moments(op, basis, k_max, v, steps)
+
     mu = np.zeros(coef.shape[1])
-    for block in blocks:
-        mu += block.result()
+    with ThreadPoolExecutor(max_workers=min(_usable_cpus(), len(starts) + 1)) as pool:
+        if exact_steps is not None:
+            exact = pool.submit(_exact_moments, op, basis.shape[1], steps)
+        for moments in pool.map(block, starts):
+            mu += moments
     mu /= probes
     if exact_steps is not None:
         low = exact.result()

@@ -10,10 +10,11 @@ shared columns, and only reading .blocks builds Block objects.
 
 block_unitaries builds the unitaries of many blocks at once. Blocks with the
 same gate structure (width, and each gate's kind and local wires) form one
-stack, and each gate position is one np.matmul over it: the same 2x2 BLAS
-product on each block's own contiguous rows as a one-block product, so each
-matrix has the bits of applying its block's gates one at a time. A CX is a
-row permutation, which is exact.
+stack, and each gate position is one np.matmul over it, of the rows' gate
+matrices gathered from one table: the same 2x2 BLAS product on each block's
+own contiguous rows as a one-block product, so each matrix has the bits of
+applying its block's gates one at a time. A CX is a row permutation, which
+is exact.
 """
 
 import functools
@@ -22,12 +23,9 @@ from itertools import chain, pairwise
 
 import numpy as np
 
-from .circuit import CX_CODE, RX_CODE, RZ_CODE, SX_CODE, X_CODE, Circuit, CircuitColumns, Gate
+from .circuit import CX_CODE, Circuit, CircuitColumns, Gate
 from .circuit import gate_columns, join_columns, offsets, ranges
-from .linalg import CX_ROWS, PAULI_X, SX_MATRIX, rx_matrix, rz_matrix
-
-_FIXED = {X_CODE: PAULI_X, SX_CODE: SX_MATRIX}
-_ROTATIONS = {RZ_CODE: rz_matrix, RX_CODE: rx_matrix}
+from .linalg import CX_ROWS, gate_matrices
 
 
 @dataclass(frozen=True, init=False)
@@ -217,10 +215,13 @@ def block_unitaries(p: BlockPartition) -> dict[int, np.ndarray]:
     (little-endian), as {width: (count, d, d) stack of that width's blocks
     in partition order}.
 
-    Gates are applied one at a time in circuit order, not fused into per-wire
-    runs as in circuit_unitary. These bits are KAK's input and so fix the
-    emitted angles: fusing would move them by rounding and change the
-    encoded QASM for a fixed seed."""
+    The 2x2 matrix of every row comes from one linalg.gate_matrices call,
+    each entry with the bits of its one-angle rotation, and each gate
+    position of a structure group gathers its rows' matrices. Gates are
+    applied one at a time in circuit order, not fused into per-wire runs as
+    in circuit_unitary. These bits are KAK's input and so fix the emitted
+    angles: fusing would move them by rounding and change the encoded QASM
+    for a fixed seed."""
     cols, at, widths = p.rows, p.bounds, p.width
     groups: dict[tuple, list[int]] = {}
     # each row's kind and first local wire: a one-qubit gate's wire or a
@@ -232,6 +233,7 @@ def block_unitaries(p: BlockPartition) -> dict[int, np.ndarray]:
     for w in (1, 2):
         rank[widths == w] = np.arange(np.count_nonzero(widths == w))
         out[w] = np.empty((np.count_nonzero(widths == w), 2**w, 2**w), dtype=complex)
+    mats = gate_matrices(cols.kind, cols.angle)
     for (n, structure), members in groups.items():
         first = at[members]
         u = np.tile(np.eye(2**n, dtype=complex), (len(members), 1, 1))
@@ -240,11 +242,8 @@ def block_unitaries(p: BlockPartition) -> dict[int, np.ndarray]:
             if kind == CX_CODE:
                 u = u[:, CX_ROWS[wire]]
                 continue
-            mat = _FIXED.get(kind)
-            if mat is None:
-                mat = _ROTATIONS[kind](cols.angle[first + pos])[:, None]
             rows = u.reshape(len(members), 2 ** (n - 1 - wire), 2, -1)
-            u = np.matmul(mat, rows).reshape(u.shape)
+            u = np.matmul(mats[first + pos][:, None], rows).reshape(u.shape)
         out[n][rank[members]] = u
     return out
 

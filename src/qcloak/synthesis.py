@@ -32,7 +32,9 @@ each wire's run of emitted gates (linalg.gate_matrices) into one 2x2
 matrix, all runs at once, combines each candidate's runs through its CX row
 permutations, and compares the stacked results with the block unitaries.
 One selection, _select, ranks a stack's candidates from their rows (one
-lexsort, a signature memo keyed by partition.row_keys); each chunk's
+lexsort, a signature memo keyed by partition.row_keys, and the distances of
+all the stack's shortlists as one batch with the bits of netlsd_divergence's
+one-pair distance); each chunk's
 selected candidates are placed on their blocks' qubits by remapping local
 wires, and the chunks' sets join into one fragment set aligned with the
 partition's blocks. No Gate or Block object is built. generate_candidates,
@@ -66,12 +68,13 @@ from .dag import column_dag
 from .kak import DecompositionError, KakStack, KakTerms, kak_decompose_stack
 from .linalg import CX_ROWS, PAULI_X, PAULI_Y, PAULI_Z, equal_up_to_global_phase
 from .linalg import gate_matrices, rx_matrix, ry_matrix, rz_matrix
-from .netlsd import HeatSignature, netlsd_divergence
+from .netlsd import HeatSignature
 from .partition import Block, BlockPartition, block_unitaries, partition_of, row_keys
 
 # imported for perfbench/tracing.py, which wraps these names; not called here
 from .kak import kak_decompose  # noqa: F401
 from .linalg import circuit_unitary  # noqa: F401
+from .netlsd import netlsd_divergence  # noqa: F401
 from .partition import block_unitary  # noqa: F401
 
 RZ_TRIVIAL_TOL = 1e-12
@@ -515,19 +518,25 @@ def _select(cands: Candidates, refs: list, k: int, shortlist: int) -> list[int]:
     """Each block's selected candidate, block j owning candidates j k .. j k
     + k - 1 of cands and refs[j] its memo key: the only one of its shortlist
     (_shortlists), or the shortlisted one most structurally distant from the
-    block (the first of equals)."""
+    block (the first of equals). The distances of all blocks are one batch:
+    the memoized traces of the shortlisted candidates, stacked, less their
+    block's, and one dot per row by np.matmul, which calls the BLAS dot that
+    np.linalg.norm (netlsd_divergence) calls on one pair, so each distance
+    has the bits of that pair's divergence."""
     if shortlist < 1:
         raise ValueError(f"need shortlist >= 1 candidates per block, got {shortlist}")
     kind, owner = cands.rows.kind, cands.owners()
     sx_plus_x = np.bincount(owner[(kind == SX_CODE) | (kind == X_CODE)], minlength=len(cands))
     rz = np.bincount(owner[kind == RZ_CODE], minlength=len(cands))
-    keys, best = cands.keys(), []
-    for kept, ref in zip(_shortlists(sx_plus_x, rz, k, shortlist).tolist(), refs):
-        if len(kept) > 1:
-            sig = _structure_signature(*ref)
-            kept = [max(kept, key=lambda i: netlsd_divergence(_structure_signature(*keys[i]), sig))]
-        best.append(kept[0])
-    return best
+    kept = _shortlists(sx_plus_x, rz, k, shortlist)
+    if kept.shape[1] == 1:
+        return kept[:, 0].tolist()
+    keys = cands.keys()
+    traces = np.stack([_structure_signature(*keys[i]).traces for i in kept.ravel().tolist()])
+    ref = np.stack([_structure_signature(*r).traces for r in refs])
+    diff = traces.reshape(*kept.shape, -1) - ref[:, None]
+    dist = np.sqrt(np.matmul(diff[..., None, :], diff[..., None])[..., 0, 0])
+    return kept[np.arange(len(kept)), np.argmax(dist, axis=1)].tolist()
 
 
 def block_structures(p: BlockPartition) -> list[tuple[int, bytes]]:
@@ -538,11 +547,19 @@ def block_structures(p: BlockPartition) -> list[tuple[int, bytes]]:
 def select_candidate(cands: list[Circuit], original_block: Block, shortlist: int) -> Circuit:
     """Shortlist by fewest SX+X (ties: fewer RZ, then lower index), then pick
     the shortlisted fragment most structurally distant from the source block:
-    _select over the local-wire circuits stacked as Candidates."""
+    _select over the local-wire circuits stacked as Candidates. A candidate
+    on another number of wires than the block, or with a gate outside its
+    local wires 0 .. width - 1, is a ValueError."""
     if not cands:
         raise ValueError("no candidates to select from")
     sizes, width = [c.num_gates for c in cands], np.array([c.num_qubits for c in cands])
     stack = Candidates(join_columns(c.columns for c in cands), offsets(sizes), width)
+    w, q0, q1 = len(original_block.qubits), stack.rows.q0, stack.rows.q1
+    off_wires = width != w
+    off_wires[stack.owners()[(q0 < 0) | (q0 >= w) | (q1 < -1) | (q1 >= w)]] = True
+    if off_wires.any():
+        i = int(np.argmax(off_wires))
+        raise ValueError(f"candidate {i} on {width[i]} qubits is not on the block's {w} local wires")
     ref = block_structures(partition_of(original_block))
     return cands[_select(stack, ref, len(cands), shortlist)[0]]
 

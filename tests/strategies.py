@@ -674,6 +674,24 @@ def per_candidate_generate(b: Block, k: int, seed: int, draws=None) -> list[Circ
     return out
 
 
+def divergence_loop_select(cands, refs, k: int, shortlist: int) -> list[int]:
+    """Reference for synthesis._select: each block's candidates as Circuits,
+    shortlisted by sorting on (SX+X, RZ, index), and the shortlist ranked by
+    one netlsd_divergence call per candidate against the block's memoized
+    signature, max keeping the first of equals."""
+    from qcloak.circuit import gate_counts
+    from qcloak.netlsd import netlsd_divergence
+    from qcloak.synthesis import _structure_signature
+
+    keys, best = cands.keys(), []
+    for j, ref in enumerate(refs):
+        counts = {i: gate_counts(cands.circuit(i)) for i in range(j * k, j * k + k)}
+        kept = sorted(counts, key=lambda i: (counts[i].sx_plus_x, counts[i].rz, i))[:shortlist]
+        sig = _structure_signature(*ref)
+        best.append(max(kept, key=lambda i: netlsd_divergence(_structure_signature(*keys[i]), sig)))
+    return best
+
+
 _CX_ROWS = {(0, 1): (0, 3, 2, 1), (1, 0): (0, 1, 3, 2)}
 _WIRE_ROW_PAIRS = (((0, 1), (2, 3)), ((0, 2), (1, 3)))
 
@@ -1106,6 +1124,50 @@ def negating_block_moments(op, basis: np.ndarray, k_max: int, v: np.ndarray) -> 
     return mu
 
 
+def sequential_probe_blocks(seed: int, probes: int, n: int, width: int):
+    """Reference probe draws: blocks of width Rademacher probes (the last one
+    short) as C-contiguous (n, width) columns, drawn in order from one
+    default_rng(seed), each block by one (width, n) integers call."""
+    rng = np.random.default_rng(seed)
+    for start in range(0, probes, width):
+        w = min(width, probes - start)
+        yield np.ascontiguousarray((rng.integers(0, 2, size=(w, n)) * 2.0 - 1.0).T)
+
+
+def sequential_heat_traces(
+    n: int, edges: np.ndarray, grid: np.ndarray, probes: int, seed: int, exact_steps
+) -> np.ndarray:
+    """Reference heat-trace estimator without a pool: the probe blocks of
+    sequential_probe_blocks in draw order through negating_block_moments,
+    which computes every dot, summed in that order; with exact_steps given,
+    the averages above degree 2 min(exact_steps, K) scaled to the exact
+    degree-0 moment and those up to it replaced by the exact moments."""
+    from qcloak.netlsd import (
+        PROBE_BLOCK,
+        _chebyshev_operator,
+        _exact_moments,
+        _heat_coefficients,
+        _normalized_laplacian_sparse,
+        _zero_mode_basis,
+    )
+
+    lap, deg = _normalized_laplacian_sparse(n, edges)
+    basis = _zero_mode_basis(lap, deg)
+    op = _chebyshev_operator(lap)
+    coef = _heat_coefficients(n, grid)
+    k_max = coef.shape[1] // 2
+    mu = np.zeros(coef.shape[1])
+    for v in sequential_probe_blocks(seed, probes, n, PROBE_BLOCK):
+        mu += negating_block_moments(op, basis, k_max, v)
+    mu /= probes
+    if exact_steps is not None:
+        low = _exact_moments(op, basis.shape[1], min(exact_steps, k_max))
+        if mu[0] > 0:
+            mu[low.size :] *= low[0] / mu[0]
+        mu[: low.size] = low
+    return basis.shape[1] + coef @ mu
+
+
 def four_pass_heat_traces(
     n: int, edges: np.ndarray, grid: np.ndarray, probes: int, seed: int
 ) -> np.ndarray:
@@ -1113,7 +1175,6 @@ def four_pass_heat_traces(
     time, through four_pass_block_moments on the Laplacian."""
     from qcloak.netlsd import (
         PROBE_BLOCK,
-        _draw_probe_block,
         _heat_coefficients,
         _normalized_laplacian_sparse,
         _zero_mode_basis,
@@ -1122,10 +1183,8 @@ def four_pass_heat_traces(
     lap, deg = _normalized_laplacian_sparse(n, edges)
     basis = _zero_mode_basis(lap, deg)
     coef = _heat_coefficients(n, grid)
-    rng = np.random.default_rng(seed)
     mu = np.zeros(coef.shape[1])
-    for start in range(0, probes, PROBE_BLOCK):
-        v = _draw_probe_block(rng, min(PROBE_BLOCK, probes - start), n)
+    for v in sequential_probe_blocks(seed, probes, n, PROBE_BLOCK):
         mu += four_pass_block_moments(lap, basis, coef.shape[1] // 2, v)
     return basis.shape[1] + coef @ mu / probes
 

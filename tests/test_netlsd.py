@@ -40,6 +40,8 @@ from strategies import (
     signature_to_csv,
     four_pass_heat_traces,
     negating_block_moments,
+    sequential_heat_traces,
+    sequential_probe_blocks,
     union_find_zero_mode_basis,
 )
 
@@ -336,7 +338,7 @@ def test_signed_recurrence_matches_the_negating_one_bit_for_bit(dag, width):
     lap, deg = _normalized_laplacian_sparse(n, edges)
     op, basis = _chebyshev_operator(lap), _zero_mode_basis(lap, deg)
     k_max = _heat_coefficients(n, default_grid()).shape[1] // 2
-    v = _draw_probe_block(np.random.default_rng(PROBE_SEED), width, n)
+    v = _draw_probe_block(PROBE_SEED, 0, width, n)
     got = _probe_block_moments(op, basis, k_max, v.copy())
     want = negating_block_moments(op, basis, k_max, v.copy())
     assert np.array_equal(got, want)
@@ -370,7 +372,7 @@ def test_probe_block_moments_rejects_a_block_the_accumulate_cannot_take(block):
     dag = to_dag(gen_qft(3))
     n, edges = dag.num_nodes, _undirected_edges(dag)
     lap, deg = _normalized_laplacian_sparse(n, edges)
-    v = block(_draw_probe_block(np.random.default_rng(PROBE_SEED), 4, n))
+    v = block(_draw_probe_block(PROBE_SEED, 0, 4, n))
     with pytest.raises(ValueError, match="C-contiguous float64"):
         _probe_block_moments(_chebyshev_operator(lap), _zero_mode_basis(lap, deg), 3, v)
 
@@ -388,25 +390,61 @@ def test_probe_block_moments_rejects_a_block_the_accumulate_cannot_take(block):
 def test_pool_matches_sequential_block_loop(circuit):
     # the pool must sum the blocks' moment vectors in draw order, scale the
     # high-degree averages to the exact degree-0 moment, then put the exact
-    # moments in place of the low-degree averages
+    # moments in place of the low-degree averages; the oracle draws the
+    # blocks in order from one generator and computes every dot
     dag = to_dag(circuit)
     n, edges, grid = dag.num_nodes, _undirected_edges(dag), default_grid()
-    lap, deg = _normalized_laplacian_sparse(n, edges)
-    basis = _zero_mode_basis(lap, deg)
-    op = _chebyshev_operator(lap)
-    coef = _heat_coefficients(n, grid)
-    rng = np.random.default_rng(PROBE_SEED)
-    mu = np.zeros(coef.shape[1])
-    for start in range(0, ORACLE_PROBES, PROBE_BLOCK):
-        v = _draw_probe_block(rng, min(PROBE_BLOCK, ORACLE_PROBES - start), n)
-        mu += _probe_block_moments(op, basis, coef.shape[1] // 2, v)
-    mu /= ORACLE_PROBES
-    low = _exact_moments(op, basis.shape[1], EXACT_STEPS)
-    mu[low.size :] *= low[0] / mu[0]
-    mu[: low.size] = low
-    want = basis.shape[1] + coef @ mu
+    want = sequential_heat_traces(n, edges, grid, ORACLE_PROBES, PROBE_SEED, EXACT_STEPS)
     got = _heat_traces_estimated(n, edges, grid, ORACLE_PROBES, PROBE_SEED)
     assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("n", [7, 10])
+@pytest.mark.parametrize("width", [PROBE_BLOCK, 5])
+def test_probe_block_at_its_start_equals_the_sequential_draws(n, width):
+    # odd n with an odd start begins the block in the high half of a PCG64
+    # output; a width of 5 puts odd starts in the stream
+    want = list(sequential_probe_blocks(PROBE_SEED, ORACLE_PROBES, n, width))
+    for j, start in enumerate(range(0, ORACLE_PROBES, width)):
+        got = _draw_probe_block(PROBE_SEED, start, min(width, ORACLE_PROBES - start), n)
+        assert got.flags.c_contiguous and got.dtype == np.float64
+        assert got.tobytes() == want[j].tobytes()
+
+
+def _several_components_dag() -> CircuitDag:
+    # wires 0-1 and 3-4 joined by a CX, wires 2 and 5 on their own
+    return to_dag(Circuit(6, (cx(3, 4), sx(5), cx(0, 1))))
+
+
+@pytest.mark.parametrize(
+    "dag",
+    [
+        pytest.param(_isolated_nodes_dag(), id="isolated_nodes"),
+        pytest.param(_several_components_dag(), id="four_components"),
+        pytest.param(to_dag(_bridged_halves()), id="bridged_random16"),
+    ],
+)
+@pytest.mark.parametrize("exact_steps", [None, 0, 1, 8, 1000], ids=str)
+def test_kept_moments_equal_the_every_dot_oracle_bit_for_bit(dag, exact_steps):
+    # the probes skip the dots of degrees 2 .. 2 min(exact_steps, K), whose
+    # moments the exact ones replace; every moment they keep has the bits
+    # of the oracle that computes every dot, and so does the signature
+    n, edges, grid = dag.num_nodes, _undirected_edges(dag), default_grid()
+    lap, deg = _normalized_laplacian_sparse(n, edges)
+    op, basis = _chebyshev_operator(lap), _zero_mode_basis(lap, deg)
+    k_max = _heat_coefficients(n, grid).shape[1] // 2
+    assert k_max < 1000
+    steps = 0 if exact_steps is None else min(exact_steps, k_max)
+    kept = np.ones(2 * k_max + 1, dtype=bool)
+    kept[2 : 2 * steps + 1] = False
+    for v in sequential_probe_blocks(PROBE_SEED, ORACLE_PROBES, n, PROBE_BLOCK):
+        got = _probe_block_moments(op, basis, k_max, v.copy(), steps)
+        want = negating_block_moments(op, basis, k_max, v.copy())
+        assert got[kept].tobytes() == want[kept].tobytes()
+        assert not got[~kept].any()
+    got = _heat_traces_estimated(n, edges, grid, ORACLE_PROBES, PROBE_SEED, exact_steps)
+    want = sequential_heat_traces(n, edges, grid, ORACLE_PROBES, PROBE_SEED, exact_steps)
+    assert got.tobytes() == want.tobytes()
 
 
 def test_chebyshev_degree_meets_truncation_bound_on_path():

@@ -11,7 +11,7 @@ import qcloak.netlsd
 import qcloak.synthesis
 from qcloak.bench import gen_random_blocks
 from qcloak.circuit import Circuit, CircuitColumns, Gate, GateKind, cx, gate_counts, join_columns
-from qcloak.circuit import rx, rz, sx, x
+from qcloak.circuit import offsets, rx, rz, sx, x
 from qcloak.kak import kak_decompose
 from qcloak.linalg import (
     SX_MATRIX,
@@ -57,6 +57,7 @@ from strategies import (
     circuits,
     class_edge_unitary,
     counting_default_rng,
+    divergence_loop_select,
     dress_angle,
     fragment_unitary,
     fragments_by_order,
@@ -332,6 +333,49 @@ def test_select_candidate_signs_reference_block_once(monkeypatch):
     calls.clear()
     assert select_candidate(cands, b, shortlist) == first
     assert calls == []
+
+
+def test_select_candidate_rejects_a_candidate_off_the_block_wires():
+    # a 4-qubit candidate's wires 2 and 3 would read as local wires 0 and 1
+    b = Block((0, 1), (cx(0, 1), sx(1)), 0)
+    cands = [Circuit(4, (cx(2, 3), sx(3))), Circuit(2, (sx(0), cx(0, 1)))]
+    with pytest.raises(ValueError, match="^candidate 0 on 4 qubits is not on the block's 2 local"):
+        select_candidate(cands, b, 2)
+    one = Block((3,), (sx(3),), 0)
+    with pytest.raises(ValueError, match="^candidate 1 on 2 qubits is not on the block's 1 local"):
+        select_candidate([Circuit(1, (sx(0),)), Circuit(2, (sx(1),))], one, 2)
+
+
+def _stacked(circuits) -> Candidates:
+    sizes = [c.num_gates for c in circuits]
+    cols = join_columns(c.columns for c in circuits)
+    return Candidates(cols, offsets(sizes), np.array([c.num_qubits for c in circuits]))
+
+
+@pytest.mark.parametrize("k, shortlist", [(1, 1), (3, 1), (3, 2), (3, 3), (5, 3), (5, 5), (2, 4)])
+def test_batched_selection_equals_the_divergence_loop(k, shortlist):
+    p = form_blocks(gen_random_blocks(6, 40, seed=2))
+    cands = _checked_candidates(p, k, 7)
+    refs = block_structures(p)
+    got = qcloak.synthesis._select(cands, refs, k, shortlist)
+    assert got == divergence_loop_select(cands, refs, k, shortlist)
+
+
+@pytest.mark.parametrize("shortlist", [2, 6])
+def test_batched_selection_keeps_the_first_of_identical_structures(shortlist):
+    # every candidate appears twice, so every shortlist's most distant
+    # structure ties exactly with its copy; the first of them is kept
+    p = form_blocks(gen_random_blocks(6, 40, seed=2))
+    cands, circuits = _checked_candidates(p, 3, 7), []
+    for j in range(p.num_blocks):
+        block = [cands.circuit(3 * j + i) for i in range(3)]
+        circuits += block + block
+    stack, refs = _stacked(circuits), block_structures(p)
+    got = qcloak.synthesis._select(stack, refs, 6, shortlist)
+    assert got == divergence_loop_select(stack, refs, 6, shortlist)
+    if shortlist == 6:
+        # every candidate is shortlisted, so each block's first copy wins
+        assert all(i % 6 < 3 for i in got)
 
 
 def _memo_signature(c):
