@@ -9,13 +9,14 @@ two-CX conjugations.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.optimize import minimize
 
 from .analysis import make_baseline
-from .circuit import CX_CODE, RX_CODE, RZ_CODE, Circuit, CircuitColumns, Gate, gate_columns
+from .circuit import CX_CODE, RX_CODE, RZ_CODE, Circuit, Gate, gate_columns
 from .circuit import cx, rx, rz, sx, x
 from .distributions import Distribution
 from .obfuscate import decode
@@ -185,6 +186,13 @@ class MaxCutProblem:
     parameters: tuple[float, ...] = ()
 
     def __post_init__(self):
+        # build_qaoa_circuit builds its rows unchecked, so every rule a
+        # Circuit checks holds here: nodes are integers, as qubits are
+        object.__setattr__(self, "num_nodes", operator.index(self.num_nodes))
+        edges = tuple((operator.index(a), operator.index(b)) for a, b in self.edges)
+        object.__setattr__(self, "edges", edges)
+        if self.num_nodes < 1:
+            raise ValueError("need at least one node")
         for a, b in self.edges:
             if a == b:
                 raise ValueError("self-loop edge")
@@ -194,6 +202,9 @@ class MaxCutProblem:
             raise ValueError("need at least one layer")
         if self.parameters and len(self.parameters) != 2 * self.qaoa_layers:
             raise ValueError("need 2p parameters (gammas then betas)")
+        for t in self.parameters:
+            if not math.isfinite(2 * t):  # the circuit's angles are 2 gamma and 2 beta
+                raise ValueError(f"parameter {t} gives a non-finite angle")
 
 
 def ring_problem(
@@ -219,8 +230,9 @@ def cut_values(prob: MaxCutProblem) -> dict[str, int]:
 
 def build_qaoa_circuit(prob: MaxCutProblem) -> Circuit:
     """Uniform superposition, then per layer the cost phase CX RZ(2g) CX per
-    edge and the mixer RX(2b) per node. Built as columns: the gates of _h,
-    cx, rz and rx, without a Gate."""
+    edge and the mixer RX(2b) per node. Built from rows, the gates of _h,
+    cx, rz and rx, without a Gate or a check: MaxCutProblem has checked the
+    nodes, edges and parameters they come from."""
     if not prob.parameters:
         raise ValueError("problem has no bound parameters")
     n, p = prob.num_nodes, prob.qaoa_layers
@@ -241,13 +253,7 @@ def build_qaoa_circuit(prob: MaxCutProblem) -> Circuit:
         q0 += range(n)
         q1 += [-1] * n
         angle += [float(2 * betas[layer])] * n
-    cols = CircuitColumns(
-        np.array(kind, dtype=np.int8),
-        np.array(q0, dtype=np.int64),
-        np.array(q1, dtype=np.int64),
-        np.array(angle, dtype=float),
-    )
-    return Circuit.from_columns(n, cols, tuple(range(n)))
+    return Circuit.from_rows(n, (kind, q0, q1, angle), tuple(range(n)))
 
 
 QAOA_MODES = ("baseline", "corrected", "uncorrected")

@@ -6,11 +6,14 @@ and builds columns, and a block partition is one column set too, its blocks
 row ranges of it (partition.BlockPartition). Gate and Block objects exist
 only at the public edges: a Circuit, Block or BlockPartition built from them
 converts them once, and .gates and .blocks build them from the columns when
-they are read.
+they are read. A circuit is checked once, where it enters (Circuit(...),
+Circuit.from_columns, qasm.parse_qasm): the passes build theirs with the
+unchecked Circuit.from_rows.
 """
 
 import functools
 import math
+import operator
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import NamedTuple
@@ -43,10 +46,9 @@ class Gate:
     angle: float | None = None
 
     def __post_init__(self):
-        qubits = self.qubits
-        if type(qubits) is not tuple:
-            qubits = tuple(qubits)
-            object.__setattr__(self, "qubits", qubits)
+        # qubits are integers: numpy integers become ints, floats raise
+        qubits = tuple(map(operator.index, self.qubits))
+        object.__setattr__(self, "qubits", qubits)
         kind = self.kind
         if type(kind) is not GateKind:
             raise TypeError(f"gate kind must be a GateKind, got {kind!r}")
@@ -98,12 +100,16 @@ class CircuitColumns(NamedTuple):
     angle: np.ndarray
 
     def gates(self, start: int = 0, stop: int | None = None) -> tuple[Gate, ...]:
-        """Rows start:stop as Gates, each built and checked by Gate."""
+        """Rows start:stop as Gates, each built and checked by Gate. NaN is a
+        missing angle, except on RZ and RX, where it is the angle."""
         rows = (col[start:stop].tolist() for col in self)
-        # t != t: NaN, no angle
         return tuple(
             [
-                Gate(KINDS[k], (a,) if b == -1 else (a, b), None if t != t else t)
+                Gate(
+                    KINDS[k],
+                    (a,) if b == -1 else (a, b),
+                    t if t == t or k in (RZ_CODE, RX_CODE) else None,  # t != t: NaN
+                )
                 for k, a, b, t in zip(*rows)
             ]
         )
@@ -120,55 +126,6 @@ def gate_columns(gates) -> CircuitColumns:
     )
 
 
-def _checked_columns(num_qubits: int, cols, gates=None) -> CircuitColumns:
-    """Read-only copies of the columns after the checks Gate and Circuit run
-    on the same gates, with their errors: the first row that breaks a gate
-    rule raises as Gate raises for it, then a non-positive num_qubits, then
-    the first gate outside the qubits. gates, the Gates the columns came
-    from, if given, checked their own rules and name the gate outside (in
-    columns, a CX's target -1 would read as no target)."""
-    kind, q0, q1, angle = (np.asarray(col) for col in cols)
-    if any(col.ndim != 1 or len(col) != len(kind) for col in (kind, q0, q1, angle)):
-        raise ValueError("gate columns must be 1-D and of one length")
-    integral = all(col.dtype.kind in "iu" for col in (kind, q0, q1))
-    if len(kind) and not (integral and angle.dtype.kind == "f"):
-        raise TypeError("kind and qubit columns must be integers, angles floats")
-    kind, q0, q1 = kind.astype(np.int64), q0.astype(np.int64), q1.astype(np.int64)
-    angle = angle.astype(float)
-    is_cx = kind == CX_CODE
-    if gates is None:
-        unknown = (kind < 0) | (kind >= len(KINDS))
-        if unknown.any():
-            raise ValueError(f"unknown gate kind code {kind[np.argmax(unknown)]}")
-        angled = (kind == RZ_CODE) | (kind == RX_CODE)
-        broken = (
-            (is_cx != (q1 != -1))
-            | (is_cx & (q0 == q1))
-            | np.where(angled, ~np.isfinite(angle), ~np.isnan(angle))
-        )
-        if broken.any():
-            _row_gate(kind, q0, q1, angle, int(np.argmax(broken)))  # raises Gate's error
-    if num_qubits < 1:
-        raise ValueError("num_qubits must be positive")
-    outside = (q0 < 0) | (q0 >= num_qubits) | (is_cx & ((q1 < 0) | (q1 >= num_qubits)))
-    if outside.any():
-        i = int(np.argmax(outside))
-        g = _row_gate(kind, q0, q1, angle, i) if gates is None else gates[i]
-        raise ValueError(f"gate {g} acts outside qubits 0..{num_qubits - 1}")
-    out = CircuitColumns(kind.astype(np.int8), q0, q1, angle)
-    for col in out:
-        col.setflags(write=False)
-    return out
-
-
-def _row_gate(kind, q0, q1, angle, i: int) -> Gate:
-    """Row i as a Gate: a row that breaks a gate rule raises Gate's error.
-    NaN is a missing angle, except on RZ and RX, where it is the angle."""
-    k, b, t = int(kind[i]), int(q1[i]), float(angle[i])
-    qubits = (int(q0[i]),) if b == -1 else (int(q0[i]), b)
-    return Gate(KINDS[k], qubits, None if math.isnan(t) and k not in (RZ_CODE, RX_CODE) else t)
-
-
 @dataclass(frozen=True, init=False)
 class Circuit:
     """Ordered gate list over num_qubits wires, stored as read-only columns.
@@ -176,11 +133,15 @@ class Circuit:
     Gate order is execution order. Qubit 0 is the least significant bit of
     every basis-state index and the rightmost character of outcome strings.
 
-    Circuit(n, gates, measured) converts its Gates to columns once;
-    Circuit.from_columns takes columns. Both run the same checks, with the
-    errors Gate and Circuit raise for the same gates. .gates builds the
-    Gates from the columns on its first read and keeps them; equality and
-    hashing compare them.
+    Each rule has one home: Gate checks a gate, Circuit(n, gates, measured)
+    the width, that every gate lies on the qubits and the measured qubits,
+    and converts the Gates to columns once. Circuit.from_columns checks the
+    columns' shape, dtypes and kind codes, then builds each row's Gate and
+    calls Circuit(...), so it raises what they raise. Circuit.from_rows
+    checks nothing: the library builds every circuit it makes from rows that
+    are valid by construction, each input having been checked where it
+    entered. .gates builds the Gates from the columns on its first read and
+    keeps them; equality and hashing compare them.
     """
 
     num_qubits: int
@@ -191,26 +152,51 @@ class Circuit:
     columns: CircuitColumns = field(init=False, repr=False, compare=False)
 
     def __init__(self, num_qubits: int, gates=(), measured_qubits=()):
+        num_qubits = operator.index(num_qubits)
         gates = tuple(gates)
-        self._store(num_qubits, gate_columns(gates), measured_qubits, gates)
-
-    @classmethod
-    def from_columns(cls, num_qubits: int, columns, measured_qubits=()) -> "Circuit":
-        """A circuit whose gates are the rows of columns (a CircuitColumns or
-        any (kind, q0, q1, angle) sequence)."""
-        c = object.__new__(cls)
-        c._store(num_qubits, columns, measured_qubits)
-        return c
-
-    def _store(self, num_qubits: int, columns, measured_qubits, gates=None) -> None:
-        cols = _checked_columns(num_qubits, columns, gates)
-        measured = tuple(measured_qubits)
+        if num_qubits < 1:
+            raise ValueError("num_qubits must be positive")
+        for g in gates:
+            if not all(0 <= q < num_qubits for q in g.qubits):
+                raise ValueError(f"gate {g} acts outside qubits 0..{num_qubits - 1}")
+        measured = tuple(map(operator.index, measured_qubits))
         if len(set(measured)) != len(measured):
             raise ValueError("duplicate measured qubit")
         for q in measured:
             if not 0 <= q < num_qubits:
                 raise ValueError(f"measured qubit {q} out of range")
-        self.__dict__.update(num_qubits=num_qubits, columns=cols, measured_qubits=measured)
+        self.__dict__.update(vars(self.from_rows(num_qubits, gate_columns(gates), measured)))
+
+    @classmethod
+    def from_columns(cls, num_qubits: int, columns, measured_qubits=()) -> "Circuit":
+        """A circuit whose gates are the rows of columns (a CircuitColumns or
+        any (kind, q0, q1, angle) sequence), checked by building each row's
+        Gate and the Circuit of them."""
+        kind, q0, q1, angle = (np.asarray(col) for col in columns)
+        if any(col.ndim != 1 or len(col) != len(kind) for col in (kind, q0, q1, angle)):
+            raise ValueError("gate columns must be 1-D and of one length")
+        integral = all(col.dtype.kind in "iu" for col in (kind, q0, q1))
+        if len(kind) and not (integral and angle.dtype.kind == "f"):
+            raise TypeError("kind and qubit columns must be integers, angles floats")
+        unknown = (kind < 0) | (kind >= len(KINDS))
+        if unknown.any():
+            raise ValueError(f"unknown gate kind code {kind[np.argmax(unknown)]}")
+        return cls(num_qubits, CircuitColumns(kind, q0, q1, angle).gates(), measured_qubits)
+
+    @classmethod
+    def from_rows(cls, num_qubits: int, rows, measured_qubits=()) -> "Circuit":
+        """A circuit whose gates are rows (a CircuitColumns or any (kind, q0,
+        q1, angle) sequence), unchecked: its callers build valid rows. The
+        rows are copied into read-only int8, int64, int64 and float columns."""
+        cols = CircuitColumns(
+            *(np.array(col, dtype=t) for col, t in zip(rows, (np.int8, np.int64, np.int64, float)))
+        )
+        for col in cols:
+            col.setflags(write=False)
+        c = object.__new__(cls)
+        measured = tuple(measured_qubits)
+        c.__dict__.update(num_qubits=num_qubits, columns=cols, measured_qubits=measured)
+        return c
 
     @property
     def num_gates(self) -> int:

@@ -27,10 +27,7 @@ that, rounded down to a power of ten: 1e-6 on every h(t). (The smallest
 single norm measured, 0.03 on a desk DAG, is 1.9e-3 per point.) The probe
 error falls as 1 / sqrt(PROBES), so the bound stays three orders below it
 up to about 1,800 probes (128 x 3.8^2). On 8k-13k nodes it takes K = 33
-recurrence steps where 1e-13 took 44. Against 1e-13, the estimated h(t) of
-the 10k-node encode DAG of gen_random_blocks(128, 300, 1) at seed 3 moved
-by at most 4.3e-9, its divergence from the baseline by 2.8e-15 relative
-and the X-only divergence by 1.5e-14.
+recurrence steps.
 
 The limit was set where the two paths cost the same.
 scripts/netlsd_crossover.py times both on pipeline encodes of
@@ -52,10 +49,7 @@ dense cost grows as n^3. In these sweeps the dense path was faster on no
 DAG above 436 nodes under one BLAS thread and above 323 under two. The
 limit stays where the sweeps that set it found the crossover, when the
 estimator cost 15-35 ms and the dense path was faster on no DAG above 538
-nodes: moving it would move the signatures of the DAGs in between. With the
-series cut at 1e-13 the dense path was faster on none above 599, and the
-limit was 600. No desk DAG of pipeline seeds 0-9 has between 371 and 794
-nodes, so the move to 540 sent none of them to another path. What the
+nodes: moving it would move the signatures of the DAGs in between. What the
 limit allows: a divergence between two signatures moves by at most the sum
 of their error norms over the grid (the triangle inequality). On the desk
 DAGs above the limit (qft8 and add9: the baselines and the encodes at
@@ -129,11 +123,6 @@ def _scaled_adjacency(n: int, edges: np.ndarray):
     return sp.csr_matrix((inv_sqrt[rows] * inv_sqrt[cols], (rows, cols)), shape=(n, n)), deg
 
 
-def _normalized_laplacian_sparse(n: int, edges: np.ndarray):
-    s, deg = _scaled_adjacency(n, edges)
-    return (sp.diags(np.where(deg > 0, 1.0, 0.0)) - s).tocsr(), deg
-
-
 def _heat_traces_dense(n: int, edges: np.ndarray, grid: np.ndarray) -> np.ndarray:
     s, deg = _scaled_adjacency(n, edges)
     # -S, not 0 - S: the entries off the edges are -0.0, and eigvalsh's
@@ -144,12 +133,13 @@ def _heat_traces_dense(n: int, edges: np.ndarray, grid: np.ndarray) -> np.ndarra
     return np.exp(-np.outer(grid, lam)).sum(axis=1)
 
 
-def _zero_mode_basis(lap, deg: np.ndarray) -> np.ndarray:
-    """Orthonormal basis of the 0-eigenspace: D^{1/2} indicators per component,
-    one column per component in order of its smallest node."""
-    count, labels = connected_components(lap, directed=False)
+def _zero_mode_basis(s, deg: np.ndarray) -> np.ndarray:
+    """Orthonormal basis of L's 0-eigenspace, from the scaled adjacency S:
+    D^{1/2} indicators per connected component of S, one column per
+    component in order of its smallest node."""
+    count, labels = connected_components(s, directed=False)
     members = np.split(np.argsort(labels, kind="stable"), np.cumsum(np.bincount(labels))[:-1])
-    basis = np.zeros((lap.shape[0], count))
+    basis = np.zeros((s.shape[0], count))
     for j, nodes in enumerate(members):
         w = np.sqrt(np.maximum(deg[nodes], 1.0))
         basis[nodes, j] = w / np.linalg.norm(w)
@@ -211,10 +201,11 @@ def _heat_coefficients(n: int, grid: np.ndarray) -> np.ndarray:
     return c
 
 
-def _chebyshev_operator(lap):
-    """M = 2 (L - I) in sorted CSR form. On a node with edges the diagonal is an
-    exact 0 and is dropped; an isolated node keeps its -2."""
-    op = 2.0 * (lap - sp.identity(lap.shape[0], format="csr"))
+def _chebyshev_operator(s, deg: np.ndarray):
+    """M = 2 (L - I) in sorted CSR form, from the scaled adjacency S: -2 S off
+    the diagonal. On a node with edges L's diagonal is 1 and M's an exact 0,
+    which is not stored; an isolated node's is -2."""
+    op = (sp.diags(np.where(deg > 0, 0.0, -2.0)) - 2.0 * s).tocsr()
     op.eliminate_zeros()
     op.sort_indices()
     return op
@@ -329,9 +320,9 @@ def _heat_traces_estimated(
     taken exact, and their moments are summed in draw order, so the result
     is bit-identical for any worker count.
     """
-    lap, deg = _normalized_laplacian_sparse(n, edges)
-    basis = _zero_mode_basis(lap, deg)
-    op = _chebyshev_operator(lap)
+    s, deg = _scaled_adjacency(n, edges)
+    basis = _zero_mode_basis(s, deg)
+    op = _chebyshev_operator(s, deg)
     coef = _heat_coefficients(n, grid)
     k_max = coef.shape[1] // 2
     steps = 0 if exact_steps is None else min(exact_steps, k_max)  # exact through degree 2 steps

@@ -89,7 +89,7 @@ def inject_x_end(c: Circuit, seed: int) -> tuple[Circuit, ObfuscationKey]:
     if len(measured) == c.num_qubits:
         measured = ()
     key = ObfuscationKey(mask, seed, measured_qubits=measured)
-    return Circuit.from_columns(c.num_qubits, cols, c.measured_qubits), key
+    return Circuit.from_rows(c.num_qubits, cols, c.measured_qubits), key
 
 
 def inject_rx_pairs(p: BlockPartition, seed: int) -> tuple[BlockPartition, tuple[RxPair, ...]]:

@@ -266,9 +266,11 @@ def reassemble(p: BlockPartition, rows: CircuitColumns, bounds: np.ndarray) -> C
     Gates sharing a slot keep block order, then fragment order. So identity
     replacements reproduce the source circuit exactly and per-wire gate
     order across blocks is always preserved. The placement is array
-    operations over all gates at once, and the output is built from columns:
-    no Gate is built. A fragment set of another length than the blocks, or
-    whose bounds do not run from 0 to its row count, is a ValueError.
+    operations over all gates at once, and the output is built from columns
+    by Circuit.from_rows: no Gate is built and the rows are trusted, not
+    checked (pipeline.certify checks an encode's). A fragment set of another
+    length than the blocks, or whose bounds do not run from 0 to its row
+    count, is a ValueError.
     """
     if len(bounds) != len(p.bounds):
         raise ValueError(f"{len(bounds) - 1} fragments for {p.num_blocks} blocks")
@@ -280,6 +282,4 @@ def reassemble(p: BlockPartition, rows: CircuitColumns, bounds: np.ndarray) -> C
     j = np.arange(len(owner)) - bounds[owner]
     slot = p.slot[p.bounds[owner] + ((j + 1) * ell[owner] - 1) // m[owner]]
     order = np.argsort(slot, kind="stable")
-    return Circuit.from_columns(
-        p.num_qubits, CircuitColumns(*(col[order] for col in rows)), p.measured_qubits
-    )
+    return Circuit.from_rows(p.num_qubits, [col[order] for col in rows], p.measured_qubits)

@@ -110,6 +110,8 @@ class _Parser:
             _, name, size = m.groups()
             if int(size) < 1:
                 raise QasmError(line, f"register {name}[{size}] must have at least one bit")
+            if int(size) > 2**63:  # a qubit index is stored as an int64
+                raise QasmError(line, f"register {name}[{size}] is too large")
             if head == "qreg":
                 if self.qreg_name is not None:
                     raise QasmError(line, "duplicate register declaration")
@@ -197,8 +199,9 @@ def parse_qasm(text: str) -> Circuit:
         p.statement(line, stmt)
     if p.qreg_name is None:
         raise QasmError(1, "missing qreg declaration")
-    columns = tuple(zip(*p.rows)) or ((), (), (), ())
-    return Circuit.from_columns(p.qreg_size, columns, tuple(p.measured))
+    # the statements were checked line by line above
+    rows = tuple(zip(*p.rows)) or ((), (), (), ())
+    return Circuit.from_rows(p.qreg_size, rows, tuple(p.measured))
 
 
 def serialize_qasm(c: Circuit) -> str:

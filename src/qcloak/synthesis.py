@@ -151,7 +151,7 @@ class Candidates:
     def circuit(self, i: int) -> Circuit:
         """Fragment i as a Circuit on its local wires."""
         rows = slice(self.start[i], self.start[i + 1])
-        return Circuit.from_columns(int(self.width[i]), [col[rows] for col in self.rows])
+        return Circuit.from_rows(int(self.width[i]), [col[rows] for col in self.rows])
 
 
 def _trivial(theta: np.ndarray) -> np.ndarray:

@@ -4,6 +4,7 @@ import cmath
 import math
 
 import numpy as np
+import scipy.sparse as sp
 from hypothesis import strategies as st
 from scipy.stats import unitary_group
 
@@ -786,6 +787,14 @@ def gates_on_wires(gates, wires) -> tuple[Gate, ...]:
     return tuple(Gate(g.kind, tuple(wires[q] for q in g.qubits), g.angle) for g in gates)
 
 
+@st.composite
+def blocks(draw):
+    """A Block of 1-12 gates on one of four wire sets, one or two wide."""
+    wires = draw(st.sampled_from([(0,), (2,), (0, 1), (1, 3)]))
+    gates = draw(st.lists(gates_on(len(wires)), min_size=1, max_size=12))
+    return Block(wires, gates_on_wires(gates, wires), draw(st.integers(0, 500)))
+
+
 def gate_bits(c: Circuit | tuple[Gate, ...]) -> list[tuple]:
     """The gates of a circuit or a fragment with each angle's type and exact
     bits, so -0.0 != 0.0."""
@@ -793,6 +802,60 @@ def gate_bits(c: Circuit | tuple[Gate, ...]) -> list[tuple]:
         (g.kind, g.qubits, type(g.angle), None if g.angle is None else float(g.angle).hex())
         for g in (c.gates if isinstance(c, Circuit) else c)
     ]
+
+
+def assert_checks_pass(c: Circuit) -> None:
+    """c, which a library pass built from rows without a check, passes the
+    public checks: Circuit.from_columns accepts its columns and gives the
+    same circuit, and c's columns are read-only, of the canonical dtypes,
+    with the bits of the checked circuit's."""
+    d = Circuit.from_columns(c.num_qubits, c.columns, c.measured_qubits)
+    assert d == c and gate_bits(d) == gate_bits(c)
+    assert type(c.num_qubits) is int and all(type(q) is int for q in c.measured_qubits)
+    for got, want, dtype in zip(c.columns, d.columns, (np.int8, np.int64, np.int64, np.float64)):
+        assert got.dtype == dtype and not got.flags.writeable
+        assert got.tobytes() == want.tobytes()
+
+
+# QASM angle texts: the parser accepts the first six and rejects the rest,
+# which overflow (1e400, a 400-digit multiple of pi) or divide by zero
+QASM_ANGLES = ("0.5", "-pi/4", "2*pi", ".5e-3", "1e-320", "-0.0")
+QASM_BAD_ANGLES = ("1e400", "-1e400", "9" * 400 + "*pi", "pi/0", "pi/0.0")
+
+
+@st.composite
+def qasm_edge_texts(draw):
+    """QASM texts one step either side of the parser's rules, about one
+    choice in eight past the edge: qubit indices at and past the register
+    size, cx with equal operands, non-finite and divide-by-zero angles, a
+    missing creg or one of another size, and gates after a measure."""
+
+    def edge(inside, outside):
+        return draw(outside if draw(st.integers(0, 7)) == 0 else inside)
+
+    n = draw(st.integers(1, 3))
+    index = st.integers(0, n - 1)
+    past = st.sampled_from([n, n + 1])
+    lines = ["OPENQASM 2.0;", f"qreg q[{n}];"]
+    creg = edge(st.just(n), st.sampled_from([None, n + 1] + ([n - 1] if n > 1 else [])))
+    if creg is not None:
+        lines.append(f"creg c[{creg}];")
+    for _ in range(draw(st.integers(0, 6))):
+        op = draw(st.sampled_from(["x", "sx", "rz", "rx", "cx", "measure", "measure all"]))
+        q = edge(index, past)
+        if op in ("x", "sx"):
+            lines.append(f"{op} q[{q}];")
+        elif op in ("rz", "rx"):
+            angle = edge(st.sampled_from(QASM_ANGLES), st.sampled_from(QASM_BAD_ANGLES))
+            lines.append(f"{op}({angle}) q[{q}];")
+        elif op == "cx":
+            t = edge(index.filter(lambda t: t != q) if n > 1 else index, st.just(q))
+            lines.append(f"cx q[{q}],q[{t}];")
+        elif op == "measure":
+            lines.append(f"measure q[{q}] -> c[{edge(st.just(q), st.just(q + 1))}];")
+        else:
+            lines.append("measure q -> c;")
+    return "\n".join(lines) + "\n"
 
 
 def _random_local(rng):
@@ -1004,6 +1067,17 @@ def dense_normalized_laplacian(n: int, edges: np.ndarray) -> np.ndarray:
     return lap
 
 
+def normalized_laplacian_sparse(n: int, edges: np.ndarray):
+    """The symmetric normalized Laplacian L = I' - S in CSR form (I' the
+    identity on the nodes with edges, S the scaled adjacency), and the
+    degrees: the oracle that netlsd's operator, -2 S built straight from S,
+    must equal as 2 (L - I)."""
+    from qcloak.netlsd import _scaled_adjacency
+
+    s, deg = _scaled_adjacency(n, edges)
+    return (sp.diags(np.where(deg > 0, 1.0, 0.0)) - s).tocsr(), deg
+
+
 def union_find_zero_mode_basis(n: int, edges: np.ndarray, deg: np.ndarray) -> np.ndarray:
     """Reference zero-eigenspace basis: components from a union-find over the
     edge list, one D^{1/2} indicator column each, in order of smallest node."""
@@ -1035,10 +1109,8 @@ def reorthogonalized_heat_traces(
     """Reference heat-trace estimator: one probe at a time, Lanczos with full
     reorthogonalization against the probe's whole basis. Same Rademacher
     draws, deflation, breakdown rule and scaling as the blocked estimator."""
-    from qcloak.netlsd import _normalized_laplacian_sparse, _zero_mode_basis
-
-    lap, deg = _normalized_laplacian_sparse(n, edges)
-    basis = _zero_mode_basis(lap, deg)
+    lap, deg = normalized_laplacian_sparse(n, edges)
+    basis = union_find_zero_mode_basis(n, edges, deg)
     n_zero = basis.shape[1]
     rng = np.random.default_rng(seed)
     m = min(steps, n - 1)
@@ -1147,13 +1219,13 @@ def sequential_heat_traces(
         _chebyshev_operator,
         _exact_moments,
         _heat_coefficients,
-        _normalized_laplacian_sparse,
+        _scaled_adjacency,
         _zero_mode_basis,
     )
 
-    lap, deg = _normalized_laplacian_sparse(n, edges)
-    basis = _zero_mode_basis(lap, deg)
-    op = _chebyshev_operator(lap)
+    s, deg = _scaled_adjacency(n, edges)
+    basis = _zero_mode_basis(s, deg)
+    op = _chebyshev_operator(s, deg)
     coef = _heat_coefficients(n, grid)
     k_max = coef.shape[1] // 2
     mu = np.zeros(coef.shape[1])
@@ -1173,15 +1245,10 @@ def four_pass_heat_traces(
 ) -> np.ndarray:
     """Reference heat-trace estimator: the probe blocks in draw order, one at a
     time, through four_pass_block_moments on the Laplacian."""
-    from qcloak.netlsd import (
-        PROBE_BLOCK,
-        _heat_coefficients,
-        _normalized_laplacian_sparse,
-        _zero_mode_basis,
-    )
+    from qcloak.netlsd import PROBE_BLOCK, _heat_coefficients
 
-    lap, deg = _normalized_laplacian_sparse(n, edges)
-    basis = _zero_mode_basis(lap, deg)
+    lap, deg = normalized_laplacian_sparse(n, edges)
+    basis = union_find_zero_mode_basis(n, edges, deg)
     coef = _heat_coefficients(n, grid)
     mu = np.zeros(coef.shape[1])
     for v in sequential_probe_blocks(seed, probes, n, PROBE_BLOCK):

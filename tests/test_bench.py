@@ -117,6 +117,29 @@ def test_maxcut_validation():
         build_qaoa_circuit(MaxCutProblem(3, ((0, 1),)))
 
 
+@pytest.mark.parametrize(
+    "parameters", [(math.inf, 0.5), (0.5, -math.inf), (math.nan, 0.5), (0.5, 1e308)]
+)
+def test_maxcut_rejects_parameters_giving_a_non_finite_angle(parameters):
+    # build_qaoa_circuit builds its rows unchecked, so the problem refuses
+    # every parameter whose angle, twice it, is not finite
+    with pytest.raises(ValueError, match="non-finite angle"):
+        ring_problem(4, 1, parameters)
+
+
+def test_maxcut_nodes_are_integers():
+    # the node numbers become qubits, which build_qaoa_circuit does not check
+    with pytest.raises(TypeError):
+        MaxCutProblem(3, ((0, 1.5),))
+    with pytest.raises(TypeError):
+        MaxCutProblem(3.0, ((0, 1),))
+    with pytest.raises(ValueError, match="at least one node"):
+        MaxCutProblem(0, ())
+    prob = MaxCutProblem(np.int64(3), ((np.int64(0), 2),), parameters=(0.1, 0.2))
+    assert (prob.num_nodes, prob.edges) == (3, ((0, 2),))
+    assert type(prob.num_nodes) is int and all(type(q) is int for q in prob.edges[0])
+
+
 def test_random_blocks_deterministic():
     a = gen_random_blocks(8, 10, seed=5)
     b = gen_random_blocks(8, 10, seed=5)

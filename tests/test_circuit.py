@@ -25,6 +25,8 @@ from qcloak.circuit import (
     x,
 )
 from qcloak.dag import cx_depth, to_dag
+from qcloak.obfuscate import key_from_json, key_to_json
+from qcloak.pipeline import PipelineConfig, encode
 from qcloak.qasm import serialize_qasm
 from strategies import (
     circuits,
@@ -98,6 +100,31 @@ def test_gate_operands_normalised_and_kind_checked():
         Gate("x", (0,))
 
 
+def test_qubits_and_widths_must_be_integers():
+    # numpy integers become ints; a float is a TypeError where it enters,
+    # instead of landing on the qubit it truncates to
+    with pytest.raises(TypeError):
+        Circuit(2, (Gate(GateKind.CX, (0, 0.5)),))
+    with pytest.raises(TypeError):
+        Gate(GateKind.X, (1.5,))
+    with pytest.raises(TypeError):
+        Circuit(3, (cx(0, 1), x(2)), (0, 2.0))
+    with pytest.raises(TypeError):
+        Circuit(2.0, (x(0),))
+    g = Gate(GateKind.CX, (np.int64(2), np.int8(0)))
+    assert g == cx(2, 0) and all(type(q) is int for q in g.qubits)
+    c = Circuit(np.int64(3), (g,), np.array([0, 2]))
+    assert type(c.num_qubits) is int and all(type(q) is int for q in c.measured_qubits)
+    assert c == Circuit(3, (cx(2, 0),), (0, 2))
+
+
+def test_numpy_measured_qubits_give_a_key_json_can_write():
+    c = Circuit(3, (cx(0, 1), x(2)), np.array([0, 2]))
+    enc = encode(c, PipelineConfig(seed=1))
+    assert key_from_json(key_to_json(enc.key)) == enc.key
+    assert enc.key.measured_qubits == (0, 2)
+
+
 def test_angles_stored_verbatim():
     assert rz(7.25, 0).angle == 7.25
     assert rx(-9.0, 0).angle == -9.0
@@ -160,9 +187,19 @@ def edge_angle_circuits(draw):
 @given(edge_angle_circuits())
 def test_gate_and_column_circuits_are_one_circuit(c):
     d = Circuit.from_columns(c.num_qubits, c.columns, c.measured_qubits)
+    # the library's unchecked constructor copies the caller's rows, of any
+    # integer or float type, into columns of the canonical dtypes
+    kind, q0, q1, angle = c.columns
+    rows = [kind.astype(np.int64), q0.astype(np.int32), q1.tolist(), angle.copy()]
+    r = Circuit.from_rows(c.num_qubits, rows, c.measured_qubits)
+    for col in rows:
+        col[:] = [1] * len(col)
+    for col, dtype in zip(r.columns, (np.int8, np.int64, np.int64, np.float64)):
+        assert col.dtype == dtype and not col.flags.writeable
+    assert r == c and gate_bits(r) == gate_bits(c)
     walks = (gate_counts_walk(c), cx_depth_walk(c), sorted(dag_edges_walk(c)))
     # the column reads build no Gate
-    for e in (c, d):
+    for e in (c, d, r):
         n = gate_counts(e)
         edges = sorted(to_dag(e).edges)  # in wire order, not the walk's
         assert ((n.cx, n.sx_plus_x, n.rz, n.rx), cx_depth(e), edges) == walks

@@ -3,6 +3,7 @@ import sys
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from scipy.special import ive
 
 import qcloak.netlsd
@@ -23,8 +24,8 @@ from qcloak.netlsd import (
     _heat_coefficients,
     _heat_traces_dense,
     _heat_traces_estimated,
-    _normalized_laplacian_sparse,
     _probe_block_moments,
+    _scaled_adjacency,
     _undirected_edges,
     _zero_mode_basis,
     circuit_signature,
@@ -40,6 +41,7 @@ from strategies import (
     signature_to_csv,
     four_pass_heat_traces,
     negating_block_moments,
+    normalized_laplacian_sparse,
     sequential_heat_traces,
     sequential_probe_blocks,
     union_find_zero_mode_basis,
@@ -220,9 +222,9 @@ def test_dense_laplacian_matches_the_dense_oracle_bit_for_bit(dag, monkeypatch):
 )
 def test_exact_moments_match_identity_probes_and_eigenvalues(dag):
     n, edges = dag.num_nodes, _undirected_edges(dag)
-    lap, deg = _normalized_laplacian_sparse(n, edges)
-    basis = _zero_mode_basis(lap, deg)
-    op = _chebyshev_operator(lap)
+    s, deg = _scaled_adjacency(n, edges)
+    basis = _zero_mode_basis(s, deg)
+    op = _chebyshev_operator(s, deg)
     count = basis.shape[1]
     got = _exact_moments(op, count, EXACT_STEPS)
     assert got.shape == (2 * EXACT_STEPS + 1,)
@@ -234,6 +236,7 @@ def test_exact_moments_match_identity_probes_and_eigenvalues(dag):
     probed = _probe_block_moments(op, basis, EXACT_STEPS, np.eye(n))
     np.testing.assert_allclose(got, probed, rtol=0, atol=8 * tol)
     # sum_i T_k(lambda_i - 1) over the dense eigenvalues, less the zero modes
+    lap, _ = normalized_laplacian_sparse(n, edges)
     theta = np.arccos(np.clip(np.linalg.eigvalsh(lap.toarray()) - 1, -1, 1))
     k = np.arange(2 * EXACT_STEPS + 1)
     want = np.cos(np.outer(k, theta)).sum(axis=1) - count * (-1.0) ** k
@@ -248,9 +251,9 @@ def test_exact_moments_clip_to_a_short_series():
     coef = _heat_coefficients(n, grid)
     k_max = coef.shape[1] // 2
     assert 0 < k_max < EXACT_STEPS
-    lap, deg = _normalized_laplacian_sparse(n, edges)
-    basis = _zero_mode_basis(lap, deg)
-    want = basis.shape[1] + coef @ _exact_moments(_chebyshev_operator(lap), basis.shape[1], k_max)
+    s, deg = _scaled_adjacency(n, edges)
+    basis = _zero_mode_basis(s, deg)
+    want = basis.shape[1] + coef @ _exact_moments(_chebyshev_operator(s, deg), basis.shape[1], k_max)
     for seed in (PROBE_SEED, PROBE_SEED + 1):
         got = _heat_traces_estimated(n, edges, grid, ORACLE_PROBES, seed)
         assert np.array_equal(got, want)
@@ -335,8 +338,8 @@ def test_signed_recurrence_matches_the_negating_one_bit_for_bit(dag, width):
     # U_k = s_k T_k z: negated operands and sums round to the negated result,
     # so every moment keeps its bits at every degree the series can take
     n, edges = dag.num_nodes, _undirected_edges(dag)
-    lap, deg = _normalized_laplacian_sparse(n, edges)
-    op, basis = _chebyshev_operator(lap), _zero_mode_basis(lap, deg)
+    s, deg = _scaled_adjacency(n, edges)
+    op, basis = _chebyshev_operator(s, deg), _zero_mode_basis(s, deg)
     k_max = _heat_coefficients(n, default_grid()).shape[1] // 2
     v = _draw_probe_block(PROBE_SEED, 0, width, n)
     got = _probe_block_moments(op, basis, k_max, v.copy())
@@ -347,14 +350,37 @@ def test_signed_recurrence_matches_the_negating_one_bit_for_bit(dag, width):
 def test_chebyshev_operator_is_twice_the_shifted_laplacian():
     dag = _isolated_nodes_dag()
     n, edges = dag.num_nodes, _undirected_edges(dag)
-    lap, _ = _normalized_laplacian_sparse(n, edges)
-    op = _chebyshev_operator(lap)
+    s, deg = _scaled_adjacency(n, edges)
+    op = _chebyshev_operator(s, deg)
+    lap, _ = normalized_laplacian_sparse(n, edges)
     assert op.format == "csr" and op.has_sorted_indices
     assert np.array_equal(op.toarray(), 2 * (lap.toarray() - np.eye(n)))
     # no stored zeros: the diagonal is kept only on the isolated nodes 2 and 4
     assert (op.data != 0).all()
     assert op.nnz == 2 * len(edges) + 2
     assert list(op.diagonal()) == [0, 0, -2, 0, -2, 0, 0]
+
+
+@pytest.mark.parametrize(
+    "dag",
+    [
+        pytest.param(_isolated_nodes_dag(), id="isolated_nodes"),
+        pytest.param(to_dag(_bridged_halves()), id="bridged_random16"),
+        pytest.param(to_dag(gen_random_blocks(128, 300, 1)), id="random128"),
+    ],
+)
+def test_chebyshev_operator_has_the_bits_of_the_laplacian_built_one(dag):
+    # -2 S straight from S stores what 2 (L - I) from the Laplacian stores,
+    # entry for entry and bit for bit, so the estimated signatures keep theirs
+    n, edges = dag.num_nodes, _undirected_edges(dag)
+    s, deg = _scaled_adjacency(n, edges)
+    op = _chebyshev_operator(s, deg)
+    lap, _ = normalized_laplacian_sparse(n, edges)
+    want = 2.0 * (lap - sp.identity(n, format="csr"))
+    want.eliminate_zeros()
+    want.sort_indices()
+    for part in ("indptr", "indices", "data"):
+        assert getattr(op, part).tobytes() == getattr(want, part).tobytes()
 
 
 @pytest.mark.parametrize(
@@ -371,10 +397,10 @@ def test_probe_block_moments_rejects_a_block_the_accumulate_cannot_take(block):
     # results, and its native loop would index past a block with fewer rows
     dag = to_dag(gen_qft(3))
     n, edges = dag.num_nodes, _undirected_edges(dag)
-    lap, deg = _normalized_laplacian_sparse(n, edges)
+    s, deg = _scaled_adjacency(n, edges)
     v = block(_draw_probe_block(PROBE_SEED, 0, 4, n))
     with pytest.raises(ValueError, match="C-contiguous float64"):
-        _probe_block_moments(_chebyshev_operator(lap), _zero_mode_basis(lap, deg), 3, v)
+        _probe_block_moments(_chebyshev_operator(s, deg), _zero_mode_basis(s, deg), 3, v)
 
 
 @pytest.mark.parametrize(
@@ -430,8 +456,8 @@ def test_kept_moments_equal_the_every_dot_oracle_bit_for_bit(dag, exact_steps):
     # moments the exact ones replace; every moment they keep has the bits
     # of the oracle that computes every dot, and so does the signature
     n, edges, grid = dag.num_nodes, _undirected_edges(dag), default_grid()
-    lap, deg = _normalized_laplacian_sparse(n, edges)
-    op, basis = _chebyshev_operator(lap), _zero_mode_basis(lap, deg)
+    s, deg = _scaled_adjacency(n, edges)
+    op, basis = _chebyshev_operator(s, deg), _zero_mode_basis(s, deg)
     k_max = _heat_coefficients(n, grid).shape[1] // 2
     assert k_max < 1000
     steps = 0 if exact_steps is None else min(exact_steps, k_max)
@@ -452,9 +478,9 @@ def test_chebyshev_degree_meets_truncation_bound_on_path():
     # as the probe block makes the moments exact traces, with no probe noise
     dag = to_dag(Circuit(1, tuple(rz(0.1, 0) for _ in range(400))))
     n, edges, grid = dag.num_nodes, _undirected_edges(dag), default_grid()
-    lap, deg = _normalized_laplacian_sparse(n, edges)
-    basis = _zero_mode_basis(lap, deg)
-    op = _chebyshev_operator(lap)
+    s, deg = _scaled_adjacency(n, edges)
+    basis = _zero_mode_basis(s, deg)
+    op = _chebyshev_operator(s, deg)
     lam = 1 - np.cos(np.pi * np.arange(n) / (n - 1))
     exact = np.exp(-np.outer(grid, lam)).sum(axis=1)
     coef = _heat_coefficients(n, grid)
@@ -552,9 +578,10 @@ def test_zero_mode_basis_one_column_per_component_in_node_order():
     # wires 0-1 and 3-4 joined by a CX, wires 2 and 5 on their own: four components
     dag = to_dag(Circuit(6, (cx(3, 4), sx(5), cx(0, 1))))
     n, edges = dag.num_nodes, _undirected_edges(dag)
-    lap, deg = _normalized_laplacian_sparse(n, edges)
-    basis = _zero_mode_basis(lap, deg)
+    s, deg = _scaled_adjacency(n, edges)
+    basis = _zero_mode_basis(s, deg)
     assert np.array_equal(basis, union_find_zero_mode_basis(n, edges, deg))
+    lap, _ = normalized_laplacian_sparse(n, edges)
     assert basis.shape == (n, 4)
     np.testing.assert_allclose(basis.T @ basis, np.eye(4), atol=1e-15)
     np.testing.assert_allclose(lap @ basis, 0, atol=1e-15)

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 
 import qcloak.pipeline
 from qcloak import obfuscate, partition
-from qcloak.analysis import make_baseline, tvd
+from qcloak.analysis import compare, make_baseline, tvd
 from qcloak.bench import (
     build_qaoa_circuit,
     desk_benchmarks,
@@ -503,6 +503,53 @@ def _count_blocks(monkeypatch) -> list:
     monkeypatch.setattr(Block, "__init__", init)
     monkeypatch.setattr(Block, "from_rows", from_rows)
     return built
+
+
+def _count_checks(monkeypatch) -> dict:
+    """Calls from now on of the public checks: Gate.__post_init__,
+    Circuit.__init__ and Circuit.from_columns."""
+    calls = dict.fromkeys(("Gate.__post_init__", "Circuit.__init__", "Circuit.from_columns"), 0)
+    real_gate, real_init, real_from_columns = (
+        Gate.__post_init__, Circuit.__init__, Circuit.from_columns.__func__
+    )
+
+    def gate(g):
+        calls["Gate.__post_init__"] += 1
+        real_gate(g)
+
+    def init(c, *args):
+        calls["Circuit.__init__"] += 1
+        real_init(c, *args)
+
+    def from_columns(cls, *args):
+        calls["Circuit.from_columns"] += 1
+        return real_from_columns(cls, *args)
+
+    monkeypatch.setattr(Gate, "__post_init__", gate)
+    monkeypatch.setattr(Circuit, "__init__", init)
+    monkeypatch.setattr(Circuit, "from_columns", classmethod(from_columns))
+    return calls
+
+
+@pytest.mark.parametrize("name", ["add4", "random128"])
+def test_each_circuit_is_checked_where_it_enters(monkeypatch, name):
+    # parse_qasm checks the text line by line; every circuit the passes
+    # build after it, from rows, runs no public check again
+    c = {**desk_benchmarks(), **structural_benchmarks()}[name]
+    text = serialize_qasm(c)
+    calls = _count_checks(monkeypatch)
+    parsed = parse_qasm(text)
+    enc = encode(parsed, PipelineConfig(seed=3))
+    baseline = make_baseline(parsed)
+    report = compare(parsed, PipelineConfig(seed=3), structural_only=True)
+    for out in (enc.circuit, enc.x_injected, baseline):
+        serialize_qasm(out)
+    assert report.cx_delta == 0
+    assert calls == dict.fromkeys(calls, 0)
+    # the counters see the checks: a public constructor runs them
+    Circuit.from_columns(parsed.num_qubits, parsed.columns, parsed.measured_qubits)
+    assert calls["Circuit.from_columns"] == calls["Circuit.__init__"] == 1
+    assert calls["Gate.__post_init__"] == parsed.num_gates
 
 
 def test_encode_and_baseline_build_no_gate_for_an_output_gate(monkeypatch):

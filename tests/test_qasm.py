@@ -83,6 +83,10 @@ def test_parse_errors():
         parse_qasm("qreg q[0];\n")
     with pytest.raises(QasmError, match=r"^line 2: register c\[0\] must have at least one bit$"):
         parse_qasm("qreg q[2];\ncreg c[0];\n")
+    # the largest index of a register of 2**63 qubits still fits the int64 column
+    assert parse_qasm(f"qreg q[{2**63}];\nx q[{2**63 - 1}];\n").columns.q0[0] == 2**63 - 1
+    with pytest.raises(QasmError, match=rf"^line 1: register q\[{2**63 + 1}\] is too large$"):
+        parse_qasm(f"qreg q[{2**63 + 1}];\nx q[{2**63}];\n")
     with pytest.raises(QasmError, match=r"^line 3: measure q -> c: register sizes differ \(2 vs 3\)$"):
         parse_qasm("qreg q[2];\ncreg c[3];\nmeasure q -> c;\n")
     with pytest.raises(QasmError, match=r"^line 3: measure q\[1\] -> c\[0\]: bit i must measure qubit i$"):

@@ -52,6 +52,7 @@ from strategies import (
     CLASS_EDGE_EPS,
     CLASS_EDGES,
     ZERO_MIX_DRAWS,
+    blocks,
     boundary_blocks,
     candidate_draw_rows,
     circuits,
@@ -62,7 +63,6 @@ from strategies import (
     fragment_unitary,
     fragments_by_order,
     gate_bits,
-    gates_on,
     gates_on_wires,
     partition_of_blocks,
     peephole_1q,
@@ -412,13 +412,6 @@ def test_synthesize_block_end_to_end():
     assert equal_up_to_global_phase(circuit_unitary(local), block_unitary(b), 1e-9)
 
 
-@st.composite
-def blocks(draw):
-    wires = draw(st.sampled_from([(0,), (2,), (0, 1), (1, 3)]))
-    gates = draw(st.lists(gates_on(len(wires)), min_size=1, max_size=12))
-    return Block(wires, gates_on_wires(gates, wires), draw(st.integers(0, 500)))
-
-
 @given(blocks(), st.sampled_from([1, 2, 3]), st.integers(0, 2**32 - 1))
 @settings(max_examples=60, deadline=None)
 def test_candidate_memo_key_is_one_read_three_ways(b, k, seed):
@@ -575,8 +568,9 @@ def test_reassembly_builds_one_gate_per_output_gate(monkeypatch):
     # also fills the signature memo
     want = gate_bits(reassemble(p, *synthesize_blocks(p, 3, 2, 5)))
     built = {Gate: 0, Circuit: 0}
-    # Gate checks itself in __post_init__; Circuit(n, gates) converts and
-    # checks its Gates in __init__, which Circuit.from_columns skips
+    # Gate checks itself in __post_init__ and Circuit(n, gates) checks the
+    # circuit in __init__, which Circuit.from_columns calls; the passes build
+    # with Circuit.from_rows, which runs neither
     for cls, hook in ((Gate, "__post_init__"), (Circuit, "__init__")):
 
         def counting(self, *args, cls=cls, real=getattr(cls, hook)):
