@@ -13,7 +13,6 @@ import operator
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .analysis import make_baseline
 from .circuit import CX_CODE, RX_CODE, RZ_CODE, Circuit, Gate, gate_columns
@@ -281,6 +280,8 @@ def run_qaoa_case_study(
     and fresh RX randomness; only corrected mode decodes before computing
     loss = -E[cut]. The loss trace has one entry per circuit evaluation.
     """
+    from scipy.optimize import minimize  # here, so importing qcloak does not load it
+
     if mode not in QAOA_MODES:
         raise ValueError(f"mode must be one of {QAOA_MODES}")
     if prob.num_nodes > 10:

@@ -3,8 +3,8 @@
 Logs go to stderr; stdout carries a single JSON summary per invocation.
 Exit codes: 0 success, 1 parse/validation error, 2 failed internal
 equivalence check during encoding (one block candidate, the structural
-whole-circuit certificate, or the random-stimuli check up to 10 qubits),
-3 I/O error.
+whole-circuit certificate, the random-stimuli check up to 10 qubits, or the
+CX count and CX depth against the baseline), 3 I/O error.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from .bench import (
     run_qaoa_case_study,
 )
 from .circuit import gate_counts
-from .dag import to_dag
+from .dag import cx_depth, to_dag
 from .netlsd import netlsd_divergence, signature_path
 from .obfuscate import decode, key_from_json, key_to_json
 from .pipeline import (
@@ -72,11 +72,16 @@ def cmd_encode(args) -> int:
     enc = encode(circuit, PipelineConfig(seed=args.seed))
     wall = time.perf_counter() - t0
     baseline = make_baseline(circuit)
+    counts_enc, counts_base = gate_counts(enc.circuit), gate_counts(baseline)
+    depth_enc, depth_base = cx_depth(enc.circuit), cx_depth(baseline)
+    if counts_enc.cx != counts_base.cx or depth_enc > depth_base:
+        raise SynthesisEquivalenceError(
+            f"CX budget: the encode has {counts_enc.cx} CX at CX depth {depth_enc}, "
+            f"its baseline {counts_base.cx} at {depth_base}"
+        )
     # the key first: an encoded circuit on disk without its key cannot be decoded
     _write_atomic(args.key, key_to_json(enc.key))
     _write_atomic(args.output, serialize_qasm(enc.circuit))
-    counts_enc = gate_counts(enc.circuit)
-    counts_base = gate_counts(baseline)
     t0 = time.perf_counter()
     # one DAG per circuit, signed once and named by the path it took; the
     # signatures are looked up in netlsd at call time, so tracing sees them
@@ -93,6 +98,8 @@ def cmd_encode(args) -> int:
                 "baseline": counts_base.total,
                 "cx_encoded": counts_enc.cx,
                 "cx_baseline": counts_base.cx,
+                "cx_depth_encoded": depth_enc,
+                "cx_depth_baseline": depth_base,
                 "sx_x_encoded": counts_enc.sx_plus_x,
                 "sx_x_baseline": counts_base.sx_plus_x,
             },

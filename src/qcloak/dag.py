@@ -1,7 +1,7 @@
-"""Wire-dependency DAG over circuit gates and structural depth counters.
-
-Both read a circuit's columns (circuit.CircuitColumns), so neither builds a
-Gate object."""
+"""The per-wire walk over gate lists (wire_order), the wire-dependency DAG
+built on it and structural depth counters. wire_order decides, in one place,
+how the circuit DAG, partition's block boundaries and pipeline's certificate
+walk a gate list wire by wire. All read columns, so none builds a Gate."""
 
 import functools
 from dataclasses import dataclass, field
@@ -44,27 +44,26 @@ def to_dag(c: Circuit) -> CircuitDag:
     return column_dag(c.num_qubits, cols.q0, cols.q1)
 
 
-def incidences(q0: np.ndarray, q1: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The (gate, wire) pairs of gates whose gate i acts on wire q0[i] and,
-    unless q1[i] is -1, on wire q1[i]: gates, then wires."""
+def wire_order(q0: np.ndarray, q1: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Every (gate, wire) incidence of gates whose gate i acts on wire q0[i]
+    and, unless q1[i] is -1, on wire q1[i], ordered by wire and then by gate:
+    the gates, then the wires."""
     two = np.flatnonzero(q1 != -1)
-    return np.concatenate((np.arange(len(q0)), two)), np.concatenate((q0, q1[two]))
+    gate, wire = np.concatenate((np.arange(len(q0)), two)), np.concatenate((q0, q1[two]))
+    order = np.lexsort((gate, wire))
+    return gate[order], wire[order]
 
 
 def column_dag(n: int, q0: np.ndarray, q1: np.ndarray) -> CircuitDag:
     """DAG of n wires whose gate i acts on wire q0[i] and, unless q1[i] is
-    -1, on wire q1[i]; the edges depend on nothing else. They run along each
-    wire in turn, from its source through its gates in order to its sink."""
-    g = len(q0)
-    gate, wire = incidences(q0, q1)
-    w = np.arange(n)
-    wire = np.concatenate((wire, w, w))
-    node = np.concatenate((gate, g + w, g + n + w))
-    rank = np.concatenate((gate, np.full(n, -1), np.full(n, g)))  # source first, sink last
-    order = np.lexsort((rank, wire))
-    node, wire = node[order], wire[order]
-    link = wire[1:] == wire[:-1]
-    edges = np.stack((node[:-1][link], node[1:][link]), axis=1)
+    -1, on wire q1[i]; the edges depend on nothing else. They follow
+    wire_order, each wire's source and sink being one-wire gates before and
+    after the circuit: from its source through its gates in order to its sink."""
+    g, w, none = len(q0), np.arange(n), np.full(n, -1)
+    gate, wire = wire_order(np.concatenate((w, q0, w)), np.concatenate((none, q1, none)))
+    node = np.concatenate((g + w, np.arange(g), g + n + w))[gate]
+    link = np.flatnonzero(wire[1:] == wire[:-1])
+    edges = np.stack((node[link], node[link + 1]), axis=1)
     edges.setflags(write=False)
     d = object.__new__(CircuitDag)
     d.__dict__.update(num_qubits=n, num_gates=g, edge_array=edges)

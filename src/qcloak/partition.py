@@ -25,6 +25,7 @@ import numpy as np
 
 from .circuit import CX_CODE, Circuit, CircuitColumns, Gate
 from .circuit import gate_columns, join_columns, offsets, ranges
+from .dag import wire_order
 from .linalg import CX_ROWS, gate_matrices
 
 
@@ -141,15 +142,13 @@ class BlockPartition:
         return (self.rows.q0 != np.repeat(self.lo, np.diff(self.bounds))).astype(np.int8)
 
     def boundaries(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Each pair of consecutive blocks on a wire, by wire and then order
-        index: the earlier block's position, the later one's and the wire."""
-        two = np.flatnonzero(self.lo != self.hi)
-        owner = np.concatenate((np.arange(self.num_blocks), two))
-        wire = np.concatenate((self.lo, self.hi[two]))
-        by_wire = np.lexsort((self.order[owner], wire))
-        owner, wire = owner[by_wire], wire[by_wire]
+        """Each pair of consecutive blocks on a wire, by wire and then storage
+        order (dag.wire_order over the blocks), which every library partition
+        keeps in order-index order, as pipeline.certify checks: the earlier
+        block's position, the later one's and the wire."""
+        block, wire = wire_order(self.lo, np.where(self.lo != self.hi, self.hi, -1))
         cross = np.flatnonzero(wire[1:] == wire[:-1])
-        return owner[cross], owner[cross + 1], wire[cross]
+        return block[cross], block[cross + 1], wire[cross]
 
     def take(self, idx) -> "BlockPartition":
         """The blocks at idx as a partition: positions, whose rows are

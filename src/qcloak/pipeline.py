@@ -26,7 +26,7 @@ from typing import ClassVar
 import numpy as np
 
 from .circuit import RX_CODE, Circuit, CircuitColumns, group_ranks, offsets
-from .dag import incidences
+from .dag import wire_order
 from .linalg import apply_circuit, equal_up_to_global_phase
 from .netlsd import DEFAULT_POINTS, DEFAULT_T_MAX, DEFAULT_T_MIN
 from .obfuscate import ObfuscationKey, RxPair, inject_rx_pairs, inject_x_end
@@ -77,14 +77,6 @@ def _fail(message: str) -> SynthesisEquivalenceError:
     return SynthesisEquivalenceError(f"certificate: {message}")
 
 
-def _wire_touches(n: int, cols: CircuitColumns):
-    """Every (gate, wire) incidence of the columns ordered by wire, then gate:
-    the gates and wires of the incidences, and each wire's count."""
-    gate, wire = incidences(cols.q0, cols.q1)
-    order = np.lexsort((gate, wire))
-    return gate[order], wire[order], np.bincount(wire, minlength=n)
-
-
 def _match_wires(n: int, got: CircuitColumns, want: CircuitColumns, what: str) -> None:
     """Raise unless got is the concatenation of the rows of want up to a
     reordering that keeps every wire's gate sequence.
@@ -95,8 +87,9 @@ def _match_wires(n: int, got: CircuitColumns, want: CircuitColumns, what: str) -
     and every row must be matched. Equal per-wire sequences with one node
     per CX give the same DAG, and so the same unitary. The message names
     the first gate of got, in order, that fails."""
-    gate, wire, counts = _wire_touches(n, got)
-    rows, _wires, want_counts = _wire_touches(n, want)
+    gate, wire = wire_order(got.q0, got.q1)
+    rows, want_wire = wire_order(want.q0, want.q1)
+    counts, want_counts = (np.bincount(w, minlength=n) for w in (wire, want_wire))
     pos = np.arange(len(gate)) - offsets(counts)[wire]
     has = pos < want_counts[wire]
     match = np.full(len(gate), -1)

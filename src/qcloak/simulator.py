@@ -1,7 +1,7 @@
 """Exact statevector simulation, sampling, and expectation values.
 
 A statevector is a one-column block run through linalg.apply_circuit, the
-same fused-run kernel that builds dense unitaries for the equivalence checks.
+same fused-run kernel that runs the encoder's random-stimuli check.
 
 Little-endian throughout: qubit q is bit q of the basis index; outcome
 strings put qubit 0 rightmost.

@@ -394,8 +394,8 @@ def candidate_unitaries(cands: Candidates) -> dict[tuple[int, int], tuple[np.nda
     Each run's product comes from _run_products. A one-wire fragment's run is
     its unitary; a two-wire fragment starts from the kron product of its
     first runs, and each CX permutes the rows before the kron product of the
-    next runs multiplies them. Rounding differs from linalg.circuit_unitary's,
-    which stays the one kernel whose bits reach an output."""
+    next runs multiplies them. Rounding differs from linalg.apply_circuit's,
+    which stays the one kernel whose bits reach an output (the statevectors)."""
     runs, first, first_cx = _run_products(cands)
     controls = cands.rows.q0[cands.rows.kind == CX_CODE]
     cx_count = np.diff(first) // 2 - 1

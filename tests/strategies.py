@@ -447,6 +447,18 @@ def gate_loop_apply_circuit(u: np.ndarray, c: Circuit) -> np.ndarray:
     return u
 
 
+def gate_walk_edges(c: Circuit) -> list[tuple[int, int]]:
+    """Reference for dag.to_dag's edges, walking c.gates: wire by wire, the
+    wire's source (node g + w), its gates in circuit order, then its sink
+    (node g + n + w), each linked to the next."""
+    g, n = len(c.gates), c.num_qubits
+    edges = []
+    for w in range(n):
+        walk = [g + w] + [i for i, gate in enumerate(c.gates) if w in gate.qubits] + [g + n + w]
+        edges.extend(zip(walk, walk[1:]))
+    return edges
+
+
 def block_boundaries(p: BlockPartition) -> list[tuple[int, int, int]]:
     """(wire, earlier order_index, later order_index) for each block-boundary
     crossing of each wire, in order of wire, then of order_index: the
@@ -912,6 +924,24 @@ def frame_gates(angles, wire: int) -> list[Gate]:
 def inverse_frame_gates(angles, wire: int) -> list[Gate]:
     a, b, c = angles
     return [rz(-c, wire), rx(-b, wire), rz(-a, wire)]
+
+
+def near_identity_circuits(count: int = 60) -> list[Circuit]:
+    """Two-qubit circuits whose one block lies within rounding of the identity
+    class: each draws Weyl coordinates of +-1e-10 from default_rng(0), then a
+    frame per wire, and runs the frames, the canonical gates and the inverse
+    frames, measured on both qubits. Many encodes of them have another CX
+    count than make_baseline (circuit 0 at seed 0: 2 against 3; circuit 7 at
+    seed 2: 3 against 2)."""
+    rng = np.random.default_rng(0)
+    out = []
+    for _ in range(count):
+        coords = rng.choice([-1e-10, 1e-10], 3)
+        frames = [rng.uniform(0, 2 * np.pi, 3) for _ in range(2)]
+        gates = frame_gates(frames[0], 0) + frame_gates(frames[1], 1) + canonical_gates(coords)
+        gates += inverse_frame_gates(frames[0], 0) + inverse_frame_gates(frames[1], 1)
+        out.append(Circuit(2, tuple(gates), (0, 1)))
+    return out
 
 
 # Weyl coordinates on KAK class boundaries and where magic-basis eigenvalues

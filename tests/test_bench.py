@@ -1,8 +1,12 @@
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import qcloak
 from qcloak.bench import (
     QAOA_MODES,
     QAOA_RING4_DESK_PARAMS,
@@ -192,3 +196,12 @@ def test_loss_trace_csv_format():
     assert lines[0] == "iteration,loss,mode"
     assert len(lines) == len(res.losses) + 1
     assert lines[1].startswith("0,") and lines[1].endswith(",baseline")
+
+
+def test_importing_the_cli_does_not_load_the_optimizer():
+    # only run_qaoa_case_study calls scipy.optimize, and it imports it itself
+    src = os.path.dirname(os.path.dirname(qcloak.__file__))
+    code = "import sys, qcloak, qcloak.cli; print('scipy.optimize' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": src}
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert (run.returncode, run.stdout) == (0, "False\n"), run.stderr

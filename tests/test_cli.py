@@ -15,7 +15,7 @@ from qcloak.cli import main
 from qcloak.obfuscate import key_from_json
 from qcloak.qasm import serialize_qasm
 from qcloak.simulator import ideal_distribution
-from strategies import REPORT_CSV_HEADER, REPORT_JSON_KEYS
+from strategies import REPORT_CSV_HEADER, REPORT_JSON_KEYS, near_identity_circuits
 
 
 @pytest.fixture
@@ -33,6 +33,7 @@ def test_encode_decode_round_trip(tmp_path, ghz3_path, capsys):
     payload = json.loads(capsys.readouterr().out)
     assert payload["num_qubits"] == 3
     assert payload["gates"]["cx_encoded"] == payload["gates"]["cx_baseline"]
+    assert payload["gates"]["cx_depth_encoded"] == payload["gates"]["cx_depth_baseline"] == 2
     assert payload["netlsd_vs_baseline"] > 0
     assert payload["netlsd_path"] == {"encoded": "dense", "baseline": "dense"}
     assert payload["netlsd_seconds"] > 0
@@ -213,6 +214,20 @@ def test_exit_code_failed_candidate_check(tmp_path, ghz3_path, capsys, monkeypat
     capsys.readouterr()
     assert rc == 2
     assert not out.exists() and not key.exists()
+
+
+@pytest.mark.parametrize("index, seed", [(0, 0), (7, 2)])
+def test_encode_exits_2_off_the_cx_budget(tmp_path, capsys, caplog, index, seed):
+    # near the identity class, CX-class rounding gives this encode 2 CX
+    # against the baseline's 3 (circuit 0) or 3 against 2 (circuit 7)
+    src = tmp_path / "near_identity.qasm"
+    src.write_text(serialize_qasm(near_identity_circuits()[index]))
+    out, key = tmp_path / "enc.qasm", tmp_path / "key.json"
+    rc = main(["encode", str(src), str(out), str(key), "--seed", str(seed)])
+    assert capsys.readouterr().out == ""
+    assert rc == 2
+    assert not out.exists() and not key.exists()
+    assert "CX budget" in caplog.text
 
 
 def test_exit_code_failed_certificate_at_12_qubits(tmp_path, capsys, monkeypatch):

@@ -2,7 +2,7 @@ from hypothesis import given
 
 from qcloak.circuit import Circuit, GateKind, cx, rz, sx, x
 from qcloak.dag import cx_depth, to_dag
-from strategies import circuits
+from strategies import circuits, gate_walk_edges
 
 
 def test_single_gate_structure():
@@ -41,6 +41,12 @@ def test_gate_degree_equals_arity(c):
         # source of wire w is node ng + w, its sink ng + n + w
         assert indeg[ng + w] == 0 and outdeg[ng + w] == 1
         assert indeg[ng + n + w] == 1 and outdeg[ng + n + w] == 0
+
+
+@given(circuits(max_qubits=5, max_gates=25))
+def test_edges_follow_the_gate_walk_in_order(c):
+    # dag.wire_order orders the edges: wire by wire, source, gates, sink
+    assert to_dag(c).edge_array.tolist() == [list(e) for e in gate_walk_edges(c)]
 
 
 def _cx_depth_reference(c: Circuit) -> int:

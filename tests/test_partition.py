@@ -20,6 +20,7 @@ from qcloak.partition import (
 )
 from qcloak.synthesis import SYNTH_CHUNK, block_structures
 from strategies import (
+    block_boundaries,
     circuits,
     fragment_set,
     partition_of_blocks,
@@ -256,6 +257,14 @@ def test_partition_invariants(c):
             per_wire.setdefault(q, []).append(b.order_index)
     for orders in per_wire.values():
         assert orders == sorted(orders)
+
+
+@given(circuits(max_qubits=5, max_gates=25))
+def test_boundaries_follow_the_block_walk_in_order(c):
+    p = form_blocks(c)
+    earlier, later, wire = p.boundaries()
+    got = zip(wire.tolist(), p.order[earlier].tolist(), p.order[later].tolist())
+    assert list(got) == block_boundaries(p)
 
 
 @given(circuits(max_qubits=5, max_gates=25))
