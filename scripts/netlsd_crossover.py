@@ -3,7 +3,7 @@
 
 For each DAG, the dense path (_heat_traces_dense, one eigvalsh) and the
 estimator (_heat_traces_estimated with the shipped probes and seed) are timed
-on the default grid, the minimum of --repeats calls each, under every BLAS
+on netlsd.GRID, the minimum of --repeats calls each, under every BLAS
 thread count of --threads. The DAGs are pipeline encodes (seed 3) of
 gen_random_blocks(16, b, 1) over a range of block counts b, then the desk
 DAGs that sit near the limit. netlsd.DENSE_NODE_LIMIT is set from this
@@ -57,7 +57,7 @@ def child(repeats: int) -> None:
     sys.path.insert(0, SRC)
     from qcloak import netlsd
 
-    grid = netlsd.default_grid()
+    grid = netlsd.GRID
     for label, d in _dags():
         n, edges = d.num_nodes, netlsd._undirected_edges(d)
         dense = _best_ms(lambda: netlsd._heat_traces_dense(n, edges, grid), repeats)

@@ -85,10 +85,9 @@ def _circuits() -> dict:
 def _signature_digests(name: str, c) -> dict:
     d = to_dag(make_baseline(c))
     edges = netlsd._undirected_edges(d)
-    grid = netlsd.default_grid()
-    dense = netlsd._heat_traces_dense(d.num_nodes, edges, grid)
+    dense = netlsd._heat_traces_dense(d.num_nodes, edges, netlsd.GRID)
     est = netlsd._heat_traces_estimated(
-        d.num_nodes, edges, grid, netlsd.PROBES, netlsd.PROBE_SEED
+        d.num_nodes, edges, netlsd.GRID, netlsd.PROBES, netlsd.PROBE_SEED
     )
     return {f"{name}/dense": _sha(dense.tobytes()), f"{name}/estimated": _sha(est.tobytes())}
 

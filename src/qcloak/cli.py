@@ -117,9 +117,11 @@ def cmd_decode(args) -> int:
     dist = distributions.from_json(_read(args.distribution))
     key = key_from_json(_read(args.key))
     out = decode(dist, key.measured())
+    # the summary first: top() fails on an empty distribution, and then no file is written
+    summary = {"num_bits": out.num_bits, "outcomes": len(out.outcomes), "top": out.top()}
     _write_atomic(args.output, distributions.to_json(out))
     log.info("decoded %s with %s -> %s", args.distribution, args.key, args.output)
-    _emit({"num_bits": out.num_bits, "outcomes": len(out.outcomes), "top": out.top()})
+    _emit(summary)
     return 0
 
 

@@ -1,8 +1,9 @@
 """NetLSD heat-trace signatures of circuit DAGs.
 
 The circuit DAG is symmetrized to an undirected graph; the signature is
-h(t) = trace(exp(-t L)) over a log-spaced grid of timescales, where L is the
-symmetric normalized Laplacian (isolated nodes contribute eigenvalue 0).
+h(t) = trace(exp(-t L)) over GRID, the fixed log-spaced grid of 250
+timescales from 1e-2 to 1e2, where L is the symmetric normalized Laplacian
+(isolated nodes contribute eigenvalue 0).
 Up to DENSE_NODE_LIMIT = 540 nodes, h(t) comes from the dense eigenvalues
 (one eigvalsh, O(n^3)). Above it, h(t) is a Chebyshev series in L - I whose
 moments, the traces of T_k(L - I), are estimated stochastically (Han,
@@ -20,7 +21,7 @@ Signatures are compared by unnormalized Euclidean distance.
 The series is cut where its truncation error is far below the probes'
 error, which sets the estimate's accuracy. With PROBES = 128, the error
 norm of the estimate against the dense eigenvalues, over the 250 points of
-the default grid, averaged at least 0.06 over probe seeds 11-13 on nine
+GRID, averaged at least 0.06 over probe seeds 11-13 on nine
 1.0k- to 10k-node circuit DAGs (_heat_traces_estimated): a per-point RMS
 of 0.06 / sqrt(250) = 3.8e-3. TRUNCATION_BOUND sits three orders below
 that, rounded down to a power of ten: 1e-6 on every h(t). (The smallest
@@ -83,24 +84,15 @@ PROBE_SEED = 11
 EXACT_STEPS = 8  # sparse recurrence steps: exact moments of degree k <= 2 EXACT_STEPS
 PROBE_BLOCK = 16  # probes per block: columns of one sparse-dense product
 TRUNCATION_BOUND = 1e-6  # absolute, on the estimated h(t); see the module docstring
-BESSEL_MEMO_ENTRIES = 64  # column blocks of _bessel_columns; 2 kB a column on the default grid
-DEFAULT_POINTS = 250
-DEFAULT_T_MIN = 1e-2
-DEFAULT_T_MAX = 1e2
+BESSEL_MEMO_ENTRIES = 64  # column blocks of _bessel_columns; 2 kB a column on GRID
+GRID = np.logspace(-2, 2, 250)  # the timescales of every signature; read-only
+GRID.setflags(write=False)
 
 
 @dataclass(frozen=True)
 class HeatSignature:
     timescales: np.ndarray
     traces: np.ndarray
-
-
-def default_grid(
-    t_min: float = DEFAULT_T_MIN,
-    t_max: float = DEFAULT_T_MAX,
-    points: int = DEFAULT_POINTS,
-) -> np.ndarray:
-    return np.logspace(np.log10(t_min), np.log10(t_max), points)
 
 
 def _undirected_edges(d: CircuitDag) -> np.ndarray:
@@ -307,7 +299,7 @@ def _heat_traces_estimated(
     probes, unscaled. The low degrees carry most of h(t) and vary most
     between probes, so the exact values act as a control variate, and the
     error left is the probes' estimate of the high degrees. On nine 1.0k- to
-    10k-node circuit DAGs its norm over the default grid against the dense
+    10k-node circuit DAGs its norm over GRID against the dense
     eigenvalues averages 0.06 to 0.73 over probe seeds 11-13, and is at most
     0.97 (2.3 to 33 and at most 40 with 512 probes and no exact moments).
 
@@ -352,35 +344,28 @@ def signature_path(d: CircuitDag) -> str:
     return "dense" if d.num_nodes <= DENSE_NODE_LIMIT else "estimated"
 
 
-def netlsd_signature(d: CircuitDag, grid: np.ndarray | None = None) -> HeatSignature:
-    grid = default_grid() if grid is None else np.asarray(grid, dtype=float)
-    if grid.ndim != 1 or not grid.size or not np.isfinite(grid).all() or (grid < 0).any():
-        raise ValueError("the timescale grid must be a non-empty 1-D array of finite t >= 0")
+def netlsd_signature(d: CircuitDag) -> HeatSignature:
     n = d.num_nodes
     if n < 1:
         raise ValueError("graph must have at least one node")
     edges = _undirected_edges(d)
     if signature_path(d) == "dense":
-        traces = _heat_traces_dense(n, edges, grid)
+        traces = _heat_traces_dense(n, edges, GRID)
     else:
-        traces = _heat_traces_estimated(n, edges, grid, PROBES, PROBE_SEED)
-    return HeatSignature(grid, traces)
+        traces = _heat_traces_estimated(n, edges, GRID, PROBES, PROBE_SEED)
+    return HeatSignature(GRID, traces)
 
 
-def circuit_signature(c: Circuit, grid: np.ndarray | None = None) -> HeatSignature:
-    return netlsd_signature(to_dag(c), grid)
+def circuit_signature(c: Circuit) -> HeatSignature:
+    return netlsd_signature(to_dag(c))
 
 
-def netlsd_divergence(
-    a: Circuit | HeatSignature,
-    b: Circuit | HeatSignature,
-    grid: np.ndarray | None = None,
-) -> float:
+def netlsd_divergence(a: Circuit | HeatSignature, b: Circuit | HeatSignature) -> float:
     """Distance between heat-trace signatures. Either side may be a signature
     precomputed by circuit_signature, so a side that is compared several
     times is estimated once; both sides must share one timescale grid."""
-    sig_a = a if isinstance(a, HeatSignature) else circuit_signature(a, grid)
-    sig_b = b if isinstance(b, HeatSignature) else circuit_signature(b, grid)
+    sig_a = a if isinstance(a, HeatSignature) else circuit_signature(a)
+    sig_b = b if isinstance(b, HeatSignature) else circuit_signature(b)
     if not np.array_equal(sig_a.timescales, sig_b.timescales):
         raise ValueError("signatures were taken on different timescale grids")
     return float(np.linalg.norm(sig_a.traces - sig_b.traces))

@@ -21,14 +21,12 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, replace
-from typing import ClassVar
 
 import numpy as np
 
 from .circuit import RX_CODE, Circuit, CircuitColumns, group_ranks, offsets
 from .dag import wire_order
 from .linalg import apply_circuit, equal_up_to_global_phase
-from .netlsd import DEFAULT_POINTS, DEFAULT_T_MAX, DEFAULT_T_MIN
 from .obfuscate import ObfuscationKey, RxPair, inject_rx_pairs, inject_x_end
 from .partition import BlockPartition, form_blocks, reassemble
 from .synthesis import synthesize_blocks
@@ -52,11 +50,6 @@ class SynthesisEquivalenceError(RuntimeError):
 @dataclass(frozen=True)
 class PipelineConfig:
     seed: int = 0
-    # The NetLSD timescale grid is fixed (netlsd.default_grid), not a setting:
-    # these read-only names give its bounds to code that builds it from a config.
-    grid_min: ClassVar[float] = DEFAULT_T_MIN
-    grid_max: ClassVar[float] = DEFAULT_T_MAX
-    grid_points: ClassVar[int] = DEFAULT_POINTS
 
 
 @dataclass(frozen=True)

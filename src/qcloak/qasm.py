@@ -96,10 +96,10 @@ class _Parser:
         return idx
 
     def statement(self, line: int, stmt: str):
-        head = stmt.split(None, 1)[0].lower()
+        head = stmt.split(None, 1)[0]
         rest = stmt[len(head):].strip()
 
-        if head == "openqasm":
+        if head == "OPENQASM":
             if rest != "2.0":
                 raise QasmError(line, f"unsupported OPENQASM version '{rest}'")
             return
@@ -135,13 +135,13 @@ class _Parser:
             self.rows.append((_CODES[head], q, -1, math.nan))
             return
         if head.startswith("rz") or head.startswith("rx"):
-            m = re.match(r"^(rz|rx)\s*\(([^)]*)\)\s*(.*)$", stmt, re.IGNORECASE)
+            m = re.match(r"^(rz|rx)\s*\(([^)]*)\)\s*(.*)$", stmt)
             if m is None:
                 raise QasmError(line, f"bad rotation statement '{stmt}'")
             kind, expr, operand = m.groups()
             angle = _parse_angle(expr, line)
             q = self.qubit(operand, line)
-            self.rows.append((_CODES[kind.lower()], q, -1, angle))
+            self.rows.append((_CODES[kind], q, -1, angle))
             return
         if head == "cx":
             operands = rest.split(",")

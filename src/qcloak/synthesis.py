@@ -84,9 +84,7 @@ CANDIDATE_TOL = 1e-9  # each candidate's unitary check, up to global phase
 SYNTH_CHUNK = 256  # blocks per candidate stack; bounds the stack's memory
 DRAW_TAG = 2**63 - 25  # keeps the draw streams apart from the key, RX and retry ones
 DRAW_STRIDE = 9  # uniforms per block on a candidate's stream: 2 mix, 1 Pauli, 6 angles
-SIGNATURE_MEMO_ENTRIES = 1024  # about 2 kB of traces each; the grid is shared
-_GRID = netlsd.default_grid()
-_GRID.setflags(write=False)
+SIGNATURE_MEMO_ENTRIES = 1024  # about 2 kB of traces each; netlsd.GRID is shared
 
 # A segment's Euler run fills the five slots RZ SX RZ SX RZ (circuit's kind
 # codes), an X in the second slot when the middle RZ is trivial; a slot is
@@ -573,16 +571,16 @@ def structure_codes(wire, is_cx) -> np.ndarray:
 
 @functools.lru_cache(maxsize=SIGNATURE_MEMO_ENTRIES)
 def _structure_signature(width: int, structure: bytes) -> HeatSignature:
-    """Heat signature on the default grid of the fragment whose memo key is
-    (width, structure), memoized by it: the DAG's edges, and so the
-    signature, depend on nothing else, never on gate kinds or angles, and an
-    encode meets few distinct structures, so most lookups hit. The returned
-    arrays are read-only and shared."""
+    """Heat signature of the fragment whose memo key is (width, structure),
+    memoized by it: the DAG's edges, and so the signature, depend on nothing
+    else, never on gate kinds or angles, and an encode meets few distinct
+    structures, so most lookups hit. The returned arrays are read-only and
+    shared."""
     code = np.frombuffer(structure, dtype=np.int8).astype(np.int64)
     wire, is_cx = code % 2, code >= 2
     dag = column_dag(width, wire, np.where(is_cx, 1 - wire, -1))
     # Looked up in netlsd at call time, so tracing and tests see each miss.
-    sig = netlsd.netlsd_signature(dag, _GRID)
+    sig = netlsd.netlsd_signature(dag)
     sig.traces.setflags(write=False)
     return sig
 

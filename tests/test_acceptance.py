@@ -24,7 +24,7 @@ from qcloak.circuit import gate_counts
 from qcloak.dag import cx_depth
 from qcloak.kak import kak_decompose, kak_reconstruct
 from qcloak.linalg import circuit_unitary, equal_up_to_global_phase
-from qcloak.netlsd import default_grid, netlsd_divergence
+from qcloak.netlsd import netlsd_divergence
 from qcloak.obfuscate import decode
 from qcloak.partition import form_blocks
 from qcloak.pipeline import PipelineConfig, encode
@@ -146,13 +146,12 @@ def test_criterion_05_cx_budget_and_depth(desk):
 
 
 def test_criterion_06_structural_divergence(desk):
-    grid = default_grid(desk.cfg.grid_min, desk.cfg.grid_max, desk.cfg.grid_points)
     soft = []
     for name, case in desk.cases.items():
         assert len(form_blocks(case.circuit).blocks) >= 2
         x_only = make_baseline(case.enc.x_injected)
-        full = netlsd_divergence(case.enc.circuit, case.baseline, grid)
-        x_div = netlsd_divergence(x_only, case.baseline, grid)
+        full = netlsd_divergence(case.enc.circuit, case.baseline)
+        x_div = netlsd_divergence(x_only, case.baseline)
         assert full > x_div, f"{name}: full {full:.3g} <= X-only {x_div:.3g}"
         if case.circuit.num_qubits >= 9:
             assert full > 1e2, f"{name}: divergence {full:.3g} <= 1e2"

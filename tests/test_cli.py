@@ -387,6 +387,22 @@ def test_wrong_json_shape_is_a_validation_error(tmp_path, capsys, which, payload
     assert not out.exists()
 
 
+def test_decode_of_an_empty_distribution_writes_no_file(tmp_path, capsys, caplog):
+    dist = tmp_path / "counts.json"
+    dist.write_text(json.dumps({"kind": "counts", "num_bits": 2, "outcomes": {}}))
+    key = tmp_path / "key.json"
+    key.write_text(json.dumps(
+        {"version": 1, "num_qubits": 2, "flip_mask": "01", "seed": 0, "rx_pairs": []}
+    ))
+    out = tmp_path / "out.json"
+    rc = main(["decode", str(dist), str(key), str(out)])
+    capsys.readouterr()
+    assert rc == 1
+    assert not out.exists()
+    errors = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
+    assert errors == ["empty distribution has no top outcome"]
+
+
 def test_compare_rejects_zero_sim_cap(tmp_path, ghz3_path, capsys):
     rj = tmp_path / "report.json"
     rc = main(["compare", str(ghz3_path), "--json", str(rj), "--sim-cap", "0"])

@@ -14,10 +14,12 @@ from qcloak.dag import CircuitDag, to_dag
 from qcloak.netlsd import (
     DENSE_NODE_LIMIT,
     EXACT_STEPS,
+    GRID,
     PROBE_BLOCK,
     PROBE_SEED,
     PROBES,
     TRUNCATION_BOUND,
+    HeatSignature,
     _chebyshev_operator,
     _draw_probe_block,
     _exact_moments,
@@ -29,7 +31,6 @@ from qcloak.netlsd import (
     _undirected_edges,
     _zero_mode_basis,
     circuit_signature,
-    default_grid,
     netlsd_divergence,
     netlsd_signature,
     signature_path,
@@ -54,11 +55,18 @@ def estimate_all(monkeypatch):
     monkeypatch.setattr(qcloak.netlsd, "DENSE_NODE_LIMIT", 0)
 
 
-def test_default_grid_shape():
-    g = default_grid()
-    assert len(g) == 250
-    assert np.isclose(g[0], 1e-2) and np.isclose(g[-1], 1e2)
-    assert np.all(np.diff(np.log(g)) > 0)
+def test_grid_is_fixed_and_read_only():
+    assert GRID.tobytes() == np.logspace(-2, 2, 250).tobytes()
+    assert not GRID.flags.writeable
+    with pytest.raises(ValueError):
+        GRID[0] = 1.0
+
+
+@pytest.mark.parametrize("limit", [DENSE_NODE_LIMIT, 0], ids=["dense", "estimated"])
+def test_signature_timescales_are_grid(limit, monkeypatch):
+    monkeypatch.setattr(qcloak.netlsd, "DENSE_NODE_LIMIT", limit)
+    sig = netlsd_signature(to_dag(gen_qft(3)))
+    assert sig.timescales is qcloak.netlsd.GRID
 
 
 def test_empty_circuit_closed_form():
@@ -84,22 +92,6 @@ def test_gate_chain_matches_path_eigenvalues():
     lam = 1 - np.cos(np.pi * np.arange(n_nodes) / (n_nodes - 1))
     want = np.exp(-np.outer(sig.timescales, lam)).sum(axis=1)
     assert np.allclose(sig.traces, want, atol=1e-10)
-
-
-@pytest.mark.parametrize("limit", [DENSE_NODE_LIMIT, 0], ids=["dense", "estimated"])
-@pytest.mark.parametrize(
-    "grid",
-    [
-        pytest.param(np.array([np.nan, 1.0]), id="nan"),
-        pytest.param(np.array([-5.0, 1.0]), id="negative"),
-        pytest.param(np.array([]), id="empty"),
-        pytest.param(np.ones((2, 3)), id="2d"),
-    ],
-)
-def test_signature_rejects_bad_grid(grid, limit, monkeypatch):
-    monkeypatch.setattr(qcloak.netlsd, "DENSE_NODE_LIMIT", limit)
-    with pytest.raises(ValueError, match="timescale grid"):
-        netlsd_signature(to_dag(gen_qft(3)), grid)
 
 
 def test_traces_decrease_to_component_count():
@@ -160,16 +152,15 @@ ORACLE_PROBES = 37  # not a multiple of the block width: the last block is short
 def test_estimated_matches_reorthogonalized_oracle(circuit, monkeypatch):
     assert ORACLE_PROBES % PROBE_BLOCK
     dag = to_dag(circuit)
-    grid = default_grid()
     n, edges = dag.num_nodes, _undirected_edges(dag)
     # the probes' part alone: the oracle takes every moment from the probes
-    want = reorthogonalized_heat_traces(n, edges, grid, ORACLE_PROBES, 60, PROBE_SEED)
-    est = _heat_traces_estimated(n, edges, grid, ORACLE_PROBES, PROBE_SEED, exact_steps=None)
+    want = reorthogonalized_heat_traces(n, edges, GRID, ORACLE_PROBES, 60, PROBE_SEED)
+    est = _heat_traces_estimated(n, edges, GRID, ORACLE_PROBES, PROBE_SEED, exact_steps=None)
     # the shipped series is within its truncation bound of the oracle's
     np.testing.assert_allclose(est, want, rtol=1e-9, atol=TRUNCATION_BOUND)
     # and, cut where truncation is far below rounding, equal to it to 1e-9
     monkeypatch.setattr(qcloak.netlsd, "TRUNCATION_BOUND", 1e-13)
-    est = _heat_traces_estimated(n, edges, grid, ORACLE_PROBES, PROBE_SEED, exact_steps=None)
+    est = _heat_traces_estimated(n, edges, GRID, ORACLE_PROBES, PROBE_SEED, exact_steps=None)
     np.testing.assert_allclose(est, want, rtol=1e-9, atol=0)
 
 
@@ -194,7 +185,7 @@ def test_dense_laplacian_matches_the_dense_oracle_bit_for_bit(dag, monkeypatch):
     # the dense path negates the sparse D^-1/2 A D^-1/2, so its Laplacian must
     # be the all-dense one in every bit, -0.0 off the edges included: the bits
     # of eigvalsh's output, and so of the dense signatures, depend on them
-    n, edges, grid = dag.num_nodes, _undirected_edges(dag), default_grid()
+    n, edges, grid = dag.num_nodes, _undirected_edges(dag), GRID
     eigvalsh, seen = np.linalg.eigvalsh, []
 
     def spy(a):
@@ -247,7 +238,7 @@ def test_exact_moments_clip_to_a_short_series():
     # a grid of small t needs a series shorter than the exact steps: every
     # moment it uses is exact, so the probes change nothing
     dag = to_dag(_bridged_halves())
-    n, edges, grid = dag.num_nodes, _undirected_edges(dag), default_grid(t_max=0.1)
+    n, edges, grid = dag.num_nodes, _undirected_edges(dag), np.logspace(-2, -1, 250)
     coef = _heat_coefficients(n, grid)
     k_max = coef.shape[1] // 2
     assert 0 < k_max < EXACT_STEPS
@@ -316,7 +307,7 @@ def test_estimated_matches_four_pass_oracle(dag):
     # the in-place accumulate on 2 (L - I) against the recurrence on L itself;
     # the two differ only in summation order; the probes' part alone, as the
     # oracle takes every moment from the probes
-    n, edges, grid = dag.num_nodes, _undirected_edges(dag), default_grid()
+    n, edges, grid = dag.num_nodes, _undirected_edges(dag), GRID
     est = _heat_traces_estimated(n, edges, grid, ORACLE_PROBES, PROBE_SEED, exact_steps=None)
     want = four_pass_heat_traces(n, edges, grid, ORACLE_PROBES, PROBE_SEED)
     np.testing.assert_allclose(est, want, rtol=1e-12, atol=0)
@@ -340,7 +331,7 @@ def test_signed_recurrence_matches_the_negating_one_bit_for_bit(dag, width):
     n, edges = dag.num_nodes, _undirected_edges(dag)
     s, deg = _scaled_adjacency(n, edges)
     op, basis = _chebyshev_operator(s, deg), _zero_mode_basis(s, deg)
-    k_max = _heat_coefficients(n, default_grid()).shape[1] // 2
+    k_max = _heat_coefficients(n, GRID).shape[1] // 2
     v = _draw_probe_block(PROBE_SEED, 0, width, n)
     got = _probe_block_moments(op, basis, k_max, v.copy())
     want = negating_block_moments(op, basis, k_max, v.copy())
@@ -419,7 +410,7 @@ def test_pool_matches_sequential_block_loop(circuit):
     # moments in place of the low-degree averages; the oracle draws the
     # blocks in order from one generator and computes every dot
     dag = to_dag(circuit)
-    n, edges, grid = dag.num_nodes, _undirected_edges(dag), default_grid()
+    n, edges, grid = dag.num_nodes, _undirected_edges(dag), GRID
     want = sequential_heat_traces(n, edges, grid, ORACLE_PROBES, PROBE_SEED, EXACT_STEPS)
     got = _heat_traces_estimated(n, edges, grid, ORACLE_PROBES, PROBE_SEED)
     assert np.array_equal(got, want)
@@ -455,7 +446,7 @@ def test_kept_moments_equal_the_every_dot_oracle_bit_for_bit(dag, exact_steps):
     # the probes skip the dots of degrees 2 .. 2 min(exact_steps, K), whose
     # moments the exact ones replace; every moment they keep has the bits
     # of the oracle that computes every dot, and so does the signature
-    n, edges, grid = dag.num_nodes, _undirected_edges(dag), default_grid()
+    n, edges, grid = dag.num_nodes, _undirected_edges(dag), GRID
     s, deg = _scaled_adjacency(n, edges)
     op, basis = _chebyshev_operator(s, deg), _zero_mode_basis(s, deg)
     k_max = _heat_coefficients(n, grid).shape[1] // 2
@@ -477,7 +468,7 @@ def test_chebyshev_degree_meets_truncation_bound_on_path():
     # the 402-node path DAG, eigenvalues 1 - cos(pi j / (n - 1)); the identity
     # as the probe block makes the moments exact traces, with no probe noise
     dag = to_dag(Circuit(1, tuple(rz(0.1, 0) for _ in range(400))))
-    n, edges, grid = dag.num_nodes, _undirected_edges(dag), default_grid()
+    n, edges, grid = dag.num_nodes, _undirected_edges(dag), GRID
     s, deg = _scaled_adjacency(n, edges)
     basis = _zero_mode_basis(s, deg)
     op = _chebyshev_operator(s, deg)
@@ -494,14 +485,14 @@ def test_chebyshev_degree_meets_truncation_bound_on_path():
     assert error(k_max) <= TRUNCATION_BOUND + 64 * np.finfo(float).eps * n
     assert error(k_max // 2) > 1e-7
     # no fixed cap: a longer grid takes more terms
-    assert _heat_coefficients(n, default_grid(t_max=1e3)).shape[1] > coef.shape[1]
+    assert _heat_coefficients(n, np.logspace(-2, 3, 250)).shape[1] > coef.shape[1]
 
 
 def test_truncation_moves_the_estimate_far_less_than_the_probe_error(monkeypatch):
     # 1,385 nodes: the series cut at TRUNCATION_BOUND against one cut at
     # 1e-13, both against the dense eigenvalues
     dag = to_dag(gen_random_blocks(32, 200, 1))
-    n, edges, grid = dag.num_nodes, _undirected_edges(dag), default_grid()
+    n, edges, grid = dag.num_nodes, _undirected_edges(dag), GRID
     dense = _heat_traces_dense(n, edges, grid)
     est = _heat_traces_estimated(n, edges, grid, PROBES, PROBE_SEED)
     k_max = _heat_coefficients(n, grid).shape[1] // 2
@@ -516,16 +507,15 @@ def test_heat_coefficients_memo_keeps_every_bit(sizes):
     # 2 ive(k, t) columns come from a memo that an earlier, larger n may have
     # extended; each result must equal one fresh ive call over all its
     # columns, with the cut K of its own n
-    grid = default_grid()
     widths = {}
     for n in sizes:
         qcloak.netlsd._bessel_columns.cache_clear()
-        widths[n] = _heat_coefficients(n, grid).shape[1]
+        widths[n] = _heat_coefficients(n, GRID).shape[1]
     assert len(set(widths.values())) == len(widths)
     qcloak.netlsd._bessel_columns.cache_clear()
     for n in sizes:
-        coef = _heat_coefficients(n, grid)
-        want = 2 * ive(np.arange(widths[n]), grid[:, None])
+        coef = _heat_coefficients(n, GRID)
+        want = 2 * ive(np.arange(widths[n]), GRID[:, None])
         want[:, 0] /= 2
         want[:, 1::2] *= -1
         assert coef.tobytes() == want.tobytes()
@@ -550,7 +540,7 @@ def test_undirected_edges_match_the_set_reference(dag):
 
 def test_pooled_estimate_repeatable():
     dag = to_dag(_bridged_halves())
-    n, edges, grid = dag.num_nodes, _undirected_edges(dag), default_grid()
+    n, edges, grid = dag.num_nodes, _undirected_edges(dag), GRID
     first = _heat_traces_estimated(n, edges, grid, 5 * PROBE_BLOCK, PROBE_SEED)
     for _ in range(2):
         again = _heat_traces_estimated(n, edges, grid, 5 * PROBE_BLOCK, PROBE_SEED)
@@ -563,10 +553,10 @@ def test_estimate_leaves_no_threads():
 import threading
 from qcloak.bench import gen_random_blocks
 from qcloak.dag import to_dag
-from qcloak.netlsd import PROBE_BLOCK, _heat_traces_estimated, _undirected_edges, default_grid
+from qcloak.netlsd import GRID, PROBE_BLOCK, _heat_traces_estimated, _undirected_edges
 dag = to_dag(gen_random_blocks(8, 40, seed=1))
 before = threading.active_count()
-_heat_traces_estimated(dag.num_nodes, _undirected_edges(dag), default_grid(), 4 * PROBE_BLOCK, 11)
+_heat_traces_estimated(dag.num_nodes, _undirected_edges(dag), GRID, 4 * PROBE_BLOCK, 11)
 print(before, threading.active_count())
 """
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
@@ -602,18 +592,21 @@ def test_divergence_zero_on_self_and_symmetric():
 def test_divergence_accepts_precomputed_signatures():
     a = gen_qft(3)
     b = Circuit(3, (cx(0, 1), cx(1, 2), sx(0)))
-    grid = default_grid(points=40)
-    want = netlsd_divergence(a, b, grid)
-    sig_a, sig_b = circuit_signature(a, grid), circuit_signature(b, grid)
-    assert netlsd_divergence(a, sig_b, grid) == want
-    assert netlsd_divergence(sig_a, b, grid) == want
+    want = netlsd_divergence(a, b)
+    sig_a, sig_b = circuit_signature(a), circuit_signature(b)
+    assert netlsd_divergence(a, sig_b) == want
+    assert netlsd_divergence(sig_a, b) == want
     assert netlsd_divergence(sig_a, sig_b) == want
-    with pytest.raises(ValueError):
-        netlsd_divergence(a, sig_b)
+    # a signature built on another grid is not comparable
+    coarse = HeatSignature(GRID[::2], sig_b.traces[::2])
+    with pytest.raises(ValueError, match="different timescale grids"):
+        netlsd_divergence(a, coarse)
 
 
 def test_signature_csv_format():
-    sig = netlsd_signature(to_dag(Circuit(1, (sx(0),))), grid=np.array([1.0, 10.0]))
+    d = to_dag(Circuit(1, (sx(0),)))
+    t = np.array([1.0, 10.0])
+    sig = HeatSignature(t, _heat_traces_dense(d.num_nodes, _undirected_edges(d), t))
     lines = signature_to_csv(sig).strip().split("\n")
     assert lines[0] == "t,h"
     assert len(lines) == 3

@@ -1,4 +1,5 @@
 import math
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -62,6 +63,30 @@ def test_error_line_numbers():
         parse_qasm("qreg q[2];\ncx q[0],q[1];\nrz(0.5) q[2];\n")
     with pytest.raises(QasmError, match="line 1: missing qreg"):
         parse_qasm("OPENQASM 2.0;\n")
+
+
+@pytest.mark.parametrize(
+    "stmt",
+    [
+        "X q[0];",
+        "SX q[0];",
+        "CX q[0],q[1];",
+        "RZ(pi) q[0];",
+        "Rx(pi) q[0];",
+        "MEASURE q -> c;",
+        "BARRIER q;",
+        'INCLUDE "qelib1.inc";',
+        "openqasm 2.0;",
+        "QREG q[1];",
+    ],
+    ids=lambda stmt: stmt.split()[0],
+)
+def test_keywords_are_case_sensitive(stmt):
+    # OpenQASM 2.0 names are case-sensitive: only the spellings serialize_qasm
+    # writes parse
+    head = stmt.split()[0]
+    with pytest.raises(QasmError, match=rf"^line 3: unknown gate name {re.escape(head)}$"):
+        parse_qasm(f"qreg q[2];\ncreg c[2];\n{stmt}\n")
 
 
 def test_parse_errors():
