@@ -4,62 +4,67 @@ The circuit DAG is symmetrized to an undirected graph; the signature is
 h(t) = trace(exp(-t L)) over GRID, the fixed log-spaced grid of 250
 timescales from 1e-2 to 1e2, where L is the symmetric normalized Laplacian
 (isolated nodes contribute eigenvalue 0).
-Up to DENSE_NODE_LIMIT = 540 nodes, h(t) comes from the dense eigenvalues
+Up to DENSE_NODE_LIMIT = 375 nodes, h(t) comes from the dense eigenvalues
 (one eigvalsh, O(n^3)). Above it, h(t) is a Chebyshev series in L - I whose
 moments, the traces of T_k(L - I), are estimated stochastically (Han,
-Malioutov, Avron & Shin, SISC 2017) from PROBES = 128 Rademacher probes
+Malioutov, Avron & Shin, SISC 2017) from PROBES = 48 Rademacher probes
 drawn from seed PROBE_SEED = 11, PROBE_BLOCK = 16 at a time, each block by
 the task that runs it, from its position in the stream. Each step of the
 probes' recurrence is one sparse product with M = 2 (L - I), accumulated in
 place into the probe block it replaces. The moments of degree k <= 2
-EXACT_STEPS = 16 are computed exactly instead, from sparse matrix powers:
-they carry most of h(t), and the probes estimate them worst. Of these the
-probes compute only mu_0 and mu_1, off which every higher moment is read.
-All five are constants, not settings.
+EXACT_STEPS (EXACT_STEPS = 11, so up to 22) are computed exactly instead,
+from sparse matrix powers: they carry most of h(t), and the probes estimate
+them worst. Of these the probes compute only mu_0 and mu_1, off which every
+higher moment is read. All five are constants, not settings. EXACT_STEPS
+and PROBES are the cheapest pair of a recorded sweep (EXACT_STEPS 8-16,
+PROBES 32-128; BENCH_exact_budget.json) whose mean and max error are no
+greater than those of the pair they replaced on every one of ten 1.0k- to
+10k-node circuit DAGs.
 Signatures are compared by unnormalized Euclidean distance.
 
 The series is cut where its truncation error is far below the probes'
-error, which sets the estimate's accuracy. With PROBES = 128, the error
-norm of the estimate against the dense eigenvalues, over the 250 points of
-GRID, averaged at least 0.06 over probe seeds 11-13 on nine
-1.0k- to 10k-node circuit DAGs (_heat_traces_estimated): a per-point RMS
-of 0.06 / sqrt(250) = 3.8e-3. TRUNCATION_BOUND sits three orders below
-that, rounded down to a power of ten: 1e-6 on every h(t). (The smallest
-single norm measured, 0.03 on a desk DAG, is 1.9e-3 per point.) The probe
-error falls as 1 / sqrt(PROBES), so the bound stays three orders below it
-up to about 1,800 probes (128 x 3.8^2). On 8k-13k nodes it takes K = 33
-recurrence steps.
+error, which sets the estimate's accuracy. The error norm of the estimate
+against the dense eigenvalues, over the 250 points of GRID, averaged 0.038
+to 0.42 over probe seeds 11-13 on those ten DAGs (_heat_traces_estimated),
+and was at most 0.79. The smallest mean, 0.038, is a per-point RMS of 0.038 /
+sqrt(250) = 2.4e-3. TRUNCATION_BOUND sits three orders below that, rounded
+down to a power of ten: 1e-6 on every h(t), 3.4 orders below it. (The
+smallest single norm measured, 0.003 on a desk DAG, is 1.7e-4 per point.)
+The probe error falls as 1 / sqrt(PROBES), so the bound stays three orders
+below it up to about 270 probes (48 x 2.4^2). On 8k-13k nodes it takes
+K = 33 recurrence steps.
 
 The limit was set where the two paths cost the same.
 scripts/netlsd_crossover.py times both on pipeline encodes of
-gen_random_blocks(16, b, 1); on 2 vCPUs, min of 5 calls and of three
-sweeps, milliseconds dense / estimated:
+gen_random_blocks(16, b, 1) and on the desk DAGs near the limit; on 2
+vCPUs, min of 5 calls and of three sweeps, milliseconds dense / estimated:
 
     nodes   1 BLAS thread   2 BLAS threads
-      323      6 / 12          6 /  9
-      436     11 / 12         10 /  9
-      495     14 / 12         13 /  9
-      538     18 / 12         15 / 12
-      556     18 / 13         18 / 11
-      596     22 / 11         22 / 12
-      667     30 / 12         25 / 12
-     1333    236 / 16        140 / 16
+      190      2 /  4          2 /  5
+      323      5 /  5          5 /  5
+      353      6 /  5          6 /  5
+      356      6 /  5          6 /  6     add4 encoded
+      376      7 /  5          7 /  5
+      436      9 /  5          8 /  6
+      538     16 /  6         12 /  6
+      667     26 /  6         22 /  7
+     1333    199 /  8        124 /  8
 
-The estimator's cost is mostly fixed (9-17 ms up to 1.6k nodes) and the
-dense cost grows as n^3. In these sweeps the dense path was faster on no
-DAG above 436 nodes under one BLAS thread and above 323 under two. The
-limit stays where the sweeps that set it found the crossover, when the
-estimator cost 15-35 ms and the dense path was faster on no DAG above 538
-nodes: moving it would move the signatures of the DAGs in between. What the
-limit allows: a divergence between two signatures moves by at most the sum
-of their error norms over the grid (the triangle inequality). On the desk
-DAGs above the limit (qft8 and add9: the baselines and the encodes at
-seeds 0, 3 and 7), those norms are 0.03-0.21. The full divergences of qft8 and add9
-(2.6k-4.2k) move by at most 3.0e-6 relative. A key-only divergence near
-that error floor moves more: qft8's reads 0.399 estimated against 0.324
-exact at seed 3 (0.424 against 0.373 at seed 7), so its full/key-only ratio
-reads 6.7k instead of 8.3k (6.2k instead of 7.1k). add9's, at 20-40, moves
-by at most 2.6e-4 relative.
+The estimator's cost is mostly fixed (4-11 ms up to 1.6k nodes) and the
+dense cost grows as n^3. From 323 to 356 nodes the two are tied (each path
+was the faster in some of the six readings of each DAG); from 376 nodes up
+the estimator was the faster in every reading. The limit sits below that:
+moving it into the tie would gain no time and move the signatures of the
+DAGs in between (add4's encodes, 350-370 nodes). What the limit allows: a
+divergence between two signatures moves by at most the sum of their error
+norms over the grid (the triangle inequality). On the desk DAGs above the
+limit (qft8 and add9: the baselines and the encodes at seeds 0, 3 and 7),
+those norms are 0.003-0.11. The full divergences of qft8 and add9
+(2.6k-4.2k) move by at most 7.1e-7 relative. A key-only divergence near
+that error floor moves more: qft8's reads 0.310 estimated against 0.324
+exact at seed 3 (0.373 on both paths at seed 7), so its full/key-only ratio
+reads 8.6k instead of 8.3k. add9's, at 20-40, moves by at most 1.4e-4
+relative.
 """
 
 from __future__ import annotations
@@ -78,10 +83,10 @@ from scipy.special import ive
 from .circuit import Circuit
 from .dag import CircuitDag, to_dag
 
-DENSE_NODE_LIMIT = 540  # the dense/estimated cost crossover; see the module docstring
-PROBES = 128
+DENSE_NODE_LIMIT = 375  # the dense/estimated cost crossover; see the module docstring
+PROBES = 48
 PROBE_SEED = 11
-EXACT_STEPS = 8  # sparse recurrence steps: exact moments of degree k <= 2 EXACT_STEPS
+EXACT_STEPS = 11  # sparse recurrence steps: exact moments of degree k <= 2 EXACT_STEPS
 PROBE_BLOCK = 16  # probes per block: columns of one sparse-dense product
 TRUNCATION_BOUND = 1e-6  # absolute, on the estimated h(t); see the module docstring
 BESSEL_MEMO_ENTRIES = 64  # column blocks of _bessel_columns; 2 kB a column on GRID
@@ -298,10 +303,11 @@ def _heat_traces_estimated(
     such as disjoint edges); exact_steps=None takes every moment from the
     probes, unscaled. The low degrees carry most of h(t) and vary most
     between probes, so the exact values act as a control variate, and the
-    error left is the probes' estimate of the high degrees. On nine 1.0k- to
-    10k-node circuit DAGs its norm over GRID against the dense
-    eigenvalues averages 0.06 to 0.73 over probe seeds 11-13, and is at most
-    0.97 (2.3 to 33 and at most 40 with 512 probes and no exact moments).
+    error left is the probes' estimate of the high degrees. On the ten 1.0k-
+    to 10k-node circuit DAGs of the module docstring its norm over GRID
+    against the dense eigenvalues averages 0.038 to 0.42 over probe seeds
+    11-13, and is at most 0.79 (on nine such DAGs, 2.3 to 33 and at most 40
+    with 512 probes and no exact moments).
 
     The exact moments and the probe blocks, PROBE_BLOCK probes at a time as
     the columns of one matrix, run on a thread pool with one worker per

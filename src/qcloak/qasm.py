@@ -17,10 +17,10 @@ from .circuit import CX_CODE, KINDS, RX_CODE, RZ_CODE, Circuit
 
 _CODES = {kind.value: code for code, kind in enumerate(KINDS)}
 
-_FLOAT_RE = re.compile(r"^[+-]?(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?$")
-_PI_RE = re.compile(r"^([+-])?(?:(\d+\.?\d*|\.\d+)\s*\*\s*)?pi(?:\s*/\s*(\d+\.?\d*|\.\d+))?$")
-_REG_RE = re.compile(r"^(qreg|creg)\s+([A-Za-z_][A-Za-z0-9_]*)\s*\[\s*(\d+)\s*\]$")
-_OPERAND_RE = re.compile(r"^([A-Za-z_][A-Za-z0-9_]*)\s*(?:\[\s*(\d+)\s*\])?$")
+_FLOAT_RE = re.compile(r"^[+-]?(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?$", re.ASCII)
+_PI_RE = re.compile(r"^([+-])?(?:(\d+\.?\d*|\.\d+)\s*\*\s*)?pi(?:\s*/\s*(\d+\.?\d*|\.\d+))?$", re.ASCII)
+_REG_RE = re.compile(r"^(qreg|creg)\s+([A-Za-z_][A-Za-z0-9_]*)\s*\[\s*(\d+)\s*\]$", re.ASCII)
+_OPERAND_RE = re.compile(r"^([A-Za-z_][A-Za-z0-9_]*)\s*(?:\[\s*(\d+)\s*\])?$", re.ASCII)
 _COMMENT_RE = re.compile(r"//[^\n]*")
 
 
@@ -135,7 +135,7 @@ class _Parser:
             self.rows.append((_CODES[head], q, -1, math.nan))
             return
         if head.startswith("rz") or head.startswith("rx"):
-            m = re.match(r"^(rz|rx)\s*\(([^)]*)\)\s*(.*)$", stmt)
+            m = re.match(r"^(rz|rx)\s*\(([^)]*)\)\s*(.*)$", stmt, re.ASCII)
             if m is None:
                 raise QasmError(line, f"bad rotation statement '{stmt}'")
             kind, expr, operand = m.groups()

@@ -118,6 +118,27 @@ def test_parse_errors():
         parse_qasm("qreg q[2];\ncreg c[2];\nmeasure q[1] -> c[0];\n")
 
 
+@pytest.mark.parametrize(
+    "text, line",
+    [
+        pytest.param("qreg q[٣];\n", 1, id="arabic-indic-register-size"),
+        pytest.param("qreg q[３];\n", 1, id="fullwidth-register-size"),
+        pytest.param("qreg q[3];\nx q[١];\n", 2, id="qubit-index"),
+        pytest.param("qreg q[3];\nrz(1.5) q[١];\n", 2, id="rotation-operand"),
+        pytest.param("qreg q[3];\nrz(١.٥) q[1];\n", 2, id="decimal-angle"),
+        pytest.param("qreg q[1];\nrx(1e٣) q[0];\n", 2, id="exponent"),
+        pytest.param("qreg q[1];\nrz(٢*pi) q[0];\n", 2, id="pi-multiple"),
+        pytest.param("qreg q[1];\nrz(pi/٢) q[0];\n", 2, id="pi-divisor"),
+        pytest.param("qreg q[2];\ncreg c[2];\nmeasure q[١] -> c[١];\n", 3, id="measure"),
+    ],
+)
+def test_non_ascii_digits_are_rejected(text, line):
+    # OpenQASM 2.0's grammar is ASCII, though Python's \d, int() and float()
+    # read any Unicode decimal digit
+    with pytest.raises(QasmError, match=rf"^line {line}: "):
+        parse_qasm(text)
+
+
 HEAD2 = "qreg q[2];\ncreg c[2];\n"
 
 
