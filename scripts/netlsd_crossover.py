@@ -64,12 +64,11 @@ def child(repeats: int) -> None:
 
     from qcloak import netlsd
 
-    grid = netlsd.GRID
     for label, d in _dags():
         n, edges = d.num_nodes, netlsd._undirected_edges(d)
-        dense, want = _best_ms(lambda: netlsd._heat_traces_dense(n, edges, grid), repeats)
+        dense, want = _best_ms(lambda: netlsd._heat_traces_dense(n, edges), repeats)
         est, got = _best_ms(
-            lambda: netlsd._heat_traces_estimated(n, edges, grid, netlsd.PROBES, netlsd.PROBE_SEED),
+            lambda: netlsd._heat_traces_estimated(n, edges, netlsd.PROBES, netlsd.PROBE_SEED),
             repeats,
         )
         print(f"{label}\t{n}\t{dense:.1f}\t{est:.1f}\t{np.linalg.norm(got - want):.4f}", flush=True)

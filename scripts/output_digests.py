@@ -85,10 +85,8 @@ def _circuits() -> dict:
 def _signature_digests(name: str, c) -> dict:
     d = to_dag(make_baseline(c))
     edges = netlsd._undirected_edges(d)
-    dense = netlsd._heat_traces_dense(d.num_nodes, edges, netlsd.GRID)
-    est = netlsd._heat_traces_estimated(
-        d.num_nodes, edges, netlsd.GRID, netlsd.PROBES, netlsd.PROBE_SEED
-    )
+    dense = netlsd._heat_traces_dense(d.num_nodes, edges)
+    est = netlsd._heat_traces_estimated(d.num_nodes, edges, netlsd.PROBES, netlsd.PROBE_SEED)
     return {f"{name}/dense": _sha(dense.tobytes()), f"{name}/estimated": _sha(est.tobytes())}
 
 
@@ -124,7 +122,7 @@ def digests() -> dict:
     }
     for name, c in dispatched.items():
         assert netlsd.signature_path(to_dag(c)) == "estimated", name
-        est = netlsd.circuit_signature(c).traces
+        est = netlsd.circuit_signature(c)
         out[f"signature/{name}/estimated"] = _sha(est.tobytes())
     return out
 

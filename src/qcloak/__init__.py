@@ -12,7 +12,7 @@ from .circuit import Circuit, Gate, GateKind, cx, gate_counts, rx, rz, sx, x
 from .dag import CircuitDag, cx_depth, to_dag
 from .distributions import Distribution
 from .kak import KakTerms, kak_decompose, kak_reconstruct
-from .netlsd import HeatSignature, circuit_signature, netlsd_divergence, netlsd_signature
+from .netlsd import circuit_signature, netlsd_divergence, netlsd_signature
 from .obfuscate import (
     ObfuscationKey,
     RxPair,
@@ -51,7 +51,6 @@ __all__ = [
     "EncodeResult",
     "Gate",
     "GateKind",
-    "HeatSignature",
     "KakTerms",
     "ObfuscationKey",
     "PipelineConfig",

@@ -1,9 +1,10 @@
 """NetLSD heat-trace signatures of circuit DAGs.
 
 The circuit DAG is symmetrized to an undirected graph; the signature is
-h(t) = trace(exp(-t L)) over GRID, the fixed log-spaced grid of 250
-timescales from 1e-2 to 1e2, where L is the symmetric normalized Laplacian
-(isolated nodes contribute eigenvalue 0).
+h(t) = trace(exp(-t L)) at each t of GRID, the fixed log-spaced grid of 250
+timescales from 1e-2 to 1e2, as a read-only float64 array of GRID's shape,
+where L is the symmetric normalized Laplacian (isolated nodes contribute
+eigenvalue 0).
 Up to DENSE_NODE_LIMIT = 375 nodes, h(t) comes from the dense eigenvalues
 (one eigvalsh, O(n^3)). Above it, h(t) is a Chebyshev series in L - I whose
 moments, the traces of T_k(L - I), are estimated stochastically (Han,
@@ -72,7 +73,6 @@ from __future__ import annotations
 import functools
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -89,15 +89,8 @@ PROBE_SEED = 11
 EXACT_STEPS = 11  # sparse recurrence steps: exact moments of degree k <= 2 EXACT_STEPS
 PROBE_BLOCK = 16  # probes per block: columns of one sparse-dense product
 TRUNCATION_BOUND = 1e-6  # absolute, on the estimated h(t); see the module docstring
-BESSEL_MEMO_ENTRIES = 64  # column blocks of _bessel_columns; 2 kB a column on GRID
 GRID = np.logspace(-2, 2, 250)  # the timescales of every signature; read-only
 GRID.setflags(write=False)
-
-
-@dataclass(frozen=True)
-class HeatSignature:
-    timescales: np.ndarray
-    traces: np.ndarray
 
 
 def _undirected_edges(d: CircuitDag) -> np.ndarray:
@@ -120,14 +113,14 @@ def _scaled_adjacency(n: int, edges: np.ndarray):
     return sp.csr_matrix((inv_sqrt[rows] * inv_sqrt[cols], (rows, cols)), shape=(n, n)), deg
 
 
-def _heat_traces_dense(n: int, edges: np.ndarray, grid: np.ndarray) -> np.ndarray:
+def _heat_traces_dense(n: int, edges: np.ndarray) -> np.ndarray:
     s, deg = _scaled_adjacency(n, edges)
     # -S, not 0 - S: the entries off the edges are -0.0, and eigvalsh's
     # output bits depend on those signs
     lap = -s.toarray()
     np.fill_diagonal(lap, np.where(deg > 0, 1.0, 0.0))
     lam = np.linalg.eigvalsh(lap)
-    return np.exp(-np.outer(grid, lam)).sum(axis=1)
+    return np.exp(-np.outer(GRID, lam)).sum(axis=1)
 
 
 def _zero_mode_basis(s, deg: np.ndarray) -> np.ndarray:
@@ -163,34 +156,34 @@ def _draw_probe_block(seed: int, start: int, width: int, n: int) -> np.ndarray:
     return np.ascontiguousarray((rng.integers(0, 2, size=(width, n)) * 2.0 - 1.0).T)
 
 
-@functools.lru_cache(maxsize=BESSEL_MEMO_ENTRIES)
-def _bessel_columns(grid_bytes: bytes, first: int, stop: int) -> np.ndarray:
-    """Read-only 2 ive(k, t) for first <= k < stop, one row per t of the
-    float64 grid whose bytes are grid_bytes. ive is elementwise, so each
-    entry has the bits of computing it alone."""
-    cols = 2 * ive(np.arange(first, stop), np.frombuffer(grid_bytes)[:, None])
+@functools.cache
+def _bessel_columns(first: int, stop: int) -> np.ndarray:
+    """Read-only 2 ive(k, t) for first <= k < stop, one row per t of GRID.
+    ive is elementwise, so each entry has the bits of computing it alone.
+    _heat_coefficients asks for one fixed sequence of ranges, each doubling
+    the columns, so the cache holds four entries up to n = 10^8."""
+    cols = 2 * ive(np.arange(first, stop), GRID[:, None])
     cols.setflags(write=False)
     return cols
 
 
-def _heat_coefficients(n: int, grid: np.ndarray) -> np.ndarray:
+def _heat_coefficients(n: int) -> np.ndarray:
     """Chebyshev coefficients c_0 = ive(0, t), c_k = 2 (-1)^k ive(k, t), k <= 2K,
-    of exp(-t (x + 1)) on [-1, 1], one row per t. K is the smallest with
+    of exp(-t (x + 1)) on [-1, 1], one row per t of GRID. K is the smallest with
     n * sum_{k > 2K} |c_k(t)| <= TRUNCATION_BOUND at every t; a deflated probe
     has norm^2 <= n, so that bounds the truncation error of h(t). Past the last
     computed term c_m, I_{k+1}(t) / I_k(t) <= r = t / (m + 1/2 + sqrt(t^2 +
     (m + 1/2)^2)) (Amos 1974), so the rest sums to less than |c_m| r / (1 - r)."""
-    key = grid.tobytes()
-    c = _bessel_columns(key, 0, 17)
+    c = _bessel_columns(0, 17)
     while True:
         m = c.shape[1] - 1
-        r = grid / (m + 0.5 + np.hypot(grid, m + 0.5))
+        r = GRID / (m + 0.5 + np.hypot(GRID, m + 0.5))
         # column j: the terms k > j up to m, plus the bound on those past m
         tails = np.cumsum(c[:, :0:-1], axis=1)[:, ::-1] + (c[:, -1] * r / (1 - r))[:, None]
         ok = (n * tails <= TRUNCATION_BOUND).all(axis=0)
         if ok.any():
             break
-        c = np.hstack((c, _bessel_columns(key, m + 1, 2 * m + 1)))
+        c = np.hstack((c, _bessel_columns(m + 1, 2 * m + 1)))
     k_max = (int(np.argmax(ok)) + 1) // 2  # the first ok cut j, rounded up to even 2K
     c = c[:, : 2 * k_max + 1].copy()
     c[:, 0] /= 2
@@ -287,12 +280,7 @@ def _exact_moments(op, count: int, steps: int) -> np.ndarray:
 
 
 def _heat_traces_estimated(
-    n: int,
-    edges: np.ndarray,
-    grid: np.ndarray,
-    probes: int,
-    seed: int,
-    exact_steps: int | None = EXACT_STEPS,
+    n: int, edges: np.ndarray, probes: int, seed: int, exact_steps: int | None = EXACT_STEPS
 ) -> np.ndarray:
     """Chebyshev moments of L - I with the exact zero-eigenspace deflated,
     summed through the series of _heat_coefficients. The moments of degree
@@ -321,7 +309,7 @@ def _heat_traces_estimated(
     s, deg = _scaled_adjacency(n, edges)
     basis = _zero_mode_basis(s, deg)
     op = _chebyshev_operator(s, deg)
-    coef = _heat_coefficients(n, grid)
+    coef = _heat_coefficients(n)
     k_max = coef.shape[1] // 2
     steps = 0 if exact_steps is None else min(exact_steps, k_max)  # exact through degree 2 steps
     starts = range(0, probes, PROBE_BLOCK)
@@ -350,29 +338,31 @@ def signature_path(d: CircuitDag) -> str:
     return "dense" if d.num_nodes <= DENSE_NODE_LIMIT else "estimated"
 
 
-def netlsd_signature(d: CircuitDag) -> HeatSignature:
+def netlsd_signature(d: CircuitDag) -> np.ndarray:
+    """h(t) of d at each t of GRID, as a read-only float64 array."""
     n = d.num_nodes
     if n < 1:
         raise ValueError("graph must have at least one node")
     edges = _undirected_edges(d)
     if signature_path(d) == "dense":
-        traces = _heat_traces_dense(n, edges, GRID)
+        traces = _heat_traces_dense(n, edges)
     else:
-        traces = _heat_traces_estimated(n, edges, GRID, PROBES, PROBE_SEED)
-    return HeatSignature(GRID, traces)
+        traces = _heat_traces_estimated(n, edges, PROBES, PROBE_SEED)
+    traces.setflags(write=False)
+    return traces
 
 
-def circuit_signature(c: Circuit) -> HeatSignature:
+def circuit_signature(c: Circuit) -> np.ndarray:
     return netlsd_signature(to_dag(c))
 
 
-def netlsd_divergence(a: Circuit | HeatSignature, b: Circuit | HeatSignature) -> float:
+def netlsd_divergence(a: Circuit | np.ndarray, b: Circuit | np.ndarray) -> float:
     """Distance between heat-trace signatures. Either side may be a signature
     precomputed by circuit_signature, so a side that is compared several
-    times is estimated once; both sides must share one timescale grid."""
-    sig_a = a if isinstance(a, HeatSignature) else circuit_signature(a)
-    sig_b = b if isinstance(b, HeatSignature) else circuit_signature(b)
-    if not np.array_equal(sig_a.timescales, sig_b.timescales):
-        raise ValueError("signatures were taken on different timescale grids")
-    return float(np.linalg.norm(sig_a.traces - sig_b.traces))
+    times is estimated once; a signature of another shape than GRID's is a
+    ValueError."""
+    sig_a, sig_b = (s if isinstance(s, np.ndarray) else circuit_signature(s) for s in (a, b))
+    if sig_a.shape != GRID.shape or sig_b.shape != GRID.shape:
+        raise ValueError(f"signatures of shapes {sig_a.shape} and {sig_b.shape}, not {GRID.shape}")
+    return float(np.linalg.norm(sig_a - sig_b))
 

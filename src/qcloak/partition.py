@@ -81,7 +81,9 @@ class BlockPartition:
     together, in block order.
 
     BlockPartition(n, blocks, slots, measured) converts its Blocks once and
-    checks that blocks[i] has a gate and one slot per gate in slots[i].
+    checks that blocks[i] has a gate and one slot per gate in slots[i], that
+    Circuit(n, the blocks' gates, measured) is valid and that the order
+    indices increase.
     .blocks and .slots are built from the columns on their first read;
     equality and hashing compare them."""
 
@@ -110,11 +112,14 @@ class BlockPartition:
             if len(s) != m:
                 raise ValueError(f"block {o} has {len(s)} slots for {m} gates")
         rows = join_columns(b.rows for b in blocks)
+        c = Circuit.from_columns(num_qubits, rows, measured_qubits)
         at = offsets([len(b.rows.kind) for b in blocks])
         per_block = [(b.qubits[0], b.qubits[-1], b.order_index) for b in blocks]
         lo, hi, order = np.array(per_block, dtype=np.int64).reshape(-1, 3).T.copy()
+        if (np.diff(order) <= 0).any():
+            raise ValueError(f"block order indices {order.tolist()} do not increase")
         slot = np.fromiter(chain.from_iterable(slots), dtype=np.int64, count=len(rows.kind))
-        built = self.from_rows(num_qubits, rows, at, lo, hi, order, slot, measured_qubits)
+        built = self.from_rows(c.num_qubits, rows, at, lo, hi, order, slot, c.measured_qubits)
         self.__dict__.update(vars(built))
 
     @classmethod
@@ -151,13 +156,11 @@ class BlockPartition:
         return block[cross], block[cross + 1], wire[cross]
 
     def take(self, idx) -> "BlockPartition":
-        """The blocks at idx as a partition: positions, whose rows are
-        gathered, or a slice, whose columns are views of these."""
+        """The blocks at idx, any index of a block array (positions, a slice,
+        a mask), as a partition of their gathered rows."""
+        idx = np.arange(self.num_blocks)[idx]
         sizes = np.diff(self.bounds)[idx]
-        if isinstance(idx, slice):
-            rows = slice(self.bounds[idx.start], self.bounds[idx.start] + sizes.sum())
-        else:
-            rows = ranges(self.bounds[idx], sizes)
+        rows = ranges(self.bounds[idx], sizes)
         cols = CircuitColumns(*(col[rows] for col in self.rows))
         lo, hi, order, slot = self.lo[idx], self.hi[idx], self.order[idx], self.slot[rows]
         n, measured = self.num_qubits, self.measured_qubits

@@ -68,7 +68,6 @@ from .dag import column_dag
 from .kak import DecompositionError, KakStack, KakTerms, kak_decompose_stack
 from .linalg import CX_ROWS, PAULI_X, PAULI_Y, PAULI_Z, equal_up_to_global_phase
 from .linalg import gate_matrices, rx_matrix, ry_matrix, rz_matrix
-from .netlsd import HeatSignature
 from .partition import Block, BlockPartition, block_unitaries, partition_of, row_keys
 
 # imported for perfbench/tracing.py, which wraps these names; not called here
@@ -84,7 +83,7 @@ CANDIDATE_TOL = 1e-9  # each candidate's unitary check, up to global phase
 SYNTH_CHUNK = 256  # blocks per candidate stack; bounds the stack's memory
 DRAW_TAG = 2**63 - 25  # keeps the draw streams apart from the key, RX and retry ones
 DRAW_STRIDE = 9  # uniforms per block on a candidate's stream: 2 mix, 1 Pauli, 6 angles
-SIGNATURE_MEMO_ENTRIES = 1024  # about 2 kB of traces each; netlsd.GRID is shared
+SIGNATURE_MEMO_ENTRIES = 1024  # each a read-only 2 kB array on netlsd.GRID
 
 # A segment's Euler run fills the five slots RZ SX RZ SX RZ (circuit's kind
 # codes), an X in the second slot when the middle RZ is trivial; a slot is
@@ -530,8 +529,8 @@ def _select(cands: Candidates, refs: list, k: int, shortlist: int) -> list[int]:
     if kept.shape[1] == 1:
         return kept[:, 0].tolist()
     keys = cands.keys()
-    traces = np.stack([_structure_signature(*keys[i]).traces for i in kept.ravel().tolist()])
-    ref = np.stack([_structure_signature(*r).traces for r in refs])
+    traces = np.stack([_structure_signature(*keys[i]) for i in kept.ravel().tolist()])
+    ref = np.stack([_structure_signature(*r) for r in refs])
     diff = traces.reshape(*kept.shape, -1) - ref[:, None]
     dist = np.sqrt(np.matmul(diff[..., None, :], diff[..., None])[..., 0, 0])
     return kept[np.arange(len(kept)), np.argmax(dist, axis=1)].tolist()
@@ -570,19 +569,17 @@ def structure_codes(wire, is_cx) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=SIGNATURE_MEMO_ENTRIES)
-def _structure_signature(width: int, structure: bytes) -> HeatSignature:
+def _structure_signature(width: int, structure: bytes) -> np.ndarray:
     """Heat signature of the fragment whose memo key is (width, structure),
     memoized by it: the DAG's edges, and so the signature, depend on nothing
     else, never on gate kinds or angles, and an encode meets few distinct
-    structures, so most lookups hit. The returned arrays are read-only and
-    shared."""
+    structures, so most lookups hit. The returned array is netlsd_signature's,
+    read-only and shared."""
     code = np.frombuffer(structure, dtype=np.int8).astype(np.int64)
     wire, is_cx = code % 2, code >= 2
     dag = column_dag(width, wire, np.where(is_cx, 1 - wire, -1))
     # Looked up in netlsd at call time, so tracing and tests see each miss.
-    sig = netlsd.netlsd_signature(dag)
-    sig.traces.setflags(write=False)
-    return sig
+    return netlsd.netlsd_signature(dag)
 
 
 def synthesize_block(b: Block, k: int, shortlist: int, seed: int) -> tuple[Gate, ...]:

@@ -1237,7 +1237,7 @@ def sequential_probe_blocks(seed: int, probes: int, n: int, width: int):
 
 
 def sequential_heat_traces(
-    n: int, edges: np.ndarray, grid: np.ndarray, probes: int, seed: int, exact_steps
+    n: int, edges: np.ndarray, probes: int, seed: int, exact_steps
 ) -> np.ndarray:
     """Reference heat-trace estimator without a pool: the probe blocks of
     sequential_probe_blocks in draw order through negating_block_moments,
@@ -1256,7 +1256,7 @@ def sequential_heat_traces(
     s, deg = _scaled_adjacency(n, edges)
     basis = _zero_mode_basis(s, deg)
     op = _chebyshev_operator(s, deg)
-    coef = _heat_coefficients(n, grid)
+    coef = _heat_coefficients(n)
     k_max = coef.shape[1] // 2
     mu = np.zeros(coef.shape[1])
     for v in sequential_probe_blocks(seed, probes, n, PROBE_BLOCK):
@@ -1270,16 +1270,14 @@ def sequential_heat_traces(
     return basis.shape[1] + coef @ mu
 
 
-def four_pass_heat_traces(
-    n: int, edges: np.ndarray, grid: np.ndarray, probes: int, seed: int
-) -> np.ndarray:
+def four_pass_heat_traces(n: int, edges: np.ndarray, probes: int, seed: int) -> np.ndarray:
     """Reference heat-trace estimator: the probe blocks in draw order, one at a
     time, through four_pass_block_moments on the Laplacian."""
     from qcloak.netlsd import PROBE_BLOCK, _heat_coefficients
 
     lap, deg = normalized_laplacian_sparse(n, edges)
     basis = union_find_zero_mode_basis(n, edges, deg)
-    coef = _heat_coefficients(n, grid)
+    coef = _heat_coefficients(n)
     mu = np.zeros(coef.shape[1])
     for v in sequential_probe_blocks(seed, probes, n, PROBE_BLOCK):
         mu += four_pass_block_moments(lap, basis, coef.shape[1] // 2, v)
@@ -1329,13 +1327,6 @@ def dag_edges_walk(c: Circuit) -> tuple[tuple[int, int], ...]:
     for w in range(n):
         edges.append((front[w], g + n + w))
     return tuple(edges)
-
-
-def signature_to_csv(sig) -> str:
-    lines = ["t,h"]
-    for t, h in zip(sig.timescales, sig.traces):
-        lines.append(f"{t:.12g},{h:.12g}")
-    return "\n".join(lines) + "\n"
 
 
 # The comparison report's schema as pinned literals: a field dropped from or

@@ -1,6 +1,7 @@
 import json
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 import qcloak.cli
@@ -100,7 +101,7 @@ def test_encode_summary_builds_and_signs_each_dag_once(tmp_path, capsys, monkeyp
     assert len(built) == 2
     assert [d for d in signed if any(d is b for b in built)] == built
     assert len(compared) == 1
-    assert all(isinstance(sig, qcloak.netlsd.HeatSignature) for sig in compared[0])
+    assert all(isinstance(sig, np.ndarray) for sig in compared[0])
     assert payload["netlsd_vs_baseline"] == want
     assert payload["netlsd_path"] == {"encoded": "dense", "baseline": "dense"}
 

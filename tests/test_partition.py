@@ -242,6 +242,57 @@ def test_reassemble_rejects_a_block_without_slots():
         BlockPartition(p.num_qubits, (p.blocks[0], empty), (p.slots[0], ()), p.measured_qubits)
 
 
+# The public constructor checks the rules a circuit of its gates would: a
+# gate or measured qubit off the width is no partition, and certify reads
+# the blocks in order-index order, so the indices must increase.
+def test_partition_rejects_a_gate_off_its_width():
+    with pytest.raises(ValueError, match=r"acts outside qubits 0\.\.1"):
+        BlockPartition(2, [Block((0, 5), [cx(0, 5)], 0)], [(0,)])
+
+
+@pytest.mark.parametrize(
+    "measured, message", [((7, 7), "duplicate measured qubit"), ((2,), "out of range")]
+)
+def test_partition_rejects_bad_measured_qubits(measured, message):
+    with pytest.raises(ValueError, match=message):
+        BlockPartition(2, [Block((0, 1), [cx(0, 1)], 0)], [(0,)], measured)
+
+
+def test_partition_rejects_order_indices_that_do_not_increase():
+    blocks = [Block((0,), [sx(0)], 3), Block((1,), [sx(1)], 1)]
+    with pytest.raises(ValueError, match=r"order indices \[3, 1\] do not increase"):
+        BlockPartition(2, blocks, [(0,), (1,)])
+    with pytest.raises(ValueError, match="do not increase"):
+        BlockPartition(2, [blocks[1], blocks[1]], [(0,), (1,)])
+
+
+@pytest.mark.parametrize(
+    "idx",
+    [
+        slice(0, 6, 2),
+        slice(-2, None),
+        slice(None, 3),
+        slice(4, 9),
+        [5, 0, 12],
+        np.arange(13) % 3 == 0,
+    ],
+    ids=["step", "negative_start", "no_start", "range", "positions", "mask"],
+)
+def test_take_gathers_the_blocks_at_any_index(idx):
+    # the blocks at the same positions of every per-block and per-row column
+    p = form_blocks(gen_qft(4))
+    assert p.num_blocks == 13
+    got, pos = p.take(idx), np.arange(p.num_blocks)[idx]
+    sizes = np.diff(p.bounds)[pos]
+    rows = np.concatenate([np.arange(p.bounds[i], p.bounds[i + 1]) for i in pos])
+    assert np.array_equal(got.bounds, np.concatenate(([0], np.cumsum(sizes))))
+    for a, b in zip(got.rows, p.rows):
+        assert np.array_equal(a, b[rows], equal_nan=True)
+    for name in ("lo", "hi", "order"):
+        assert np.array_equal(getattr(got, name), getattr(p, name)[pos])
+    assert np.array_equal(got.slot, p.slot[rows])
+
+
 @given(circuits(max_qubits=5, max_gates=25))
 def test_partition_invariants(c):
     p = form_blocks(c)
