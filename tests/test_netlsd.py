@@ -85,6 +85,18 @@ def test_single_gate_wire_is_path_graph():
     assert np.allclose(netlsd_signature(dag), want, rtol=0, atol=1e-10)
 
 
+def test_dense_heat_traces_of_3_node_path_on_grid():
+    # the dense solver itself, not the dispatch: h(t) = 1 + e^-t + e^-2t at
+    # every t of GRID, first and last included
+    d = to_dag(Circuit(1, (sx(0),)))
+    h = _heat_traces_dense(d.num_nodes, _undirected_edges(d))
+    assert h.shape == GRID.shape and h.dtype == np.float64
+    assert abs(h[0] - (1 + np.exp(-0.01) + np.exp(-0.02))) < 1e-9
+    assert abs(h[-1] - 1) < 1e-9
+    want = 1 + np.exp(-GRID) + np.exp(-2 * GRID)
+    assert np.allclose(h, want, rtol=0, atol=1e-10)
+
+
 def test_gate_chain_matches_path_eigenvalues():
     m = 6
     c = Circuit(1, tuple(rz(0.1 * (i + 1), 0) for i in range(m)))
